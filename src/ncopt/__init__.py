@@ -51,7 +51,6 @@ from ncopt.linalg import (
     EigenResult,
     KernelError,
     leftmost_eigenpair,
-    leftmost_eigenvalue,
     modified_newton_shift,
     symmetric_extreme_eigenvalues,
     truncated_cg,

@@ -26,7 +26,9 @@ from ncopt.harness import (
     run_experiment,
     standard_campaign_pairs,
 )
+from ncopt.linalg import KernelError
 from ncopt.problems import EvaluationError, list_problems
+from ncopt.steps import ConditionViolation
 
 
 def _build_parser():
@@ -114,7 +116,7 @@ def _cmd_run(args):
     except (UsageError, DatasetParseError, DatasetSchemaError, KeyError) as err:
         print("usage error: %s" % err, file=sys.stderr)
         return 2
-    except (InnerLoopStall, EvaluationError) as err:
+    except (InnerLoopStall, EvaluationError, KernelError, ConditionViolation) as err:
         print("solver abnormal termination: %s" % err, file=sys.stderr)
         return 3
     summary = load_report_summary(paths["report"])

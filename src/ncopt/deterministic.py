@@ -304,7 +304,7 @@ def dynamic_solve(problem, criteria=None, strategy="steepest",
         else:
             s, _ = descent_direction(strategy, g, H, criteria,
                                      condition_cap=condition_cap,
-                                     enforce_norm_band=False)
+                                     enforce_norm_band=False, eig=eig)
         has_s = bool(np.any(s != 0.0))
 
         if not has_d and not has_s:

@@ -177,9 +177,12 @@ def run_experiment(config):
     """
     validate_config(config)
     problem = build_problem(config)
-    if config.variant in STOCHASTIC_VARIANTS and \
-            not isinstance(problem, FiniteSumProblem):
-        raise UsageError("problem: stochastic variants need a finite-sum problem")
+    if config.variant in STOCHASTIC_VARIANTS:
+        if not isinstance(problem, FiniteSumProblem):
+            raise UsageError("problem: stochastic variants need a finite-sum problem")
+        if config.batch_size > problem.component_count:
+            raise UsageError("batch_size: %d exceeds the problem's %d components"
+                             % (config.batch_size, problem.component_count))
     x0 = starting_point(config, problem)
     out_dir = config.resolved_out_dir()
     os.makedirs(out_dir, exist_ok=True)

@@ -1,9 +1,13 @@
-"""Dense symmetric eigenvalue kernels, truncated CG, and the spectral shift.
+"""Dense symmetric eigen kernels, truncated CG, and the spectral shift.
 
-The leftmost eigenpair is computed natively (Householder tridiagonalization,
-Sturm-sequence bisection, inverse iteration) so that tests can check it
-against an independent dense eigendecomposition.  All kernels are pure
-functions and safe for concurrent use.
+Each iterate's Hessian is factored once, by LAPACK (`np.linalg.eigh`); the
+resulting spectrum and eigenvectors serve the leftmost eigenpair, the
+curvature direction and the modified-Newton shift and solve.  When the
+leftmost eigenvalue is repeated, LAPACK may return any orthonormal basis
+of its eigenspace, so the vector used is picked by `eigenspace_direction`,
+a rule that depends on the eigenspace only.  The tests check these kernels
+against an independent pure-Python reference eigensolver.  All kernels are
+pure functions and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -12,6 +16,12 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+
+# eigenvalues within this relative distance of the leftmost one count as ties
+_TIE_RTOL = 1e-12
+# a projection onto the leftmost eigenspace shorter than this fraction of the
+# projected vector's norm is treated as zero: its direction is rounding noise
+_PROJECTION_FLOOR = 1e-8
 
 
 class KernelError(RuntimeError):
@@ -23,11 +33,30 @@ class EigenResult:
     """Leftmost eigenpair of a symmetric matrix.
 
     leftmost_vector has unit 2-norm; residual is ||H v - lambda v||_2.
+    values (ascending) and vectors (matching columns) are the full
+    decomposition the pair was taken from, kept so later steps on the same
+    matrix need not factor it again.
     """
 
     leftmost_value: float
     leftmost_vector: np.ndarray
     residual: float
+    values: np.ndarray | None = None
+    vectors: np.ndarray | None = None
+
+    @property
+    def leftmost_basis(self):
+        """Orthonormal basis (columns) of the leftmost eigenspace."""
+        if self.vectors is None:
+            return self.leftmost_vector[:, None]
+        return self.vectors[:, :_leftmost_multiplicity(self.values)]
+
+
+def _leftmost_multiplicity(w):
+    """How many of the ascending eigenvalues w lie within
+    _TIE_RTOL * max(1, max |w|) of the leftmost one."""
+    tol = _TIE_RTOL * max(1.0, abs(float(w[0])), abs(float(w[-1])))
+    return int(np.searchsorted(w, w[0] + tol, side="right"))
 
 
 class CgStatus(enum.Enum):
@@ -63,166 +92,67 @@ def _check_symmetric(H, tol=1e-10):
     return 0.5 * (H + H.T)
 
 
-def _tridiagonalize(H):
-    """Householder reduction of symmetric H to tridiagonal form.
+def _eigh(H):
+    """Ascending eigenvalues and orthonormal eigenvectors of symmetric H."""
+    try:
+        return np.linalg.eigh(H)
+    except np.linalg.LinAlgError as err:
+        raise KernelError("symmetric eigendecomposition failed: %s" % err) from err
 
-    Returns (d, e, Q) with Q' H Q tridiagonal; d is the diagonal and e the
-    off-diagonal.  Q is accumulated so tridiagonal eigenvectors map back via
-    Q @ u.
+
+def eigenspace_direction(basis, g=None):
+    """Unit vector in the span of the orthonormal columns of basis, chosen
+    by a rule that depends on the span only, not on the basis.
+
+    With P the orthogonal projector onto the span: -Pg/||Pg|| when g is
+    given and Pg is not negligible (the unit vector of the span most
+    aligned with -g); otherwise P e_j/||P e_j|| for the smallest j whose
+    projection is not negligible, signed so that its largest-magnitude
+    entry is positive.
     """
-    A = H.copy()
-    n = A.shape[0]
-    Q = np.eye(n)
-    for k in range(n - 2):
-        x = A[k + 1:, k].copy()
-        xnorm = np.linalg.norm(x)
-        if xnorm == 0.0:
-            continue
-        alpha = -np.copysign(xnorm, x[0]) if x[0] != 0.0 else -xnorm
-        v = x
-        v[0] -= alpha
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        # two-sided application of P = I - 2 v v'
-        A[k + 1:, k:] -= 2.0 * np.outer(v, v @ A[k + 1:, k:])
-        A[:, k + 1:] -= 2.0 * np.outer(A[:, k + 1:] @ v, v)
-        Q[:, k + 1:] -= 2.0 * np.outer(Q[:, k + 1:] @ v, v)
-    d = np.diag(A).copy()
-    e = np.diag(A, 1).copy()
-    return d, e, Q
-
-
-def _count_eigs_below(d, e, x):
-    """Number of eigenvalues of tridiag(d, e) strictly below x (Sturm count)."""
-    n = d.shape[0]
-    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e * e)) if e.size else 1.0)
-    q = d[0] - x
-    count = 1 if q < 0.0 else 0
-    for i in range(1, n):
-        if abs(q) < pivmin:
-            q = -pivmin
-        q = (d[i] - x) - e[i - 1] * e[i - 1] / q
-        if q < 0.0:
-            count += 1
-    return count
-
-
-def _bisect_eigenvalue(d, e, k):
-    """k-th smallest eigenvalue of tridiag(d, e) by bisection, 0-indexed."""
-    n = d.shape[0]
-    radius = np.zeros(n)
-    if n > 1:
-        radius[:-1] += np.abs(e)
-        radius[1:] += np.abs(e)
-    lo = float(np.min(d - radius))
-    hi = float(np.max(d + radius))
-    scale = max(abs(lo), abs(hi), 1.0)
-    for _ in range(128):
-        mid = 0.5 * (lo + hi)
-        if _count_eigs_below(d, e, mid) >= k + 1:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 2.0 * np.finfo(float).eps * scale:
-            break
-    return 0.5 * (lo + hi)
-
-
-def _eigenpair_2x2(H):
-    a, b, c = H[0, 0], H[0, 1], H[1, 1]
-    disc = np.hypot(a - c, 2.0 * b)
-    lam = 0.5 * ((a + c) - disc)
-    # eigenvector from the better-conditioned of the two defining rows
-    v1 = np.array([b, lam - a])
-    v2 = np.array([lam - c, b])
-    v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-    if np.linalg.norm(v) == 0.0:
-        v = np.array([1.0, 0.0]) if a <= c else np.array([0.0, 1.0])
-    return lam, v / np.linalg.norm(v)
-
-
-def _inverse_iteration(H, lam):
-    """Eigenvector of H for the eigenvalue estimate lam via inverse iteration."""
-    n = H.shape[0]
-    scale = max(1.0, float(np.max(np.abs(H))))
-    shift = lam + 10.0 * np.finfo(float).eps * scale
-    v = np.ones(n) + 1e-3 * np.arange(n)
+    if g is not None:
+        pg = basis @ (basis.T @ g)
+        norm = float(np.linalg.norm(pg))
+        if norm > _PROJECTION_FLOOR * float(np.linalg.norm(g)):
+            return -pg / norm
+    j = int(np.argmax(np.linalg.norm(basis, axis=1) > _PROJECTION_FLOOR))
+    v = basis @ basis[j]
     v /= np.linalg.norm(v)
-    best_v, best_res = v, np.inf
-    for attempt in range(3):
-        M = H - shift * np.eye(n)
-        try:
-            for _ in range(4):
-                w = np.linalg.solve(M, v)
-                nw = np.linalg.norm(w)
-                if not np.isfinite(nw) or nw == 0.0:
-                    break
-                v = w / nw
-                res = np.linalg.norm(H @ v - (v @ H @ v) * v)
-                if res < best_res:
-                    best_res, best_v = res, v.copy()
-                if res <= 4.0 * np.finfo(float).eps * scale * n:
-                    return best_v
-        except np.linalg.LinAlgError:
-            pass
-        shift += (10.0 ** attempt) * 1e-12 * scale
-    return best_v
+    if v[int(np.argmax(np.abs(v)))] < 0.0:
+        v = -v
+    return v
 
 
 def symmetric_extreme_eigenvalues(H):
     """(smallest, largest) eigenvalues of a symmetric matrix."""
-    H = _check_symmetric(H)
-    n = H.shape[0]
-    if n == 1:
-        return float(H[0, 0]), float(H[0, 0])
-    if n == 2:
-        a, b, c = H[0, 0], H[0, 1], H[1, 1]
-        disc = np.hypot(a - c, 2.0 * b)
-        return float(0.5 * ((a + c) - disc)), float(0.5 * ((a + c) + disc))
-    d, e, _ = _tridiagonalize(H)
-    return float(_bisect_eigenvalue(d, e, 0)), float(_bisect_eigenvalue(d, e, n - 1))
-
-
-def leftmost_eigenvalue(H):
-    """Minimum eigenvalue of a symmetric matrix (no eigenvector)."""
-    return symmetric_extreme_eigenvalues(H)[0]
+    try:
+        w = np.linalg.eigvalsh(_check_symmetric(H))
+    except np.linalg.LinAlgError as err:
+        raise KernelError("symmetric eigenvalue solve failed: %s" % err) from err
+    return float(w[0]), float(w[-1])
 
 
 def leftmost_eigenpair(H, tolerance=1e-10):
     """Leftmost (minimum) eigenvalue and a unit eigenvector of symmetric H.
 
-    The residual ||H v - lambda v|| must come out below
+    The vector is `eigenspace_direction` of the leftmost eigenspace, so a
+    repeated leftmost eigenvalue gives the same vector whichever basis
+    LAPACK returns.  The residual ||H v - lambda v|| must come out below
     tolerance * max(1, ||H||_F) or a KernelError is raised.  Non-symmetric
     input (asymmetry above 1e-10) is rejected.
     """
     H = _check_symmetric(H)
-    n = H.shape[0]
-    if n == 1:
-        lam = float(H[0, 0])
-        v = np.array([1.0])
-    elif n == 2:
-        lam, v = _eigenpair_2x2(H)
-        lam = float(lam)
-    else:
-        d, e, Q = _tridiagonalize(H)
-        lam = float(_bisect_eigenvalue(d, e, 0))
-        T = np.diag(d)
-        if n > 1:
-            T += np.diag(e, 1) + np.diag(e, -1)
-        u = _inverse_iteration(T, lam)
-        v = Q @ u
-        v /= np.linalg.norm(v)
-        # the Rayleigh quotient of the converged vector is the sharper estimate
-        lam = min(lam, float(v @ H @ v))
+    w, V = _eigh(H)
+    lam = float(w[0])
+    v = eigenspace_direction(V[:, :_leftmost_multiplicity(w)])
     residual = float(np.linalg.norm(H @ v - lam * v))
     bound = tolerance * max(1.0, float(np.linalg.norm(H)))
     if residual > bound:
         raise KernelError(
             "leftmost eigenpair residual %.3e exceeds bound %.3e" % (residual, bound)
         )
-    return EigenResult(leftmost_value=lam, leftmost_vector=v, residual=residual)
+    return EigenResult(leftmost_value=lam, leftmost_vector=v, residual=residual,
+                       values=w, vectors=V)
 
 
 def truncated_cg(H, g, max_iterations, tolerance=None):
@@ -265,7 +195,7 @@ def truncated_cg(H, g, max_iterations, tolerance=None):
     return CgOutcome(s, None, CgStatus.MAX_ITERATIONS, max_iterations)
 
 
-def modified_newton_shift(H, condition_cap=1e8, pd_floor=1e-8):
+def modified_newton_shift(H, condition_cap=1e8, pd_floor=1e-8, eig=None):
     """Smallest shift delta >= 0 making H + delta*I positive definite with
     condition number at most condition_cap.
 
@@ -273,12 +203,20 @@ def modified_newton_shift(H, condition_cap=1e8, pd_floor=1e-8):
     delta = max(0, (lmax - cap*lmin)/(cap - 1)), with the degenerate case
     lmax = lmin <= 0 clamped to -lmin + pd_floor (any positive shift then has
     condition number 1).  Returns (delta, solve) where solve(rhs) solves
-    (H + delta*I) x = rhs.
+    (H + delta*I) x = rhs through the eigendecomposition of H, with one
+    step of iterative refinement.  Pass eig, the `leftmost_eigenpair`
+    result for this same H, to reuse its decomposition instead of factoring
+    H again.
     """
     if condition_cap <= 1.0:
         raise ValueError("condition_cap must exceed 1")
-    H = _check_symmetric(H)
-    lmin, lmax = symmetric_extreme_eigenvalues(H)
+    if eig is None:
+        H = _check_symmetric(H)
+        w, V = _eigh(H)
+    else:
+        H = np.asarray(H, dtype=float)
+        w, V = eig.values, eig.vectors
+    lmin, lmax = float(w[0]), float(w[-1])
     # aim slightly inside the cap so the condition number verified in floating
     # point (relative error ~ eps * kappa) still lands at or below it
     cap = condition_cap * (1.0 - 1e-6)
@@ -288,9 +226,15 @@ def modified_newton_shift(H, condition_cap=1e8, pd_floor=1e-8):
         delta = max(0.0, (lmax - cap * lmin) / (cap - 1.0))
         if lmin + delta <= 0.0:
             delta = -lmin + pd_floor
-    B = H + delta * np.eye(H.shape[0])
+    shifted = w + delta
+
+    def spectral_solve(rhs):
+        return V @ ((V.T @ rhs) / shifted)
 
     def solve(rhs):
-        return np.linalg.solve(B, np.asarray(rhs, dtype=float))
+        rhs = np.asarray(rhs, dtype=float)
+        x = spectral_solve(rhs)
+        # one refinement step brings the residual down to an LU solve's level
+        return x + spectral_solve(rhs - H @ x - delta * x)
 
     return delta, solve

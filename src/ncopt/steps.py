@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ncopt.linalg import leftmost_eigenpair, modified_newton_shift
+from ncopt.linalg import eigenspace_direction, leftmost_eigenpair, modified_newton_shift
 
 _CERT_SLACK = 1e-12
 
@@ -122,13 +122,20 @@ def direction_from_eigenpair(eig, g, criteria, zero_curvature_tol=1e-12):
 
     Returns zero when the leftmost eigenvalue is above -zero_curvature_tol
     (eigenvalues that close to zero are treated as nonnegative to avoid
-    amplifying eigenvector noise).
+    amplifying eigenvector noise).  Otherwise the unit vector of the
+    leftmost eigenspace picked by `eigenspace_direction` (the one most
+    aligned with -g when the eigenvalue is repeated), scaled to
+    theta*|lambda| and signed so that g'd <= 0 up to rounding.
     """
     lam = eig.leftmost_value
     if lam >= -zero_curvature_tol:
         return np.zeros_like(eig.leftmost_vector)
-    d = criteria.theta * abs(lam) * eig.leftmost_vector
-    if g is not None and float(g @ d) > 0.0:
+    d = criteria.theta * abs(lam) * eigenspace_direction(eig.leftmost_basis, g)
+    # a vector orthogonal to g up to rounding keeps its fixed sign, so the
+    # sign does not follow rounding noise; the certificate allows this g'd
+    if g is not None and float(g @ d) > _CERT_SLACK * max(
+        1.0, float(np.linalg.norm(g) * np.linalg.norm(d))
+    ):
         d = -d
     return d
 
@@ -180,13 +187,15 @@ def negative_curvature_direction(H, g, criteria=None, eig_tolerance=1e-10,
 
 
 def descent_direction(strategy, g, H=None, criteria=None, condition_cap=1e8,
-                      enforce_norm_band=True):
+                      enforce_norm_band=True, eig=None):
     """Descent direction by steepest descent or a modified-Newton solve.
 
     Returns (s, certificate).  The realized cosine must meet criteria.delta;
     with enforce_norm_band the ratio ||s||/||g|| must also lie in
     [zeta, eta] (required by the fixed-stepsize method; the adaptive method
-    only needs the cosine condition).
+    only needs the cosine condition).  For modified_newton, eig (the
+    `leftmost_eigenpair` result for H, if already computed) lets the shift
+    and solve reuse its decomposition.
     """
     criteria = criteria or DirectionCriteria()
     g = np.asarray(g, dtype=float)
@@ -198,7 +207,7 @@ def descent_direction(strategy, g, H=None, criteria=None, condition_cap=1e8,
     elif strategy == "modified_newton":
         if H is None:
             raise ValueError("modified_newton strategy needs the Hessian")
-        _, solve = modified_newton_shift(H, condition_cap=condition_cap)
+        _, solve = modified_newton_shift(H, condition_cap=condition_cap, eig=eig)
         s = solve(-g)
     else:
         raise ValueError("unknown strategy %r (options: %s)"

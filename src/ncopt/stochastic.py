@@ -221,11 +221,9 @@ def curvature_noise_step(x, oracle, criteria=None, alpha_k=None, beta_k=None,
     if lam >= -zero_curvature_tol or snorm == 0.0:
         d = np.zeros_like(x)
     else:
+        # leftmost_vector has a fixed sign (largest entry positive), which
+        # keeps replays stable; omega makes the step zero-mean
         d = snorm * eig.leftmost_vector
-        # deterministic sign for replay stability; omega makes it zero-mean
-        lead = int(np.argmax(np.abs(d)))
-        if d[lead] < 0.0:
-            d = -d
         certify_curvature_direction(d, H_est, lam, None, criteria,
                                     check_norm_cap=False)
 

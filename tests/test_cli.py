@@ -7,6 +7,8 @@ import pytest
 
 from ncopt.cli import main
 from ncopt.deterministic import InnerLoopStall, SolverReport
+from ncopt.linalg import KernelError
+from ncopt.steps import ConditionViolation
 
 
 class TestListProblems:
@@ -74,6 +76,28 @@ class TestRun:
         code = main(["run", "--problem", "sphere", "--variant", "dynamic_sd",
                      "--out", str(tmp_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("error", [
+        KernelError("leftmost eigenpair residual 1e-3 exceeds bound 1e-10"),
+        ConditionViolation("g'd must be nonpositive"),
+    ])
+    def test_kernel_and_certificate_failures_exit_3(self, tmp_path, monkeypatch,
+                                                    capsys, error):
+        def fail(config):
+            raise error
+
+        monkeypatch.setattr("ncopt.cli.run_experiment", fail)
+        code = main(["run", "--problem", "sphere", "--variant", "dynamic_sd",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert str(error) in capsys.readouterr().err
+
+    def test_batch_larger_than_problem_is_usage_error(self, tmp_path, capsys):
+        # the default batch of 32 exceeds quadratic_sum's 20 components
+        code = main(["run", "--problem", "quadratic_sum", "--variant",
+                     "stoch_dynamic", "--seed", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "batch_size" in capsys.readouterr().err
 
     def test_config_file_driving(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

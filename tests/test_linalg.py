@@ -1,14 +1,26 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from ncopt.harness import CAMPAIGN_STARTS
 from ncopt.linalg import (
     CgStatus,
     KernelError,
+    eigenspace_direction,
     leftmost_eigenpair,
     modified_newton_shift,
     symmetric_extreme_eigenvalues,
     truncated_cg,
 )
+from ncopt.problems import make_problem
+from ncopt.steps import (
+    DirectionCriteria,
+    certify_curvature_direction,
+    direction_from_eigenpair,
+)
+from reference_eigen import reference_extreme_eigenvalues, reference_leftmost_eigenpair
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -55,9 +67,13 @@ class TestLeftmostEigenpair:
             n = int(rng.integers(1, 21))
             H = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 5.0)))
             res = leftmost_eigenpair(H)
-            oracle = np.linalg.eigvalsh(H)[0]
+            lam, v = reference_leftmost_eigenpair(H)
             assert res.residual <= 1e-10
-            assert abs(res.leftmost_value - oracle) <= 1e-10
+            assert abs(res.leftmost_value - lam) <= 1e-10
+            w = res.values
+            if n > 1 and w[1] - w[0] > 1e-3:
+                # a simple eigenvalue: both kernels find the same line
+                assert abs(abs(float(res.leftmost_vector @ v)) - 1.0) <= 1e-10
 
     def test_repeated_eigenvalues(self):
         res = leftmost_eigenpair(np.diag([-2.0, -2.0, 3.0, 3.0]))
@@ -70,9 +86,27 @@ class TestLeftmostEigenpair:
             n = int(rng.integers(1, 15))
             H = random_symmetric(rng, n)
             lmin, lmax = symmetric_extreme_eigenvalues(H)
-            w = np.linalg.eigvalsh(H)
-            assert lmin == pytest.approx(w[0], abs=1e-10)
-            assert lmax == pytest.approx(w[-1], abs=1e-10)
+            ref_min, ref_max = reference_extreme_eigenvalues(H)
+            assert lmin == pytest.approx(ref_min, abs=1e-10)
+            assert lmax == pytest.approx(ref_max, abs=1e-10)
+
+    def test_lapack_failure_is_kernel_error(self, monkeypatch):
+        def fail(H):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(KernelError, match="did not converge"):
+            leftmost_eigenpair(np.eye(3))
+        with pytest.raises(KernelError):
+            modified_newton_shift(np.eye(3))
+
+    def test_result_carries_the_decomposition(self):
+        H = np.diag([3.0, -1.0, 2.0])
+        res = leftmost_eigenpair(H)
+        np.testing.assert_allclose(res.values, [-1.0, 2.0, 3.0])
+        np.testing.assert_allclose(H @ res.vectors, res.vectors * res.values,
+                                   atol=1e-14)
+        assert res.leftmost_basis.shape == (3, 1)
 
 
 class TestTruncatedCg:
@@ -154,8 +188,8 @@ def _shift_bisection_oracle(H, cap, hi=1e6, iters=200):
     """Smallest admissible shift by bisection on the dense eigenvalue oracle."""
 
     def admissible(delta):
-        w = np.linalg.eigvalsh(H + delta * np.eye(H.shape[0]))
-        return w[0] > 0.0 and w[-1] <= cap * w[0]
+        lmin, lmax = reference_extreme_eigenvalues(H + delta * np.eye(H.shape[0]))
+        return lmin > 0.0 and lmax <= cap * lmin
 
     lo = 0.0
     if admissible(lo):
@@ -196,14 +230,13 @@ class TestModifiedNewtonShift:
             H = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 10.0)))
             delta, solve = modified_newton_shift(H, condition_cap=cap)
             B = H + delta * np.eye(n)
-            lmin, lmax = symmetric_extreme_eigenvalues(B)
+            lmin, lmax = reference_extreme_eigenvalues(B)
             assert lmin > 0.0
             assert lmax <= cap * lmin
             # halving the shift must break positive definiteness or the cap
             if delta > 1e-8:
-                Bh = H + 0.5 * delta * np.eye(n)
-                wh = np.linalg.eigvalsh(Bh)
-                assert wh[0] <= 0.0 or wh[-1] > cap * wh[0]
+                hmin, hmax = reference_extreme_eigenvalues(H + 0.5 * delta * np.eye(n))
+                assert hmin <= 0.0 or hmax > cap * hmin
             rhs = rng.normal(size=n)
             np.testing.assert_allclose(B @ solve(rhs), rhs, atol=1e-8 * max(1.0, np.abs(rhs).max()))
 
@@ -211,6 +244,114 @@ class TestModifiedNewtonShift:
         with pytest.raises(ValueError):
             modified_newton_shift(np.eye(2), condition_cap=0.5)
 
+    def test_reuses_the_eigenpair_decomposition(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = int(rng.integers(1, 12))
+            H = random_symmetric(rng, n, scale=3.0)
+            rhs = rng.normal(size=n)
+            delta, solve = modified_newton_shift(H)
+            shared_delta, shared_solve = modified_newton_shift(
+                H, eig=leftmost_eigenpair(H))
+            assert shared_delta == delta
+            np.testing.assert_array_equal(shared_solve(rhs), solve(rhs))
+
 
 def test_kernel_error_type_exists():
     assert issubclass(KernelError, RuntimeError)
+
+
+def _orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+@st.composite
+def repeated_leftmost(draw):
+    """(H, Q, k, rng): H = Q diag(w) Q' whose leftmost eigenvalue has
+    multiplicity k, eigenspace spanned by the first k columns of Q."""
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(2, n))
+    lam = draw(st.floats(-5.0, -0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = np.concatenate([np.full(k, lam), rng.uniform(lam + 0.5, 5.0, size=n - k)])
+    Q = _orthogonal(rng, n)
+    H = (Q * w) @ Q.T
+    return 0.5 * (H + H.T), Q, k, rng
+
+
+def _rotate_leftmost_basis(eig, R):
+    k = R.shape[0]
+    return replace(eig, vectors=np.hstack([eig.vectors[:, :k] @ R,
+                                           eig.vectors[:, k:]]))
+
+
+class TestRepeatedLeftmostEigenvalue:
+    """A repeated leftmost eigenvalue leaves LAPACK free to return any basis
+    of its eigenspace; the chosen direction must not depend on it."""
+
+    criteria = DirectionCriteria(theta=0.7)
+
+    @given(repeated_leftmost())
+    def test_direction_most_aligned_with_minus_g(self, case):
+        H, Q, k, rng = case
+        n = H.shape[0]
+        eig = leftmost_eigenpair(H)
+        assert eig.leftmost_basis.shape[1] == k
+        # g has a unit projection onto the eigenspace plus an orthogonal part
+        u = rng.normal(size=k)
+        g = Q[:, :k] @ (u / np.linalg.norm(u)) \
+            + Q[:, k:] @ (rng.uniform(0.0, 3.0) * rng.normal(size=n - k))
+        d = direction_from_eigenpair(eig, g, self.criteria)
+        pg = Q[:, :k] @ (Q[:, :k].T @ g)
+        np.testing.assert_allclose(d, -0.7 * abs(eig.leftmost_value) * pg
+                                   / np.linalg.norm(pg), rtol=0, atol=1e-10)
+        certify_curvature_direction(d, H, eig.leftmost_value, g, self.criteria)
+        rotated = _rotate_leftmost_basis(eig, _orthogonal(rng, k))
+        np.testing.assert_allclose(direction_from_eigenpair(rotated, g, self.criteria),
+                                   d, rtol=0, atol=1e-12)
+
+    @given(repeated_leftmost())
+    def test_fallback_when_g_has_no_projection(self, case):
+        H, Q, k, rng = case
+        n = H.shape[0]
+        eig = leftmost_eigenpair(H)
+        rotated = _rotate_leftmost_basis(eig, _orthogonal(rng, k))
+        g_orthogonal = Q[:, k:] @ rng.normal(size=n - k)
+        for g in (g_orthogonal, np.zeros(n), None):
+            d = direction_from_eigenpair(eig, g, self.criteria)
+            certify_curvature_direction(d, H, eig.leftmost_value, g, self.criteria)
+            np.testing.assert_allclose(direction_from_eigenpair(rotated, g, self.criteria),
+                                       d, rtol=0, atol=1e-12)
+        # without g the fixed vector is the eigenpair's own leftmost_vector:
+        # P e_j / ||P e_j|| for the first j with a projection, largest entry > 0
+        v = eig.leftmost_vector
+        np.testing.assert_allclose(eigenspace_direction(rotated.leftmost_basis), v,
+                                   rtol=0, atol=1e-12)
+        P = Q[:, :k] @ Q[:, :k].T
+        j = int(np.argmax(np.linalg.norm(P, axis=0) > 1e-8))
+        expected = P[:, j] / np.linalg.norm(P[:, j])
+        expected *= np.sign(expected[np.argmax(np.abs(expected))])
+        np.testing.assert_allclose(v, expected, rtol=0, atol=1e-10)
+        assert v[np.argmax(np.abs(v))] > 0.0
+
+    def test_rastrigin_campaign_start_triple_eigenvalue(self):
+        # cos(2 pi x) is symmetric about x = 1/2, so the start's coordinates
+        # 0.51, 0.49 and -0.51 give the same (leftmost) Hessian entry
+        problem = make_problem("rastrigin")
+        x = np.array(CAMPAIGN_STARTS["rastrigin"], dtype=float)
+        H, g = problem.hessian(x), problem.gradient(x)
+        eig = leftmost_eigenpair(H)
+        assert eig.leftmost_basis.shape[1] == 3
+        criteria = DirectionCriteria()
+        d = direction_from_eigenpair(eig, g, criteria)
+        certify_curvature_direction(d, H, eig.leftmost_value, g, criteria)
+        tied = [0, 1, 4]
+        expected = np.zeros(5)
+        expected[tied] = -g[tied] / np.linalg.norm(g[tied])
+        np.testing.assert_allclose(d, abs(eig.leftmost_value) * expected,
+                                   rtol=0, atol=1e-9)
+        R = _orthogonal(np.random.default_rng(5), 3)
+        np.testing.assert_allclose(
+            direction_from_eigenpair(_rotate_leftmost_basis(eig, R), g, criteria),
+            d, rtol=0, atol=1e-12)
