@@ -1,8 +1,9 @@
 """Command-line experiment runner.
 
 Verbs: list-problems, run, compare, campaign.  Exit codes: 0 on success,
-2 on usage errors, 3 on abnormal solver termination (partial trace still
-written).  The default output directory comes from NCOPT_OUTPUT_DIR.
+2 on usage errors, 3 on abnormal solver termination (a deterministic
+solve's partial report and trace are still written).  The default output
+directory comes from NCOPT_OUTPUT_DIR.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 
 import numpy as np
 
-from ncopt.deterministic import InnerLoopStall
+from ncopt.deterministic import SOLVER_FAILURES
 from ncopt.finite_sum import DatasetParseError, DatasetSchemaError
 from ncopt.harness import (
     ExperimentConfig,
@@ -26,9 +27,7 @@ from ncopt.harness import (
     run_experiment,
     standard_campaign_pairs,
 )
-from ncopt.linalg import KernelError
-from ncopt.problems import EvaluationError, list_problems
-from ncopt.steps import ConditionViolation
+from ncopt.problems import list_problems
 
 
 def _build_parser():
@@ -116,7 +115,7 @@ def _cmd_run(args):
     except (UsageError, DatasetParseError, DatasetSchemaError, KeyError) as err:
         print("usage error: %s" % err, file=sys.stderr)
         return 2
-    except (InnerLoopStall, EvaluationError, KernelError, ConditionViolation) as err:
+    except SOLVER_FAILURES as err:
         print("solver abnormal termination: %s" % err, file=sys.stderr)
         return 3
     summary = load_report_summary(paths["report"])

@@ -9,13 +9,16 @@ constant otherwise.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ncopt.linalg import leftmost_eigenpair
+from ncopt.linalg import KernelError, leftmost_eigenpair
+from ncopt.problems import EvaluationError
 from ncopt.steps import (
+    ConditionViolation,
     DirectionCriteria,
     LipschitzState,
     certify_curvature_direction,
@@ -45,6 +48,11 @@ class InnerLoopStall(RuntimeError):
     def __init__(self, message, report):
         super().__init__(message)
         self.report = report
+
+
+# failures that end a solve abnormally; the deterministic solvers attach the
+# partial report to each as `report`
+SOLVER_FAILURES = (InnerLoopStall, EvaluationError, KernelError, ConditionViolation)
 
 
 @dataclass
@@ -149,6 +157,20 @@ def _config_echo(problem, criteria, termination, **extra):
     return echo
 
 
+@contextlib.contextmanager
+def _partial_report_on_failure(report):
+    """Attach the report accumulated so far, closed with no termination
+    reason, to an evaluation, kernel or certificate failure raised inside,
+    as InnerLoopStall carries one."""
+    try:
+        yield
+    except (EvaluationError, KernelError, ConditionViolation) as err:
+        if report.records:
+            report.finish(None)
+        err.report = report
+        raise
+
+
 def _terminal_record(k, x, f, gnorm, lam, fevals):
     return IterationRecord(
         index=k, x=np.array(x, dtype=float), f_value=f, gradient_norm=gnorm,
@@ -166,7 +188,9 @@ def two_step_solve(problem, criteria=None, alpha=None, beta=None,
     alpha < 2*delta*zeta/(L*eta^2) and beta < 3*gamma/(sigma*theta) for the
     problem's true curvature constants, which is only verifiable on problems
     with documented constants.  Returns the current iterate as soon as both
-    directions vanish.
+    directions vanish.  An EvaluationError, KernelError or
+    ConditionViolation raised mid-solve carries the partial report as
+    `report`.
     """
     if alpha is None or beta is None or alpha <= 0.0 or beta <= 0.0:
         raise ValueError("two_step_solve needs positive fixed stepsizes")
@@ -180,65 +204,70 @@ def two_step_solve(problem, criteria=None, alpha=None, beta=None,
         config=_config_echo(problem, criteria, termination, method="two_step",
                             strategy=strategy, alpha=alpha, beta=beta),
     )
-    g1_scale = lam1_scale = None
-    for k in range(1, termination.max_iterations + 1):
-        f = problem.evaluate(x)
-        g = problem.gradient(x)
-        H = problem.hessian(x)
-        eig = leftmost_eigenpair(H)
-        lam = eig.leftmost_value
-        gnorm = float(np.linalg.norm(g))
-        if g1_scale is None:
-            g1_scale = max(1.0, gnorm)
-            lam1_scale = max(1.0, _neg(lam))
+    with _partial_report_on_failure(report):
+        g1_scale = lam1_scale = None
+        for k in range(1, termination.max_iterations + 1):
+            f = problem.evaluate(x)
+            g = problem.gradient(x)
+            H = problem.hessian(x)
+            eig = leftmost_eigenpair(H)
+            lam = eig.leftmost_value
+            gnorm = float(np.linalg.norm(g))
+            if g1_scale is None:
+                g1_scale = max(1.0, gnorm)
+                lam1_scale = max(1.0, _neg(lam))
 
-        d = direction_from_eigenpair(eig, g, criteria, zero_curvature_tol)
-        if np.any(d != 0.0):
-            certify_curvature_direction(d, H, lam, g, criteria)
-        x_hat = x + beta * d
+            d = direction_from_eigenpair(eig, g, criteria, zero_curvature_tol)
+            if np.any(d != 0.0):
+                certify_curvature_direction(d, H, lam, g, criteria)
+            x_hat = x + beta * d
 
-        if np.any(d != 0.0):
-            g_hat = problem.gradient(x_hat)
-        else:
-            g_hat = g
-        if float(np.linalg.norm(g_hat)) == 0.0:
-            s_hat = np.zeros_like(x)
-        else:
-            H_hat = problem.hessian(x_hat) if strategy == "modified_newton" else H
-            s_hat, _ = descent_direction(strategy, g_hat, H_hat, criteria)
+            if np.any(d != 0.0):
+                g_hat = problem.gradient(x_hat)
+            else:
+                g_hat = g
+            if float(np.linalg.norm(g_hat)) == 0.0:
+                s_hat = np.zeros_like(x)
+            elif strategy == "modified_newton" and np.any(d != 0.0):
+                s_hat, _ = descent_direction(strategy, g_hat, problem.hessian(x_hat),
+                                             criteria)
+            else:
+                # x_hat is x when no curvature step was taken, so H and its
+                # decomposition serve the descent step too
+                s_hat, _ = descent_direction(strategy, g_hat, H, criteria, eig=eig)
 
-        if not np.any(d != 0.0) and not np.any(s_hat != 0.0):
-            report.records.append(
-                _terminal_record(k, x, f, gnorm, lam, problem.evaluation_count)
-            )
-            return report.finish(TerminationReason.SECOND_ORDER_POINT)
+            if not np.any(d != 0.0) and not np.any(s_hat != 0.0):
+                report.records.append(
+                    _terminal_record(k, x, f, gnorm, lam, problem.evaluation_count)
+                )
+                return report.finish(TerminationReason.SECOND_ORDER_POINT)
 
-        if gnorm <= termination.grad_tol_rel * g1_scale and \
-                _neg(lam) <= termination.curv_tol_rel * lam1_scale:
-            report.records.append(
-                _terminal_record(k, x, f, gnorm, lam, problem.evaluation_count)
-            )
-            return report.finish(TerminationReason.TOLERANCE_MET)
+            if gnorm <= termination.grad_tol_rel * g1_scale and \
+                    _neg(lam) <= termination.curv_tol_rel * lam1_scale:
+                report.records.append(
+                    _terminal_record(k, x, f, gnorm, lam, problem.evaluation_count)
+                )
+                return report.finish(TerminationReason.TOLERANCE_MET)
 
-        x_next = x_hat + alpha * s_hat
-        if np.any(d != 0.0) and np.any(s_hat != 0.0):
-            taken = "both"
-        elif np.any(d != 0.0):
-            taken = "curvature"
-        else:
-            taken = "descent"
-        report.records.append(IterationRecord(
-            index=k, x=x.copy(), f_value=f, gradient_norm=gnorm, lam=lam,
-            s=s_hat, d=d, step_taken=taken, x_hat=x_hat.copy(),
-            alpha=alpha, beta=beta, feval_count=problem.evaluation_count,
-        ))
-        step_norm = float(np.linalg.norm(x_next - x))
-        x = x_next
-        if step_norm < termination.min_step_norm:
-            return _finalize_at(problem, report, k + 1, x,
-                                TerminationReason.TINY_STEP)
-    return _finalize_at(problem, report, termination.max_iterations + 1, x,
-                        TerminationReason.MAX_ITERATIONS)
+            x_next = x_hat + alpha * s_hat
+            if np.any(d != 0.0) and np.any(s_hat != 0.0):
+                taken = "both"
+            elif np.any(d != 0.0):
+                taken = "curvature"
+            else:
+                taken = "descent"
+            report.records.append(IterationRecord(
+                index=k, x=x.copy(), f_value=f, gradient_norm=gnorm, lam=lam,
+                s=s_hat, d=d, step_taken=taken, x_hat=x_hat.copy(),
+                alpha=alpha, beta=beta, feval_count=problem.evaluation_count,
+            ))
+            step_norm = float(np.linalg.norm(x_next - x))
+            x = x_next
+            if step_norm < termination.min_step_norm:
+                return _finalize_at(problem, report, k + 1, x,
+                                    TerminationReason.TINY_STEP)
+        return _finalize_at(problem, report, termination.max_iterations + 1, x,
+                            TerminationReason.MAX_ITERATIONS)
 
 
 def _finalize_at(problem, report, k, x, reason):
@@ -264,7 +293,8 @@ def dynamic_solve(problem, criteria=None, strategy="steepest",
     [rho, clamp_up]) and retries.  After acceptance the constant used is
     relaxed toward the value that made model and actual decrease agree.
     With use_curvature=False the curvature direction is suppressed, giving
-    the descent-only twin used as a comparison baseline.
+    the descent-only twin used as a comparison baseline.  Every member of
+    SOLVER_FAILURES raised mid-solve carries the partial report as `report`.
     """
     criteria = criteria or DirectionCriteria()
     termination = termination or TerminationSpec()
@@ -280,101 +310,102 @@ def dynamic_solve(problem, criteria=None, strategy="steepest",
             sigma_init=state.sigma_current, rho=state.rho,
         ),
     )
-    f = problem.evaluate(x)
-    g1_scale = lam1_scale = None
-    for k in range(1, termination.max_iterations + 1):
-        g = problem.gradient(x)
-        H = problem.hessian(x)
-        eig = leftmost_eigenpair(H)
-        lam = eig.leftmost_value
-        gnorm = float(np.linalg.norm(g))
-        if g1_scale is None:
-            g1_scale = max(1.0, gnorm)
-            lam1_scale = max(1.0, _neg(lam))
+    with _partial_report_on_failure(report):
+        f = problem.evaluate(x)
+        g1_scale = lam1_scale = None
+        for k in range(1, termination.max_iterations + 1):
+            g = problem.gradient(x)
+            H = problem.hessian(x)
+            eig = leftmost_eigenpair(H)
+            lam = eig.leftmost_value
+            gnorm = float(np.linalg.norm(g))
+            if g1_scale is None:
+                g1_scale = max(1.0, gnorm)
+                lam1_scale = max(1.0, _neg(lam))
 
-        if use_curvature and lam < -zero_curvature_tol:
-            d = direction_from_eigenpair(eig, g, criteria, zero_curvature_tol)
-            certify_curvature_direction(d, H, lam, g, criteria)
-        else:
-            d = np.zeros_like(x)
-        has_d = bool(np.any(d != 0.0))
+            if use_curvature and lam < -zero_curvature_tol:
+                d = direction_from_eigenpair(eig, g, criteria, zero_curvature_tol)
+                certify_curvature_direction(d, H, lam, g, criteria)
+            else:
+                d = np.zeros_like(x)
+            has_d = bool(np.any(d != 0.0))
 
-        if gnorm == 0.0:
-            s = np.zeros_like(x)
-        else:
-            s, _ = descent_direction(strategy, g, H, criteria,
-                                     condition_cap=condition_cap,
-                                     enforce_norm_band=False, eig=eig)
-        has_s = bool(np.any(s != 0.0))
+            if gnorm == 0.0:
+                s = np.zeros_like(x)
+            else:
+                s, _ = descent_direction(strategy, g, H, criteria,
+                                         condition_cap=condition_cap,
+                                         enforce_norm_band=False, eig=eig)
+            has_s = bool(np.any(s != 0.0))
 
-        if not has_d and not has_s:
-            report.records.append(
-                _terminal_record(k, x, f, gnorm, lam, problem.evaluation_count)
-            )
-            return report.finish(TerminationReason.SECOND_ORDER_POINT)
-
-        if gnorm <= termination.grad_tol_rel * g1_scale and \
-                _neg(lam) <= termination.curv_tol_rel * lam1_scale:
-            report.records.append(
-                _terminal_record(k, x, f, gnorm, lam, problem.evaluation_count)
-            )
-            return report.finish(TerminationReason.TOLERANCE_MET)
-
-        inner = 0
-        while True:
-            inner += 1
-            if inner > inner_loop_cap:
+            if not has_d and not has_s:
                 report.records.append(
                     _terminal_record(k, x, f, gnorm, lam, problem.evaluation_count)
                 )
-                report.finish(None)
-                raise InnerLoopStall(
-                    "inner loop exceeded %d passes at iteration %d (L=%g, sigma=%g)"
-                    % (inner_loop_cap, k, state.L_current, state.sigma_current),
-                    report,
-                )
-            sizes = optimal_stepsizes(g, s if has_s else None,
-                                      d if has_d else None, H, state)
-            m_s = (model_reduction_descent(g, s, state.L_current, sizes.alpha)
-                   if has_s else -np.inf)
-            m_d = (model_reduction_curvature(g, d, H, state.sigma_current, sizes.beta)
-                   if has_d else -np.inf)
-            if m_s >= m_d:
-                trial = x + sizes.alpha * s
-                f_trial = problem.evaluate(trial)
-                hat = lipschitz_hat("gradient", f_trial, f, m_s, sizes.alpha,
-                                    float(np.linalg.norm(s)), state.L_current)
-                if f_trial <= f - m_s:
-                    branch = "descent"
-                    break
-                state.inflate("gradient", hat)
-            else:
-                trial = x + sizes.beta * d
-                f_trial = problem.evaluate(trial)
-                hat = lipschitz_hat("hessian", f_trial, f, m_d, sizes.beta,
-                                    float(np.linalg.norm(d)), state.sigma_current)
-                if f_trial <= f - m_d:
-                    branch = "curvature"
-                    break
-                state.inflate("hessian", hat)
+                return report.finish(TerminationReason.SECOND_ORDER_POINT)
 
-        report.records.append(IterationRecord(
-            index=k, x=x.copy(), f_value=f, gradient_norm=gnorm, lam=lam,
-            s=s, d=d, step_taken=branch, alpha=sizes.alpha, beta=sizes.beta,
-            model_reduction_s=None if not has_s else m_s,
-            model_reduction_d=None if not has_d else m_d,
-            inner_loop_count=inner, feval_count=problem.evaluation_count,
-            lipschitz_L=state.L_current, lipschitz_sigma=state.sigma_current,
-        ))
-        # accepted: relax the constant that was exercised, keep the other
-        state.settle("gradient" if branch == "descent" else "hessian", hat)
-        step_norm = float(np.linalg.norm(trial - x))
-        x, f = trial, f_trial
-        if step_norm < termination.min_step_norm:
-            return _finalize_at(problem, report, k + 1, x,
-                                TerminationReason.TINY_STEP)
-    return _finalize_at(problem, report, termination.max_iterations + 1, x,
-                        TerminationReason.MAX_ITERATIONS)
+            if gnorm <= termination.grad_tol_rel * g1_scale and \
+                    _neg(lam) <= termination.curv_tol_rel * lam1_scale:
+                report.records.append(
+                    _terminal_record(k, x, f, gnorm, lam, problem.evaluation_count)
+                )
+                return report.finish(TerminationReason.TOLERANCE_MET)
+
+            inner = 0
+            while True:
+                inner += 1
+                if inner > inner_loop_cap:
+                    report.records.append(
+                        _terminal_record(k, x, f, gnorm, lam, problem.evaluation_count)
+                    )
+                    report.finish(None)
+                    raise InnerLoopStall(
+                        "inner loop exceeded %d passes at iteration %d (L=%g, sigma=%g)"
+                        % (inner_loop_cap, k, state.L_current, state.sigma_current),
+                        report,
+                    )
+                sizes = optimal_stepsizes(g, s if has_s else None,
+                                          d if has_d else None, H, state)
+                m_s = (model_reduction_descent(g, s, state.L_current, sizes.alpha)
+                       if has_s else -np.inf)
+                m_d = (model_reduction_curvature(g, d, H, state.sigma_current, sizes.beta)
+                       if has_d else -np.inf)
+                if m_s >= m_d:
+                    trial = x + sizes.alpha * s
+                    f_trial = problem.evaluate(trial)
+                    hat = lipschitz_hat("gradient", f_trial, f, m_s, sizes.alpha,
+                                        float(np.linalg.norm(s)), state.L_current)
+                    if f_trial <= f - m_s:
+                        branch = "descent"
+                        break
+                    state.inflate("gradient", hat)
+                else:
+                    trial = x + sizes.beta * d
+                    f_trial = problem.evaluate(trial)
+                    hat = lipschitz_hat("hessian", f_trial, f, m_d, sizes.beta,
+                                        float(np.linalg.norm(d)), state.sigma_current)
+                    if f_trial <= f - m_d:
+                        branch = "curvature"
+                        break
+                    state.inflate("hessian", hat)
+
+            report.records.append(IterationRecord(
+                index=k, x=x.copy(), f_value=f, gradient_norm=gnorm, lam=lam,
+                s=s, d=d, step_taken=branch, alpha=sizes.alpha, beta=sizes.beta,
+                model_reduction_s=None if not has_s else m_s,
+                model_reduction_d=None if not has_d else m_d,
+                inner_loop_count=inner, feval_count=problem.evaluation_count,
+                lipschitz_L=state.L_current, lipschitz_sigma=state.sigma_current,
+            ))
+            # accepted: relax the constant that was exercised, keep the other
+            state.settle("gradient" if branch == "descent" else "hessian", hat)
+            step_norm = float(np.linalg.norm(trial - x))
+            x, f = trial, f_trial
+            if step_norm < termination.min_step_norm:
+                return _finalize_at(problem, report, k + 1, x,
+                                    TerminationReason.TINY_STEP)
+        return _finalize_at(problem, report, termination.max_iterations + 1, x,
+                            TerminationReason.MAX_ITERATIONS)
 
 
 @dataclass

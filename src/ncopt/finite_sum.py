@@ -70,6 +70,11 @@ class FiniteSumProblem(ObjectiveProblem):
     def batch_hessian(self, x, indices):
         return np.mean([self.component_hessian(x, i) for i in indices], axis=0)
 
+    def batch_value_gradient(self, x, indices):
+        """(batch_value, batch_gradient) on one batch, equal to the two
+        separate calls; overridden where the two share work."""
+        return self.batch_value(x, indices), self.batch_gradient(x, indices)
+
 
 class QuadraticFiniteSum(FiniteSumProblem):
     """Components 0.5 (x - c_i)' Q_i (x - c_i) with mean Hessian Q.
@@ -214,6 +219,7 @@ class TwoLayerNetProblem(FiniteSumProblem):
             lower_bound=0.0,
             default_start=rng.normal(scale=0.2, size=dim),
         )
+        self._scatter_flat, self._scatter_source = _second_order_layout(h, d)
 
     def _unpack(self, theta):
         h = self.hidden_units
@@ -236,8 +242,15 @@ class TwoLayerNetProblem(FiniteSumProblem):
         return 0.5 * float(np.mean(r * r))
 
     def batch_gradient(self, x, indices):
+        return self._gradient(*self._forward(x, indices))
+
+    def batch_value_gradient(self, x, indices):
         X, A, r, w2 = self._forward(x, indices)
-        m = len(indices)
+        return 0.5 * float(np.mean(r * r)), self._gradient(X, A, r, w2)
+
+    @staticmethod
+    def _gradient(X, A, r, w2):
+        m = len(r)
         P = 1.0 - A * A
         U = P * w2
         RU = r[:, None] * U
@@ -248,10 +261,12 @@ class TwoLayerNetProblem(FiniteSumProblem):
         return np.concatenate([gW1.ravel(), gb1, gw2, [gb2]])
 
     def batch_hessian(self, x, indices):
+        """Exact mean Hessian over the batch: the Gauss-Newton part J'J/m
+        plus the residual-weighted second-order terms, which touch each
+        entry of H at most once and are added in one scatter."""
         X, A, r, w2 = self._forward(x, indices)
         m, d = X.shape
         h = self.hidden_units
-        n = self.dimension
         P = 1.0 - A * A
         U = P * w2
         D = -2.0 * A * P * w2
@@ -260,25 +275,18 @@ class TwoLayerNetProblem(FiniteSumProblem):
         J = np.concatenate([JW1, U, A, np.ones((m, 1))], axis=1)
         H = J.T @ J / m
 
-        off_b1 = h * d
-        off_w2 = h * d + h
-        E_bb = np.einsum("m,mi->i", r, D) / m
-        E_bW = np.einsum("m,mi,mk->ik", r, D, X) / m
-        E_WW = np.einsum("m,mi,mj,mk->ijk", r, D, X, X) / m
-        E_wb = np.einsum("m,mi->i", r, P) / m
-        E_wW = np.einsum("m,mi,mk->ik", r, P, X) / m
-
-        rows_b1 = off_b1 + np.arange(h)
-        H[rows_b1, rows_b1] += E_bb
-        for i in range(h):
-            cols = i * d + np.arange(d)
-            H[off_b1 + i, cols] += E_bW[i]
-            H[cols, off_b1 + i] += E_bW[i]
-            H[off_w2 + i, cols] += E_wW[i]
-            H[cols, off_w2 + i] += E_wW[i]
-            H[np.ix_(cols, cols)] += E_WW[i]
-            H[off_w2 + i, off_b1 + i] += E_wb[i]
-            H[off_b1 + i, off_w2 + i] += E_wb[i]
+        # folding r into D first turns the costliest term's 4-operand
+        # einsum into a 3-operand one with the same products and order; the
+        # cheap terms keep r as an operand, because their folded 1- and
+        # 2-operand forms sum in another order when h = 1
+        terms = np.concatenate([
+            np.einsum("m,mi->i", r, D),
+            np.einsum("m,mi,mk->ik", r, D, X).ravel(),
+            np.einsum("m,mi,mk->ik", r, P, X).ravel(),
+            np.einsum("mi,mj,mk->ijk", r[:, None] * D, X, X).ravel(),
+            np.einsum("m,mi->i", r, P),
+        ]) / m
+        H.reshape(-1)[self._scatter_flat] += terms[self._scatter_source]
         return 0.5 * (H + H.T)
 
     def component_value(self, x, index):
@@ -289,6 +297,32 @@ class TwoLayerNetProblem(FiniteSumProblem):
 
     def component_hessian(self, x, index):
         return self.batch_hessian(x, np.array([index]))
+
+
+def _second_order_layout(h, d):
+    """Where the two-layer net's residual-weighted Hessian terms go.
+
+    The terms are concatenated as [b1b1 (h), b1W1 (h*d), w2W1 (h*d),
+    W1W1 (h*d*d), w2b1 (h)] and the parameters pack as [W1, b1, w2, b2].
+    Returns (flat, source): term source[k] belongs to the row-major entry
+    flat[k] of H.  Hidden unit i couples only its own parameters, each
+    off-diagonal block is listed in both orientations, and no entry is
+    listed twice.
+    """
+    n = h * d + 2 * h + 1
+    W1 = np.arange(h * d).reshape(h, d)
+    b1 = h * d + np.arange(h)
+    w2 = b1 + h
+    o_bb, o_bW, o_wW, o_WW, o_wb = np.cumsum([0, h, h * d, h * d, h * d * d])
+    source = np.full((n, n), -1)
+    source[b1, b1] = o_bb + np.arange(h)
+    source[b1[:, None], W1] = source[W1, b1[:, None]] = o_bW + W1
+    source[w2[:, None], W1] = source[W1, w2[:, None]] = o_wW + W1
+    source[W1[:, :, None], W1[:, None, :]] = (
+        o_WW + np.arange(h * d * d).reshape(h, d, d))
+    source[w2, b1] = source[b1, w2] = o_wb + np.arange(h)
+    flat = np.flatnonzero(source >= 0)
+    return flat, source.ravel()[flat]
 
 
 def synthetic_two_layer_net(records=500, feature_dim=4, hidden_units=8, seed=7,
@@ -424,7 +458,6 @@ def sample_estimates(oracle, x):
     grad_batch = oracle.next_gradient_batch()
     hess_batch = oracle.next_hessian_batch()
     problem = oracle.problem
-    value = problem.batch_value(x, grad_batch)
-    gradient = problem.batch_gradient(x, grad_batch)
+    value, gradient = problem.batch_value_gradient(x, grad_batch)
     hessian = problem.batch_hessian(x, hess_batch)
     return value, gradient, hessian

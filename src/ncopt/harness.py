@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ncopt.deterministic import (
-    InnerLoopStall,
+    SOLVER_FAILURES,
     SolverReport,
     TerminationSpec,
     dynamic_solve,
@@ -172,8 +172,10 @@ def _run_solver(config, problem, x0):
 def run_experiment(config):
     """Execute one configured solve and write its report and trace.
 
-    Returns (report, paths).  On an abnormal solver termination the partial
-    trace is still written before the exception propagates.
+    Returns (report, paths).  When a solver failure carries a partial
+    report, that report (marked abnormal, with the error's type and
+    message) and its trace are still written before the exception
+    propagates.
     """
     validate_config(config)
     problem = build_problem(config)
@@ -193,9 +195,11 @@ def run_experiment(config):
     }
     try:
         report = _run_solver(config, problem, x0)
-    except InnerLoopStall as stall:
-        write_report_json(stall.report, paths["report"], config, abnormal=True)
-        write_trace_csv(stall.report, paths["trace"])
+    except SOLVER_FAILURES as err:
+        partial = getattr(err, "report", None)
+        if partial is not None:
+            write_report_json(partial, paths["report"], config, error=err)
+            write_trace_csv(partial, paths["trace"])
         raise
     write_report_json(report, paths["report"], config)
     write_trace_csv(report, paths["trace"])
@@ -208,7 +212,10 @@ def _g17(value):
     return "%.17g" % value
 
 
-def report_summary(report, config=None, abnormal=False):
+def report_summary(report, config=None, error=None):
+    """JSON-ready summary of a report; `error`, the exception that cut the
+    solve short, marks it abnormal and is recorded by type and message."""
+    abnormal = error is not None
     if isinstance(report, StochasticReport):
         summary = {
             "problem": report.problem_name,
@@ -237,15 +244,17 @@ def report_summary(report, config=None, abnormal=False):
             "used_negative_curvature": report.used_negative_curvature,
             "config": report.config,
         }
+    if error is not None:
+        summary["error"] = {"type": type(error).__name__, "message": str(error)}
     if config is not None:
         summary["variant"] = config.variant
         summary["seed"] = config.seed
     return summary
 
 
-def write_report_json(report, path, config=None, abnormal=False):
+def write_report_json(report, path, config=None, error=None):
     with open(path, "w") as handle:
-        json.dump(report_summary(report, config, abnormal), handle, indent=2,
+        json.dump(report_summary(report, config, error), handle, indent=2,
                   default=float)
         handle.write("\n")
     return path

@@ -81,12 +81,21 @@ class CgOutcome:
 
 
 def _check_symmetric(H, tol=1e-10):
+    """H as a square, finite, symmetric float matrix.
+
+    An exactly symmetric H is returned as it is, not copied (for finite H
+    the symmetrized 0.5*(H + H') equals H bit for bit); one whose
+    asymmetry is at most tol is returned as a symmetrized copy; anything
+    else raises ValueError.  Callers must not mutate the result.
+    """
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("expected a square matrix, got shape %s" % (H.shape,))
     if not np.all(np.isfinite(H)):
         raise ValueError("matrix has non-finite entries")
-    asym = np.max(np.abs(H - H.T)) if H.size else 0.0
+    if np.array_equal(H, H.T):
+        return H
+    asym = np.max(np.abs(H - H.T))
     if asym > tol:
         raise ValueError("matrix is not symmetric (asymmetry %.3e)" % asym)
     return 0.5 * (H + H.T)

@@ -211,8 +211,8 @@ def curvature_noise_step(x, oracle, criteria=None, alpha_k=None, beta_k=None,
     grad_batch = oracle.next_gradient_batch()
     hess_batch = oracle.next_hessian_batch()
     omega = oracle.next_omega()
-    value_est = problem.batch_value(x, grad_batch)
-    s = -problem.batch_gradient(x, grad_batch)
+    value_est, g_est = problem.batch_value_gradient(x, grad_batch)
+    s = -g_est
     H_est = problem.batch_hessian(x, hess_batch)
 
     eig = leftmost_eigenpair(H_est)
@@ -312,7 +312,7 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
     for k in range(1, iterations + 1):
         grad_batch = oracle.next_gradient_batch()
         hess_batch = oracle.next_hessian_batch()
-        g_est = problem.batch_gradient(x, grad_batch)
+        f_here, g_est = problem.batch_value_gradient(x, grad_batch)
         H_est = problem.batch_hessian(x, hess_batch)
         cg = truncated_cg(H_est, g_est, max_iterations=cg_max_iterations)
         s = cg.solution
@@ -323,7 +323,6 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
         beta_k = 1.0 / sigma
         s, d = apply_safeguards(s, d, alpha_k, beta_k, safeguards)
 
-        f_here = problem.batch_value(x, grad_batch)
         x_hat = x + alpha_k * s
         f_hat = problem.batch_value(x_hat, grad_batch)
         L_next = L * safeguards.inflate_factor if f_hat > f_here else L

@@ -92,6 +92,18 @@ class TestRun:
         assert code == 3
         assert str(error) in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_diverging_two_step_writes_partial_report(self, tmp_path, capsys):
+        code = main(["run", "--problem", "rosenbrock2", "--variant", "two_step",
+                     "--alpha", "10", "--beta", "10", "--out", str(tmp_path)])
+        assert code == 3
+        summary = json.loads((tmp_path / "rosenbrock2_two_step.json").read_text())
+        assert summary["abnormal"] is True
+        assert summary["error"]["type"] == "EvaluationError"
+        assert summary["error"]["message"] in capsys.readouterr().err
+        rows = (tmp_path / "rosenbrock2_two_step.csv").read_text().splitlines()
+        assert len(rows) >= 2 and rows[0].startswith("k,")
+
     def test_batch_larger_than_problem_is_usage_error(self, tmp_path, capsys):
         # the default batch of 32 exceeds quadratic_sum's 20 components
         code = main(["run", "--problem", "quadratic_sum", "--variant",

@@ -9,8 +9,15 @@ from ncopt.deterministic import (
     dynamic_solve,
     two_step_solve,
 )
-from ncopt.problems import make_problem, quartic_saddle, random_quadratic, sphere
-from ncopt.steps import DirectionCriteria, LipschitzState
+from ncopt.problems import (
+    EvaluationError,
+    ObjectiveProblem,
+    make_problem,
+    quartic_saddle,
+    random_quadratic,
+    sphere,
+)
+from ncopt.steps import DirectionCriteria, LipschitzState, descent_direction
 
 
 def steps_taken(report):
@@ -68,6 +75,19 @@ class TestTwoStep:
         report = two_step_solve(p, alpha=1e-4, beta=1e-3, termination=spec)
         assert report.termination_reason is TerminationReason.MAX_ITERATIONS
         assert report.total_iterations == 4
+
+    def test_modified_newton_descent_steps_reuse_the_hessian(self):
+        p = sphere(2)
+        report = two_step_solve(p, alpha=0.5, beta=0.5, strategy="modified_newton",
+                                termination=TerminationSpec(max_iterations=5),
+                                x0=np.array([3.0, -4.0]))
+        assert [r.step_taken for r in report.records] == ["descent"] * 5 + ["none"]
+        # one Hessian per record: the descent step at x_hat = x reuses H
+        assert p.hessian_count == len(report.records) == 6
+        for r in report.records[:-1]:
+            s, _ = descent_direction("modified_newton", p.gradient(r.x),
+                                     p.hessian(r.x), DirectionCriteria())
+            assert np.array_equal(r.s, s)
 
     def test_requires_stepsizes(self):
         with pytest.raises(ValueError):
@@ -180,6 +200,26 @@ class TestDynamic:
                 g = p.gradient(r.x)
                 assert g @ r.d <= 1e-10 * max(1.0, np.linalg.norm(g) * np.sqrt(nd2))
                 assert np.sqrt(nd2) <= abs(r.lam) * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda p: two_step_solve(p, alpha=0.5, beta=0.5, x0=np.array([3.0, -4.0])),
+    lambda p: dynamic_solve(p, x0=np.array([3.0, -4.0])),
+], ids=["two_step", "dynamic"])
+def test_evaluation_failure_carries_partial_report(solve):
+    calls = []
+
+    def hessian(x):
+        calls.append(1)
+        return np.eye(2) if len(calls) < 2 else np.full((2, 2), np.nan)
+
+    p = ObjectiveProblem("nan_hessian", 2, lambda x: 0.5 * float(x @ x),
+                         lambda x: x, hessian)
+    with pytest.raises(EvaluationError) as info:
+        solve(p)
+    partial = info.value.report
+    assert partial.termination_reason is None
+    assert len(partial.records) == partial.total_iterations == 1
 
 
 class TestComplexityCensus:

@@ -14,6 +14,7 @@ from ncopt.finite_sum import (
     sample_estimates,
     synthetic_two_layer_net,
 )
+from reference_two_layer import reference_batch_hessian
 
 
 @pytest.fixture
@@ -78,6 +79,39 @@ class TestTwoLayerNet:
         np.testing.assert_allclose(p.batch_gradient(x, idx), g_loop, rtol=1e-10, atol=1e-14)
         H_loop = np.mean([p.component_hessian(x, i) for i in idx], axis=0)
         np.testing.assert_allclose(p.batch_hessian(x, idx), H_loop, rtol=1e-10, atol=1e-13)
+
+    @pytest.mark.parametrize("net, rows", [
+        ((500, 4, 8), 1), ((500, 4, 8), 32), ((500, 4, 8), 500),
+        ((40, 1, 1), 32), ((40, 3, 2), 7),
+    ])
+    def test_batch_hessian_bit_identical_to_loop_reference(self, net, rows):
+        records, feature_dim, hidden_units = net
+        p = synthetic_two_layer_net(records=records, feature_dim=feature_dim,
+                                    hidden_units=hidden_units)
+        rng = np.random.default_rng([rows, hidden_units])
+        for scale in (0.2, 1.0, 3.0):
+            x = rng.normal(scale=scale, size=p.dimension)
+            idx = rng.choice(records, size=rows, replace=False)
+            assert np.array_equal(p.batch_hessian(x, idx),
+                                  reference_batch_hessian(p, x, idx))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_quadratic_finite_sum(n=4, components=6, seed=2),
+    lambda: LinearLeastSquaresProblem(
+        np.random.default_rng(4).normal(size=(9, 3)),
+        np.random.default_rng(5).normal(size=9)),
+    lambda: synthetic_two_layer_net(records=30, feature_dim=3, hidden_units=4),
+], ids=["quadratic", "least_squares", "two_layer_net"])
+def test_batch_value_gradient_equals_separate_calls(make):
+    p = make()
+    rng = np.random.default_rng(6)
+    for rows in (1, 3, p.component_count):
+        x = rng.normal(size=p.dimension)
+        idx = rng.choice(p.component_count, size=rows, replace=False)
+        value, gradient = p.batch_value_gradient(x, idx)
+        assert value == p.batch_value(x, idx)
+        assert np.array_equal(gradient, p.batch_gradient(x, idx))
 
 
 class TestLoadDataset:

@@ -108,6 +108,7 @@ class TestRunExperiment:
             run_experiment(config)
         summary = json.loads((tmp_path / "stalled.json").read_text())
         assert summary["abnormal"] is True
+        assert summary["error"] == {"type": "InnerLoopStall", "message": "stalled"}
         assert (tmp_path / "stalled.csv").exists()
 
 

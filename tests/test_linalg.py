@@ -8,6 +8,7 @@ from ncopt.harness import CAMPAIGN_STARTS
 from ncopt.linalg import (
     CgStatus,
     KernelError,
+    _check_symmetric,
     eigenspace_direction,
     leftmost_eigenpair,
     modified_newton_shift,
@@ -26,6 +27,33 @@ from reference_eigen import reference_extreme_eigenvalues, reference_leftmost_ei
 def random_symmetric(rng, n, scale=1.0):
     A = rng.normal(size=(n, n)) * scale
     return 0.5 * (A + A.T)
+
+
+class TestCheckSymmetric:
+    def test_exactly_symmetric_input_is_returned_uncopied(self):
+        H = random_symmetric(np.random.default_rng(8), 6)
+        assert _check_symmetric(H) is H
+
+    @pytest.mark.parametrize("asym", [1e-16, 1e-12, 1e-10])
+    def test_small_asymmetry_gives_symmetrized_copy(self, asym):
+        H = np.diag([1.0, -2.0, 3.0, 0.5, 4.0])
+        H[0, 3] = asym
+        out = _check_symmetric(H)
+        assert out is not H
+        assert np.array_equal(out, out.T)
+        assert np.array_equal(out, 0.5 * (H + H.T))
+
+    def test_larger_asymmetry_raises(self):
+        H = np.eye(3)
+        H[1, 2] += 2e-10
+        with pytest.raises(ValueError, match="not symmetric"):
+            _check_symmetric(H)
+
+    def test_nan_raises(self):
+        H = np.eye(3)
+        H[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            _check_symmetric(H)
 
 
 class TestLeftmostEigenpair:

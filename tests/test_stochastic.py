@@ -1,3 +1,6 @@
+import csv
+import os
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from ncopt.finite_sum import (
     StochasticOracle,
     random_quadratic_finite_sum,
 )
+from ncopt.problems import make_problem
 from ncopt.stochastic import (
     MomentBounds,
     SafeguardConfig,
@@ -19,6 +23,9 @@ from ncopt.stochastic import (
     measure_moment_constants,
     two_step_stochastic_solve,
 )
+
+GOLDEN_DYNAMIC_NET = os.path.join(os.path.dirname(__file__), "golden",
+                                  "stoch_dynamic_net.csv")
 
 
 def half_x_squared():
@@ -258,6 +265,25 @@ class TestDynamicStochastic:
             report = dynamic_stochastic_solve(oracle, iterations=60)
             finals.append(report.final_x)
         np.testing.assert_array_equal(finals[0], finals[1])
+
+    def test_two_layer_net_trace_matches_golden(self):
+        # 50 iterations on the registry two_layer_net from its default start,
+        # batch 32, oracle seed 2017; the golden file was written by the
+        # per-hidden-unit loop assembly of the batch Hessian
+        problem = make_problem("two_layer_net")
+        oracle = StochasticOracle(problem, batch_size=32, seed=2017)
+        report = dynamic_stochastic_solve(oracle, iterations=50, track_exact=False)
+        with open(GOLDEN_DYNAMIC_NET, newline="") as handle:
+            golden = list(csv.DictReader(handle))
+        assert len(report.records) == len(golden) == 50
+        for record, expected in zip(report.records, golden):
+            assert record.index == int(expected["k"])
+            for name, attr in (("value_before", "value_before"),
+                               ("s_norm", "s_norm"), ("d_norm", "d_norm")):
+                assert getattr(record, attr) == pytest.approx(
+                    float(expected[name]), rel=1e-10, abs=0.0), (record.index, name)
+            assert record.cg_status.value == expected["cg_status"]
+            assert str(record.reverted_curvature_step) == expected["reverted"]
 
     def test_cg_first_iteration_case_uses_negative_gradient(self):
         # an indefinite sampled Hessian with p0'Hp0 <= 0 must fall back to -g
