@@ -61,17 +61,13 @@ class TerminationSpec:
 
     Relative tolerances follow the usual practice of scaling by the
     magnitudes at the starting point (floored at 1); `min_step_norm` stops on
-    an accepted displacement smaller than the given norm.  `epsilon_g` and
-    `epsilon_H` are optional absolute targets used only by the complexity
-    census.
+    an accepted displacement smaller than the given norm.
     """
 
     grad_tol_rel: float = 1e-5
     curv_tol_rel: float = 1e-5
     max_iterations: int = 10000
     min_step_norm: float = 1e-16
-    epsilon_g: float | None = None
-    epsilon_H: float | None = None
 
     def __post_init__(self):
         if min(self.grad_tol_rel, self.curv_tol_rel, self.min_step_norm) <= 0.0:

@@ -53,13 +53,11 @@ class FiniteSumProblem(ObjectiveProblem):
     def component_hessian(self, x, index):
         raise NotImplementedError
 
-    def component(self, x, index):
-        """(value, gradient, hessian) of a single component."""
-        return (
-            self.component_value(x, index),
-            self.component_gradient(x, index),
-            self.component_hessian(x, index),
-        )
+    def _rows(self, data, indices):
+        """The rows of `data` listed in `indices`; the full batch
+        (`_all_indices`, as `value`/`gradient`/`hessian` pass it) reads
+        `data` in place instead of copying it."""
+        return data if indices is self._all_indices else data[indices]
 
     def batch_value(self, x, indices):
         return float(np.mean([self.component_value(x, i) for i in indices]))
@@ -135,23 +133,27 @@ class QuadraticFiniteSum(FiniteSumProblem):
         return self.matrices[index].copy()
 
     def batch_value(self, x, indices):
-        u = x[None, :] - self.centers[indices]
-        return 0.5 * float(np.mean(np.einsum("ki,kij,kj->k", u, self.matrices[indices], u)))
+        u = x[None, :] - self._rows(self.centers, indices)
+        Q = self._rows(self.matrices, indices)
+        return 0.5 * float(np.mean(np.einsum("ki,kij,kj->k", u, Q, u)))
 
     def batch_gradient(self, x, indices):
-        u = x[None, :] - self.centers[indices]
-        return np.einsum("kij,kj->i", self.matrices[indices], u) / len(indices)
+        u = x[None, :] - self._rows(self.centers, indices)
+        Q = self._rows(self.matrices, indices)
+        return np.einsum("kij,kj->i", Q, u) / len(indices)
 
     def batch_hessian(self, x, indices):
-        return np.mean(self.matrices[indices], axis=0)
+        return np.mean(self._rows(self.matrices, indices), axis=0)
 
 
 class LinearLeastSquaresProblem(FiniteSumProblem):
     """Components 0.5 (phi_i' x - y_i)^2 over feature/label records."""
 
     def __init__(self, features, labels, name="linear_least_squares"):
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=float)
+        # contiguous, so the full batch read in place is laid out like the
+        # copy a fancy index makes
+        features = np.ascontiguousarray(features, dtype=float)
+        labels = np.ascontiguousarray(labels, dtype=float)
         if features.ndim != 2 or labels.shape != (features.shape[0],):
             raise ValueError("features must be (N, d) with matching labels")
         self.features = features
@@ -180,15 +182,16 @@ class LinearLeastSquaresProblem(FiniteSumProblem):
         return np.outer(phi, phi)
 
     def batch_value(self, x, indices):
-        r = self.features[indices] @ x - self.labels[indices]
+        r = self._rows(self.features, indices) @ x - self._rows(self.labels, indices)
         return 0.5 * float(np.mean(r * r))
 
     def batch_gradient(self, x, indices):
-        r = self.features[indices] @ x - self.labels[indices]
-        return (r @ self.features[indices]) / len(indices)
+        phi = self._rows(self.features, indices)
+        r = phi @ x - self._rows(self.labels, indices)
+        return (r @ phi) / len(indices)
 
     def batch_hessian(self, x, indices):
-        phi = self.features[indices]
+        phi = self._rows(self.features, indices)
         return phi.T @ phi / len(indices)
 
 
@@ -201,8 +204,10 @@ class TwoLayerNetProblem(FiniteSumProblem):
 
     def __init__(self, features, labels, hidden_units=8, name="two_layer_net",
                  start_seed=5):
-        features = np.asarray(features, dtype=float)
-        labels = np.asarray(labels, dtype=float)
+        # contiguous, so the full batch read in place is laid out like the
+        # copy a fancy index makes
+        features = np.ascontiguousarray(features, dtype=float)
+        labels = np.ascontiguousarray(labels, dtype=float)
         if features.ndim != 2 or labels.shape != (features.shape[0],):
             raise ValueError("features must be (N, d) with matching labels")
         self.features = features
@@ -232,9 +237,9 @@ class TwoLayerNetProblem(FiniteSumProblem):
 
     def _forward(self, theta, indices):
         W1, b1, w2, b2 = self._unpack(theta)
-        X = self.features[indices]
+        X = self._rows(self.features, indices)
         A = np.tanh(X @ W1.T + b1)
-        residual = A @ w2 + b2 - self.labels[indices]
+        residual = A @ w2 + b2 - self._rows(self.labels, indices)
         return X, A, residual, w2
 
     def batch_value(self, x, indices):
@@ -271,19 +276,25 @@ class TwoLayerNetProblem(FiniteSumProblem):
         U = P * w2
         D = -2.0 * A * P * w2
 
-        JW1 = np.einsum("mi,mj->mij", U, X).reshape(m, h * d)
+        # sample-contiguous (Fortran-order) operands make the sum over
+        # samples einsum's inner loop instead of a loop d entries long run
+        # m*h times; each entry is still the same products summed over the
+        # samples in the same order, so the bits do not change
+        Xf, Pf, Uf, Df = (np.asfortranarray(a) for a in (X, P, U, D))
+        JW1 = np.einsum("mi,mj->mij", Uf, Xf).reshape(m, h * d)
         J = np.concatenate([JW1, U, A, np.ones((m, 1))], axis=1)
         H = J.T @ J / m
 
         # folding r into D first turns the costliest term's 4-operand
         # einsum into a 3-operand one with the same products and order; the
-        # cheap terms keep r as an operand, because their folded 1- and
-        # 2-operand forms sum in another order when h = 1
+        # two cheap terms keep r as an operand and their operands in C
+        # order, because their folded 1-operand and sample-contiguous
+        # 2-operand forms sum in another order
         terms = np.concatenate([
             np.einsum("m,mi->i", r, D),
-            np.einsum("m,mi,mk->ik", r, D, X).ravel(),
-            np.einsum("m,mi,mk->ik", r, P, X).ravel(),
-            np.einsum("mi,mj,mk->ijk", r[:, None] * D, X, X).ravel(),
+            np.einsum("m,mi,mk->ik", r, Df, Xf).ravel(),
+            np.einsum("m,mi,mk->ik", r, Pf, Xf).ravel(),
+            np.einsum("mi,mj,mk->ijk", r[:, None] * Df, Xf, Xf).ravel(),
             np.einsum("m,mi->i", r, P),
         ]) / m
         H.reshape(-1)[self._scatter_flat] += terms[self._scatter_source]

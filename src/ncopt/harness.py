@@ -220,7 +220,7 @@ def report_summary(report, config=None, error=None):
         summary = {
             "problem": report.problem_name,
             "kind": "stochastic",
-            "termination_reason": "iteration_budget",
+            "termination_reason": None if abnormal else "iteration_budget",
             "abnormal": abnormal,
             "final_f": report.final_exact_f,
             "total_iterations": report.total_iterations,

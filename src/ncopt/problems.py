@@ -343,7 +343,7 @@ def random_quadratic(n=10, spectrum=None, seed=20240, center=None, name=None):
         u = x - center
         return 0.5 * float(u @ Q @ u)
 
-    problem = ObjectiveProblem(
+    return ObjectiveProblem(
         name=name or ("random_quadratic%d" % n),
         dimension=n,
         value_fn=value,
@@ -355,8 +355,6 @@ def random_quadratic(n=10, spectrum=None, seed=20240, center=None, name=None):
         local_gradient_lipschitz=float(np.max(np.abs(spectrum))),
         local_hessian_lipschitz=0.0,
     )
-    problem.matrix = Q
-    return problem
 
 
 def _two_layer_net():

@@ -9,12 +9,19 @@ with stochastic value estimates.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ncopt.linalg import CgStatus, leftmost_eigenpair, truncated_cg
-from ncopt.steps import DirectionCriteria, certify_curvature_direction
+from ncopt.linalg import CgStatus, KernelError, leftmost_eigenpair, truncated_cg
+from ncopt.problems import EvaluationError
+from ncopt.steps import (
+    ConditionViolation,
+    DirectionCriteria,
+    certify_curvature_direction,
+)
 
 _TINY = 1e-12
 
@@ -192,6 +199,32 @@ class StochasticReport:
         return float(np.mean(norms ** 2))
 
 
+def _require_finite(x, value, gradient=None, hessian=None):
+    """Raise EvaluationError at x when a sampled estimate is not finite,
+    before it can steer the iteration.  A finite sum proves every entry
+    finite, so the entrywise test runs only on a non-finite sum, which
+    finite entries can also reach by overflow."""
+    if not math.isfinite(value):
+        raise EvaluationError("sampled value is %r" % value, x)
+    for kind, estimate in (("gradient", gradient), ("Hessian", hessian)):
+        if estimate is not None and not math.isfinite(estimate.sum()) \
+                and not np.isfinite(estimate).all():
+            raise EvaluationError("sampled %s has non-finite entries" % kind, x)
+
+
+@contextlib.contextmanager
+def _partial_report_on_failure(report):
+    """Attach the report accumulated so far, its records counted, to an
+    evaluation, kernel or certificate failure raised inside, as the
+    deterministic solvers do."""
+    try:
+        yield
+    except (EvaluationError, KernelError, ConditionViolation) as err:
+        report.total_iterations = len(report.records)
+        err.report = report
+        raise
+
+
 def curvature_noise_step(x, oracle, criteria=None, alpha_k=None, beta_k=None,
                          zero_curvature_tol=1e-12):
     """One iteration of the stochastic two-step method.
@@ -199,7 +232,8 @@ def curvature_noise_step(x, oracle, criteria=None, alpha_k=None, beta_k=None,
     Draws a gradient-batch step s = -(gradient estimate), an independent
     Hessian estimate whose leftmost eigenvector (scaled to ||s||) gives the
     curvature direction, and a uniform omega in [-1, 1]; the step is
-    x + alpha*s + beta*omega*d.  Returns (x_next, record).
+    x + alpha*s + beta*omega*d.  Returns (x_next, record).  A non-finite
+    estimate raises EvaluationError.
     """
     if alpha_k is None or beta_k is None or alpha_k <= 0.0 or beta_k <= 0.0:
         raise ValueError("stepsizes must be positive")
@@ -214,6 +248,7 @@ def curvature_noise_step(x, oracle, criteria=None, alpha_k=None, beta_k=None,
     value_est, g_est = problem.batch_value_gradient(x, grad_batch)
     s = -g_est
     H_est = problem.batch_hessian(x, hess_batch)
+    _require_finite(x, value_est, g_est, H_est)
 
     eig = leftmost_eigenpair(H_est)
     lam = eig.leftmost_value
@@ -241,7 +276,9 @@ def two_step_stochastic_solve(oracle, config, iterations, x0=None):
 
     When the underlying problem exposes exact derivatives (always true for
     finite sums) the true gradient norm at each iterate is recorded so the
-    mean-square gradient bound can be checked.
+    mean-square gradient bound can be checked.  An EvaluationError,
+    KernelError or ConditionViolation raised mid-solve carries the partial
+    report as `report`.
     """
     problem = oracle.problem
     x = np.array(problem.default_start if x0 is None else x0, dtype=float)
@@ -260,16 +297,19 @@ def two_step_stochastic_solve(oracle, config, iterations, x0=None):
         },
         moment_bounds=config.moment_bounds,
     )
-    for k in range(1, iterations + 1):
-        alpha_k = config.alpha(k)
-        beta_k = config.beta(k)
-        x_next, record = curvature_noise_step(x, oracle, criteria, alpha_k, beta_k)
-        if config.track_exact_gradient:
-            record.exact_gradient_norm = float(np.linalg.norm(problem.gradient(x)))
-        report.records.append(record)
-        x = x_next
-    report.final_x = x
-    report.final_exact_f = problem.evaluate(x)
+    with _partial_report_on_failure(report):
+        for k in range(1, iterations + 1):
+            alpha_k = config.alpha(k)
+            beta_k = config.beta(k)
+            x_next, record = curvature_noise_step(x, oracle, criteria, alpha_k,
+                                                  beta_k)
+            if config.track_exact_gradient:
+                record.exact_gradient_norm = float(
+                    np.linalg.norm(problem.gradient(x)))
+            report.records.append(record)
+            x = x_next
+        report.final_x = x
+        report.final_exact_f = problem.evaluate(x)
     report.total_iterations = iterations
     return report
 
@@ -287,7 +327,10 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
     inflates the constant by `inflate_factor` (never decreased) and a
     predicted increase from the curvature step also resets it.  With
     use_curvature=False the curvature step is suppressed (the descent-only
-    twin used as a baseline).
+    twin used as a baseline).  A non-finite value, gradient or Hessian
+    estimate raises EvaluationError; it, and any KernelError or
+    ConditionViolation raised mid-solve, carries the partial report as
+    `report`.
     """
     safeguards = safeguards or SafeguardConfig()
     problem = oracle.problem
@@ -309,51 +352,55 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
             "iterations": iterations,
         },
     )
-    for k in range(1, iterations + 1):
-        grad_batch = oracle.next_gradient_batch()
-        hess_batch = oracle.next_hessian_batch()
-        f_here, g_est = problem.batch_value_gradient(x, grad_batch)
-        H_est = problem.batch_hessian(x, hess_batch)
-        cg = truncated_cg(H_est, g_est, max_iterations=cg_max_iterations)
-        s = cg.solution
-        d = (cg.curvature_direction
-             if use_curvature and cg.curvature_direction is not None
-             else np.zeros_like(x))
-        alpha_k = 1.0 / L
-        beta_k = 1.0 / sigma
-        s, d = apply_safeguards(s, d, alpha_k, beta_k, safeguards)
+    with _partial_report_on_failure(report):
+        for k in range(1, iterations + 1):
+            grad_batch = oracle.next_gradient_batch()
+            hess_batch = oracle.next_hessian_batch()
+            f_here, g_est = problem.batch_value_gradient(x, grad_batch)
+            H_est = problem.batch_hessian(x, hess_batch)
+            _require_finite(x, f_here, g_est, H_est)
+            cg = truncated_cg(H_est, g_est, max_iterations=cg_max_iterations)
+            s = cg.solution
+            d = (cg.curvature_direction
+                 if use_curvature and cg.curvature_direction is not None
+                 else np.zeros_like(x))
+            alpha_k = 1.0 / L
+            beta_k = 1.0 / sigma
+            s, d = apply_safeguards(s, d, alpha_k, beta_k, safeguards)
 
-        x_hat = x + alpha_k * s
-        f_hat = problem.batch_value(x_hat, grad_batch)
-        L_next = L * safeguards.inflate_factor if f_hat > f_here else L
+            x_hat = x + alpha_k * s
+            f_hat = problem.batch_value(x_hat, grad_batch)
+            _require_finite(x_hat, f_hat)
+            L_next = L * safeguards.inflate_factor if f_hat > f_here else L
 
-        reverted = False
-        if np.any(d != 0.0):
-            x_next = x_hat + beta_k * d
-            f_next = problem.batch_value(x_next, grad_batch)
-            if f_next > f_hat:
-                sigma_next = sigma * safeguards.inflate_factor
-                x_next = x_hat
-                reverted = True
+            reverted = False
+            if np.any(d != 0.0):
+                x_next = x_hat + beta_k * d
+                f_next = problem.batch_value(x_next, grad_batch)
+                _require_finite(x_next, f_next)
+                if f_next > f_hat:
+                    sigma_next = sigma * safeguards.inflate_factor
+                    x_next = x_hat
+                    reverted = True
+                else:
+                    sigma_next = sigma
             else:
-                sigma_next = sigma
-        else:
-            x_next, f_next, sigma_next = x_hat, f_hat, sigma
+                x_next, f_next, sigma_next = x_hat, f_hat, sigma
 
-        report.records.append(StochasticIterationRecord(
-            index=k, x=x.copy(), alpha=alpha_k, beta=beta_k,
-            s_norm=float(np.linalg.norm(s)), d_norm=float(np.linalg.norm(d)),
-            cg_status=cg.status, value_before=f_here,
-            value_after_descent=f_hat, value_after_curvature=f_next,
-            lipschitz_L=L, lipschitz_sigma=sigma,
-            reverted_curvature_step=reverted,
-            exact_gradient_norm=(float(np.linalg.norm(problem.gradient(x)))
-                                 if track_exact else None),
-        ))
-        x = x_next
-        L, sigma = L_next, sigma_next
-    report.final_x = x
-    report.final_exact_f = problem.evaluate(x)
+            report.records.append(StochasticIterationRecord(
+                index=k, x=x.copy(), alpha=alpha_k, beta=beta_k,
+                s_norm=float(np.linalg.norm(s)), d_norm=float(np.linalg.norm(d)),
+                cg_status=cg.status, value_before=f_here,
+                value_after_descent=f_hat, value_after_curvature=f_next,
+                lipschitz_L=L, lipschitz_sigma=sigma,
+                reverted_curvature_step=reverted,
+                exact_gradient_norm=(float(np.linalg.norm(problem.gradient(x)))
+                                     if track_exact else None),
+            ))
+            x = x_next
+            L, sigma = L_next, sigma_next
+        report.final_x = x
+        report.final_exact_f = problem.evaluate(x)
     report.total_iterations = iterations
     return report
 

@@ -2,9 +2,12 @@
 
 The batch Hessian assembled the straightforward way: multi-operand
 `einsum` forms of the five residual-weighted second-order terms, added to
-the Gauss-Newton part one hidden unit at a time by a Python loop.  The
-library forms the same products in the same order and adds each term to
-its entry once, in one scatter, so the two agree bit for bit; the tests
+the Gauss-Newton part one hidden unit at a time by a Python loop, with
+every operand in C (row-major) order.  The library passes the operands of
+its 3-operand sums and of the Jacobian outer product sample-contiguous
+(Fortran order), which makes the sum over samples einsum's inner loop but
+keeps the same products summed in the same order; it adds each term to
+its entry once, in one scatter.  The two agree bit for bit, and the tests
 assert `np.array_equal` against this loop.
 """
 

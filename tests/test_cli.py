@@ -104,6 +104,26 @@ class TestRun:
         rows = (tmp_path / "rosenbrock2_two_step.csv").read_text().splitlines()
         assert len(rows) >= 2 and rows[0].startswith("k,")
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_stochastic_run_writes_partial_report(self, tmp_path,
+                                                             capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("1e200,1,2\n0.5,-1,1\n2,0.3,-1\n-1,2,0.5\n")
+        out = tmp_path / "out"
+        code = main(["run", "--dataset", str(data), "--variant", "stoch_dynamic",
+                     "--seed", "1", "--batch-size", "2", "--iterations", "5",
+                     "--out", str(out)])
+        assert code == 3
+        label = "linear_least_squares_stoch_dynamic"
+        summary = json.loads((out / (label + ".json")).read_text())
+        assert summary["abnormal"] is True
+        assert summary["termination_reason"] is None
+        assert summary["error"]["type"] == "EvaluationError"
+        assert summary["error"]["message"] in capsys.readouterr().err
+        rows = (out / (label + ".csv")).read_text().splitlines()
+        assert rows[0].startswith("k,")
+        assert len(rows) - 1 == summary["total_iterations"] < 5
+
     def test_batch_larger_than_problem_is_usage_error(self, tmp_path, capsys):
         # the default batch of 32 exceeds quadratic_sum's 20 components
         code = main(["run", "--problem", "quadratic_sum", "--variant",

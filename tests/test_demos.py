@@ -1,0 +1,25 @@
+"""Smoke tests: the quick demos run to completion.
+
+Demos 03-05 take several seconds each and are left to manual runs.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("script", ["01_escaping_saddles.py",
+                                    "02_adaptive_constants.py"])
+def test_demo_exits_cleanly(script, tmp_path):
+    env = dict(os.environ, NCOPT_OUTPUT_DIR=str(tmp_path))
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", script)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

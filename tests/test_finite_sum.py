@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncopt.derivatives import central_gradient, central_hessian
 from ncopt.finite_sum import (
@@ -9,6 +11,7 @@ from ncopt.finite_sum import (
     DatasetSchemaError,
     LinearLeastSquaresProblem,
     StochasticOracle,
+    TwoLayerNetProblem,
     load_dataset,
     random_quadratic_finite_sum,
     sample_estimates,
@@ -94,6 +97,52 @@ class TestTwoLayerNet:
             idx = rng.choice(records, size=rows, replace=False)
             assert np.array_equal(p.batch_hessian(x, idx),
                                   reference_batch_hessian(p, x, idx))
+
+
+@given(hidden_units=st.integers(1, 8), feature_dim=st.integers(1, 5),
+       records=st.integers(1, 64), data=st.data())
+def test_batch_hessian_bit_identical_to_reference_over_net_shapes(
+        hidden_units, feature_dim, records, data):
+    # batches from one row up to the full batch, which the library reads
+    # in place through _all_indices
+    rows = data.draw(st.integers(1, records), label="rows")
+    seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    p = TwoLayerNetProblem(rng.normal(size=(records, feature_dim)),
+                           rng.normal(size=records), hidden_units=hidden_units)
+    x = rng.normal(scale=data.draw(st.sampled_from([0.2, 1.0, 3.0])),
+                   size=p.dimension)
+    idx = rng.choice(records, size=rows, replace=False)
+    assert np.array_equal(p.batch_hessian(x, idx),
+                          reference_batch_hessian(p, x, idx))
+    assert np.array_equal(p.batch_hessian(x, p._all_indices),
+                          reference_batch_hessian(p, x, np.arange(records)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_quadratic_finite_sum(n=4, components=6, seed=2),
+    # a strided view of the data, as load_dataset passes it
+    lambda: LinearLeastSquaresProblem(
+        np.random.default_rng(4).normal(size=(9, 4))[:, :-1],
+        np.random.default_rng(5).normal(size=(9, 2))[:, 0]),
+    lambda: TwoLayerNetProblem(
+        np.random.default_rng(7).normal(size=(30, 4))[:, 1:],
+        np.random.default_rng(8).normal(size=30), hidden_units=4),
+], ids=["quadratic", "least_squares", "two_layer_net"])
+def test_full_batch_read_in_place_equals_fresh_indices(make):
+    p = make()
+    rng = np.random.default_rng(9)
+    fresh = np.arange(p.component_count)
+    for _ in range(3):
+        x = rng.normal(size=p.dimension)
+        assert p.batch_value(x, p._all_indices) == p.batch_value(x, fresh)
+        for name in ("batch_gradient", "batch_hessian"):
+            method = getattr(p, name)
+            assert np.array_equal(method(x, p._all_indices), method(x, fresh)), name
+        value, gradient = p.batch_value_gradient(x, p._all_indices)
+        assert value == p.evaluate(x) == p.batch_value(x, fresh)
+        assert np.array_equal(gradient, p.gradient(x))
+        assert np.array_equal(p.hessian(x), p.batch_hessian(x, fresh))
 
 
 @pytest.mark.parametrize("make", [

@@ -9,7 +9,7 @@ from ncopt.finite_sum import (
     StochasticOracle,
     random_quadratic_finite_sum,
 )
-from ncopt.problems import make_problem
+from ncopt.problems import EvaluationError, make_problem
 from ncopt.stochastic import (
     MomentBounds,
     SafeguardConfig,
@@ -295,6 +295,69 @@ class TestDynamicStochastic:
         statuses = {r.cg_status for r in report.records}
         assert statuses  # runs recorded a CG status every iteration
         assert all(r.cg_status is not None for r in report.records)
+
+
+class TestNonFiniteEstimates:
+    """A non-finite sampled estimate ends a stochastic solve with an
+    EvaluationError that carries the partial report."""
+
+    BAD = 2  # the component whose center is NaN
+
+    @pytest.fixture
+    def nan_center(self):
+        p = random_quadratic_finite_sum(n=3, components=6, seed=11)
+        p.centers[self.BAD, 0] = np.nan
+        return p
+
+    def first_bad_iterate(self, problem, seed):
+        # replay the gradient stream, which both solvers draw from once
+        # per iterate, until a batch holds the NaN component
+        oracle = StochasticOracle(problem, batch_size=2, seed=seed)
+        for k in range(1, 100):
+            if self.BAD in oracle.next_gradient_batch():
+                return k
+        raise AssertionError("no batch holds the bad component")
+
+    @pytest.mark.parametrize("solve", [
+        lambda o: dynamic_stochastic_solve(o, iterations=60, track_exact=False),
+        lambda o: two_step_stochastic_solve(
+            o, StochasticStepConfig(alpha_constant=0.05,
+                                    track_exact_gradient=False), 60),
+    ], ids=["dynamic", "two_step"])
+    def test_raises_at_first_non_finite_estimate(self, nan_center, solve):
+        seed = 3
+        k_bad = self.first_bad_iterate(nan_center, seed)
+        assert k_bad > 1
+        with pytest.raises(EvaluationError, match="sampled value") as info:
+            solve(StochasticOracle(nan_center, batch_size=2, seed=seed))
+        report = info.value.report
+        assert len(report.records) == report.total_iterations == k_bad - 1
+        assert report.final_exact_f is None
+        assert all(np.isfinite(r.x).all() for r in report.records)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_hessian_estimate_checked(self):
+        # at x = 0 the value and gradient stay finite, phi phi' overflows
+        p = LinearLeastSquaresProblem(
+            np.array([[1e200, 0.5], [1.0, 1.0], [0.5, -1.0], [2.0, 0.3]]),
+            np.ones(4))
+        oracle = StochasticOracle(p, batch_size=4, seed=0)
+        with pytest.raises(EvaluationError, match="Hessian") as info:
+            dynamic_stochastic_solve(oracle, iterations=5, track_exact=False)
+        assert info.value.report.records == []
+
+    @pytest.mark.parametrize("solve", [
+        lambda o: dynamic_stochastic_solve(o, iterations=5),
+        lambda o: two_step_stochastic_solve(
+            o, StochasticStepConfig(alpha_constant=0.05), 5),
+    ], ids=["dynamic", "two_step"])
+    def test_exact_gradient_failure_carries_report(self, nan_center, solve):
+        # the full-batch exact gradient holds the NaN center at once; the
+        # seed's first sampled batch does not
+        assert self.first_bad_iterate(nan_center, 3) > 1
+        with pytest.raises(EvaluationError, match="gradient") as info:
+            solve(StochasticOracle(nan_center, batch_size=2, seed=3))
+        assert info.value.report.total_iterations == 0
 
 
 class TestMomentMeasurement:
