@@ -33,7 +33,6 @@ from ncopt.finite_sum import (
     TwoLayerNetProblem,
     load_dataset,
     random_quadratic_finite_sum,
-    sample_estimates,
     synthetic_two_layer_net,
 )
 from ncopt.harness import (

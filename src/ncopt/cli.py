@@ -1,9 +1,11 @@
 """Command-line experiment runner.
 
 Verbs: list-problems, run, compare, campaign.  Exit codes: 0 on success,
-2 on usage errors, 3 on abnormal solver termination (a deterministic
-solve's partial report and trace are still written).  The default output
-directory comes from NCOPT_OUTPUT_DIR.
+2 on usage errors, 3 on abnormal solver termination (the solve's partial
+report and trace are still written).  `run` reads its settings from an
+optional INI file and then from its flags, which override it; both are
+defined by `ncopt.harness.CONFIG_KEYS`.  The default output directory comes
+from NCOPT_OUTPUT_DIR.
 """
 
 from __future__ import annotations
@@ -11,19 +13,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from ncopt.deterministic import SOLVER_FAILURES
-from ncopt.finite_sum import DatasetParseError, DatasetSchemaError
 from ncopt.harness import (
-    ExperimentConfig,
+    CONFIG_KEYS,
     UsageError,
-    VARIANTS,
     campaign,
     compare,
-    default_output_dir,
-    load_config_file,
+    config_from_settings,
     load_report_summary,
+    parse_boolean,
+    read_config_file,
     run_experiment,
     standard_campaign_pairs,
 )
@@ -41,22 +40,11 @@ def _build_parser():
     sub.add_parser("list-problems", help="list the built-in problem registry")
 
     run = sub.add_parser("run", help="run one configured experiment")
-    run.add_argument("--problem", help="registered problem name")
-    run.add_argument("--variant", choices=VARIANTS, help="solver variant")
-    run.add_argument("--seed", type=int, help="random seed (required for stochastic)")
     run.add_argument("--config", help="experiment config file (flags override it)")
-    run.add_argument("--out", help="output directory")
-    run.add_argument("--max-iters", type=int, help="iteration cap")
-    run.add_argument("--grad-tol", type=float, help="relative gradient tolerance")
-    run.add_argument("--dataset", help="CSV dataset path (last column = label)")
-    run.add_argument("--dataset-header", action="store_true",
-                     help="dataset file has a header row")
-    run.add_argument("--start", help="comma-separated starting point")
-    run.add_argument("--alpha", type=float, help="fixed/constant stepsize")
-    run.add_argument("--beta", type=float, help="fixed curvature stepsize")
-    run.add_argument("--batch-size", type=int, help="mini-batch size")
-    run.add_argument("--iterations", type=int, help="stochastic iteration budget")
-    run.add_argument("--label", help="output file label")
+    for key in (key for key in CONFIG_KEYS if key.flag):
+        kind = (dict(action="store_true", default=None) if key.parse is parse_boolean
+                else dict(metavar=key.key.upper()))
+        run.add_argument(key.flag, dest=key.name, help=key.help, **kind)
 
     cmp_parser = sub.add_parser("compare", help="compare two report JSON files")
     cmp_parser.add_argument("report_a", help="descent-only report")
@@ -67,52 +55,27 @@ def _build_parser():
     camp.add_argument("--strategy", choices=("sd", "mn"), default="sd")
     camp.add_argument("--seed", type=int, default=0)
     camp.add_argument("--out", help="output directory")
-    camp.add_argument("--max-iters", type=int, default=2000)
+    camp.add_argument("--max-iters", dest="max_iterations", type=int, default=2000)
     camp.add_argument("--problem", action="append", dest="problems",
                       help="restrict to a problem (repeatable)")
     return parser
 
 
 def _config_from_args(args):
-    config = ExperimentConfig()
-    if args.config:
-        config = load_config_file(args.config, config)
-    if args.problem:
-        config.problem = args.problem
-    if args.variant:
-        config.variant = args.variant
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out:
-        config.out_dir = args.out
-    if args.max_iters is not None:
-        config.termination.max_iterations = args.max_iters
-    if args.grad_tol is not None:
-        config.termination.grad_tol_rel = args.grad_tol
-    if args.dataset:
-        config.dataset = args.dataset
-    if args.dataset_header:
-        config.dataset_has_header = True
-    if args.start:
-        config.start = np.array([float(v) for v in args.start.split(",")])
-    if args.alpha is not None:
-        config.alpha = args.alpha
-    if args.beta is not None:
-        config.beta = args.beta
-    if args.batch_size is not None:
-        config.batch_size = args.batch_size
-    if args.iterations is not None:
-        config.iterations = args.iterations
-    if args.label:
-        config.label = args.label
-    return config
+    """The config file's settings, overridden by the flags given."""
+    settings = read_config_file(args.config) if args.config else {}
+    for key in CONFIG_KEYS:
+        value = getattr(args, key.name, None)
+        if value is not None:
+            settings[key.name] = value
+    return config_from_settings(settings)
 
 
 def _cmd_run(args):
-    config = _config_from_args(args)
     try:
+        config = _config_from_args(args)
         report, paths = run_experiment(config)
-    except (UsageError, DatasetParseError, DatasetSchemaError, KeyError) as err:
+    except UsageError as err:
         print("usage error: %s" % err, file=sys.stderr)
         return 2
     except SOLVER_FAILURES as err:
@@ -149,13 +112,12 @@ def _cmd_compare(args):
 
 
 def _cmd_campaign(args):
-    out_dir = args.out or default_output_dir()
     try:
         pairs = standard_campaign_pairs(strategy=args.strategy, seed=args.seed,
-                                        out_dir=out_dir,
-                                        max_iterations=args.max_iters,
+                                        out_dir=args.out,
+                                        max_iterations=args.max_iterations,
                                         problems=args.problems)
-        rows, table_path, plot_paths = campaign(pairs, out_dir=out_dir)
+        rows, table_path, plot_paths = campaign(pairs, out_dir=args.out)
     except UsageError as err:
         print("usage error: %s" % err, file=sys.stderr)
         return 2

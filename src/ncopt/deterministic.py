@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -136,21 +136,8 @@ def _neg(lam):
 
 
 def _config_echo(problem, criteria, termination, **extra):
-    echo = {
-        "problem": problem.name,
-        "criteria": {
-            "gamma": criteria.gamma, "theta": criteria.theta,
-            "delta": criteria.delta, "zeta": criteria.zeta, "eta": criteria.eta,
-        },
-        "termination": {
-            "grad_tol_rel": termination.grad_tol_rel,
-            "curv_tol_rel": termination.curv_tol_rel,
-            "max_iterations": termination.max_iterations,
-            "min_step_norm": termination.min_step_norm,
-        },
-    }
-    echo.update(extra)
-    return echo
+    return {"problem": problem.name, "criteria": asdict(criteria),
+            "termination": asdict(termination), **extra}
 
 
 @contextlib.contextmanager
@@ -294,7 +281,7 @@ def dynamic_solve(problem, criteria=None, strategy="steepest",
     """
     criteria = criteria or DirectionCriteria()
     termination = termination or TerminationSpec()
-    state = (lipschitz_init or LipschitzState()).copy()
+    state = replace(lipschitz_init or LipschitzState())
     x = np.array(problem.default_start if x0 is None else x0, dtype=float)
 
     report = SolverReport(

@@ -397,14 +397,13 @@ def load_dataset(path, has_header=False, model="linear", hidden_units=8):
 STREAM_GRADIENT = 0
 STREAM_HESSIAN = 1
 STREAM_OMEGA = 2
-STREAM_VALUE = 3
 
 
 class StochasticOracle:
     """Mini-batch sampler over a finite-sum problem.
 
-    Four independent seeded streams (gradient, Hessian, curvature noise,
-    value) are realized as counter-based generators keyed by
+    Three independent seeded streams (gradient, Hessian, curvature noise)
+    are realized as counter-based generators keyed by
     (seed, stream, draw index): replays with the same seed are bitwise
     identical and drawing from one stream never perturbs another.  An oracle
     instance is single-consumer; give each solver run its own.
@@ -427,7 +426,6 @@ class StochasticOracle:
             STREAM_GRADIENT: 0,
             STREAM_HESSIAN: 0,
             STREAM_OMEGA: 0,
-            STREAM_VALUE: 0,
         }
 
     def draw_count(self, stream):
@@ -450,25 +448,6 @@ class StochasticOracle:
     def next_hessian_batch(self):
         return self._draw_batch(STREAM_HESSIAN)
 
-    def next_value_batch(self):
-        return self._draw_batch(STREAM_VALUE)
-
     def next_omega(self):
         """Uniform draw on [-1, 1] from the curvature-noise stream."""
         return float(self._next_rng(STREAM_OMEGA).uniform(-1.0, 1.0))
-
-
-def sample_estimates(oracle, x):
-    """(value, gradient, Hessian) estimates at x.
-
-    The value and gradient share the gradient stream's batch; the Hessian
-    uses the Hessian stream's batch.  Each call advances exactly those two
-    streams.
-    """
-    x = np.asarray(x, dtype=float)
-    grad_batch = oracle.next_gradient_batch()
-    hess_batch = oracle.next_hessian_batch()
-    problem = oracle.problem
-    value, gradient = problem.batch_value_gradient(x, grad_batch)
-    hessian = problem.batch_hessian(x, hess_batch)
-    return value, gradient, hessian

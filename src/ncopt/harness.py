@@ -12,9 +12,11 @@ from __future__ import annotations
 import configparser
 import csv
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -84,8 +86,90 @@ class ExperimentConfig:
         return self.out_dir or os.environ.get(OUTPUT_DIR_ENV, "ncopt_runs")
 
 
-def default_output_dir():
-    return os.environ.get(OUTPUT_DIR_ENV, "ncopt_runs")
+def parse_boolean(text):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[str(text).strip().lower()]
+    except KeyError:
+        raise ValueError("expected true/false, yes/no, on/off or 1/0, got %r"
+                         % text) from None
+
+
+def _real(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number, got %r" % text)
+    return value
+
+
+def _vector(text):
+    return np.array([_real(v) for v in text.split(",")])
+
+
+class ConfigKey(NamedTuple):
+    """An INI key, the ExperimentConfig field it sets ("owner.attr" for a
+    nested constant), how its text is parsed, and the `ncopt run` flag, if
+    any, that overrides it."""
+
+    section: str
+    key: str
+    field: str
+    parse: Callable
+    flag: str | None = None
+    help: str | None = None
+
+    @property
+    def name(self):
+        return "%s.%s" % (self.section, self.key)
+
+
+# the one place that says which INI key and which `ncopt run` flag set which
+# ExperimentConfig field; `load_config_file` and the CLI both read it
+CONFIG_KEYS = (
+    ConfigKey("experiment", "variant", "variant", str, "--variant",
+              "solver variant: " + ", ".join(VARIANTS)),
+    ConfigKey("experiment", "problem", "problem", str, "--problem",
+              "registered problem name"),
+    ConfigKey("experiment", "dataset", "dataset", str, "--dataset",
+              "CSV dataset path (last column = label)"),
+    ConfigKey("experiment", "dataset_model", "dataset_model", str),
+    ConfigKey("experiment", "dataset_has_header", "dataset_has_header",
+              parse_boolean, "--dataset-header", "dataset file has a header row"),
+    ConfigKey("experiment", "label", "label", str, "--label", "output file label"),
+    ConfigKey("experiment", "out", "out_dir", str, "--out", "output directory"),
+    ConfigKey("experiment", "seed", "seed", int, "--seed",
+              "random seed (required for stochastic)"),
+    ConfigKey("experiment", "alpha", "alpha", _real, "--alpha",
+              "fixed/constant stepsize"),
+    ConfigKey("experiment", "beta", "beta", _real, "--beta",
+              "fixed curvature stepsize"),
+    ConfigKey("experiment", "batch_size", "batch_size", int, "--batch-size",
+              "mini-batch size"),
+    ConfigKey("experiment", "iterations", "iterations", int, "--iterations",
+              "stochastic iteration budget"),
+    ConfigKey("experiment", "start", "start", _vector, "--start",
+              "comma-separated starting point"),
+    ConfigKey("criteria", "gamma", "criteria.gamma", _real),
+    ConfigKey("criteria", "theta", "criteria.theta", _real),
+    ConfigKey("criteria", "delta", "criteria.delta", _real),
+    ConfigKey("criteria", "zeta", "criteria.zeta", _real),
+    ConfigKey("criteria", "eta", "criteria.eta", _real),
+    ConfigKey("termination", "grad_tol_rel", "termination.grad_tol_rel", _real,
+              "--grad-tol", "relative gradient tolerance"),
+    ConfigKey("termination", "curv_tol_rel", "termination.curv_tol_rel", _real),
+    ConfigKey("termination", "max_iterations", "termination.max_iterations", int,
+              "--max-iters", "iteration cap"),
+    ConfigKey("termination", "min_step_norm", "termination.min_step_norm", _real),
+    ConfigKey("lipschitz", "l_init", "lipschitz.L_current", _real),
+    ConfigKey("lipschitz", "sigma_init", "lipschitz.sigma_current", _real),
+    ConfigKey("lipschitz", "rho", "lipschitz.rho", _real),
+    ConfigKey("safeguards", "max_s_norm", "safeguards.max_s_norm", _real),
+    ConfigKey("safeguards", "max_ratio_d_to_s", "safeguards.max_ratio_d_to_s", _real),
+    ConfigKey("safeguards", "inflate_factor", "safeguards.inflate_factor", _real),
+    ConfigKey("safeguards", "l_init", "safeguards.L_init", _real),
+    ConfigKey("safeguards", "sigma_init", "safeguards.sigma_init", _real),
+)
+_CONFIG_KEYS_BY_NAME = {key.name: key for key in CONFIG_KEYS}
+_CONFIG_SECTIONS = tuple(dict.fromkeys(key.section for key in CONFIG_KEYS))
 
 
 def validate_config(config):
@@ -100,6 +184,8 @@ def validate_config(config):
             "problem: unknown %r; available: %s"
             % (config.problem, ", ".join(list_problems()))
         )
+    if config.seed is not None and config.seed < 0:
+        raise UsageError("seed: must be nonnegative")
     if config.variant in STOCHASTIC_VARIANTS:
         if config.seed is None:
             raise UsageError("seed: stochastic variants need an explicit seed")
@@ -107,11 +193,11 @@ def validate_config(config):
             raise UsageError("iterations: must be positive")
         if config.batch_size < 1:
             raise UsageError("batch_size: must be positive")
-    if config.variant == "two_step":
-        if config.alpha is None or config.beta is None:
-            raise UsageError("alpha: the two_step variant needs fixed alpha and beta")
-    if config.variant == "stoch_two_step" and config.alpha is None:
-        raise UsageError("alpha: stoch_two_step needs a constant stepsize")
+    stepsizes = {"two_step": ("alpha", "beta"), "stoch_two_step": ("alpha",)}
+    for name in stepsizes.get(config.variant, ()):
+        if not (getattr(config, name) or 0.0) > 0.0:
+            raise UsageError("%s: %s needs a positive fixed %s"
+                             % (name, config.variant, name))
 
 
 def variant_criteria(variant, criteria=None):
@@ -124,8 +210,11 @@ def variant_criteria(variant, criteria=None):
 
 def build_problem(config):
     if config.dataset is not None:
-        return load_dataset(config.dataset, has_header=config.dataset_has_header,
-                            model=config.dataset_model)
+        try:
+            return load_dataset(config.dataset, has_header=config.dataset_has_header,
+                                model=config.dataset_model)
+        except (OSError, ValueError) as err:
+            raise UsageError("dataset: %s" % err) from None
     return make_problem(config.problem)
 
 
@@ -354,9 +443,12 @@ CAMPAIGN_STARTS = {
 def standard_campaign_pairs(strategy="sd", seed=0, out_dir=None,
                             max_iterations=2000, problems=None):
     """Experiment-config pairs (descent-only, with-curvature) over the
-    built-in suite with the standard starting points."""
+    built-in suite with the standard starting points; an unknown problem,
+    a negative seed or a nonpositive cap is a UsageError."""
     if strategy not in ("sd", "mn"):
         raise UsageError("strategy: must be 'sd' or 'mn'")
+    if max_iterations < 1:
+        raise UsageError("max_iterations: must be positive")
     base = "dynamic_%s" % strategy
     termination = TerminationSpec(max_iterations=max_iterations)
     pairs = []
@@ -371,6 +463,7 @@ def standard_campaign_pairs(strategy="sd", seed=0, out_dir=None,
             ExperimentConfig(variant=base,
                              label="%s_%s_with_curvature" % (name, strategy), **common),
         ))
+        validate_config(pairs[-1][1])
     return pairs
 
 
@@ -425,76 +518,55 @@ def campaign(pairs, out_dir=None):
     return kept, table_path, plot_paths
 
 
-def _get_typed(section, key, cast, current):
-    if key in section:
-        raw = section[key]
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return current
+def read_config_file(path):
+    """An INI file's settings as {"section.key": text}.  Keys are
+    case-insensitive; an unreadable file or an unknown section or key is a
+    UsageError that names it."""
+    # no default section: a [DEFAULT] header is an unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
+    try:
+        with open(path) as handle:
+            parser.read_file(handle)
+    except (OSError, UnicodeDecodeError, configparser.Error) as err:
+        raise UsageError("config: cannot read %r: %s" % (path, err)) from None
+    settings = {}
+    for section in parser.sections():
+        if section not in _CONFIG_SECTIONS:
+            raise UsageError("%s: unknown section (choose from %s)"
+                             % (section, ", ".join(_CONFIG_SECTIONS)))
+        for key, text in parser.items(section):
+            name = "%s.%s" % (section, key)
+            if name not in _CONFIG_KEYS_BY_NAME:
+                raise UsageError("%s: unknown key" % name)
+            settings[name] = text
+    return settings
 
 
-def load_config_file(path, config=None):
-    """Flat key-value config with sections; CLI flags override file values."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise UsageError("config: cannot read %r" % path)
-    config = config or ExperimentConfig()
-    if parser.has_section("experiment"):
-        exp = parser["experiment"]
-        config.variant = exp.get("variant", config.variant)
-        config.problem = exp.get("problem", config.problem)
-        config.dataset = exp.get("dataset", config.dataset)
-        config.dataset_model = exp.get("dataset_model", config.dataset_model)
-        config.dataset_has_header = _get_typed(exp, "dataset_has_header", bool,
-                                               config.dataset_has_header)
-        config.label = exp.get("label", config.label)
-        config.out_dir = exp.get("out", config.out_dir)
-        config.seed = _get_typed(exp, "seed", int, config.seed)
-        config.alpha = _get_typed(exp, "alpha", float, config.alpha)
-        config.beta = _get_typed(exp, "beta", float, config.beta)
-        config.batch_size = _get_typed(exp, "batch_size", int, config.batch_size)
-        config.iterations = _get_typed(exp, "iterations", int, config.iterations)
-        if "start" in exp:
-            config.start = np.array([float(v) for v in exp["start"].split(",")])
-    if parser.has_section("criteria"):
-        sec = parser["criteria"]
-        base = config.criteria or DirectionCriteria()
-        config.criteria = DirectionCriteria(
-            gamma=_get_typed(sec, "gamma", float, base.gamma),
-            theta=_get_typed(sec, "theta", float, base.theta),
-            delta=_get_typed(sec, "delta", float, base.delta),
-            zeta=_get_typed(sec, "zeta", float, base.zeta),
-            eta=_get_typed(sec, "eta", float, base.eta),
-        )
-    if parser.has_section("termination"):
-        sec = parser["termination"]
-        t = config.termination
-        config.termination = TerminationSpec(
-            grad_tol_rel=_get_typed(sec, "grad_tol_rel", float, t.grad_tol_rel),
-            curv_tol_rel=_get_typed(sec, "curv_tol_rel", float, t.curv_tol_rel),
-            max_iterations=_get_typed(sec, "max_iterations", int, t.max_iterations),
-            min_step_norm=_get_typed(sec, "min_step_norm", float, t.min_step_norm),
-        )
-    if parser.has_section("lipschitz"):
-        sec = parser["lipschitz"]
-        s = config.lipschitz
-        config.lipschitz = LipschitzState(
-            L_current=_get_typed(sec, "l_init", float, s.L_current),
-            sigma_current=_get_typed(sec, "sigma_init", float, s.sigma_current),
-            rho=_get_typed(sec, "rho", float, s.rho),
-        )
-    if parser.has_section("safeguards"):
-        sec = parser["safeguards"]
-        g = config.safeguards
-        config.safeguards = SafeguardConfig(
-            max_s_norm=_get_typed(sec, "max_s_norm", float, g.max_s_norm),
-            max_ratio_d_to_s=_get_typed(sec, "max_ratio_d_to_s", float,
-                                        g.max_ratio_d_to_s),
-            inflate_factor=_get_typed(sec, "inflate_factor", float,
-                                      g.inflate_factor),
-            L_init=_get_typed(sec, "l_init", float, g.L_init),
-            sigma_init=_get_typed(sec, "sigma_init", float, g.sigma_init),
-        )
+def config_from_settings(settings):
+    """A fresh ExperimentConfig with every {"section.key": value} setting
+    parsed by its CONFIG_KEYS row and applied.
+
+    Nested constants are rebuilt with `replace`, never changed in place, so
+    their own checks run; a value that fails to parse or to pass a check is
+    a UsageError naming its key.  The criteria start from the variant's
+    (`variant_criteria`), so a modified-Newton variant keeps its delta.
+    """
+    config = ExperimentConfig()
+    variant = settings.get("experiment.variant", config.variant)
+    for name, text in settings.items():
+        key = _CONFIG_KEYS_BY_NAME[name]
+        owner, _, attr = key.field.rpartition(".")
+        try:
+            value = key.parse(text)
+            if owner:
+                constants = getattr(config, owner) or variant_criteria(variant)
+                attr, value = owner, replace(constants, **{attr: value})
+            config = replace(config, **{attr: value})
+        except ValueError as err:
+            raise UsageError("%s: %s" % (name, err)) from None
     return config
+
+
+def load_config_file(path):
+    """The ExperimentConfig an INI file describes (see CONFIG_KEYS)."""
+    return config_from_settings(read_config_file(path))

@@ -8,6 +8,8 @@ counters isolated.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -76,8 +78,9 @@ class ObjectiveProblem:
         x = self._check_point(x)
         self.gradient_count += 1
         g = np.asarray(self._gradient_fn(x), dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise EvaluationError("gradient has non-finite entries", x)
+        # a finite g'g proves every entry finite and the norm representable
+        if not math.isfinite(float(g @ g)):
+            raise EvaluationError("gradient norm is not finite", x)
         return g
 
     def hessian(self, x):

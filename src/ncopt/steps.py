@@ -93,12 +93,6 @@ class LipschitzState:
             self.sigma_current = value
         return value
 
-    def copy(self):
-        return LipschitzState(
-            self.L_current, self.sigma_current, self.rho,
-            self.clamp_up_factor, self.clamp_down_factor, self.absolute_floor,
-        )
-
 
 @dataclass
 class StepSizes:

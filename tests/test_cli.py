@@ -1,3 +1,6 @@
+import argparse
+import copy
+import dataclasses
 import json
 import subprocess
 import sys
@@ -5,8 +8,14 @@ import sys
 import numpy as np
 import pytest
 
-from ncopt.cli import main
+from ncopt.cli import _build_parser, _config_from_args, main
 from ncopt.deterministic import InnerLoopStall, SolverReport
+from ncopt.harness import (
+    CONFIG_KEYS,
+    TRACE_COLUMNS,
+    ExperimentConfig,
+    load_config_file,
+)
 from ncopt.linalg import KernelError
 from ncopt.steps import ConditionViolation
 
@@ -131,6 +140,72 @@ class TestRun:
         assert code == 2
         assert "batch_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, ini, key", [
+        (["run", "--problem", "sphere", "--max-iters", "0"], None,
+         "termination.max_iterations"),
+        (["run", "--problem", "sphere", "--grad-tol", "-1"], None,
+         "termination.grad_tol_rel"),
+        (["run", "--config", "{tmp}/missing.cfg"], None, "config"),
+        (["run", "--config", "{cfg}"],
+         "[experiment]\nproblem = sphere\nseed = abc\n", "experiment.seed"),
+        (["run", "--config", "{cfg}"],
+         "[experiment]\nproblem = sphere\n[criteria]\ngamma = 2\n",
+         "criteria.gamma"),
+        (["run", "--problem", "sphere", "--start", "1,x"], None, "experiment.start"),
+        (["run", "--problem", "sphere", "--seed", "-1"], None, "seed"),
+        (["run", "--problem", "two_layer_net", "--variant", "stoch_dynamic",
+          "--seed", "-1"], None, "seed"),
+        (["run", "--problem", "sphere", "--variant", "two_step", "--alpha", "-1",
+          "--beta", "1"], None, "alpha"),
+        (["run", "--problem", "two_layer_net", "--variant", "stoch_two_step",
+          "--seed", "0", "--alpha", "-1"], None, "alpha"),
+        (["run", "--dataset", "{tmp}/missing.csv"], None, "dataset"),
+        (["campaign", "--max-iters", "0"], None, "max_iterations"),
+        (["campaign", "--problem", "nosuch"], None, "problem: unknown 'nosuch'"),
+    ])
+    def test_bad_input_is_usage_error_naming_key(self, tmp_path, capsys, argv,
+                                                 ini, key):
+        cfg = tmp_path / "exp.cfg"
+        if ini is not None:
+            cfg.write_text(ini)
+        argv = [a.format(tmp=tmp_path, cfg=cfg) for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ")
+        assert key in err
+
+    def test_criteria_section_keeps_modified_newton_delta(self, tmp_path):
+        cfg = tmp_path / "mn.cfg"
+        cfg.write_text(
+            "[experiment]\n"
+            "problem = rosenbrock2\n"
+            "variant = dynamic_mn\n"
+            "out = %s\n"
+            "[criteria]\n"
+            "gamma = 0.5\n" % tmp_path
+        )
+        assert main(["run", "--config", str(cfg)]) == 0
+        summary = json.loads((tmp_path / "rosenbrock2_dynamic_mn.json").read_text())
+        assert summary["config"]["criteria"]["delta"] == 1e-8
+        assert summary["config"]["criteria"]["gamma"] == 0.5
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_exact_gradient_norm_stops_stochastic_run(self, tmp_path):
+        # every entry of the exact gradient at the start is finite, its
+        # norm is not: the run stops there instead of recording gnorm inf
+        data = tmp_path / "d.csv"
+        data.write_text("1e200,1,2\n0.5,-1,1\n2,0.3,-1\n-1,2,0.5\n")
+        code = main(["run", "--dataset", str(data), "--variant", "stoch_dynamic",
+                     "--seed", "1", "--batch-size", "2", "--iterations", "5",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        label = "linear_least_squares_stoch_dynamic"
+        summary = json.loads((tmp_path / (label + ".json")).read_text())
+        assert summary["error"]["message"] == "gradient norm is not finite"
+        assert summary["total_iterations"] == 0
+        rows = (tmp_path / (label + ".csv")).read_text().splitlines()
+        assert rows == [",".join(TRACE_COLUMNS)]
+
     def test_config_file_driving(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
@@ -187,3 +262,136 @@ def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("NCOPT_OUTPUT_DIR", str(tmp_path / "from_env"))
     assert main(["run", "--problem", "sphere", "--variant", "dynamic_sd"]) == 0
     assert (tmp_path / "from_env" / "sphere_dynamic_sd.json").exists()
+
+
+ALL_KEYS_INI = """\
+[experiment]
+variant = dynamic_mn
+problem = rosenbrock2
+dataset = data.csv
+dataset_model = two_layer
+dataset_has_header = yes
+label = from_file
+out = file_out
+seed = 13
+alpha = 0.25
+beta = 0.75
+batch_size = 8
+iterations = 50
+start = 0.5, -1.5
+[criteria]
+gamma = 0.5
+theta = 2.0
+delta = 0.25
+zeta = 0.75
+eta = 3.0
+[termination]
+grad_tol_rel = 1e-7
+curv_tol_rel = 1e-6
+max_iterations = 77
+min_step_norm = 1e-12
+[lipschitz]
+L_init = 2.5
+sigma_init = 3.5
+rho = 4.0
+[safeguards]
+max_s_norm = 5.0
+max_ratio_d_to_s = 0.1
+inflate_factor = 1.5
+l_init = 40.0
+sigma_init = 60.0
+"""
+
+ALL_FIELD_FLAGS = [
+    "--problem", "sphere", "--variant", "two_step", "--seed", "21",
+    "--out", "flag_out", "--max-iters", "33", "--grad-tol", "1e-3",
+    "--dataset", "flag.csv", "--dataset-header", "--start", "1,2,3",
+    "--alpha", "0.5", "--beta", "0.125", "--batch-size", "4",
+    "--iterations", "9", "--label", "from_flags",
+]
+
+FILE_FIELDS = {
+    "variant": "dynamic_mn", "problem": "rosenbrock2", "dataset": "data.csv",
+    "dataset_has_header": True, "dataset_model": "two_layer",
+    "start": [0.5, -1.5], "seed": 13,
+    "criteria": {"gamma": 0.5, "theta": 2.0, "delta": 0.25, "zeta": 0.75,
+                 "eta": 3.0},
+    "termination": {"grad_tol_rel": 1e-7, "curv_tol_rel": 1e-6,
+                    "max_iterations": 77, "min_step_norm": 1e-12},
+    "lipschitz": {"L_current": 2.5, "sigma_current": 3.5, "rho": 4.0,
+                  "clamp_up_factor": 1e3, "clamp_down_factor": 1e-3,
+                  "absolute_floor": 1e-3},
+    "alpha": 0.25, "beta": 0.75, "batch_size": 8, "iterations": 50,
+    "safeguards": {"max_s_norm": 5.0, "max_ratio_d_to_s": 0.1,
+                   "inflate_factor": 1.5, "L_init": 40.0, "sigma_init": 60.0},
+    "out_dir": "file_out", "label": "from_file",
+}
+
+FLAG_FIELDS = {
+    "problem": "sphere", "variant": "two_step", "seed": 21,
+    "out_dir": "flag_out", "dataset": "flag.csv", "dataset_has_header": True,
+    "start": [1.0, 2.0, 3.0], "alpha": 0.5, "beta": 0.125, "batch_size": 4,
+    "iterations": 9, "label": "from_flags",
+}
+
+
+def _fields(config):
+    fields = dataclasses.asdict(config)
+    if fields["start"] is not None:
+        fields["start"] = fields["start"].tolist()
+    return fields
+
+
+def _run_config(argv):
+    return _config_from_args(_build_parser().parse_args(["run"] + argv))
+
+
+class TestOptionSurface:
+    """Every INI key and every `run` flag sets its ExperimentConfig field."""
+
+    def test_every_ini_key(self, tmp_path):
+        path = tmp_path / "all.cfg"
+        path.write_text(ALL_KEYS_INI)
+        assert _fields(load_config_file(str(path))) == FILE_FIELDS
+
+    def test_every_flag(self):
+        expected = _fields(ExperimentConfig())
+        expected.update(FLAG_FIELDS)
+        expected["termination"].update(max_iterations=33, grad_tol_rel=1e-3)
+        assert _fields(_run_config(ALL_FIELD_FLAGS)) == expected
+
+    def test_flags_override_every_ini_key_they_share(self, tmp_path):
+        path = tmp_path / "all.cfg"
+        path.write_text(ALL_KEYS_INI)
+        expected = copy.deepcopy(FILE_FIELDS)
+        expected.update(FLAG_FIELDS)
+        expected["termination"].update(max_iterations=33, grad_tol_rel=1e-3)
+        config = _run_config(["--config", str(path)] + ALL_FIELD_FLAGS)
+        assert _fields(config) == expected
+
+    def test_surface_is_fixed(self):
+        """Adding or removing a knob must edit these lists in plain view."""
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {option for action in sub.choices["run"]._actions
+                 for option in action.option_strings} - {"-h", "--help"}
+        assert flags == {
+            "--config", "--problem", "--variant", "--seed", "--out",
+            "--max-iters", "--grad-tol", "--dataset", "--dataset-header",
+            "--start", "--alpha", "--beta", "--batch-size", "--iterations",
+            "--label",
+        }
+        assert {key.name for key in CONFIG_KEYS} == {
+            "experiment." + k for k in (
+                "variant", "problem", "dataset", "dataset_model",
+                "dataset_has_header", "label", "out", "seed", "alpha", "beta",
+                "batch_size", "iterations", "start")
+        } | {"criteria." + k for k in ("gamma", "theta", "delta", "zeta", "eta")} | {
+            "termination." + k for k in (
+                "grad_tol_rel", "curv_tol_rel", "max_iterations", "min_step_norm")
+        } | {"lipschitz." + k for k in ("l_init", "sigma_init", "rho")} | {
+            "safeguards." + k for k in (
+                "max_s_norm", "max_ratio_d_to_s", "inflate_factor", "l_init",
+                "sigma_init")
+        }
+        assert len(CONFIG_KEYS) == 30

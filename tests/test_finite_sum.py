@@ -14,7 +14,6 @@ from ncopt.finite_sum import (
     TwoLayerNetProblem,
     load_dataset,
     random_quadratic_finite_sum,
-    sample_estimates,
     synthetic_two_layer_net,
 )
 from reference_two_layer import reference_batch_hessian
@@ -216,35 +215,38 @@ class TestStochasticOracle:
         p = tiny_quadratic
         oracle = StochasticOracle(p, batch_size=4, seed=3)
         x = np.array([0.3, -1.0, 2.0])
-        v, g, H = sample_estimates(oracle, x)
+        v, g = p.batch_value_gradient(x, oracle.next_gradient_batch())
+        H = p.batch_hessian(x, oracle.next_hessian_batch())
         assert v == pytest.approx(p.evaluate(x), rel=1e-12)
         np.testing.assert_allclose(g, p.gradient(x), rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(H, p.hessian(x), rtol=1e-12, atol=1e-13)
 
     def test_identical_seeds_replay_identically(self, tiny_quadratic):
+        p = tiny_quadratic
         x = np.array([1.0, 2.0, -0.5])
         seq_a, seq_b = [], []
         for seq in (seq_a, seq_b):
-            oracle = StochasticOracle(tiny_quadratic, batch_size=2, seed=99)
+            oracle = StochasticOracle(p, batch_size=2, seed=99)
             for _ in range(5):
-                seq.append(sample_estimates(oracle, x))
-                seq.append(oracle.next_omega())
+                v, g = p.batch_value_gradient(x, oracle.next_gradient_batch())
+                seq.extend([v, g, p.batch_hessian(x, oracle.next_hessian_batch()),
+                            oracle.next_omega()])
         for a, b in zip(seq_a, seq_b):
-            if isinstance(a, float):
-                assert a == b
-            else:
-                for u, v in zip(a, b):
-                    np.testing.assert_array_equal(u, v)
+            np.testing.assert_array_equal(a, b)
 
     def test_streams_are_independent(self, tiny_quadratic):
         a = StochasticOracle(tiny_quadratic, batch_size=2, seed=5)
         b = StochasticOracle(tiny_quadratic, batch_size=2, seed=5)
         a.next_gradient_batch()
         a.next_gradient_batch()
-        a.next_omega()
+        omega = a.next_omega()
         # the hessian stream of `a` was never advanced
         np.testing.assert_array_equal(a.next_hessian_batch(), b.next_hessian_batch())
-        np.testing.assert_array_equal(a.next_value_batch(), b.next_value_batch())
+        # nor do the other streams' draws move the gradient or omega streams
+        b.next_gradient_batch()
+        b.next_gradient_batch()
+        np.testing.assert_array_equal(a.next_gradient_batch(), b.next_gradient_batch())
+        assert b.next_omega() == omega
 
     def test_omega_in_unit_interval(self, tiny_quadratic):
         oracle = StochasticOracle(tiny_quadratic, batch_size=1, seed=17)

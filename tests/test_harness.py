@@ -11,6 +11,7 @@ from ncopt.harness import (
     UsageError,
     campaign,
     compare,
+    config_from_settings,
     load_config_file,
     load_report_summary,
     run_experiment,
@@ -18,6 +19,8 @@ from ncopt.harness import (
     validate_config,
     write_trace_csv,
 )
+from ncopt.steps import DirectionCriteria
+from ncopt.stochastic import SafeguardConfig
 
 
 class TestValidation:
@@ -234,6 +237,58 @@ class TestConfigFile:
     def test_missing_file(self):
         with pytest.raises(UsageError):
             load_config_file("/nonexistent/x.cfg")
+
+    def test_safeguards_and_shared_key_names(self, tmp_path):
+        # l_init and sigma_init name a field in both sections
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "[lipschitz]\n"
+            "l_init = 2.5\n"
+            "sigma_init = 3.5\n"
+            "[safeguards]\n"
+            "max_s_norm = 5\n"
+            "max_ratio_d_to_s = 0.1\n"
+            "inflate_factor = 1.5\n"
+            "L_INIT = 40\n"
+            "sigma_init = 60\n"
+        )
+        config = load_config_file(str(path))
+        assert (config.lipschitz.L_current, config.lipschitz.sigma_current) == (2.5, 3.5)
+        assert config.safeguards == SafeguardConfig(
+            max_s_norm=5.0, max_ratio_d_to_s=0.1, inflate_factor=1.5,
+            L_init=40.0, sigma_init=60.0)
+
+    def test_criteria_start_from_the_variant(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("[experiment]\nvariant = dynamic_mn\n[criteria]\ngamma = 0.5\n")
+        config = load_config_file(str(path))
+        assert config.criteria == DirectionCriteria(gamma=0.5, delta=1e-8)
+
+    @pytest.mark.parametrize("text, key", [
+        ("[termnation]\nmax_iterations = 5\n", "termnation: unknown section"),
+        ("[DEFAULT]\nseed = 1\n", "DEFAULT: unknown section"),
+        ("[experiment]\nsed = 1\n", "experiment.sed: unknown key"),
+        ("[experiment]\nseed = 1\nseed = 2\n", "config"),
+        ("[experiment]\ndataset_has_header = maybe\n", "experiment.dataset_has_header"),
+        ("[lipschitz]\nrho = 1\n", "lipschitz.rho"),
+        ("[lipschitz]\nl_init = nan\n", "lipschitz.l_init"),
+        ("[experiment]\nstart = 1, inf\n", "experiment.start"),
+        ("[safeguards]\ninflate_factor = 1\n", "safeguards.inflate_factor"),
+        ("[termination]\nmin_step_norm = 0\n", "termination.min_step_norm"),
+    ])
+    def test_bad_file_names_the_key(self, tmp_path, text, key):
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        with pytest.raises(UsageError, match=key):
+            load_config_file(str(path))
+
+    def test_settings_are_parsed_and_checked(self):
+        config = config_from_settings({"termination.max_iterations": "5",
+                                       "experiment.dataset_has_header": True})
+        assert config.termination == TerminationSpec(max_iterations=5)
+        assert config.dataset_has_header is True
+        with pytest.raises(UsageError, match="termination.max_iterations"):
+            config_from_settings({"termination.max_iterations": "0"})
 
 
 def test_campaign_starts_cover_registry():

@@ -70,6 +70,27 @@ class TestGradient:
         fd = central_gradient(p.evaluate, x, step=1e-6)
         assert np.linalg.norm(fd - g) <= 1e-6 * max(1.0, np.linalg.norm(g))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("g", [
+        [1e200, 1e200],  # every entry finite, but the norm overflows
+        [np.nan, 0.0],
+        [np.inf, 0.0],
+    ])
+    def test_non_finite_norm_reports_point(self, g):
+        p = ObjectiveProblem(
+            "bad", 2,
+            value_fn=lambda x: 0.0,
+            gradient_fn=lambda x: np.array(g),
+            hessian_fn=lambda x: np.eye(2),
+        )
+        with pytest.raises(EvaluationError, match="gradient norm is not finite") as err:
+            p.gradient(np.array([1.0, 2.0]))
+        np.testing.assert_allclose(err.value.x, [1.0, 2.0])
+
+    def test_large_finite_norm_accepted(self):
+        g = sphere(2).gradient(np.array([1e150, -1e150]))
+        np.testing.assert_array_equal(g, [1e150, -1e150])
+
 
 class TestHessian:
     def test_sphere_identity(self):
