@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import itertools
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -21,12 +22,11 @@ from ncopt.steps import (
     ConditionViolation,
     DirectionCriteria,
     LipschitzState,
-    certify_curvature_direction,
     descent_direction,
-    direction_from_eigenpair,
     lipschitz_hat,
     model_reduction_curvature,
     model_reduction_descent,
+    negative_curvature_direction,
     optimal_stepsizes,
 )
 
@@ -50,8 +50,8 @@ class InnerLoopStall(RuntimeError):
         self.report = report
 
 
-# failures that end a solve abnormally; the deterministic solvers attach the
-# partial report to each as `report`
+# failures that end a solve abnormally; every solver attaches the partial
+# report to each as `report`
 SOLVER_FAILURES = (InnerLoopStall, EvaluationError, KernelError, ConditionViolation)
 
 
@@ -130,36 +130,100 @@ class SolverReport:
         self.total_iterations = len(self.records)
         return self
 
+    def close_partial(self):
+        """Close a report cut short by a failure: no termination reason."""
+        if self.records:
+            self.finish(None)
+
 
 def _neg(lam):
     return max(0.0, -lam)
 
 
-def _config_echo(problem, criteria, termination, **extra):
-    return {"problem": problem.name, "criteria": asdict(criteria),
-            "termination": asdict(termination), **extra}
-
-
 @contextlib.contextmanager
 def _partial_report_on_failure(report):
-    """Attach the report accumulated so far, closed with no termination
-    reason, to an evaluation, kernel or certificate failure raised inside,
-    as InnerLoopStall carries one."""
+    """Close the report accumulated so far (`close_partial`) and attach it
+    as `report` to a solver failure raised inside.  Every solver, the
+    stochastic ones too, runs its loop under this."""
     try:
         yield
-    except (EvaluationError, KernelError, ConditionViolation) as err:
-        if report.records:
-            report.finish(None)
+    except SOLVER_FAILURES as err:
+        report.close_partial()
         err.report = report
         raise
 
 
-def _terminal_record(k, x, f, gnorm, lam, fevals):
+def _terminal_record(k, x, f, gnorm, lam, problem):
     return IterationRecord(
         index=k, x=np.array(x, dtype=float), f_value=f, gradient_norm=gnorm,
         lam=lam, s=np.zeros_like(x), d=np.zeros_like(x), step_taken="none",
-        feval_count=fevals,
+        feval_count=problem.evaluation_count,
     )
+
+
+def _iterate(problem, x0, criteria, termination, step, zero_curvature_tol,
+             use_curvature, echo):
+    """The iteration both deterministic solvers share; returns the report.
+
+    Each iterate evaluates f (unless the previous step carried it), g, H
+    and one leftmost eigenpair, and certifies the curvature direction d.
+    The solve stops at a second-order point (d = 0 and g = 0) or when both
+    relative tolerances hold; otherwise `step(k, x, f, g, gnorm, H, eig, d)`
+    returns the next iterate, f there (None if not evaluated) and the
+    IterationRecord fields it sets.  A tiny step or the iteration cap ends
+    the solve at the next iterate.  A step that finds no acceptable point
+    raises InnerLoopStall, and the iterate is recorded as terminal.
+    """
+    report = SolverReport(
+        problem_name=problem.name,
+        problem_lower_bound=problem.lower_bound,
+        config={"problem": problem.name, "criteria": asdict(criteria),
+                "termination": asdict(termination), **echo},
+    )
+    x = np.array(problem.default_start if x0 is None else x0, dtype=float)
+    f = stop = None
+    with _partial_report_on_failure(report):
+        for k in itertools.count(1):
+            # f carried by the step is reused, but a tiny step or the cap
+            # ends the solve at an iterate whose f is evaluated afresh
+            if f is None or stop is not None:
+                f = problem.evaluate(x)
+            g = problem.gradient(x)
+            H = problem.hessian(x)
+            eig = leftmost_eigenpair(H)
+            lam = eig.leftmost_value
+            gnorm = float(np.linalg.norm(g))
+            if k == 1:
+                g1_scale, lam1_scale = max(1.0, gnorm), max(1.0, _neg(lam))
+
+            if stop is None:
+                d = (negative_curvature_direction(eig, H, g, criteria,
+                                                  zero_curvature_tol)
+                     if use_curvature else np.zeros_like(x))
+                if gnorm == 0.0 and not np.any(d != 0.0):
+                    stop = TerminationReason.SECOND_ORDER_POINT
+                elif gnorm <= termination.grad_tol_rel * g1_scale and \
+                        _neg(lam) <= termination.curv_tol_rel * lam1_scale:
+                    stop = TerminationReason.TOLERANCE_MET
+            if stop is not None:
+                report.records.append(_terminal_record(k, x, f, gnorm, lam, problem))
+                return report.finish(stop)
+
+            try:
+                x_next, f_next, fields = step(k, x, f, g, gnorm, H, eig, d)
+            except InnerLoopStall:
+                report.records.append(_terminal_record(k, x, f, gnorm, lam, problem))
+                raise
+            report.records.append(IterationRecord(
+                index=k, x=x.copy(), f_value=f, gradient_norm=gnorm, lam=lam, d=d,
+                feval_count=problem.evaluation_count, **fields,
+            ))
+            step_norm = float(np.linalg.norm(x_next - x))
+            x, f = x_next, f_next
+            if step_norm < termination.min_step_norm:
+                stop = TerminationReason.TINY_STEP
+            elif k == termination.max_iterations:
+                stop = TerminationReason.MAX_ITERATIONS
 
 
 def two_step_solve(problem, criteria=None, alpha=None, beta=None,
@@ -170,98 +234,37 @@ def two_step_solve(problem, criteria=None, alpha=None, beta=None,
     The caller supplies the stepsizes; they are admissible when
     alpha < 2*delta*zeta/(L*eta^2) and beta < 3*gamma/(sigma*theta) for the
     problem's true curvature constants, which is only verifiable on problems
-    with documented constants.  Returns the current iterate as soon as both
-    directions vanish.  An EvaluationError, KernelError or
+    with documented constants.  Returns the current iterate as soon as the
+    curvature direction and the gradient vanish.  An EvaluationError, KernelError or
     ConditionViolation raised mid-solve carries the partial report as
     `report`.
     """
     if alpha is None or beta is None or alpha <= 0.0 or beta <= 0.0:
         raise ValueError("two_step_solve needs positive fixed stepsizes")
     criteria = criteria or DirectionCriteria()
-    termination = termination or TerminationSpec()
-    x = np.array(problem.default_start if x0 is None else x0, dtype=float)
 
-    report = SolverReport(
-        problem_name=problem.name,
-        problem_lower_bound=problem.lower_bound,
-        config=_config_echo(problem, criteria, termination, method="two_step",
-                            strategy=strategy, alpha=alpha, beta=beta),
-    )
-    with _partial_report_on_failure(report):
-        g1_scale = lam1_scale = None
-        for k in range(1, termination.max_iterations + 1):
-            f = problem.evaluate(x)
-            g = problem.gradient(x)
-            H = problem.hessian(x)
-            eig = leftmost_eigenpair(H)
-            lam = eig.leftmost_value
-            gnorm = float(np.linalg.norm(g))
-            if g1_scale is None:
-                g1_scale = max(1.0, gnorm)
-                lam1_scale = max(1.0, _neg(lam))
+    def step(k, x, f, g, gnorm, H, eig, d):
+        has_d = bool(np.any(d != 0.0))
+        x_hat = x + beta * d
+        g_hat = problem.gradient(x_hat) if has_d else g
+        if float(np.linalg.norm(g_hat)) == 0.0:
+            s_hat = np.zeros_like(x)
+        elif strategy == "modified_newton" and has_d:
+            s_hat = descent_direction(strategy, g_hat, problem.hessian(x_hat),
+                                      criteria)
+        else:
+            # x_hat is x when no curvature step was taken, so H and its
+            # decomposition serve the descent step too
+            s_hat = descent_direction(strategy, g_hat, H, criteria, eig=eig)
+        has_s = bool(np.any(s_hat != 0.0))
+        taken = "both" if has_d and has_s else "curvature" if has_d else "descent"
+        return x_hat + alpha * s_hat, None, dict(
+            s=s_hat, step_taken=taken, x_hat=x_hat.copy(), alpha=alpha, beta=beta)
 
-            d = direction_from_eigenpair(eig, g, criteria, zero_curvature_tol)
-            if np.any(d != 0.0):
-                certify_curvature_direction(d, H, lam, g, criteria)
-            x_hat = x + beta * d
-
-            if np.any(d != 0.0):
-                g_hat = problem.gradient(x_hat)
-            else:
-                g_hat = g
-            if float(np.linalg.norm(g_hat)) == 0.0:
-                s_hat = np.zeros_like(x)
-            elif strategy == "modified_newton" and np.any(d != 0.0):
-                s_hat, _ = descent_direction(strategy, g_hat, problem.hessian(x_hat),
-                                             criteria)
-            else:
-                # x_hat is x when no curvature step was taken, so H and its
-                # decomposition serve the descent step too
-                s_hat, _ = descent_direction(strategy, g_hat, H, criteria, eig=eig)
-
-            if not np.any(d != 0.0) and not np.any(s_hat != 0.0):
-                report.records.append(
-                    _terminal_record(k, x, f, gnorm, lam, problem.evaluation_count)
-                )
-                return report.finish(TerminationReason.SECOND_ORDER_POINT)
-
-            if gnorm <= termination.grad_tol_rel * g1_scale and \
-                    _neg(lam) <= termination.curv_tol_rel * lam1_scale:
-                report.records.append(
-                    _terminal_record(k, x, f, gnorm, lam, problem.evaluation_count)
-                )
-                return report.finish(TerminationReason.TOLERANCE_MET)
-
-            x_next = x_hat + alpha * s_hat
-            if np.any(d != 0.0) and np.any(s_hat != 0.0):
-                taken = "both"
-            elif np.any(d != 0.0):
-                taken = "curvature"
-            else:
-                taken = "descent"
-            report.records.append(IterationRecord(
-                index=k, x=x.copy(), f_value=f, gradient_norm=gnorm, lam=lam,
-                s=s_hat, d=d, step_taken=taken, x_hat=x_hat.copy(),
-                alpha=alpha, beta=beta, feval_count=problem.evaluation_count,
-            ))
-            step_norm = float(np.linalg.norm(x_next - x))
-            x = x_next
-            if step_norm < termination.min_step_norm:
-                return _finalize_at(problem, report, k + 1, x,
-                                    TerminationReason.TINY_STEP)
-        return _finalize_at(problem, report, termination.max_iterations + 1, x,
-                            TerminationReason.MAX_ITERATIONS)
-
-
-def _finalize_at(problem, report, k, x, reason):
-    f = problem.evaluate(x)
-    g = problem.gradient(x)
-    eig = leftmost_eigenpair(problem.hessian(x))
-    report.records.append(_terminal_record(
-        k, x, f, float(np.linalg.norm(g)), eig.leftmost_value,
-        problem.evaluation_count,
-    ))
-    return report.finish(reason)
+    return _iterate(problem, x0, criteria, termination or TerminationSpec(), step,
+                    zero_curvature_tol, True,
+                    dict(method="two_step", strategy=strategy, alpha=alpha,
+                         beta=beta))
 
 
 def dynamic_solve(problem, criteria=None, strategy="steepest",
@@ -280,115 +283,68 @@ def dynamic_solve(problem, criteria=None, strategy="steepest",
     SOLVER_FAILURES raised mid-solve carries the partial report as `report`.
     """
     criteria = criteria or DirectionCriteria()
-    termination = termination or TerminationSpec()
     state = replace(lipschitz_init or LipschitzState())
-    x = np.array(problem.default_start if x0 is None else x0, dtype=float)
 
-    report = SolverReport(
-        problem_name=problem.name,
-        problem_lower_bound=problem.lower_bound,
-        config=_config_echo(
-            problem, criteria, termination, method="dynamic", strategy=strategy,
-            use_curvature=use_curvature, L_init=state.L_current,
-            sigma_init=state.sigma_current, rho=state.rho,
-        ),
-    )
-    with _partial_report_on_failure(report):
-        f = problem.evaluate(x)
-        g1_scale = lam1_scale = None
-        for k in range(1, termination.max_iterations + 1):
-            g = problem.gradient(x)
-            H = problem.hessian(x)
-            eig = leftmost_eigenpair(H)
-            lam = eig.leftmost_value
-            gnorm = float(np.linalg.norm(g))
-            if g1_scale is None:
-                g1_scale = max(1.0, gnorm)
-                lam1_scale = max(1.0, _neg(lam))
+    def step(k, x, f, g, gnorm, H, eig, d):
+        has_d = bool(np.any(d != 0.0))
+        if gnorm == 0.0:
+            s = np.zeros_like(x)
+        else:
+            s = descent_direction(strategy, g, H, criteria,
+                                  condition_cap=condition_cap,
+                                  enforce_norm_band=False, eig=eig)
+        has_s = bool(np.any(s != 0.0))
 
-            if use_curvature and lam < -zero_curvature_tol:
-                d = direction_from_eigenpair(eig, g, criteria, zero_curvature_tol)
-                certify_curvature_direction(d, H, lam, g, criteria)
-            else:
-                d = np.zeros_like(x)
-            has_d = bool(np.any(d != 0.0))
-
-            if gnorm == 0.0:
-                s = np.zeros_like(x)
-            else:
-                s, _ = descent_direction(strategy, g, H, criteria,
-                                         condition_cap=condition_cap,
-                                         enforce_norm_band=False, eig=eig)
-            has_s = bool(np.any(s != 0.0))
-
-            if not has_d and not has_s:
-                report.records.append(
-                    _terminal_record(k, x, f, gnorm, lam, problem.evaluation_count)
+        inner = 0
+        while True:
+            inner += 1
+            if inner > inner_loop_cap:
+                raise InnerLoopStall(
+                    "inner loop exceeded %d passes at iteration %d (L=%g, sigma=%g)"
+                    % (inner_loop_cap, k, state.L_current, state.sigma_current),
+                    None,
                 )
-                return report.finish(TerminationReason.SECOND_ORDER_POINT)
+            sizes = optimal_stepsizes(g, s if has_s else None,
+                                      d if has_d else None, H, state)
+            m_s = (model_reduction_descent(g, s, state.L_current, sizes.alpha)
+                   if has_s else -np.inf)
+            m_d = (model_reduction_curvature(g, d, H, state.sigma_current, sizes.beta)
+                   if has_d else -np.inf)
+            if m_s >= m_d:
+                trial = x + sizes.alpha * s
+                f_trial = problem.evaluate(trial)
+                hat = lipschitz_hat("gradient", f_trial, f, m_s, sizes.alpha,
+                                    float(np.linalg.norm(s)), state.L_current)
+                if f_trial <= f - m_s:
+                    branch = "descent"
+                    break
+                state.inflate("gradient", hat)
+            else:
+                trial = x + sizes.beta * d
+                f_trial = problem.evaluate(trial)
+                hat = lipschitz_hat("hessian", f_trial, f, m_d, sizes.beta,
+                                    float(np.linalg.norm(d)), state.sigma_current)
+                if f_trial <= f - m_d:
+                    branch = "curvature"
+                    break
+                state.inflate("hessian", hat)
 
-            if gnorm <= termination.grad_tol_rel * g1_scale and \
-                    _neg(lam) <= termination.curv_tol_rel * lam1_scale:
-                report.records.append(
-                    _terminal_record(k, x, f, gnorm, lam, problem.evaluation_count)
-                )
-                return report.finish(TerminationReason.TOLERANCE_MET)
+        fields = dict(
+            s=s, step_taken=branch, alpha=sizes.alpha, beta=sizes.beta,
+            model_reduction_s=None if not has_s else m_s,
+            model_reduction_d=None if not has_d else m_d,
+            inner_loop_count=inner, lipschitz_L=state.L_current,
+            lipschitz_sigma=state.sigma_current,
+        )
+        # accepted: relax the constant that was exercised, keep the other
+        state.settle("gradient" if branch == "descent" else "hessian", hat)
+        return trial, f_trial, fields
 
-            inner = 0
-            while True:
-                inner += 1
-                if inner > inner_loop_cap:
-                    report.records.append(
-                        _terminal_record(k, x, f, gnorm, lam, problem.evaluation_count)
-                    )
-                    report.finish(None)
-                    raise InnerLoopStall(
-                        "inner loop exceeded %d passes at iteration %d (L=%g, sigma=%g)"
-                        % (inner_loop_cap, k, state.L_current, state.sigma_current),
-                        report,
-                    )
-                sizes = optimal_stepsizes(g, s if has_s else None,
-                                          d if has_d else None, H, state)
-                m_s = (model_reduction_descent(g, s, state.L_current, sizes.alpha)
-                       if has_s else -np.inf)
-                m_d = (model_reduction_curvature(g, d, H, state.sigma_current, sizes.beta)
-                       if has_d else -np.inf)
-                if m_s >= m_d:
-                    trial = x + sizes.alpha * s
-                    f_trial = problem.evaluate(trial)
-                    hat = lipschitz_hat("gradient", f_trial, f, m_s, sizes.alpha,
-                                        float(np.linalg.norm(s)), state.L_current)
-                    if f_trial <= f - m_s:
-                        branch = "descent"
-                        break
-                    state.inflate("gradient", hat)
-                else:
-                    trial = x + sizes.beta * d
-                    f_trial = problem.evaluate(trial)
-                    hat = lipschitz_hat("hessian", f_trial, f, m_d, sizes.beta,
-                                        float(np.linalg.norm(d)), state.sigma_current)
-                    if f_trial <= f - m_d:
-                        branch = "curvature"
-                        break
-                    state.inflate("hessian", hat)
-
-            report.records.append(IterationRecord(
-                index=k, x=x.copy(), f_value=f, gradient_norm=gnorm, lam=lam,
-                s=s, d=d, step_taken=branch, alpha=sizes.alpha, beta=sizes.beta,
-                model_reduction_s=None if not has_s else m_s,
-                model_reduction_d=None if not has_d else m_d,
-                inner_loop_count=inner, feval_count=problem.evaluation_count,
-                lipschitz_L=state.L_current, lipschitz_sigma=state.sigma_current,
-            ))
-            # accepted: relax the constant that was exercised, keep the other
-            state.settle("gradient" if branch == "descent" else "hessian", hat)
-            step_norm = float(np.linalg.norm(trial - x))
-            x, f = trial, f_trial
-            if step_norm < termination.min_step_norm:
-                return _finalize_at(problem, report, k + 1, x,
-                                    TerminationReason.TINY_STEP)
-        return _finalize_at(problem, report, termination.max_iterations + 1, x,
-                            TerminationReason.MAX_ITERATIONS)
+    return _iterate(problem, x0, criteria, termination or TerminationSpec(), step,
+                    zero_curvature_tol, use_curvature,
+                    dict(method="dynamic", strategy=strategy,
+                         use_curvature=use_curvature, L_init=state.L_current,
+                         sigma_init=state.sigma_current, rho=state.rho))
 
 
 @dataclass

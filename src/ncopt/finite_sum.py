@@ -26,8 +26,8 @@ class DatasetSchemaError(ValueError):
 class FiniteSumProblem(ObjectiveProblem):
     """Mean of `component_count` component objectives.
 
-    Subclasses implement the per-component evaluators; the batched forms
-    default to plain loops and are overridden where vectorization pays off.
+    Subclasses implement `batch_value`, `batch_gradient` and
+    `batch_hessian`: the mean over the components listed in an index array.
     """
 
     def __init__(self, name, dimension, component_count, **metadata):
@@ -44,29 +44,11 @@ class FiniteSumProblem(ObjectiveProblem):
             **metadata,
         )
 
-    def component_value(self, x, index):
-        raise NotImplementedError
-
-    def component_gradient(self, x, index):
-        raise NotImplementedError
-
-    def component_hessian(self, x, index):
-        raise NotImplementedError
-
     def _rows(self, data, indices):
         """The rows of `data` listed in `indices`; the full batch
         (`_all_indices`, as `value`/`gradient`/`hessian` pass it) reads
         `data` in place instead of copying it."""
         return data if indices is self._all_indices else data[indices]
-
-    def batch_value(self, x, indices):
-        return float(np.mean([self.component_value(x, i) for i in indices]))
-
-    def batch_gradient(self, x, indices):
-        return np.mean([self.component_gradient(x, i) for i in indices], axis=0)
-
-    def batch_hessian(self, x, indices):
-        return np.mean([self.component_hessian(x, i) for i in indices], axis=0)
 
     def batch_value_gradient(self, x, indices):
         """(batch_value, batch_gradient) on one batch, equal to the two
@@ -121,17 +103,6 @@ class QuadraticFiniteSum(FiniteSumProblem):
         self.lower_bound = self.batch_value(minimizer, self._all_indices)
         self.reset_counters()
 
-    def component_value(self, x, index):
-        u = x - self.centers[index]
-        return 0.5 * float(u @ self.matrices[index] @ u)
-
-    def component_gradient(self, x, index):
-        u = x - self.centers[index]
-        return self.matrices[index] @ u
-
-    def component_hessian(self, x, index):
-        return self.matrices[index].copy()
-
     def batch_value(self, x, indices):
         u = x[None, :] - self._rows(self.centers, indices)
         Q = self._rows(self.matrices, indices)
@@ -168,18 +139,6 @@ class LinearLeastSquaresProblem(FiniteSumProblem):
             local_gradient_lipschitz=float(np.linalg.eigvalsh(gram)[-1]),
             local_hessian_lipschitz=0.0,
         )
-
-    def component_value(self, x, index):
-        r = float(self.features[index] @ x - self.labels[index])
-        return 0.5 * r * r
-
-    def component_gradient(self, x, index):
-        r = float(self.features[index] @ x - self.labels[index])
-        return r * self.features[index]
-
-    def component_hessian(self, x, index):
-        phi = self.features[index]
-        return np.outer(phi, phi)
 
     def batch_value(self, x, indices):
         r = self._rows(self.features, indices) @ x - self._rows(self.labels, indices)
@@ -299,15 +258,6 @@ class TwoLayerNetProblem(FiniteSumProblem):
         ]) / m
         H.reshape(-1)[self._scatter_flat] += terms[self._scatter_source]
         return 0.5 * (H + H.T)
-
-    def component_value(self, x, index):
-        return self.batch_value(x, np.array([index]))
-
-    def component_gradient(self, x, index):
-        return self.batch_gradient(x, np.array([index]))
-
-    def component_hessian(self, x, index):
-        return self.batch_hessian(x, np.array([index]))
 
 
 def _second_order_layout(h, d):

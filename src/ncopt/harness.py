@@ -179,6 +179,9 @@ def validate_config(config):
         )
     if config.problem is None and config.dataset is None:
         raise UsageError("problem: either a problem name or a dataset path is required")
+    if config.problem is not None and config.dataset is not None:
+        raise UsageError("dataset: a problem name and a dataset path are both "
+                         "set; give one")
     if config.problem is not None and config.problem not in list_problems():
         raise UsageError(
             "problem: unknown %r; available: %s"
@@ -193,6 +196,12 @@ def validate_config(config):
             raise UsageError("iterations: must be positive")
         if config.batch_size < 1:
             raise UsageError("batch_size: must be positive")
+        if config.termination.max_iterations != TerminationSpec.max_iterations:
+            raise UsageError("termination.max_iterations: %s ignores it; its "
+                             "budget is experiment.iterations" % config.variant)
+    elif config.iterations != ExperimentConfig.iterations:
+        raise UsageError("experiment.iterations: %s ignores it; its cap is "
+                         "termination.max_iterations" % config.variant)
     stepsizes = {"two_step": ("alpha", "beta"), "stoch_two_step": ("alpha",)}
     for name in stepsizes.get(config.variant, ()):
         if not (getattr(config, name) or 0.0) > 0.0:

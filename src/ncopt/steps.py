@@ -10,11 +10,11 @@ default constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ncopt.linalg import eigenspace_direction, leftmost_eigenpair, modified_newton_shift
+from ncopt.linalg import eigenspace_direction, modified_newton_shift
 
 _CERT_SLACK = 1e-12
 
@@ -102,15 +102,6 @@ class StepSizes:
     beta: float | None = None
 
 
-@dataclass
-class DescentCertificate:
-    """Realized quality of a descent direction: the cosine -g's/(||s|| ||g||)
-    and the norm ratio ||s||/||g||."""
-
-    cosine: float
-    norm_ratio: float
-
-
 def direction_from_eigenpair(eig, g, criteria, zero_curvature_tol=1e-12):
     """Negative-curvature direction from an already-computed leftmost pair.
 
@@ -163,17 +154,15 @@ def certify_curvature_direction(d, H, lam, g, criteria, check_norm_cap=True):
             raise ConditionViolation("||d|| exceeds theta*|lambda|")
 
 
-def negative_curvature_direction(H, g, criteria=None, eig_tolerance=1e-10,
-                                 zero_curvature_tol=1e-12):
-    """Direction of negative curvature at a point with Hessian H.
+def negative_curvature_direction(eig, H, g, criteria=None, zero_curvature_tol=1e-12):
+    """Certified direction of negative curvature at a point with Hessian H.
 
-    Zero when the leftmost eigenvalue is (numerically) nonnegative;
-    otherwise the leftmost eigenvector scaled to norm theta*|lambda| with
-    sign chosen so g'd <= 0, certified before return.
+    `eig` is the `leftmost_eigenpair` result for H.  Zero when the leftmost
+    eigenvalue is (numerically) nonnegative; otherwise
+    `direction_from_eigenpair`'s direction, certified before return.
     """
     criteria = criteria or DirectionCriteria()
     g = None if g is None else np.asarray(g, dtype=float)
-    eig = leftmost_eigenpair(H, tolerance=eig_tolerance)
     d = direction_from_eigenpair(eig, g, criteria, zero_curvature_tol)
     if np.any(d != 0.0):
         certify_curvature_direction(d, H, eig.leftmost_value, g, criteria)
@@ -184,10 +173,10 @@ def descent_direction(strategy, g, H=None, criteria=None, condition_cap=1e8,
                       enforce_norm_band=True, eig=None):
     """Descent direction by steepest descent or a modified-Newton solve.
 
-    Returns (s, certificate).  The realized cosine must meet criteria.delta;
-    with enforce_norm_band the ratio ||s||/||g|| must also lie in
-    [zeta, eta] (required by the fixed-stepsize method; the adaptive method
-    only needs the cosine condition).  For modified_newton, eig (the
+    Returns s.  The realized cosine -g's/(||s|| ||g||) must meet
+    criteria.delta; with enforce_norm_band the ratio ||s||/||g|| must also
+    lie in [zeta, eta] (required by the fixed-stepsize method; the adaptive
+    method only needs the cosine condition).  For modified_newton, eig (the
     `leftmost_eigenpair` result for H, if already computed) lets the shift
     and solve reuse its decomposition.
     """
@@ -209,7 +198,6 @@ def descent_direction(strategy, g, H=None, criteria=None, condition_cap=1e8,
     snorm = float(np.linalg.norm(s))
     cosine = float(-(g @ s) / (snorm * gnorm))
     ratio = snorm / gnorm
-    cert = DescentCertificate(cosine=cosine, norm_ratio=ratio)
     if cosine < criteria.delta - _CERT_SLACK:
         raise ConditionViolation(
             "descent cosine %.6e below required delta %.6e" % (cosine, criteria.delta)
@@ -221,7 +209,7 @@ def descent_direction(strategy, g, H=None, criteria=None, condition_cap=1e8,
             "norm ratio %.6e outside [zeta, eta] = [%g, %g]"
             % (ratio, criteria.zeta, criteria.eta)
         )
-    return s, cert
+    return s
 
 
 def model_reduction_descent(g, s, lipschitz_L, alpha):

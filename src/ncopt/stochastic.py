@@ -9,19 +9,15 @@ with stochastic value estimates.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ncopt.linalg import CgStatus, KernelError, leftmost_eigenpair, truncated_cg
+from ncopt.deterministic import _partial_report_on_failure
+from ncopt.linalg import CgStatus, leftmost_eigenpair, truncated_cg
 from ncopt.problems import EvaluationError
-from ncopt.steps import (
-    ConditionViolation,
-    DirectionCriteria,
-    certify_curvature_direction,
-)
+from ncopt.steps import DirectionCriteria, certify_curvature_direction
 
 _TINY = 1e-12
 
@@ -65,7 +61,6 @@ class StochasticStepConfig:
     delta: float = 1.0
     eta: float = 1.0
     gamma: float = 1.0
-    track_exact_gradient: bool = True
 
     def __post_init__(self):
         constant = self.alpha_constant is not None
@@ -189,6 +184,10 @@ class StochasticReport:
     def used_negative_curvature(self):
         return any(r.d_norm > 0.0 for r in self.records)
 
+    def close_partial(self):
+        """Close a report cut short by a failure: its records counted."""
+        self.total_iterations = len(self.records)
+
     def exact_gradient_norms(self):
         return np.array([r.exact_gradient_norm for r in self.records], dtype=float)
 
@@ -210,19 +209,6 @@ def _require_finite(x, value, gradient=None, hessian=None):
         if estimate is not None and not math.isfinite(estimate.sum()) \
                 and not np.isfinite(estimate).all():
             raise EvaluationError("sampled %s has non-finite entries" % kind, x)
-
-
-@contextlib.contextmanager
-def _partial_report_on_failure(report):
-    """Attach the report accumulated so far, its records counted, to an
-    evaluation, kernel or certificate failure raised inside, as the
-    deterministic solvers do."""
-    try:
-        yield
-    except (EvaluationError, KernelError, ConditionViolation) as err:
-        report.total_iterations = len(report.records)
-        err.report = report
-        raise
 
 
 def curvature_noise_step(x, oracle, criteria=None, alpha_k=None, beta_k=None,
@@ -271,39 +257,27 @@ def curvature_noise_step(x, oracle, criteria=None, alpha_k=None, beta_k=None,
     return x_next, record
 
 
-def two_step_stochastic_solve(oracle, config, iterations, x0=None):
-    """Run the stochastic two-step method for a fixed iteration budget.
+def _iterate(oracle, iterations, x0, track_exact, step, config,
+             moment_bounds=None):
+    """The fixed-budget loop both stochastic solvers share; returns the report.
 
-    When the underlying problem exposes exact derivatives (always true for
-    finite sums) the true gradient norm at each iterate is recorded so the
-    mean-square gradient bound can be checked.  An EvaluationError,
-    KernelError or ConditionViolation raised mid-solve carries the partial
-    report as `report`.
+    `step(k, x)` returns the next iterate and the iteration's record.  With
+    track_exact the true gradient norm at x goes into the record, so the
+    mean-square gradient bound can be checked.  `config` is the solver's
+    part of the report's config echo.
     """
     problem = oracle.problem
-    x = np.array(problem.default_start if x0 is None else x0, dtype=float)
-    criteria = DirectionCriteria(gamma=config.gamma, delta=config.delta,
-                                 eta=max(1.0, config.eta))
     report = StochasticReport(
         problem_name=problem.name,
         seed=oracle.seed,
-        config={
-            "method": "stochastic_two_step",
-            "alpha_constant": config.alpha_constant,
-            "diminishing": (config.diminishing_a, config.diminishing_b),
-            "chi": config.chi,
-            "batch_size": oracle.batch_size,
-            "iterations": iterations,
-        },
-        moment_bounds=config.moment_bounds,
+        config={**config, "batch_size": oracle.batch_size, "iterations": iterations},
+        moment_bounds=moment_bounds,
     )
+    x = np.array(problem.default_start if x0 is None else x0, dtype=float)
     with _partial_report_on_failure(report):
         for k in range(1, iterations + 1):
-            alpha_k = config.alpha(k)
-            beta_k = config.beta(k)
-            x_next, record = curvature_noise_step(x, oracle, criteria, alpha_k,
-                                                  beta_k)
-            if config.track_exact_gradient:
+            x_next, record = step(k, x)
+            if track_exact:
                 record.exact_gradient_norm = float(
                     np.linalg.norm(problem.gradient(x)))
             report.records.append(record)
@@ -312,6 +286,30 @@ def two_step_stochastic_solve(oracle, config, iterations, x0=None):
         report.final_exact_f = problem.evaluate(x)
     report.total_iterations = iterations
     return report
+
+
+def two_step_stochastic_solve(oracle, config, iterations, x0=None,
+                              track_exact=True):
+    """Run the stochastic two-step method for a fixed iteration budget.
+
+    With track_exact the true gradient norm at each iterate is recorded so
+    the mean-square gradient bound can be checked.  An EvaluationError,
+    KernelError or ConditionViolation raised mid-solve carries the partial
+    report as `report`.
+    """
+    criteria = DirectionCriteria(gamma=config.gamma, delta=config.delta,
+                                 eta=max(1.0, config.eta))
+
+    def step(k, x):
+        return curvature_noise_step(x, oracle, criteria, config.alpha(k),
+                                    config.beta(k))
+
+    return _iterate(oracle, iterations, x0, track_exact, step, {
+        "method": "stochastic_two_step",
+        "alpha_constant": config.alpha_constant,
+        "diminishing": (config.diminishing_a, config.diminishing_b),
+        "chi": config.chi,
+    }, config.moment_bounds)
 
 
 def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
@@ -334,75 +332,64 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
     """
     safeguards = safeguards or SafeguardConfig()
     problem = oracle.problem
-    x = np.array(problem.default_start if x0 is None else x0, dtype=float)
     L = safeguards.L_init
     sigma = safeguards.sigma_init
-    report = StochasticReport(
-        problem_name=problem.name,
-        seed=oracle.seed,
-        config={
-            "method": "stochastic_dynamic",
-            "use_curvature": use_curvature,
-            "L_init": safeguards.L_init, "sigma_init": safeguards.sigma_init,
-            "inflate_factor": safeguards.inflate_factor,
-            "max_s_norm": safeguards.max_s_norm,
-            "max_ratio_d_to_s": safeguards.max_ratio_d_to_s,
-            "cg_max_iterations": cg_max_iterations,
-            "batch_size": oracle.batch_size,
-            "iterations": iterations,
-        },
-    )
-    with _partial_report_on_failure(report):
-        for k in range(1, iterations + 1):
-            grad_batch = oracle.next_gradient_batch()
-            hess_batch = oracle.next_hessian_batch()
-            f_here, g_est = problem.batch_value_gradient(x, grad_batch)
-            H_est = problem.batch_hessian(x, hess_batch)
-            _require_finite(x, f_here, g_est, H_est)
-            cg = truncated_cg(H_est, g_est, max_iterations=cg_max_iterations)
-            s = cg.solution
-            d = (cg.curvature_direction
-                 if use_curvature and cg.curvature_direction is not None
-                 else np.zeros_like(x))
-            alpha_k = 1.0 / L
-            beta_k = 1.0 / sigma
-            s, d = apply_safeguards(s, d, alpha_k, beta_k, safeguards)
 
-            x_hat = x + alpha_k * s
-            f_hat = problem.batch_value(x_hat, grad_batch)
-            _require_finite(x_hat, f_hat)
-            L_next = L * safeguards.inflate_factor if f_hat > f_here else L
+    def step(k, x):
+        nonlocal L, sigma
+        grad_batch = oracle.next_gradient_batch()
+        hess_batch = oracle.next_hessian_batch()
+        f_here, g_est = problem.batch_value_gradient(x, grad_batch)
+        H_est = problem.batch_hessian(x, hess_batch)
+        _require_finite(x, f_here, g_est, H_est)
+        cg = truncated_cg(H_est, g_est, max_iterations=cg_max_iterations)
+        s = cg.solution
+        d = (cg.curvature_direction
+             if use_curvature and cg.curvature_direction is not None
+             else np.zeros_like(x))
+        alpha_k = 1.0 / L
+        beta_k = 1.0 / sigma
+        s, d = apply_safeguards(s, d, alpha_k, beta_k, safeguards)
 
-            reverted = False
-            if np.any(d != 0.0):
-                x_next = x_hat + beta_k * d
-                f_next = problem.batch_value(x_next, grad_batch)
-                _require_finite(x_next, f_next)
-                if f_next > f_hat:
-                    sigma_next = sigma * safeguards.inflate_factor
-                    x_next = x_hat
-                    reverted = True
-                else:
-                    sigma_next = sigma
+        x_hat = x + alpha_k * s
+        f_hat = problem.batch_value(x_hat, grad_batch)
+        _require_finite(x_hat, f_hat)
+        L_next = L * safeguards.inflate_factor if f_hat > f_here else L
+
+        reverted = False
+        if np.any(d != 0.0):
+            x_next = x_hat + beta_k * d
+            f_next = problem.batch_value(x_next, grad_batch)
+            _require_finite(x_next, f_next)
+            if f_next > f_hat:
+                sigma_next = sigma * safeguards.inflate_factor
+                x_next = x_hat
+                reverted = True
             else:
-                x_next, f_next, sigma_next = x_hat, f_hat, sigma
+                sigma_next = sigma
+        else:
+            x_next, f_next, sigma_next = x_hat, f_hat, sigma
 
-            report.records.append(StochasticIterationRecord(
-                index=k, x=x.copy(), alpha=alpha_k, beta=beta_k,
-                s_norm=float(np.linalg.norm(s)), d_norm=float(np.linalg.norm(d)),
-                cg_status=cg.status, value_before=f_here,
-                value_after_descent=f_hat, value_after_curvature=f_next,
-                lipschitz_L=L, lipschitz_sigma=sigma,
-                reverted_curvature_step=reverted,
-                exact_gradient_norm=(float(np.linalg.norm(problem.gradient(x)))
-                                     if track_exact else None),
-            ))
-            x = x_next
-            L, sigma = L_next, sigma_next
-        report.final_x = x
-        report.final_exact_f = problem.evaluate(x)
-    report.total_iterations = iterations
-    return report
+        record = StochasticIterationRecord(
+            index=k, x=x.copy(), alpha=alpha_k, beta=beta_k,
+            s_norm=float(np.linalg.norm(s)), d_norm=float(np.linalg.norm(d)),
+            cg_status=cg.status, value_before=f_here,
+            value_after_descent=f_hat, value_after_curvature=f_next,
+            lipschitz_L=L, lipschitz_sigma=sigma,
+            reverted_curvature_step=reverted,
+        )
+        L, sigma = L_next, sigma_next
+        return x_next, record
+
+    return _iterate(oracle, iterations, x0, track_exact, step, {
+        "method": "stochastic_dynamic",
+        "use_curvature": use_curvature,
+        "L_init": safeguards.L_init, "sigma_init": safeguards.sigma_init,
+        "inflate_factor": safeguards.inflate_factor,
+        "max_s_norm": safeguards.max_s_norm,
+        "max_ratio_d_to_s": safeguards.max_ratio_d_to_s,
+        "cg_max_iterations": cg_max_iterations,
+    })
 
 
 def measure_moment_constants(oracle, x, draws=10000, margin=1.5):

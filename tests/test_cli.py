@@ -162,6 +162,15 @@ class TestRun:
         (["run", "--dataset", "{tmp}/missing.csv"], None, "dataset"),
         (["campaign", "--max-iters", "0"], None, "max_iterations"),
         (["campaign", "--problem", "nosuch"], None, "problem: unknown 'nosuch'"),
+        # a cap the variant would ignore
+        (["run", "--problem", "quadratic_sum", "--variant", "stoch_dynamic",
+          "--seed", "0", "--batch-size", "2", "--max-iters", "5"], None,
+         "termination.max_iterations: stoch_dynamic ignores it"),
+        (["run", "--problem", "sphere", "--variant", "dynamic_sd",
+          "--iterations", "3"], None, "experiment.iterations: dynamic_sd ignores it"),
+        # the file written is a valid dataset
+        (["run", "--problem", "sphere", "--dataset", "{cfg}"],
+         "1,2,3\n4,5,6\n7,8,9\n1,0,1\n", "dataset: a problem name and a dataset"),
     ])
     def test_bad_input_is_usage_error_naming_key(self, tmp_path, capsys, argv,
                                                  ini, key):

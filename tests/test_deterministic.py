@@ -1,3 +1,6 @@
+import csv
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,20 @@ from ncopt.problems import (
     sphere,
 )
 from ncopt.steps import DirectionCriteria, LipschitzState, descent_direction
+
+
+GOLDEN_TWO_STEP = os.path.join(os.path.dirname(__file__), "golden", "two_step.csv")
+
+# run -> (problem, strategy, alpha, beta), each from the problem's default
+# start with max_iterations=300; the golden file was written before the two
+# deterministic solvers shared one loop, and its monkey_saddle run ends in
+# an EvaluationError
+GOLDEN_TWO_STEP_RUNS = {
+    "quartic_saddle_sd": ("quartic_saddle", "steepest", 0.1, 0.5),
+    "himmelblau_sd": ("himmelblau", "steepest", 0.01, 0.01),
+    "quartic_saddle_mn": ("quartic_saddle", "modified_newton", 1.0, 1.0),
+    "monkey_saddle_sd": ("monkey_saddle", "steepest", 0.1, 0.5),
+}
 
 
 def steps_taken(report):
@@ -85,13 +102,40 @@ class TestTwoStep:
         # one Hessian per record: the descent step at x_hat = x reuses H
         assert p.hessian_count == len(report.records) == 6
         for r in report.records[:-1]:
-            s, _ = descent_direction("modified_newton", p.gradient(r.x),
-                                     p.hessian(r.x), DirectionCriteria())
+            s = descent_direction("modified_newton", p.gradient(r.x),
+                                  p.hessian(r.x), DirectionCriteria())
             assert np.array_equal(r.s, s)
 
     def test_requires_stepsizes(self):
         with pytest.raises(ValueError):
             two_step_solve(sphere(1), alpha=None, beta=1.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("run", sorted(GOLDEN_TWO_STEP_RUNS))
+    def test_trace_matches_golden(self, run):
+        name, strategy, alpha, beta = GOLDEN_TWO_STEP_RUNS[run]
+        criteria = DirectionCriteria(delta=1e-8 if strategy == "modified_newton"
+                                     else 1.0)
+        with open(GOLDEN_TWO_STEP, newline="") as handle:
+            golden = [row for row in csv.DictReader(handle) if row["run"] == run]
+        try:
+            report = two_step_solve(make_problem(name), criteria, alpha=alpha,
+                                    beta=beta, strategy=strategy,
+                                    termination=TerminationSpec(max_iterations=300))
+            end = report.termination_reason.value
+        except EvaluationError as err:
+            report, end = err.report, type(err).__name__
+        assert len(report.records) == len(golden)
+        for record, expected in zip(report.records, golden):
+            assert record.index == int(expected["k"])
+            assert record.step_taken == expected["step"]
+            assert record.feval_count == int(expected["fevals"])
+            for value, column in ((record.f_value, "f"),
+                                  (record.gradient_norm, "gnorm"),
+                                  (record.lam, "lambda")):
+                assert value == pytest.approx(float(expected[column]), rel=1e-10,
+                                              abs=0.0), (record.index, column)
+            assert end == expected["end"]
 
 
 class TestDynamic:

@@ -16,6 +16,11 @@ from ncopt.finite_sum import (
     random_quadratic_finite_sum,
     synthetic_two_layer_net,
 )
+from reference_finite_sum import (
+    component_means,
+    least_squares_component,
+    quadratic_component,
+)
 from reference_two_layer import reference_batch_hessian
 
 
@@ -30,12 +35,31 @@ class TestFiniteSumConsistency:
         rng = np.random.default_rng(0)
         for _ in range(5):
             x = rng.normal(size=3)
-            direct = np.mean([p.component_value(x, i) for i in range(4)])
+            direct, g_direct, H_direct = component_means(quadratic_component, p, x,
+                                                         range(4))
             assert p.evaluate(x) == pytest.approx(direct, rel=1e-12)
-            g_direct = np.mean([p.component_gradient(x, i) for i in range(4)], axis=0)
             np.testing.assert_allclose(p.gradient(x), g_direct, rtol=1e-12, atol=1e-14)
-            H_direct = np.mean([p.component_hessian(x, i) for i in range(4)], axis=0)
             np.testing.assert_allclose(p.hessian(x), H_direct, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("make, component", [
+        (lambda: random_quadratic_finite_sum(n=3, components=6, seed=11),
+         quadratic_component),
+        (lambda: LinearLeastSquaresProblem(
+            np.random.default_rng(12).normal(size=(6, 3)),
+            np.random.default_rng(13).normal(size=6)), least_squares_component),
+    ], ids=["quadratic", "least_squares"])
+    def test_batch_is_component_mean(self, make, component):
+        p = make()
+        rng = np.random.default_rng(14)
+        for rows in (1, 4, 6):
+            x = rng.normal(size=3)
+            idx = rng.choice(6, size=rows, replace=False)
+            value, g_loop, H_loop = component_means(component, p, x, idx)
+            assert p.batch_value(x, idx) == pytest.approx(value, rel=1e-12)
+            np.testing.assert_allclose(p.batch_gradient(x, idx), g_loop,
+                                       rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(p.batch_hessian(x, idx), H_loop,
+                                       rtol=1e-12, atol=1e-14)
 
     def test_mean_hessian_is_shared_matrix(self, tiny_quadratic):
         p = tiny_quadratic
@@ -75,11 +99,12 @@ class TestTwoLayerNet:
         p = synthetic_two_layer_net(records=10, feature_dim=2, hidden_units=3)
         x = np.random.default_rng(3).normal(size=p.dimension)
         idx = np.array([1, 4, 7])
-        v_loop = np.mean([p.component_value(x, i) for i in idx])
+        # one-row batches are the components
+        v_loop = np.mean([p.batch_value(x, np.array([i])) for i in idx])
         assert p.batch_value(x, idx) == pytest.approx(v_loop, rel=1e-12)
-        g_loop = np.mean([p.component_gradient(x, i) for i in idx], axis=0)
+        g_loop = np.mean([p.batch_gradient(x, np.array([i])) for i in idx], axis=0)
         np.testing.assert_allclose(p.batch_gradient(x, idx), g_loop, rtol=1e-10, atol=1e-14)
-        H_loop = np.mean([p.component_hessian(x, i) for i in idx], axis=0)
+        H_loop = np.mean([p.batch_hessian(x, np.array([i])) for i in idx], axis=0)
         np.testing.assert_allclose(p.batch_hessian(x, idx), H_loop, rtol=1e-10, atol=1e-13)
 
     @pytest.mark.parametrize("net, rows", [

@@ -26,6 +26,8 @@ from ncopt.stochastic import (
 
 GOLDEN_DYNAMIC_NET = os.path.join(os.path.dirname(__file__), "golden",
                                   "stoch_dynamic_net.csv")
+GOLDEN_TWO_STEP_QUAD = os.path.join(os.path.dirname(__file__), "golden",
+                                    "stoch_two_step.csv")
 
 
 def half_x_squared():
@@ -167,6 +169,24 @@ class TestTwoStepStochastic:
             report = two_step_stochastic_solve(oracle, config, iterations=40)
             finals.append(report.final_x)
         np.testing.assert_array_equal(finals[0], finals[1])
+
+    def test_quadratic_sum_trace_matches_golden(self):
+        # 50 iterations on the registry quadratic_sum from its default
+        # start, batch 2, oracle seed 3, alpha 0.05; the golden file was
+        # written before the stochastic solvers shared one loop
+        oracle = StochasticOracle(make_problem("quadratic_sum"), batch_size=2, seed=3)
+        report = two_step_stochastic_solve(
+            oracle, StochasticStepConfig(alpha_constant=0.05), 50)
+        with open(GOLDEN_TWO_STEP_QUAD, newline="") as handle:
+            golden = list(csv.DictReader(handle))
+        assert len(report.records) == len(golden) == 50
+        assert sum(r.d_norm > 0.0 for r in report.records) == 11
+        for record, expected in zip(report.records, golden):
+            assert record.index == int(expected["k"])
+            for name in ("value_before", "s_norm", "d_norm", "omega",
+                         "sampled_lambda", "exact_gradient_norm"):
+                assert getattr(record, name) == pytest.approx(
+                    float(expected[name]), rel=1e-10, abs=0.0), (record.index, name)
 
 
 class TestSafeguards:
@@ -321,8 +341,7 @@ class TestNonFiniteEstimates:
     @pytest.mark.parametrize("solve", [
         lambda o: dynamic_stochastic_solve(o, iterations=60, track_exact=False),
         lambda o: two_step_stochastic_solve(
-            o, StochasticStepConfig(alpha_constant=0.05,
-                                    track_exact_gradient=False), 60),
+            o, StochasticStepConfig(alpha_constant=0.05), 60, track_exact=False),
     ], ids=["dynamic", "two_step"])
     def test_raises_at_first_non_finite_estimate(self, nan_center, solve):
         seed = 3
