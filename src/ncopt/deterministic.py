@@ -50,6 +50,9 @@ class InnerLoopStall(RuntimeError):
         self.report = report
 
 
+# passes of the dynamic method's inner loop before it raises InnerLoopStall
+INNER_LOOP_CAP = 1000
+
 # failures that end a solve abnormally; every solver attaches the partial
 # report to each as `report`
 SOLVER_FAILURES = (InnerLoopStall, EvaluationError, KernelError, ConditionViolation)
@@ -161,8 +164,7 @@ def _terminal_record(k, x, f, gnorm, lam, problem):
     )
 
 
-def _iterate(problem, x0, criteria, termination, step, zero_curvature_tol,
-             use_curvature, echo):
+def _iterate(problem, x0, criteria, termination, step, use_curvature, echo):
     """The iteration both deterministic solvers share; returns the report.
 
     Each iterate evaluates f (unless the previous step carried it), g, H
@@ -197,8 +199,7 @@ def _iterate(problem, x0, criteria, termination, step, zero_curvature_tol,
                 g1_scale, lam1_scale = max(1.0, gnorm), max(1.0, _neg(lam))
 
             if stop is None:
-                d = (negative_curvature_direction(eig, H, g, criteria,
-                                                  zero_curvature_tol)
+                d = (negative_curvature_direction(eig, H, g, criteria)
                      if use_curvature else np.zeros_like(x))
                 if gnorm == 0.0 and not np.any(d != 0.0):
                     stop = TerminationReason.SECOND_ORDER_POINT
@@ -227,8 +228,7 @@ def _iterate(problem, x0, criteria, termination, step, zero_curvature_tol,
 
 
 def two_step_solve(problem, criteria=None, alpha=None, beta=None,
-                   termination=None, strategy="steepest", x0=None,
-                   zero_curvature_tol=1e-12):
+                   termination=None, strategy="steepest", x0=None):
     """Alternate a fixed-size curvature step and a fixed-size descent step.
 
     The caller supplies the stepsizes; they are admissible when
@@ -262,22 +262,21 @@ def two_step_solve(problem, criteria=None, alpha=None, beta=None,
             s=s_hat, step_taken=taken, x_hat=x_hat.copy(), alpha=alpha, beta=beta)
 
     return _iterate(problem, x0, criteria, termination or TerminationSpec(), step,
-                    zero_curvature_tol, True,
-                    dict(method="two_step", strategy=strategy, alpha=alpha,
-                         beta=beta))
+                    True, dict(method="two_step", strategy=strategy,
+                               alpha=alpha, beta=beta))
 
 
 def dynamic_solve(problem, criteria=None, strategy="steepest",
                   lipschitz_init=None, termination=None, x0=None,
-                  use_curvature=True, condition_cap=1e8,
-                  zero_curvature_tol=1e-12, inner_loop_cap=1000):
+                  use_curvature=True):
     """Adaptive method choosing between descent and curvature steps.
 
     Each iteration compares the optimal model reductions of the two
     candidate steps, tests the chosen step's actual decrease against its
     model, and on failure inflates the corresponding constant (factor in
-    [rho, clamp_up]) and retries.  After acceptance the constant used is
-    relaxed toward the value that made model and actual decrease agree.
+    [rho, 1e3]) and retries, at most INNER_LOOP_CAP times.  After
+    acceptance the constant used is relaxed toward the value that made
+    model and actual decrease agree.
     With use_curvature=False the curvature direction is suppressed, giving
     the descent-only twin used as a comparison baseline.  Every member of
     SOLVER_FAILURES raised mid-solve carries the partial report as `report`.
@@ -291,17 +290,16 @@ def dynamic_solve(problem, criteria=None, strategy="steepest",
             s = np.zeros_like(x)
         else:
             s = descent_direction(strategy, g, H, criteria,
-                                  condition_cap=condition_cap,
                                   enforce_norm_band=False, eig=eig)
         has_s = bool(np.any(s != 0.0))
 
         inner = 0
         while True:
             inner += 1
-            if inner > inner_loop_cap:
+            if inner > INNER_LOOP_CAP:
                 raise InnerLoopStall(
                     "inner loop exceeded %d passes at iteration %d (L=%g, sigma=%g)"
-                    % (inner_loop_cap, k, state.L_current, state.sigma_current),
+                    % (INNER_LOOP_CAP, k, state.L_current, state.sigma_current),
                     None,
                 )
             sizes = optimal_stepsizes(g, s if has_s else None,
@@ -341,7 +339,7 @@ def dynamic_solve(problem, criteria=None, strategy="steepest",
         return trial, f_trial, fields
 
     return _iterate(problem, x0, criteria, termination or TerminationSpec(), step,
-                    zero_curvature_tol, use_curvature,
+                    use_curvature,
                     dict(method="dynamic", strategy=strategy,
                          use_curvature=use_curvature, L_init=state.L_current,
                          sigma_init=state.sigma_current, rho=state.rho))

@@ -16,6 +16,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -171,6 +172,28 @@ CONFIG_KEYS = (
 _CONFIG_KEYS_BY_NAME = {key.name: key for key in CONFIG_KEYS}
 _CONFIG_SECTIONS = tuple(dict.fromkeys(key.section for key in CONFIG_KEYS))
 
+# the sections and keys each variant reads, beyond the problem, data, seed,
+# start and output keys that every variant reads; any other key set away
+# from its default is a usage error
+VARIANT_READS = {
+    "two_step": ("criteria", "termination", "experiment.alpha", "experiment.beta"),
+    **dict.fromkeys(DETERMINISTIC_VARIANTS[1:],
+                    ("criteria", "termination", "lipschitz")),
+    "stoch_two_step": ("experiment.alpha", "experiment.batch_size",
+                       "experiment.iterations", "criteria.gamma"),
+    **dict.fromkeys(STOCHASTIC_VARIANTS[1:], ("safeguards", "experiment.batch_size",
+                                              "experiment.iterations")),
+}
+# the keys only some variants read, each with a getter for the field it sets
+_VARIANT_KEYS = tuple(
+    (key.name, key.section, attrgetter(key.field)) for key in CONFIG_KEYS
+    if key.section != "experiment"
+    or any(key.name in reads for reads in VARIANT_READS.values()))
+_IGNORED_HINTS = {
+    "termination.max_iterations": "; its budget is experiment.iterations",
+    "experiment.iterations": "; its cap is termination.max_iterations",
+}
+
 
 def validate_config(config):
     if config.variant not in VARIANTS:
@@ -196,12 +219,14 @@ def validate_config(config):
             raise UsageError("iterations: must be positive")
         if config.batch_size < 1:
             raise UsageError("batch_size: must be positive")
-        if config.termination.max_iterations != TerminationSpec.max_iterations:
-            raise UsageError("termination.max_iterations: %s ignores it; its "
-                             "budget is experiment.iterations" % config.variant)
-    elif config.iterations != ExperimentConfig.iterations:
-        raise UsageError("experiment.iterations: %s ignores it; its cap is "
-                         "termination.max_iterations" % config.variant)
+    reads = VARIANT_READS[config.variant]
+    given = replace(config, criteria=variant_criteria(config.variant, config.criteria))
+    default = ExperimentConfig(criteria=variant_criteria(config.variant))
+    for name, section, setting in _VARIANT_KEYS:
+        if name not in reads and section not in reads and \
+                setting(given) != setting(default):
+            raise UsageError("%s: %s ignores it%s" % (
+                name, config.variant, _IGNORED_HINTS.get(name, "")))
     stepsizes = {"two_step": ("alpha", "beta"), "stoch_two_step": ("alpha",)}
     for name in stepsizes.get(config.variant, ()):
         if not (getattr(config, name) or 0.0) > 0.0:
@@ -257,8 +282,7 @@ def _run_solver(config, problem, x0):
                               seed=config.seed)
     if config.variant == "stoch_two_step":
         step_config = StochasticStepConfig(alpha_constant=config.alpha,
-                                           gamma=criteria.gamma,
-                                           delta=criteria.delta)
+                                           gamma=criteria.gamma)
         return two_step_stochastic_solve(oracle, step_config, config.iterations,
                                          x0=x0)
     return dynamic_stochastic_solve(

@@ -22,6 +22,12 @@ _TIE_RTOL = 1e-12
 # a projection onto the leftmost eigenspace shorter than this fraction of the
 # projected vector's norm is treated as zero: its direction is rounding noise
 _PROJECTION_FLOOR = 1e-8
+# asymmetry accepted as rounding; eigenpair residual bound per max(1, ||H||_F)
+_SYMMETRY_TOL = 1e-10
+_RESIDUAL_TOL = 1e-10
+# modified-Newton condition-number cap, and the shift floor when lmax = lmin <= 0
+_CONDITION_CAP = 1e8
+_PD_FLOOR = 1e-8
 
 
 class KernelError(RuntimeError):
@@ -41,14 +47,12 @@ class EigenResult:
     leftmost_value: float
     leftmost_vector: np.ndarray
     residual: float
-    values: np.ndarray | None = None
-    vectors: np.ndarray | None = None
+    values: np.ndarray
+    vectors: np.ndarray
 
     @property
     def leftmost_basis(self):
         """Orthonormal basis (columns) of the leftmost eigenspace."""
-        if self.vectors is None:
-            return self.leftmost_vector[:, None]
         return self.vectors[:, :_leftmost_multiplicity(self.values)]
 
 
@@ -80,12 +84,12 @@ class CgOutcome:
     iterations_used: int
 
 
-def _check_symmetric(H, tol=1e-10):
+def _check_symmetric(H):
     """H as a square, finite, symmetric float matrix.
 
     An exactly symmetric H is returned as it is, not copied (for finite H
     the symmetrized 0.5*(H + H') equals H bit for bit); one whose
-    asymmetry is at most tol is returned as a symmetrized copy; anything
+    asymmetry is at most 1e-10 is returned as a symmetrized copy; anything
     else raises ValueError.  Callers must not mutate the result.
     """
     H = np.asarray(H, dtype=float)
@@ -96,7 +100,7 @@ def _check_symmetric(H, tol=1e-10):
     if np.array_equal(H, H.T):
         return H
     asym = np.max(np.abs(H - H.T))
-    if asym > tol:
+    if asym > _SYMMETRY_TOL:
         raise ValueError("matrix is not symmetric (asymmetry %.3e)" % asym)
     return 0.5 * (H + H.T)
 
@@ -141,13 +145,13 @@ def symmetric_extreme_eigenvalues(H):
     return float(w[0]), float(w[-1])
 
 
-def leftmost_eigenpair(H, tolerance=1e-10):
+def leftmost_eigenpair(H):
     """Leftmost (minimum) eigenvalue and a unit eigenvector of symmetric H.
 
     The vector is `eigenspace_direction` of the leftmost eigenspace, so a
     repeated leftmost eigenvalue gives the same vector whichever basis
     LAPACK returns.  The residual ||H v - lambda v|| must come out below
-    tolerance * max(1, ||H||_F) or a KernelError is raised.  Non-symmetric
+    1e-10 * max(1, ||H||_F) or a KernelError is raised.  Non-symmetric
     input (asymmetry above 1e-10) is rejected.
     """
     H = _check_symmetric(H)
@@ -155,7 +159,7 @@ def leftmost_eigenpair(H, tolerance=1e-10):
     lam = float(w[0])
     v = eigenspace_direction(V[:, :_leftmost_multiplicity(w)])
     residual = float(np.linalg.norm(H @ v - lam * v))
-    bound = tolerance * max(1.0, float(np.linalg.norm(H)))
+    bound = _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(H)))
     if residual > bound:
         raise KernelError(
             "leftmost eigenpair residual %.3e exceeds bound %.3e" % (residual, bound)
@@ -164,7 +168,7 @@ def leftmost_eigenpair(H, tolerance=1e-10):
                        values=w, vectors=V)
 
 
-def truncated_cg(H, g, max_iterations, tolerance=None):
+def truncated_cg(H, g, max_iterations):
     """Run CG on H s = -g from s = 0, stopping on nonpositive curvature.
 
     Returns the last iterate computed before termination as the solution.
@@ -180,8 +184,7 @@ def truncated_cg(H, g, max_iterations, tolerance=None):
     gnorm = np.linalg.norm(g)
     if gnorm == 0.0:
         return CgOutcome(np.zeros_like(g), None, CgStatus.CONVERGED, 0)
-    if tolerance is None:
-        tolerance = min(1e-10, 1e-6 * gnorm)
+    tolerance = min(1e-10, 1e-6 * gnorm)
     s = np.zeros_like(g)
     r = g.copy()
     p = -g
@@ -204,21 +207,19 @@ def truncated_cg(H, g, max_iterations, tolerance=None):
     return CgOutcome(s, None, CgStatus.MAX_ITERATIONS, max_iterations)
 
 
-def modified_newton_shift(H, condition_cap=1e8, pd_floor=1e-8, eig=None):
+def modified_newton_shift(H, eig=None):
     """Smallest shift delta >= 0 making H + delta*I positive definite with
-    condition number at most condition_cap.
+    condition number at most 1e8.
 
     Solved in closed form from the extreme eigenvalues:
     delta = max(0, (lmax - cap*lmin)/(cap - 1)), with the degenerate case
-    lmax = lmin <= 0 clamped to -lmin + pd_floor (any positive shift then has
+    lmax = lmin <= 0 clamped to -lmin + 1e-8 (any positive shift then has
     condition number 1).  Returns (delta, solve) where solve(rhs) solves
     (H + delta*I) x = rhs through the eigendecomposition of H, with one
     step of iterative refinement.  Pass eig, the `leftmost_eigenpair`
     result for this same H, to reuse its decomposition instead of factoring
     H again.
     """
-    if condition_cap <= 1.0:
-        raise ValueError("condition_cap must exceed 1")
     if eig is None:
         H = _check_symmetric(H)
         w, V = _eigh(H)
@@ -228,13 +229,13 @@ def modified_newton_shift(H, condition_cap=1e8, pd_floor=1e-8, eig=None):
     lmin, lmax = float(w[0]), float(w[-1])
     # aim slightly inside the cap so the condition number verified in floating
     # point (relative error ~ eps * kappa) still lands at or below it
-    cap = condition_cap * (1.0 - 1e-6)
+    cap = _CONDITION_CAP * (1.0 - 1e-6)
     if lmin > 0.0 and lmax <= cap * lmin:
         delta = 0.0
     else:
         delta = max(0.0, (lmax - cap * lmin) / (cap - 1.0))
         if lmin + delta <= 0.0:
-            delta = -lmin + pd_floor
+            delta = -lmin + _PD_FLOOR
     shifted = w + delta
 
     def spectral_solve(rhs):

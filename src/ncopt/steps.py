@@ -17,6 +17,10 @@ import numpy as np
 from ncopt.linalg import eigenspace_direction, modified_newton_shift
 
 _CERT_SLACK = 1e-12
+# leftmost eigenvalues above -ZERO_CURVATURE_TOL count as nonnegative
+ZERO_CURVATURE_TOL = 1e-12
+# LipschitzState's update clamps: largest increase and decrease factors, floor
+_CLAMP_UP, _CLAMP_DOWN, _ABSOLUTE_FLOOR = 1e3, 1e-3, 1e-3
 
 DESCENT_STRATEGIES = ("steepest", "modified_newton")
 
@@ -52,32 +56,27 @@ class DirectionCriteria:
 class LipschitzState:
     """Running curvature-constant estimates with their update clamps.
 
-    In-loop increases move an estimate to max(rho*c, min(clamp_up*c, hat)),
-    so every increase multiplies by at least rho and at most clamp_up.
-    After an accepted step the corresponding estimate settles to
-    max(absolute_floor, clamp_down*c, hat).
+    In-loop increases move an estimate to max(rho*c, min(1e3*c, hat)), so
+    every increase multiplies by at least rho and at most 1e3.  After an
+    accepted step the corresponding estimate settles to
+    max(1e-3, 1e-3*c, hat).
     """
 
     L_current: float = 1.0
     sigma_current: float = 1.0
     rho: float = 2.0
-    clamp_up_factor: float = 1e3
-    clamp_down_factor: float = 1e-3
-    absolute_floor: float = 1e-3
 
     def __post_init__(self):
         if self.L_current <= 0.0 or self.sigma_current <= 0.0:
             raise ValueError("estimates must be positive")
         if self.rho <= 1.0:
             raise ValueError("rho must exceed 1")
-        if self.clamp_up_factor < self.rho:
-            raise ValueError("clamp_up_factor must be at least rho")
-        if not 0.0 < self.clamp_down_factor <= 1.0 or self.absolute_floor <= 0.0:
-            raise ValueError("invalid clamp configuration")
+        if self.rho > _CLAMP_UP:
+            raise ValueError("rho must be at most the clamp-up factor %g" % _CLAMP_UP)
 
     def inflate(self, kind, hat):
         value = self.L_current if kind == "gradient" else self.sigma_current
-        value = max(self.rho * value, min(self.clamp_up_factor * value, hat))
+        value = max(self.rho * value, min(_CLAMP_UP * value, hat))
         if kind == "gradient":
             self.L_current = value
         else:
@@ -86,7 +85,7 @@ class LipschitzState:
 
     def settle(self, kind, hat):
         value = self.L_current if kind == "gradient" else self.sigma_current
-        value = max(self.absolute_floor, self.clamp_down_factor * value, hat)
+        value = max(_ABSOLUTE_FLOOR, _CLAMP_DOWN * value, hat)
         if kind == "gradient":
             self.L_current = value
         else:
@@ -102,18 +101,17 @@ class StepSizes:
     beta: float | None = None
 
 
-def direction_from_eigenpair(eig, g, criteria, zero_curvature_tol=1e-12):
+def direction_from_eigenpair(eig, g, criteria):
     """Negative-curvature direction from an already-computed leftmost pair.
 
-    Returns zero when the leftmost eigenvalue is above -zero_curvature_tol
-    (eigenvalues that close to zero are treated as nonnegative to avoid
-    amplifying eigenvector noise).  Otherwise the unit vector of the
-    leftmost eigenspace picked by `eigenspace_direction` (the one most
-    aligned with -g when the eigenvalue is repeated), scaled to
-    theta*|lambda| and signed so that g'd <= 0 up to rounding.
+    Returns zero when the leftmost eigenvalue is above -ZERO_CURVATURE_TOL.
+    Otherwise the unit vector of the leftmost eigenspace picked by
+    `eigenspace_direction` (the one most aligned with -g when the
+    eigenvalue is repeated), scaled to theta*|lambda| and signed so that
+    g'd <= 0 up to rounding.
     """
     lam = eig.leftmost_value
-    if lam >= -zero_curvature_tol:
+    if lam >= -ZERO_CURVATURE_TOL:
         return np.zeros_like(eig.leftmost_vector)
     d = criteria.theta * abs(lam) * eigenspace_direction(eig.leftmost_basis, g)
     # a vector orthogonal to g up to rounding keeps its fixed sign, so the
@@ -154,7 +152,7 @@ def certify_curvature_direction(d, H, lam, g, criteria, check_norm_cap=True):
             raise ConditionViolation("||d|| exceeds theta*|lambda|")
 
 
-def negative_curvature_direction(eig, H, g, criteria=None, zero_curvature_tol=1e-12):
+def negative_curvature_direction(eig, H, g, criteria=None):
     """Certified direction of negative curvature at a point with Hessian H.
 
     `eig` is the `leftmost_eigenpair` result for H.  Zero when the leftmost
@@ -163,14 +161,14 @@ def negative_curvature_direction(eig, H, g, criteria=None, zero_curvature_tol=1e
     """
     criteria = criteria or DirectionCriteria()
     g = None if g is None else np.asarray(g, dtype=float)
-    d = direction_from_eigenpair(eig, g, criteria, zero_curvature_tol)
+    d = direction_from_eigenpair(eig, g, criteria)
     if np.any(d != 0.0):
         certify_curvature_direction(d, H, eig.leftmost_value, g, criteria)
     return d
 
 
-def descent_direction(strategy, g, H=None, criteria=None, condition_cap=1e8,
-                      enforce_norm_band=True, eig=None):
+def descent_direction(strategy, g, H=None, criteria=None, enforce_norm_band=True,
+                      eig=None):
     """Descent direction by steepest descent or a modified-Newton solve.
 
     Returns s.  The realized cosine -g's/(||s|| ||g||) must meet
@@ -190,7 +188,7 @@ def descent_direction(strategy, g, H=None, criteria=None, condition_cap=1e8,
     elif strategy == "modified_newton":
         if H is None:
             raise ValueError("modified_newton strategy needs the Hessian")
-        _, solve = modified_newton_shift(H, condition_cap=condition_cap, eig=eig)
+        _, solve = modified_newton_shift(H, eig=eig)
         s = solve(-g)
     else:
         raise ValueError("unknown strategy %r (options: %s)"

@@ -17,9 +17,17 @@ import numpy as np
 from ncopt.deterministic import _partial_report_on_failure
 from ncopt.linalg import CgStatus, leftmost_eigenpair, truncated_cg
 from ncopt.problems import EvaluationError
-from ncopt.steps import DirectionCriteria, certify_curvature_direction
+from ncopt.steps import (
+    ZERO_CURVATURE_TOL,
+    DirectionCriteria,
+    certify_curvature_direction,
+)
 
 _TINY = 1e-12
+# CG iterations per sampled system of the dynamic method
+CG_MAX_ITERATIONS = 10
+# headroom factor of the measured moment bounds
+_MOMENT_MARGIN = 1.5
 
 
 class ExpectedDecreaseViolation(RuntimeError):
@@ -43,40 +51,25 @@ class MomentBounds:
 
 @dataclass
 class StochasticStepConfig:
-    """Stepsize schedules and certification constants for the two-step method.
+    """Constant stepsize and certification constants for the two-step method.
 
-    Exactly one of `alpha_constant` or the diminishing pair
-    (`diminishing_a`, `diminishing_b`) must be set; the diminishing schedule
-    a/(b+k) is harmonic-type, so its sums diverge while its squared sums
-    converge.  beta defaults to chi * alpha.
+    `alpha_constant` is required and sizes both the gradient step and the
+    curvature step.  With moment bounds and a gradient Lipschitz constant
+    it must not exceed `admissible_constant_step`.
     """
 
     alpha_constant: float | None = None
-    diminishing_a: float | None = None
-    diminishing_b: float | None = None
-    beta_constant: float | None = None
-    chi: float = 1.0
     moment_bounds: MomentBounds | None = None
     gradient_lipschitz: float | None = None
     delta: float = 1.0
-    eta: float = 1.0
     gamma: float = 1.0
 
     def __post_init__(self):
-        constant = self.alpha_constant is not None
-        diminishing = self.diminishing_a is not None or self.diminishing_b is not None
-        if constant == diminishing:
-            raise ValueError("set alpha_constant or the diminishing pair, not both")
-        if diminishing and (self.diminishing_a is None or self.diminishing_b is None):
-            raise ValueError("diminishing schedule needs both a and b")
-        if constant and self.alpha_constant < 0.0:
+        if self.alpha_constant is None:
+            raise ValueError("alpha_constant must be set")
+        if self.alpha_constant < 0.0:
             raise ValueError("alpha_constant must be nonnegative")
-        if diminishing and (self.diminishing_a <= 0.0 or self.diminishing_b < 0.0):
-            raise ValueError("diminishing schedule needs a > 0, b >= 0")
-        if self.chi <= 0.0:
-            raise ValueError("chi must be positive")
-        if constant and self.moment_bounds is not None and \
-                self.gradient_lipschitz is not None:
+        if self.moment_bounds is not None and self.gradient_lipschitz is not None:
             cap = admissible_constant_step(
                 self.moment_bounds, self.gradient_lipschitz, self.delta
             )
@@ -85,16 +78,6 @@ class StochasticStepConfig:
                     "constant stepsize %.3e exceeds admissible bound %.3e"
                     % (self.alpha_constant, cap)
                 )
-
-    def alpha(self, k):
-        if self.alpha_constant is not None:
-            return self.alpha_constant
-        return self.diminishing_a / (self.diminishing_b + k)
-
-    def beta(self, k):
-        if self.beta_constant is not None:
-            return self.beta_constant
-        return self.chi * self.alpha(k)
 
 
 def admissible_constant_step(moments, gradient_lipschitz, delta=1.0):
@@ -178,7 +161,6 @@ class StochasticReport:
     total_iterations: int = 0
     seed: int | None = None
     config: dict = field(default_factory=dict)
-    moment_bounds: MomentBounds | None = None
 
     @property
     def used_negative_curvature(self):
@@ -211,8 +193,7 @@ def _require_finite(x, value, gradient=None, hessian=None):
             raise EvaluationError("sampled %s has non-finite entries" % kind, x)
 
 
-def curvature_noise_step(x, oracle, criteria=None, alpha_k=None, beta_k=None,
-                         zero_curvature_tol=1e-12):
+def curvature_noise_step(x, oracle, criteria=None, alpha_k=None, beta_k=None):
     """One iteration of the stochastic two-step method.
 
     Draws a gradient-batch step s = -(gradient estimate), an independent
@@ -239,7 +220,7 @@ def curvature_noise_step(x, oracle, criteria=None, alpha_k=None, beta_k=None,
     eig = leftmost_eigenpair(H_est)
     lam = eig.leftmost_value
     snorm = float(np.linalg.norm(s))
-    if lam >= -zero_curvature_tol or snorm == 0.0:
+    if lam >= -ZERO_CURVATURE_TOL or snorm == 0.0:
         d = np.zeros_like(x)
     else:
         # leftmost_vector has a fixed sign (largest entry positive), which
@@ -257,8 +238,7 @@ def curvature_noise_step(x, oracle, criteria=None, alpha_k=None, beta_k=None,
     return x_next, record
 
 
-def _iterate(oracle, iterations, x0, track_exact, step, config,
-             moment_bounds=None):
+def _iterate(oracle, iterations, x0, track_exact, step, config):
     """The fixed-budget loop both stochastic solvers share; returns the report.
 
     `step(k, x)` returns the next iterate and the iteration's record.  With
@@ -271,7 +251,6 @@ def _iterate(oracle, iterations, x0, track_exact, step, config,
         problem_name=problem.name,
         seed=oracle.seed,
         config={**config, "batch_size": oracle.batch_size, "iterations": iterations},
-        moment_bounds=moment_bounds,
     )
     x = np.array(problem.default_start if x0 is None else x0, dtype=float)
     with _partial_report_on_failure(report):
@@ -290,35 +269,32 @@ def _iterate(oracle, iterations, x0, track_exact, step, config,
 
 def two_step_stochastic_solve(oracle, config, iterations, x0=None,
                               track_exact=True):
-    """Run the stochastic two-step method for a fixed iteration budget.
+    """Run the stochastic two-step method for a fixed iteration budget, with
+    `config.alpha_constant` sizing both steps.
 
     With track_exact the true gradient norm at each iterate is recorded so
     the mean-square gradient bound can be checked.  An EvaluationError,
     KernelError or ConditionViolation raised mid-solve carries the partial
     report as `report`.
     """
-    criteria = DirectionCriteria(gamma=config.gamma, delta=config.delta,
-                                 eta=max(1.0, config.eta))
+    criteria = DirectionCriteria(gamma=config.gamma, delta=config.delta)
+    alpha = config.alpha_constant
 
     def step(k, x):
-        return curvature_noise_step(x, oracle, criteria, config.alpha(k),
-                                    config.beta(k))
+        return curvature_noise_step(x, oracle, criteria, alpha, alpha)
 
     return _iterate(oracle, iterations, x0, track_exact, step, {
         "method": "stochastic_two_step",
-        "alpha_constant": config.alpha_constant,
-        "diminishing": (config.diminishing_a, config.diminishing_b),
-        "chi": config.chi,
-    }, config.moment_bounds)
+        "alpha_constant": alpha,
+    })
 
 
 def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
-                             use_curvature=True, cg_max_iterations=10,
-                             track_exact=True):
+                             use_curvature=True, track_exact=True):
     """Dynamic stochastic method with CG-derived step and curvature direction.
 
     Per iteration: sample a gradient and an independent Hessian estimate,
-    run CG on the sampled system for at most `cg_max_iterations`, take the
+    run CG on the sampled system for at most CG_MAX_ITERATIONS, take the
     safeguarded step alpha_k*s_k with alpha_k = 1/L_k, then the curvature
     step beta_k*d_k with beta_k = 1/sigma_k.  Value estimates on the
     iteration's gradient batch drive the constants: a predicted increase
@@ -342,7 +318,7 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
         f_here, g_est = problem.batch_value_gradient(x, grad_batch)
         H_est = problem.batch_hessian(x, hess_batch)
         _require_finite(x, f_here, g_est, H_est)
-        cg = truncated_cg(H_est, g_est, max_iterations=cg_max_iterations)
+        cg = truncated_cg(H_est, g_est, max_iterations=CG_MAX_ITERATIONS)
         s = cg.solution
         d = (cg.curvature_direction
              if use_curvature and cg.curvature_direction is not None
@@ -388,16 +364,16 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
         "inflate_factor": safeguards.inflate_factor,
         "max_s_norm": safeguards.max_s_norm,
         "max_ratio_d_to_s": safeguards.max_ratio_d_to_s,
-        "cg_max_iterations": cg_max_iterations,
+        "cg_max_iterations": CG_MAX_ITERATIONS,
     })
 
 
-def measure_moment_constants(oracle, x, draws=10000, margin=1.5):
+def measure_moment_constants(oracle, x, draws=10000):
     """Empirical second-moment envelope of (s, d) at a point.
 
     Uses the oracle's own streams; the squared-norm coefficients are set to
-    `margin` (an unbiased mini-batch gradient has coefficient exactly 1) and
-    the constant terms to `margin` times the measured variance, so the
+    1.5 (an unbiased mini-batch gradient has coefficient exactly 1) and
+    the constant terms to 1.5 times the measured variance, so the
     envelope holds with headroom at the measured point.  The curvature
     direction is scaled to ||s|| and inherits the same bounds.
     """
@@ -409,8 +385,8 @@ def measure_moment_constants(oracle, x, draws=10000, margin=1.5):
         batch = oracle.next_gradient_batch()
         s = -problem.batch_gradient(x, batch)
         deviations[i] = float((s + exact_g) @ (s + exact_g))
-    m1 = margin * float(np.mean(deviations)) + _TINY
-    return MomentBounds(M_s1=m1, M_s2=margin, M_d1=m1, M_d2=margin)
+    m1 = _MOMENT_MARGIN * float(np.mean(deviations)) + _TINY
+    return MomentBounds(M_s1=m1, M_s2=_MOMENT_MARGIN, M_d1=m1, M_d2=_MOMENT_MARGIN)
 
 
 @dataclass
@@ -437,15 +413,15 @@ def expected_descent_check(problem, x, config, replications, seed=0,
     L = config.gradient_lipschitz or problem.local_gradient_lipschitz
     if L is None:
         raise ValueError("a documented gradient Lipschitz constant is required")
-    alpha = config.alpha(1)
-    beta = config.beta(1)
-    if alpha == 0.0 and beta == 0.0:
+    alpha = beta = config.alpha_constant
+    if alpha == 0.0:
         return DescentCheckResult(0.0, 0.0, 0.0, replications)
     oracle = StochasticOracle(problem, batch_size=batch_size, seed=seed)
     if moments is None:
         moments = measure_moment_constants(oracle, x, draws=measure_draws)
     f_x = problem.evaluate(x)
-    gnorm2 = float(problem.gradient(x) @ problem.gradient(x))
+    g = problem.gradient(x)
+    gnorm2 = float(g @ g)
 
     decreases = np.empty(replications)
     criteria = DirectionCriteria(gamma=config.gamma)

@@ -1,4 +1,4 @@
-"""Central finite-difference oracles for derivative verification."""
+"""Central finite-difference oracles, the tests' reference for derivatives."""
 
 from __future__ import annotations
 

@@ -18,7 +18,6 @@ from ncopt.deterministic import (
     dynamic_solve,
     two_step_solve,
 )
-from ncopt.derivatives import central_gradient, central_hessian
 from ncopt.finite_sum import (
     StochasticOracle,
     random_quadratic_finite_sum,
@@ -45,6 +44,7 @@ from ncopt.stochastic import (
     measure_moment_constants,
     two_step_stochastic_solve,
 )
+from reference_derivatives import central_gradient, central_hessian
 from reference_eigen import reference_extreme_eigenvalues
 
 STRATEGIES = ("steepest", "modified_newton")

@@ -1,6 +1,7 @@
 import argparse
 import copy
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -9,15 +10,44 @@ import numpy as np
 import pytest
 
 from ncopt.cli import _build_parser, _config_from_args, main
-from ncopt.deterministic import InnerLoopStall, SolverReport
+from ncopt.deterministic import (
+    InnerLoopStall,
+    SolverReport,
+    TerminationSpec,
+    dynamic_solve,
+    two_step_solve,
+)
 from ncopt.harness import (
     CONFIG_KEYS,
     TRACE_COLUMNS,
     ExperimentConfig,
     load_config_file,
 )
-from ncopt.linalg import KernelError
-from ncopt.steps import ConditionViolation
+from ncopt.linalg import (
+    EigenResult,
+    KernelError,
+    leftmost_eigenpair,
+    modified_newton_shift,
+    truncated_cg,
+)
+from ncopt.steps import (
+    ConditionViolation,
+    DirectionCriteria,
+    LipschitzState,
+    certify_curvature_direction,
+    descent_direction,
+    direction_from_eigenpair,
+    negative_curvature_direction,
+)
+from ncopt.stochastic import (
+    SafeguardConfig,
+    StochasticStepConfig,
+    curvature_noise_step,
+    dynamic_stochastic_solve,
+    expected_descent_check,
+    measure_moment_constants,
+    two_step_stochastic_solve,
+)
 
 
 class TestListProblems:
@@ -171,6 +201,25 @@ class TestRun:
         # the file written is a valid dataset
         (["run", "--problem", "sphere", "--dataset", "{cfg}"],
          "1,2,3\n4,5,6\n7,8,9\n1,0,1\n", "dataset: a problem name and a dataset"),
+        # other keys the variant would ignore
+        (["run", "--problem", "sphere", "--variant", "dynamic_sd", "--alpha", "5",
+          "--beta", "3", "--batch-size", "7"], None,
+         "experiment.alpha: dynamic_sd ignores it"),
+        (["run", "--problem", "quadratic_sum", "--variant", "stoch_two_step",
+          "--seed", "0", "--batch-size", "2", "--alpha", "0.01", "--beta", "9"],
+         None, "experiment.beta: stoch_two_step ignores it"),
+        (["run", "--config", "{cfg}"],
+         "[experiment]\nproblem = quadratic_sum\nvariant = stoch_dynamic\n"
+         "seed = 0\nbatch_size = 2\n[criteria]\ngamma = 0.5\n",
+         "criteria.gamma: stoch_dynamic ignores it"),
+        (["run", "--config", "{cfg}"],
+         "[experiment]\nproblem = sphere\nvariant = two_step\nalpha = 0.5\n"
+         "beta = 0.5\n[lipschitz]\nrho = 3\n",
+         "lipschitz.rho: two_step ignores it"),
+        (["run", "--config", "{cfg}"],
+         "[experiment]\nproblem = quadratic_sum\nvariant = stoch_two_step\n"
+         "seed = 0\nbatch_size = 2\nalpha = 0.01\n[safeguards]\nmax_s_norm = 5\n",
+         "safeguards.max_s_norm: stoch_two_step ignores it"),
     ])
     def test_bad_input_is_usage_error_naming_key(self, tmp_path, capsys, argv,
                                                  ini, key):
@@ -182,6 +231,21 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ")
         assert key in err
+
+    def test_keys_the_variant_reads_or_left_at_default_are_accepted(self, tmp_path):
+        cfg = tmp_path / "s2s.cfg"
+        cfg.write_text(
+            "[experiment]\n"
+            "problem = quadratic_sum\n"
+            "variant = stoch_two_step\n"
+            "seed = 0\nbatch_size = 2\nalpha = 0.01\niterations = 5\n"
+            "[criteria]\n"
+            "gamma = 0.5\n"
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        # the default batch size, given explicitly, is not an ignored setting
+        assert main(["run", "--problem", "sphere", "--variant", "dynamic_sd",
+                     "--batch-size", "32", "--out", str(tmp_path)]) == 0
 
     def test_criteria_section_keeps_modified_newton_delta(self, tmp_path):
         cfg = tmp_path / "mn.cfg"
@@ -327,9 +391,7 @@ FILE_FIELDS = {
                  "eta": 3.0},
     "termination": {"grad_tol_rel": 1e-7, "curv_tol_rel": 1e-6,
                     "max_iterations": 77, "min_step_norm": 1e-12},
-    "lipschitz": {"L_current": 2.5, "sigma_current": 3.5, "rho": 4.0,
-                  "clamp_up_factor": 1e3, "clamp_down_factor": 1e-3,
-                  "absolute_floor": 1e-3},
+    "lipschitz": {"L_current": 2.5, "sigma_current": 3.5, "rho": 4.0},
     "alpha": 0.25, "beta": 0.75, "batch_size": 8, "iterations": 50,
     "safeguards": {"max_s_norm": 5.0, "max_ratio_d_to_s": 0.1,
                    "inflate_factor": 1.5, "L_init": 40.0, "sigma_init": 60.0},
@@ -404,3 +466,53 @@ class TestOptionSurface:
                 "sigma_init")
         }
         assert len(CONFIG_KEYS) == 30
+
+    def test_library_surface_is_fixed(self):
+        """The solvers', steps' and kernels' parameters and the constants
+        objects' fields; a tolerance or cap that no caller varies is a module
+        constant, so a new knob must edit these lists in plain view."""
+        parameters = {
+            two_step_solve: ("problem", "criteria", "alpha", "beta",
+                             "termination", "strategy", "x0"),
+            dynamic_solve: ("problem", "criteria", "strategy", "lipschitz_init",
+                            "termination", "x0", "use_curvature"),
+            two_step_stochastic_solve: ("oracle", "config", "iterations", "x0",
+                                        "track_exact"),
+            dynamic_stochastic_solve: ("oracle", "safeguards", "iterations", "x0",
+                                       "use_curvature", "track_exact"),
+            curvature_noise_step: ("x", "oracle", "criteria", "alpha_k", "beta_k"),
+            measure_moment_constants: ("oracle", "x", "draws"),
+            expected_descent_check: ("problem", "x", "config", "replications",
+                                     "seed", "batch_size", "moments",
+                                     "measure_draws"),
+            descent_direction: ("strategy", "g", "H", "criteria",
+                                "enforce_norm_band", "eig"),
+            negative_curvature_direction: ("eig", "H", "g", "criteria"),
+            direction_from_eigenpair: ("eig", "g", "criteria"),
+            certify_curvature_direction: ("d", "H", "lam", "g", "criteria",
+                                          "check_norm_cap"),
+            leftmost_eigenpair: ("H",),
+            truncated_cg: ("H", "g", "max_iterations"),
+            modified_newton_shift: ("H", "eig"),
+        }
+        for function, names in parameters.items():
+            assert tuple(inspect.signature(function).parameters) == names, \
+                function.__name__
+        fields = {
+            StochasticStepConfig: ("alpha_constant", "moment_bounds",
+                                   "gradient_lipschitz", "delta", "gamma"),
+            LipschitzState: ("L_current", "sigma_current", "rho"),
+            SafeguardConfig: ("max_s_norm", "max_ratio_d_to_s", "inflate_factor",
+                              "L_init", "sigma_init"),
+            TerminationSpec: ("grad_tol_rel", "curv_tol_rel", "max_iterations",
+                              "min_step_norm"),
+            DirectionCriteria: ("gamma", "theta", "delta", "zeta", "eta"),
+            EigenResult: ("leftmost_value", "leftmost_vector", "residual",
+                          "values", "vectors"),
+        }
+        for cls, names in fields.items():
+            assert tuple(f.name for f in dataclasses.fields(cls)) == names, \
+                cls.__name__
+        # the eigenpair always carries the decomposition it came from
+        assert all(f.default is dataclasses.MISSING
+                   for f in dataclasses.fields(EigenResult))

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from ncopt import deterministic
 from ncopt.deterministic import (
     InnerLoopStall,
     TerminationReason,
@@ -226,9 +227,10 @@ class TestDynamic:
         assert report.final_gradient_norm == 0.0
         assert report.final_lambda >= -1e-12
 
-    def test_inner_loop_stall_detector(self):
+    def test_inner_loop_stall_detector(self, monkeypatch):
+        monkeypatch.setattr(deterministic, "INNER_LOOP_CAP", 0)
         with pytest.raises(InnerLoopStall) as err:
-            dynamic_solve(sphere(2), x0=np.ones(2), inner_loop_cap=0)
+            dynamic_solve(sphere(2), x0=np.ones(2))
         assert err.value.report.termination_reason is None
         assert len(err.value.report.records) >= 1
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncopt.derivatives import central_gradient, central_hessian
 from ncopt.finite_sum import (
     DatasetParseError,
     DatasetSchemaError,
@@ -16,6 +15,7 @@ from ncopt.finite_sum import (
     random_quadratic_finite_sum,
     synthetic_two_layer_net,
 )
+from reference_derivatives import central_gradient, central_hessian
 from reference_finite_sum import (
     component_means,
     least_squares_component,

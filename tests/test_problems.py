@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from ncopt.derivatives import central_gradient, central_hessian
 from ncopt.problems import (
     EvaluationError,
     ObjectiveProblem,
@@ -11,6 +10,7 @@ from ncopt.problems import (
     random_quadratic,
     sphere,
 )
+from reference_derivatives import central_gradient, central_hessian
 
 
 class TestEvaluate:

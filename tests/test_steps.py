@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,8 +79,7 @@ class TestNegativeCurvatureDirection:
 
     def test_tiny_negative_lambda_treated_as_zero(self):
         eig = leftmost_eigenpair(np.diag([1.0, 1.0]))
-        fake = type(eig)(leftmost_value=-1e-13, leftmost_vector=np.array([1.0, 0.0]),
-                         residual=0.0)
+        fake = dataclasses.replace(eig, leftmost_value=-1e-13)
         d = direction_from_eigenpair(fake, np.zeros(2), DirectionCriteria())
         assert np.all(d == 0.0)
 
@@ -288,3 +289,7 @@ class TestLipschitzState:
             LipschitzState(L_current=0.0)
         with pytest.raises(ValueError):
             LipschitzState(rho=1.0)
+        # an increase is at most a factor 1e3, so rho may not exceed it
+        LipschitzState(rho=1e3)
+        with pytest.raises(ValueError, match="rho"):
+            LipschitzState(rho=1001.0)
