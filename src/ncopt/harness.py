@@ -177,8 +177,10 @@ _CONFIG_SECTIONS = tuple(dict.fromkeys(key.section for key in CONFIG_KEYS))
 # from its default is a usage error
 VARIANT_READS = {
     "two_step": ("criteria", "termination", "experiment.alpha", "experiment.beta"),
+    # without the norm band they read neither zeta nor eta
     **dict.fromkeys(DETERMINISTIC_VARIANTS[1:],
-                    ("criteria", "termination", "lipschitz")),
+                    ("criteria.gamma", "criteria.theta", "criteria.delta",
+                     "termination", "lipschitz")),
     "stoch_two_step": ("experiment.alpha", "experiment.batch_size",
                        "experiment.iterations", "criteria.gamma"),
     **dict.fromkeys(STOCHASTIC_VARIANTS[1:], ("safeguards", "experiment.batch_size",

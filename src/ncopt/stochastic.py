@@ -65,10 +65,8 @@ class StochasticStepConfig:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.alpha_constant is None:
-            raise ValueError("alpha_constant must be set")
-        if self.alpha_constant < 0.0:
-            raise ValueError("alpha_constant must be nonnegative")
+        if self.alpha_constant is None or self.alpha_constant < 0.0:
+            raise ValueError("alpha_constant must be set and nonnegative")
         if self.moment_bounds is not None and self.gradient_lipschitz is not None:
             cap = admissible_constant_step(
                 self.moment_bounds, self.gradient_lipschitz, self.delta
@@ -193,17 +191,17 @@ def _require_finite(x, value, gradient=None, hessian=None):
             raise EvaluationError("sampled %s has non-finite entries" % kind, x)
 
 
-def curvature_noise_step(x, oracle, criteria=None, alpha_k=None, beta_k=None):
+def curvature_noise_step(x, oracle, alpha, criteria=None):
     """One iteration of the stochastic two-step method.
 
     Draws a gradient-batch step s = -(gradient estimate), an independent
     Hessian estimate whose leftmost eigenvector (scaled to ||s||) gives the
     curvature direction, and a uniform omega in [-1, 1]; the step is
-    x + alpha*s + beta*omega*d.  Returns (x_next, record).  A non-finite
+    x + alpha*(s + omega*d).  Returns (x_next, record).  A non-finite
     estimate raises EvaluationError.
     """
-    if alpha_k is None or beta_k is None or alpha_k <= 0.0 or beta_k <= 0.0:
-        raise ValueError("stepsizes must be positive")
+    if not alpha > 0.0:
+        raise ValueError("stepsize must be positive")
     criteria = criteria or DirectionCriteria()
     x = np.asarray(x, dtype=float)
     problem = oracle.problem
@@ -229,9 +227,9 @@ def curvature_noise_step(x, oracle, criteria=None, alpha_k=None, beta_k=None):
         certify_curvature_direction(d, H_est, lam, None, criteria,
                                     check_norm_cap=False)
 
-    x_next = x + alpha_k * s + beta_k * omega * d
+    x_next = x + alpha * s + alpha * omega * d
     record = StochasticIterationRecord(
-        index=index, x=x.copy(), alpha=alpha_k, beta=beta_k,
+        index=index, x=x.copy(), alpha=alpha, beta=alpha,
         s_norm=snorm, d_norm=float(np.linalg.norm(d)), omega=omega,
         sampled_lambda=lam, value_before=value_est,
     )
@@ -281,7 +279,7 @@ def two_step_stochastic_solve(oracle, config, iterations, x0=None,
     alpha = config.alpha_constant
 
     def step(k, x):
-        return curvature_noise_step(x, oracle, criteria, alpha, alpha)
+        return curvature_noise_step(x, oracle, alpha, criteria)
 
     return _iterate(oracle, iterations, x0, track_exact, step, {
         "method": "stochastic_two_step",
@@ -401,7 +399,7 @@ def expected_descent_check(problem, x, config, replications, seed=0,
                            batch_size=2, moments=None, measure_draws=2000):
     """Monte Carlo check of the expected single-step decrease bound.
 
-    Estimates E[f(x + alpha s + beta omega d)] - f(x) over fresh draws and
+    Estimates E[f(x + alpha s + alpha omega d)] - f(x) over fresh draws and
     compares against the bound built from the (measured) moment constants
     and the problem's documented gradient Lipschitz constant.  Raises
     ExpectedDecreaseViolation if the estimate exceeds the bound by more than
@@ -413,7 +411,7 @@ def expected_descent_check(problem, x, config, replications, seed=0,
     L = config.gradient_lipschitz or problem.local_gradient_lipschitz
     if L is None:
         raise ValueError("a documented gradient Lipschitz constant is required")
-    alpha = beta = config.alpha_constant
+    alpha = config.alpha_constant
     if alpha == 0.0:
         return DescentCheckResult(0.0, 0.0, 0.0, replications)
     oracle = StochasticOracle(problem, batch_size=batch_size, seed=seed)
@@ -426,16 +424,16 @@ def expected_descent_check(problem, x, config, replications, seed=0,
     decreases = np.empty(replications)
     criteria = DirectionCriteria(gamma=config.gamma)
     for i in range(replications):
-        x_next, _ = curvature_noise_step(x, oracle, criteria, alpha, beta)
+        x_next, _ = curvature_noise_step(x, oracle, alpha, criteria)
         decreases[i] = problem.evaluate(x_next) - f_x
     empirical = float(np.mean(decreases))
     stderr = float(np.std(decreases, ddof=1) / np.sqrt(replications)) \
         if replications > 1 else 0.0
     bound = (
         -(config.delta * alpha - 0.5 * L * moments.M_s2 * alpha ** 2
-          - L * moments.M_d2 * beta ** 2 / 6.0) * gnorm2
+          - L * moments.M_d2 * alpha ** 2 / 6.0) * gnorm2
         + 0.5 * L * moments.M_s1 * alpha ** 2
-        + L * moments.M_d1 * beta ** 2 / 6.0
+        + L * moments.M_d1 * alpha ** 2 / 6.0
     )
     if empirical > bound + 3.0 * stderr:
         raise ExpectedDecreaseViolation(

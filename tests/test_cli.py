@@ -220,6 +220,13 @@ class TestRun:
          "[experiment]\nproblem = quadratic_sum\nvariant = stoch_two_step\n"
          "seed = 0\nbatch_size = 2\nalpha = 0.01\n[safeguards]\nmax_s_norm = 5\n",
          "safeguards.max_s_norm: stoch_two_step ignores it"),
+        # the dynamic methods skip the descent norm band
+        (["run", "--config", "{cfg}"],
+         "[experiment]\nproblem = sphere\nvariant = dynamic_sd\n"
+         "[criteria]\nzeta = 0.5\n", "criteria.zeta: dynamic_sd ignores it"),
+        (["run", "--config", "{cfg}"],
+         "[experiment]\nproblem = sphere\nvariant = dynamic_sd\n"
+         "[criteria]\neta = 3\n", "criteria.eta: dynamic_sd ignores it"),
     ])
     def test_bad_input_is_usage_error_naming_key(self, tmp_path, capsys, argv,
                                                  ini, key):
@@ -480,7 +487,7 @@ class TestOptionSurface:
                                         "track_exact"),
             dynamic_stochastic_solve: ("oracle", "safeguards", "iterations", "x0",
                                        "use_curvature", "track_exact"),
-            curvature_noise_step: ("x", "oracle", "criteria", "alpha_k", "beta_k"),
+            curvature_noise_step: ("x", "oracle", "alpha", "criteria"),
             measure_moment_constants: ("oracle", "x", "draws"),
             expected_descent_check: ("problem", "x", "config", "replications",
                                      "seed", "batch_size", "moments",

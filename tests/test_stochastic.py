@@ -63,11 +63,16 @@ class TestCurvatureNoiseStep:
     def test_spd_estimate_reduces_to_gradient_step(self):
         p = half_x_squared()
         oracle = StochasticOracle(p, batch_size=2, seed=0)
-        x_next, record = curvature_noise_step(np.array([3.0]), oracle,
-                                              alpha_k=1.0, beta_k=1.0)
+        x_next, record = curvature_noise_step(np.array([3.0]), oracle, 1.0)
         assert record.d_norm == 0.0
         assert record.sampled_lambda == pytest.approx(1.0)
         np.testing.assert_allclose(x_next, [0.0], atol=1e-15)
+
+    def test_rejects_nonpositive_stepsize(self):
+        oracle = StochasticOracle(half_x_squared(), batch_size=2, seed=0)
+        for alpha in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                curvature_noise_step(np.array([3.0]), oracle, alpha)
 
     def test_replay_with_same_seed_is_identical(self, noisy_quadratic):
         x = noisy_quadratic.default_start
@@ -76,8 +81,7 @@ class TestCurvatureNoiseStep:
             oracle = StochasticOracle(noisy_quadratic, batch_size=2, seed=11)
             seq = []
             for _ in range(6):
-                x_next, record = curvature_noise_step(x, oracle, alpha_k=0.01,
-                                                      beta_k=0.01)
+                x_next, record = curvature_noise_step(x, oracle, 0.01)
                 seq.append((x_next, record.s_norm, record.d_norm, record.omega))
             outs.append(seq)
         for (xa, sa, da, oa), (xb, sb, db, ob) in zip(*outs):
@@ -89,7 +93,7 @@ class TestCurvatureNoiseStep:
         oracle = StochasticOracle(noisy_quadratic, batch_size=2, seed=5)
         seen = 0
         for _ in range(40):
-            _, record = curvature_noise_step(x, oracle, alpha_k=0.01, beta_k=0.01)
+            _, record = curvature_noise_step(x, oracle, 0.01)
             if record.d_norm > 0.0:
                 assert record.d_norm == pytest.approx(record.s_norm, rel=1e-12)
                 assert record.sampled_lambda < 0.0
