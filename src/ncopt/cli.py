@@ -23,6 +23,7 @@ from ncopt.harness import (
     load_report_summary,
     parse_boolean,
     read_config_file,
+    report_summary,
     run_experiment,
     standard_campaign_pairs,
 )
@@ -81,7 +82,7 @@ def _cmd_run(args):
     except SOLVER_FAILURES as err:
         print("solver abnormal termination: %s" % err, file=sys.stderr)
         return 3
-    summary = load_report_summary(paths["report"])
+    summary = report_summary(report, config)
     print("problem:      %s" % summary["problem"])
     print("variant:      %s" % config.variant)
     print("termination:  %s" % summary["termination_reason"])

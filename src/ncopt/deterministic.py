@@ -45,10 +45,6 @@ class InnerLoopStall(RuntimeError):
     partial report accumulated so far is attached for post-mortems.
     """
 
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
-
 
 # passes of the dynamic method's inner loop before it raises InnerLoopStall
 INNER_LOOP_CAP = 1000
@@ -192,7 +188,7 @@ def _iterate(problem, x0, criteria, termination, step, use_curvature, echo):
                 f = problem.evaluate(x)
             g = problem.gradient(x)
             H = problem.hessian(x)
-            eig = leftmost_eigenpair(H)
+            eig = leftmost_eigenpair(H, g)
             lam = eig.leftmost_value
             gnorm = float(np.linalg.norm(g))
             if k == 1:
@@ -299,43 +295,35 @@ def dynamic_solve(problem, criteria=None, strategy="steepest",
             if inner > INNER_LOOP_CAP:
                 raise InnerLoopStall(
                     "inner loop exceeded %d passes at iteration %d (L=%g, sigma=%g)"
-                    % (INNER_LOOP_CAP, k, state.L_current, state.sigma_current),
-                    None,
-                )
+                    % (INNER_LOOP_CAP, k, state.L_current, state.sigma_current))
             sizes = optimal_stepsizes(g, s if has_s else None,
                                       d if has_d else None, H, state)
             m_s = (model_reduction_descent(g, s, state.L_current, sizes.alpha)
                    if has_s else -np.inf)
             m_d = (model_reduction_curvature(g, d, H, state.sigma_current, sizes.beta)
                    if has_d else -np.inf)
-            if m_s >= m_d:
-                trial = x + sizes.alpha * s
-                f_trial = problem.evaluate(trial)
-                hat = lipschitz_hat("gradient", f_trial, f, m_s, sizes.alpha,
-                                    float(np.linalg.norm(s)), state.L_current)
-                if f_trial <= f - m_s:
-                    branch = "descent"
-                    break
-                state.inflate("gradient", hat)
-            else:
-                trial = x + sizes.beta * d
-                f_trial = problem.evaluate(trial)
-                hat = lipschitz_hat("hessian", f_trial, f, m_d, sizes.beta,
-                                    float(np.linalg.norm(d)), state.sigma_current)
-                if f_trial <= f - m_d:
-                    branch = "curvature"
-                    break
-                state.inflate("hessian", hat)
+            # the step with the larger model reduction is tried
+            kind, direction, stepsize, m, estimate = (
+                ("gradient", s, sizes.alpha, m_s, state.L_current) if m_s >= m_d
+                else ("hessian", d, sizes.beta, m_d, state.sigma_current))
+            trial = x + stepsize * direction
+            f_trial = problem.evaluate(trial)
+            hat = lipschitz_hat(kind, f_trial, f, m, stepsize,
+                                float(np.linalg.norm(direction)), estimate)
+            if f_trial <= f - m:
+                break
+            state.inflate(kind, hat)
 
         fields = dict(
-            s=s, step_taken=branch, alpha=sizes.alpha, beta=sizes.beta,
+            s=s, step_taken="descent" if kind == "gradient" else "curvature",
+            alpha=sizes.alpha, beta=sizes.beta,
             model_reduction_s=None if not has_s else m_s,
             model_reduction_d=None if not has_d else m_d,
             inner_loop_count=inner, lipschitz_L=state.L_current,
             lipschitz_sigma=state.sigma_current,
         )
         # accepted: relax the constant that was exercised, keep the other
-        state.settle("gradient" if branch == "descent" else "hessian", hat)
+        state.settle(kind, hat)
         return trial, f_trial, fields
 
     return _iterate(problem, x0, criteria, termination or TerminationSpec(), step,

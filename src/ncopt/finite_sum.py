@@ -50,6 +50,17 @@ class FiniteSumProblem(ObjectiveProblem):
         `data` in place instead of copying it."""
         return data if indices is self._all_indices else data[indices]
 
+    def _set_records(self, features, labels):
+        """Store (N, d) features and N labels as `features` and `labels`,
+        contiguous, so the full batch read in place is laid out like the
+        copy a fancy index makes."""
+        features = np.ascontiguousarray(features, dtype=float)
+        labels = np.ascontiguousarray(labels, dtype=float)
+        if features.ndim != 2 or labels.shape != (features.shape[0],):
+            raise ValueError("features must be (N, d) with matching labels")
+        self.features = features
+        self.labels = labels
+
     def batch_value_gradient(self, x, indices):
         """(batch_value, batch_gradient) on one batch, equal to the two
         separate calls; overridden where the two share work."""
@@ -98,10 +109,8 @@ class QuadraticFiniteSum(FiniteSumProblem):
             known_minimizers=[minimizer],
             default_start=minimizer + rng.normal(scale=3.0, size=n),
             local_gradient_lipschitz=float(np.max(spectrum)),
-            local_hessian_lipschitz=0.0,
         )
         self.lower_bound = self.batch_value(minimizer, self._all_indices)
-        self.reset_counters()
 
     def batch_value(self, x, indices):
         u = x[None, :] - self._rows(self.centers, indices)
@@ -121,23 +130,15 @@ class LinearLeastSquaresProblem(FiniteSumProblem):
     """Components 0.5 (phi_i' x - y_i)^2 over feature/label records."""
 
     def __init__(self, features, labels, name="linear_least_squares"):
-        # contiguous, so the full batch read in place is laid out like the
-        # copy a fancy index makes
-        features = np.ascontiguousarray(features, dtype=float)
-        labels = np.ascontiguousarray(labels, dtype=float)
-        if features.ndim != 2 or labels.shape != (features.shape[0],):
-            raise ValueError("features must be (N, d) with matching labels")
-        self.features = features
-        self.labels = labels
-        n, d = features.shape
-        gram = features.T @ features / n
+        self._set_records(features, labels)
+        n, d = self.features.shape
+        gram = self.features.T @ self.features / n
         super().__init__(
             name,
             dimension=d,
             component_count=n,
             lower_bound=0.0,
             local_gradient_lipschitz=float(np.linalg.eigvalsh(gram)[-1]),
-            local_hessian_lipschitz=0.0,
         )
 
     def batch_value(self, x, indices):
@@ -163,16 +164,9 @@ class TwoLayerNetProblem(FiniteSumProblem):
 
     def __init__(self, features, labels, hidden_units=8, name="two_layer_net",
                  start_seed=5):
-        # contiguous, so the full batch read in place is laid out like the
-        # copy a fancy index makes
-        features = np.ascontiguousarray(features, dtype=float)
-        labels = np.ascontiguousarray(labels, dtype=float)
-        if features.ndim != 2 or labels.shape != (features.shape[0],):
-            raise ValueError("features must be (N, d) with matching labels")
-        self.features = features
-        self.labels = labels
+        self._set_records(features, labels)
         self.hidden_units = int(hidden_units)
-        n_records, d = features.shape
+        n_records, d = self.features.shape
         h = self.hidden_units
         dim = h * d + 2 * h + 1
         rng = np.random.default_rng(start_seed)

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -173,8 +173,9 @@ _CONFIG_KEYS_BY_NAME = {key.name: key for key in CONFIG_KEYS}
 _CONFIG_SECTIONS = tuple(dict.fromkeys(key.section for key in CONFIG_KEYS))
 
 # the sections and keys each variant reads, beyond the problem, data, seed,
-# start and output keys that every variant reads; any other key set away
-# from its default is a usage error
+# start and output keys that every variant may read (see
+# `validate_config`); any other key set away from its default is a usage
+# error
 VARIANT_READS = {
     "two_step": ("criteria", "termination", "experiment.alpha", "experiment.beta"),
     # without the norm band they read neither zeta nor eta
@@ -229,6 +230,17 @@ def validate_config(config):
                 setting(given) != setting(default):
             raise UsageError("%s: %s ignores it%s" % (
                 name, config.variant, _IGNORED_HINTS.get(name, "")))
+    # a deterministic variant draws its start from the seed only when no
+    # start is given, and the dataset keys need a dataset
+    without_dataset = " without experiment.dataset"
+    for attr, unread, hint in (
+            ("seed", config.variant in DETERMINISTIC_VARIANTS
+             and config.start is not None, " when experiment.start is set"),
+            ("dataset_has_header", config.dataset is None, without_dataset),
+            ("dataset_model", config.dataset is None, without_dataset)):
+        if unread and getattr(config, attr) != getattr(default, attr):
+            raise UsageError("experiment.%s: %s ignores it%s"
+                             % (attr, config.variant, hint))
     stepsizes = {"two_step": ("alpha", "beta"), "stoch_two_step": ("alpha",)}
     for name in stepsizes.get(config.variant, ()):
         if not (getattr(config, name) or 0.0) > 0.0:
@@ -330,12 +342,6 @@ def run_experiment(config):
     return report, paths
 
 
-def _g17(value):
-    if value is None:
-        return ""
-    return "%.17g" % value
-
-
 def report_summary(report, config=None, error=None):
     """JSON-ready summary of a report; `error`, the exception that cut the
     solve short, marks it abnormal and is recorded by type and message."""
@@ -348,7 +354,7 @@ def report_summary(report, config=None, error=None):
             "abnormal": abnormal,
             "final_f": report.final_exact_f,
             "total_iterations": report.total_iterations,
-            "total_fevals": report.total_iterations,
+            "total_fevals": report.total_fevals,
             "used_negative_curvature": report.used_negative_curvature,
             "seed": report.seed,
             "config": report.config,
@@ -397,18 +403,25 @@ def _trace_rows(report):
                    r.step_taken, r.lipschitz_L, r.lipschitz_sigma, r.feval_count)
 
 
-def write_trace_csv(report, path):
+def _cell(value):
+    """A CSV cell: a float to 17 significant digits, None empty, else as is."""
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % value
+    return "" if value is None else value
+
+
+def _write_csv(path, header, rows):
+    """Write the header and rows as a CSV file of `_cell`s; returns path.
+    Every CSV file the harness writes goes through here."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(TRACE_COLUMNS)
-        for row in _trace_rows(report):
-            k, f, gnorm, lam, alpha, beta, branch, L, sigma, fevals = row
-            writer.writerow([
-                k, _g17(f), _g17(gnorm), _g17(lam), _g17(alpha), _g17(beta),
-                branch, _g17(L), _g17(sigma),
-                "" if fevals is None else fevals,
-            ])
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
     return path
+
+
+def write_trace_csv(report, path):
+    return _write_csv(path, TRACE_COLUMNS, _trace_rows(report))
 
 
 @dataclass
@@ -484,14 +497,17 @@ def standard_campaign_pairs(strategy="sd", seed=0, out_dir=None,
         raise UsageError("strategy: must be 'sd' or 'mn'")
     if max_iterations < 1:
         raise UsageError("max_iterations: must be positive")
+    if seed is not None and seed < 0:
+        raise UsageError("seed: must be nonnegative")
     base = "dynamic_%s" % strategy
     termination = TerminationSpec(max_iterations=max_iterations)
     pairs = []
     for name in problems or list_problems():
         start = CAMPAIGN_STARTS.get(name)
-        common = dict(problem=name, seed=seed, termination=termination,
-                      out_dir=out_dir,
-                      start=None if start is None else np.array(start))
+        # the seed only draws a start, so it goes to problems without one
+        common = dict(problem=name, termination=termination, out_dir=out_dir,
+                      **(dict(seed=seed) if start is None
+                         else dict(start=np.array(start))))
         pairs.append((
             ExperimentConfig(variant=base + "_descent_only",
                              label="%s_%s_descent_only" % (name, strategy), **common),
@@ -525,31 +541,19 @@ def campaign(pairs, out_dir=None):
     if not kept:
         warnings.warn("campaign: no run used a negative curvature direction")
 
-    table_path = os.path.join(out_dir, "comparison.csv")
-    with open(table_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["problem", "f_measure", "iter_measure", "feval_measure",
-                         "used_negative_curvature"])
-        for r in kept:
-            writer.writerow([r.problem, _g17(r.f_measure), _g17(r.iter_measure),
-                             _g17(r.feval_measure), r.used_negative_curvature])
-    plot_paths = {}
-    for measure, attr in (("f_diff", "f_measure"), ("iterates", "iter_measure"),
-                          ("fevals", "feval_measure")):
-        path = os.path.join(out_dir, "plot_%s.csv" % measure)
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["problem", "value"])
-            for r in kept:
-                writer.writerow([r.problem, _g17(getattr(r, attr))])
-        plot_paths[measure] = path
+    table_path = _write_csv(os.path.join(out_dir, "comparison.csv"),
+                            [f.name for f in fields(ComparisonRow)],
+                            [astuple(r) for r in kept])
+    plot_paths = {
+        measure: _write_csv(os.path.join(out_dir, "plot_%s.csv" % measure),
+                            ("problem", "value"),
+                            [(r.problem, getattr(r, attr)) for r in kept])
+        for measure, attr in (("f_diff", "f_measure"), ("iterates", "iter_measure"),
+                              ("fevals", "feval_measure"))
+    }
     if failures:
-        failures_path = os.path.join(out_dir, "failures.csv")
-        with open(failures_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["problem", "error"])
-            writer.writerows(failures)
-        plot_paths["failures"] = failures_path
+        plot_paths["failures"] = _write_csv(os.path.join(out_dir, "failures.csv"),
+                                            ("problem", "error"), failures)
     return kept, table_path, plot_paths
 
 

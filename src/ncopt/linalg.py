@@ -4,10 +4,11 @@ Each iterate's Hessian is factored once, by LAPACK (`np.linalg.eigh`); the
 resulting spectrum and eigenvectors serve the leftmost eigenpair, the
 curvature direction and the modified-Newton shift and solve.  When the
 leftmost eigenvalue is repeated, LAPACK may return any orthonormal basis
-of its eigenspace, so the vector used is picked by `eigenspace_direction`,
-a rule that depends on the eigenspace only.  The tests check these kernels
-against an independent pure-Python reference eigensolver.  All kernels are
-pure functions and safe for concurrent use.
+of its eigenspace, so the vector used is picked once, by
+`eigenspace_direction`, a rule that depends on the eigenspace and the
+gradient only.  The tests check these kernels against an independent
+pure-Python reference eigensolver.  All kernels are pure functions and
+safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ class EigenResult:
     residual: float
     values: np.ndarray
     vectors: np.ndarray
-
-    @property
-    def leftmost_basis(self):
-        """Orthonormal basis (columns) of the leftmost eigenspace."""
-        return self.vectors[:, :_leftmost_multiplicity(self.values)]
 
 
 def _leftmost_multiplicity(w):
@@ -105,14 +101,6 @@ def _check_symmetric(H):
     return 0.5 * (H + H.T)
 
 
-def _eigh(H):
-    """Ascending eigenvalues and orthonormal eigenvectors of symmetric H."""
-    try:
-        return np.linalg.eigh(H)
-    except np.linalg.LinAlgError as err:
-        raise KernelError("symmetric eigendecomposition failed: %s" % err) from err
-
-
 def eigenspace_direction(basis, g=None):
     """Unit vector in the span of the orthonormal columns of basis, chosen
     by a rule that depends on the span only, not on the basis.
@@ -145,19 +133,23 @@ def symmetric_extreme_eigenvalues(H):
     return float(w[0]), float(w[-1])
 
 
-def leftmost_eigenpair(H):
+def leftmost_eigenpair(H, g=None):
     """Leftmost (minimum) eigenvalue and a unit eigenvector of symmetric H.
 
-    The vector is `eigenspace_direction` of the leftmost eigenspace, so a
-    repeated leftmost eigenvalue gives the same vector whichever basis
-    LAPACK returns.  The residual ||H v - lambda v|| must come out below
-    1e-10 * max(1, ||H||_F) or a KernelError is raised.  Non-symmetric
-    input (asymmetry above 1e-10) is rejected.
+    The vector is `eigenspace_direction` of the leftmost eigenspace against
+    the gradient g, if given, so a repeated leftmost eigenvalue gives the
+    same vector whichever basis LAPACK returns.  The residual
+    ||H v - lambda v|| must come out below 1e-10 * max(1, ||H||_F) or a
+    KernelError is raised.  Non-symmetric input (asymmetry above 1e-10) is
+    rejected.
     """
     H = _check_symmetric(H)
-    w, V = _eigh(H)
+    try:
+        w, V = np.linalg.eigh(H)
+    except np.linalg.LinAlgError as err:
+        raise KernelError("symmetric eigendecomposition failed: %s" % err) from err
     lam = float(w[0])
-    v = eigenspace_direction(V[:, :_leftmost_multiplicity(w)])
+    v = eigenspace_direction(V[:, :_leftmost_multiplicity(w)], g)
     residual = float(np.linalg.norm(H @ v - lam * v))
     bound = _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(H)))
     if residual > bound:
@@ -207,7 +199,7 @@ def truncated_cg(H, g, max_iterations):
     return CgOutcome(s, None, CgStatus.MAX_ITERATIONS, max_iterations)
 
 
-def modified_newton_shift(H, eig=None):
+def modified_newton_shift(H, eig):
     """Smallest shift delta >= 0 making H + delta*I positive definite with
     condition number at most 1e8.
 
@@ -216,16 +208,11 @@ def modified_newton_shift(H, eig=None):
     lmax = lmin <= 0 clamped to -lmin + 1e-8 (any positive shift then has
     condition number 1).  Returns (delta, solve) where solve(rhs) solves
     (H + delta*I) x = rhs through the eigendecomposition of H, with one
-    step of iterative refinement.  Pass eig, the `leftmost_eigenpair`
-    result for this same H, to reuse its decomposition instead of factoring
-    H again.
+    step of iterative refinement.  eig is the `leftmost_eigenpair` result
+    for this same H, whose decomposition is reused.
     """
-    if eig is None:
-        H = _check_symmetric(H)
-        w, V = _eigh(H)
-    else:
-        H = np.asarray(H, dtype=float)
-        w, V = eig.values, eig.vectors
+    H = np.asarray(H, dtype=float)
+    w, V = eig.values, eig.vectors
     lmin, lmax = float(w[0]), float(w[-1])
     # aim slightly inside the cap so the condition number verified in floating
     # point (relative error ~ eps * kappa) still lands at or below it

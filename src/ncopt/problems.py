@@ -25,14 +25,14 @@ class ObjectiveProblem:
     """A twice-differentiable objective with counted evaluations.
 
     Optional metadata: `lower_bound` (a value the objective never goes
-    below), `known_minimizers` (for test assertions only), documented local
-    Lipschitz estimates `local_gradient_lipschitz` / `local_hessian_lipschitz`
-    for fixed-stepsize experiments, and a `default_start`.
+    below), `known_minimizers` (for test assertions only), a documented
+    local gradient Lipschitz estimate `local_gradient_lipschitz` for
+    fixed-stepsize experiments, and a `default_start`.
     """
 
     def __init__(self, name, dimension, value_fn, gradient_fn, hessian_fn,
                  lower_bound=None, known_minimizers=None, default_start=None,
-                 local_gradient_lipschitz=None, local_hessian_lipschitz=None):
+                 local_gradient_lipschitz=None):
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.name = name
@@ -50,7 +50,6 @@ class ObjectiveProblem:
             else np.asarray(default_start, dtype=float)
         )
         self.local_gradient_lipschitz = local_gradient_lipschitz
-        self.local_hessian_lipschitz = local_hessian_lipschitz
         self.evaluation_count = 0
         self.gradient_count = 0
         self.hessian_count = 0
@@ -91,11 +90,6 @@ class ObjectiveProblem:
             raise EvaluationError("Hessian has non-finite entries", x)
         return H
 
-    def reset_counters(self):
-        self.evaluation_count = 0
-        self.gradient_count = 0
-        self.hessian_count = 0
-
 
 def sphere(n=2):
     """f(x) = 0.5 ||x||^2, the canonical convex sanity check."""
@@ -109,7 +103,6 @@ def sphere(n=2):
         known_minimizers=[np.zeros(n)],
         default_start=np.full(n, 3.0),
         local_gradient_lipschitz=1.0,
-        local_hessian_lipschitz=0.0,
     )
 
 
@@ -117,7 +110,8 @@ def quartic_saddle():
     """f(x, y) = (x^2 - 1)^2 / 4 + y^2 / 2.
 
     Strict saddle at the origin with Hessian diag(-1, 1); global minima at
-    (+-1, 0).  Local Lipschitz estimates documented on the box |x|, |y| <= 2.
+    (+-1, 0).  On the box |x|, |y| <= 2 the gradient is 11-Lipschitz and the
+    Hessian is sigma-Lipschitz with sigma <= 12.
     """
 
     def value(x):
@@ -139,7 +133,6 @@ def quartic_saddle():
         known_minimizers=[np.array([1.0, 0.0]), np.array([-1.0, 0.0])],
         default_start=np.array([0.0, 0.0]),
         local_gradient_lipschitz=11.0,
-        local_hessian_lipschitz=12.0,
     )
 
 
@@ -356,7 +349,6 @@ def random_quadratic(n=10, spectrum=None, seed=20240, center=None, name=None):
         known_minimizers=[center] if convex else None,
         default_start=center + rng.normal(size=n),
         local_gradient_lipschitz=float(np.max(np.abs(spectrum))),
-        local_hessian_lipschitz=0.0,
     )
 
 

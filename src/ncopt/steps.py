@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ncopt.linalg import eigenspace_direction, modified_newton_shift
+from ncopt.linalg import leftmost_eigenpair, modified_newton_shift
 
 _CERT_SLACK = 1e-12
 # leftmost eigenvalues above -ZERO_CURVATURE_TOL count as nonnegative
@@ -23,6 +23,8 @@ ZERO_CURVATURE_TOL = 1e-12
 _CLAMP_UP, _CLAMP_DOWN, _ABSOLUTE_FLOOR = 1e3, 1e-3, 1e-3
 
 DESCENT_STRATEGIES = ("steepest", "modified_newton")
+# the LipschitzState estimate each model kind reads and updates
+_ESTIMATE = {"gradient": "L_current", "hessian": "sigma_current"}
 
 
 class ConditionViolation(RuntimeError):
@@ -75,21 +77,15 @@ class LipschitzState:
             raise ValueError("rho must be at most the clamp-up factor %g" % _CLAMP_UP)
 
     def inflate(self, kind, hat):
-        value = self.L_current if kind == "gradient" else self.sigma_current
-        value = max(self.rho * value, min(_CLAMP_UP * value, hat))
-        if kind == "gradient":
-            self.L_current = value
-        else:
-            self.sigma_current = value
-        return value
+        value = getattr(self, _ESTIMATE[kind])
+        return self._set(kind, max(self.rho * value, min(_CLAMP_UP * value, hat)))
 
     def settle(self, kind, hat):
-        value = self.L_current if kind == "gradient" else self.sigma_current
-        value = max(_ABSOLUTE_FLOOR, _CLAMP_DOWN * value, hat)
-        if kind == "gradient":
-            self.L_current = value
-        else:
-            self.sigma_current = value
+        value = getattr(self, _ESTIMATE[kind])
+        return self._set(kind, max(_ABSOLUTE_FLOOR, _CLAMP_DOWN * value, hat))
+
+    def _set(self, kind, value):
+        setattr(self, _ESTIMATE[kind], value)
         return value
 
 
@@ -99,28 +95,6 @@ class StepSizes:
 
     alpha: float | None = None
     beta: float | None = None
-
-
-def direction_from_eigenpair(eig, g, criteria):
-    """Negative-curvature direction from an already-computed leftmost pair.
-
-    Returns zero when the leftmost eigenvalue is above -ZERO_CURVATURE_TOL.
-    Otherwise the unit vector of the leftmost eigenspace picked by
-    `eigenspace_direction` (the one most aligned with -g when the
-    eigenvalue is repeated), scaled to theta*|lambda| and signed so that
-    g'd <= 0 up to rounding.
-    """
-    lam = eig.leftmost_value
-    if lam >= -ZERO_CURVATURE_TOL:
-        return np.zeros_like(eig.leftmost_vector)
-    d = criteria.theta * abs(lam) * eigenspace_direction(eig.leftmost_basis, g)
-    # a vector orthogonal to g up to rounding keeps its fixed sign, so the
-    # sign does not follow rounding noise; the certificate allows this g'd
-    if g is not None and float(g @ d) > _CERT_SLACK * max(
-        1.0, float(np.linalg.norm(g) * np.linalg.norm(d))
-    ):
-        d = -d
-    return d
 
 
 def certify_curvature_direction(d, H, lam, g, criteria, check_norm_cap=True):
@@ -153,17 +127,30 @@ def certify_curvature_direction(d, H, lam, g, criteria, check_norm_cap=True):
 
 
 def negative_curvature_direction(eig, H, g, criteria=None):
-    """Certified direction of negative curvature at a point with Hessian H.
+    """Certified direction of negative curvature at a point with Hessian H
+    and gradient g.
 
-    `eig` is the `leftmost_eigenpair` result for H.  Zero when the leftmost
-    eigenvalue is (numerically) nonnegative; otherwise
-    `direction_from_eigenpair`'s direction, certified before return.
+    `eig` must be the `leftmost_eigenpair(H, g)` result for this same H and
+    g, so its vector is the unit vector of the leftmost eigenspace most
+    aligned with -g when the eigenvalue is repeated.  Zero when the leftmost
+    eigenvalue is above -ZERO_CURVATURE_TOL; otherwise that vector scaled
+    to theta*|lambda| and signed so that g'd <= 0 up to rounding, certified
+    before return.
     """
     criteria = criteria or DirectionCriteria()
+    lam = eig.leftmost_value
+    if lam >= -ZERO_CURVATURE_TOL:
+        return np.zeros_like(eig.leftmost_vector)
     g = None if g is None else np.asarray(g, dtype=float)
-    d = direction_from_eigenpair(eig, g, criteria)
+    d = criteria.theta * abs(lam) * eig.leftmost_vector
+    # a vector orthogonal to g up to rounding keeps its fixed sign, so the
+    # sign does not follow rounding noise; the certificate allows this g'd
+    if g is not None and float(g @ d) > _CERT_SLACK * max(
+        1.0, float(np.linalg.norm(g) * np.linalg.norm(d))
+    ):
+        d = -d
     if np.any(d != 0.0):
-        certify_curvature_direction(d, H, eig.leftmost_value, g, criteria)
+        certify_curvature_direction(d, H, lam, g, criteria)
     return d
 
 
@@ -174,9 +161,9 @@ def descent_direction(strategy, g, H=None, criteria=None, enforce_norm_band=True
     Returns s.  The realized cosine -g's/(||s|| ||g||) must meet
     criteria.delta; with enforce_norm_band the ratio ||s||/||g|| must also
     lie in [zeta, eta] (required by the fixed-stepsize method; the adaptive
-    method only needs the cosine condition).  For modified_newton, eig (the
-    `leftmost_eigenpair` result for H, if already computed) lets the shift
-    and solve reuse its decomposition.
+    method only needs the cosine condition).  For modified_newton, eig is
+    the `leftmost_eigenpair` result for H whose decomposition the shift and
+    solve reuse; when it is None, H is factored here.
     """
     criteria = criteria or DirectionCriteria()
     g = np.asarray(g, dtype=float)
@@ -188,7 +175,7 @@ def descent_direction(strategy, g, H=None, criteria=None, enforce_norm_band=True
     elif strategy == "modified_newton":
         if H is None:
             raise ValueError("modified_newton strategy needs the Hessian")
-        _, solve = modified_newton_shift(H, eig=eig)
+        _, solve = modified_newton_shift(H, eig or leftmost_eigenpair(H))
         s = solve(-g)
     else:
         raise ValueError("unknown strategy %r (options: %s)"

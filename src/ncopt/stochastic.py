@@ -157,6 +157,7 @@ class StochasticReport:
     final_x: np.ndarray | None = None
     final_exact_f: float | None = None
     total_iterations: int = 0
+    total_fevals: int = 0
     seed: int | None = None
     config: dict = field(default_factory=dict)
 
@@ -239,10 +240,11 @@ def curvature_noise_step(x, oracle, alpha, criteria=None):
 def _iterate(oracle, iterations, x0, track_exact, step, config):
     """The fixed-budget loop both stochastic solvers share; returns the report.
 
-    `step(k, x)` returns the next iterate and the iteration's record.  With
-    track_exact the true gradient norm at x goes into the record, so the
-    mean-square gradient bound can be checked.  `config` is the solver's
-    part of the report's config echo.
+    `step(k, x)` returns the next iterate, the iteration's record and how
+    many sampled values it evaluated; with the final exact f they make the
+    report's total_fevals.  With track_exact the true gradient norm at x
+    goes into the record, so the mean-square gradient bound can be checked.
+    `config` is the solver's part of the report's config echo.
     """
     problem = oracle.problem
     report = StochasticReport(
@@ -253,14 +255,16 @@ def _iterate(oracle, iterations, x0, track_exact, step, config):
     x = np.array(problem.default_start if x0 is None else x0, dtype=float)
     with _partial_report_on_failure(report):
         for k in range(1, iterations + 1):
-            x_next, record = step(k, x)
+            x_next, record, fevals = step(k, x)
             if track_exact:
                 record.exact_gradient_norm = float(
                     np.linalg.norm(problem.gradient(x)))
             report.records.append(record)
+            report.total_fevals += fevals
             x = x_next
         report.final_x = x
         report.final_exact_f = problem.evaluate(x)
+        report.total_fevals += 1
     report.total_iterations = iterations
     return report
 
@@ -279,7 +283,8 @@ def two_step_stochastic_solve(oracle, config, iterations, x0=None,
     alpha = config.alpha_constant
 
     def step(k, x):
-        return curvature_noise_step(x, oracle, alpha, criteria)
+        # one value estimate, at x
+        return (*curvature_noise_step(x, oracle, alpha, criteria), 1)
 
     return _iterate(oracle, iterations, x0, track_exact, step, {
         "method": "stochastic_two_step",
@@ -331,7 +336,8 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
         L_next = L * safeguards.inflate_factor if f_hat > f_here else L
 
         reverted = False
-        if np.any(d != 0.0):
+        curvature_trial = bool(np.any(d != 0.0))
+        if curvature_trial:
             x_next = x_hat + beta_k * d
             f_next = problem.batch_value(x_next, grad_batch)
             _require_finite(x_next, f_next)
@@ -353,7 +359,8 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
             reverted_curvature_step=reverted,
         )
         L, sigma = L_next, sigma_next
-        return x_next, record
+        # value estimates at x, at x_hat and, after a curvature step, at x_next
+        return x_next, record, 2 + curvature_trial
 
     return _iterate(oracle, iterations, x0, track_exact, step, {
         "method": "stochastic_dynamic",

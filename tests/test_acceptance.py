@@ -29,9 +29,9 @@ from ncopt.problems import list_problems, make_problem, random_quadratic, sphere
 from ncopt.steps import (
     DirectionCriteria,
     LipschitzState,
-    direction_from_eigenpair,
     model_reduction_curvature,
     model_reduction_descent,
+    negative_curvature_direction,
     optimal_stepsizes,
 )
 from ncopt.stochastic import (
@@ -236,8 +236,7 @@ def test_criterion_6_stepsize_optimality_oracle():
         H = 0.5 * (A + A.T) - float(rng.uniform(0.0, 3.0)) * np.eye(n)
         state = LipschitzState(L_current=float(rng.uniform(0.5, 5.0)),
                                sigma_current=float(rng.uniform(0.5, 5.0)))
-        eig = leftmost_eigenpair(H)
-        d = direction_from_eigenpair(eig, g, DirectionCriteria())
+        d = negative_curvature_direction(leftmost_eigenpair(H, g), H, g)
         sizes = optimal_stepsizes(g, s, d if np.any(d != 0.0) else None, H, state)
         grid = np.linspace(0.0, 2.0 * sizes.alpha, 10000)
         best = np.max(-grid * (g @ s) - 0.5 * state.L_current * grid ** 2 * (s @ s))
@@ -368,7 +367,7 @@ def test_criterion_10_kernel_oracles_and_determinism():
         direct = np.linalg.solve(spd, -g)
         assert np.linalg.norm(out.solution - direct) \
             <= 1e-8 * max(1.0, np.linalg.norm(direct))
-        delta, _ = modified_newton_shift(H)
+        delta, _ = modified_newton_shift(H, res)
         lmin, lmax = reference_extreme_eigenvalues(H + delta * np.eye(n))
         assert lmin > 0.0 and lmax <= 1e8 * lmin
     # replay determinism for both stochastic solvers

@@ -36,7 +36,6 @@ from ncopt.steps import (
     LipschitzState,
     certify_curvature_direction,
     descent_direction,
-    direction_from_eigenpair,
     negative_curvature_direction,
 )
 from ncopt.stochastic import (
@@ -109,7 +108,9 @@ class TestRun:
         partial.finish(None)
 
         def boom(config):
-            raise InnerLoopStall("stalled", partial)
+            err = InnerLoopStall("stalled")
+            err.report = partial
+            raise err
 
         monkeypatch.setattr("ncopt.cli.run_experiment", boom)
         code = main(["run", "--problem", "sphere", "--variant", "dynamic_sd",
@@ -227,6 +228,15 @@ class TestRun:
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\nvariant = dynamic_sd\n"
          "[criteria]\neta = 3\n", "criteria.eta: dynamic_sd ignores it"),
+        # a deterministic variant reads the seed only to draw a start
+        (["run", "--problem", "sphere", "--variant", "dynamic_sd", "--seed", "3",
+          "--start", "1,1"], None, "experiment.seed: dynamic_sd ignores it"),
+        # the dataset keys need a dataset
+        (["run", "--problem", "sphere", "--dataset-header"], None,
+         "experiment.dataset_has_header: dynamic_sd ignores it"),
+        (["run", "--config", "{cfg}"],
+         "[experiment]\nproblem = sphere\ndataset_model = two_layer\n",
+         "experiment.dataset_model: dynamic_sd ignores it"),
     ])
     def test_bad_input_is_usage_error_naming_key(self, tmp_path, capsys, argv,
                                                  ini, key):
@@ -253,6 +263,11 @@ class TestRun:
         # the default batch size, given explicitly, is not an ignored setting
         assert main(["run", "--problem", "sphere", "--variant", "dynamic_sd",
                      "--batch-size", "32", "--out", str(tmp_path)]) == 0
+        # a stochastic variant seeds its oracle whether or not a start is given
+        assert main(["run", "--problem", "quadratic_sum", "--variant",
+                     "stoch_dynamic", "--seed", "3", "--start", ",".join(["0"] * 10),
+                     "--batch-size", "2", "--iterations", "3",
+                     "--out", str(tmp_path)]) == 0
 
     def test_criteria_section_keeps_modified_newton_delta(self, tmp_path):
         cfg = tmp_path / "mn.cfg"
@@ -495,16 +510,18 @@ class TestOptionSurface:
             descent_direction: ("strategy", "g", "H", "criteria",
                                 "enforce_norm_band", "eig"),
             negative_curvature_direction: ("eig", "H", "g", "criteria"),
-            direction_from_eigenpair: ("eig", "g", "criteria"),
             certify_curvature_direction: ("d", "H", "lam", "g", "criteria",
                                           "check_norm_cap"),
-            leftmost_eigenpair: ("H",),
+            leftmost_eigenpair: ("H", "g"),
             truncated_cg: ("H", "g", "max_iterations"),
             modified_newton_shift: ("H", "eig"),
         }
         for function, names in parameters.items():
             assert tuple(inspect.signature(function).parameters) == names, \
                 function.__name__
+        # the shift always reuses the eigenpair's decomposition
+        eig = inspect.signature(modified_newton_shift).parameters["eig"]
+        assert eig.default is inspect.Parameter.empty
         fields = {
             StochasticStepConfig: ("alpha_constant", "moment_bounds",
                                    "gradient_lipschitz", "delta", "gamma"),

@@ -85,6 +85,24 @@ class TestRunExperiment:
         assert summary["seed"] == 3
         assert summary["total_iterations"] == 40
 
+    @pytest.mark.parametrize("variant, alpha, fevals", [
+        # per iteration an estimate at x and at x_hat, plus one per
+        # curvature trial (10 here), then the final exact f
+        ("stoch_dynamic", None, 30 + 30 + 10 + 1),
+        # per iteration an estimate at x, then the final exact f
+        ("stoch_two_step", 0.01, 30 + 1),
+    ])
+    def test_stochastic_total_fevals_counts_every_value(self, tmp_path, variant,
+                                                        alpha, fevals):
+        config = ExperimentConfig(variant=variant, problem="quadratic_sum", seed=0,
+                                  batch_size=2, iterations=30, alpha=alpha,
+                                  out_dir=str(tmp_path))
+        report, paths = run_experiment(config)
+        if variant == "stoch_dynamic":
+            assert sum(r.d_norm > 0.0 for r in report.records) == 10
+        assert report.total_fevals == fevals
+        assert load_report_summary(paths["report"])["total_fevals"] == fevals
+
     def test_two_step_variant(self, tmp_path):
         config = ExperimentConfig(variant="two_step", problem="sphere",
                                   alpha=0.5, beta=0.1, out_dir=str(tmp_path))
@@ -102,7 +120,9 @@ class TestRunExperiment:
         partial.finish(None)
 
         def boom(config, problem, x0):
-            raise InnerLoopStall("stalled", partial)
+            err = InnerLoopStall("stalled")
+            err.report = partial
+            raise err
 
         monkeypatch.setattr("ncopt.harness._run_solver", boom)
         config = ExperimentConfig(variant="dynamic_sd", problem="sphere",
@@ -204,6 +224,13 @@ class TestCampaign:
             _, table_path, _ = campaign(pairs, out_dir=out)
             outputs.append(open(table_path).read())
         assert outputs[0] == outputs[1]
+
+    def test_seed_goes_only_to_problems_without_a_start(self):
+        for pair in standard_campaign_pairs(seed=7):
+            for config in pair:
+                assert config.seed == (7 if config.start is None else None)
+        with pytest.raises(UsageError, match="seed"):
+            standard_campaign_pairs(seed=-1, problems=["quartic_saddle"])
 
     def test_empty_suite_rejected(self):
         with pytest.raises(UsageError):

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +7,7 @@ from ncopt.linalg import (
     CgStatus,
     KernelError,
     _check_symmetric,
+    _leftmost_multiplicity,
     eigenspace_direction,
     leftmost_eigenpair,
     modified_newton_shift,
@@ -19,7 +18,7 @@ from ncopt.problems import make_problem
 from ncopt.steps import (
     DirectionCriteria,
     certify_curvature_direction,
-    direction_from_eigenpair,
+    negative_curvature_direction,
 )
 from reference_eigen import reference_extreme_eigenvalues, reference_leftmost_eigenpair
 
@@ -125,8 +124,6 @@ class TestLeftmostEigenpair:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(KernelError, match="did not converge"):
             leftmost_eigenpair(np.eye(3))
-        with pytest.raises(KernelError):
-            modified_newton_shift(np.eye(3))
 
     def test_result_carries_the_decomposition(self):
         H = np.diag([3.0, -1.0, 2.0])
@@ -134,7 +131,9 @@ class TestLeftmostEigenpair:
         np.testing.assert_allclose(res.values, [-1.0, 2.0, 3.0])
         np.testing.assert_allclose(H @ res.vectors, res.vectors * res.values,
                                    atol=1e-14)
-        assert res.leftmost_basis.shape == (3, 1)
+        assert _leftmost_multiplicity(res.values) == 1
+        assert abs(float(res.leftmost_vector @ res.vectors[:, 0])) == \
+            pytest.approx(1.0, abs=1e-15)
 
 
 class TestTruncatedCg:
@@ -234,20 +233,22 @@ def _shift_bisection_oracle(H, cap, hi=1e6, iters=200):
 
 class TestModifiedNewtonShift:
     def test_already_well_conditioned(self):
-        delta, solve = modified_newton_shift(np.diag([1.0, 2.0]))
+        H = np.diag([1.0, 2.0])
+        delta, solve = modified_newton_shift(H, leftmost_eigenpair(H))
         assert delta == 0.0
         np.testing.assert_allclose(solve(np.array([1.0, 2.0])), [1.0, 1.0])
 
     def test_indefinite_analytic_value(self):
         # solve (2 + delta)/(delta - 1) = 1e8 for delta
         H = np.diag([-1.0, 2.0])
-        delta, _ = modified_newton_shift(H)
+        delta, _ = modified_newton_shift(H, leftmost_eigenpair(H))
         expected = 1.0 + 3.0 / (1e8 - 1.0)
         assert delta == pytest.approx(expected, abs=1e-10)
         assert delta == pytest.approx(_shift_bisection_oracle(H, 1e8), abs=1e-6)
 
     def test_zero_matrix_hits_floor(self):
-        delta, _ = modified_newton_shift(np.zeros((2, 2)))
+        H = np.zeros((2, 2))
+        delta, _ = modified_newton_shift(H, leftmost_eigenpair(H))
         assert delta == pytest.approx(1e-8)
 
     def test_random_matrices_satisfy_both_conditions(self):
@@ -256,7 +257,7 @@ class TestModifiedNewtonShift:
         for _ in range(100):
             n = int(rng.integers(1, 15))
             H = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 10.0)))
-            delta, solve = modified_newton_shift(H)
+            delta, solve = modified_newton_shift(H, leftmost_eigenpair(H))
             B = H + delta * np.eye(n)
             lmin, lmax = reference_extreme_eigenvalues(B)
             assert lmin > 0.0
@@ -267,18 +268,6 @@ class TestModifiedNewtonShift:
                 assert hmin <= 0.0 or hmax > cap * hmin
             rhs = rng.normal(size=n)
             np.testing.assert_allclose(B @ solve(rhs), rhs, atol=1e-8 * max(1.0, np.abs(rhs).max()))
-
-    def test_reuses_the_eigenpair_decomposition(self):
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            n = int(rng.integers(1, 12))
-            H = random_symmetric(rng, n, scale=3.0)
-            rhs = rng.normal(size=n)
-            delta, solve = modified_newton_shift(H)
-            shared_delta, shared_solve = modified_newton_shift(
-                H, eig=leftmost_eigenpair(H))
-            assert shared_delta == delta
-            np.testing.assert_array_equal(shared_solve(rhs), solve(rhs))
 
 
 def test_kernel_error_type_exists():
@@ -304,10 +293,10 @@ def repeated_leftmost(draw):
     return 0.5 * (H + H.T), Q, k, rng
 
 
-def _rotate_leftmost_basis(eig, R):
-    k = R.shape[0]
-    return replace(eig, vectors=np.hstack([eig.vectors[:, :k] @ R,
-                                           eig.vectors[:, k:]]))
+def _rotated_leftmost_basis(eig, R):
+    """Another orthonormal basis of eig's leftmost eigenspace, as LAPACK
+    could have returned it: its own basis rotated by the orthogonal R."""
+    return eig.vectors[:, :R.shape[0]] @ R
 
 
 class TestRepeatedLeftmostEigenvalue:
@@ -320,38 +309,38 @@ class TestRepeatedLeftmostEigenvalue:
     def test_direction_most_aligned_with_minus_g(self, case):
         H, Q, k, rng = case
         n = H.shape[0]
-        eig = leftmost_eigenpair(H)
-        assert eig.leftmost_basis.shape[1] == k
         # g has a unit projection onto the eigenspace plus an orthogonal part
         u = rng.normal(size=k)
         g = Q[:, :k] @ (u / np.linalg.norm(u)) \
             + Q[:, k:] @ (rng.uniform(0.0, 3.0) * rng.normal(size=n - k))
-        d = direction_from_eigenpair(eig, g, self.criteria)
+        eig = leftmost_eigenpair(H, g)
+        assert _leftmost_multiplicity(eig.values) == k
+        d = negative_curvature_direction(eig, H, g, self.criteria)
         pg = Q[:, :k] @ (Q[:, :k].T @ g)
         np.testing.assert_allclose(d, -0.7 * abs(eig.leftmost_value) * pg
                                    / np.linalg.norm(pg), rtol=0, atol=1e-10)
         certify_curvature_direction(d, H, eig.leftmost_value, g, self.criteria)
-        rotated = _rotate_leftmost_basis(eig, _orthogonal(rng, k))
-        np.testing.assert_allclose(direction_from_eigenpair(rotated, g, self.criteria),
-                                   d, rtol=0, atol=1e-12)
+        rotated = _rotated_leftmost_basis(eig, _orthogonal(rng, k))
+        np.testing.assert_allclose(eigenspace_direction(rotated, g),
+                                   eig.leftmost_vector, rtol=0, atol=1e-12)
 
     @given(repeated_leftmost())
     def test_fallback_when_g_has_no_projection(self, case):
         H, Q, k, rng = case
         n = H.shape[0]
-        eig = leftmost_eigenpair(H)
-        rotated = _rotate_leftmost_basis(eig, _orthogonal(rng, k))
+        # without g the fixed vector is P e_j / ||P e_j|| for the first j
+        # with a projection, largest entry > 0
+        base = leftmost_eigenpair(H)
+        v = base.leftmost_vector
+        rotated = _rotated_leftmost_basis(base, _orthogonal(rng, k))
         g_orthogonal = Q[:, k:] @ rng.normal(size=n - k)
         for g in (g_orthogonal, np.zeros(n), None):
-            d = direction_from_eigenpair(eig, g, self.criteria)
+            eig = leftmost_eigenpair(H, g)
+            np.testing.assert_array_equal(eig.leftmost_vector, v)
+            d = negative_curvature_direction(eig, H, g, self.criteria)
             certify_curvature_direction(d, H, eig.leftmost_value, g, self.criteria)
-            np.testing.assert_allclose(direction_from_eigenpair(rotated, g, self.criteria),
-                                       d, rtol=0, atol=1e-12)
-        # without g the fixed vector is the eigenpair's own leftmost_vector:
-        # P e_j / ||P e_j|| for the first j with a projection, largest entry > 0
-        v = eig.leftmost_vector
-        np.testing.assert_allclose(eigenspace_direction(rotated.leftmost_basis), v,
-                                   rtol=0, atol=1e-12)
+            np.testing.assert_allclose(eigenspace_direction(rotated, g),
+                                       eig.leftmost_vector, rtol=0, atol=1e-12)
         P = Q[:, :k] @ Q[:, :k].T
         j = int(np.argmax(np.linalg.norm(P, axis=0) > 1e-8))
         expected = P[:, j] / np.linalg.norm(P[:, j])
@@ -365,10 +354,10 @@ class TestRepeatedLeftmostEigenvalue:
         problem = make_problem("rastrigin")
         x = np.array(CAMPAIGN_STARTS["rastrigin"], dtype=float)
         H, g = problem.hessian(x), problem.gradient(x)
-        eig = leftmost_eigenpair(H)
-        assert eig.leftmost_basis.shape[1] == 3
+        eig = leftmost_eigenpair(H, g)
+        assert _leftmost_multiplicity(eig.values) == 3
         criteria = DirectionCriteria()
-        d = direction_from_eigenpair(eig, g, criteria)
+        d = negative_curvature_direction(eig, H, g, criteria)
         certify_curvature_direction(d, H, eig.leftmost_value, g, criteria)
         tied = [0, 1, 4]
         expected = np.zeros(5)
@@ -377,5 +366,5 @@ class TestRepeatedLeftmostEigenvalue:
                                    rtol=0, atol=1e-9)
         R = _orthogonal(np.random.default_rng(5), 3)
         np.testing.assert_allclose(
-            direction_from_eigenpair(_rotate_leftmost_basis(eig, R), g, criteria),
-            d, rtol=0, atol=1e-12)
+            eigenspace_direction(_rotated_leftmost_basis(eig, R), g),
+            eig.leftmost_vector, rtol=0, atol=1e-12)

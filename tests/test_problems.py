@@ -31,8 +31,6 @@ class TestEvaluate:
         p.evaluate(np.zeros(2))
         p.evaluate(np.ones(2))
         assert p.evaluation_count == 2
-        p.reset_counters()
-        assert p.evaluation_count == 0
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from ncopt.steps import (
     LipschitzState,
     certify_curvature_direction,
     descent_direction,
-    direction_from_eigenpair,
     lipschitz_hat,
     model_reduction_curvature,
     model_reduction_descent,
@@ -78,9 +77,9 @@ class TestNegativeCurvatureDirection:
         assert checked > 20
 
     def test_tiny_negative_lambda_treated_as_zero(self):
-        eig = leftmost_eigenpair(np.diag([1.0, 1.0]))
-        fake = dataclasses.replace(eig, leftmost_value=-1e-13)
-        d = direction_from_eigenpair(fake, np.zeros(2), DirectionCriteria())
+        H = np.diag([1.0, 1.0])
+        fake = dataclasses.replace(leftmost_eigenpair(H), leftmost_value=-1e-13)
+        d = negative_curvature_direction(fake, H, np.zeros(2))
         assert np.all(d == 0.0)
 
 
@@ -202,8 +201,7 @@ class TestOptimalStepsizes:
                 s = -g
             A = rng.normal(size=(n, n))
             H = 0.5 * (A + A.T) - 2.0 * np.eye(n)
-            eig = leftmost_eigenpair(H)
-            d = direction_from_eigenpair(eig, g, DirectionCriteria())
+            d = negative_curvature_direction(leftmost_eigenpair(H, g), H, g)
             if np.all(d == 0.0):
                 d = None
             state = LipschitzState(L_current=float(rng.uniform(0.5, 5.0)),
@@ -233,8 +231,7 @@ class TestOptimalStepsizes:
             A = rng.normal(size=(n, n))
             H = 0.5 * (A + A.T) - 2.0 * np.eye(n)
             g = rng.normal(size=n)
-            eig = leftmost_eigenpair(H)
-            d = direction_from_eigenpair(eig, g, DirectionCriteria())
+            d = negative_curvature_direction(leftmost_eigenpair(H, g), H, g)
             if np.all(d == 0.0):
                 continue
             state = LipschitzState(sigma_current=float(rng.uniform(0.5, 3.0)))
