@@ -2,12 +2,13 @@
 """Curvature noise in stochastic gradient steps.
 
 On a 10-D quadratic finite sum (20 components, mini-batches of 2) the
-two-step stochastic method takes x + alpha*s + beta*omega*d, where s is a
+two-step stochastic method takes x + alpha*(s + omega*d), where s is a
 mini-batch gradient step, d is a leftmost-eigenvector direction of an
 independent Hessian estimate scaled to ||s||, and omega is uniform on
 [-1, 1].  Because omega*d has zero mean, the method keeps the plain SGD
-mean-square-gradient guarantee; this script measures the moment constants,
-picks the admissible constant stepsize, and checks the bound empirically.
+mean-square-gradient guarantee; this script measures the moment envelope
+E||s||^2 <= M1 + M2 ||grad f||^2 (which bounds d too), picks the
+admissible constant stepsize, and checks the bound empirically.
 """
 
 import numpy as np
@@ -28,8 +29,8 @@ L = problem.local_gradient_lipschitz
 
 probe = StochasticOracle(problem, batch_size=2, seed=2024)
 moments = measure_moment_constants(probe, x0, draws=4000)
-print("measured moment envelope: M_s1=%.3f M_s2=%.2f (d inherits them)"
-      % (moments.M_s1, moments.M_s2))
+print("measured moment envelope: M1=%.3f M2=%.2f (d inherits it)"
+      % (moments.M1, moments.M2))
 
 alpha = admissible_constant_step(moments, L)
 print("gradient Lipschitz constant L=%.3f -> admissible constant step %.5f"

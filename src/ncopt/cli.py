@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from ncopt.deterministic import SOLVER_FAILURES
 from ncopt.harness import (
     CONFIG_KEYS,
@@ -141,11 +143,14 @@ def main(argv=None):
         for name in list_problems():
             print(name)
         return 0
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    return _cmd_campaign(args)
+    # a solve that overflows already ends as an EvaluationError with its
+    # own message; NumPy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "compare":
+            return _cmd_compare(args)
+        return _cmd_campaign(args)
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ from ncopt.linalg import KernelError, leftmost_eigenpair
 from ncopt.problems import EvaluationError
 from ncopt.steps import (
     ConditionViolation,
-    DirectionCriteria,
     LipschitzState,
+    default_criteria,
     descent_direction,
     lipschitz_hat,
     model_reduction_curvature,
@@ -233,11 +233,14 @@ def two_step_solve(problem, criteria=None, alpha=None, beta=None,
     with documented constants.  Returns the current iterate as soon as the
     curvature direction and the gradient vanish.  An EvaluationError, KernelError or
     ConditionViolation raised mid-solve carries the partial report as
-    `report`.
+    `report`.  Without criteria it uses `default_criteria(strategy)`.  A
+    modified-Newton descent step must also keep ||s||/||g|| in
+    [zeta, eta], which the default band [1, 1] admits only where H is a
+    multiple of I, so a modified-Newton caller gives its own zeta and eta.
     """
     if alpha is None or beta is None or alpha <= 0.0 or beta <= 0.0:
         raise ValueError("two_step_solve needs positive fixed stepsizes")
-    criteria = criteria or DirectionCriteria()
+    criteria = criteria or default_criteria(strategy)
 
     def step(k, x, f, g, gnorm, H, eig, d):
         has_d = bool(np.any(d != 0.0))
@@ -276,8 +279,9 @@ def dynamic_solve(problem, criteria=None, strategy="steepest",
     With use_curvature=False the curvature direction is suppressed, giving
     the descent-only twin used as a comparison baseline.  Every member of
     SOLVER_FAILURES raised mid-solve carries the partial report as `report`.
+    Without criteria it uses `default_criteria(strategy)`.
     """
-    criteria = criteria or DirectionCriteria()
+    criteria = criteria or default_criteria(strategy)
     state = replace(lipschitz_init or LipschitzState())
 
     def step(k, x, f, g, gnorm, H, eig, d):

@@ -30,7 +30,7 @@ from ncopt.deterministic import (
 )
 from ncopt.finite_sum import FiniteSumProblem, StochasticOracle, load_dataset
 from ncopt.problems import list_problems, make_problem
-from ncopt.steps import DirectionCriteria, LipschitzState
+from ncopt.steps import DirectionCriteria, LipschitzState, default_criteria
 from ncopt.stochastic import (
     SafeguardConfig,
     StochasticReport,
@@ -124,7 +124,7 @@ class ConfigKey(NamedTuple):
 
 
 # the one place that says which INI key and which `ncopt run` flag set which
-# ExperimentConfig field; `load_config_file` and the CLI both read it
+# ExperimentConfig field; `config_from_settings` and the CLI both read it
 CONFIG_KEYS = (
     ConfigKey("experiment", "variant", "variant", str, "--variant",
               "solver variant: " + ", ".join(VARIANTS)),
@@ -152,8 +152,6 @@ CONFIG_KEYS = (
     ConfigKey("criteria", "gamma", "criteria.gamma", _real),
     ConfigKey("criteria", "theta", "criteria.theta", _real),
     ConfigKey("criteria", "delta", "criteria.delta", _real),
-    ConfigKey("criteria", "zeta", "criteria.zeta", _real),
-    ConfigKey("criteria", "eta", "criteria.eta", _real),
     ConfigKey("termination", "grad_tol_rel", "termination.grad_tol_rel", _real,
               "--grad-tol", "relative gradient tolerance"),
     ConfigKey("termination", "curv_tol_rel", "termination.curv_tol_rel", _real),
@@ -172,29 +170,35 @@ CONFIG_KEYS = (
 _CONFIG_KEYS_BY_NAME = {key.name: key for key in CONFIG_KEYS}
 _CONFIG_SECTIONS = tuple(dict.fromkeys(key.section for key in CONFIG_KEYS))
 
-# the sections and keys each variant reads, beyond the problem, data, seed,
-# start and output keys that every variant may read (see
-# `validate_config`); any other key set away from its default is a usage
-# error
+# the sections and keys that can change each variant's run, beyond
+# `_EVERY_RUN_READS` and the seed and dataset keys `validate_config` adds;
+# any other key set away from its default is a usage error.  A steepest
+# step -g meets every delta, and a descent-only run has no curvature
+# direction for gamma or theta to shape or certify
 VARIANT_READS = {
-    "two_step": ("criteria", "termination", "experiment.alpha", "experiment.beta"),
-    # without the norm band they read neither zeta nor eta
-    **dict.fromkeys(DETERMINISTIC_VARIANTS[1:],
-                    ("criteria.gamma", "criteria.theta", "criteria.delta",
-                     "termination", "lipschitz")),
-    "stoch_two_step": ("experiment.alpha", "experiment.batch_size",
-                       "experiment.iterations", "criteria.gamma"),
-    **dict.fromkeys(STOCHASTIC_VARIANTS[1:], ("safeguards", "experiment.batch_size",
-                                              "experiment.iterations")),
+    "two_step": ("criteria.gamma", "criteria.theta", "termination",
+                 "experiment.alpha", "experiment.beta"),
+    "dynamic_sd": ("criteria.gamma", "criteria.theta", "termination", "lipschitz"),
+    "dynamic_mn": ("criteria.gamma", "criteria.theta", "criteria.delta",
+                   "termination", "lipschitz"),
+    "dynamic_sd_descent_only": ("termination", "lipschitz"),
+    "dynamic_mn_descent_only": ("criteria.delta", "termination", "lipschitz"),
+    "stoch_two_step": ("criteria.gamma", "experiment.alpha",
+                       "experiment.batch_size", "experiment.iterations"),
+    "stoch_dynamic": ("safeguards", "experiment.batch_size",
+                      "experiment.iterations"),
+    "stoch_dynamic_descent_only": ("safeguards", "experiment.batch_size",
+                                   "experiment.iterations"),
 }
-# the keys only some variants read, each with a getter for the field it sets
-_VARIANT_KEYS = tuple(
-    (key.name, key.section, attrgetter(key.field)) for key in CONFIG_KEYS
-    if key.section != "experiment"
-    or any(key.name in reads for reads in VARIANT_READS.values()))
+_EVERY_RUN_READS = ("experiment.variant", "experiment.problem",
+                    "experiment.dataset", "experiment.label", "experiment.out",
+                    "experiment.start")
 _IGNORED_HINTS = {
     "termination.max_iterations": "; its budget is experiment.iterations",
     "experiment.iterations": "; its cap is termination.max_iterations",
+    "experiment.seed": " when experiment.start is set",
+    "experiment.dataset_model": " without experiment.dataset",
+    "experiment.dataset_has_header": " without experiment.dataset",
 }
 
 
@@ -222,25 +226,21 @@ def validate_config(config):
             raise UsageError("iterations: must be positive")
         if config.batch_size < 1:
             raise UsageError("batch_size: must be positive")
-    reads = VARIANT_READS[config.variant]
-    given = replace(config, criteria=variant_criteria(config.variant, config.criteria))
-    default = ExperimentConfig(criteria=variant_criteria(config.variant))
-    for name, section, setting in _VARIANT_KEYS:
-        if name not in reads and section not in reads and \
-                setting(given) != setting(default):
-            raise UsageError("%s: %s ignores it%s" % (
-                name, config.variant, _IGNORED_HINTS.get(name, "")))
+    reads = VARIANT_READS[config.variant] + _EVERY_RUN_READS
     # a deterministic variant draws its start from the seed only when no
     # start is given, and the dataset keys need a dataset
-    without_dataset = " without experiment.dataset"
-    for attr, unread, hint in (
-            ("seed", config.variant in DETERMINISTIC_VARIANTS
-             and config.start is not None, " when experiment.start is set"),
-            ("dataset_has_header", config.dataset is None, without_dataset),
-            ("dataset_model", config.dataset is None, without_dataset)):
-        if unread and getattr(config, attr) != getattr(default, attr):
-            raise UsageError("experiment.%s: %s ignores it%s"
-                             % (attr, config.variant, hint))
+    if config.variant in STOCHASTIC_VARIANTS or config.start is None:
+        reads += ("experiment.seed",)
+    if config.dataset is not None:
+        reads += ("experiment.dataset_model", "experiment.dataset_has_header")
+    given = replace(config, criteria=variant_criteria(config.variant, config.criteria))
+    default = ExperimentConfig(criteria=variant_criteria(config.variant))
+    for key in CONFIG_KEYS:
+        setting = attrgetter(key.field)
+        if key.name not in reads and key.section not in reads and \
+                setting(given) != setting(default):
+            raise UsageError("%s: %s ignores it%s" % (
+                key.name, config.variant, _IGNORED_HINTS.get(key.name, "")))
     stepsizes = {"two_step": ("alpha", "beta"), "stoch_two_step": ("alpha",)}
     for name in stepsizes.get(config.variant, ()):
         if not (getattr(config, name) or 0.0) > 0.0:
@@ -248,12 +248,14 @@ def validate_config(config):
                              % (name, config.variant, name))
 
 
+def _strategy(variant):
+    return "modified_newton" if "mn" in variant else "steepest"
+
+
 def variant_criteria(variant, criteria=None):
     if criteria is not None:
         return criteria
-    if "mn" in variant:
-        return DirectionCriteria(delta=1e-8)
-    return DirectionCriteria()
+    return default_criteria(_strategy(variant))
 
 
 def build_problem(config):
@@ -281,24 +283,22 @@ def starting_point(config, problem):
 
 def _run_solver(config, problem, x0):
     criteria = variant_criteria(config.variant, config.criteria)
-    strategy = "modified_newton" if "mn" in config.variant else "steepest"
     if config.variant == "two_step":
         return two_step_solve(problem, criteria, alpha=config.alpha,
                               beta=config.beta, termination=config.termination,
                               x0=x0)
     if config.variant in DETERMINISTIC_VARIANTS:
         return dynamic_solve(
-            problem, criteria, strategy=strategy, lipschitz_init=config.lipschitz,
-            termination=config.termination, x0=x0,
-            use_curvature=not config.variant.endswith("descent_only"),
+            problem, criteria, strategy=_strategy(config.variant),
+            lipschitz_init=config.lipschitz, termination=config.termination,
+            x0=x0, use_curvature=not config.variant.endswith("descent_only"),
         )
     oracle = StochasticOracle(problem, batch_size=config.batch_size,
                               seed=config.seed)
     if config.variant == "stoch_two_step":
-        step_config = StochasticStepConfig(alpha_constant=config.alpha,
-                                           gamma=criteria.gamma)
-        return two_step_stochastic_solve(oracle, step_config, config.iterations,
-                                         x0=x0)
+        return two_step_stochastic_solve(
+            oracle, StochasticStepConfig(alpha_constant=config.alpha),
+            config.iterations, x0=x0, criteria=criteria)
     return dynamic_stochastic_solve(
         oracle, config.safeguards, iterations=config.iterations, x0=x0,
         use_curvature=(config.variant != "stoch_dynamic_descent_only"),
@@ -522,7 +522,9 @@ def campaign(pairs, out_dir=None):
     """Run comparison pairs, keep rows where curvature was actually used,
     and write the sorted table plus one plot-data file per measure.
 
-    Individual failures are recorded and the campaign continues.
+    A run that raises a UsageError or one of SOLVER_FAILURES, the errors
+    `ncopt run` maps to its exit codes 2 and 3, becomes a row of
+    failures.csv and the campaign continues; any other error propagates.
     """
     if not pairs:
         raise UsageError("suite: campaign needs at least one experiment pair")
@@ -534,7 +536,7 @@ def campaign(pairs, out_dir=None):
             report_a, _ = run_experiment(replace(config_a, out_dir=out_dir))
             report_b, _ = run_experiment(replace(config_b, out_dir=out_dir))
             rows.append(compare(report_a, report_b))
-        except Exception as err:  # failures are per-row data, not fatal
+        except (UsageError, *SOLVER_FAILURES) as err:
             failures.append((config_b.problem or config_b.dataset, repr(err)))
     kept = [r for r in rows if r.used_negative_curvature]
     kept.sort(key=lambda r: r.f_measure, reverse=True)
@@ -604,8 +606,3 @@ def config_from_settings(settings):
         except ValueError as err:
             raise UsageError("%s: %s" % (name, err)) from None
     return config
-
-
-def load_config_file(path):
-    """The ExperimentConfig an INI file describes (see CONFIG_KEYS)."""
-    return config_from_settings(read_config_file(path))

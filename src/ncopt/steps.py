@@ -54,6 +54,13 @@ class DirectionCriteria:
             raise ValueError("eta must be at least 1")
 
 
+def default_criteria(strategy):
+    """The criteria a solver uses with `strategy` when given none: a
+    modified-Newton step has cosine 1 with -g only where H is a multiple of
+    I, so it is held to delta = 1e-8."""
+    return DirectionCriteria(delta=1e-8 if strategy == "modified_newton" else 1.0)
+
+
 @dataclass
 class LipschitzState:
     """Running curvature-constant estimates with their update clamps.

@@ -36,22 +36,19 @@ class ExpectedDecreaseViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class MomentBounds:
-    """Second-moment envelope constants for the stochastic directions.
+    """Second-moment envelope of the stochastic directions.
 
-    E||s||^2 <= M_s1 + M_s2 ||grad f||^2 and likewise (M_d1, M_d2) for the
-    curvature direction.  Documentation fields; measured empirically in test
-    mode.
+    E||s||^2 <= M1 + M2 ||grad f||^2.  The curvature direction d is scaled
+    to ||s||, so the same envelope bounds E||d||^2.
     """
 
-    M_s1: float
-    M_s2: float
-    M_d1: float
-    M_d2: float
+    M1: float
+    M2: float
 
 
 @dataclass
 class StochasticStepConfig:
-    """Constant stepsize and certification constants for the two-step method.
+    """Constant stepsize of the two-step method.
 
     `alpha_constant` is required and sizes both the gradient step and the
     curvature step.  With moment bounds and a gradient Lipschitz constant
@@ -61,16 +58,13 @@ class StochasticStepConfig:
     alpha_constant: float | None = None
     moment_bounds: MomentBounds | None = None
     gradient_lipschitz: float | None = None
-    delta: float = 1.0
-    gamma: float = 1.0
 
     def __post_init__(self):
         if self.alpha_constant is None or self.alpha_constant < 0.0:
             raise ValueError("alpha_constant must be set and nonnegative")
         if self.moment_bounds is not None and self.gradient_lipschitz is not None:
-            cap = admissible_constant_step(
-                self.moment_bounds, self.gradient_lipschitz, self.delta
-            )
+            cap = admissible_constant_step(self.moment_bounds,
+                                           self.gradient_lipschitz)
             if self.alpha_constant > cap * (1.0 + 1e-12):
                 raise ValueError(
                     "constant stepsize %.3e exceeds admissible bound %.3e"
@@ -78,9 +72,10 @@ class StochasticStepConfig:
                 )
 
 
-def admissible_constant_step(moments, gradient_lipschitz, delta=1.0):
-    """Largest constant stepsize admitted by the mean-square gradient bound."""
-    return delta / (2.0 * gradient_lipschitz * max(moments.M_s2, moments.M_d2))
+def admissible_constant_step(moments, gradient_lipschitz):
+    """Largest constant stepsize admitted by the mean-square gradient bound
+    (s = -(gradient estimate) has descent constant delta = 1)."""
+    return 1.0 / (2.0 * gradient_lipschitz * moments.M2)
 
 
 def constant_step_mean_square_bound(moments, gradient_lipschitz, delta, alpha,
@@ -88,7 +83,7 @@ def constant_step_mean_square_bound(moments, gradient_lipschitz, delta, alpha,
     """Bound on the average squared gradient norm over `iterations` iterates
     of the constant-stepsize two-step method."""
     return (
-        2.0 * alpha * gradient_lipschitz * max(moments.M_s1, moments.M_d1) / delta
+        2.0 * alpha * gradient_lipschitz * moments.M1 / delta
         + 2.0 * initial_gap / (iterations * delta * alpha)
     )
 
@@ -192,6 +187,19 @@ def _require_finite(x, value, gradient=None, hessian=None):
             raise EvaluationError("sampled %s has non-finite entries" % kind, x)
 
 
+def _sampled_estimates(x, oracle):
+    """Value, gradient and Hessian estimates at x from a fresh gradient batch
+    and an independent Hessian batch, plus the gradient batch; a non-finite
+    estimate raises EvaluationError."""
+    problem = oracle.problem
+    grad_batch = oracle.next_gradient_batch()
+    hess_batch = oracle.next_hessian_batch()
+    value_est, g_est = problem.batch_value_gradient(x, grad_batch)
+    H_est = problem.batch_hessian(x, hess_batch)
+    _require_finite(x, value_est, g_est, H_est)
+    return value_est, g_est, H_est, grad_batch
+
+
 def curvature_noise_step(x, oracle, alpha, criteria=None):
     """One iteration of the stochastic two-step method.
 
@@ -205,16 +213,11 @@ def curvature_noise_step(x, oracle, alpha, criteria=None):
         raise ValueError("stepsize must be positive")
     criteria = criteria or DirectionCriteria()
     x = np.asarray(x, dtype=float)
-    problem = oracle.problem
     index = oracle.draw_count(0) + 1
 
-    grad_batch = oracle.next_gradient_batch()
-    hess_batch = oracle.next_hessian_batch()
+    value_est, g_est, H_est, _ = _sampled_estimates(x, oracle)
     omega = oracle.next_omega()
-    value_est, g_est = problem.batch_value_gradient(x, grad_batch)
     s = -g_est
-    H_est = problem.batch_hessian(x, hess_batch)
-    _require_finite(x, value_est, g_est, H_est)
 
     eig = leftmost_eigenpair(H_est)
     lam = eig.leftmost_value
@@ -270,16 +273,16 @@ def _iterate(oracle, iterations, x0, track_exact, step, config):
 
 
 def two_step_stochastic_solve(oracle, config, iterations, x0=None,
-                              track_exact=True):
+                              track_exact=True, criteria=None):
     """Run the stochastic two-step method for a fixed iteration budget, with
-    `config.alpha_constant` sizing both steps.
+    `config.alpha_constant` sizing both steps and `criteria.gamma`
+    certifying each curvature direction.
 
     With track_exact the true gradient norm at each iterate is recorded so
     the mean-square gradient bound can be checked.  An EvaluationError,
     KernelError or ConditionViolation raised mid-solve carries the partial
     report as `report`.
     """
-    criteria = DirectionCriteria(gamma=config.gamma, delta=config.delta)
     alpha = config.alpha_constant
 
     def step(k, x):
@@ -316,11 +319,7 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
 
     def step(k, x):
         nonlocal L, sigma
-        grad_batch = oracle.next_gradient_batch()
-        hess_batch = oracle.next_hessian_batch()
-        f_here, g_est = problem.batch_value_gradient(x, grad_batch)
-        H_est = problem.batch_hessian(x, hess_batch)
-        _require_finite(x, f_here, g_est, H_est)
+        f_here, g_est, H_est, grad_batch = _sampled_estimates(x, oracle)
         cg = truncated_cg(H_est, g_est, max_iterations=CG_MAX_ITERATIONS)
         s = cg.solution
         d = (cg.curvature_direction
@@ -391,7 +390,7 @@ def measure_moment_constants(oracle, x, draws=10000):
         s = -problem.batch_gradient(x, batch)
         deviations[i] = float((s + exact_g) @ (s + exact_g))
     m1 = _MOMENT_MARGIN * float(np.mean(deviations)) + _TINY
-    return MomentBounds(M_s1=m1, M_s2=_MOMENT_MARGIN, M_d1=m1, M_d2=_MOMENT_MARGIN)
+    return MomentBounds(M1=m1, M2=_MOMENT_MARGIN)
 
 
 @dataclass
@@ -429,18 +428,17 @@ def expected_descent_check(problem, x, config, replications, seed=0,
     gnorm2 = float(g @ g)
 
     decreases = np.empty(replications)
-    criteria = DirectionCriteria(gamma=config.gamma)
     for i in range(replications):
-        x_next, _ = curvature_noise_step(x, oracle, alpha, criteria)
+        x_next, _ = curvature_noise_step(x, oracle, alpha)
         decreases[i] = problem.evaluate(x_next) - f_x
     empirical = float(np.mean(decreases))
     stderr = float(np.std(decreases, ddof=1) / np.sqrt(replications)) \
         if replications > 1 else 0.0
     bound = (
-        -(config.delta * alpha - 0.5 * L * moments.M_s2 * alpha ** 2
-          - L * moments.M_d2 * alpha ** 2 / 6.0) * gnorm2
-        + 0.5 * L * moments.M_s1 * alpha ** 2
-        + L * moments.M_d1 * alpha ** 2 / 6.0
+        -(alpha - 0.5 * L * moments.M2 * alpha ** 2
+          - L * moments.M2 * alpha ** 2 / 6.0) * gnorm2
+        + 0.5 * L * moments.M1 * alpha ** 2
+        + L * moments.M1 * alpha ** 2 / 6.0
     )
     if empirical > bound + 3.0 * stderr:
         raise ExpectedDecreaseViolation(

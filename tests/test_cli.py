@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import inspect
 import json
+import os
 import subprocess
 import sys
 
@@ -21,7 +22,8 @@ from ncopt.harness import (
     CONFIG_KEYS,
     TRACE_COLUMNS,
     ExperimentConfig,
-    load_config_file,
+    config_from_settings,
+    read_config_file,
 )
 from ncopt.linalg import (
     EigenResult,
@@ -35,12 +37,15 @@ from ncopt.steps import (
     DirectionCriteria,
     LipschitzState,
     certify_curvature_direction,
+    default_criteria,
     descent_direction,
     negative_curvature_direction,
 )
 from ncopt.stochastic import (
+    MomentBounds,
     SafeguardConfig,
     StochasticStepConfig,
+    admissible_constant_step,
     curvature_noise_step,
     dynamic_stochastic_solve,
     expected_descent_check,
@@ -221,13 +226,14 @@ class TestRun:
          "[experiment]\nproblem = quadratic_sum\nvariant = stoch_two_step\n"
          "seed = 0\nbatch_size = 2\nalpha = 0.01\n[safeguards]\nmax_s_norm = 5\n",
          "safeguards.max_s_norm: stoch_two_step ignores it"),
-        # the dynamic methods skip the descent norm band
+        # a steepest step -g has cosine 1 with -g, whatever delta asks
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\nvariant = dynamic_sd\n"
-         "[criteria]\nzeta = 0.5\n", "criteria.zeta: dynamic_sd ignores it"),
+         "[criteria]\ndelta = 0.3\n", "criteria.delta: dynamic_sd ignores it"),
         (["run", "--config", "{cfg}"],
-         "[experiment]\nproblem = sphere\nvariant = dynamic_sd\n"
-         "[criteria]\neta = 3\n", "criteria.eta: dynamic_sd ignores it"),
+         "[experiment]\nproblem = sphere\nvariant = two_step\nalpha = 0.5\n"
+         "beta = 0.5\n[criteria]\ndelta = 0.3\n",
+         "criteria.delta: two_step ignores it"),
         # a deterministic variant reads the seed only to draw a start
         (["run", "--problem", "sphere", "--variant", "dynamic_sd", "--seed", "3",
           "--start", "1,1"], None, "experiment.seed: dynamic_sd ignores it"),
@@ -237,6 +243,16 @@ class TestRun:
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\ndataset_model = two_layer\n",
          "experiment.dataset_model: dynamic_sd ignores it"),
+        # a descent-only variant certifies no curvature direction
+        *((["run", "--config", "{cfg}"],
+           "[experiment]\nproblem = sphere\nvariant = %s\n[criteria]\n%s = %s\n"
+           % (variant, key, value), "criteria.%s: %s ignores it" % (key, variant))
+          for variant in ("dynamic_sd_descent_only", "dynamic_mn_descent_only")
+          for key, value in (("gamma", "0.5"), ("theta", "2"))),
+        # ||-g||/||g|| = 1 lies in every norm band, so no band is a key
+        (["run", "--config", "{cfg}"],
+         "[experiment]\nproblem = sphere\nvariant = two_step\nalpha = 0.5\n"
+         "beta = 0.5\n[criteria]\nzeta = 0.5\n", "criteria.zeta: unknown key"),
     ])
     def test_bad_input_is_usage_error_naming_key(self, tmp_path, capsys, argv,
                                                  ini, key):
@@ -353,6 +369,21 @@ def test_console_entry_point(tmp_path):
     assert "rosenbrock2" in proc.stdout
 
 
+def test_overflow_prints_only_the_abnormal_termination(tmp_path):
+    # the overflowing rosenbrock value ends the solve as an EvaluationError;
+    # NumPy's overflow warning would only repeat it
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncopt.cli", "run", "--problem", "rosenbrock2",
+         "--variant", "two_step", "--alpha", "10", "--beta", "10",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == ("solver abnormal termination: "
+                           "objective evaluated to inf\n")
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("NCOPT_OUTPUT_DIR", str(tmp_path / "from_env"))
     assert main(["run", "--problem", "sphere", "--variant", "dynamic_sd"]) == 0
@@ -378,8 +409,6 @@ start = 0.5, -1.5
 gamma = 0.5
 theta = 2.0
 delta = 0.25
-zeta = 0.75
-eta = 3.0
 [termination]
 grad_tol_rel = 1e-7
 curv_tol_rel = 1e-6
@@ -409,8 +438,8 @@ FILE_FIELDS = {
     "variant": "dynamic_mn", "problem": "rosenbrock2", "dataset": "data.csv",
     "dataset_has_header": True, "dataset_model": "two_layer",
     "start": [0.5, -1.5], "seed": 13,
-    "criteria": {"gamma": 0.5, "theta": 2.0, "delta": 0.25, "zeta": 0.75,
-                 "eta": 3.0},
+    "criteria": {"gamma": 0.5, "theta": 2.0, "delta": 0.25, "zeta": 1.0,
+                 "eta": 1.0},
     "termination": {"grad_tol_rel": 1e-7, "curv_tol_rel": 1e-6,
                     "max_iterations": 77, "min_step_norm": 1e-12},
     "lipschitz": {"L_current": 2.5, "sigma_current": 3.5, "rho": 4.0},
@@ -445,7 +474,8 @@ class TestOptionSurface:
     def test_every_ini_key(self, tmp_path):
         path = tmp_path / "all.cfg"
         path.write_text(ALL_KEYS_INI)
-        assert _fields(load_config_file(str(path))) == FILE_FIELDS
+        config = config_from_settings(read_config_file(str(path)))
+        assert _fields(config) == FILE_FIELDS
 
     def test_every_flag(self):
         expected = _fields(ExperimentConfig())
@@ -479,7 +509,7 @@ class TestOptionSurface:
                 "variant", "problem", "dataset", "dataset_model",
                 "dataset_has_header", "label", "out", "seed", "alpha", "beta",
                 "batch_size", "iterations", "start")
-        } | {"criteria." + k for k in ("gamma", "theta", "delta", "zeta", "eta")} | {
+        } | {"criteria." + k for k in ("gamma", "theta", "delta")} | {
             "termination." + k for k in (
                 "grad_tol_rel", "curv_tol_rel", "max_iterations", "min_step_norm")
         } | {"lipschitz." + k for k in ("l_init", "sigma_init", "rho")} | {
@@ -487,7 +517,7 @@ class TestOptionSurface:
                 "max_s_norm", "max_ratio_d_to_s", "inflate_factor", "l_init",
                 "sigma_init")
         }
-        assert len(CONFIG_KEYS) == 30
+        assert len(CONFIG_KEYS) == 28
 
     def test_library_surface_is_fixed(self):
         """The solvers', steps' and kernels' parameters and the constants
@@ -499,17 +529,19 @@ class TestOptionSurface:
             dynamic_solve: ("problem", "criteria", "strategy", "lipschitz_init",
                             "termination", "x0", "use_curvature"),
             two_step_stochastic_solve: ("oracle", "config", "iterations", "x0",
-                                        "track_exact"),
+                                        "track_exact", "criteria"),
             dynamic_stochastic_solve: ("oracle", "safeguards", "iterations", "x0",
                                        "use_curvature", "track_exact"),
             curvature_noise_step: ("x", "oracle", "alpha", "criteria"),
             measure_moment_constants: ("oracle", "x", "draws"),
+            admissible_constant_step: ("moments", "gradient_lipschitz"),
             expected_descent_check: ("problem", "x", "config", "replications",
                                      "seed", "batch_size", "moments",
                                      "measure_draws"),
             descent_direction: ("strategy", "g", "H", "criteria",
                                 "enforce_norm_band", "eig"),
             negative_curvature_direction: ("eig", "H", "g", "criteria"),
+            default_criteria: ("strategy",),
             certify_curvature_direction: ("d", "H", "lam", "g", "criteria",
                                           "check_norm_cap"),
             leftmost_eigenpair: ("H", "g"),
@@ -524,7 +556,8 @@ class TestOptionSurface:
         assert eig.default is inspect.Parameter.empty
         fields = {
             StochasticStepConfig: ("alpha_constant", "moment_bounds",
-                                   "gradient_lipschitz", "delta", "gamma"),
+                                   "gradient_lipschitz"),
+            MomentBounds: ("M1", "M2"),
             LipschitzState: ("L_current", "sigma_current", "rho"),
             SafeguardConfig: ("max_s_norm", "max_ratio_d_to_s", "inflate_factor",
                               "L_init", "sigma_init"),

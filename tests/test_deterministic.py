@@ -16,6 +16,7 @@ from ncopt.deterministic import (
 from ncopt.problems import (
     EvaluationError,
     ObjectiveProblem,
+    list_problems,
     make_problem,
     quartic_saddle,
     random_quadratic,
@@ -204,6 +205,15 @@ class TestDynamic:
                                strategy="modified_newton")
         assert report.termination_reason is TerminationReason.TOLERANCE_MET
         assert report.final_f <= 1e-8
+
+    @pytest.mark.parametrize("name", list_problems())
+    def test_modified_newton_runs_at_default_criteria(self, name):
+        # the default criteria follow the strategy: delta = 1 would reject
+        # every shifted-Newton step whose Hessian is not a multiple of I
+        report = dynamic_solve(make_problem(name), strategy="modified_newton",
+                               termination=TerminationSpec(max_iterations=200))
+        assert report.termination_reason is not None
+        assert report.config["criteria"]["delta"] == 1e-8
 
     def test_inner_loop_bounded_on_quadratic_with_known_constants(self):
         p = random_quadratic(6, spectrum=np.linspace(2.0, 60.0, 6), seed=4)

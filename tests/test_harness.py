@@ -1,24 +1,35 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ncopt.deterministic import InnerLoopStall, SolverReport, TerminationSpec
+from ncopt.deterministic import (
+    SOLVER_FAILURES,
+    InnerLoopStall,
+    SolverReport,
+    TerminationSpec,
+)
 from ncopt.harness import (
     CAMPAIGN_STARTS,
+    DETERMINISTIC_VARIANTS,
+    VARIANT_READS,
     ComparisonRow,
     ExperimentConfig,
     UsageError,
+    _run_solver,
     campaign,
     compare,
     config_from_settings,
-    load_config_file,
     load_report_summary,
+    read_config_file,
     run_experiment,
     standard_campaign_pairs,
     validate_config,
+    variant_criteria,
     write_trace_csv,
 )
+from ncopt.problems import list_problems, make_problem
 from ncopt.steps import DirectionCriteria
 from ncopt.stochastic import SafeguardConfig
 
@@ -47,6 +58,54 @@ class TestValidation:
                                   seed=1, out_dir=str(tmp_path))
         with pytest.raises(UsageError, match="finite-sum"):
             run_experiment(config)
+
+
+def _fingerprint(solve):
+    """Every record field and final value of a solve, or of the partial
+    report of the failure that cut it short, with the failure's type and
+    message; arrays count by their bytes, so two solves match only when
+    they are bit-identical."""
+    try:
+        report, failure = solve(), None
+    except SOLVER_FAILURES as err:
+        report, failure = err.report, "%s: %s" % (type(err).__name__, err)
+
+    def bits(value):
+        return value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+
+    records = [[bits(getattr(r, f.name)) for f in dataclasses.fields(r)]
+               for r in report.records]
+    finals = [bits(getattr(report, name)) for name in (
+        "termination_reason", "final_f", "final_gradient_norm", "final_lambda",
+        "total_fevals", "total_iterations")]
+    return failure, records, finals
+
+
+# an admissible value away from the default for each criteria constant
+OFF_DEFAULT_CRITERIA = {"gamma": 0.5, "theta": 2.0, "delta": 0.3, "zeta": 0.5,
+                        "eta": 3.0}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("variant", DETERMINISTIC_VARIANTS)
+def test_criteria_outside_the_variant_row_change_no_registry_run(variant):
+    # the basis for rejecting these keys: none of them moves a single bit
+    unread = [name for name in OFF_DEFAULT_CRITERIA
+              if "criteria." + name not in VARIANT_READS[variant]]
+    assert unread
+    base = ExperimentConfig(variant=variant, alpha=0.01, beta=0.1,
+                            termination=TerminationSpec(max_iterations=100))
+    for problem in list_problems():
+        def fingerprint(**changed):
+            config = dataclasses.replace(base, problem=problem, criteria=(
+                dataclasses.replace(variant_criteria(variant), **changed)))
+            return _fingerprint(lambda: _run_solver(config, make_problem(problem),
+                                                    None))
+
+        expected = fingerprint()
+        for name in unread:
+            assert fingerprint(**{name: OFF_DEFAULT_CRITERIA[name]}) == expected, \
+                (problem, name)
 
 
 class TestRunExperiment:
@@ -236,6 +295,35 @@ class TestCampaign:
         with pytest.raises(UsageError):
             campaign([])
 
+    @pytest.mark.parametrize("error, recorded", [
+        (InnerLoopStall("stalled"), True),
+        (UsageError("problem: bad"), True),
+        (TypeError("a bug"), False),
+    ])
+    def test_only_run_failures_become_rows(self, tmp_path, monkeypatch, error,
+                                           recorded):
+        # the errors `ncopt run` maps to exit codes are data; a bug is not
+        def raising(config):
+            raise error
+
+        monkeypatch.setattr("ncopt.harness.run_experiment", raising)
+        pairs = standard_campaign_pairs(out_dir=str(tmp_path),
+                                        problems=["quartic_saddle"])
+        if not recorded:
+            with pytest.raises(TypeError, match="a bug"):
+                campaign(pairs, out_dir=str(tmp_path))
+            return
+        with pytest.warns(UserWarning, match="negative curvature"):
+            rows, _, plots = campaign(pairs, out_dir=str(tmp_path))
+        assert rows == []
+        failures = (tmp_path / "failures.csv").read_text().splitlines()
+        assert plots["failures"] == str(tmp_path / "failures.csv")
+        assert failures == ["problem,error", "quartic_saddle,%s" % repr(error)]
+
+
+def _load(path):
+    return config_from_settings(read_config_file(path))
+
 
 class TestConfigFile:
     def test_file_values_and_flag_override(self, tmp_path):
@@ -253,7 +341,7 @@ class TestConfigFile:
             "[lipschitz]\n"
             "l_init = 2.5\n"
         )
-        config = load_config_file(str(path))
+        config = _load(str(path))
         assert config.problem == "quartic_saddle"
         assert config.seed == 9
         assert config.criteria.gamma == 0.5
@@ -263,7 +351,7 @@ class TestConfigFile:
 
     def test_missing_file(self):
         with pytest.raises(UsageError):
-            load_config_file("/nonexistent/x.cfg")
+            _load("/nonexistent/x.cfg")
 
     def test_safeguards_and_shared_key_names(self, tmp_path):
         # l_init and sigma_init name a field in both sections
@@ -279,7 +367,7 @@ class TestConfigFile:
             "L_INIT = 40\n"
             "sigma_init = 60\n"
         )
-        config = load_config_file(str(path))
+        config = _load(str(path))
         assert (config.lipschitz.L_current, config.lipschitz.sigma_current) == (2.5, 3.5)
         assert config.safeguards == SafeguardConfig(
             max_s_norm=5.0, max_ratio_d_to_s=0.1, inflate_factor=1.5,
@@ -288,7 +376,7 @@ class TestConfigFile:
     def test_criteria_start_from_the_variant(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("[experiment]\nvariant = dynamic_mn\n[criteria]\ngamma = 0.5\n")
-        config = load_config_file(str(path))
+        config = _load(str(path))
         assert config.criteria == DirectionCriteria(gamma=0.5, delta=1e-8)
 
     @pytest.mark.parametrize("text, key", [
@@ -307,7 +395,7 @@ class TestConfigFile:
         path = tmp_path / "exp.cfg"
         path.write_text(text)
         with pytest.raises(UsageError, match=key):
-            load_config_file(str(path))
+            _load(str(path))
 
     def test_settings_are_parsed_and_checked(self):
         config = config_from_settings({"termination.max_iterations": "5",

@@ -49,8 +49,8 @@ class TestStepConfig:
             StochasticStepConfig(alpha_constant=-0.1)
 
     def test_admissibility_check(self):
-        moments = MomentBounds(1.0, 1.5, 1.0, 1.5)
-        cap = admissible_constant_step(moments, gradient_lipschitz=2.0, delta=1.0)
+        moments = MomentBounds(1.0, 1.5)
+        cap = admissible_constant_step(moments, gradient_lipschitz=2.0)
         assert cap == pytest.approx(1.0 / 6.0)
         StochasticStepConfig(alpha_constant=cap, moment_bounds=moments,
                              gradient_lipschitz=2.0)
@@ -115,7 +115,7 @@ class TestTwoStepStochastic:
     def test_noiseless_constant_step_decays_geometrically(self):
         p = half_x_squared()
         oracle = StochasticOracle(p, batch_size=2, seed=1)
-        moments = MomentBounds(1e-12, 1.5, 1e-12, 1.5)
+        moments = MomentBounds(1e-12, 1.5)
         alpha = admissible_constant_step(moments, gradient_lipschitz=1.0)
         config = StochasticStepConfig(alpha_constant=alpha, moment_bounds=moments,
                                       gradient_lipschitz=1.0)
@@ -386,8 +386,7 @@ class TestMomentMeasurement:
             batch = check.next_gradient_batch()
             s = -p.batch_gradient(x, batch)
             s_sq.append(float(s @ s))
-        assert np.mean(s_sq) <= moments.M_s1 + moments.M_s2 * g2
-        assert moments.M_d1 == moments.M_s1
+        assert np.mean(s_sq) <= moments.M1 + moments.M2 * g2
 
 
 class TestExpectedDescentCheck:
