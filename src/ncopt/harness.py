@@ -168,13 +168,18 @@ CONFIG_KEYS = (
     ConfigKey("safeguards", "sigma_init", "safeguards.sigma_init", _real),
 )
 _CONFIG_KEYS_BY_NAME = {key.name: key for key in CONFIG_KEYS}
+# the ExperimentConfig field behind each setting `validate_config` checks:
+# every INI key, and the criteria a library caller can set without one
+_SETTINGS = {key.name: key.field for key in CONFIG_KEYS} | {
+    "criteria." + f.name: "criteria." + f.name for f in fields(DirectionCriteria)}
 _CONFIG_SECTIONS = tuple(dict.fromkeys(key.section for key in CONFIG_KEYS))
 
 # the sections and keys that can change each variant's run, beyond
 # `_EVERY_RUN_READS` and the seed and dataset keys `validate_config` adds;
 # any other key set away from its default is a usage error.  A steepest
 # step -g meets every delta, and a descent-only run has no curvature
-# direction for gamma or theta to shape or certify
+# direction for gamma or theta to shape or certify; the stochastic two-step
+# method certifies its scaled eigenvector at gamma = 1
 VARIANT_READS = {
     "two_step": ("criteria.gamma", "criteria.theta", "termination",
                  "experiment.alpha", "experiment.beta"),
@@ -183,8 +188,8 @@ VARIANT_READS = {
                    "termination", "lipschitz"),
     "dynamic_sd_descent_only": ("termination", "lipschitz"),
     "dynamic_mn_descent_only": ("criteria.delta", "termination", "lipschitz"),
-    "stoch_two_step": ("criteria.gamma", "experiment.alpha",
-                       "experiment.batch_size", "experiment.iterations"),
+    "stoch_two_step": ("experiment.alpha", "experiment.batch_size",
+                       "experiment.iterations"),
     "stoch_dynamic": ("safeguards", "experiment.batch_size",
                       "experiment.iterations"),
     "stoch_dynamic_descent_only": ("safeguards", "experiment.batch_size",
@@ -235,12 +240,12 @@ def validate_config(config):
         reads += ("experiment.dataset_model", "experiment.dataset_has_header")
     given = replace(config, criteria=variant_criteria(config.variant, config.criteria))
     default = ExperimentConfig(criteria=variant_criteria(config.variant))
-    for key in CONFIG_KEYS:
-        setting = attrgetter(key.field)
-        if key.name not in reads and key.section not in reads and \
+    for name, path in _SETTINGS.items():
+        setting = attrgetter(path)
+        if name not in reads and name.partition(".")[0] not in reads and \
                 setting(given) != setting(default):
             raise UsageError("%s: %s ignores it%s" % (
-                key.name, config.variant, _IGNORED_HINTS.get(key.name, "")))
+                name, config.variant, _IGNORED_HINTS.get(name, "")))
     stepsizes = {"two_step": ("alpha", "beta"), "stoch_two_step": ("alpha",)}
     for name in stepsizes.get(config.variant, ()):
         if not (getattr(config, name) or 0.0) > 0.0:
@@ -298,7 +303,7 @@ def _run_solver(config, problem, x0):
     if config.variant == "stoch_two_step":
         return two_step_stochastic_solve(
             oracle, StochasticStepConfig(alpha_constant=config.alpha),
-            config.iterations, x0=x0, criteria=criteria)
+            config.iterations, x0=x0)
     return dynamic_stochastic_solve(
         oracle, config.safeguards, iterations=config.iterations, x0=x0,
         use_curvature=(config.variant != "stoch_dynamic_descent_only"),

@@ -200,18 +200,17 @@ def _sampled_estimates(x, oracle):
     return value_est, g_est, H_est, grad_batch
 
 
-def curvature_noise_step(x, oracle, alpha, criteria=None):
+def curvature_noise_step(x, oracle, alpha):
     """One iteration of the stochastic two-step method.
 
     Draws a gradient-batch step s = -(gradient estimate), an independent
     Hessian estimate whose leftmost eigenvector (scaled to ||s||) gives the
-    curvature direction, and a uniform omega in [-1, 1]; the step is
+    curvature direction, certified at gamma = 1, and a uniform omega in [-1, 1]; the step is
     x + alpha*(s + omega*d).  Returns (x_next, record).  A non-finite
     estimate raises EvaluationError.
     """
     if not alpha > 0.0:
         raise ValueError("stepsize must be positive")
-    criteria = criteria or DirectionCriteria()
     x = np.asarray(x, dtype=float)
     index = oracle.draw_count(0) + 1
 
@@ -228,7 +227,7 @@ def curvature_noise_step(x, oracle, alpha, criteria=None):
         # leftmost_vector has a fixed sign (largest entry positive), which
         # keeps replays stable; omega makes the step zero-mean
         d = snorm * eig.leftmost_vector
-        certify_curvature_direction(d, H_est, lam, None, criteria,
+        certify_curvature_direction(d, H_est, lam, None, DirectionCriteria(),
                                     check_norm_cap=False)
 
     x_next = x + alpha * s + alpha * omega * d
@@ -273,10 +272,9 @@ def _iterate(oracle, iterations, x0, track_exact, step, config):
 
 
 def two_step_stochastic_solve(oracle, config, iterations, x0=None,
-                              track_exact=True, criteria=None):
+                              track_exact=True):
     """Run the stochastic two-step method for a fixed iteration budget, with
-    `config.alpha_constant` sizing both steps and `criteria.gamma`
-    certifying each curvature direction.
+    `config.alpha_constant` sizing both steps.
 
     With track_exact the true gradient norm at each iterate is recorded so
     the mean-square gradient bound can be checked.  An EvaluationError,
@@ -287,7 +285,7 @@ def two_step_stochastic_solve(oracle, config, iterations, x0=None,
 
     def step(k, x):
         # one value estimate, at x
-        return (*curvature_noise_step(x, oracle, alpha, criteria), 1)
+        return (*curvature_noise_step(x, oracle, alpha), 1)
 
     return _iterate(oracle, iterations, x0, track_exact, step, {
         "method": "stochastic_two_step",

@@ -253,6 +253,11 @@ class TestRun:
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\nvariant = two_step\nalpha = 0.5\n"
          "beta = 0.5\n[criteria]\nzeta = 0.5\n", "criteria.zeta: unknown key"),
+        # the stochastic two-step method certifies its direction at gamma = 1
+        (["run", "--config", "{cfg}"],
+         "[experiment]\nproblem = quadratic_sum\nvariant = stoch_two_step\n"
+         "seed = 0\nbatch_size = 2\nalpha = 0.01\n[criteria]\ngamma = 0.5\n",
+         "criteria.gamma: stoch_two_step ignores it"),
     ])
     def test_bad_input_is_usage_error_naming_key(self, tmp_path, capsys, argv,
                                                  ini, key):
@@ -272,8 +277,6 @@ class TestRun:
             "problem = quadratic_sum\n"
             "variant = stoch_two_step\n"
             "seed = 0\nbatch_size = 2\nalpha = 0.01\niterations = 5\n"
-            "[criteria]\n"
-            "gamma = 0.5\n"
         )
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
         # the default batch size, given explicitly, is not an ignored setting
@@ -529,10 +532,10 @@ class TestOptionSurface:
             dynamic_solve: ("problem", "criteria", "strategy", "lipschitz_init",
                             "termination", "x0", "use_curvature"),
             two_step_stochastic_solve: ("oracle", "config", "iterations", "x0",
-                                        "track_exact", "criteria"),
+                                        "track_exact"),
             dynamic_stochastic_solve: ("oracle", "safeguards", "iterations", "x0",
                                        "use_curvature", "track_exact"),
-            curvature_noise_step: ("x", "oracle", "alpha", "criteria"),
+            curvature_noise_step: ("x", "oracle", "alpha"),
             measure_moment_constants: ("oracle", "x", "draws"),
             admissible_constant_step: ("moments", "gradient_lipschitz"),
             expected_descent_check: ("problem", "x", "config", "replications",

@@ -14,6 +14,7 @@ from ncopt.harness import (
     CAMPAIGN_STARTS,
     DETERMINISTIC_VARIANTS,
     VARIANT_READS,
+    VARIANTS,
     ComparisonRow,
     ExperimentConfig,
     UsageError,
@@ -52,6 +53,23 @@ class TestValidation:
     def test_two_step_requires_stepsizes(self):
         with pytest.raises(UsageError, match="alpha"):
             validate_config(ExperimentConfig(variant="two_step", problem="sphere"))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("name", ["zeta", "eta"])
+    def test_criteria_without_a_key_are_checked_too(self, tmp_path, variant,
+                                                     name):
+        # no INI key sets zeta or eta, but a library caller still can
+        stepsizes = {"two_step": dict(alpha=0.5, beta=0.5),
+                     "stoch_two_step": dict(alpha=0.01)}.get(variant, {})
+        criteria = dataclasses.replace(variant_criteria(variant),
+                                       **{name: OFF_DEFAULT_CRITERIA[name]})
+        config = ExperimentConfig(variant=variant, problem="quadratic_sum",
+                                  seed=0, criteria=criteria,
+                                  out_dir=str(tmp_path), **stepsizes)
+        with pytest.raises(UsageError,
+                           match="^criteria.%s: %s ignores it$" % (name, variant)):
+            run_experiment(config)
+        assert not list(tmp_path.iterdir())
 
     def test_stochastic_needs_finite_sum_problem(self, tmp_path):
         config = ExperimentConfig(variant="stoch_dynamic", problem="sphere",
