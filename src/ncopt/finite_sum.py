@@ -2,8 +2,9 @@
 
 A finite-sum problem averages N component objectives; the full f, g, H are
 the exact means over all components.  The stochastic oracle draws
-mini-batches from independent counter-based random streams so a rerun with
-the same seed replays bit for bit regardless of solver branch structure.
+mini-batches from independent persistent random streams, spawned once from
+the seed, so a rerun with the same seed replays bit for bit regardless of
+solver branch structure.
 """
 
 from __future__ import annotations
@@ -343,17 +344,31 @@ STREAM_HESSIAN = 1
 STREAM_OMEGA = 2
 
 
+def _integer_argument(name, value):
+    """`value` as an int; a bool or a non-integral number is a ValueError
+    naming the argument instead of being truncated."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if value == int(value):
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError("%s must be an integer, got %r" % (name, value))
+
+
 class StochasticOracle:
     """Mini-batch sampler over a finite-sum problem.
 
     Three independent seeded streams (gradient, Hessian, curvature noise)
-    are realized as counter-based generators keyed by
-    (seed, stream, draw index): replays with the same seed are bitwise
-    identical and drawing from one stream never perturbs another.  An oracle
-    instance is single-consumer; give each solver run its own.
+    are persistent generators, one per stream, built once from
+    `np.random.SeedSequence(seed).spawn(3)` in that order; each draw
+    continues its own stream.  Replays with the same seed are bitwise
+    identical and drawing from one stream never perturbs another.  An
+    oracle instance is single-consumer; give each solver run its own.
     """
 
     def __init__(self, problem, batch_size, seed):
+        batch_size = _integer_argument("batch_size", batch_size)
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         if batch_size > problem.component_count:
@@ -362,29 +377,25 @@ class StochasticOracle:
                 % (batch_size, problem.component_count)
             )
         self.problem = problem
-        self.batch_size = int(batch_size)
-        self.seed = int(seed)
+        self.batch_size = batch_size
+        self.seed = _integer_argument("seed", seed)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        self._counters = {
-            STREAM_GRADIENT: 0,
-            STREAM_HESSIAN: 0,
-            STREAM_OMEGA: 0,
-        }
+        self._generators = [np.random.default_rng(sequence) for sequence
+                            in np.random.SeedSequence(self.seed).spawn(3)]
+        self._counts = [0, 0, 0]
 
     def draw_count(self, stream):
         """How many draws the given stream has produced so far."""
-        return self._counters[stream]
+        return self._counts[stream]
 
-    def _next_rng(self, stream):
-        counter = self._counters[stream]
-        self._counters[stream] = counter + 1
-        return np.random.default_rng([self.seed, stream, counter])
+    def _next_generator(self, stream):
+        self._counts[stream] += 1
+        return self._generators[stream]
 
     def _draw_batch(self, stream):
-        rng = self._next_rng(stream)
-        return rng.choice(self.problem.component_count, size=self.batch_size,
-                          replace=False)
+        return self._next_generator(stream).choice(
+            self.problem.component_count, size=self.batch_size, replace=False)
 
     def next_gradient_batch(self):
         return self._draw_batch(STREAM_GRADIENT)
@@ -394,4 +405,4 @@ class StochasticOracle:
 
     def next_omega(self):
         """Uniform draw on [-1, 1] from the curvature-noise stream."""
-        return float(self._next_rng(STREAM_OMEGA).uniform(-1.0, 1.0))
+        return float(self._next_generator(STREAM_OMEGA).uniform(-1.0, 1.0))

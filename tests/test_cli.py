@@ -18,6 +18,7 @@ from ncopt.deterministic import (
     dynamic_solve,
     two_step_solve,
 )
+from ncopt.finite_sum import StochasticOracle, load_dataset
 from ncopt.harness import (
     CONFIG_KEYS,
     TRACE_COLUMNS,
@@ -308,7 +309,12 @@ class TestRun:
         # every entry of the exact gradient at the start is finite, its
         # norm is not: the run stops there instead of recording gnorm inf
         data = tmp_path / "d.csv"
-        data.write_text("1e200,1,2\n0.5,-1,1\n2,0.3,-1\n-1,2,0.5\n")
+        data.write_text("0.5,-1,1\n2,0.3,-1\n-1,2,0.5\n1e200,1,2\n")
+        # the first gradient and Hessian batches miss the 1e200 row (3), or
+        # the sampled value would overflow first ("sampled value is nan")
+        oracle = StochasticOracle(load_dataset(data), batch_size=2, seed=1)
+        assert 3 not in oracle.next_gradient_batch()
+        assert 3 not in oracle.next_hessian_batch()
         code = main(["run", "--dataset", str(data), "--variant", "stoch_dynamic",
                      "--seed", "1", "--batch-size", "2", "--iterations", "5",
                      "--out", str(tmp_path)])

@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -6,6 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncopt.finite_sum import (
+    STREAM_GRADIENT,
+    STREAM_HESSIAN,
+    STREAM_OMEGA,
     DatasetParseError,
     DatasetSchemaError,
     LinearLeastSquaresProblem,
@@ -231,10 +236,80 @@ class TestLoadDataset:
         assert p.dimension == 3 * 2 + 2 * 3 + 1
 
 
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+
+
 class TestStochasticOracle:
     def test_batch_size_exceeding_components_rejected(self, tiny_quadratic):
         with pytest.raises(ValueError):
             StochasticOracle(tiny_quadratic, batch_size=5, seed=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("batch_size", 2.7), ("batch_size", True),
+        ("seed", 1.9), ("seed", -0.5), ("seed", True),
+    ], ids=["batch_size-fraction", "batch_size-bool", "seed-fraction",
+            "seed-negative-fraction", "seed-bool"])
+    def test_non_integral_or_bool_argument_rejected(self, tiny_quadratic, name,
+                                                    value):
+        kwargs = {"batch_size": 2, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=name):
+            StochasticOracle(tiny_quadratic, **kwargs)
+
+    def test_integral_arguments_of_other_types_accepted(self, tiny_quadratic):
+        a = StochasticOracle(tiny_quadratic, batch_size=np.int64(2), seed=3.0)
+        b = StochasticOracle(tiny_quadratic, batch_size=2, seed=3)
+        assert (a.batch_size, a.seed) == (2, 3)
+        np.testing.assert_array_equal(a.next_gradient_batch(), b.next_gradient_batch())
+
+    @pytest.mark.parametrize("seed", [0, 5, 2017])
+    def test_streams_are_generators_spawned_from_the_seed(self, tiny_quadratic, seed):
+        # stream j is default_rng(SeedSequence(seed).spawn(3)[j]); its k-th
+        # draw is that generator's k-th call, whatever the other streams do
+        oracle = StochasticOracle(tiny_quadratic, batch_size=2, seed=seed)
+        reference = [np.random.default_rng(s)
+                     for s in np.random.SeedSequence(seed).spawn(3)]
+        draws = {STREAM_GRADIENT: oracle.next_gradient_batch,
+                 STREAM_HESSIAN: oracle.next_hessian_batch,
+                 STREAM_OMEGA: oracle.next_omega}
+        order = np.repeat([STREAM_GRADIENT, STREAM_HESSIAN, STREAM_OMEGA], [7, 3, 5])
+        np.random.default_rng(seed).shuffle(order)
+        counts = [0, 0, 0]
+        for stream in order:
+            if stream == STREAM_OMEGA:
+                assert draws[stream]() == float(reference[stream].uniform(-1.0, 1.0))
+            else:
+                np.testing.assert_array_equal(
+                    draws[stream](), reference[stream].choice(4, size=2, replace=False))
+            counts[stream] += 1
+            assert [oracle.draw_count(s) for s in draws] == counts
+        assert counts == [7, 3, 5]
+
+    @pytest.mark.parametrize("stream", ["next_gradient_batch", "next_hessian_batch"])
+    def test_batches_are_uniform_row_pairs(self, tiny_quadratic, stream):
+        # N=4, batch 2: each of the 6 row pairs has probability 1/6
+        oracle = StochasticOracle(tiny_quadratic, batch_size=2, seed=123)
+        draws = 6000
+        counts = dict.fromkeys(itertools.combinations(range(4), 2), 0)
+        for _ in range(draws):
+            batch = getattr(oracle, stream)()
+            assert len(set(batch.tolist())) == 2
+            counts[tuple(sorted(batch.tolist()))] += 1
+        p = 1.0 / 6.0
+        stderr = np.sqrt(p * (1.0 - p) / draws)
+        for pair, count in counts.items():
+            assert abs(count / draws - p) <= 5.0 * stderr, pair
+
+    def test_tracer_oracle_span_wraps_the_draw_methods(self):
+        # the benchmark's finite_sum.oracle span finds the draw methods by
+        # name; after a rename its us_per_draw would read 0 without an error
+        spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        module, cls_name, methods, _ = tracer.METHODS["finite_sum.oracle"]
+        assert (module, cls_name) == ("ncopt.finite_sum", "StochasticOracle")
+        for name in ("next_gradient_batch", "next_hessian_batch", "next_omega"):
+            assert name in methods
+            assert callable(vars(StochasticOracle).get(name)), name
 
     def test_full_batch_estimates_are_exact(self, tiny_quadratic):
         p = tiny_quadratic

@@ -164,8 +164,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("variant, alpha, fevals", [
         # per iteration an estimate at x and at x_hat, plus one per
-        # curvature trial (10 here), then the final exact f
-        ("stoch_dynamic", None, 30 + 30 + 10 + 1),
+        # curvature trial (8 here), then the final exact f
+        ("stoch_dynamic", None, 30 + 30 + 8 + 1),
         # per iteration an estimate at x, then the final exact f
         ("stoch_two_step", 0.01, 30 + 1),
     ])
@@ -176,7 +176,7 @@ class TestRunExperiment:
                                   out_dir=str(tmp_path))
         report, paths = run_experiment(config)
         if variant == "stoch_dynamic":
-            assert sum(r.d_norm > 0.0 for r in report.records) == 10
+            assert sum(r.d_norm > 0.0 for r in report.records) == 8
         assert report.total_fevals == fevals
         assert load_report_summary(paths["report"])["total_fevals"] == fevals
 
