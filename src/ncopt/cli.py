@@ -17,6 +17,7 @@ import numpy as np
 
 from ncopt.deterministic import SOLVER_FAILURES
 from ncopt.harness import (
+    CAMPAIGN_STRATEGIES,
     CONFIG_KEYS,
     UsageError,
     campaign,
@@ -55,7 +56,7 @@ def _build_parser():
 
     camp = sub.add_parser("campaign", help="descent-only vs curvature campaign "
                                            "over the built-in suite")
-    camp.add_argument("--strategy", choices=("sd", "mn"), default="sd")
+    camp.add_argument("--strategy", choices=CAMPAIGN_STRATEGIES, default="sd")
     camp.add_argument("--seed", type=int, default=0)
     camp.add_argument("--out", help="output directory")
     camp.add_argument("--max-iters", dest="max_iterations", type=int, default=2000)

@@ -39,19 +39,43 @@ from ncopt.stochastic import (
     two_step_stochastic_solve,
 )
 
-DETERMINISTIC_VARIANTS = (
-    "two_step",
-    "dynamic_sd",
-    "dynamic_mn",
-    "dynamic_sd_descent_only",
-    "dynamic_mn_descent_only",
-)
-STOCHASTIC_VARIANTS = (
-    "stoch_two_step",
-    "stoch_dynamic",
-    "stoch_dynamic_descent_only",
-)
-VARIANTS = DETERMINISTIC_VARIANTS + STOCHASTIC_VARIANTS
+
+class Variant(NamedTuple):
+    """A solver variant: its descent strategy, which also picks its default
+    criteria; whether it takes curvature steps and samples a finite sum; the
+    settings that can change its run; the fixed stepsizes it needs.  No row
+    holds a solver, so rebinding a solver's name here reaches every run."""
+
+    strategy: str
+    use_curvature: bool
+    stochastic: bool
+    reads: tuple
+    stepsizes: tuple = ()
+
+
+# `reads`: the sections and keys that can change the variant's run, beyond
+# `_EVERY_RUN_READS` and the seed and dataset keys `validate_config` adds;
+# any other key set away from its default is a usage error.  A steepest step
+# -g meets every delta, a descent-only run has no curvature direction for
+# gamma or theta to shape or certify, and the stochastic two-step method
+# certifies its scaled eigenvector at gamma = 1
+_CURVATURE = ("criteria.gamma", "criteria.theta")
+_DYNAMIC = ("termination", "lipschitz")
+_MN_DYNAMIC = ("criteria.delta",) + _DYNAMIC
+_SAMPLED = ("experiment.batch_size", "experiment.iterations")
+VARIANTS = {
+    "two_step": Variant("steepest", True, False, _CURVATURE + (
+        "termination", "experiment.alpha", "experiment.beta"), ("alpha", "beta")),
+    "dynamic_sd": Variant("steepest", True, False, _CURVATURE + _DYNAMIC),
+    "dynamic_mn": Variant("modified_newton", True, False, _CURVATURE + _MN_DYNAMIC),
+    "dynamic_sd_descent_only": Variant("steepest", False, False, _DYNAMIC),
+    "dynamic_mn_descent_only": Variant("modified_newton", False, False, _MN_DYNAMIC),
+    "stoch_two_step": Variant("steepest", True, True,
+                              ("experiment.alpha",) + _SAMPLED, ("alpha",)),
+    "stoch_dynamic": Variant("steepest", True, True, ("safeguards",) + _SAMPLED),
+    "stoch_dynamic_descent_only": Variant("steepest", False, True,
+                                          ("safeguards",) + _SAMPLED),
+}
 
 OUTPUT_DIR_ENV = "NCOPT_OUTPUT_DIR"
 
@@ -173,28 +197,6 @@ _CONFIG_KEYS_BY_NAME = {key.name: key for key in CONFIG_KEYS}
 _SETTINGS = {key.name: key.field for key in CONFIG_KEYS} | {
     "criteria." + f.name: "criteria." + f.name for f in fields(DirectionCriteria)}
 _CONFIG_SECTIONS = tuple(dict.fromkeys(key.section for key in CONFIG_KEYS))
-
-# the sections and keys that can change each variant's run, beyond
-# `_EVERY_RUN_READS` and the seed and dataset keys `validate_config` adds;
-# any other key set away from its default is a usage error.  A steepest
-# step -g meets every delta, and a descent-only run has no curvature
-# direction for gamma or theta to shape or certify; the stochastic two-step
-# method certifies its scaled eigenvector at gamma = 1
-VARIANT_READS = {
-    "two_step": ("criteria.gamma", "criteria.theta", "termination",
-                 "experiment.alpha", "experiment.beta"),
-    "dynamic_sd": ("criteria.gamma", "criteria.theta", "termination", "lipschitz"),
-    "dynamic_mn": ("criteria.gamma", "criteria.theta", "criteria.delta",
-                   "termination", "lipschitz"),
-    "dynamic_sd_descent_only": ("termination", "lipschitz"),
-    "dynamic_mn_descent_only": ("criteria.delta", "termination", "lipschitz"),
-    "stoch_two_step": ("experiment.alpha", "experiment.batch_size",
-                       "experiment.iterations"),
-    "stoch_dynamic": ("safeguards", "experiment.batch_size",
-                      "experiment.iterations"),
-    "stoch_dynamic_descent_only": ("safeguards", "experiment.batch_size",
-                                   "experiment.iterations"),
-}
 _EVERY_RUN_READS = ("experiment.variant", "experiment.problem",
                     "experiment.dataset", "experiment.label", "experiment.out",
                     "experiment.start")
@@ -207,11 +209,15 @@ _IGNORED_HINTS = {
 }
 
 
+def _variant(name):
+    if name not in VARIANTS:
+        raise UsageError("variant: unknown %r (choose from %s)"
+                         % (name, ", ".join(VARIANTS)))
+    return VARIANTS[name]
+
+
 def validate_config(config):
-    if config.variant not in VARIANTS:
-        raise UsageError(
-            "variant: unknown %r (choose from %s)" % (config.variant, ", ".join(VARIANTS))
-        )
+    row = _variant(config.variant)
     if config.problem is None and config.dataset is None:
         raise UsageError("problem: either a problem name or a dataset path is required")
     if config.problem is not None and config.dataset is not None:
@@ -224,17 +230,17 @@ def validate_config(config):
         )
     if config.seed is not None and config.seed < 0:
         raise UsageError("seed: must be nonnegative")
-    if config.variant in STOCHASTIC_VARIANTS:
+    if row.stochastic:
         if config.seed is None:
             raise UsageError("seed: stochastic variants need an explicit seed")
         if config.iterations < 1:
             raise UsageError("iterations: must be positive")
         if config.batch_size < 1:
             raise UsageError("batch_size: must be positive")
-    reads = VARIANT_READS[config.variant] + _EVERY_RUN_READS
+    reads = row.reads + _EVERY_RUN_READS
     # a deterministic variant draws its start from the seed only when no
     # start is given, and the dataset keys need a dataset
-    if config.variant in STOCHASTIC_VARIANTS or config.start is None:
+    if row.stochastic or config.start is None:
         reads += ("experiment.seed",)
     if config.dataset is not None:
         reads += ("experiment.dataset_model", "experiment.dataset_has_header")
@@ -246,21 +252,16 @@ def validate_config(config):
                 setting(given) != setting(default):
             raise UsageError("%s: %s ignores it%s" % (
                 name, config.variant, _IGNORED_HINTS.get(name, "")))
-    stepsizes = {"two_step": ("alpha", "beta"), "stoch_two_step": ("alpha",)}
-    for name in stepsizes.get(config.variant, ()):
+    for name in row.stepsizes:
         if not (getattr(config, name) or 0.0) > 0.0:
             raise UsageError("%s: %s needs a positive fixed %s"
                              % (name, config.variant, name))
 
 
-def _strategy(variant):
-    return "modified_newton" if "mn" in variant else "steepest"
-
-
 def variant_criteria(variant, criteria=None):
     if criteria is not None:
         return criteria
-    return default_criteria(_strategy(variant))
+    return default_criteria(_variant(variant).strategy)
 
 
 def build_problem(config):
@@ -280,34 +281,32 @@ def starting_point(config, problem):
             raise UsageError("start: dimension %d does not match problem dimension %d"
                              % (x0.size, problem.dimension))
         return x0
-    if config.seed is not None and config.variant in DETERMINISTIC_VARIANTS:
+    if config.seed is not None and not VARIANTS[config.variant].stochastic:
         rng = np.random.default_rng(config.seed)
         return problem.default_start + rng.uniform(-0.5, 0.5, problem.dimension)
     return problem.default_start.copy()
 
 
 def _run_solver(config, problem, x0):
+    row = VARIANTS[config.variant]
     criteria = variant_criteria(config.variant, config.criteria)
-    if config.variant == "two_step":
+    if row.stochastic:
+        oracle = StochasticOracle(problem, batch_size=config.batch_size,
+                                  seed=config.seed)
+        if row.stepsizes:
+            return two_step_stochastic_solve(
+                oracle, StochasticStepConfig(alpha_constant=config.alpha),
+                config.iterations, x0=x0)
+        return dynamic_stochastic_solve(
+            oracle, config.safeguards, iterations=config.iterations, x0=x0,
+            use_curvature=row.use_curvature)
+    if row.stepsizes:
         return two_step_solve(problem, criteria, alpha=config.alpha,
                               beta=config.beta, termination=config.termination,
-                              x0=x0)
-    if config.variant in DETERMINISTIC_VARIANTS:
-        return dynamic_solve(
-            problem, criteria, strategy=_strategy(config.variant),
-            lipschitz_init=config.lipschitz, termination=config.termination,
-            x0=x0, use_curvature=not config.variant.endswith("descent_only"),
-        )
-    oracle = StochasticOracle(problem, batch_size=config.batch_size,
-                              seed=config.seed)
-    if config.variant == "stoch_two_step":
-        return two_step_stochastic_solve(
-            oracle, StochasticStepConfig(alpha_constant=config.alpha),
-            config.iterations, x0=x0)
-    return dynamic_stochastic_solve(
-        oracle, config.safeguards, iterations=config.iterations, x0=x0,
-        use_curvature=(config.variant != "stoch_dynamic_descent_only"),
-    )
+                              strategy=row.strategy, x0=x0)
+    return dynamic_solve(
+        problem, criteria, strategy=row.strategy, lipschitz_init=config.lipschitz,
+        termination=config.termination, x0=x0, use_curvature=row.use_curvature)
 
 
 def run_experiment(config):
@@ -320,7 +319,7 @@ def run_experiment(config):
     """
     validate_config(config)
     problem = build_problem(config)
-    if config.variant in STOCHASTIC_VARIANTS:
+    if VARIANTS[config.variant].stochastic:
         if not isinstance(problem, FiniteSumProblem):
             raise UsageError("problem: stochastic variants need a finite-sum problem")
         if config.batch_size > problem.component_count:
@@ -441,17 +440,14 @@ class ComparisonRow:
     used_negative_curvature: bool
 
 
-def _as_summary(report):
-    if isinstance(report, dict):
-        return report
-    return report_summary(report)
-
-
 def compare(report_a, report_b):
     """Comparison measures between a descent-only report (a) and a
-    curvature-enabled report (b) on the same problem."""
-    a = _as_summary(report_a)
-    b = _as_summary(report_b)
+    curvature-enabled report (b), neither abnormal, on the same problem."""
+    a, b = (r if isinstance(r, dict) else report_summary(r)
+            for r in (report_a, report_b))
+    for name, summary in (("a", a), ("b", b)):
+        if summary.get("abnormal"):
+            raise ValueError("report %s is abnormal: its solve did not finish" % name)
     if a["problem"] != b["problem"]:
         raise ValueError("reports compare different problems: %r vs %r"
                          % (a["problem"], b["problem"]))
@@ -475,6 +471,9 @@ def load_report_summary(path):
         return json.load(handle)
 
 
+# the (descent-only, with-curvature) variants each campaign strategy pairs
+CAMPAIGN_STRATEGIES = {"sd": ("dynamic_sd_descent_only", "dynamic_sd"),
+                       "mn": ("dynamic_mn_descent_only", "dynamic_mn")}
 # starting points biased toward saddle regions and ridges: the descent-only
 # baseline either stalls (quartic: gradient flow into the saddle) or crawls,
 # while the curvature run cuts across
@@ -498,13 +497,14 @@ def standard_campaign_pairs(strategy="sd", seed=0, out_dir=None,
     """Experiment-config pairs (descent-only, with-curvature) over the
     built-in suite with the standard starting points; an unknown problem,
     a negative seed or a nonpositive cap is a UsageError."""
-    if strategy not in ("sd", "mn"):
-        raise UsageError("strategy: must be 'sd' or 'mn'")
+    if strategy not in CAMPAIGN_STRATEGIES:
+        raise UsageError("strategy: must be %s"
+                         % " or ".join(map(repr, CAMPAIGN_STRATEGIES)))
     if max_iterations < 1:
         raise UsageError("max_iterations: must be positive")
     if seed is not None and seed < 0:
         raise UsageError("seed: must be nonnegative")
-    base = "dynamic_%s" % strategy
+    descent_only, with_curvature = CAMPAIGN_STRATEGIES[strategy]
     termination = TerminationSpec(max_iterations=max_iterations)
     pairs = []
     for name in problems or list_problems():
@@ -514,9 +514,9 @@ def standard_campaign_pairs(strategy="sd", seed=0, out_dir=None,
                       **(dict(seed=seed) if start is None
                          else dict(start=np.array(start))))
         pairs.append((
-            ExperimentConfig(variant=base + "_descent_only",
+            ExperimentConfig(variant=descent_only,
                              label="%s_%s_descent_only" % (name, strategy), **common),
-            ExperimentConfig(variant=base,
+            ExperimentConfig(variant=with_curvature,
                              label="%s_%s_with_curvature" % (name, strategy), **common),
         ))
         validate_config(pairs[-1][1])
@@ -602,10 +602,11 @@ def config_from_settings(settings):
     for name, text in settings.items():
         key = _CONFIG_KEYS_BY_NAME[name]
         owner, _, attr = key.field.rpartition(".")
+        # outside the try, so an unknown variant's error names the variant
+        constants = owner and (getattr(config, owner) or variant_criteria(variant))
         try:
             value = key.parse(text)
             if owner:
-                constants = getattr(config, owner) or variant_criteria(variant)
                 attr, value = owner, replace(constants, **{attr: value})
             config = replace(config, **{attr: value})
         except ValueError as err:

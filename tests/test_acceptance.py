@@ -51,6 +51,8 @@ STRATEGIES = ("steepest", "modified_newton")
 STARTS_PER_PROBLEM = 5
 GOLDEN_CAMPAIGN_SD = os.path.join(os.path.dirname(__file__), "golden",
                                   "campaign_sd.csv")
+GOLDEN_CAMPAIGN_MN = os.path.join(os.path.dirname(__file__), "golden",
+                                  "campaign_mn.csv")
 # The measures are ratios of order one or scaled objective gaps.  A changed
 # iteration or evaluation count moves a ratio by far more than this; the
 # tolerance only absorbs last-digit differences between BLAS builds.
@@ -196,14 +198,9 @@ def test_criterion_4_saddle_escape():
               "stalls at f=0.25" % (escaping.final_f, escaping.total_iterations), t0)
 
 
-def test_criterion_5_mini_campaign_medians():
-    """Across the suite, curvature-using problems end no worse in objective
-    and iterations at the median, and the table matches the golden one."""
-    t0 = time.time()
-    pairs = standard_campaign_pairs(strategy="sd", seed=0, max_iterations=2000)
-    rows, _, _ = campaign(pairs)
-    assert len(rows) >= 5
-    with open(GOLDEN_CAMPAIGN_SD, newline="") as handle:
+def _assert_matches_golden(rows, path):
+    """The campaign rows are the golden table's, in its order."""
+    with open(path, newline="") as handle:
         golden = list(csv.DictReader(handle))
     assert [r.problem for r in rows] == [g["problem"] for g in golden]
     for row, expected in zip(rows, golden):
@@ -212,6 +209,16 @@ def test_criterion_5_mini_campaign_medians():
                 float(expected[measure]), rel=0.0, abs=GOLDEN_MEASURE_ATOL
             ), (row.problem, measure)
         assert str(row.used_negative_curvature) == expected["used_negative_curvature"]
+
+
+def test_criterion_5_mini_campaign_medians():
+    """Across the suite, curvature-using problems end no worse in objective
+    and iterations at the median, and the table matches the golden one."""
+    t0 = time.time()
+    pairs = standard_campaign_pairs(strategy="sd", seed=0, max_iterations=2000)
+    rows, _, _ = campaign(pairs)
+    assert len(rows) >= 5
+    _assert_matches_golden(rows, GOLDEN_CAMPAIGN_SD)
     f_median = float(np.median([r.f_measure for r in rows]))
     iter_median = float(np.median([r.iter_measure for r in rows]))
     ok = f_median >= 0.0 and iter_median >= 0.0
@@ -219,6 +226,15 @@ def test_criterion_5_mini_campaign_medians():
               "iter_measure %.3f" % (len(rows), f_median, iter_median), t0)
     assert f_median >= 0.0
     assert iter_median >= 0.0
+
+
+def test_modified_newton_campaign_matches_golden():
+    """The modified-Newton pairs, with and without curvature steps, give the
+    golden table, so a change to their dispatch or to the shifted-Newton
+    step shows up here."""
+    pairs = standard_campaign_pairs(strategy="mn", seed=0, max_iterations=300)
+    rows, _, _ = campaign(pairs)
+    _assert_matches_golden(rows, GOLDEN_CAMPAIGN_MN)
 
 
 def test_criterion_6_stepsize_optimality_oracle():

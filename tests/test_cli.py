@@ -259,6 +259,11 @@ class TestRun:
          "[experiment]\nproblem = quadratic_sum\nvariant = stoch_two_step\n"
          "seed = 0\nbatch_size = 2\nalpha = 0.01\n[criteria]\ngamma = 0.5\n",
          "criteria.gamma: stoch_two_step ignores it"),
+        # the criteria start from the variant's, so the variant is named
+        # first, and not as part of the criteria key's error
+        (["run", "--config", "{cfg}"],
+         "[experiment]\nproblem = sphere\nvariant = bogus\n[criteria]\n"
+         "gamma = 0.5\n", "error: variant: unknown 'bogus' (choose from two_step, "),
     ])
     def test_bad_input_is_usage_error_naming_key(self, tmp_path, capsys, argv,
                                                  ini, key):
@@ -356,6 +361,20 @@ class TestCompare:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["compare", str(tmp_path / "a.json"),
                      str(tmp_path / "b.json")]) == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_abnormal_report_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("0.5,-1,1\n2,0.3,-1\n-1,2,0.5\n1e200,1,2\n")
+        for variant in ("stoch_dynamic_descent_only", "stoch_dynamic"):
+            assert main(["run", "--dataset", str(data), "--variant", variant,
+                         "--seed", "1", "--batch-size", "2", "--iterations", "5",
+                         "--out", str(tmp_path)]) == 3
+        capsys.readouterr()
+        label = str(tmp_path / "linear_least_squares_%s.json")
+        assert main(["compare", label % "stoch_dynamic_descent_only",
+                     label % "stoch_dynamic"]) == 2
+        assert "usage error: report a is abnormal" in capsys.readouterr().err
 
 
 class TestCampaign:

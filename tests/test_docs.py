@@ -11,7 +11,7 @@ README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
 def test_variants_line_lists_exactly_the_variants():
     line = README[README.index("Variants:"):]
     sentence = line[:line.index(". ")]
-    assert tuple(re.findall(r"`(\w+)`", sentence)) == VARIANTS
+    assert tuple(re.findall(r"`(\w+)`", sentence)) == tuple(VARIANTS)
 
 
 def test_config_table_lists_exactly_the_config_keys():

@@ -12,8 +12,6 @@ from ncopt.deterministic import (
 )
 from ncopt.harness import (
     CAMPAIGN_STARTS,
-    DETERMINISTIC_VARIANTS,
-    VARIANT_READS,
     VARIANTS,
     ComparisonRow,
     ExperimentConfig,
@@ -33,6 +31,9 @@ from ncopt.harness import (
 from ncopt.problems import list_problems, make_problem
 from ncopt.steps import DirectionCriteria
 from ncopt.stochastic import SafeguardConfig
+
+DETERMINISTIC_VARIANTS = [name for name, row in VARIANTS.items()
+                          if not row.stochastic]
 
 
 class TestValidation:
@@ -109,7 +110,7 @@ OFF_DEFAULT_CRITERIA = {"gamma": 0.5, "theta": 2.0, "delta": 0.3, "zeta": 0.5,
 def test_criteria_outside_the_variant_row_change_no_registry_run(variant):
     # the basis for rejecting these keys: none of them moves a single bit
     unread = [name for name in OFF_DEFAULT_CRITERIA
-              if "criteria." + name not in VARIANT_READS[variant]]
+              if "criteria." + name not in VARIANTS[variant].reads]
     assert unread
     base = ExperimentConfig(variant=variant, alpha=0.01, beta=0.1,
                             termination=TerminationSpec(max_iterations=100))
@@ -124,6 +125,39 @@ def test_criteria_outside_the_variant_row_change_no_registry_run(variant):
         for name in unread:
             assert fingerprint(**{name: OFF_DEFAULT_CRITERIA[name]}) == expected, \
                 (problem, name)
+
+
+# what each variant runs, as its report's config echo states it: the
+# method, the descent strategy and use_curvature (None where the solver
+# echoes none); written out here so that a mistyped VARIANTS row fails
+VARIANT_RUNS = {
+    "two_step": ("deterministic", "two_step", "steepest", None),
+    "dynamic_sd": ("deterministic", "dynamic", "steepest", True),
+    "dynamic_mn": ("deterministic", "dynamic", "modified_newton", True),
+    "dynamic_sd_descent_only": ("deterministic", "dynamic", "steepest", False),
+    "dynamic_mn_descent_only": ("deterministic", "dynamic", "modified_newton",
+                                False),
+    "stoch_two_step": ("stochastic", "stochastic_two_step", None, None),
+    "stoch_dynamic": ("stochastic", "stochastic_dynamic", None, True),
+    "stoch_dynamic_descent_only": ("stochastic", "stochastic_dynamic", None,
+                                   False),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_each_variant_runs_its_row(tmp_path, variant):
+    stepsizes = {"two_step": dict(alpha=0.01, beta=0.1),
+                 "stoch_two_step": dict(alpha=0.01)}.get(variant, {})
+    kind = VARIANT_RUNS[variant][0]
+    budget = (dict(seed=0, batch_size=2, iterations=3) if kind == "stochastic"
+              else dict(termination=TerminationSpec(max_iterations=3)))
+    config = ExperimentConfig(variant=variant, problem="quadratic_sum",
+                              out_dir=str(tmp_path), **stepsizes, **budget)
+    _, paths = run_experiment(config)
+    summary = load_report_summary(paths["report"])
+    echo = summary["config"]
+    assert (summary["kind"], echo["method"], echo.get("strategy"),
+            echo.get("use_curvature")) == VARIANT_RUNS[variant]
 
 
 class TestRunExperiment:
@@ -232,6 +266,14 @@ class TestCompare:
     def test_mismatched_problems_rejected(self):
         with pytest.raises(ValueError):
             compare(self._summary(problem="a"), self._summary(problem="b"))
+
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_abnormal_report_rejected(self, which):
+        # an abnormal stochastic report has no final f to compare
+        reports = {"a": self._summary(), "b": self._summary()}
+        reports[which].update(abnormal=True, final_f=None)
+        with pytest.raises(ValueError, match="report %s is abnormal" % which):
+            compare(reports["a"], reports["b"])
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(0)
