@@ -20,6 +20,7 @@ from ncopt.linalg import KernelError, leftmost_eigenpair
 from ncopt.problems import EvaluationError
 from ncopt.steps import (
     ConditionViolation,
+    DirectionCriteria,
     LipschitzState,
     default_criteria,
     descent_direction,
@@ -224,23 +225,21 @@ def _iterate(problem, x0, criteria, termination, step, use_curvature, echo):
 
 
 def two_step_solve(problem, criteria=None, alpha=None, beta=None,
-                   termination=None, strategy="steepest", x0=None):
-    """Alternate a fixed-size curvature step and a fixed-size descent step.
+                   termination=None, x0=None):
+    """Alternate a fixed-size curvature step and a fixed-size steepest
+    descent step.
 
     The caller supplies the stepsizes; they are admissible when
-    alpha < 2*delta*zeta/(L*eta^2) and beta < 3*gamma/(sigma*theta) for the
-    problem's true curvature constants, which is only verifiable on problems
-    with documented constants.  Returns the current iterate as soon as the
-    curvature direction and the gradient vanish.  An EvaluationError, KernelError or
-    ConditionViolation raised mid-solve carries the partial report as
-    `report`.  Without criteria it uses `default_criteria(strategy)`.  A
-    modified-Newton descent step must also keep ||s||/||g|| in
-    [zeta, eta], which the default band [1, 1] admits only where H is a
-    multiple of I, so a modified-Newton caller gives its own zeta and eta.
+    alpha < 2/L and beta < 3*gamma/(sigma*theta) for the problem's true
+    curvature constants, which is only verifiable on problems with
+    documented constants.  Returns the current iterate as soon as the
+    curvature direction and the gradient vanish.  An EvaluationError,
+    KernelError or ConditionViolation raised mid-solve carries the partial
+    report as `report`.  Without criteria it uses `DirectionCriteria()`.
     """
     if alpha is None or beta is None or alpha <= 0.0 or beta <= 0.0:
         raise ValueError("two_step_solve needs positive fixed stepsizes")
-    criteria = criteria or default_criteria(strategy)
+    criteria = criteria or DirectionCriteria()
 
     def step(k, x, f, g, gnorm, H, eig, d):
         has_d = bool(np.any(d != 0.0))
@@ -248,20 +247,15 @@ def two_step_solve(problem, criteria=None, alpha=None, beta=None,
         g_hat = problem.gradient(x_hat) if has_d else g
         if float(np.linalg.norm(g_hat)) == 0.0:
             s_hat = np.zeros_like(x)
-        elif strategy == "modified_newton" and has_d:
-            s_hat = descent_direction(strategy, g_hat, problem.hessian(x_hat),
-                                      criteria)
         else:
-            # x_hat is x when no curvature step was taken, so H and its
-            # decomposition serve the descent step too
-            s_hat = descent_direction(strategy, g_hat, H, criteria, eig=eig)
+            s_hat = descent_direction("steepest", g_hat, criteria=criteria)
         has_s = bool(np.any(s_hat != 0.0))
         taken = "both" if has_d and has_s else "curvature" if has_d else "descent"
         return x_hat + alpha * s_hat, None, dict(
             s=s_hat, step_taken=taken, x_hat=x_hat.copy(), alpha=alpha, beta=beta)
 
     return _iterate(problem, x0, criteria, termination or TerminationSpec(), step,
-                    True, dict(method="two_step", strategy=strategy,
+                    True, dict(method="two_step", strategy="steepest",
                                alpha=alpha, beta=beta))
 
 
@@ -289,8 +283,7 @@ def dynamic_solve(problem, criteria=None, strategy="steepest",
         if gnorm == 0.0:
             s = np.zeros_like(x)
         else:
-            s = descent_direction(strategy, g, H, criteria,
-                                  enforce_norm_band=False, eig=eig)
+            s = descent_direction(strategy, g, H, criteria, eig=eig)
         has_s = bool(np.any(s != 0.0))
 
         inner = 0

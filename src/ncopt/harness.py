@@ -13,6 +13,7 @@ import configparser
 import csv
 import json
 import math
+import numbers
 import os
 import warnings
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -192,10 +193,8 @@ CONFIG_KEYS = (
     ConfigKey("safeguards", "sigma_init", "safeguards.sigma_init", _real),
 )
 _CONFIG_KEYS_BY_NAME = {key.name: key for key in CONFIG_KEYS}
-# the ExperimentConfig field behind each setting `validate_config` checks:
-# every INI key, and the criteria a library caller can set without one
-_SETTINGS = {key.name: key.field for key in CONFIG_KEYS} | {
-    "criteria." + f.name: "criteria." + f.name for f in fields(DirectionCriteria)}
+# the ExperimentConfig field behind each setting `validate_config` checks
+_SETTINGS = {key.name: key.field for key in CONFIG_KEYS}
 _CONFIG_SECTIONS = tuple(dict.fromkeys(key.section for key in CONFIG_KEYS))
 _EVERY_RUN_READS = ("experiment.variant", "experiment.problem",
                     "experiment.dataset", "experiment.label", "experiment.out",
@@ -303,7 +302,7 @@ def _run_solver(config, problem, x0):
     if row.stepsizes:
         return two_step_solve(problem, criteria, alpha=config.alpha,
                               beta=config.beta, termination=config.termination,
-                              strategy=row.strategy, x0=x0)
+                              x0=x0)
     return dynamic_solve(
         problem, criteria, strategy=row.strategy, lipschitz_init=config.lipschitz,
         termination=config.termination, x0=x0, use_curvature=row.use_curvature)
@@ -440,14 +439,31 @@ class ComparisonRow:
     used_negative_curvature: bool
 
 
+def _comparable_summary(name, report):
+    """The summary of report `name` (a or b), checked before `compare`
+    reads it: an object with numeric measures, from a finished solve."""
+    if isinstance(report, (SolverReport, StochasticReport)):
+        report = report_summary(report)
+    if not isinstance(report, dict):
+        raise ValueError("report %s: not a report summary (a JSON object)" % name)
+    if report.get("abnormal"):
+        raise ValueError("report %s is abnormal: its solve did not finish" % name)
+    for key in ("final_f", "total_iterations", "total_fevals"):
+        value = report.get(key)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError("report %s: %s is not a number: %r" % (name, key, value))
+    return report
+
+
 def compare(report_a, report_b):
     """Comparison measures between a descent-only report (a) and a
-    curvature-enabled report (b), neither abnormal, on the same problem."""
-    a, b = (r if isinstance(r, dict) else report_summary(r)
-            for r in (report_a, report_b))
-    for name, summary in (("a", a), ("b", b)):
-        if summary.get("abnormal"):
-            raise ValueError("report %s is abnormal: its solve did not finish" % name)
+    curvature-enabled report (b), neither abnormal, of the same kind on the
+    same problem: a stochastic run's fevals count value estimates, not
+    objective evaluations, so the two kinds do not compare."""
+    a, b = _comparable_summary("a", report_a), _comparable_summary("b", report_b)
+    if a.get("kind") != b.get("kind"):
+        raise ValueError("reports compare different kinds of run: %s vs %s"
+                         % (a.get("kind"), b.get("kind")))
     if a["problem"] != b["problem"]:
         raise ValueError("reports compare different problems: %r vs %r"
                          % (a["problem"], b["problem"]))
@@ -495,8 +511,9 @@ CAMPAIGN_STARTS = {
 def standard_campaign_pairs(strategy="sd", seed=0, out_dir=None,
                             max_iterations=2000, problems=None):
     """Experiment-config pairs (descent-only, with-curvature) over the
-    built-in suite with the standard starting points; an unknown problem,
-    a negative seed or a nonpositive cap is a UsageError."""
+    built-in suite, or over `problems` when it is not None, with the
+    standard starting points; an empty or unknown problem list, a negative
+    seed or a nonpositive cap is a UsageError."""
     if strategy not in CAMPAIGN_STRATEGIES:
         raise UsageError("strategy: must be %s"
                          % " or ".join(map(repr, CAMPAIGN_STRATEGIES)))
@@ -504,10 +521,12 @@ def standard_campaign_pairs(strategy="sd", seed=0, out_dir=None,
         raise UsageError("max_iterations: must be positive")
     if seed is not None and seed < 0:
         raise UsageError("seed: must be nonnegative")
+    if problems is not None and not problems:
+        raise UsageError("problems: the list is empty; give None for the whole suite")
     descent_only, with_curvature = CAMPAIGN_STRATEGIES[strategy]
     termination = TerminationSpec(max_iterations=max_iterations)
     pairs = []
-    for name in problems or list_problems():
+    for name in list_problems() if problems is None else problems:
         start = CAMPAIGN_STARTS.get(name)
         # the seed only draws a start, so it goes to problems without one
         common = dict(problem=name, termination=termination, out_dir=out_dir,

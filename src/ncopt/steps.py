@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ncopt.linalg import leftmost_eigenpair, modified_newton_shift
+from ncopt.linalg import modified_newton_shift
 
 _CERT_SLACK = 1e-12
 # leftmost eigenvalues above -ZERO_CURVATURE_TOL count as nonnegative
@@ -38,20 +38,14 @@ class DirectionCriteria:
     gamma: float = 1.0
     theta: float = 1.0
     delta: float = 1.0
-    zeta: float = 1.0
-    eta: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must lie in (0, 1]")
-        if self.theta <= 0.0:
+        if not self.theta > 0.0:
             raise ValueError("theta must be positive")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
-        if not 0.0 < self.zeta <= 1.0:
-            raise ValueError("zeta must lie in (0, 1]")
-        if self.eta < 1.0:
-            raise ValueError("eta must be at least 1")
 
 
 def default_criteria(strategy):
@@ -161,16 +155,13 @@ def negative_curvature_direction(eig, H, g, criteria=None):
     return d
 
 
-def descent_direction(strategy, g, H=None, criteria=None, enforce_norm_band=True,
-                      eig=None):
+def descent_direction(strategy, g, H=None, criteria=None, eig=None):
     """Descent direction by steepest descent or a modified-Newton solve.
 
-    Returns s.  The realized cosine -g's/(||s|| ||g||) must meet
-    criteria.delta; with enforce_norm_band the ratio ||s||/||g|| must also
-    lie in [zeta, eta] (required by the fixed-stepsize method; the adaptive
-    method only needs the cosine condition).  For modified_newton, eig is
-    the `leftmost_eigenpair` result for H whose decomposition the shift and
-    solve reuse; when it is None, H is factored here.
+    Returns s, whose realized cosine -g's/(||s|| ||g||) must meet
+    criteria.delta.  For modified_newton, eig is the `leftmost_eigenpair`
+    result for H, whose decomposition the shift and solve reuse; the
+    caller's solver loop has factored H already, so it is required.
     """
     criteria = criteria or DirectionCriteria()
     g = np.asarray(g, dtype=float)
@@ -180,26 +171,19 @@ def descent_direction(strategy, g, H=None, criteria=None, enforce_norm_band=True
     if strategy == "steepest":
         s = -g
     elif strategy == "modified_newton":
-        if H is None:
-            raise ValueError("modified_newton strategy needs the Hessian")
-        _, solve = modified_newton_shift(H, eig or leftmost_eigenpair(H))
+        if H is None or eig is None:
+            raise ValueError("modified_newton strategy needs the Hessian and "
+                             "its leftmost eigenpair")
+        _, solve = modified_newton_shift(H, eig)
         s = solve(-g)
     else:
         raise ValueError("unknown strategy %r (options: %s)"
                          % (strategy, ", ".join(DESCENT_STRATEGIES)))
     snorm = float(np.linalg.norm(s))
     cosine = float(-(g @ s) / (snorm * gnorm))
-    ratio = snorm / gnorm
     if cosine < criteria.delta - _CERT_SLACK:
         raise ConditionViolation(
             "descent cosine %.6e below required delta %.6e" % (cosine, criteria.delta)
-        )
-    if enforce_norm_band and not (
-        criteria.zeta - _CERT_SLACK <= ratio <= criteria.eta * (1.0 + _CERT_SLACK)
-    ):
-        raise ConditionViolation(
-            "norm ratio %.6e outside [zeta, eta] = [%g, %g]"
-            % (ratio, criteria.zeta, criteria.eta)
         )
     return s
 

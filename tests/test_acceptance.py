@@ -135,7 +135,7 @@ def test_criterion_2_two_step_decrease_inequality():
     ]
     checked = curvature_steps = 0
     for problem, L_true, sigma_true, max_iter in cases:
-        alpha = 1.0 / L_true          # inside (0, 2*delta*zeta/(L*eta^2))
+        alpha = 1.0 / L_true          # inside (0, 2/L)
         beta = 0.3                    # any positive value when sigma = 0
         c1 = 0.5 * beta ** 2 * (1.0 - sigma_true * beta / 3.0)
         c2 = alpha * (1.0 - 0.5 * L_true * alpha)

@@ -250,7 +250,7 @@ class TestRun:
            % (variant, key, value), "criteria.%s: %s ignores it" % (key, variant))
           for variant in ("dynamic_sd_descent_only", "dynamic_mn_descent_only")
           for key, value in (("gamma", "0.5"), ("theta", "2"))),
-        # ||-g||/||g|| = 1 lies in every norm band, so no band is a key
+        # the two-step method's descent step is -g, so it has no norm band
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\nvariant = two_step\nalpha = 0.5\n"
          "beta = 0.5\n[criteria]\nzeta = 0.5\n", "criteria.zeta: unknown key"),
@@ -362,6 +362,18 @@ class TestCompare:
         assert main(["compare", str(tmp_path / "a.json"),
                      str(tmp_path / "b.json")]) == 2
 
+    @pytest.mark.parametrize("text, error", [
+        ("[]", "report a: not a report summary"),
+        ('{"problem": "sphere", "final_f": "abc", "total_iterations": 1, '
+         '"total_fevals": 1}', "report a: final_f is not a number: 'abc'"),
+    ])
+    def test_file_that_is_not_a_summary_is_usage_error(self, tmp_path, capsys,
+                                                       text, error):
+        path = tmp_path / "a.json"
+        path.write_text(text)
+        assert main(["compare", str(path), str(path)]) == 2
+        assert "usage error: %s" % error in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_abnormal_report_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -466,8 +478,7 @@ FILE_FIELDS = {
     "variant": "dynamic_mn", "problem": "rosenbrock2", "dataset": "data.csv",
     "dataset_has_header": True, "dataset_model": "two_layer",
     "start": [0.5, -1.5], "seed": 13,
-    "criteria": {"gamma": 0.5, "theta": 2.0, "delta": 0.25, "zeta": 1.0,
-                 "eta": 1.0},
+    "criteria": {"gamma": 0.5, "theta": 2.0, "delta": 0.25},
     "termination": {"grad_tol_rel": 1e-7, "curv_tol_rel": 1e-6,
                     "max_iterations": 77, "min_step_norm": 1e-12},
     "lipschitz": {"L_current": 2.5, "sigma_current": 3.5, "rho": 4.0},
@@ -553,7 +564,7 @@ class TestOptionSurface:
         constant, so a new knob must edit these lists in plain view."""
         parameters = {
             two_step_solve: ("problem", "criteria", "alpha", "beta",
-                             "termination", "strategy", "x0"),
+                             "termination", "x0"),
             dynamic_solve: ("problem", "criteria", "strategy", "lipschitz_init",
                             "termination", "x0", "use_curvature"),
             two_step_stochastic_solve: ("oracle", "config", "iterations", "x0",
@@ -566,8 +577,7 @@ class TestOptionSurface:
             expected_descent_check: ("problem", "x", "config", "replications",
                                      "seed", "batch_size", "moments",
                                      "measure_draws"),
-            descent_direction: ("strategy", "g", "H", "criteria",
-                                "enforce_norm_band", "eig"),
+            descent_direction: ("strategy", "g", "H", "criteria", "eig"),
             negative_curvature_direction: ("eig", "H", "g", "criteria"),
             default_criteria: ("strategy",),
             certify_curvature_direction: ("d", "H", "lam", "g", "criteria",
@@ -591,7 +601,7 @@ class TestOptionSurface:
                               "L_init", "sigma_init"),
             TerminationSpec: ("grad_tol_rel", "curv_tol_rel", "max_iterations",
                               "min_step_norm"),
-            DirectionCriteria: ("gamma", "theta", "delta", "zeta", "eta"),
+            DirectionCriteria: ("gamma", "theta", "delta"),
             EigenResult: ("leftmost_value", "leftmost_vector", "residual",
                           "values", "vectors"),
         }

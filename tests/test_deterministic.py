@@ -22,20 +22,19 @@ from ncopt.problems import (
     random_quadratic,
     sphere,
 )
-from ncopt.steps import DirectionCriteria, LipschitzState, descent_direction
+from ncopt.steps import DirectionCriteria, LipschitzState
 
 
 GOLDEN_TWO_STEP = os.path.join(os.path.dirname(__file__), "golden", "two_step.csv")
 
-# run -> (problem, strategy, alpha, beta), each from the problem's default
-# start with max_iterations=300; the golden file was written before the two
+# run -> (problem, alpha, beta), each from the problem's default start with
+# max_iterations=300; the golden file was written before the two
 # deterministic solvers shared one loop, and its monkey_saddle run ends in
 # an EvaluationError
 GOLDEN_TWO_STEP_RUNS = {
-    "quartic_saddle_sd": ("quartic_saddle", "steepest", 0.1, 0.5),
-    "himmelblau_sd": ("himmelblau", "steepest", 0.01, 0.01),
-    "quartic_saddle_mn": ("quartic_saddle", "modified_newton", 1.0, 1.0),
-    "monkey_saddle_sd": ("monkey_saddle", "steepest", 0.1, 0.5),
+    "quartic_saddle_sd": ("quartic_saddle", 0.1, 0.5),
+    "himmelblau_sd": ("himmelblau", 0.01, 0.01),
+    "monkey_saddle_sd": ("monkey_saddle", 0.1, 0.5),
 }
 
 
@@ -66,6 +65,8 @@ class TestTwoStep:
         report = two_step_solve(p, alpha=0.15, beta=beta, x0=np.zeros(2))
         first = report.records[0]
         assert first.step_taken in ("curvature", "both")
+        # one Hessian per record: the descent step at x_hat factors none
+        assert p.hessian_count == report.total_iterations
         # moves along +-e1 by beta*theta*|lambda|: f drops to (beta^2-1)^2/4
         f_hat = p.evaluate(first.x_hat)
         assert f_hat == pytest.approx(0.25 * (beta ** 2 - 1.0) ** 2, rel=1e-12)
@@ -95,19 +96,6 @@ class TestTwoStep:
         assert report.termination_reason is TerminationReason.MAX_ITERATIONS
         assert report.total_iterations == 4
 
-    def test_modified_newton_descent_steps_reuse_the_hessian(self):
-        p = sphere(2)
-        report = two_step_solve(p, alpha=0.5, beta=0.5, strategy="modified_newton",
-                                termination=TerminationSpec(max_iterations=5),
-                                x0=np.array([3.0, -4.0]))
-        assert [r.step_taken for r in report.records] == ["descent"] * 5 + ["none"]
-        # one Hessian per record: the descent step at x_hat = x reuses H
-        assert p.hessian_count == len(report.records) == 6
-        for r in report.records[:-1]:
-            s = descent_direction("modified_newton", p.gradient(r.x),
-                                  p.hessian(r.x), DirectionCriteria())
-            assert np.array_equal(r.s, s)
-
     def test_requires_stepsizes(self):
         with pytest.raises(ValueError):
             two_step_solve(sphere(1), alpha=None, beta=1.0)
@@ -115,14 +103,11 @@ class TestTwoStep:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("run", sorted(GOLDEN_TWO_STEP_RUNS))
     def test_trace_matches_golden(self, run):
-        name, strategy, alpha, beta = GOLDEN_TWO_STEP_RUNS[run]
-        criteria = DirectionCriteria(delta=1e-8 if strategy == "modified_newton"
-                                     else 1.0)
+        name, alpha, beta = GOLDEN_TWO_STEP_RUNS[run]
         with open(GOLDEN_TWO_STEP, newline="") as handle:
             golden = [row for row in csv.DictReader(handle) if row["run"] == run]
         try:
-            report = two_step_solve(make_problem(name), criteria, alpha=alpha,
-                                    beta=beta, strategy=strategy,
+            report = two_step_solve(make_problem(name), alpha=alpha, beta=beta,
                                     termination=TerminationSpec(max_iterations=300))
             end = report.termination_reason.value
         except EvaluationError as err:

@@ -239,6 +239,14 @@ class TestLoadDataset:
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
 
 
+def _load_tracer():
+    """The benchmark's tracer module, loaded from its file without edits."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 class TestStochasticOracle:
     def test_batch_size_exceeding_components_rejected(self, tiny_quadratic):
         with pytest.raises(ValueError):
@@ -302,14 +310,19 @@ class TestStochasticOracle:
     def test_tracer_oracle_span_wraps_the_draw_methods(self):
         # the benchmark's finite_sum.oracle span finds the draw methods by
         # name; after a rename its us_per_draw would read 0 without an error
-        spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-        tracer = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracer)
+        tracer = _load_tracer()
         module, cls_name, methods, _ = tracer.METHODS["finite_sum.oracle"]
         assert (module, cls_name) == ("ncopt.finite_sum", "StochasticOracle")
         for name in ("next_gradient_batch", "next_hessian_batch", "next_omega"):
             assert name in methods
             assert callable(vars(StochasticOracle).get(name)), name
+
+    def test_every_function_the_tracer_patches_exists(self):
+        # the tracer looks each one up by name, so a renamed or deleted one
+        # breaks every traced benchmark run
+        for span, (module, name, _) in _load_tracer().FUNCTIONS.items():
+            assert callable(getattr(importlib.import_module(module), name, None)), \
+                span
 
     def test_full_batch_estimates_are_exact(self, tiny_quadratic):
         p = tiny_quadratic

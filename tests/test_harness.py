@@ -12,6 +12,7 @@ from ncopt.deterministic import (
 )
 from ncopt.harness import (
     CAMPAIGN_STARTS,
+    CONFIG_KEYS,
     VARIANTS,
     ComparisonRow,
     ExperimentConfig,
@@ -34,6 +35,14 @@ from ncopt.stochastic import SafeguardConfig
 
 DETERMINISTIC_VARIANTS = [name for name, row in VARIANTS.items()
                           if not row.stochastic]
+# an admissible value away from the default for each criteria constant
+OFF_DEFAULT_CRITERIA = {"gamma": 0.5, "theta": 2.0, "delta": 0.3}
+# variant -> the criteria constants its row does not read, for each variant
+# that has one
+UNREAD_CRITERIA = {
+    variant: unread for variant, row in VARIANTS.items()
+    if (unread := [name for name in OFF_DEFAULT_CRITERIA
+                   if "criteria." + name not in row.reads])}
 
 
 class TestValidation:
@@ -55,21 +64,25 @@ class TestValidation:
         with pytest.raises(UsageError, match="alpha"):
             validate_config(ExperimentConfig(variant="two_step", problem="sphere"))
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("name", ["zeta", "eta"])
-    def test_criteria_without_a_key_are_checked_too(self, tmp_path, variant,
-                                                     name):
-        # no INI key sets zeta or eta, but a library caller still can
+    def test_every_criteria_field_is_a_setting(self):
+        # so a library caller's criteria are checked like the INI keys
+        assert {"criteria." + f.name for f in dataclasses.fields(DirectionCriteria)} \
+            <= {key.name for key in CONFIG_KEYS}
+
+    @pytest.mark.parametrize("variant", UNREAD_CRITERIA)
+    def test_library_criteria_are_checked(self, tmp_path, variant):
+        # a caller that builds the criteria object sets no INI key
         stepsizes = {"two_step": dict(alpha=0.5, beta=0.5),
                      "stoch_two_step": dict(alpha=0.01)}.get(variant, {})
-        criteria = dataclasses.replace(variant_criteria(variant),
-                                       **{name: OFF_DEFAULT_CRITERIA[name]})
-        config = ExperimentConfig(variant=variant, problem="quadratic_sum",
-                                  seed=0, criteria=criteria,
-                                  out_dir=str(tmp_path), **stepsizes)
-        with pytest.raises(UsageError,
-                           match="^criteria.%s: %s ignores it$" % (name, variant)):
-            run_experiment(config)
+        for name in UNREAD_CRITERIA[variant]:
+            criteria = dataclasses.replace(variant_criteria(variant),
+                                           **{name: OFF_DEFAULT_CRITERIA[name]})
+            config = ExperimentConfig(variant=variant, problem="quadratic_sum",
+                                      seed=0, criteria=criteria,
+                                      out_dir=str(tmp_path), **stepsizes)
+            with pytest.raises(UsageError, match="^criteria.%s: %s ignores it$"
+                               % (name, variant)):
+                run_experiment(config)
         assert not list(tmp_path.iterdir())
 
     def test_stochastic_needs_finite_sum_problem(self, tmp_path):
@@ -100,18 +113,15 @@ def _fingerprint(solve):
     return failure, records, finals
 
 
-# an admissible value away from the default for each criteria constant
-OFF_DEFAULT_CRITERIA = {"gamma": 0.5, "theta": 2.0, "delta": 0.3, "zeta": 0.5,
-                        "eta": 3.0}
-
-
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("variant", DETERMINISTIC_VARIANTS)
+@pytest.mark.parametrize("variant", [v for v in DETERMINISTIC_VARIANTS
+                                     if v in UNREAD_CRITERIA])
 def test_criteria_outside_the_variant_row_change_no_registry_run(variant):
     # the basis for rejecting these keys: none of them moves a single bit
-    unread = [name for name in OFF_DEFAULT_CRITERIA
-              if "criteria." + name not in VARIANTS[variant].reads]
+    unread = UNREAD_CRITERIA[variant]
     assert unread
+    # dynamic_mn alone reads every criteria constant, so it has no case here
+    assert [v for v in VARIANTS if v not in UNREAD_CRITERIA] == ["dynamic_mn"]
     base = ExperimentConfig(variant=variant, alpha=0.01, beta=0.1,
                             termination=TerminationSpec(max_iterations=100))
     for problem in list_problems():
@@ -275,6 +285,17 @@ class TestCompare:
         with pytest.raises(ValueError, match="report %s is abnormal" % which):
             compare(reports["a"], reports["b"])
 
+    def test_mixed_kinds_rejected(self, tmp_path):
+        # a stochastic run's fevals count value estimates, not f evaluations
+        common = dict(problem="quadratic_sum", seed=1, out_dir=str(tmp_path))
+        _, stochastic = run_experiment(ExperimentConfig(
+            variant="stoch_dynamic", batch_size=2, iterations=20, **common))
+        _, deterministic = run_experiment(ExperimentConfig(variant="dynamic_sd",
+                                                           **common))
+        with pytest.raises(ValueError, match="stochastic vs deterministic"):
+            compare(load_report_summary(stochastic["report"]),
+                    load_report_summary(deterministic["report"]))
+
     def test_antisymmetry(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
@@ -354,6 +375,10 @@ class TestCampaign:
     def test_empty_suite_rejected(self):
         with pytest.raises(UsageError):
             campaign([])
+        # only None means the whole suite
+        for empty in ([], ()):
+            with pytest.raises(UsageError, match="^problems: "):
+                standard_campaign_pairs(problems=empty)
 
     @pytest.mark.parametrize("error, recorded", [
         (InnerLoopStall("stalled"), True),

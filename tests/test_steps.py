@@ -21,11 +21,11 @@ from ncopt.steps import (
 class TestDirectionCriteria:
     def test_defaults_are_all_one(self):
         c = DirectionCriteria()
-        assert (c.gamma, c.theta, c.delta, c.zeta, c.eta) == (1, 1, 1, 1, 1)
+        assert (c.gamma, c.theta, c.delta) == (1, 1, 1)
 
     @pytest.mark.parametrize("bad", [
         dict(gamma=0.0), dict(gamma=1.5), dict(theta=0.0), dict(delta=0.0),
-        dict(zeta=1.2), dict(eta=0.5),
+        dict(delta=1.5), dict(theta=float("nan")),
     ])
     def test_range_validation(self, bad):
         with pytest.raises(ValueError):
@@ -100,7 +100,8 @@ class TestDescentDirection:
         g = np.array([1.0, 2.0])
         s = descent_direction(
             "modified_newton", g, H=np.diag([1.0, 2.0]),
-            criteria=DirectionCriteria(delta=1e-8), enforce_norm_band=False,
+            criteria=DirectionCriteria(delta=1e-8),
+            eig=leftmost_eigenpair(np.diag([1.0, 2.0])),
         )
         np.testing.assert_allclose(s, [-1.0, -1.0], rtol=1e-10)
         assert cosine(s, g) >= 1e-8
@@ -108,10 +109,9 @@ class TestDescentDirection:
     def test_modified_newton_indefinite(self):
         crit = DirectionCriteria(delta=1e-8)
         g = np.array([1.0, 0.0])
-        s = descent_direction(
-            "modified_newton", g, H=np.diag([-1.0, 2.0]),
-            criteria=crit, enforce_norm_band=False,
-        )
+        H = np.diag([-1.0, 2.0])
+        s = descent_direction("modified_newton", g, H=H, criteria=crit,
+                              eig=leftmost_eigenpair(H))
         # B is diagonal so s is parallel to -g; the shift leaves B_11 ~ 3e-8
         assert s[0] < -1e7
         assert abs(s[1]) < 1e-6 * abs(s[0])
@@ -125,12 +125,12 @@ class TestDescentDirection:
         with pytest.raises(ValueError):
             descent_direction("newton_cg", np.ones(2))
 
-    def test_norm_band_enforced_for_fixed_step_use(self):
-        crit = DirectionCriteria(delta=1e-8, zeta=1.0, eta=1.0)
-        with pytest.raises(ConditionViolation):
-            descent_direction("modified_newton", np.array([1.0, 0.0]),
-                              H=np.diag([-1.0, 2.0]), criteria=crit,
-                              enforce_norm_band=True)
+    def test_modified_newton_needs_the_callers_eigenpair(self):
+        # the solver loop factors each Hessian; no second path factors it
+        H = np.diag([1.0, 2.0])
+        for missing in (dict(H=H), dict(eig=leftmost_eigenpair(H))):
+            with pytest.raises(ValueError, match="modified_newton"):
+                descent_direction("modified_newton", np.ones(2), **missing)
 
 
 class TestModelReductions:
