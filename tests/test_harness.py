@@ -85,6 +85,20 @@ class TestValidation:
                 run_experiment(config)
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("name", ["zeta", "eta"])
+    def test_criteria_without_a_key_are_checked_too(self, tmp_path, variant,
+                                                     name):
+        # zeta and eta are gone: neither a library caller nor a config file
+        # can still set them, whatever the variant
+        with pytest.raises(TypeError, match=name):
+            dataclasses.replace(variant_criteria(variant), **{name: 1.0})
+        path = tmp_path / "exp.cfg"
+        path.write_text("[experiment]\nvariant = %s\n[criteria]\n%s = 1.0\n"
+                        % (variant, name))
+        with pytest.raises(UsageError, match="^criteria.%s: unknown key$" % name):
+            _load(str(path))
+
     def test_stochastic_needs_finite_sum_problem(self, tmp_path):
         config = ExperimentConfig(variant="stoch_dynamic", problem="sphere",
                                   seed=1, out_dir=str(tmp_path))
