@@ -62,7 +62,6 @@ from ncopt.problems import (
 )
 from ncopt.steps import (
     ConditionViolation,
-    DirectionCriteria,
     LipschitzState,
     StepSizes,
     descent_direction,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import enum
 import itertools
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -19,10 +20,10 @@ import numpy as np
 from ncopt.linalg import KernelError, leftmost_eigenpair
 from ncopt.problems import EvaluationError
 from ncopt.steps import (
+    DESCENT_COSINE,
     ConditionViolation,
-    DirectionCriteria,
     LipschitzState,
-    default_criteria,
+    check_strategy,
     descent_direction,
     lipschitz_hat,
     model_reduction_curvature,
@@ -70,10 +71,14 @@ class TerminationSpec:
     min_step_norm: float = 1e-16
 
     def __post_init__(self):
-        if min(self.grad_tol_rel, self.curv_tol_rel, self.min_step_norm) <= 0.0:
+        # written so that NaN fails each check; a cap that is not an
+        # integer would never meet `k == max_iterations`
+        if not all(t > 0.0 for t in (self.grad_tol_rel, self.curv_tol_rel,
+                                     self.min_step_norm)):
             raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        cap = self.max_iterations
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+            raise ValueError("max_iterations must be a positive integer")
 
 
 @dataclass
@@ -161,7 +166,7 @@ def _terminal_record(k, x, f, gnorm, lam, problem):
     )
 
 
-def _iterate(problem, x0, criteria, termination, step, use_curvature, echo):
+def _iterate(problem, x0, termination, step, use_curvature, echo):
     """The iteration both deterministic solvers share; returns the report.
 
     Each iterate evaluates f (unless the previous step carried it), g, H
@@ -176,8 +181,8 @@ def _iterate(problem, x0, criteria, termination, step, use_curvature, echo):
     report = SolverReport(
         problem_name=problem.name,
         problem_lower_bound=problem.lower_bound,
-        config={"problem": problem.name, "criteria": asdict(criteria),
-                "termination": asdict(termination), **echo},
+        config={"problem": problem.name, "termination": asdict(termination),
+                **echo},
     )
     x = np.array(problem.default_start if x0 is None else x0, dtype=float)
     f = stop = None
@@ -196,7 +201,7 @@ def _iterate(problem, x0, criteria, termination, step, use_curvature, echo):
                 g1_scale, lam1_scale = max(1.0, gnorm), max(1.0, _neg(lam))
 
             if stop is None:
-                d = (negative_curvature_direction(eig, H, g, criteria)
+                d = (negative_curvature_direction(eig, H, g)
                      if use_curvature else np.zeros_like(x))
                 if gnorm == 0.0 and not np.any(d != 0.0):
                     stop = TerminationReason.SECOND_ORDER_POINT
@@ -224,22 +229,20 @@ def _iterate(problem, x0, criteria, termination, step, use_curvature, echo):
                 stop = TerminationReason.MAX_ITERATIONS
 
 
-def two_step_solve(problem, criteria=None, alpha=None, beta=None,
-                   termination=None, x0=None):
+def two_step_solve(problem, alpha=None, beta=None, termination=None, x0=None):
     """Alternate a fixed-size curvature step and a fixed-size steepest
     descent step.
 
     The caller supplies the stepsizes; they are admissible when
-    alpha < 2/L and beta < 3*gamma/(sigma*theta) for the problem's true
-    curvature constants, which is only verifiable on problems with
-    documented constants.  Returns the current iterate as soon as the
-    curvature direction and the gradient vanish.  An EvaluationError,
-    KernelError or ConditionViolation raised mid-solve carries the partial
-    report as `report`.  Without criteria it uses `DirectionCriteria()`.
+    alpha < 2/L and beta < 3/sigma for the problem's true curvature
+    constants, which is only verifiable on problems with documented
+    constants.  Returns the current iterate as soon as the curvature
+    direction and the gradient vanish.  An EvaluationError, KernelError or
+    ConditionViolation raised mid-solve carries the partial report as
+    `report`.
     """
     if alpha is None or beta is None or alpha <= 0.0 or beta <= 0.0:
         raise ValueError("two_step_solve needs positive fixed stepsizes")
-    criteria = criteria or DirectionCriteria()
 
     def step(k, x, f, g, gnorm, H, eig, d):
         has_d = bool(np.any(d != 0.0))
@@ -248,20 +251,19 @@ def two_step_solve(problem, criteria=None, alpha=None, beta=None,
         if float(np.linalg.norm(g_hat)) == 0.0:
             s_hat = np.zeros_like(x)
         else:
-            s_hat = descent_direction("steepest", g_hat, criteria=criteria)
+            s_hat = descent_direction("steepest", g_hat)
         has_s = bool(np.any(s_hat != 0.0))
         taken = "both" if has_d and has_s else "curvature" if has_d else "descent"
         return x_hat + alpha * s_hat, None, dict(
             s=s_hat, step_taken=taken, x_hat=x_hat.copy(), alpha=alpha, beta=beta)
 
-    return _iterate(problem, x0, criteria, termination or TerminationSpec(), step,
+    return _iterate(problem, x0, termination or TerminationSpec(), step,
                     True, dict(method="two_step", strategy="steepest",
                                alpha=alpha, beta=beta))
 
 
-def dynamic_solve(problem, criteria=None, strategy="steepest",
-                  lipschitz_init=None, termination=None, x0=None,
-                  use_curvature=True):
+def dynamic_solve(problem, strategy="steepest", lipschitz_init=None,
+                  termination=None, x0=None, use_curvature=True):
     """Adaptive method choosing between descent and curvature steps.
 
     Each iteration compares the optimal model reductions of the two
@@ -272,10 +274,10 @@ def dynamic_solve(problem, criteria=None, strategy="steepest",
     model and actual decrease agree.
     With use_curvature=False the curvature direction is suppressed, giving
     the descent-only twin used as a comparison baseline.  Every member of
-    SOLVER_FAILURES raised mid-solve carries the partial report as `report`.
-    Without criteria it uses `default_criteria(strategy)`.
+    SOLVER_FAILURES raised mid-solve carries the partial report as `report`;
+    an unknown strategy is a ValueError before any evaluation.
     """
-    criteria = criteria or default_criteria(strategy)
+    check_strategy(strategy)
     state = replace(lipschitz_init or LipschitzState())
 
     def step(k, x, f, g, gnorm, H, eig, d):
@@ -283,7 +285,7 @@ def dynamic_solve(problem, criteria=None, strategy="steepest",
         if gnorm == 0.0:
             s = np.zeros_like(x)
         else:
-            s = descent_direction(strategy, g, H, criteria, eig=eig)
+            s = descent_direction(strategy, g, H, eig)
         has_s = bool(np.any(s != 0.0))
 
         inner = 0
@@ -323,7 +325,7 @@ def dynamic_solve(problem, criteria=None, strategy="steepest",
         state.settle(kind, hat)
         return trial, f_trial, fields
 
-    return _iterate(problem, x0, criteria, termination or TerminationSpec(), step,
+    return _iterate(problem, x0, termination or TerminationSpec(), step,
                     use_curvature,
                     dict(method="dynamic", strategy=strategy,
                          use_curvature=use_curvature, L_init=state.L_current,
@@ -356,13 +358,13 @@ def complexity_census(report, epsilon_g, epsilon_H):
     if lower is None:
         return ComplexityCensus(count_G, count_H, None, None)
     gap = records[0].f_value - lower
-    criteria = report.config.get("criteria", {})
-    delta = criteria.get("delta", 1.0)
-    gamma = criteria.get("gamma", 1.0)
+    # the descent cosine the run's steps were certified at; the curvature
+    # certificate's constant is 1
+    delta = DESCENT_COSINE[report.config["strategy"]]
     l_values = [r.lipschitz_L for r in records if r.lipschitz_L is not None]
     s_values = [r.lipschitz_sigma for r in records if r.lipschitz_sigma is not None]
     L_max = max(l_values) if l_values else report.config.get("L_init", 1.0)
     sigma_max = max(s_values) if s_values else report.config.get("sigma_init", 1.0)
     bound_G = (2.0 * L_max * gap / delta ** 2) / epsilon_g ** 2
-    bound_H = (3.0 * sigma_max ** 2 * gap / (2.0 * gamma ** 3)) / epsilon_H ** 3
+    bound_H = (3.0 * sigma_max ** 2 * gap / 2.0) / epsilon_H ** 3
     return ComplexityCensus(count_G, count_H, bound_G, bound_H)

@@ -31,7 +31,7 @@ from ncopt.deterministic import (
 )
 from ncopt.finite_sum import FiniteSumProblem, StochasticOracle, load_dataset
 from ncopt.problems import list_problems, make_problem
-from ncopt.steps import DirectionCriteria, LipschitzState, default_criteria
+from ncopt.steps import LipschitzState
 from ncopt.stochastic import (
     SafeguardConfig,
     StochasticReport,
@@ -42,10 +42,10 @@ from ncopt.stochastic import (
 
 
 class Variant(NamedTuple):
-    """A solver variant: its descent strategy, which also picks its default
-    criteria; whether it takes curvature steps and samples a finite sum; the
-    settings that can change its run; the fixed stepsizes it needs.  No row
-    holds a solver, so rebinding a solver's name here reaches every run."""
+    """A solver variant: its descent strategy; whether it takes curvature
+    steps and samples a finite sum; the settings that can change its run;
+    the fixed stepsizes it needs.  No row holds a solver, so rebinding a
+    solver's name here reaches every run."""
 
     strategy: str
     use_curvature: bool
@@ -56,21 +56,16 @@ class Variant(NamedTuple):
 
 # `reads`: the sections and keys that can change the variant's run, beyond
 # `_EVERY_RUN_READS` and the seed and dataset keys `validate_config` adds;
-# any other key set away from its default is a usage error.  A steepest step
-# -g meets every delta, a descent-only run has no curvature direction for
-# gamma or theta to shape or certify, and the stochastic two-step method
-# certifies its scaled eigenvector at gamma = 1
-_CURVATURE = ("criteria.gamma", "criteria.theta")
+# any other key set away from its default is a usage error
 _DYNAMIC = ("termination", "lipschitz")
-_MN_DYNAMIC = ("criteria.delta",) + _DYNAMIC
 _SAMPLED = ("experiment.batch_size", "experiment.iterations")
 VARIANTS = {
-    "two_step": Variant("steepest", True, False, _CURVATURE + (
+    "two_step": Variant("steepest", True, False, (
         "termination", "experiment.alpha", "experiment.beta"), ("alpha", "beta")),
-    "dynamic_sd": Variant("steepest", True, False, _CURVATURE + _DYNAMIC),
-    "dynamic_mn": Variant("modified_newton", True, False, _CURVATURE + _MN_DYNAMIC),
+    "dynamic_sd": Variant("steepest", True, False, _DYNAMIC),
+    "dynamic_mn": Variant("modified_newton", True, False, _DYNAMIC),
     "dynamic_sd_descent_only": Variant("steepest", False, False, _DYNAMIC),
-    "dynamic_mn_descent_only": Variant("modified_newton", False, False, _MN_DYNAMIC),
+    "dynamic_mn_descent_only": Variant("modified_newton", False, False, _DYNAMIC),
     "stoch_two_step": Variant("steepest", True, True,
                               ("experiment.alpha",) + _SAMPLED, ("alpha",)),
     "stoch_dynamic": Variant("steepest", True, True, ("safeguards",) + _SAMPLED),
@@ -97,7 +92,6 @@ class ExperimentConfig:
     dataset_model: str = "linear"
     start: np.ndarray | None = None
     seed: int | None = None
-    criteria: DirectionCriteria | None = None
     termination: TerminationSpec = field(default_factory=TerminationSpec)
     lipschitz: LipschitzState = field(default_factory=LipschitzState)
     alpha: float | None = None
@@ -174,9 +168,6 @@ CONFIG_KEYS = (
               "stochastic iteration budget"),
     ConfigKey("experiment", "start", "start", _vector, "--start",
               "comma-separated starting point"),
-    ConfigKey("criteria", "gamma", "criteria.gamma", _real),
-    ConfigKey("criteria", "theta", "criteria.theta", _real),
-    ConfigKey("criteria", "delta", "criteria.delta", _real),
     ConfigKey("termination", "grad_tol_rel", "termination.grad_tol_rel", _real,
               "--grad-tol", "relative gradient tolerance"),
     ConfigKey("termination", "curv_tol_rel", "termination.curv_tol_rel", _real),
@@ -208,15 +199,11 @@ _IGNORED_HINTS = {
 }
 
 
-def _variant(name):
-    if name not in VARIANTS:
-        raise UsageError("variant: unknown %r (choose from %s)"
-                         % (name, ", ".join(VARIANTS)))
-    return VARIANTS[name]
-
-
 def validate_config(config):
-    row = _variant(config.variant)
+    if config.variant not in VARIANTS:
+        raise UsageError("variant: unknown %r (choose from %s)"
+                         % (config.variant, ", ".join(VARIANTS)))
+    row = VARIANTS[config.variant]
     if config.problem is None and config.dataset is None:
         raise UsageError("problem: either a problem name or a dataset path is required")
     if config.problem is not None and config.dataset is not None:
@@ -243,24 +230,17 @@ def validate_config(config):
         reads += ("experiment.seed",)
     if config.dataset is not None:
         reads += ("experiment.dataset_model", "experiment.dataset_has_header")
-    given = replace(config, criteria=variant_criteria(config.variant, config.criteria))
-    default = ExperimentConfig(criteria=variant_criteria(config.variant))
+    default = ExperimentConfig()
     for name, path in _SETTINGS.items():
         setting = attrgetter(path)
         if name not in reads and name.partition(".")[0] not in reads and \
-                setting(given) != setting(default):
+                setting(config) != setting(default):
             raise UsageError("%s: %s ignores it%s" % (
                 name, config.variant, _IGNORED_HINTS.get(name, "")))
     for name in row.stepsizes:
         if not (getattr(config, name) or 0.0) > 0.0:
             raise UsageError("%s: %s needs a positive fixed %s"
                              % (name, config.variant, name))
-
-
-def variant_criteria(variant, criteria=None):
-    if criteria is not None:
-        return criteria
-    return default_criteria(_variant(variant).strategy)
 
 
 def build_problem(config):
@@ -288,7 +268,6 @@ def starting_point(config, problem):
 
 def _run_solver(config, problem, x0):
     row = VARIANTS[config.variant]
-    criteria = variant_criteria(config.variant, config.criteria)
     if row.stochastic:
         oracle = StochasticOracle(problem, batch_size=config.batch_size,
                                   seed=config.seed)
@@ -300,11 +279,10 @@ def _run_solver(config, problem, x0):
             oracle, config.safeguards, iterations=config.iterations, x0=x0,
             use_curvature=row.use_curvature)
     if row.stepsizes:
-        return two_step_solve(problem, criteria, alpha=config.alpha,
-                              beta=config.beta, termination=config.termination,
-                              x0=x0)
+        return two_step_solve(problem, alpha=config.alpha, beta=config.beta,
+                              termination=config.termination, x0=x0)
     return dynamic_solve(
-        problem, criteria, strategy=row.strategy, lipschitz_init=config.lipschitz,
+        problem, strategy=row.strategy, lipschitz_init=config.lipschitz,
         termination=config.termination, x0=x0, use_curvature=row.use_curvature)
 
 
@@ -613,20 +591,16 @@ def config_from_settings(settings):
 
     Nested constants are rebuilt with `replace`, never changed in place, so
     their own checks run; a value that fails to parse or to pass a check is
-    a UsageError naming its key.  The criteria start from the variant's
-    (`variant_criteria`), so a modified-Newton variant keeps its delta.
+    a UsageError naming its key.
     """
     config = ExperimentConfig()
-    variant = settings.get("experiment.variant", config.variant)
     for name, text in settings.items():
         key = _CONFIG_KEYS_BY_NAME[name]
         owner, _, attr = key.field.rpartition(".")
-        # outside the try, so an unknown variant's error names the variant
-        constants = owner and (getattr(config, owner) or variant_criteria(variant))
         try:
             value = key.parse(text)
             if owner:
-                attr, value = owner, replace(constants, **{attr: value})
+                attr, value = owner, replace(getattr(config, owner), **{attr: value})
             config = replace(config, **{attr: value})
         except ValueError as err:
             raise UsageError("%s: %s" % (name, err)) from None

@@ -27,7 +27,7 @@ _PROJECTION_FLOOR = 1e-8
 _SYMMETRY_TOL = 1e-10
 _RESIDUAL_TOL = 1e-10
 # modified-Newton condition-number cap, and the shift floor when lmax = lmin <= 0
-_CONDITION_CAP = 1e8
+CONDITION_CAP = 1e8
 _PD_FLOOR = 1e-8
 
 
@@ -216,7 +216,7 @@ def modified_newton_shift(H, eig):
     lmin, lmax = float(w[0]), float(w[-1])
     # aim slightly inside the cap so the condition number verified in floating
     # point (relative error ~ eps * kappa) still lands at or below it
-    cap = _CONDITION_CAP * (1.0 - 1e-6)
+    cap = CONDITION_CAP * (1.0 - 1e-6)
     if lmin > 0.0 and lmax <= cap * lmin:
         delta = 0.0
     else:

@@ -1,20 +1,22 @@
 """Search-direction computation, certification, and step-sizing formulas.
 
-Directions come with certificates checked by direct evaluation: a
-negative-curvature direction d must satisfy d'Hd <= gamma*lambda*||d||^2 < 0,
-g'd <= 0 and ||d|| <= theta*|lambda|; a descent direction s must make an
-angle with -g of cosine at least delta.  Certificates are evaluated with a
-relative rounding guard of 1e-12 since several hold with equality at the
-default constants.
+Directions come with certificates checked by direct evaluation, each at the
+constant the constructed direction meets: a negative-curvature direction d
+must satisfy d'Hd <= lambda*||d||^2 < 0, g'd <= 0 and ||d|| <= |lambda|;
+a descent direction s must make an angle with -g of cosine at least
+DESCENT_COSINE[strategy].  Certificates are evaluated with a rounding
+guard of 1e-12 relative to each term's scale (||H||*||d||^2 for d'Hd),
+since several hold with equality.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ncopt.linalg import modified_newton_shift
+from ncopt.linalg import CONDITION_CAP, modified_newton_shift
 
 _CERT_SLACK = 1e-12
 # leftmost eigenvalues above -ZERO_CURVATURE_TOL count as nonnegative
@@ -22,37 +24,16 @@ ZERO_CURVATURE_TOL = 1e-12
 # LipschitzState's update clamps: largest increase and decrease factors, floor
 _CLAMP_UP, _CLAMP_DOWN, _ABSOLUTE_FLOOR = 1e3, 1e-3, 1e-3
 
-DESCENT_STRATEGIES = ("steepest", "modified_newton")
+# the cosine with -g each descent strategy's step is certified at: -g has
+# cosine 1, and a step solving a system of condition number at most
+# CONDITION_CAP has cosine at least 1/CONDITION_CAP
+DESCENT_COSINE = {"steepest": 1.0, "modified_newton": 1.0 / CONDITION_CAP}
 # the LipschitzState estimate each model kind reads and updates
 _ESTIMATE = {"gradient": "L_current", "hessian": "sigma_current"}
 
 
 class ConditionViolation(RuntimeError):
     """A direction or stepsize certificate failed its defining inequality."""
-
-
-@dataclass(frozen=True)
-class DirectionCriteria:
-    """Constants certifying direction quality; the defaults are all 1."""
-
-    gamma: float = 1.0
-    theta: float = 1.0
-    delta: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        if not self.theta > 0.0:
-            raise ValueError("theta must be positive")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
-
-
-def default_criteria(strategy):
-    """The criteria a solver uses with `strategy` when given none: a
-    modified-Newton step has cosine 1 with -g only where H is a multiple of
-    I, so it is held to delta = 1e-8."""
-    return DirectionCriteria(delta=1e-8 if strategy == "modified_newton" else 1.0)
 
 
 @dataclass
@@ -70,11 +51,12 @@ class LipschitzState:
     rho: float = 2.0
 
     def __post_init__(self):
-        if self.L_current <= 0.0 or self.sigma_current <= 0.0:
-            raise ValueError("estimates must be positive")
-        if self.rho <= 1.0:
+        # written so that NaN fails each check
+        if not (0.0 < self.L_current < math.inf and 0.0 < self.sigma_current < math.inf):
+            raise ValueError("estimates must be positive and finite")
+        if not self.rho > 1.0:
             raise ValueError("rho must exceed 1")
-        if self.rho > _CLAMP_UP:
+        if not self.rho <= _CLAMP_UP:
             raise ValueError("rho must be at most the clamp-up factor %g" % _CLAMP_UP)
 
     def inflate(self, kind, hat):
@@ -98,10 +80,10 @@ class StepSizes:
     beta: float | None = None
 
 
-def certify_curvature_direction(d, H, lam, g, criteria, check_norm_cap=True):
+def certify_curvature_direction(d, H, lam, g, check_norm_cap=True):
     """Check the negative-curvature conditions by direct evaluation.
 
-    The norm cap ||d|| <= theta*|lambda| applies to the deterministic
+    The norm cap ||d|| <= |lambda| applies to the deterministic
     construction; stochastic directions are scaled against the gradient
     estimate instead and skip it via check_norm_cap=False.
     """
@@ -109,11 +91,13 @@ def certify_curvature_direction(d, H, lam, g, criteria, check_norm_cap=True):
     if nd2 == 0.0:
         raise ConditionViolation("curvature direction is zero")
     quad = float(d @ H @ d)
-    scale = max(1.0, abs(lam) * nd2)
-    if quad > criteria.gamma * lam * nd2 + _CERT_SLACK * scale:
+    # d'Hd is rounded relative to ||H||*||d||^2, which |lambda|*||d||^2
+    # understates when H is ill-conditioned
+    scale = max(1.0, float(np.linalg.norm(H)) * nd2)
+    if quad > lam * nd2 + _CERT_SLACK * scale:
         raise ConditionViolation(
-            "curvature condition failed: d'Hd=%.6e > gamma*lambda*||d||^2=%.6e"
-            % (quad, criteria.gamma * lam * nd2)
+            "curvature condition failed: d'Hd=%.6e > lambda*||d||^2=%.6e"
+            % (quad, lam * nd2)
         )
     if quad >= _CERT_SLACK * scale:
         raise ConditionViolation("d'Hd must be negative, got %.6e" % quad)
@@ -121,13 +105,11 @@ def certify_curvature_direction(d, H, lam, g, criteria, check_norm_cap=True):
         1.0, float(np.linalg.norm(g)) * np.sqrt(nd2)
     ):
         raise ConditionViolation("g'd must be nonpositive")
-    if check_norm_cap:
-        cap = criteria.theta * abs(lam)
-        if np.sqrt(nd2) > cap * (1.0 + _CERT_SLACK):
-            raise ConditionViolation("||d|| exceeds theta*|lambda|")
+    if check_norm_cap and np.sqrt(nd2) > abs(lam) * (1.0 + _CERT_SLACK):
+        raise ConditionViolation("||d|| exceeds |lambda|")
 
 
-def negative_curvature_direction(eig, H, g, criteria=None):
+def negative_curvature_direction(eig, H, g):
     """Certified direction of negative curvature at a point with Hessian H
     and gradient g.
 
@@ -135,15 +117,14 @@ def negative_curvature_direction(eig, H, g, criteria=None):
     g, so its vector is the unit vector of the leftmost eigenspace most
     aligned with -g when the eigenvalue is repeated.  Zero when the leftmost
     eigenvalue is above -ZERO_CURVATURE_TOL; otherwise that vector scaled
-    to theta*|lambda| and signed so that g'd <= 0 up to rounding, certified
+    to |lambda| and signed so that g'd <= 0 up to rounding, certified
     before return.
     """
-    criteria = criteria or DirectionCriteria()
     lam = eig.leftmost_value
     if lam >= -ZERO_CURVATURE_TOL:
         return np.zeros_like(eig.leftmost_vector)
     g = None if g is None else np.asarray(g, dtype=float)
-    d = criteria.theta * abs(lam) * eig.leftmost_vector
+    d = abs(lam) * eig.leftmost_vector
     # a vector orthogonal to g up to rounding keeps its fixed sign, so the
     # sign does not follow rounding noise; the certificate allows this g'd
     if g is not None and float(g @ d) > _CERT_SLACK * max(
@@ -151,40 +132,44 @@ def negative_curvature_direction(eig, H, g, criteria=None):
     ):
         d = -d
     if np.any(d != 0.0):
-        certify_curvature_direction(d, H, lam, g, criteria)
+        certify_curvature_direction(d, H, lam, g)
     return d
 
 
-def descent_direction(strategy, g, H=None, criteria=None, eig=None):
+def check_strategy(strategy):
+    """Raise ValueError unless `strategy` names a descent strategy."""
+    if strategy not in DESCENT_COSINE:
+        raise ValueError("unknown strategy %r (options: %s)"
+                         % (strategy, ", ".join(DESCENT_COSINE)))
+
+
+def descent_direction(strategy, g, H=None, eig=None):
     """Descent direction by steepest descent or a modified-Newton solve.
 
     Returns s, whose realized cosine -g's/(||s|| ||g||) must meet
-    criteria.delta.  For modified_newton, eig is the `leftmost_eigenpair`
-    result for H, whose decomposition the shift and solve reuse; the
-    caller's solver loop has factored H already, so it is required.
+    DESCENT_COSINE[strategy].  For modified_newton, eig is the
+    `leftmost_eigenpair` result for H, whose decomposition the shift and
+    solve reuse; the caller's solver loop has factored H already, so it is
+    required.
     """
-    criteria = criteria or DirectionCriteria()
+    check_strategy(strategy)
     g = np.asarray(g, dtype=float)
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
         raise ValueError("descent direction undefined at a zero gradient")
     if strategy == "steepest":
         s = -g
-    elif strategy == "modified_newton":
+    else:
         if H is None or eig is None:
             raise ValueError("modified_newton strategy needs the Hessian and "
                              "its leftmost eigenpair")
         _, solve = modified_newton_shift(H, eig)
         s = solve(-g)
-    else:
-        raise ValueError("unknown strategy %r (options: %s)"
-                         % (strategy, ", ".join(DESCENT_STRATEGIES)))
     snorm = float(np.linalg.norm(s))
     cosine = float(-(g @ s) / (snorm * gnorm))
-    if cosine < criteria.delta - _CERT_SLACK:
-        raise ConditionViolation(
-            "descent cosine %.6e below required delta %.6e" % (cosine, criteria.delta)
-        )
+    if cosine < DESCENT_COSINE[strategy] - _CERT_SLACK:
+        raise ConditionViolation("descent cosine %.6e below required %.6e"
+                                 % (cosine, DESCENT_COSINE[strategy]))
     return s
 
 

@@ -17,11 +17,7 @@ import numpy as np
 from ncopt.deterministic import _partial_report_on_failure
 from ncopt.linalg import CgStatus, leftmost_eigenpair, truncated_cg
 from ncopt.problems import EvaluationError
-from ncopt.steps import (
-    ZERO_CURVATURE_TOL,
-    DirectionCriteria,
-    certify_curvature_direction,
-)
+from ncopt.steps import ZERO_CURVATURE_TOL, certify_curvature_direction
 
 _TINY = 1e-12
 # CG iterations per sampled system of the dynamic method
@@ -60,8 +56,9 @@ class StochasticStepConfig:
     gradient_lipschitz: float | None = None
 
     def __post_init__(self):
-        if self.alpha_constant is None or self.alpha_constant < 0.0:
-            raise ValueError("alpha_constant must be set and nonnegative")
+        # written so that NaN fails it
+        if self.alpha_constant is None or not 0.0 <= self.alpha_constant < math.inf:
+            raise ValueError("alpha_constant must be set, finite and nonnegative")
         if self.moment_bounds is not None and self.gradient_lipschitz is not None:
             cap = admissible_constant_step(self.moment_bounds,
                                            self.gradient_lipschitz)
@@ -102,9 +99,10 @@ class SafeguardConfig:
     def __post_init__(self):
         values = (self.max_s_norm, self.max_ratio_d_to_s, self.inflate_factor,
                   self.L_init, self.sigma_init)
-        if any(v <= 0.0 for v in values):
-            raise ValueError("all safeguard values must be positive")
-        if self.inflate_factor <= 1.0:
+        # written so that NaN fails each check
+        if not all(0.0 < v < math.inf for v in values):
+            raise ValueError("all safeguard values must be positive and finite")
+        if not self.inflate_factor > 1.0:
             raise ValueError("inflate_factor must exceed 1")
 
 
@@ -205,9 +203,9 @@ def curvature_noise_step(x, oracle, alpha):
 
     Draws a gradient-batch step s = -(gradient estimate), an independent
     Hessian estimate whose leftmost eigenvector (scaled to ||s||) gives the
-    curvature direction, certified at gamma = 1, and a uniform omega in [-1, 1]; the step is
-    x + alpha*(s + omega*d).  Returns (x_next, record).  A non-finite
-    estimate raises EvaluationError.
+    curvature direction, certified without the norm cap, and a uniform
+    omega in [-1, 1]; the step is x + alpha*(s + omega*d).  Returns
+    (x_next, record).  A non-finite estimate raises EvaluationError.
     """
     if not alpha > 0.0:
         raise ValueError("stepsize must be positive")
@@ -227,8 +225,7 @@ def curvature_noise_step(x, oracle, alpha):
         # leftmost_vector has a fixed sign (largest entry positive), which
         # keeps replays stable; omega makes the step zero-mean
         d = snorm * eig.leftmost_vector
-        certify_curvature_direction(d, H_est, lam, None, DirectionCriteria(),
-                                    check_norm_cap=False)
+        certify_curvature_direction(d, H_est, lam, None, check_norm_cap=False)
 
     x_next = x + alpha * s + alpha * omega * d
     record = StochasticIterationRecord(

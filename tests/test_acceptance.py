@@ -27,7 +27,7 @@ from ncopt.harness import campaign, standard_campaign_pairs
 from ncopt.linalg import leftmost_eigenpair, modified_newton_shift, truncated_cg
 from ncopt.problems import list_problems, make_problem, random_quadratic, sphere
 from ncopt.steps import (
-    DirectionCriteria,
+    DESCENT_COSINE,
     LipschitzState,
     model_reduction_curvature,
     model_reduction_descent,
@@ -85,11 +85,9 @@ def dynamic_suite_runs():
     termination = TerminationSpec(max_iterations=200)
     for name in list_problems():
         for strategy in STRATEGIES:
-            criteria = (DirectionCriteria(delta=1e-8)
-                        if strategy == "modified_newton" else DirectionCriteria())
             for x0 in _starting_points(make_problem(name)):
                 problem = make_problem(name)
-                report = dynamic_solve(problem, criteria, strategy=strategy,
+                report = dynamic_solve(problem, strategy=strategy,
                                        termination=termination, x0=x0)
                 runs.append(report)
     return runs
@@ -102,15 +100,16 @@ def test_criterion_1_dynamic_per_iteration_decrease(dynamic_suite_runs):
     checked = 0
     worst = np.inf
     for report in dynamic_suite_runs:
-        crit = report.config["criteria"]
+        # the certificates' constants: the strategy's descent cosine, and 1
+        # in the curvature condition
+        delta = DESCENT_COSINE[report.config["strategy"]]
         records = report.records
         for cur, nxt in zip(records[:-1], records[1:]):
             if cur.step_taken == "none":
                 continue
             guarantee = max(
-                crit["delta"] ** 2 * cur.gradient_norm ** 2 / (2.0 * cur.lipschitz_L),
-                2.0 * crit["gamma"] ** 3 * _neg(cur.lam) ** 3
-                / (3.0 * cur.lipschitz_sigma ** 2),
+                delta ** 2 * cur.gradient_norm ** 2 / (2.0 * cur.lipschitz_L),
+                2.0 * _neg(cur.lam) ** 3 / (3.0 * cur.lipschitz_sigma ** 2),
             )
             slack = 1e-10 * max(1.0, abs(cur.f_value))
             margin = (cur.f_value - nxt.f_value) - guarantee

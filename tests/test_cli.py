@@ -35,10 +35,9 @@ from ncopt.linalg import (
 )
 from ncopt.steps import (
     ConditionViolation,
-    DirectionCriteria,
     LipschitzState,
     certify_curvature_direction,
-    default_criteria,
+    check_strategy,
     descent_direction,
     negative_curvature_direction,
 )
@@ -185,9 +184,10 @@ class TestRun:
         (["run", "--config", "{tmp}/missing.cfg"], None, "config"),
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\nseed = abc\n", "experiment.seed"),
+        # the direction criteria are constants of the code
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\n[criteria]\ngamma = 2\n",
-         "criteria.gamma"),
+         "criteria: unknown section"),
         (["run", "--problem", "sphere", "--start", "1,x"], None, "experiment.start"),
         (["run", "--problem", "sphere", "--seed", "-1"], None, "seed"),
         (["run", "--problem", "two_layer_net", "--variant", "stoch_dynamic",
@@ -217,8 +217,8 @@ class TestRun:
          None, "experiment.beta: stoch_two_step ignores it"),
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = quadratic_sum\nvariant = stoch_dynamic\n"
-         "seed = 0\nbatch_size = 2\n[criteria]\ngamma = 0.5\n",
-         "criteria.gamma: stoch_dynamic ignores it"),
+         "seed = 0\nbatch_size = 2\n[lipschitz]\nrho = 3\n",
+         "lipschitz.rho: stoch_dynamic ignores it"),
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\nvariant = two_step\nalpha = 0.5\n"
          "beta = 0.5\n[lipschitz]\nrho = 3\n",
@@ -227,14 +227,15 @@ class TestRun:
          "[experiment]\nproblem = quadratic_sum\nvariant = stoch_two_step\n"
          "seed = 0\nbatch_size = 2\nalpha = 0.01\n[safeguards]\nmax_s_norm = 5\n",
          "safeguards.max_s_norm: stoch_two_step ignores it"),
-        # a steepest step -g has cosine 1 with -g, whatever delta asks
+        # only the dynamic stochastic method has safeguards
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\nvariant = dynamic_sd\n"
-         "[criteria]\ndelta = 0.3\n", "criteria.delta: dynamic_sd ignores it"),
+         "[safeguards]\nmax_s_norm = 5\n",
+         "safeguards.max_s_norm: dynamic_sd ignores it"),
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\nvariant = two_step\nalpha = 0.5\n"
-         "beta = 0.5\n[criteria]\ndelta = 0.3\n",
-         "criteria.delta: two_step ignores it"),
+         "beta = 0.5\n[safeguards]\ninflate_factor = 2\n",
+         "safeguards.inflate_factor: two_step ignores it"),
         # a deterministic variant reads the seed only to draw a start
         (["run", "--problem", "sphere", "--variant", "dynamic_sd", "--seed", "3",
           "--start", "1,1"], None, "experiment.seed: dynamic_sd ignores it"),
@@ -244,26 +245,29 @@ class TestRun:
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\ndataset_model = two_layer\n",
          "experiment.dataset_model: dynamic_sd ignores it"),
-        # a descent-only variant certifies no curvature direction
+        # a descent-only dynamic variant takes no fixed stepsize and has no
+        # safeguards
         *((["run", "--config", "{cfg}"],
-           "[experiment]\nproblem = sphere\nvariant = %s\n[criteria]\n%s = %s\n"
-           % (variant, key, value), "criteria.%s: %s ignores it" % (key, variant))
+           "[experiment]\nproblem = sphere\nvariant = %s\n%s\n" % (variant, line),
+           "%s: %s ignores it" % (key, variant))
           for variant in ("dynamic_sd_descent_only", "dynamic_mn_descent_only")
-          for key, value in (("gamma", "0.5"), ("theta", "2"))),
-        # the two-step method's descent step is -g, so it has no norm band
+          for line, key in (("beta = 0.5", "experiment.beta"),
+                            ("[safeguards]\nsigma_init = 50",
+                             "safeguards.sigma_init"))),
+        # a [criteria] section is unknown, whatever key it holds
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\nvariant = two_step\nalpha = 0.5\n"
-         "beta = 0.5\n[criteria]\nzeta = 0.5\n", "criteria.zeta: unknown key"),
-        # the stochastic two-step method certifies its direction at gamma = 1
+         "beta = 0.5\n[criteria]\nzeta = 0.5\n", "criteria: unknown section"),
+        # the stochastic methods have a fixed iteration budget
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = quadratic_sum\nvariant = stoch_two_step\n"
-         "seed = 0\nbatch_size = 2\nalpha = 0.01\n[criteria]\ngamma = 0.5\n",
-         "criteria.gamma: stoch_two_step ignores it"),
-        # the criteria start from the variant's, so the variant is named
-        # first, and not as part of the criteria key's error
+         "seed = 0\nbatch_size = 2\nalpha = 0.01\n[termination]\n"
+         "grad_tol_rel = 1e-3\n",
+         "termination.grad_tol_rel: stoch_two_step ignores it"),
+        # the variant is named, and not as part of another key's error
         (["run", "--config", "{cfg}"],
-         "[experiment]\nproblem = sphere\nvariant = bogus\n[criteria]\n"
-         "gamma = 0.5\n", "error: variant: unknown 'bogus' (choose from two_step, "),
+         "[experiment]\nproblem = sphere\nvariant = bogus\n[lipschitz]\n"
+         "rho = 3\n", "error: variant: unknown 'bogus' (choose from two_step, "),
     ])
     def test_bad_input_is_usage_error_naming_key(self, tmp_path, capsys, argv,
                                                  ini, key):
@@ -294,20 +298,23 @@ class TestRun:
                      "--batch-size", "2", "--iterations", "3",
                      "--out", str(tmp_path)]) == 0
 
-    def test_criteria_section_keeps_modified_newton_delta(self, tmp_path):
+    def test_criteria_section_keeps_modified_newton_delta(self, tmp_path, capsys):
+        # dynamic_mn certifies its steps at DESCENT_COSINE["modified_newton"]
+        # with no setting, and a [criteria] section is a usage error
+        text = ("[experiment]\n"
+                "problem = rosenbrock2\n"
+                "variant = dynamic_mn\n"
+                "out = %s\n" % tmp_path)
         cfg = tmp_path / "mn.cfg"
-        cfg.write_text(
-            "[experiment]\n"
-            "problem = rosenbrock2\n"
-            "variant = dynamic_mn\n"
-            "out = %s\n"
-            "[criteria]\n"
-            "gamma = 0.5\n" % tmp_path
-        )
+        cfg.write_text(text)
         assert main(["run", "--config", str(cfg)]) == 0
         summary = json.loads((tmp_path / "rosenbrock2_dynamic_mn.json").read_text())
-        assert summary["config"]["criteria"]["delta"] == 1e-8
-        assert summary["config"]["criteria"]["gamma"] == 0.5
+        assert summary["termination_reason"] == "tolerance_met"
+        assert summary["config"]["strategy"] == "modified_newton"
+        assert "criteria" not in summary["config"]
+        cfg.write_text(text + "[criteria]\ndelta = 1e-8\n")
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "criteria: unknown section" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_exact_gradient_norm_stops_stochastic_run(self, tmp_path):
@@ -445,10 +452,6 @@ beta = 0.75
 batch_size = 8
 iterations = 50
 start = 0.5, -1.5
-[criteria]
-gamma = 0.5
-theta = 2.0
-delta = 0.25
 [termination]
 grad_tol_rel = 1e-7
 curv_tol_rel = 1e-6
@@ -478,7 +481,6 @@ FILE_FIELDS = {
     "variant": "dynamic_mn", "problem": "rosenbrock2", "dataset": "data.csv",
     "dataset_has_header": True, "dataset_model": "two_layer",
     "start": [0.5, -1.5], "seed": 13,
-    "criteria": {"gamma": 0.5, "theta": 2.0, "delta": 0.25},
     "termination": {"grad_tol_rel": 1e-7, "curv_tol_rel": 1e-6,
                     "max_iterations": 77, "min_step_norm": 1e-12},
     "lipschitz": {"L_current": 2.5, "sigma_current": 3.5, "rho": 4.0},
@@ -548,7 +550,7 @@ class TestOptionSurface:
                 "variant", "problem", "dataset", "dataset_model",
                 "dataset_has_header", "label", "out", "seed", "alpha", "beta",
                 "batch_size", "iterations", "start")
-        } | {"criteria." + k for k in ("gamma", "theta", "delta")} | {
+        } | {
             "termination." + k for k in (
                 "grad_tol_rel", "curv_tol_rel", "max_iterations", "min_step_norm")
         } | {"lipschitz." + k for k in ("l_init", "sigma_init", "rho")} | {
@@ -556,16 +558,15 @@ class TestOptionSurface:
                 "max_s_norm", "max_ratio_d_to_s", "inflate_factor", "l_init",
                 "sigma_init")
         }
-        assert len(CONFIG_KEYS) == 28
+        assert len(CONFIG_KEYS) == 25
 
     def test_library_surface_is_fixed(self):
         """The solvers', steps' and kernels' parameters and the constants
         objects' fields; a tolerance or cap that no caller varies is a module
         constant, so a new knob must edit these lists in plain view."""
         parameters = {
-            two_step_solve: ("problem", "criteria", "alpha", "beta",
-                             "termination", "x0"),
-            dynamic_solve: ("problem", "criteria", "strategy", "lipschitz_init",
+            two_step_solve: ("problem", "alpha", "beta", "termination", "x0"),
+            dynamic_solve: ("problem", "strategy", "lipschitz_init",
                             "termination", "x0", "use_curvature"),
             two_step_stochastic_solve: ("oracle", "config", "iterations", "x0",
                                         "track_exact"),
@@ -577,11 +578,10 @@ class TestOptionSurface:
             expected_descent_check: ("problem", "x", "config", "replications",
                                      "seed", "batch_size", "moments",
                                      "measure_draws"),
-            descent_direction: ("strategy", "g", "H", "criteria", "eig"),
-            negative_curvature_direction: ("eig", "H", "g", "criteria"),
-            default_criteria: ("strategy",),
-            certify_curvature_direction: ("d", "H", "lam", "g", "criteria",
-                                          "check_norm_cap"),
+            descent_direction: ("strategy", "g", "H", "eig"),
+            check_strategy: ("strategy",),
+            negative_curvature_direction: ("eig", "H", "g"),
+            certify_curvature_direction: ("d", "H", "lam", "g", "check_norm_cap"),
             leftmost_eigenpair: ("H", "g"),
             truncated_cg: ("H", "g", "max_iterations"),
             modified_newton_shift: ("H", "eig"),
@@ -601,7 +601,6 @@ class TestOptionSurface:
                               "L_init", "sigma_init"),
             TerminationSpec: ("grad_tol_rel", "curv_tol_rel", "max_iterations",
                               "min_step_norm"),
-            DirectionCriteria: ("gamma", "theta", "delta"),
             EigenResult: ("leftmost_value", "leftmost_vector", "residual",
                           "values", "vectors"),
         }

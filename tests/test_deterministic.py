@@ -22,7 +22,7 @@ from ncopt.problems import (
     random_quadratic,
     sphere,
 )
-from ncopt.steps import DirectionCriteria, LipschitzState
+from ncopt.steps import DESCENT_COSINE, LipschitzState
 
 
 GOLDEN_TWO_STEP = os.path.join(os.path.dirname(__file__), "golden", "two_step.csv")
@@ -67,7 +67,7 @@ class TestTwoStep:
         assert first.step_taken in ("curvature", "both")
         # one Hessian per record: the descent step at x_hat factors none
         assert p.hessian_count == report.total_iterations
-        # moves along +-e1 by beta*theta*|lambda|: f drops to (beta^2-1)^2/4
+        # moves along +-e1 by beta*|lambda|: f drops to (beta^2-1)^2/4
         f_hat = p.evaluate(first.x_hat)
         assert f_hat == pytest.approx(0.25 * (beta ** 2 - 1.0) ** 2, rel=1e-12)
         assert f_hat < 0.25
@@ -175,30 +175,41 @@ class TestDynamic:
             for cur, nxt in zip(recs[:-1], recs[1:]):
                 if cur.step_taken == "none":
                     continue
-                crit = report.config["criteria"]
+                delta = DESCENT_COSINE[report.config["strategy"]]
                 bound = max(
-                    crit["delta"] ** 2 * cur.gradient_norm ** 2 / (2.0 * cur.lipschitz_L),
-                    2.0 * crit["gamma"] ** 3 * max(0.0, -cur.lam) ** 3
-                    / (3.0 * cur.lipschitz_sigma ** 2),
+                    delta ** 2 * cur.gradient_norm ** 2 / (2.0 * cur.lipschitz_L),
+                    2.0 * max(0.0, -cur.lam) ** 3 / (3.0 * cur.lipschitz_sigma ** 2),
                 )
                 decrease = cur.f_value - nxt.f_value
                 assert decrease >= bound - 1e-10 * max(1.0, abs(cur.f_value))
 
     def test_modified_newton_strategy_converges(self):
         p = make_problem("rosenbrock2")
-        report = dynamic_solve(p, criteria=DirectionCriteria(delta=1e-8),
-                               strategy="modified_newton")
+        report = dynamic_solve(p, strategy="modified_newton")
         assert report.termination_reason is TerminationReason.TOLERANCE_MET
         assert report.final_f <= 1e-8
 
     @pytest.mark.parametrize("name", list_problems())
     def test_modified_newton_runs_at_default_criteria(self, name):
-        # the default criteria follow the strategy: delta = 1 would reject
-        # every shifted-Newton step whose Hessian is not a multiple of I
+        # its steps are certified at DESCENT_COSINE["modified_newton"]: a
+        # cosine of 1 would reject every shifted-Newton step whose Hessian
+        # is not a multiple of I
         report = dynamic_solve(make_problem(name), strategy="modified_newton",
                                termination=TerminationSpec(max_iterations=200))
         assert report.termination_reason is not None
-        assert report.config["criteria"]["delta"] == 1e-8
+        assert report.config["strategy"] == "modified_newton"
+        assert "criteria" not in report.config
+
+    @pytest.mark.parametrize("name, x0", [("sphere", [0.0, 0.0]),
+                                          ("quartic_saddle", [0.0, 0.0])])
+    def test_unknown_strategy_rejected_before_any_evaluation(self, name, x0):
+        # at a second-order point no descent step is ever built, and at the
+        # saddle a curvature step came first
+        problem = make_problem(name)
+        with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+            dynamic_solve(problem, strategy="bogus", x0=np.array(x0))
+        assert (problem.evaluation_count, problem.gradient_count,
+                problem.hessian_count) == (0, 0, 0)
 
     def test_inner_loop_bounded_on_quadratic_with_known_constants(self):
         p = random_quadratic(6, spectrum=np.linspace(2.0, 60.0, 6), seed=4)

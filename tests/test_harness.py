@@ -26,23 +26,22 @@ from ncopt.harness import (
     run_experiment,
     standard_campaign_pairs,
     validate_config,
-    variant_criteria,
     write_trace_csv,
 )
+from ncopt import deterministic
 from ncopt.problems import list_problems, make_problem
-from ncopt.steps import DirectionCriteria
-from ncopt.stochastic import SafeguardConfig
+from ncopt.steps import DESCENT_COSINE, LipschitzState
+from ncopt.stochastic import SafeguardConfig, StochasticStepConfig
 
 DETERMINISTIC_VARIANTS = [name for name, row in VARIANTS.items()
                           if not row.stochastic]
-# an admissible value away from the default for each criteria constant
-OFF_DEFAULT_CRITERIA = {"gamma": 0.5, "theta": 2.0, "delta": 0.3}
-# variant -> the criteria constants its row does not read, for each variant
-# that has one
-UNREAD_CRITERIA = {
-    variant: unread for variant, row in VARIANTS.items()
-    if (unread := [name for name in OFF_DEFAULT_CRITERIA
-                   if "criteria." + name not in row.reads])}
+# each constants object with one setting away from its default, and that
+# setting's name
+OFF_DEFAULT_CONSTANTS = {
+    "termination": (TerminationSpec(grad_tol_rel=1e-3), "termination.grad_tol_rel"),
+    "lipschitz": (LipschitzState(rho=3.0), "lipschitz.rho"),
+    "safeguards": (SafeguardConfig(max_s_norm=5.0), "safeguards.max_s_norm"),
+}
 
 
 class TestValidation:
@@ -65,39 +64,72 @@ class TestValidation:
             validate_config(ExperimentConfig(variant="two_step", problem="sphere"))
 
     def test_every_criteria_field_is_a_setting(self):
-        # so a library caller's criteria are checked like the INI keys
-        assert {"criteria." + f.name for f in dataclasses.fields(DirectionCriteria)} \
-            <= {key.name for key in CONFIG_KEYS}
+        # every field of a constants object is a setting, so a library
+        # caller's objects are checked like the INI keys; the direction
+        # criteria are constants of the code, in no object
+        nested = {f.name: f.default_factory()
+                  for f in dataclasses.fields(ExperimentConfig)
+                  if f.default_factory is not dataclasses.MISSING}
+        assert set(nested) == set(OFF_DEFAULT_CONSTANTS)
+        assert {"%s.%s" % (owner, f.name) for owner, constants in nested.items()
+                for f in dataclasses.fields(constants)} \
+            == {key.field for key in CONFIG_KEYS if "." in key.field}
 
-    @pytest.mark.parametrize("variant", UNREAD_CRITERIA)
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_library_criteria_are_checked(self, tmp_path, variant):
-        # a caller that builds the criteria object sets no INI key
+        # a caller that builds a constants object sets no INI key, yet one
+        # the variant does not read is rejected like its key
         stepsizes = {"two_step": dict(alpha=0.5, beta=0.5),
                      "stoch_two_step": dict(alpha=0.01)}.get(variant, {})
-        for name in UNREAD_CRITERIA[variant]:
-            criteria = dataclasses.replace(variant_criteria(variant),
-                                           **{name: OFF_DEFAULT_CRITERIA[name]})
+        unread = [owner for owner in OFF_DEFAULT_CONSTANTS
+                  if owner not in VARIANTS[variant].reads]
+        assert unread
+        for owner in unread:
+            constants, name = OFF_DEFAULT_CONSTANTS[owner]
             config = ExperimentConfig(variant=variant, problem="quadratic_sum",
-                                      seed=0, criteria=criteria,
-                                      out_dir=str(tmp_path), **stepsizes)
-            with pytest.raises(UsageError, match="^criteria.%s: %s ignores it$"
+                                      seed=0, out_dir=str(tmp_path),
+                                      **{owner: constants}, **stepsizes)
+            with pytest.raises(UsageError, match="^%s: %s ignores it$"
                                % (name, variant)):
                 run_experiment(config)
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("name", ["zeta", "eta"])
+    @pytest.mark.parametrize("name", ["zeta", "eta", "gamma", "theta", "delta"])
     def test_criteria_without_a_key_are_checked_too(self, tmp_path, variant,
                                                      name):
-        # zeta and eta are gone: neither a library caller nor a config file
-        # can still set them, whatever the variant
-        with pytest.raises(TypeError, match=name):
-            dataclasses.replace(variant_criteria(variant), **{name: 1.0})
+        # the direction criteria are constants of the code: neither a
+        # library caller nor a config file can set one, whatever the variant
+        with pytest.raises(TypeError, match="criteria"):
+            ExperimentConfig(variant=variant, criteria=None)
         path = tmp_path / "exp.cfg"
         path.write_text("[experiment]\nvariant = %s\n[criteria]\n%s = 1.0\n"
                         % (variant, name))
-        with pytest.raises(UsageError, match="^criteria.%s: unknown key$" % name):
+        with pytest.raises(UsageError, match="^criteria: unknown section"):
             _load(str(path))
+
+    @pytest.mark.parametrize("cls, name, bad", [
+        (TerminationSpec, "max_iterations", 2.5),
+        (TerminationSpec, "max_iterations", float("nan")),
+        (TerminationSpec, "max_iterations", True),
+        (TerminationSpec, "min_step_norm", float("nan")),
+        (TerminationSpec, "grad_tol_rel", float("nan")),
+        (LipschitzState, "L_current", float("nan")),
+        (LipschitzState, "L_current", float("inf")),
+        (LipschitzState, "sigma_current", float("nan")),
+        (LipschitzState, "rho", float("nan")),
+        (SafeguardConfig, "max_s_norm", float("nan")),
+        (SafeguardConfig, "inflate_factor", float("nan")),
+        (SafeguardConfig, "L_init", float("inf")),
+        (StochasticStepConfig, "alpha_constant", float("nan")),
+        (StochasticStepConfig, "alpha_constant", float("inf")),
+    ], ids=lambda value: getattr(value, "__name__", None))
+    def test_constants_objects_reject_what_the_keys_reject(self, cls, name, bad):
+        # the INI path rejects these values when it parses them; a library
+        # caller builds the object directly, and a NaN or fractional cap
+        # would silently switch off a stop or a cap
+        with pytest.raises(ValueError):
+            cls(**{name: bad})
 
     def test_stochastic_needs_finite_sum_problem(self, tmp_path):
         config = ExperimentConfig(variant="stoch_dynamic", problem="sphere",
@@ -106,11 +138,13 @@ class TestValidation:
             run_experiment(config)
 
 
-def _fingerprint(solve):
+def _fingerprint(solve, theta=1.0):
     """Every record field and final value of a solve, or of the partial
     report of the failure that cut it short, with the failure's type and
     message; arrays count by their bytes, so two solves match only when
-    they are bit-identical."""
+    they are bit-identical.  Each record's d is divided and its beta
+    multiplied by theta, so a solve whose curvature direction was scaled by
+    a power of two theta can match the unscaled one."""
     try:
         report, failure = solve(), None
     except SOLVER_FAILURES as err:
@@ -119,8 +153,11 @@ def _fingerprint(solve):
     def bits(value):
         return value.tobytes() if isinstance(value, np.ndarray) else repr(value)
 
-    records = [[bits(getattr(r, f.name)) for f in dataclasses.fields(r)]
-               for r in report.records]
+    records = []
+    for r in report.records:
+        r = dataclasses.replace(r, d=r.d / theta,
+                                beta=None if r.beta is None else r.beta * theta)
+        records.append([bits(getattr(r, f.name)) for f in dataclasses.fields(r)])
     finals = [bits(getattr(report, name)) for name in (
         "termination_reason", "final_f", "final_gradient_norm", "final_lambda",
         "total_fevals", "total_iterations")]
@@ -128,27 +165,27 @@ def _fingerprint(solve):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("variant", [v for v in DETERMINISTIC_VARIANTS
-                                     if v in UNREAD_CRITERIA])
-def test_criteria_outside_the_variant_row_change_no_registry_run(variant):
-    # the basis for rejecting these keys: none of them moves a single bit
-    unread = UNREAD_CRITERIA[variant]
-    assert unread
-    # dynamic_mn alone reads every criteria constant, so it has no case here
-    assert [v for v in VARIANTS if v not in UNREAD_CRITERIA] == ["dynamic_mn"]
+@pytest.mark.parametrize("variant", DETERMINISTIC_VARIANTS)
+def test_criteria_outside_the_variant_row_change_no_registry_run(variant,
+                                                                  monkeypatch):
+    # the basis for fixing theta = 1: a curvature direction scaled by a
+    # power of two theta, with the two-step beta scaled by 1/theta, moves no
+    # bit of any registry run; the dynamic method's optimal beta undoes it
+    build = deterministic.negative_curvature_direction
     base = ExperimentConfig(variant=variant, alpha=0.01, beta=0.1,
                             termination=TerminationSpec(max_iterations=100))
     for problem in list_problems():
-        def fingerprint(**changed):
-            config = dataclasses.replace(base, problem=problem, criteria=(
-                dataclasses.replace(variant_criteria(variant), **changed)))
+        def fingerprint(theta):
+            monkeypatch.setattr(deterministic, "negative_curvature_direction",
+                                lambda eig, H, g: theta * build(eig, H, g))
+            config = dataclasses.replace(base, problem=problem,
+                                         beta=base.beta / theta)
             return _fingerprint(lambda: _run_solver(config, make_problem(problem),
-                                                    None))
+                                                    None), theta)
 
-        expected = fingerprint()
-        for name in unread:
-            assert fingerprint(**{name: OFF_DEFAULT_CRITERIA[name]}) == expected, \
-                (problem, name)
+        expected = fingerprint(1.0)
+        for theta in (0.5, 2.0):
+            assert fingerprint(theta) == expected, (problem, theta)
 
 
 # what each variant runs, as its report's config echo states it: the
@@ -433,8 +470,6 @@ class TestConfigFile:
             "variant = dynamic_sd\n"
             "seed = 9\n"
             "start = 0.0, 0.0\n"
-            "[criteria]\n"
-            "gamma = 0.5\n"
             "[termination]\n"
             "max_iterations = 77\n"
             "[lipschitz]\n"
@@ -443,7 +478,6 @@ class TestConfigFile:
         config = _load(str(path))
         assert config.problem == "quartic_saddle"
         assert config.seed == 9
-        assert config.criteria.gamma == 0.5
         assert config.termination.max_iterations == 77
         assert config.lipschitz.L_current == 2.5
         np.testing.assert_array_equal(config.start, [0.0, 0.0])
@@ -473,10 +507,13 @@ class TestConfigFile:
             L_init=40.0, sigma_init=60.0)
 
     def test_criteria_start_from_the_variant(self, tmp_path):
+        # the variant's strategy alone fixes the descent cosine its steps
+        # are certified at; no setting changes it
         path = tmp_path / "exp.cfg"
-        path.write_text("[experiment]\nvariant = dynamic_mn\n[criteria]\ngamma = 0.5\n")
+        path.write_text("[experiment]\nvariant = dynamic_mn\n")
         config = _load(str(path))
-        assert config.criteria == DirectionCriteria(gamma=0.5, delta=1e-8)
+        assert DESCENT_COSINE[VARIANTS[config.variant].strategy] == 1e-8
+        assert {row.strategy for row in VARIANTS.values()} == set(DESCENT_COSINE)
 
     @pytest.mark.parametrize("text, key", [
         ("[termnation]\nmax_iterations = 5\n", "termnation: unknown section"),

@@ -15,11 +15,7 @@ from ncopt.linalg import (
     truncated_cg,
 )
 from ncopt.problems import make_problem
-from ncopt.steps import (
-    DirectionCriteria,
-    certify_curvature_direction,
-    negative_curvature_direction,
-)
+from ncopt.steps import certify_curvature_direction, negative_curvature_direction
 from reference_eigen import reference_extreme_eigenvalues, reference_leftmost_eigenpair
 
 
@@ -303,8 +299,6 @@ class TestRepeatedLeftmostEigenvalue:
     """A repeated leftmost eigenvalue leaves LAPACK free to return any basis
     of its eigenspace; the chosen direction must not depend on it."""
 
-    criteria = DirectionCriteria(theta=0.7)
-
     @given(repeated_leftmost())
     def test_direction_most_aligned_with_minus_g(self, case):
         H, Q, k, rng = case
@@ -315,11 +309,11 @@ class TestRepeatedLeftmostEigenvalue:
             + Q[:, k:] @ (rng.uniform(0.0, 3.0) * rng.normal(size=n - k))
         eig = leftmost_eigenpair(H, g)
         assert _leftmost_multiplicity(eig.values) == k
-        d = negative_curvature_direction(eig, H, g, self.criteria)
+        d = negative_curvature_direction(eig, H, g)
         pg = Q[:, :k] @ (Q[:, :k].T @ g)
-        np.testing.assert_allclose(d, -0.7 * abs(eig.leftmost_value) * pg
+        np.testing.assert_allclose(d, -abs(eig.leftmost_value) * pg
                                    / np.linalg.norm(pg), rtol=0, atol=1e-10)
-        certify_curvature_direction(d, H, eig.leftmost_value, g, self.criteria)
+        certify_curvature_direction(d, H, eig.leftmost_value, g)
         rotated = _rotated_leftmost_basis(eig, _orthogonal(rng, k))
         np.testing.assert_allclose(eigenspace_direction(rotated, g),
                                    eig.leftmost_vector, rtol=0, atol=1e-12)
@@ -337,8 +331,8 @@ class TestRepeatedLeftmostEigenvalue:
         for g in (g_orthogonal, np.zeros(n), None):
             eig = leftmost_eigenpair(H, g)
             np.testing.assert_array_equal(eig.leftmost_vector, v)
-            d = negative_curvature_direction(eig, H, g, self.criteria)
-            certify_curvature_direction(d, H, eig.leftmost_value, g, self.criteria)
+            d = negative_curvature_direction(eig, H, g)
+            certify_curvature_direction(d, H, eig.leftmost_value, g)
             np.testing.assert_allclose(eigenspace_direction(rotated, g),
                                        eig.leftmost_vector, rtol=0, atol=1e-12)
         P = Q[:, :k] @ Q[:, :k].T
@@ -356,9 +350,8 @@ class TestRepeatedLeftmostEigenvalue:
         H, g = problem.hessian(x), problem.gradient(x)
         eig = leftmost_eigenpair(H, g)
         assert _leftmost_multiplicity(eig.values) == 3
-        criteria = DirectionCriteria()
-        d = negative_curvature_direction(eig, H, g, criteria)
-        certify_curvature_direction(d, H, eig.leftmost_value, g, criteria)
+        d = negative_curvature_direction(eig, H, g)
+        certify_curvature_direction(d, H, eig.leftmost_value, g)
         tied = [0, 1, 4]
         expected = np.zeros(5)
         expected[tied] = -g[tied] / np.linalg.norm(g[tied])

@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from ncopt.linalg import leftmost_eigenpair
 from ncopt.steps import (
+    DESCENT_COSINE,
     ConditionViolation,
-    DirectionCriteria,
     LipschitzState,
     certify_curvature_direction,
     descent_direction,
@@ -18,18 +19,60 @@ from ncopt.steps import (
 )
 
 
+# eigenvalues of either sign spread over 12 decades, with exact and near
+# zeros, so H may be indefinite or nearly singular
+_EIGENVALUES = st.one_of(
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+              st.floats(-6.0, 6.0)),
+    st.sampled_from([0.0, 1e-12, -1e-12]),
+)
+
+
+@st.composite
+def symmetric_cases(draw):
+    """(H, g): H = Q diag(w) Q' for a random orthogonal Q, and a gradient."""
+    n = draw(st.integers(2, 8))
+    w = np.array(draw(st.lists(_EIGENVALUES, min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    H = (Q * w) @ Q.T
+    return 0.5 * (H + H.T), rng.normal(size=n)
+
+
 class TestDirectionCriteria:
+    """The direction conditions, each at the constant the constructed
+    direction meets: d'Hd <= lambda*||d||^2 < 0, g'd <= 0, ||d|| <= |lambda|
+    and a descent cosine of at least DESCENT_COSINE[strategy]."""
+
     def test_defaults_are_all_one(self):
-        c = DirectionCriteria()
-        assert (c.gamma, c.theta, c.delta) == (1, 1, 1)
+        # a scaled leftmost eigenvector meets the curvature conditions with
+        # equality, and -g has cosine 1 with -g
+        H = np.diag([-2.0, 1.0])
+        certify_curvature_direction(np.array([2.0, 0.0]), H, -2.0,
+                                    np.array([-1.0, 3.0]))
+        assert DESCENT_COSINE["steepest"] == 1.0
+        # a shifted-Newton step solves a system of condition number <= 1e8
+        assert DESCENT_COSINE["modified_newton"] == 1e-8
 
     @pytest.mark.parametrize("bad", [
-        dict(gamma=0.0), dict(gamma=1.5), dict(theta=0.0), dict(delta=0.0),
-        dict(delta=1.5), dict(theta=float("nan")),
+        # not an eigenvector: d'Hd = -2 > lambda*||d||^2 = -4
+        dict(d=[1.0, 1.0], H=np.diag([-2.0, 0.0]), lam=-2.0,
+             match="curvature condition"),
+        dict(d=[0.0, 1.0], H=np.diag([-2.0, -1.0]), lam=-2.0,
+             match="curvature condition"),
+        # nonnegative curvature along d
+        dict(d=[1.0, 0.0], H=np.diag([0.5, 1.0]), lam=1.0, match="negative"),
+        # an ascent direction
+        dict(d=[2.0, 0.0], H=np.diag([-2.0, 1.0]), lam=-2.0, g=[1.0, 0.0],
+             match="g'd"),
+        # longer than |lambda|
+        dict(d=[3.0, 0.0], H=np.diag([-2.0, 1.0]), lam=-2.0, match="exceeds"),
+        dict(d=[0.0, 0.0], H=np.diag([-2.0, 1.0]), lam=-2.0, match="zero"),
     ])
     def test_range_validation(self, bad):
-        with pytest.raises(ValueError):
-            DirectionCriteria(**bad)
+        g = np.array(bad.get("g", [0.0, 0.0]))
+        with pytest.raises(ConditionViolation, match=bad["match"]):
+            certify_curvature_direction(np.array(bad["d"]), bad["H"], bad["lam"], g)
 
 
 class TestNegativeCurvatureDirection:
@@ -52,11 +95,10 @@ class TestNegativeCurvatureDirection:
         assert abs(d[0]) < 1e-12
 
     def test_norm_is_theta_times_lambda(self):
-        crit = DirectionCriteria(theta=0.5)
+        # theta = 1: the eigenvector is scaled to |lambda|
         H = np.diag([-4.0, 1.0])
-        d = negative_curvature_direction(leftmost_eigenpair(H), H, np.array([1.0, 0.0]),
-                                         criteria=crit)
-        assert np.linalg.norm(d) == pytest.approx(2.0, rel=1e-12)
+        d = negative_curvature_direction(leftmost_eigenpair(H), H, np.array([1.0, 0.0]))
+        assert np.linalg.norm(d) == pytest.approx(4.0, rel=1e-12)
 
     def test_certificates_on_random_indefinite(self):
         rng = np.random.default_rng(8)
@@ -69,12 +111,25 @@ class TestNegativeCurvatureDirection:
             eig = leftmost_eigenpair(H)
             if eig.leftmost_value >= 0.0:
                 continue
-            crit = DirectionCriteria(gamma=1.0, theta=float(rng.uniform(0.5, 2.0)))
-            d = negative_curvature_direction(eig, H, g, criteria=crit)
-            certify_curvature_direction(d, H, eig.leftmost_value, g, crit)
+            d = negative_curvature_direction(eig, H, g)
+            certify_curvature_direction(d, H, eig.leftmost_value, g)
             assert g @ d <= 1e-10
             checked += 1
         assert checked > 20
+
+    @given(symmetric_cases())
+    def test_scaled_eigenvector_meets_the_conditions_with_equality(self, case):
+        # why gamma = theta = 1: the constructed direction has ||d|| = |lambda|
+        # and d'Hd = lambda*||d||^2, to the eigenpair's residual bound
+        H, g = case
+        eig = leftmost_eigenpair(H, g)
+        lam = eig.leftmost_value
+        d = negative_curvature_direction(eig, H, g)
+        assume(np.any(d != 0.0))
+        nd2 = float(d @ d)
+        assert np.sqrt(nd2) == pytest.approx(abs(lam), rel=1e-12)
+        residual_bound = 1e-10 * max(1.0, float(np.linalg.norm(H)))
+        assert abs(float(d @ H @ d) - lam * nd2) <= residual_bound * nd2
 
     def test_tiny_negative_lambda_treated_as_zero(self):
         H = np.diag([1.0, 1.0])
@@ -100,18 +155,15 @@ class TestDescentDirection:
         g = np.array([1.0, 2.0])
         s = descent_direction(
             "modified_newton", g, H=np.diag([1.0, 2.0]),
-            criteria=DirectionCriteria(delta=1e-8),
             eig=leftmost_eigenpair(np.diag([1.0, 2.0])),
         )
         np.testing.assert_allclose(s, [-1.0, -1.0], rtol=1e-10)
         assert cosine(s, g) >= 1e-8
 
     def test_modified_newton_indefinite(self):
-        crit = DirectionCriteria(delta=1e-8)
         g = np.array([1.0, 0.0])
         H = np.diag([-1.0, 2.0])
-        s = descent_direction("modified_newton", g, H=H, criteria=crit,
-                              eig=leftmost_eigenpair(H))
+        s = descent_direction("modified_newton", g, H=H, eig=leftmost_eigenpair(H))
         # B is diagonal so s is parallel to -g; the shift leaves B_11 ~ 3e-8
         assert s[0] < -1e7
         assert abs(s[1]) < 1e-6 * abs(s[0])
@@ -122,8 +174,17 @@ class TestDescentDirection:
             descent_direction("steepest", np.zeros(2))
 
     def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown strategy 'newton_cg'"):
             descent_direction("newton_cg", np.ones(2))
+
+    @given(symmetric_cases())
+    def test_modified_newton_cosine_meets_its_constant(self, case):
+        # why modified_newton is certified at 1/CONDITION_CAP: the shifted
+        # system has condition number at most the cap, and the cosine of
+        # its solution with -g is at least the reciprocal
+        H, g = case
+        s = descent_direction("modified_newton", g, H, leftmost_eigenpair(H))
+        assert cosine(s, g) >= DESCENT_COSINE["modified_newton"]
 
     def test_modified_newton_needs_the_callers_eigenpair(self):
         # the solver loop factors each Hessian; no second path factors it
@@ -239,6 +300,25 @@ class TestOptimalStepsizes:
             beta1 = optimal_stepsizes(g, None, d, H, state).beta
             beta2 = optimal_stepsizes(g, None, tau * d, H, state).beta
             np.testing.assert_allclose(beta2 * tau * d, beta1 * d, rtol=1e-9)
+
+
+    @given(symmetric_cases(), st.floats(1e-3, 1e3), st.floats(0.1, 10.0))
+    def test_rescaled_direction_gives_the_same_curvature_step(self, case, c, sigma):
+        # why theta changed no dynamic run: on c*d the optimal stepsize is
+        # beta/c, so the step beta*d and its model reduction are unchanged
+        H, g = case
+        d = negative_curvature_direction(leftmost_eigenpair(H, g), H, g)
+        assume(np.any(d != 0.0))
+        state = LipschitzState(sigma_current=sigma)
+        beta = optimal_stepsizes(g, None, d, H, state).beta
+        beta_c = optimal_stepsizes(g, None, c * d, H, state).beta
+        # d'Hd is rounded relative to ||H||*||d||^2, not to |lambda|*||d||^2
+        abs_lam = float(np.linalg.norm(d))
+        rtol = 1e-13 * max(1.0, float(np.linalg.norm(H, 2)) / abs_lam)
+        assert c * beta_c == pytest.approx(beta, rel=rtol)
+        m = model_reduction_curvature(g, d, H, sigma, beta)
+        m_c = model_reduction_curvature(g, c * d, H, sigma, beta_c)
+        assert m_c == pytest.approx(m, rel=rtol)
 
 
 class TestLipschitzHat:
