@@ -44,14 +44,17 @@ from ncopt.stochastic import (
 class Variant(NamedTuple):
     """A solver variant: its descent strategy; whether it takes curvature
     steps and samples a finite sum; the settings that can change its run;
-    the fixed stepsizes it needs.  No row holds a solver, so rebinding a
-    solver's name here reaches every run."""
+    the fixed stepsizes it needs; whether its trace carries the exact
+    gradient norms of a stochastic solve, evaluated after the solve.  No
+    row holds a solver, so rebinding a solver's name here reaches every
+    run."""
 
     strategy: str
     use_curvature: bool
     stochastic: bool
     reads: tuple
     stepsizes: tuple = ()
+    exact_norms: bool = False
 
 
 # `reads`: the sections and keys that can change the variant's run, beyond
@@ -66,8 +69,10 @@ VARIANTS = {
     "dynamic_mn": Variant("modified_newton", True, False, _DYNAMIC),
     "dynamic_sd_descent_only": Variant("steepest", False, False, _DYNAMIC),
     "dynamic_mn_descent_only": Variant("modified_newton", False, False, _DYNAMIC),
+    # the two-step method's mean-square guarantee reads the exact norms
     "stoch_two_step": Variant("steepest", True, True,
-                              ("experiment.alpha",) + _SAMPLED, ("alpha",)),
+                              ("experiment.alpha",) + _SAMPLED, ("alpha",),
+                              exact_norms=True),
     "stoch_dynamic": Variant("steepest", True, True, ("safeguards",) + _SAMPLED),
     "stoch_dynamic_descent_only": Variant("steepest", False, True,
                                           ("safeguards",) + _SAMPLED),
@@ -292,7 +297,8 @@ def run_experiment(config):
     Returns (report, paths).  When a solver failure carries a partial
     report, that report (marked abnormal, with the error's type and
     message) and its trace are still written before the exception
-    propagates.
+    propagates.  So is a finished stochastic report whose exact gradient
+    norms, evaluated after the solve for a variant that reads them, fail.
     """
     validate_config(config)
     problem = build_problem(config)
@@ -310,16 +316,21 @@ def run_experiment(config):
         "report": os.path.join(out_dir, label + ".json"),
         "trace": os.path.join(out_dir, label + ".csv"),
     }
+    report = gradient_norms = None
     try:
         report = _run_solver(config, problem, x0)
+        if VARIANTS[config.variant].exact_norms:
+            gradient_norms = report.exact_gradient_norms()
     except SOLVER_FAILURES as err:
-        partial = getattr(err, "report", None)
-        if partial is not None:
-            write_report_json(partial, paths["report"], config, error=err)
-            write_trace_csv(partial, paths["trace"])
+        # a solver failure carries its partial report; a failure of the
+        # exact norms leaves the finished one
+        report = getattr(err, "report", report)
+        if report is not None:
+            write_report_json(report, paths["report"], config, error=err)
+            write_trace_csv(report, paths["trace"])
         raise
     write_report_json(report, paths["report"], config)
-    write_trace_csv(report, paths["trace"])
+    write_trace_csv(report, paths["trace"], gradient_norms)
     return report, paths
 
 
@@ -371,10 +382,12 @@ def write_report_json(report, path, config=None, error=None):
     return path
 
 
-def _trace_rows(report):
+def _trace_rows(report, gradient_norms):
     if isinstance(report, StochasticReport):
-        for r in report.records:
-            yield (r.index, r.value_before, r.exact_gradient_norm,
+        if gradient_norms is None:
+            gradient_norms = [None] * len(report.records)
+        for r, gnorm in zip(report.records, gradient_norms, strict=True):
+            yield (r.index, r.value_before, gnorm,
                    r.sampled_lambda, r.alpha, r.beta,
                    r.cg_status.value if r.cg_status else "noise",
                    r.lipschitz_L, r.lipschitz_sigma, None)
@@ -401,8 +414,11 @@ def _write_csv(path, header, rows):
     return path
 
 
-def write_trace_csv(report, path):
-    return _write_csv(path, TRACE_COLUMNS, _trace_rows(report))
+def write_trace_csv(report, path, gradient_norms=None):
+    """Write the report's trace.  A stochastic solve evaluates no exact
+    gradient, so its `gnorm` column holds `gradient_norms`, one per record,
+    or stays empty without them."""
+    return _write_csv(path, TRACE_COLUMNS, _trace_rows(report, gradient_norms))
 
 
 @dataclass

@@ -88,9 +88,12 @@ def certify_curvature_direction(d, H, lam, g, check_norm_cap=True):
     estimate instead and skip it via check_norm_cap=False.
     """
     nd2 = float(d @ d)
+    quad = float(d @ H @ d)
+    # every comparison with NaN is false, so the checks below would pass it
+    if not (math.isfinite(nd2) and math.isfinite(quad)):
+        raise ConditionViolation("curvature direction or d'Hd is not finite")
     if nd2 == 0.0:
         raise ConditionViolation("curvature direction is zero")
-    quad = float(d @ H @ d)
     # d'Hd is rounded relative to ||H||*||d||^2, which |lambda|*||d||^2
     # understates when H is ill-conditioned
     scale = max(1.0, float(np.linalg.norm(H)) * nd2)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ncopt.deterministic import _partial_report_on_failure
+from ncopt.finite_sum import FiniteSumProblem, StochasticOracle
 from ncopt.linalg import CgStatus, leftmost_eigenpair, truncated_cg
 from ncopt.problems import EvaluationError
 from ncopt.steps import ZERO_CURVATURE_TOL, certify_curvature_direction
@@ -140,11 +141,14 @@ class StochasticIterationRecord:
     lipschitz_L: float | None = None
     lipschitz_sigma: float | None = None
     reverted_curvature_step: bool = False
-    exact_gradient_norm: float | None = None
 
 
 @dataclass
 class StochasticReport:
+    """A fixed-budget stochastic solve.  `problem`, the finite sum it was
+    solved on, serves the exact diagnostics after the solve; it is not part
+    of the report's repr, comparison or summary."""
+
     problem_name: str
     records: list[StochasticIterationRecord] = field(default_factory=list)
     final_x: np.ndarray | None = None
@@ -153,6 +157,8 @@ class StochasticReport:
     total_fevals: int = 0
     seed: int | None = None
     config: dict = field(default_factory=dict)
+    problem: FiniteSumProblem | None = field(default=None, repr=False,
+                                             compare=False)
 
     @property
     def used_negative_curvature(self):
@@ -163,13 +169,15 @@ class StochasticReport:
         self.total_iterations = len(self.records)
 
     def exact_gradient_norms(self):
-        return np.array([r.exact_gradient_norm for r in self.records], dtype=float)
+        """The exact gradient norm at each recorded iterate, one full-batch
+        `problem.gradient` per record; the solve itself never evaluates
+        them.  A non-finite norm raises EvaluationError."""
+        gradient = self.problem.gradient
+        return np.array([float(np.linalg.norm(gradient(r.x)))
+                         for r in self.records], dtype=float)
 
     def mean_square_gradient(self):
-        norms = self.exact_gradient_norms()
-        if np.any(np.isnan(norms)):
-            raise ValueError("exact gradients were not tracked")
-        return float(np.mean(norms ** 2))
+        return float(np.mean(self.exact_gradient_norms() ** 2))
 
 
 def _require_finite(x, value, gradient=None, hessian=None):
@@ -236,28 +244,25 @@ def curvature_noise_step(x, oracle, alpha):
     return x_next, record
 
 
-def _iterate(oracle, iterations, x0, track_exact, step, config):
+def _iterate(oracle, iterations, x0, step, config):
     """The fixed-budget loop both stochastic solvers share; returns the report.
 
     `step(k, x)` returns the next iterate, the iteration's record and how
     many sampled values it evaluated; with the final exact f they make the
-    report's total_fevals.  With track_exact the true gradient norm at x
-    goes into the record, so the mean-square gradient bound can be checked.
-    `config` is the solver's part of the report's config echo.
+    report's total_fevals.  The final f is the loop's only full-batch
+    evaluation.  `config` is the solver's part of the report's config echo.
     """
     problem = oracle.problem
     report = StochasticReport(
         problem_name=problem.name,
         seed=oracle.seed,
         config={**config, "batch_size": oracle.batch_size, "iterations": iterations},
+        problem=problem,
     )
     x = np.array(problem.default_start if x0 is None else x0, dtype=float)
     with _partial_report_on_failure(report):
         for k in range(1, iterations + 1):
             x_next, record, fevals = step(k, x)
-            if track_exact:
-                record.exact_gradient_norm = float(
-                    np.linalg.norm(problem.gradient(x)))
             report.records.append(record)
             report.total_fevals += fevals
             x = x_next
@@ -268,15 +273,14 @@ def _iterate(oracle, iterations, x0, track_exact, step, config):
     return report
 
 
-def two_step_stochastic_solve(oracle, config, iterations, x0=None,
-                              track_exact=True):
+def two_step_stochastic_solve(oracle, config, iterations, x0=None):
     """Run the stochastic two-step method for a fixed iteration budget, with
     `config.alpha_constant` sizing both steps.
 
-    With track_exact the true gradient norm at each iterate is recorded so
-    the mean-square gradient bound can be checked.  An EvaluationError,
-    KernelError or ConditionViolation raised mid-solve carries the partial
-    report as `report`.
+    The mean-square gradient bound is checked after the solve, with
+    `report.mean_square_gradient()`.  An EvaluationError, KernelError or
+    ConditionViolation raised mid-solve carries the partial report as
+    `report`.
     """
     alpha = config.alpha_constant
 
@@ -284,14 +288,14 @@ def two_step_stochastic_solve(oracle, config, iterations, x0=None,
         # one value estimate, at x
         return (*curvature_noise_step(x, oracle, alpha), 1)
 
-    return _iterate(oracle, iterations, x0, track_exact, step, {
+    return _iterate(oracle, iterations, x0, step, {
         "method": "stochastic_two_step",
         "alpha_constant": alpha,
     })
 
 
 def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
-                             use_curvature=True, track_exact=True):
+                             use_curvature=True):
     """Dynamic stochastic method with CG-derived step and curvature direction.
 
     Per iteration: sample a gradient and an independent Hessian estimate,
@@ -356,7 +360,7 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
         # value estimates at x, at x_hat and, after a curvature step, at x_next
         return x_next, record, 2 + curvature_trial
 
-    return _iterate(oracle, iterations, x0, track_exact, step, {
+    return _iterate(oracle, iterations, x0, step, {
         "method": "stochastic_dynamic",
         "use_curvature": use_curvature,
         "L_init": safeguards.L_init, "sigma_init": safeguards.sigma_init,
@@ -406,8 +410,6 @@ def expected_descent_check(problem, x, config, replications, seed=0,
     ExpectedDecreaseViolation if the estimate exceeds the bound by more than
     three standard errors.
     """
-    from ncopt.finite_sum import StochasticOracle
-
     x = np.asarray(x, dtype=float)
     L = config.gradient_lipschitz or problem.local_gradient_lipschitz
     if L is None:

@@ -316,27 +316,60 @@ class TestRun:
         assert main(["run", "--config", str(cfg)]) == 2
         assert "criteria: unknown section" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_overflowing_exact_gradient_norm_stops_stochastic_run(self, tmp_path):
-        # every entry of the exact gradient at the start is finite, its
-        # norm is not: the run stops there instead of recording gnorm inf
+    # every entry of the exact gradient at the start is finite, its norm is
+    # not; the 1e200 row (3) is in neither the first gradient batch nor the
+    # first Hessian batch, or the sampled value would overflow first
+    # ("sampled value is nan")
+    OVERFLOW_DATA = "0.5,-1,1\n2,0.3,-1\n-1,2,0.5\n1e200,1,2\n"
+
+    def overflow_run(self, tmp_path, variant, *flags):
         data = tmp_path / "d.csv"
-        data.write_text("0.5,-1,1\n2,0.3,-1\n-1,2,0.5\n1e200,1,2\n")
-        # the first gradient and Hessian batches miss the 1e200 row (3), or
-        # the sampled value would overflow first ("sampled value is nan")
+        data.write_text(self.OVERFLOW_DATA)
         oracle = StochasticOracle(load_dataset(data), batch_size=2, seed=1)
         assert 3 not in oracle.next_gradient_batch()
         assert 3 not in oracle.next_hessian_batch()
-        code = main(["run", "--dataset", str(data), "--variant", "stoch_dynamic",
-                     "--seed", "1", "--batch-size", "2", "--iterations", "5",
+        code = main(["run", "--dataset", str(data), "--variant", variant,
+                     "--seed", "1", "--batch-size", "2", *flags,
                      "--out", str(tmp_path)])
-        assert code == 3
-        label = "linear_least_squares_stoch_dynamic"
+        label = "linear_least_squares_" + variant
         summary = json.loads((tmp_path / (label + ".json")).read_text())
-        assert summary["error"]["message"] == "gradient norm is not finite"
-        assert summary["total_iterations"] == 0
         rows = (tmp_path / (label + ".csv")).read_text().splitlines()
-        assert rows == [",".join(TRACE_COLUMNS)]
+        return code, summary, rows
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_exact_gradient_norm_stops_stochastic_run(self, tmp_path):
+        # stoch_two_step evaluates the exact norms its guarantee reads after
+        # the solve (one iterate: the second Hessian batch draws row 3); the
+        # overflow there makes the finished run abnormal, and its summary
+        # and trace are still written
+        code, summary, rows = self.overflow_run(
+            tmp_path, "stoch_two_step", "--iterations", "1", "--alpha", "0.01")
+        assert code == 3
+        assert summary["abnormal"] is True
+        assert summary["termination_reason"] is None
+        assert summary["error"] == {"type": "EvaluationError",
+                                    "message": "gradient norm is not finite"}
+        assert summary["total_iterations"] == 1
+        assert rows[0] == ",".join(TRACE_COLUMNS)
+        assert len(rows) == 2
+        # no norm could be evaluated, so the gnorm column stays empty
+        assert rows[1].split(",")[2] == ""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_sampled_estimate_stops_dynamic_stochastic_run(self, tmp_path):
+        # stoch_dynamic evaluates no exact gradient: it stops at the first
+        # sampled estimate that draws the 1e200 row, here the second
+        # iterate's Hessian batch
+        code, summary, rows = self.overflow_run(tmp_path, "stoch_dynamic",
+                                                "--iterations", "5")
+        assert code == 3
+        assert summary["abnormal"] is True
+        assert summary["error"] == {"type": "EvaluationError", "message":
+                                    "sampled Hessian has non-finite entries"}
+        assert summary["total_iterations"] == 1
+        assert rows[0] == ",".join(TRACE_COLUMNS)
+        assert len(rows) == 2
+        assert rows[1].split(",")[2] == ""
 
     def test_config_file_driving(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -568,10 +601,9 @@ class TestOptionSurface:
             two_step_solve: ("problem", "alpha", "beta", "termination", "x0"),
             dynamic_solve: ("problem", "strategy", "lipschitz_init",
                             "termination", "x0", "use_curvature"),
-            two_step_stochastic_solve: ("oracle", "config", "iterations", "x0",
-                                        "track_exact"),
+            two_step_stochastic_solve: ("oracle", "config", "iterations", "x0"),
             dynamic_stochastic_solve: ("oracle", "safeguards", "iterations", "x0",
-                                       "use_curvature", "track_exact"),
+                                       "use_curvature"),
             curvature_noise_step: ("x", "oracle", "alpha"),
             measure_moment_constants: ("oracle", "x", "draws"),
             admissible_constant_step: ("moments", "gradient_lipschitz"),

@@ -1,11 +1,12 @@
-"""The README names exactly the variants and config keys the code defines."""
+"""The README names exactly the variants, trace columns and config keys the
+code defines."""
 
 import pathlib
 import pkgutil
 import re
 
 import ncopt
-from ncopt.harness import CONFIG_KEYS, VARIANTS
+from ncopt.harness import CONFIG_KEYS, TRACE_COLUMNS, VARIANTS
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -14,6 +15,11 @@ def test_variants_line_lists_exactly_the_variants():
     line = README[README.index("Variants:"):]
     sentence = line[:line.index(". ")]
     assert tuple(re.findall(r"`(\w+)`", sentence)) == tuple(VARIANTS)
+
+
+def test_trace_columns_are_exactly_the_trace_columns():
+    columns = re.search(r"trace with fixed columns `([\w,]+)`", README)
+    assert tuple(columns.group(1).split(",")) == TRACE_COLUMNS
 
 
 def test_config_table_lists_exactly_the_config_keys():

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -256,6 +257,24 @@ class TestRunExperiment:
         assert summary["kind"] == "stochastic"
         assert summary["seed"] == 3
         assert summary["total_iterations"] == 40
+
+    @pytest.mark.parametrize("variant, alpha", [
+        ("stoch_two_step", 0.01), ("stoch_dynamic", None),
+        ("stoch_dynamic_descent_only", None)])
+    def test_only_stoch_two_step_traces_exact_norms(self, tmp_path, variant,
+                                                     alpha):
+        # the two-step guarantee reads the exact norms, evaluated after the
+        # solve; the dynamic traces carry sampled quantities only
+        config = ExperimentConfig(variant=variant, problem="quadratic_sum", seed=0,
+                                  batch_size=2, iterations=10, alpha=alpha,
+                                  out_dir=str(tmp_path))
+        report, paths = run_experiment(config)
+        with open(paths["trace"], newline="") as handle:
+            gnorms = [row["gnorm"] for row in csv.DictReader(handle)]
+        if VARIANTS[variant].exact_norms:
+            assert gnorms == ["%.17g" % v for v in report.exact_gradient_norms()]
+        else:
+            assert gnorms == [""] * 10
 
     @pytest.mark.parametrize("variant, alpha, fevals", [
         # per iteration an estimate at x and at x_hat, plus one per

@@ -74,6 +74,18 @@ class TestDirectionCriteria:
         with pytest.raises(ConditionViolation, match=bad["match"]):
             certify_curvature_direction(np.array(bad["d"]), bad["H"], bad["lam"], g)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_direction_rejected(self):
+        # every comparison with NaN is false, so the checks alone pass it
+        with pytest.raises(ConditionViolation, match="not finite"):
+            certify_curvature_direction(np.array([np.nan, 0.0]),
+                                        np.diag([-2.0, 1.0]), -2.0, None)
+        for d, H in (([np.inf, 0.0], np.diag([-2.0, 1.0])),
+                     ([2.0, 0.0], np.diag([np.nan, 1.0]))):
+            with pytest.raises(ConditionViolation, match="not finite"):
+                certify_curvature_direction(np.array(d), H, -2.0, None,
+                                            check_norm_cap=False)
+
 
 class TestNegativeCurvatureDirection:
     def test_scaled_eigenvector_with_descent_sign(self):

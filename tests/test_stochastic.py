@@ -14,6 +14,7 @@ from ncopt.problems import EvaluationError, make_problem
 from ncopt.stochastic import (
     MomentBounds,
     SafeguardConfig,
+    StochasticReport,
     StochasticStepConfig,
     admissible_constant_step,
     apply_safeguards,
@@ -174,12 +175,42 @@ class TestTwoStepStochastic:
         assert sum(r.d_norm > 0.0 for r in report.records) == 8
         # the constant stepsize sizes both steps
         assert all(r.alpha == r.beta == 0.05 for r in report.records)
-        for record, expected in zip(report.records, golden):
+        # the exact norms are evaluated after the solve, on the stored iterates
+        norms = report.exact_gradient_norms()
+        for record, norm, expected in zip(report.records, norms, golden):
             assert record.index == int(expected["k"])
             for name in ("value_before", "s_norm", "d_norm", "omega",
-                         "sampled_lambda", "exact_gradient_norm"):
+                         "sampled_lambda"):
                 assert getattr(record, name) == pytest.approx(
                     float(expected[name]), rel=1e-10, abs=0.0), (record.index, name)
+            assert norm == pytest.approx(float(expected["exact_gradient_norm"]),
+                                         rel=1e-10, abs=0.0), record.index
+
+
+class TestExactNorms:
+    """The solvers are driven by samples alone; the exact gradient norms
+    are evaluated after the solve, on the stored iterates."""
+
+    @pytest.mark.parametrize("solve", [
+        lambda o: dynamic_stochastic_solve(o, iterations=30),
+        lambda o: two_step_stochastic_solve(
+            o, StochasticStepConfig(alpha_constant=0.05), 30),
+    ], ids=["dynamic", "two_step"])
+    def test_solve_evaluates_no_exact_gradient(self, solve):
+        problem = make_problem("quadratic_sum")
+        report = solve(StochasticOracle(problem, batch_size=2, seed=3))
+        assert problem.gradient_count == 0
+        norms = report.exact_gradient_norms()
+        assert problem.gradient_count == len(report.records) == 30
+        expected = [np.linalg.norm(problem.gradient(r.x)) for r in report.records]
+        np.testing.assert_array_equal(norms, expected)
+        assert report.mean_square_gradient() == float(np.mean(norms ** 2))
+
+    def test_problem_is_left_out_of_repr_and_comparison(self):
+        problem = make_problem("quadratic_sum")
+        report = StochasticReport("quadratic_sum", problem=problem)
+        assert report == StochasticReport("quadratic_sum")
+        assert repr(report) == repr(StochasticReport("quadratic_sum"))
 
 
 class TestSafeguards:
@@ -286,7 +317,7 @@ class TestDynamicStochastic:
         # streams
         problem = make_problem("two_layer_net")
         oracle = StochasticOracle(problem, batch_size=32, seed=2017)
-        report = dynamic_stochastic_solve(oracle, iterations=50, track_exact=False)
+        report = dynamic_stochastic_solve(oracle, iterations=50)
         with open(GOLDEN_DYNAMIC_NET, newline="") as handle:
             golden = list(csv.DictReader(handle))
         assert len(report.records) == len(golden) == 50
@@ -333,9 +364,9 @@ class TestNonFiniteEstimates:
         raise AssertionError("no batch holds the bad component")
 
     @pytest.mark.parametrize("solve", [
-        lambda o: dynamic_stochastic_solve(o, iterations=60, track_exact=False),
+        lambda o: dynamic_stochastic_solve(o, iterations=60),
         lambda o: two_step_stochastic_solve(
-            o, StochasticStepConfig(alpha_constant=0.05), 60, track_exact=False),
+            o, StochasticStepConfig(alpha_constant=0.05), 60),
     ], ids=["dynamic", "two_step"])
     def test_raises_at_first_non_finite_estimate(self, nan_center, solve):
         seed = 3
@@ -356,21 +387,28 @@ class TestNonFiniteEstimates:
             np.ones(4))
         oracle = StochasticOracle(p, batch_size=4, seed=0)
         with pytest.raises(EvaluationError, match="Hessian") as info:
-            dynamic_stochastic_solve(oracle, iterations=5, track_exact=False)
+            dynamic_stochastic_solve(oracle, iterations=5)
         assert info.value.report.records == []
 
     @pytest.mark.parametrize("solve", [
-        lambda o: dynamic_stochastic_solve(o, iterations=5),
-        lambda o: two_step_stochastic_solve(
-            o, StochasticStepConfig(alpha_constant=0.05), 5),
+        lambda o, n: dynamic_stochastic_solve(o, iterations=n),
+        lambda o, n: two_step_stochastic_solve(
+            o, StochasticStepConfig(alpha_constant=0.05), n),
     ], ids=["dynamic", "two_step"])
     def test_exact_gradient_failure_carries_report(self, nan_center, solve):
-        # the full-batch exact gradient holds the NaN center at once; the
-        # seed's first sampled batch does not
-        assert self.first_bad_iterate(nan_center, 3) > 1
-        with pytest.raises(EvaluationError, match="gradient") as info:
-            solve(StochasticOracle(nan_center, batch_size=2, seed=3))
-        assert info.value.report.total_iterations == 0
+        # every full-batch evaluation holds the NaN center; the solve
+        # evaluates only its final f in full, so with a budget that stops
+        # before the first bad batch it fails there, carrying every record,
+        # and the exact norms of those records fail after it
+        iterations = self.first_bad_iterate(nan_center, 3) - 1
+        assert iterations > 1
+        with pytest.raises(EvaluationError, match="objective") as info:
+            solve(StochasticOracle(nan_center, batch_size=2, seed=3), iterations)
+        report = info.value.report
+        assert len(report.records) == report.total_iterations == iterations
+        assert nan_center.gradient_count == 0
+        with pytest.raises(EvaluationError, match="gradient norm is not finite"):
+            report.exact_gradient_norms()
 
 
 class TestMomentMeasurement:
