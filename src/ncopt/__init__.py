@@ -6,8 +6,10 @@ Library layout:
   mini-batch oracles, CSV dataset ingestion.
 - `linalg`: leftmost eigenpair, truncated CG with curvature detection, the
   modified-Newton spectral shift.
-- `steps`: direction computation and certification, model reductions,
-  optimal stepsizes, curvature-constant updates.
+- `steps`: direction computation and certification; `UpperModel`, the
+  quadratic or cubic upper model along one direction, which gives its
+  optimal stepsize, model reduction and constant estimate; the
+  curvature-constant updates.
 - `deterministic`: the fixed-stepsize two-step method, the adaptive dynamic
   method, and the complexity census.
 - `stochastic`: curvature-noise SGD and the dynamic stochastic method.
@@ -63,13 +65,11 @@ from ncopt.problems import (
 from ncopt.steps import (
     ConditionViolation,
     LipschitzState,
-    StepSizes,
+    UpperModel,
     descent_direction,
-    lipschitz_hat,
-    model_reduction_curvature,
-    model_reduction_descent,
     negative_curvature_direction,
     optimal_stepsizes,
+    upper_models,
 )
 from ncopt.stochastic import (
     MomentBounds,

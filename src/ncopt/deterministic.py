@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import itertools
 import numbers
 from dataclasses import asdict, dataclass, field, replace
@@ -25,11 +26,9 @@ from ncopt.steps import (
     LipschitzState,
     check_strategy,
     descent_direction,
-    lipschitz_hat,
-    model_reduction_curvature,
-    model_reduction_descent,
     negative_curvature_direction,
     optimal_stepsizes,
+    upper_models,
 )
 
 
@@ -248,10 +247,7 @@ def two_step_solve(problem, alpha=None, beta=None, termination=None, x0=None):
         has_d = bool(np.any(d != 0.0))
         x_hat = x + beta * d
         g_hat = problem.gradient(x_hat) if has_d else g
-        if float(np.linalg.norm(g_hat)) == 0.0:
-            s_hat = np.zeros_like(x)
-        else:
-            s_hat = descent_direction("steepest", g_hat)
+        s_hat = descent_direction("steepest", g_hat)
         has_s = bool(np.any(s_hat != 0.0))
         taken = "both" if has_d and has_s else "curvature" if has_d else "descent"
         return x_hat + alpha * s_hat, None, dict(
@@ -281,48 +277,35 @@ def dynamic_solve(problem, strategy="steepest", lipschitz_init=None,
     state = replace(lipschitz_init or LipschitzState())
 
     def step(k, x, f, g, gnorm, H, eig, d):
-        has_d = bool(np.any(d != 0.0))
-        if gnorm == 0.0:
-            s = np.zeros_like(x)
-        else:
-            s = descent_direction(strategy, g, H, eig)
-        has_s = bool(np.any(s != 0.0))
-
-        inner = 0
-        while True:
-            inner += 1
-            if inner > INNER_LOOP_CAP:
-                raise InnerLoopStall(
-                    "inner loop exceeded %d passes at iteration %d (L=%g, sigma=%g)"
-                    % (INNER_LOOP_CAP, k, state.L_current, state.sigma_current))
-            sizes = optimal_stepsizes(g, s if has_s else None,
-                                      d if has_d else None, H, state)
-            m_s = (model_reduction_descent(g, s, state.L_current, sizes.alpha)
-                   if has_s else -np.inf)
-            m_d = (model_reduction_curvature(g, d, H, state.sigma_current, sizes.beta)
-                   if has_d else -np.inf)
-            # the step with the larger model reduction is tried
-            kind, direction, stepsize, m, estimate = (
-                ("gradient", s, sizes.alpha, m_s, state.L_current) if m_s >= m_d
-                else ("hessian", d, sizes.beta, m_d, state.sigma_current))
-            trial = x + stepsize * direction
+        s = descent_direction(strategy, g, H, eig)
+        models = upper_models(g, s, d, H)
+        for inner in range(1, INNER_LOOP_CAP + 1):
+            trials = optimal_stepsizes(models, state)
+            # the larger model reduction is tried; the descent model, listed
+            # first, wins a tie
+            model, stepsize, m = functools.reduce(
+                lambda a, b: a if a[2] >= b[2] else b, trials)
+            trial = x + stepsize * model.direction
             f_trial = problem.evaluate(trial)
-            hat = lipschitz_hat(kind, f_trial, f, m, stepsize,
-                                float(np.linalg.norm(direction)), estimate)
+            hat = model.hat(state, stepsize, m, f_trial, f)
             if f_trial <= f - m:
                 break
-            state.inflate(kind, hat)
+            state.inflate(model.estimate, hat)
+        else:
+            raise InnerLoopStall(
+                "inner loop exceeded %d passes at iteration %d (L=%g, sigma=%g)"
+                % (INNER_LOOP_CAP, k, state.L_current, state.sigma_current))
 
+        sizes = {tried.kind: (t, r) for tried, t, r in trials}
+        alpha, m_s = sizes.get("descent", (None, None))
+        beta, m_d = sizes.get("curvature", (None, None))
         fields = dict(
-            s=s, step_taken="descent" if kind == "gradient" else "curvature",
-            alpha=sizes.alpha, beta=sizes.beta,
-            model_reduction_s=None if not has_s else m_s,
-            model_reduction_d=None if not has_d else m_d,
-            inner_loop_count=inner, lipschitz_L=state.L_current,
-            lipschitz_sigma=state.sigma_current,
+            s=s, step_taken=model.kind, alpha=alpha, beta=beta,
+            model_reduction_s=m_s, model_reduction_d=m_d, inner_loop_count=inner,
+            lipschitz_L=state.L_current, lipschitz_sigma=state.sigma_current,
         )
         # accepted: relax the constant that was exercised, keep the other
-        state.settle(kind, hat)
+        state.settle(model.estimate, hat)
         return trial, f_trial, fields
 
     return _iterate(problem, x0, termination or TerminationSpec(), step,
@@ -345,9 +328,10 @@ def complexity_census(report, epsilon_g, epsilon_H):
     matching worst-case cardinality bounds.
 
     Counts come straight from the trace.  The bounds use the realized
-    maxima of the constant estimates along the run and the problem's known
-    lower bound; without a lower bound the counts are still returned and the
-    bounds are None.
+    maxima of the constant estimates along the run (their initial values
+    when no step was taken) and the problem's known lower bound.  Without a
+    lower bound, or without constant estimates, as in a `two_step_solve`
+    report, the counts are still returned and the bounds are None.
     """
     records = report.records
     if not records:
@@ -355,16 +339,17 @@ def complexity_census(report, epsilon_g, epsilon_H):
     count_G = sum(1 for r in records if r.gradient_norm > epsilon_g)
     count_H = sum(1 for r in records if _neg(r.lam) > epsilon_H)
     lower = report.problem_lower_bound
-    if lower is None:
+    L_max = max((r.lipschitz_L for r in records if r.lipschitz_L is not None),
+                default=report.config.get("L_init"))
+    sigma_max = max((r.lipschitz_sigma for r in records
+                     if r.lipschitz_sigma is not None),
+                    default=report.config.get("sigma_init"))
+    if lower is None or L_max is None or sigma_max is None:
         return ComplexityCensus(count_G, count_H, None, None)
     gap = records[0].f_value - lower
     # the descent cosine the run's steps were certified at; the curvature
     # certificate's constant is 1
     delta = DESCENT_COSINE[report.config["strategy"]]
-    l_values = [r.lipschitz_L for r in records if r.lipschitz_L is not None]
-    s_values = [r.lipschitz_sigma for r in records if r.lipschitz_sigma is not None]
-    L_max = max(l_values) if l_values else report.config.get("L_init", 1.0)
-    sigma_max = max(s_values) if s_values else report.config.get("sigma_init", 1.0)
     bound_G = (2.0 * L_max * gap / delta ** 2) / epsilon_g ** 2
     bound_H = (3.0 * sigma_max ** 2 * gap / 2.0) / epsilon_H ** 3
     return ComplexityCensus(count_G, count_H, bound_G, bound_H)

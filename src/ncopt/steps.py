@@ -28,8 +28,6 @@ _CLAMP_UP, _CLAMP_DOWN, _ABSOLUTE_FLOOR = 1e3, 1e-3, 1e-3
 # cosine 1, and a step solving a system of condition number at most
 # CONDITION_CAP has cosine at least 1/CONDITION_CAP
 DESCENT_COSINE = {"steepest": 1.0, "modified_newton": 1.0 / CONDITION_CAP}
-# the LipschitzState estimate each model kind reads and updates
-_ESTIMATE = {"gradient": "L_current", "hessian": "sigma_current"}
 
 
 class ConditionViolation(RuntimeError):
@@ -43,7 +41,8 @@ class LipschitzState:
     In-loop increases move an estimate to max(rho*c, min(1e3*c, hat)), so
     every increase multiplies by at least rho and at most 1e3.  After an
     accepted step the corresponding estimate settles to
-    max(1e-3, 1e-3*c, hat).
+    max(1e-3, 1e-3*c, hat).  Both updates take the field they move by name,
+    an UpperModel's `estimate`.
     """
 
     L_current: float = 1.0
@@ -59,25 +58,17 @@ class LipschitzState:
         if not self.rho <= _CLAMP_UP:
             raise ValueError("rho must be at most the clamp-up factor %g" % _CLAMP_UP)
 
-    def inflate(self, kind, hat):
-        value = getattr(self, _ESTIMATE[kind])
-        return self._set(kind, max(self.rho * value, min(_CLAMP_UP * value, hat)))
+    def inflate(self, estimate, hat):
+        value = getattr(self, estimate)
+        return self._set(estimate, max(self.rho * value, min(_CLAMP_UP * value, hat)))
 
-    def settle(self, kind, hat):
-        value = getattr(self, _ESTIMATE[kind])
-        return self._set(kind, max(_ABSOLUTE_FLOOR, _CLAMP_DOWN * value, hat))
+    def settle(self, estimate, hat):
+        value = getattr(self, estimate)
+        return self._set(estimate, max(_ABSOLUTE_FLOOR, _CLAMP_DOWN * value, hat))
 
-    def _set(self, kind, value):
-        setattr(self, _ESTIMATE[kind], value)
+    def _set(self, estimate, value):
+        setattr(self, estimate, value)
         return value
-
-
-@dataclass
-class StepSizes:
-    """Model-optimal stepsizes; a missing direction leaves its entry None."""
-
-    alpha: float | None = None
-    beta: float | None = None
 
 
 def certify_curvature_direction(d, H, lam, g, check_norm_cap=True):
@@ -150,7 +141,8 @@ def descent_direction(strategy, g, H=None, eig=None):
     """Descent direction by steepest descent or a modified-Newton solve.
 
     Returns s, whose realized cosine -g's/(||s|| ||g||) must meet
-    DESCENT_COSINE[strategy].  For modified_newton, eig is the
+    DESCENT_COSINE[strategy], or a zero step at a zero gradient.  For
+    modified_newton, eig is the
     `leftmost_eigenpair` result for H, whose decomposition the shift and
     solve reuse; the caller's solver loop has factored H already, so it is
     required.
@@ -159,7 +151,7 @@ def descent_direction(strategy, g, H=None, eig=None):
     g = np.asarray(g, dtype=float)
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
-        raise ValueError("descent direction undefined at a zero gradient")
+        return np.zeros_like(g)
     if strategy == "steepest":
         s = -g
     else:
@@ -170,78 +162,95 @@ def descent_direction(strategy, g, H=None, eig=None):
         s = solve(-g)
     snorm = float(np.linalg.norm(s))
     cosine = float(-(g @ s) / (snorm * gnorm))
-    if cosine < DESCENT_COSINE[strategy] - _CERT_SLACK:
+    # written so that a NaN cosine (an overflowed step) fails it
+    if not cosine >= DESCENT_COSINE[strategy] - _CERT_SLACK:
         raise ConditionViolation("descent cosine %.6e below required %.6e"
                                  % (cosine, DESCENT_COSINE[strategy]))
     return s
 
 
-def model_reduction_descent(g, s, lipschitz_L, alpha):
-    """Predicted decrease -alpha*g's - 0.5*L*alpha^2*||s||^2 of the
-    quadratic upper model along s."""
-    g = np.asarray(g, dtype=float)
-    s = np.asarray(s, dtype=float)
-    return float(-alpha * (g @ s) - 0.5 * lipschitz_L * alpha ** 2 * (s @ s))
+@dataclass(frozen=True)
+class UpperModel:
+    """Upper model of f along one nonzero direction p at an iterate.
 
-
-def model_reduction_curvature(g, d, H, sigma, beta):
-    """Predicted decrease -beta*g'd - 0.5*beta^2*d'Hd - sigma/6*beta^3*||d||^3
-    of the cubic upper model along d."""
-    g = np.asarray(g, dtype=float)
-    d = np.asarray(d, dtype=float)
-    curv = float(d @ np.asarray(H, dtype=float) @ d)
-    dnorm3 = float(np.linalg.norm(d)) ** 3
-    return float(-beta * (g @ d) - 0.5 * beta ** 2 * curv - (sigma / 6.0) * beta ** 3 * dnorm3)
-
-
-def optimal_stepsizes(g, s, d, H, lipschitz):
-    """Unique positive maximizers of the descent and curvature models.
-
-    alpha = -g's / (L ||s||^2); beta is the positive root of the cubic
-    model's derivative with c = d'Hd.  A missing (zero) direction leaves the
-    corresponding entry None; g's >= 0 with s nonzero means the descent
-    certificate is broken and raises.
+    A descent step gets the quadratic model in L,
+    m(t) = -t g'p - L/2 t^2 p'p; a curvature step the cubic model in sigma,
+    m(t) = -t g'p - t^2/2 p'Hp - sigma/6 t^3 ||p||^3.  The scalars are
+    computed once per iterate; the stepsize, the reduction and the hat
+    constant read them and the model's `estimate` in a LipschitzState.
     """
-    g = np.asarray(g, dtype=float)
-    alpha = beta = None
-    if s is not None:
-        s = np.asarray(s, dtype=float)
-        ss = float(s @ s)
-        if ss > 0.0:
-            gs = float(g @ s)
-            if gs >= 0.0:
+
+    kind: str           # the step it sizes: "descent" or "curvature"
+    estimate: str       # the LipschitzState field it reads and updates
+    direction: np.ndarray
+    gp: float           # g'p
+    norm: float         # ||p||
+    pp: float = math.nan     # p'p, quadratic model
+    pHp: float = math.nan    # p'Hp, cubic model
+    norm3: float = math.nan  # ||p||^3, cubic model
+
+    @classmethod
+    def quadratic(cls, g, s):
+        return cls("descent", "L_current", s, float(g @ s),
+                   float(np.linalg.norm(s)), pp=float(s @ s))
+
+    @classmethod
+    def cubic(cls, g, d, H):
+        norm = float(np.linalg.norm(d))
+        return cls("curvature", "sigma_current", d, float(g @ d), norm,
+                   pHp=float((d @ H) @ d), norm3=norm ** 3)
+
+    def stepsize(self, lipschitz):
+        """The model's unique positive maximizer: -g'p / (L p'p), or the
+        positive root of the cubic model's derivative.  g'p >= 0 along a
+        descent step, or a nonpositive root, means a certificate is broken
+        and raises."""
+        c = getattr(lipschitz, self.estimate)
+        if self.kind == "descent":
+            if self.gp >= 0.0:
                 raise ConditionViolation("g's must be negative for a descent step")
-            alpha = -gs / (lipschitz.L_current * ss)
-    if d is not None:
-        d = np.asarray(d, dtype=float)
-        dnorm = float(np.linalg.norm(d))
-        if dnorm > 0.0:
-            c = float(d @ np.asarray(H, dtype=float) @ d)
-            gd = float(g @ d)
-            sigma = lipschitz.sigma_current
-            dn3 = dnorm ** 3
-            disc = c * c - 2.0 * sigma * dn3 * gd
-            beta = (-c + np.sqrt(disc)) / (sigma * dn3)
-            if not beta > 0.0:
-                raise ConditionViolation(
-                    "curvature stepsize %r not positive; certificate broken" % beta
-                )
-    return StepSizes(alpha=alpha, beta=beta)
+            return -self.gp / (c * self.pp)
+        disc = self.pHp * self.pHp - 2.0 * c * self.norm3 * self.gp
+        beta = (-self.pHp + np.sqrt(disc)) / (c * self.norm3)
+        if not beta > 0.0:
+            raise ConditionViolation(
+                "curvature stepsize %r not positive; certificate broken" % beta
+            )
+        return beta
+
+    def reduction(self, lipschitz, t):
+        """The decrease m(t) the model predicts for stepsize t."""
+        c = getattr(lipschitz, self.estimate)
+        if self.kind == "descent":
+            return float(-t * self.gp - 0.5 * c * t ** 2 * self.pp)
+        return float(-t * self.gp - 0.5 * t ** 2 * self.pHp
+                     - (c / 6.0) * t ** 3 * self.norm3)
+
+    def hat(self, lipschitz, t, reduction, f_trial, f_current):
+        """The constant that makes the model's reduction at stepsize t match
+        the observed decrease f_current - f_trial."""
+        if t <= 0.0 or self.norm <= 0.0:
+            raise ValueError("stepsize and direction norm must be positive")
+        gap = f_trial - f_current + reduction
+        c = getattr(lipschitz, self.estimate)
+        if self.kind == "descent":
+            return c + 2.0 * gap / (t ** 2 * self.norm ** 2)
+        return c + 6.0 * gap / (t ** 3 * self.norm3)
 
 
-def lipschitz_hat(kind, f_trial, f_current, model_reduction, stepsize,
-                  direction_norm, current_estimate):
-    """Constant that makes the model decrease match the observed decrease.
+def upper_models(g, s, d, H):
+    """One UpperModel per nonzero direction, the descent model first."""
+    models = [UpperModel.quadratic(g, s)] if np.any(s != 0.0) else []
+    if np.any(d != 0.0):
+        models.append(UpperModel.cubic(g, d, H))
+    return models
 
-    kind "gradient" uses the quadratic model (factor 2 over the squared
-    step); kind "hessian" uses the cubic model (factor 6 over the cubed
-    step).
-    """
-    if stepsize <= 0.0 or direction_norm <= 0.0:
-        raise ValueError("stepsize and direction norm must be positive")
-    gap = f_trial - f_current + model_reduction
-    if kind == "gradient":
-        return current_estimate + 2.0 * gap / (stepsize ** 2 * direction_norm ** 2)
-    if kind == "hessian":
-        return current_estimate + 6.0 * gap / (stepsize ** 3 * direction_norm ** 3)
-    raise ValueError("kind must be 'gradient' or 'hessian'")
+
+def optimal_stepsizes(models, lipschitz):
+    """Each model's optimal stepsize at the current estimates and the
+    reduction it predicts there, as (model, stepsize, reduction) triples."""
+    trials = []
+    for model in models:
+        t = model.stepsize(lipschitz)
+        trials.append((model, t, model.reduction(lipschitz, t)))
+    return trials

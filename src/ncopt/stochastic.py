@@ -42,6 +42,11 @@ class MomentBounds:
     M1: float
     M2: float
 
+    def __post_init__(self):
+        # written so that NaN fails it; M2 divides the admissible stepsize
+        if not (0.0 <= self.M1 < math.inf and 0.0 < self.M2 < math.inf):
+            raise ValueError("moment bounds need a finite M1 >= 0 and a finite M2 > 0")
+
 
 @dataclass
 class StochasticStepConfig:
@@ -57,9 +62,12 @@ class StochasticStepConfig:
     gradient_lipschitz: float | None = None
 
     def __post_init__(self):
-        # written so that NaN fails it
+        # written so that NaN fails each check
         if self.alpha_constant is None or not 0.0 <= self.alpha_constant < math.inf:
             raise ValueError("alpha_constant must be set, finite and nonnegative")
+        if self.gradient_lipschitz is not None and \
+                not 0.0 < self.gradient_lipschitz < math.inf:
+            raise ValueError("gradient_lipschitz must be positive and finite")
         if self.moment_bounds is not None and self.gradient_lipschitz is not None:
             cap = admissible_constant_step(self.moment_bounds,
                                            self.gradient_lipschitz)

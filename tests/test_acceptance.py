@@ -29,10 +29,9 @@ from ncopt.problems import list_problems, make_problem, random_quadratic, sphere
 from ncopt.steps import (
     DESCENT_COSINE,
     LipschitzState,
-    model_reduction_curvature,
-    model_reduction_descent,
     negative_curvature_direction,
     optimal_stepsizes,
+    upper_models,
 )
 from ncopt.stochastic import (
     SafeguardConfig,
@@ -257,19 +256,18 @@ def test_criterion_6_stepsize_optimality_oracle():
         state = LipschitzState(L_current=float(rng.uniform(0.5, 5.0)),
                                sigma_current=float(rng.uniform(0.5, 5.0)))
         d = negative_curvature_direction(leftmost_eigenpair(H, g), H, g)
-        sizes = optimal_stepsizes(g, s, d if np.any(d != 0.0) else None, H, state)
-        grid = np.linspace(0.0, 2.0 * sizes.alpha, 10000)
+        trials = optimal_stepsizes(upper_models(g, s, d, H), state)
+        (_, alpha, m_s), curvature = trials[0], trials[1:]
+        grid = np.linspace(0.0, 2.0 * alpha, 10000)
         best = np.max(-grid * (g @ s) - 0.5 * state.L_current * grid ** 2 * (s @ s))
-        assert model_reduction_descent(g, s, state.L_current, sizes.alpha) \
-            >= best - 1e-8
-        if sizes.beta is not None:
+        assert m_s >= best - 1e-8
+        for _, beta, m_d in curvature:
             c = float(d @ H @ d)
             dn3 = float(np.linalg.norm(d)) ** 3
-            gridb = np.linspace(0.0, 2.0 * sizes.beta, 10000)
+            gridb = np.linspace(0.0, 2.0 * beta, 10000)
             bestb = np.max(-gridb * (g @ d) - 0.5 * gridb ** 2 * c
                            - state.sigma_current / 6.0 * gridb ** 3 * dn3)
-            assert model_reduction_curvature(g, d, H, state.sigma_current,
-                                             sizes.beta) >= bestb - 1e-8
+            assert m_d >= bestb - 1e-8
         tuples += 1
     _announce(6, True, "100 random tuples beat the grids within 1e-8", t0)
 
@@ -354,6 +352,37 @@ def test_criterion_9_stochastic_dynamic_curvature_helps():
               "(5 seeds)" % (mean_nc, mean_sg), t0)
     assert all(used_curvature)
     assert mean_nc <= mean_sg
+
+
+def test_stochastic_dynamic_curvature_escapes_the_saddle_faster():
+    """Where the paper claims the gain, near a saddle: on criterion 9's
+    problem, start, batch and safeguards, the curvature run's exact loss
+    at iteration 200 is lower than its descent-only twin's on at least 18
+    of seeds 0-19 (a paired sign test; the rule was fixed before the
+    seeds were run).  By iteration 2000 both runs sit at the label-noise
+    floor, which is why criterion 9's final comparison is close."""
+    t0 = time.time()
+    problem_spec = dict(records=500, feature_dim=4, hidden_units=8, seed=7,
+                        noise=0.02, teacher_scale=3.0)
+    x0 = 1e-3 * np.random.default_rng(17).normal(size=8 * 4 + 2 * 8 + 1)
+    gaps = []
+    for seed in range(20):
+        loss = {}
+        for use_curvature in (True, False):
+            problem = synthetic_two_layer_net(**problem_spec)
+            oracle = StochasticOracle(problem, batch_size=32, seed=seed)
+            report = dynamic_stochastic_solve(oracle, SafeguardConfig(),
+                                              iterations=400, x0=x0,
+                                              use_curvature=use_curvature)
+            loss[use_curvature] = problem.evaluate(report.records[199].x)
+        gaps.append(loss[False] - loss[True])
+    gaps = np.array(gaps)
+    wins = int(np.sum(gaps > 0.0))
+    ok = wins >= 18
+    _announce(9, ok, "escape phase: curvature lower at iteration 200 on %d of 20 "
+              "seeds, mean gap %+.3f (SE %.3f)"
+              % (wins, gaps.mean(), gaps.std(ddof=1) / np.sqrt(len(gaps))), t0)
+    assert ok
 
 
 def test_criterion_10_kernel_oracles_and_determinism():

@@ -3,9 +3,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ncopt import deterministic
 from ncopt.deterministic import (
+    SOLVER_FAILURES,
     InnerLoopStall,
     TerminationReason,
     TerminationSpec,
@@ -40,6 +42,30 @@ GOLDEN_TWO_STEP_RUNS = {
 
 def steps_taken(report):
     return [r for r in report.records if r.step_taken != "none"]
+
+
+@st.composite
+def quadratics_and_cubics(draw):
+    """(problem, x0): f(x) = x'Ax/2 + b'x + c/3 ||x||^3 with A symmetric of
+    either sign and c = 0 (a quadratic, unbounded below when A is
+    indefinite) or c > 0 (a cubic)."""
+    n = draw(st.integers(2, 6))
+    w = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    c = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    A = (Q * w) @ Q.T
+    A, b = 0.5 * (A + A.T), rng.normal(size=n)
+
+    def hessian(x):
+        r = float(np.linalg.norm(x))
+        return A + c * (r * np.eye(n) + (np.outer(x, x) / r if r > 0.0 else 0.0))
+
+    problem = ObjectiveProblem(
+        "quadratic" if c == 0.0 else "cubic", n,
+        lambda x: 0.5 * x @ A @ x + b @ x + c / 3.0 * np.linalg.norm(x) ** 3,
+        lambda x: A @ x + b + c * np.linalg.norm(x) * x, hessian)
+    return problem, rng.normal(size=n)
 
 
 class TestTwoStep:
@@ -165,6 +191,37 @@ class TestDynamic:
         report = dynamic_solve(p)
         assert all(r.step_taken != "curvature" for r in report.records)
         assert all(np.all(r.d == 0.0) for r in report.records)
+
+    def test_descent_step_wins_an_exact_tie(self):
+        # f = x'Hx/2 + b'x at 0: alpha = 1 and beta = 2 both predict 18
+        H, b = np.diag([1.0, -3.0]), np.array([6.0, 0.0])
+        problem = ObjectiveProblem("tie", 2, lambda x: 0.5 * x @ H @ x + b @ x,
+                                   lambda x: H @ x + b, lambda x: H)
+        report = dynamic_solve(problem, termination=TerminationSpec(max_iterations=1))
+        first = report.records[0]
+        assert first.model_reduction_s == first.model_reduction_d == 18.0
+        assert (first.step_taken, first.alpha, first.beta) == ("descent", 1.0, 2.0)
+        np.testing.assert_array_equal(report.records[1].x, [-6.0, 0.0])
+
+    @given(quadratics_and_cubics(), st.sampled_from(["steepest", "modified_newton"]))
+    def test_accepted_step_decreases_f_by_the_chosen_models_reduction(self, case,
+                                                                      strategy):
+        problem, x0 = case
+        try:
+            report = dynamic_solve(problem, strategy=strategy, x0=x0,
+                                   termination=TerminationSpec(max_iterations=25))
+        except SOLVER_FAILURES as err:   # an unbounded quadratic may overflow
+            report = err.report
+        for cur, nxt in zip(report.records[:-1], report.records[1:]):
+            m_s, m_d = cur.model_reduction_s, cur.model_reduction_d
+            # the larger reduction was tried; the descent step wins a tie
+            if cur.step_taken == "descent":
+                assert m_d is None or m_s >= m_d
+                assert nxt.f_value <= cur.f_value - m_s
+            else:
+                assert cur.step_taken == "curvature"
+                assert m_s is None or not m_s >= m_d
+                assert nxt.f_value <= cur.f_value - m_d
 
     def test_accepted_decrease_never_below_model_guarantee(self):
         # the per-iteration decrease bound from the two model reductions
@@ -303,3 +360,13 @@ class TestComplexityCensus:
         report = dynamic_solve(sphere(2), x0=np.zeros(2))
         census = complexity_census(report, epsilon_g=1.0, epsilon_H=1.0)
         assert census.count_G == 0
+
+    def test_two_step_report_gives_counts_only(self):
+        # the two-step method estimates no constant, so a bound read at
+        # L = sigma = 1 (5000 and 375000 here) would be made up
+        report = two_step_solve(quartic_saddle(), alpha=0.1, beta=0.5)
+        census = complexity_census(report, epsilon_g=1e-2, epsilon_H=1e-2)
+        assert census.bound_G is None and census.bound_H is None
+        assert census.count_G == sum(r.gradient_norm > 1e-2 for r in report.records)
+        assert census.count_H == sum(r.lam < -1e-2 for r in report.records)
+        assert census.count_H > 0

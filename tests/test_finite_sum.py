@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ncopt import deterministic, steps
 from ncopt.finite_sum import (
     STREAM_GRADIENT,
     STREAM_HESSIAN,
@@ -20,6 +21,7 @@ from ncopt.finite_sum import (
     random_quadratic_finite_sum,
     synthetic_two_layer_net,
 )
+from ncopt.problems import make_problem
 from reference_derivatives import central_gradient, central_hessian
 from reference_finite_sum import (
     component_means,
@@ -323,6 +325,24 @@ class TestStochasticOracle:
         for span, (module, name, _) in _load_tracer().FUNCTIONS.items():
             assert callable(getattr(importlib.import_module(module), name, None)), \
                 span
+
+    def test_traced_dynamic_solve_sizes_once_per_inner_pass(self):
+        # what `bench/run.py --trace 1` does around each solve: every span
+        # installs, steps.optimal_stepsizes counts the inner passes, and the
+        # originals come back
+        tracer = _load_tracer().Tracer()
+        originals = (steps.optimal_stepsizes, deterministic.optimal_stepsizes)
+        with tracer.installed():
+            report = deterministic.dynamic_solve(make_problem("quartic_saddle"),
+                                                 x0=np.array([0.0, 0.0]))
+        assert (steps.optimal_stepsizes, deterministic.optimal_stepsizes) == originals
+        calls = {name: total["calls"] for name, total in tracer.layer_totals().items()}
+        taken = [r for r in report.records if r.step_taken != "none"]
+        assert calls["steps.optimal_stepsizes"] == sum(r.inner_loop_count
+                                                       for r in taken) > len(taken)
+        assert calls["steps.descent_direction"] == len(taken)
+        assert calls["deterministic.dynamic_solve"] == 1
+        assert tracer.counter_mismatches() == []
 
     def test_full_batch_estimates_are_exact(self, tiny_quadratic):
         p = tiny_quadratic

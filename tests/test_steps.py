@@ -9,13 +9,12 @@ from ncopt.steps import (
     DESCENT_COSINE,
     ConditionViolation,
     LipschitzState,
+    UpperModel,
     certify_curvature_direction,
     descent_direction,
-    lipschitz_hat,
-    model_reduction_curvature,
-    model_reduction_descent,
     negative_curvature_direction,
     optimal_stepsizes,
+    upper_models,
 )
 
 
@@ -181,9 +180,22 @@ class TestDescentDirection:
         assert abs(s[1]) < 1e-6 * abs(s[0])
         assert cosine(s, g) >= 1e-8
 
-    def test_zero_gradient_rejected(self):
-        with pytest.raises(ValueError):
-            descent_direction("steepest", np.zeros(2))
+    def test_zero_gradient_gives_a_zero_step(self):
+        # so neither solver guards a zero gradient itself
+        H = np.diag([-1.0, 2.0])
+        for strategy, args in (("steepest", ()), ("modified_newton",
+                                                  (H, leftmost_eigenpair(H)))):
+            s = descent_direction(strategy, np.zeros(2), *args)
+            assert s.dtype == float and np.all(s == 0.0) and not np.signbit(s).any()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    def test_overflowed_step_fails_its_certificate(self):
+        # ||s|| and g's overflow to inf, so the cosine is NaN, which passes
+        # any check not written to fail it
+        H, g = np.diag([1e-300, -5e-324, -5e-324]), np.ones(3)
+        with pytest.raises(ConditionViolation, match="cosine nan"):
+            descent_direction("modified_newton", g, H, leftmost_eigenpair(H, g))
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy 'newton_cg'"):
@@ -206,63 +218,88 @@ class TestDescentDirection:
                 descent_direction("modified_newton", np.ones(2), **missing)
 
 
-class TestModelReductions:
+def state_at(L=1.0, sigma=1.0):
+    return LipschitzState(L_current=L, sigma_current=sigma)
+
+
+def quadratic(g, s):
+    return UpperModel.quadratic(np.asarray(g, dtype=float), np.asarray(s, dtype=float))
+
+
+def cubic(g, d, H):
+    return UpperModel.cubic(np.asarray(g, dtype=float), np.asarray(d, dtype=float), H)
+
+
+class TestUpperModelReduction:
     def test_descent_formula_and_grid_argmax(self):
-        g, s = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-        assert model_reduction_descent(g, s, 2.0, 0.5) == pytest.approx(0.25)
+        model, state = quadratic([1.0, 0.0], [-1.0, 0.0]), state_at(L=2.0)
+        assert model.reduction(state, 0.5) == pytest.approx(0.25)
         grid = np.linspace(0.0, 2.0, 10001)
-        values = [model_reduction_descent(g, s, 2.0, a) for a in grid]
+        values = [model.reduction(state, a) for a in grid]
         assert grid[int(np.argmax(values))] == pytest.approx(0.5, abs=1e-3)
 
     def test_descent_trivial_zeros(self):
-        g, s = np.array([1.0, 2.0]), np.array([-1.0, 0.5])
-        assert model_reduction_descent(g, s, 3.0, 0.0) == 0.0
-        assert model_reduction_descent(g, np.zeros(2), 3.0, 1.7) == 0.0
+        g, state = [1.0, 2.0], state_at(L=3.0)
+        assert quadratic(g, [-1.0, 0.5]).reduction(state, 0.0) == 0.0
+        assert quadratic(g, np.zeros(2)).reduction(state, 1.7) == 0.0
 
     def test_curvature_formula(self):
-        g = np.zeros(2)
-        d = np.array([0.0, 1.0])
-        H = np.diag([1.0, -1.0])
-        assert model_reduction_curvature(g, d, H, 1.0, 2.0) == pytest.approx(2.0 / 3.0)
+        model = cubic(np.zeros(2), [0.0, 1.0], np.diag([1.0, -1.0]))
+        assert model.reduction(state_at(sigma=1.0), 2.0) == pytest.approx(2.0 / 3.0)
 
     def test_curvature_trivial_zeros(self):
-        d = np.array([0.0, 1.0])
         H = np.diag([1.0, -1.0])
-        assert model_reduction_curvature(np.zeros(2), d, H, 1.0, 0.0) == 0.0
-        assert model_reduction_curvature(np.zeros(2), np.zeros(2), H, 1.0, 2.0) == 0.0
+        assert cubic(np.zeros(2), [0.0, 1.0], H).reduction(state_at(), 0.0) == 0.0
+        assert cubic(np.zeros(2), np.zeros(2), H).reduction(state_at(), 2.0) == 0.0
+
+    def test_each_model_reads_its_own_estimate(self):
+        # L sizes the quadratic model only, sigma the cubic model only
+        H = np.diag([1.0, -1.0])
+        models = upper_models(np.array([0.0, -1.0]), np.array([0.0, 1.0]),
+                              np.array([0.0, 1.0]), H)
+        assert [(m.kind, m.estimate) for m in models] == [
+            ("descent", "L_current"), ("curvature", "sigma_current")]
+        for model in models:
+            other = "sigma_current" if model.estimate == "L_current" else "L_current"
+            state = state_at()
+            t, m = model.stepsize(state), model.reduction(state, 1.0)
+            setattr(state, other, 7.0)
+            assert (model.stepsize(state), model.reduction(state, 1.0)) == (t, m)
 
 
 class TestOptimalStepsizes:
     def test_alpha_formula(self):
-        sizes = optimal_stepsizes(
-            np.array([1.0, 0.0]), np.array([-1.0, 0.0]), None, None,
-            LipschitzState(L_current=2.0),
-        )
-        assert sizes.alpha == pytest.approx(0.5)
-        assert sizes.beta is None
+        models = upper_models(np.array([1.0, 0.0]), np.array([-1.0, 0.0]),
+                              np.zeros(2), None)
+        [(model, alpha, _)] = optimal_stepsizes(models, state_at(L=2.0))
+        assert model.kind == "descent"
+        assert alpha == pytest.approx(0.5)
 
     def test_beta_orthogonal_gradient(self):
         # c = -1, ||d|| = 1, sigma = 1, g'd = 0  ->  beta = 2
-        sizes = optimal_stepsizes(
-            np.array([1.0, 0.0]), None, np.array([0.0, 1.0]), np.diag([1.0, -1.0]),
-            LipschitzState(sigma_current=1.0),
-        )
-        assert sizes.beta == pytest.approx(2.0)
+        models = upper_models(np.array([1.0, 0.0]), np.zeros(2),
+                              np.array([0.0, 1.0]), np.diag([1.0, -1.0]))
+        [(model, beta, _)] = optimal_stepsizes(models, state_at(sigma=1.0))
+        assert model.kind == "curvature"
+        assert beta == pytest.approx(2.0)
 
     def test_beta_with_descent_component(self):
         # g'd = -1  ->  beta = 1 + sqrt(3)
-        sizes = optimal_stepsizes(
-            np.array([0.0, -1.0]), None, np.array([0.0, 1.0]), np.diag([1.0, -1.0]),
-            LipschitzState(sigma_current=1.0),
-        )
-        assert sizes.beta == pytest.approx(1.0 + np.sqrt(3.0))
+        model = cubic([0.0, -1.0], [0.0, 1.0], np.diag([1.0, -1.0]))
+        assert model.stepsize(state_at(sigma=1.0)) == pytest.approx(1.0 + np.sqrt(3.0))
+
+    def test_descent_model_listed_first_with_its_reduction(self):
+        g, H = np.array([0.0, -1.0]), np.diag([1.0, -1.0])
+        s, d = -g, np.array([0.0, 1.0])
+        state = state_at(L=2.0, sigma=1.0)
+        trials = optimal_stepsizes(upper_models(g, s, d, H), state)
+        assert [m.kind for m, _, _ in trials] == ["descent", "curvature"]
+        for model, t, reduction in trials:
+            assert reduction == model.reduction(state, t)
 
     def test_broken_descent_certificate(self):
         with pytest.raises(ConditionViolation):
-            optimal_stepsizes(
-                np.array([1.0, 0.0]), np.array([1.0, 0.0]), None, None,
-                LipschitzState(),
-            )
+            optimal_stepsizes([quadratic([1.0, 0.0], [1.0, 0.0])], state_at())
 
     def test_maximizers_beat_grid_search(self):
         rng = np.random.default_rng(21)
@@ -275,26 +312,22 @@ class TestOptimalStepsizes:
             A = rng.normal(size=(n, n))
             H = 0.5 * (A + A.T) - 2.0 * np.eye(n)
             d = negative_curvature_direction(leftmost_eigenpair(H, g), H, g)
-            if np.all(d == 0.0):
-                d = None
-            state = LipschitzState(L_current=float(rng.uniform(0.5, 5.0)),
-                                   sigma_current=float(rng.uniform(0.5, 5.0)))
-            sizes = optimal_stepsizes(g, s, d, H, state)
-            grid = np.linspace(0.0, 2.0 * sizes.alpha, 10000)
+            state = state_at(L=float(rng.uniform(0.5, 5.0)),
+                             sigma=float(rng.uniform(0.5, 5.0)))
+            trials = optimal_stepsizes(upper_models(g, s, d, H), state)
+            (_, alpha, m_s), curvature = trials[0], trials[1:]
+            grid = np.linspace(0.0, 2.0 * alpha, 10000)
             best = np.max(-grid * (g @ s) - 0.5 * state.L_current * grid ** 2 * (s @ s))
-            assert model_reduction_descent(g, s, state.L_current, sizes.alpha) >= best - 1e-8
-            if d is not None:
-                gridb = np.linspace(0.0, 2.0 * sizes.beta, 10000)
+            assert m_s >= best - 1e-8
+            for _, beta, m_d in curvature:
+                gridb = np.linspace(0.0, 2.0 * beta, 10000)
                 c = d @ H @ d
                 dn3 = np.linalg.norm(d) ** 3
                 bestb = np.max(
                     -gridb * (g @ d) - 0.5 * gridb ** 2 * c
                     - state.sigma_current / 6.0 * gridb ** 3 * dn3
                 )
-                assert (
-                    model_reduction_curvature(g, d, H, state.sigma_current, sizes.beta)
-                    >= bestb - 1e-8
-                )
+                assert m_d >= bestb - 1e-8
 
     def test_accepted_curvature_step_is_scaling_invariant(self):
         # beta(tau*d) * tau*d == beta(d) * d for any tau > 0
@@ -307,12 +340,11 @@ class TestOptimalStepsizes:
             d = negative_curvature_direction(leftmost_eigenpair(H, g), H, g)
             if np.all(d == 0.0):
                 continue
-            state = LipschitzState(sigma_current=float(rng.uniform(0.5, 3.0)))
+            state = state_at(sigma=float(rng.uniform(0.5, 3.0)))
             tau = float(rng.uniform(0.1, 10.0))
-            beta1 = optimal_stepsizes(g, None, d, H, state).beta
-            beta2 = optimal_stepsizes(g, None, tau * d, H, state).beta
+            beta1 = cubic(g, d, H).stepsize(state)
+            beta2 = cubic(g, tau * d, H).stepsize(state)
             np.testing.assert_allclose(beta2 * tau * d, beta1 * d, rtol=1e-9)
-
 
     @given(symmetric_cases(), st.floats(1e-3, 1e3), st.floats(0.1, 10.0))
     def test_rescaled_direction_gives_the_same_curvature_step(self, case, c, sigma):
@@ -321,57 +353,75 @@ class TestOptimalStepsizes:
         H, g = case
         d = negative_curvature_direction(leftmost_eigenpair(H, g), H, g)
         assume(np.any(d != 0.0))
-        state = LipschitzState(sigma_current=sigma)
-        beta = optimal_stepsizes(g, None, d, H, state).beta
-        beta_c = optimal_stepsizes(g, None, c * d, H, state).beta
+        state = state_at(sigma=sigma)
+        model, model_c = cubic(g, d, H), cubic(g, c * d, H)
+        beta, beta_c = model.stepsize(state), model_c.stepsize(state)
         # d'Hd is rounded relative to ||H||*||d||^2, not to |lambda|*||d||^2
         abs_lam = float(np.linalg.norm(d))
         rtol = 1e-13 * max(1.0, float(np.linalg.norm(H, 2)) / abs_lam)
         assert c * beta_c == pytest.approx(beta, rel=rtol)
-        m = model_reduction_curvature(g, d, H, sigma, beta)
-        m_c = model_reduction_curvature(g, c * d, H, sigma, beta_c)
-        assert m_c == pytest.approx(m, rel=rtol)
+        assert model_c.reduction(state, beta_c) == pytest.approx(
+            model.reduction(state, beta), rel=rtol)
+
+    @given(symmetric_cases(), st.sampled_from(sorted(DESCENT_COSINE)),
+           st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+    def test_each_stepsize_is_positive_and_beats_a_grid(self, case, strategy, L,
+                                                        sigma):
+        H, g = case
+        eig = leftmost_eigenpair(H, g)
+        models = upper_models(g, descent_direction(strategy, g, H, eig),
+                              negative_curvature_direction(eig, H, g), H)
+        state = state_at(L=L, sigma=sigma)
+        for model, t, reduction in optimal_stepsizes(models, state):
+            assert t > 0.0 and reduction > 0.0
+            best = max(model.reduction(state, u)
+                       for u in np.linspace(0.0, 2.0 * t, 2001))
+            # the terms of m(t) are of the order of m(t) at the maximizer
+            assert reduction >= best * (1.0 - 1e-9)
 
 
-class TestLipschitzHat:
+class TestUpperModelHat:
     def test_exact_model_returns_current_estimate(self):
         # f_trial - f_current = -m  ->  numerator vanishes
-        assert lipschitz_hat("gradient", 1.0, 1.5, 0.5, 0.3, 2.0, 4.2) == pytest.approx(4.2)
+        model = quadratic([-1.0, 0.0], [2.0, 0.0])
+        assert model.hat(state_at(L=4.2), 0.3, 0.5, 1.0, 1.5) == pytest.approx(4.2)
 
     def test_sphere_recovers_true_constant(self):
         # x=3, s=-3, alpha=1, L=0.5: m = 6.75, decrease 4.5, Lhat = 1
-        m = model_reduction_descent(np.array([3.0]), np.array([-3.0]), 0.5, 1.0)
+        model, state = quadratic([3.0], [-3.0]), state_at(L=0.5)
+        m = model.reduction(state, 1.0)
         assert m == pytest.approx(6.75)
-        assert lipschitz_hat("gradient", 0.0, 4.5, m, 1.0, 3.0, 0.5) == pytest.approx(1.0)
+        assert model.hat(state, 1.0, m, 0.0, 4.5) == pytest.approx(1.0)
 
-    def test_hessian_kind_doubles_when_model_is_pure_cubic(self):
+    def test_cubic_model_doubles_when_the_model_is_pure_cubic(self):
         # f_trial = f_current and m = sigma*beta^3*||d||^3/6  ->  2*sigma
         sigma, beta, dnorm = 3.0, 0.7, 1.9
+        model = cubic(np.zeros(2), [dnorm, 0.0], np.diag([-1.0, 1.0]))
         m = sigma * beta ** 3 * dnorm ** 3 / 6.0
-        assert lipschitz_hat("hessian", 2.0, 2.0, m, beta, dnorm, sigma) == pytest.approx(
+        assert model.hat(state_at(sigma=sigma), beta, m, 2.0, 2.0) == pytest.approx(
             2.0 * sigma
         )
 
     def test_rejects_nonpositive_steps(self):
         with pytest.raises(ValueError):
-            lipschitz_hat("gradient", 1.0, 1.0, 0.0, 0.0, 1.0, 1.0)
+            quadratic([-1.0, 0.0], [1.0, 0.0]).hat(state_at(), 0.0, 0.0, 1.0, 1.0)
 
 
 class TestLipschitzState:
     def test_inflate_bounds(self):
         state = LipschitzState(L_current=1.0, rho=2.0)
-        assert state.inflate("gradient", 1.5) == pytest.approx(2.0)
-        assert state.inflate("gradient", 1e9) == pytest.approx(2000.0)
+        assert state.inflate("L_current", 1.5) == pytest.approx(2.0)
+        assert state.inflate("L_current", 1e9) == pytest.approx(2000.0)
         state2 = LipschitzState(L_current=1.0)
-        assert state2.inflate("gradient", 5.0) == pytest.approx(5.0)
+        assert state2.inflate("L_current", 5.0) == pytest.approx(5.0)
 
     def test_settle_floors(self):
         state = LipschitzState(L_current=10.0)
-        assert state.settle("gradient", 1e-9) == pytest.approx(10.0 * 1e-3)
+        assert state.settle("L_current", 1e-9) == pytest.approx(10.0 * 1e-3)
         state2 = LipschitzState(L_current=0.5)
-        assert state2.settle("gradient", 0.0) == pytest.approx(1e-3)
+        assert state2.settle("L_current", 0.0) == pytest.approx(1e-3)
         state3 = LipschitzState(sigma_current=4.0)
-        assert state3.settle("hessian", 2.5) == pytest.approx(2.5)
+        assert state3.settle("sigma_current", 2.5) == pytest.approx(2.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):

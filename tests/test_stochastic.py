@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 
 import numpy as np
@@ -58,6 +59,37 @@ class TestStepConfig:
         with pytest.raises(ValueError):
             StochasticStepConfig(alpha_constant=2.0 * cap, moment_bounds=moments,
                                  gradient_lipschitz=2.0)
+
+    def test_nan_bounds_fail_the_admissibility_check(self):
+        # a NaN cap fails no comparison, so it used to admit any stepsize
+        with pytest.raises(ValueError, match="moment bounds"):
+            StochasticStepConfig(alpha_constant=5.0,
+                                 moment_bounds=MomentBounds(1.0, float("nan")),
+                                 gradient_lipschitz=1.0)
+        with pytest.raises(ValueError, match="gradient_lipschitz"):
+            StochasticStepConfig(alpha_constant=5.0,
+                                 moment_bounds=MomentBounds(1.0, 1.5),
+                                 gradient_lipschitz=float("nan"))
+
+    @pytest.mark.parametrize("m1, m2", [
+        (float("nan"), 1.5), (-1.0, 1.5), (math.inf, 1.5),
+        (1.0, 0.0), (1.0, -1.0), (1.0, math.inf),
+    ])
+    def test_moment_bounds_need_finite_m1_and_positive_m2(self, m1, m2):
+        # a zero M2 divided the admissible stepsize; a NaN M1 made the
+        # mean-square bound NaN
+        with pytest.raises(ValueError, match="moment bounds"):
+            MomentBounds(m1, m2)
+
+    @pytest.mark.parametrize("lipschitz", [0.0, -2.0, math.inf])
+    def test_gradient_lipschitz_must_be_positive_and_finite(self, lipschitz):
+        # a zero constant divided the admissible stepsize
+        with pytest.raises(ValueError, match="gradient_lipschitz"):
+            StochasticStepConfig(alpha_constant=0.1, gradient_lipschitz=lipschitz)
+        with pytest.raises(ValueError, match="gradient_lipschitz"):
+            StochasticStepConfig(alpha_constant=0.1,
+                                 moment_bounds=MomentBounds(1.0, 1.5),
+                                 gradient_lipschitz=lipschitz)
 
 
 class TestCurvatureNoiseStep:
