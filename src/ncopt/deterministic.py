@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ncopt.linalg import KernelError, leftmost_eigenpair
+from ncopt.linalg import KernelError, leftmost_eigenpair, norm
 from ncopt.problems import EvaluationError
 from ncopt.steps import (
     DESCENT_COSINE,
@@ -122,7 +122,7 @@ class SolverReport:
 
     @property
     def used_negative_curvature(self):
-        return any(np.any(r.d != 0.0) for r in self.records)
+        return any(r.d.any() for r in self.records)
 
     def finish(self, reason):
         last = self.records[-1]
@@ -195,14 +195,14 @@ def _iterate(problem, x0, termination, step, use_curvature, echo):
             H = problem.hessian(x)
             eig = leftmost_eigenpair(H, g)
             lam = eig.leftmost_value
-            gnorm = float(np.linalg.norm(g))
+            gnorm = norm(g)
             if k == 1:
                 g1_scale, lam1_scale = max(1.0, gnorm), max(1.0, _neg(lam))
 
             if stop is None:
                 d = (negative_curvature_direction(eig, H, g)
                      if use_curvature else np.zeros_like(x))
-                if gnorm == 0.0 and not np.any(d != 0.0):
+                if gnorm == 0.0 and not d.any():
                     stop = TerminationReason.SECOND_ORDER_POINT
                 elif gnorm <= termination.grad_tol_rel * g1_scale and \
                         _neg(lam) <= termination.curv_tol_rel * lam1_scale:
@@ -220,7 +220,7 @@ def _iterate(problem, x0, termination, step, use_curvature, echo):
                 index=k, x=x.copy(), f_value=f, gradient_norm=gnorm, lam=lam, d=d,
                 feval_count=problem.evaluation_count, **fields,
             ))
-            step_norm = float(np.linalg.norm(x_next - x))
+            step_norm = norm(x_next - x)
             x, f = x_next, f_next
             if step_norm < termination.min_step_norm:
                 stop = TerminationReason.TINY_STEP
@@ -244,11 +244,11 @@ def two_step_solve(problem, alpha=None, beta=None, termination=None, x0=None):
         raise ValueError("two_step_solve needs positive fixed stepsizes")
 
     def step(k, x, f, g, gnorm, H, eig, d):
-        has_d = bool(np.any(d != 0.0))
+        has_d = bool(d.any())
         x_hat = x + beta * d
         g_hat = problem.gradient(x_hat) if has_d else g
         s_hat = descent_direction("steepest", g_hat)
-        has_s = bool(np.any(s_hat != 0.0))
+        has_s = bool(s_hat.any())
         taken = "both" if has_d and has_s else "curvature" if has_d else "descent"
         return x_hat + alpha * s_hat, None, dict(
             s=s_hat, step_taken=taken, x_hat=x_hat.copy(), alpha=alpha, beta=beta)

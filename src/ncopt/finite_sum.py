@@ -24,6 +24,12 @@ class DatasetSchemaError(ValueError):
     """The dataset violates the expected shape (empty, ragged, too narrow)."""
 
 
+def _mean(a):
+    """float(np.mean(a)) of a float vector, bit for bit: numpy's pairwise
+    sum, then one division by the length, without np.mean's dispatch."""
+    return float(a.sum()) / len(a)
+
+
 class FiniteSumProblem(ObjectiveProblem):
     """Mean of `component_count` component objectives.
 
@@ -113,18 +119,30 @@ class QuadraticFiniteSum(FiniteSumProblem):
         )
         self.lower_bound = self.batch_value(minimizer, self._all_indices)
 
+    def _offsets(self, x, indices):
+        """(u, Q): the rows x - c_i and the matrices Q_i of the batch."""
+        return (x[None, :] - self._rows(self.centers, indices),
+                self._rows(self.matrices, indices))
+
     def batch_value(self, x, indices):
-        u = x[None, :] - self._rows(self.centers, indices)
-        Q = self._rows(self.matrices, indices)
-        return 0.5 * float(np.mean(np.einsum("ki,kij,kj->k", u, Q, u)))
+        u, Q = self._offsets(x, indices)
+        return 0.5 * _mean(np.einsum("ki,kij,kj->k", u, Q, u))
 
     def batch_gradient(self, x, indices):
-        u = x[None, :] - self._rows(self.centers, indices)
-        Q = self._rows(self.matrices, indices)
-        return np.einsum("kij,kj->i", Q, u) / len(indices)
+        u, Q = self._offsets(x, indices)
+        return np.einsum("kij,kj->i", Q, u) / len(u)
+
+    def batch_value_gradient(self, x, indices):
+        # one gather of the batch, then batch_value's and batch_gradient's
+        # einsums
+        u, Q = self._offsets(x, indices)
+        return (0.5 * _mean(np.einsum("ki,kij,kj->k", u, Q, u)),
+                np.einsum("kij,kj->i", Q, u) / len(u))
 
     def batch_hessian(self, x, indices):
-        return np.mean(self._rows(self.matrices, indices), axis=0)
+        # np.mean(Q, axis=0) bit for bit: its sum, then one division
+        Q = self._rows(self.matrices, indices)
+        return Q.sum(axis=0) / len(Q)
 
 
 class LinearLeastSquaresProblem(FiniteSumProblem):
@@ -198,14 +216,14 @@ class TwoLayerNetProblem(FiniteSumProblem):
 
     def batch_value(self, x, indices):
         _, _, r, _ = self._forward(x, indices)
-        return 0.5 * float(np.mean(r * r))
+        return 0.5 * _mean(r * r)
 
     def batch_gradient(self, x, indices):
         return self._gradient(*self._forward(x, indices))
 
     def batch_value_gradient(self, x, indices):
         X, A, r, w2 = self._forward(x, indices)
-        return 0.5 * float(np.mean(r * r)), self._gradient(X, A, r, w2)
+        return 0.5 * _mean(r * r), self._gradient(X, A, r, w2)
 
     @staticmethod
     def _gradient(X, A, r, w2):

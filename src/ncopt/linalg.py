@@ -6,14 +6,18 @@ curvature direction and the modified-Newton shift and solve.  When the
 leftmost eigenvalue is repeated, LAPACK may return any orthonormal basis
 of its eigenspace, so the vector used is picked once, by
 `eigenspace_direction`, a rule that depends on the eigenspace and the
-gradient only.  The tests check these kernels against an independent
-pure-Python reference eigensolver.  All kernels are pure functions and
-safe for concurrent use.
+gradient only.  A simple leftmost eigenvalue, the common case, takes the
+rule's single-column form, which gives the same vector bit for bit.  The
+vector and matrix norms on the per-iterate paths are `norm`, which equals
+`np.linalg.norm` bit for bit without its argument dispatch.  The tests
+check these kernels against an independent pure-Python reference
+eigensolver.  All kernels are pure functions and safe for concurrent use.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +56,24 @@ class EigenResult:
     vectors: np.ndarray
 
 
+def norm(a):
+    """The 2-norm of a float vector, or the Frobenius norm of a float
+    matrix, as a float: `np.linalg.norm(a)` bit for bit, which numpy
+    computes as the square root of the dot product of a.ravel("K") with
+    itself, without its argument dispatch."""
+    a = a.ravel("K")
+    return math.sqrt(a.dot(a))
+
+
 def _leftmost_multiplicity(w):
     """How many of the ascending eigenvalues w lie within
     _TIE_RTOL * max(1, max |w|) of the leftmost one."""
-    tol = _TIE_RTOL * max(1.0, abs(float(w[0])), abs(float(w[-1])))
-    return int(np.searchsorted(w, w[0] + tol, side="right"))
+    w0 = float(w[0])
+    tol = _TIE_RTOL * max(1.0, abs(w0), abs(float(w[-1])))
+    # a simple leftmost eigenvalue needs no search
+    if len(w) == 1 or w[1] > w0 + tol:
+        return 1
+    return int(np.searchsorted(w, w0 + tol, side="right"))
 
 
 class CgStatus(enum.Enum):
@@ -91,9 +108,9 @@ def _check_symmetric(H):
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("expected a square matrix, got shape %s" % (H.shape,))
-    if not np.all(np.isfinite(H)):
+    if not np.isfinite(H).all():
         raise ValueError("matrix has non-finite entries")
-    if np.array_equal(H, H.T):
+    if (H == H.T).all():
         return H
     asym = np.max(np.abs(H - H.T))
     if asym > _SYMMETRY_TOL:
@@ -109,16 +126,25 @@ def eigenspace_direction(basis, g=None):
     given and Pg is not negligible (the unit vector of the span most
     aligned with -g); otherwise P e_j/||P e_j|| for the smallest j whose
     projection is not negligible, signed so that its largest-magnitude
-    entry is positive.
+    entry is positive.  A single column c, a simple eigenvalue's
+    eigenspace, takes P e_j = c c_j directly, bit for bit the same vector.
     """
     if g is not None:
+        g = np.asarray(g, dtype=float)
         pg = basis @ (basis.T @ g)
-        norm = float(np.linalg.norm(pg))
-        if norm > _PROJECTION_FLOOR * float(np.linalg.norm(g)):
-            return -pg / norm
-    j = int(np.argmax(np.linalg.norm(basis, axis=1) > _PROJECTION_FLOOR))
-    v = basis @ basis[j]
-    v /= np.linalg.norm(v)
+        pg_norm = norm(pg)
+        if pg_norm > _PROJECTION_FLOOR * norm(g):
+            return -pg / pg_norm
+    if basis.shape[1] == 1:
+        # |c_i| is the row norm sqrt(c_i^2) exactly; the product's sum
+        # starts from +0.0, which adding +0.0 reproduces on zero entries
+        col = basis[:, 0]
+        j = int(np.argmax(np.abs(col) > _PROJECTION_FLOOR))
+        v = col * col[j] + 0.0
+    else:
+        j = int(np.argmax(np.linalg.norm(basis, axis=1) > _PROJECTION_FLOOR))
+        v = basis @ basis[j]
+    v /= norm(v)
     if v[int(np.argmax(np.abs(v)))] < 0.0:
         v = -v
     return v
@@ -150,8 +176,8 @@ def leftmost_eigenpair(H, g=None):
         raise KernelError("symmetric eigendecomposition failed: %s" % err) from err
     lam = float(w[0])
     v = eigenspace_direction(V[:, :_leftmost_multiplicity(w)], g)
-    residual = float(np.linalg.norm(H @ v - lam * v))
-    bound = _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(H)))
+    residual = norm(H @ v - lam * v)
+    bound = _RESIDUAL_TOL * max(1.0, norm(H))
     if residual > bound:
         raise KernelError(
             "leftmost eigenpair residual %.3e exceeds bound %.3e" % (residual, bound)
@@ -173,7 +199,7 @@ def truncated_cg(H, g, max_iterations):
     g = np.asarray(g, dtype=float)
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    gnorm = np.linalg.norm(g)
+    gnorm = norm(g)
     if gnorm == 0.0:
         return CgOutcome(np.zeros_like(g), None, CgStatus.CONVERGED, 0)
     tolerance = min(1e-10, 1e-6 * gnorm)
@@ -192,7 +218,7 @@ def truncated_cg(H, g, max_iterations):
         s = s + step * p
         r = r + step * Hp
         rr_new = r @ r
-        if np.sqrt(rr_new) <= tolerance:
+        if math.sqrt(rr_new) <= tolerance:
             return CgOutcome(s, None, CgStatus.CONVERGED, j + 1)
         p = -r + (rr_new / rr) * p
         rr = rr_new

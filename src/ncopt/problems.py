@@ -61,7 +61,7 @@ class ObjectiveProblem:
                 "point of dimension %s does not match problem dimension %d"
                 % (x.shape, self.dimension)
             )
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise ValueError("point has non-finite coordinates")
         return x
 
@@ -69,7 +69,7 @@ class ObjectiveProblem:
         x = self._check_point(x)
         self.evaluation_count += 1
         value = float(self._value_fn(x))
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise EvaluationError("objective evaluated to %r" % value, x)
         return value
 
@@ -86,7 +86,7 @@ class ObjectiveProblem:
         x = self._check_point(x)
         self.hessian_count += 1
         H = np.asarray(self._hessian_fn(x), dtype=float)
-        if not np.all(np.isfinite(H)):
+        if not np.isfinite(H).all():
             raise EvaluationError("Hessian has non-finite entries", x)
         return H
 

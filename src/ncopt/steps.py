@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ncopt.linalg import CONDITION_CAP, modified_newton_shift
+from ncopt.linalg import CONDITION_CAP, modified_newton_shift, norm
 
 _CERT_SLACK = 1e-12
 # leftmost eigenvalues above -ZERO_CURVATURE_TOL count as nonnegative
@@ -78,6 +78,8 @@ def certify_curvature_direction(d, H, lam, g, check_norm_cap=True):
     construction; stochastic directions are scaled against the gradient
     estimate instead and skip it via check_norm_cap=False.
     """
+    H = np.asarray(H, dtype=float)
+    g = None if g is None else np.asarray(g, dtype=float)
     nd2 = float(d @ d)
     quad = float(d @ H @ d)
     # every comparison with NaN is false, so the checks below would pass it
@@ -87,7 +89,7 @@ def certify_curvature_direction(d, H, lam, g, check_norm_cap=True):
         raise ConditionViolation("curvature direction is zero")
     # d'Hd is rounded relative to ||H||*||d||^2, which |lambda|*||d||^2
     # understates when H is ill-conditioned
-    scale = max(1.0, float(np.linalg.norm(H)) * nd2)
+    scale = max(1.0, norm(H) * nd2)
     if quad > lam * nd2 + _CERT_SLACK * scale:
         raise ConditionViolation(
             "curvature condition failed: d'Hd=%.6e > lambda*||d||^2=%.6e"
@@ -96,10 +98,10 @@ def certify_curvature_direction(d, H, lam, g, check_norm_cap=True):
     if quad >= _CERT_SLACK * scale:
         raise ConditionViolation("d'Hd must be negative, got %.6e" % quad)
     if g is not None and float(g @ d) > _CERT_SLACK * max(
-        1.0, float(np.linalg.norm(g)) * np.sqrt(nd2)
+        1.0, norm(g) * math.sqrt(nd2)
     ):
         raise ConditionViolation("g'd must be nonpositive")
-    if check_norm_cap and np.sqrt(nd2) > abs(lam) * (1.0 + _CERT_SLACK):
+    if check_norm_cap and math.sqrt(nd2) > abs(lam) * (1.0 + _CERT_SLACK):
         raise ConditionViolation("||d|| exceeds |lambda|")
 
 
@@ -121,11 +123,9 @@ def negative_curvature_direction(eig, H, g):
     d = abs(lam) * eig.leftmost_vector
     # a vector orthogonal to g up to rounding keeps its fixed sign, so the
     # sign does not follow rounding noise; the certificate allows this g'd
-    if g is not None and float(g @ d) > _CERT_SLACK * max(
-        1.0, float(np.linalg.norm(g) * np.linalg.norm(d))
-    ):
+    if g is not None and float(g @ d) > _CERT_SLACK * max(1.0, norm(g) * norm(d)):
         d = -d
-    if np.any(d != 0.0):
+    if d.any():
         certify_curvature_direction(d, H, lam, g)
     return d
 
@@ -149,7 +149,7 @@ def descent_direction(strategy, g, H=None, eig=None):
     """
     check_strategy(strategy)
     g = np.asarray(g, dtype=float)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = norm(g)
     if gnorm == 0.0:
         return np.zeros_like(g)
     if strategy == "steepest":
@@ -160,8 +160,15 @@ def descent_direction(strategy, g, H=None, eig=None):
                              "its leftmost eigenpair")
         _, solve = modified_newton_shift(H, eig)
         s = solve(-g)
-    snorm = float(np.linalg.norm(s))
-    cosine = float(-(g @ s) / (snorm * gnorm))
+    scale = norm(s) * gnorm
+    if 0.0 < scale < math.inf:
+        cosine = float(-(g @ s) / scale)
+    else:
+        # ||s|| ||g|| overflowed or underflowed; each vector scaled to a
+        # largest entry of 1 has the same cosine, and an infinite or NaN
+        # entry still makes it NaN
+        g1, s1 = g / np.abs(g).max(), s / np.abs(s).max()
+        cosine = float(-(g1 @ s1) / (norm(s1) * norm(g1)))
     # written so that a NaN cosine (an overflowed step) fails it
     if not cosine >= DESCENT_COSINE[strategy] - _CERT_SLACK:
         raise ConditionViolation("descent cosine %.6e below required %.6e"
@@ -191,25 +198,31 @@ class UpperModel:
 
     @classmethod
     def quadratic(cls, g, s):
-        return cls("descent", "L_current", s, float(g @ s),
-                   float(np.linalg.norm(s)), pp=float(s @ s))
+        return cls("descent", "L_current", s, float(g @ s), norm(s),
+                   pp=float(s @ s))
 
     @classmethod
     def cubic(cls, g, d, H):
-        norm = float(np.linalg.norm(d))
-        return cls("curvature", "sigma_current", d, float(g @ d), norm,
-                   pHp=float((d @ H) @ d), norm3=norm ** 3)
+        d_norm = norm(d)
+        return cls("curvature", "sigma_current", d, float(g @ d), d_norm,
+                   pHp=float((d @ H) @ d), norm3=d_norm ** 3)
 
     def stepsize(self, lipschitz):
         """The model's unique positive maximizer: -g'p / (L p'p), or the
         positive root of the cubic model's derivative.  g'p >= 0 along a
         descent step, or a nonpositive root, means a certificate is broken
-        and raises."""
+        and raises; so does a descent stepsize that under- or overflows to
+        0 or inf."""
         c = getattr(lipschitz, self.estimate)
         if self.kind == "descent":
             if self.gp >= 0.0:
                 raise ConditionViolation("g's must be negative for a descent step")
-            return -self.gp / (c * self.pp)
+            alpha = -self.gp / (c * self.pp)
+            # 0 or inf only where p'p or c*p'p under- or overflowed
+            if not 0.0 < alpha < math.inf:
+                raise ConditionViolation("descent stepsize %r not positive and finite"
+                                         % alpha)
+            return alpha
         disc = self.pHp * self.pHp - 2.0 * c * self.norm3 * self.gp
         beta = (-self.pHp + np.sqrt(disc)) / (c * self.norm3)
         if not beta > 0.0:
@@ -240,8 +253,8 @@ class UpperModel:
 
 def upper_models(g, s, d, H):
     """One UpperModel per nonzero direction, the descent model first."""
-    models = [UpperModel.quadratic(g, s)] if np.any(s != 0.0) else []
-    if np.any(d != 0.0):
+    models = [UpperModel.quadratic(g, s)] if s.any() else []
+    if d.any():
         models.append(UpperModel.cubic(g, d, H))
     return models
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ncopt.deterministic import _partial_report_on_failure
 from ncopt.finite_sum import FiniteSumProblem, StochasticOracle
-from ncopt.linalg import CgStatus, leftmost_eigenpair, truncated_cg
+from ncopt.linalg import CgStatus, leftmost_eigenpair, norm, truncated_cg
 from ncopt.problems import EvaluationError
 from ncopt.steps import ZERO_CURVATURE_TOL, certify_curvature_direction
 
@@ -120,11 +120,11 @@ def apply_safeguards(s, d, alpha, beta, config):
     max_ratio_d_to_s of ||alpha s||.  Idempotent."""
     s = np.asarray(s, dtype=float)
     d = np.asarray(d, dtype=float)
-    snorm = float(np.linalg.norm(s))
+    snorm = norm(s)
     if snorm > config.max_s_norm:
         s = s * (config.max_s_norm / snorm)
         snorm = config.max_s_norm
-    dnorm = float(np.linalg.norm(d))
+    dnorm = norm(d)
     if dnorm > 0.0:
         cap = config.max_ratio_d_to_s * alpha * snorm
         if beta * dnorm > cap:
@@ -181,7 +181,7 @@ class StochasticReport:
         `problem.gradient` per record; the solve itself never evaluates
         them.  A non-finite norm raises EvaluationError."""
         gradient = self.problem.gradient
-        return np.array([float(np.linalg.norm(gradient(r.x)))
+        return np.array([norm(gradient(r.x))
                          for r in self.records], dtype=float)
 
     def mean_square_gradient(self):
@@ -234,7 +234,7 @@ def curvature_noise_step(x, oracle, alpha):
 
     eig = leftmost_eigenpair(H_est)
     lam = eig.leftmost_value
-    snorm = float(np.linalg.norm(s))
+    snorm = norm(s)
     if lam >= -ZERO_CURVATURE_TOL or snorm == 0.0:
         d = np.zeros_like(x)
     else:
@@ -246,7 +246,7 @@ def curvature_noise_step(x, oracle, alpha):
     x_next = x + alpha * s + alpha * omega * d
     record = StochasticIterationRecord(
         index=index, x=x.copy(), alpha=alpha, beta=alpha,
-        s_norm=snorm, d_norm=float(np.linalg.norm(d)), omega=omega,
+        s_norm=snorm, d_norm=norm(d), omega=omega,
         sampled_lambda=lam, value_before=value_est,
     )
     return x_next, record
@@ -342,7 +342,7 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
         L_next = L * safeguards.inflate_factor if f_hat > f_here else L
 
         reverted = False
-        curvature_trial = bool(np.any(d != 0.0))
+        curvature_trial = bool(d.any())
         if curvature_trial:
             x_next = x_hat + beta_k * d
             f_next = problem.batch_value(x_next, grad_batch)
@@ -358,7 +358,7 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
 
         record = StochasticIterationRecord(
             index=k, x=x.copy(), alpha=alpha_k, beta=beta_k,
-            s_norm=float(np.linalg.norm(s)), d_norm=float(np.linalg.norm(d)),
+            s_norm=norm(s), d_norm=norm(d),
             cg_status=cg.status, value_before=f_here,
             value_after_descent=f_hat, value_after_curvature=f_next,
             lipschitz_L=L, lipschitz_sigma=sigma,

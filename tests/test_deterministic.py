@@ -24,7 +24,7 @@ from ncopt.problems import (
     random_quadratic,
     sphere,
 )
-from ncopt.steps import DESCENT_COSINE, LipschitzState
+from ncopt.steps import DESCENT_COSINE, ConditionViolation, LipschitzState
 
 
 GOLDEN_TWO_STEP = os.path.join(os.path.dirname(__file__), "golden", "two_step.csv")
@@ -329,6 +329,27 @@ def test_evaluation_failure_carries_partial_report(solve):
     partial = info.value.report
     assert partial.termination_reason is None
     assert len(partial.records) == partial.total_iterations == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("case", ["tiny_curvature", "tiny_initial_L"])
+def test_stepsize_overflow_ends_typed_with_partial_report(case):
+    # tiny_curvature: the modified-Newton step -1e300*g is certified, but
+    # ||s||^2 overflows and its stepsize is 0; tiny_initial_L: L*||s||^2
+    # underflows and the stepsize is inf
+    if case == "tiny_curvature":
+        H, b = np.diag([1e-300, 1e-300]), np.ones(2)
+        problem = ObjectiveProblem("tiny", 2, lambda x: 0.5 * x @ H @ x + b @ x,
+                                   lambda x: H @ x + b, lambda x: H)
+        solve = lambda: dynamic_solve(problem, strategy="modified_newton")
+    else:
+        solve = lambda: dynamic_solve(
+            sphere(2), lipschitz_init=LipschitzState(L_current=1e-320))
+    with pytest.raises(ConditionViolation, match="descent stepsize") as info:
+        solve()
+    partial = info.value.report
+    assert partial.termination_reason is None
+    assert len(partial.records) == partial.total_iterations == 0
 
 
 class TestComplexityCensus:

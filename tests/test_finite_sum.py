@@ -1,11 +1,13 @@
 import importlib.util
 import itertools
 import os
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ncopt import deterministic, steps
 from ncopt.finite_sum import (
@@ -17,6 +19,7 @@ from ncopt.finite_sum import (
     LinearLeastSquaresProblem,
     StochasticOracle,
     TwoLayerNetProblem,
+    _mean,
     load_dataset,
     random_quadratic_finite_sum,
     synthetic_two_layer_net,
@@ -192,6 +195,20 @@ def test_batch_value_gradient_equals_separate_calls(make):
         value, gradient = p.batch_value_gradient(x, idx)
         assert value == p.batch_value(x, idx)
         assert np.array_equal(gradient, p.batch_gradient(x, idx))
+
+
+@given(hnp.arrays(float, st.integers(1, 300),
+                  elements=st.floats(-1e6, 1e6) | st.floats(-1e-6, 1e-6)))
+def test_mean_is_np_mean_bit_for_bit(a):
+    assert struct.pack("<d", _mean(a)) == struct.pack("<d", float(np.mean(a)))
+
+
+def test_quadratic_batch_hessian_is_the_mean_matrix_bit_for_bit():
+    p = random_quadratic_finite_sum(n=4, components=6, seed=2)
+    x = np.ones(4)
+    for idx in (p._all_indices, np.array([3, 0, 5]), np.array([1])):
+        expected = np.mean(p.matrices[idx], axis=0)
+        assert p.batch_hessian(x, idx).tobytes() == expected.tobytes()
 
 
 class TestLoadDataset:

@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ncopt.harness import CAMPAIGN_STARTS
 from ncopt.linalg import (
@@ -11,6 +14,7 @@ from ncopt.linalg import (
     eigenspace_direction,
     leftmost_eigenpair,
     modified_newton_shift,
+    norm,
     symmetric_extreme_eigenvalues,
     truncated_cg,
 )
@@ -49,6 +53,24 @@ class TestCheckSymmetric:
         H[1, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             _check_symmetric(H)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_entry_raises(self, bad):
+        # symmetric, so only the finiteness check can reject it
+        H = np.eye(3)
+        H[0, 2] = H[2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            _check_symmetric(H)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_non_square_raises(self, shape):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            _check_symmetric(np.zeros(shape))
+
+    def test_list_input_is_accepted(self):
+        out = _check_symmetric([[1, 2], [2, 1]])
+        assert out.dtype == float
+        np.testing.assert_array_equal(out, [[1.0, 2.0], [2.0, 1.0]])
 
 
 class TestLeftmostEigenpair:
@@ -97,6 +119,22 @@ class TestLeftmostEigenpair:
             if n > 1 and w[1] - w[0] > 1e-3:
                 # a simple eigenvalue: both kernels find the same line
                 assert abs(abs(float(res.leftmost_vector @ v)) - 1.0) <= 1e-10
+
+    def test_one_by_one(self):
+        res = leftmost_eigenpair(np.array([[-4.0]]), np.array([3.0]))
+        assert res.leftmost_value == -4.0
+        np.testing.assert_array_equal(res.leftmost_vector, [-1.0])
+        assert _leftmost_multiplicity(res.values) == 1
+
+    def test_residual_above_its_bound_is_kernel_error(self, monkeypatch):
+        # a "decomposition" whose first column is e_1 rotated by 0.1 rad
+        def wrong(H):
+            c, s = np.cos(0.1), np.sin(0.1)
+            return np.array([-1.0, 3.0]), np.array([[c, -s], [s, c]])
+
+        monkeypatch.setattr(np.linalg, "eigh", wrong)
+        with pytest.raises(KernelError, match="residual .* exceeds bound"):
+            leftmost_eigenpair(np.diag([-1.0, 3.0]))
 
     def test_repeated_eigenvalues(self):
         res = leftmost_eigenpair(np.diag([-2.0, -2.0, 3.0, 3.0]))
@@ -361,3 +399,140 @@ class TestRepeatedLeftmostEigenvalue:
         np.testing.assert_allclose(
             eigenspace_direction(_rotated_leftmost_basis(eig, R), g),
             eig.leftmost_vector, rtol=0, atol=1e-12)
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+# magnitudes from subnormal to overflowing, with infinities and NaN
+_WIDE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-200, 1e200, 1.7e308]),
+)
+
+
+class TestNorm:
+    """`linalg.norm` is np.linalg.norm bit for bit, in every memory layout."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    @given(hnp.arrays(float, st.integers(0, 40), elements=_WIDE_FLOATS))
+    def test_vectors(self, a):
+        assert _bits(norm(a)) == _bits(np.linalg.norm(a))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                      elements=_WIDE_FLOATS),
+           st.sampled_from(["C", "F", "T", "strided"]))
+    def test_matrices_in_every_layout(self, a, layout):
+        a = {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a),
+             "T": a.T, "strided": a[::2, ::-1]}[layout]
+        assert _bits(norm(a)) == _bits(np.linalg.norm(a))
+
+    def test_returns_a_float(self):
+        assert type(norm(np.array([3.0, 4.0]))) is float
+        assert norm(np.array([3.0, 4.0])) == 5.0
+
+
+def _general_rule(basis):
+    """eigenspace_direction's rule without g, written for any number of
+    columns: P e_j / ||P e_j|| for the first j with a projection, signed so
+    its largest-magnitude entry is positive."""
+    j = int(np.argmax(np.linalg.norm(basis, axis=1) > 1e-8))
+    v = basis @ basis[j]
+    v /= np.linalg.norm(v)
+    if v[int(np.argmax(np.abs(v)))] < 0.0:
+        v = -v
+    return v
+
+
+@st.composite
+def unit_columns(draw):
+    """An (n, 1) unit column whose entries include exact zeros of either
+    sign and entries near the projection floor."""
+    n = draw(st.integers(1, 12))
+    entries = st.one_of(st.floats(-1.0, 1.0), st.sampled_from(
+        [0.0, -0.0, 1e-8, -1e-8, np.nextafter(1e-8, 1.0), 1e-12, -1e-300]))
+    c = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    if not np.linalg.norm(c) > 1e-6:
+        c[draw(st.integers(0, n - 1))] = draw(st.sampled_from([1.0, -1.0]))
+    return (c / np.linalg.norm(c))[:, None]
+
+
+class TestSingleColumnPath:
+    """A simple leftmost eigenvalue takes eigenspace_direction's
+    single-column form; it must give the general rule's vector bit for
+    bit, signed zeros included."""
+
+    @given(unit_columns())
+    def test_matches_the_general_rule(self, col):
+        v = eigenspace_direction(col)
+        expected = _general_rule(col)
+        assert v.tobytes() == expected.tobytes()
+
+    @given(unit_columns())
+    def test_negligible_projection_of_g_falls_back_to_the_rule(self, col):
+        # g orthogonal to the column: its projection is rounding noise
+        g = np.zeros(len(col))
+        assert eigenspace_direction(col, g).tobytes() == _general_rule(col).tobytes()
+
+    @given(st.integers(1, 10), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["dense", "diagonal", "permuted_diagonal"]))
+    def test_leftmost_eigenpair_vector_matches_the_general_rule(self, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "dense":
+            H = random_symmetric(rng, n)
+        else:
+            H = np.diag(rng.permutation(np.arange(n, dtype=float)) - 2.0)
+            if kind == "permuted_diagonal":
+                P = np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
+                H = P @ H @ P.T
+        res = leftmost_eigenpair(H)
+        assert _leftmost_multiplicity(res.values) == 1
+        expected = _general_rule(res.vectors[:, :1])
+        assert res.leftmost_vector.tobytes() == expected.tobytes()
+
+    @given(hnp.arrays(float, st.integers(1, 8), elements=st.floats(-4.0, 4.0)),
+           st.sampled_from([0.0, 1e-13, 1e-12, 5e-12, 1e-9]))
+    def test_multiplicity_early_exit_matches_the_search(self, w, gap):
+        w = np.sort(w)
+        if len(w) > 1:
+            w[1] = w[0] + gap * max(1.0, abs(w[0]), abs(w[-1]))
+            w = np.sort(w)
+        tol = 1e-12 * max(1.0, abs(float(w[0])), abs(float(w[-1])))
+        assert _leftmost_multiplicity(w) == int(
+            np.searchsorted(w, w[0] + tol, side="right"))
+
+
+class TestTruncatedCgProperties:
+    @given(st.integers(1, 12), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 2.0))
+    def test_spd_system_matches_a_direct_solve(self, n, seed, log_condition):
+        rng = np.random.default_rng(seed)
+        Q = _orthogonal(rng, n)
+        H = (Q * np.logspace(0.0, log_condition, n)) @ Q.T
+        H = 0.5 * (H + H.T)
+        g = rng.normal(size=n)
+        out = truncated_cg(H, g, max_iterations=10 * n)
+        assert out.status is CgStatus.CONVERGED
+        assert out.curvature_direction is None
+        direct = np.linalg.solve(H, -g)
+        assert np.linalg.norm(out.solution - direct) <= 1e-8 * max(
+            1.0, np.linalg.norm(direct))
+
+    @given(st.integers(2, 12), st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
+    def test_every_returned_direction_has_nonpositive_curvature(self, n, seed, cap):
+        rng = np.random.default_rng(seed)
+        Q = _orthogonal(rng, n)
+        w = rng.uniform(-3.0, 3.0, size=n)
+        w[0], w[-1] = -abs(w[0]) - 0.1, abs(w[-1]) + 0.1
+        H = (Q * w) @ Q.T
+        H = 0.5 * (H + H.T)
+        out = truncated_cg(H, rng.normal(size=n), max_iterations=cap)
+        d = out.curvature_direction
+        assert (d is not None) == (out.status is CgStatus.NONPOSITIVE_CURVATURE)
+        if d is not None:
+            # the product as CG forms it: d'(H d)
+            assert d @ (H @ d) <= 0.0

@@ -51,6 +51,13 @@ class TestEvaluate:
             p.evaluate(np.array([2.0]))
         np.testing.assert_allclose(err.value.x, [2.0])
 
+    @pytest.mark.parametrize("value", [-np.inf, np.nan])
+    def test_negative_infinite_or_nan_value_raises(self, value):
+        p = ObjectiveProblem("bad", 1, lambda x: value, lambda x: x,
+                             lambda x: np.eye(1))
+        with pytest.raises(EvaluationError, match="objective evaluated to"):
+            p.evaluate(np.array([2.0]))
+
 
 class TestGradient:
     def test_sphere(self):
@@ -101,6 +108,50 @@ class TestHessian:
     def test_quartic_saddle_at_minimizer(self):
         H = quartic_saddle().hessian(np.array([1.0, 0.0]))
         np.testing.assert_array_equal(H, np.diag([2.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_hessian_reports_point(self, bad):
+        p = ObjectiveProblem(
+            "bad", 2,
+            value_fn=lambda x: 0.0,
+            gradient_fn=lambda x: x,
+            hessian_fn=lambda x: np.array([[1.0, 0.0], [0.0, bad]]),
+        )
+        with pytest.raises(EvaluationError, match="Hessian has non-finite") as err:
+            p.hessian(np.array([1.0, 2.0]))
+        np.testing.assert_allclose(err.value.x, [1.0, 2.0])
+
+
+class TestPointCheck:
+    """evaluate, gradient and hessian each check the point before calling
+    the function or counting the call."""
+
+    METHODS = ("evaluate", "gradient", "hessian")
+    COUNTERS = ("evaluation_count", "gradient_count", "hessian_count")
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((2, 1)), np.float64(0.0),
+                                   [0.0]], ids=["long", "column", "scalar", "short"])
+    def test_wrong_shape_rejected(self, method, x):
+        p = sphere(2)
+        with pytest.raises(ValueError, match="does not match problem dimension 2"):
+            getattr(p, method)(x)
+        assert all(getattr(p, c) == 0 for c in self.COUNTERS)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, method, bad):
+        p = sphere(2)
+        with pytest.raises(ValueError, match="point has non-finite coordinates"):
+            getattr(p, method)(np.array([0.0, bad]))
+        assert all(getattr(p, c) == 0 for c in self.COUNTERS)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_list_point_accepted_and_counted(self, method):
+        p = sphere(2)
+        getattr(p, method)([1, 2])
+        assert [getattr(p, c) for c in self.COUNTERS] == \
+            [int(m == method) for m in self.METHODS]
 
 
 class TestRegistry:

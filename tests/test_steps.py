@@ -191,11 +191,25 @@ class TestDescentDirection:
     @pytest.mark.filterwarnings("ignore:overflow encountered",
                                 "ignore:invalid value encountered")
     def test_overflowed_step_fails_its_certificate(self):
-        # ||s|| and g's overflow to inf, so the cosine is NaN, which passes
-        # any check not written to fail it
-        H, g = np.diag([1e-300, -5e-324, -5e-324]), np.ones(3)
+        # the spectral solve overflows to inf and then NaN, so the cosine is
+        # NaN, which passes any check not written to fail it
+        H, g = np.diag([1e-301, -5e-324, -5e-324]), np.ones(3)
         with pytest.raises(ConditionViolation, match="cosine nan"):
             descent_direction("modified_newton", g, H, leftmost_eigenpair(H, g))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("H, cos", [
+        # s = -1e300 g: parallel to -g, and ||s|| overflows
+        (np.diag([1e-300, 1e-300]), 1.0),
+        # s = -(1e300, ~1e308, ~1e308): finite, ||s|| and g's overflow
+        (np.diag([1e-300, -5e-324, -5e-324]), 2.0 / np.sqrt(6.0)),
+    ], ids=["parallel", "finite_entries"])
+    def test_step_whose_norm_overflows_keeps_its_cosine(self, H, cos):
+        g = np.ones(len(H))
+        s = descent_direction("modified_newton", g, H, leftmost_eigenpair(H, g))
+        assert np.isfinite(s).all() and np.isinf(np.linalg.norm(s))
+        scaled = s / np.abs(s).max()
+        assert cosine(scaled, g) == pytest.approx(cos, rel=1e-7)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy 'newton_cg'"):
@@ -300,6 +314,17 @@ class TestOptimalStepsizes:
     def test_broken_descent_certificate(self):
         with pytest.raises(ConditionViolation):
             optimal_stepsizes([quadratic([1.0, 0.0], [1.0, 0.0])], state_at())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("s, L, alpha", [
+        ([-1e300, -1e300], 1.0, "0.0"),     # p'p overflows to inf
+        ([-1.0, 0.0], 1e-320, "inf"),       # L p'p underflows past 1/g'p
+    ])
+    def test_descent_stepsize_that_over_or_underflows_raises(self, s, L, alpha):
+        model = quadratic([1.0, 1.0], s)
+        with pytest.raises(ConditionViolation,
+                           match="descent stepsize %s not positive" % alpha):
+            model.stepsize(state_at(L=L))
 
     def test_maximizers_beat_grid_search(self):
         rng = np.random.default_rng(21)
