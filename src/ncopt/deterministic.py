@@ -4,7 +4,8 @@
 stepsizes; `dynamic_solve` picks per iteration whichever step's upper-model
 reduction is larger, accepts it only if the objective decreases at least as
 much as the model predicts, and inflates the corresponding curvature
-constant otherwise.
+constant otherwise.  Their `SolverReport` gives the harness its own summary
+fields and trace rows (see `ncopt.harness`).
 """
 
 from __future__ import annotations
@@ -101,6 +102,10 @@ class IterationRecord:
     lipschitz_sigma: float | None = None
 
 
+TRACE_COLUMNS = ("k", "f", "gnorm", "lambda", "alpha", "beta", "branch",
+                 "Lk", "sigmak", "fevals")
+
+
 @dataclass
 class SolverReport:
     """Full per-iteration trace plus termination summary.
@@ -108,6 +113,8 @@ class SolverReport:
     A report is immutable by convention once a solve returns; `f` values
     along accepted steps are non-increasing for the deterministic solvers.
     """
+
+    trace_columns = TRACE_COLUMNS
 
     problem_name: str
     records: list[IterationRecord] = field(default_factory=list)
@@ -123,6 +130,28 @@ class SolverReport:
     @property
     def used_negative_curvature(self):
         return any(r.d.any() for r in self.records)
+
+    def summary(self, abnormal):
+        """The JSON summary's fields, abnormal without a termination reason."""
+        reason = self.termination_reason
+        return {
+            "problem": self.problem_name, "kind": "deterministic",
+            "termination_reason": reason.value if reason else None,
+            "abnormal": abnormal or reason is None,
+            "final_f": self.final_f,
+            "final_gradient_norm": self.final_gradient_norm,
+            "final_lambda": self.final_lambda,
+            "total_iterations": self.total_iterations,
+            "total_fevals": self.total_fevals,
+            "used_negative_curvature": self.used_negative_curvature,
+            "config": self.config,
+        }
+
+    def trace_rows(self, gradient_norms=None):
+        """One row per record; the records hold the exact gradient norms."""
+        for r in self.records:
+            yield (r.index, r.f_value, r.gradient_norm, r.lam, r.alpha, r.beta,
+                   r.step_taken, r.lipschitz_L, r.lipschitz_sigma, r.feval_count)
 
     def finish(self, reason):
         last = self.records[-1]

@@ -1,10 +1,12 @@
 """Experiment harness: configured runs, comparison measures, campaigns.
 
-Each experiment writes a JSON summary and a per-iteration CSV trace with a
-fixed column order and 17-significant-digit formatting so reruns can be
-diffed bit for bit.  Comparisons pair a descent-only run (a) against a
-curvature-enabled run (b) on the same problem and report the three relative
-measures (objective gap, iterations, function evaluations).
+A report gives its JSON summary's fields, `summary(abnormal)`, and its CSV
+trace's header and rows, `trace_columns` and `trace_rows(gradient_norms)`;
+the harness writes them, floats to 17 significant digits so reruns diff bit
+for bit, adds only the error, variant and seed, and asks no report its type.
+Comparisons pair a descent-only run (a) against a curvature-enabled run (b)
+on the same problem and report the three relative measures (objective gap,
+iterations, function evaluations).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 from ncopt.deterministic import (
     SOLVER_FAILURES,
-    SolverReport,
     TerminationSpec,
     dynamic_solve,
     two_step_solve,
@@ -34,7 +35,6 @@ from ncopt.problems import list_problems, make_problem
 from ncopt.steps import LipschitzState
 from ncopt.stochastic import (
     SafeguardConfig,
-    StochasticReport,
     StochasticStepConfig,
     dynamic_stochastic_solve,
     two_step_stochastic_solve,
@@ -79,9 +79,6 @@ VARIANTS = {
 }
 
 OUTPUT_DIR_ENV = "NCOPT_OUTPUT_DIR"
-
-TRACE_COLUMNS = ("k", "f", "gnorm", "lambda", "alpha", "beta", "branch",
-                 "Lk", "sigmak", "fevals")
 
 
 class UsageError(ValueError):
@@ -189,8 +186,6 @@ CONFIG_KEYS = (
     ConfigKey("safeguards", "sigma_init", "safeguards.sigma_init", _real),
 )
 _CONFIG_KEYS_BY_NAME = {key.name: key for key in CONFIG_KEYS}
-# the ExperimentConfig field behind each setting `validate_config` checks
-_SETTINGS = {key.name: key.field for key in CONFIG_KEYS}
 _CONFIG_SECTIONS = tuple(dict.fromkeys(key.section for key in CONFIG_KEYS))
 _EVERY_RUN_READS = ("experiment.variant", "experiment.problem",
                     "experiment.dataset", "experiment.label", "experiment.out",
@@ -236,12 +231,12 @@ def validate_config(config):
     if config.dataset is not None:
         reads += ("experiment.dataset_model", "experiment.dataset_has_header")
     default = ExperimentConfig()
-    for name, path in _SETTINGS.items():
-        setting = attrgetter(path)
-        if name not in reads and name.partition(".")[0] not in reads and \
+    for key in CONFIG_KEYS:
+        setting = attrgetter(key.field)
+        if key.name not in reads and key.section not in reads and \
                 setting(config) != setting(default):
             raise UsageError("%s: %s ignores it%s" % (
-                name, config.variant, _IGNORED_HINTS.get(name, "")))
+                key.name, config.variant, _IGNORED_HINTS.get(key.name, "")))
     for name in row.stepsizes:
         if not (getattr(config, name) or 0.0) > 0.0:
             raise UsageError("%s: %s needs a positive fixed %s"
@@ -335,37 +330,8 @@ def run_experiment(config):
 
 
 def report_summary(report, config=None, error=None):
-    """JSON-ready summary of a report; `error`, the exception that cut the
-    solve short, marks it abnormal and is recorded by type and message."""
-    abnormal = error is not None
-    if isinstance(report, StochasticReport):
-        summary = {
-            "problem": report.problem_name,
-            "kind": "stochastic",
-            "termination_reason": None if abnormal else "iteration_budget",
-            "abnormal": abnormal,
-            "final_f": report.final_exact_f,
-            "total_iterations": report.total_iterations,
-            "total_fevals": report.total_fevals,
-            "used_negative_curvature": report.used_negative_curvature,
-            "seed": report.seed,
-            "config": report.config,
-        }
-    else:
-        summary = {
-            "problem": report.problem_name,
-            "kind": "deterministic",
-            "termination_reason": (report.termination_reason.value
-                                   if report.termination_reason else None),
-            "abnormal": abnormal or report.termination_reason is None,
-            "final_f": report.final_f,
-            "final_gradient_norm": report.final_gradient_norm,
-            "final_lambda": report.final_lambda,
-            "total_iterations": report.total_iterations,
-            "total_fevals": report.total_fevals,
-            "used_negative_curvature": report.used_negative_curvature,
-            "config": report.config,
-        }
+    """A report's `summary`, plus the `error` that cut it short, variant and seed."""
+    summary = report.summary(error is not None)
     if error is not None:
         summary["error"] = {"type": type(error).__name__, "message": str(error)}
     if config is not None:
@@ -380,21 +346,6 @@ def write_report_json(report, path, config=None, error=None):
                   default=float)
         handle.write("\n")
     return path
-
-
-def _trace_rows(report, gradient_norms):
-    if isinstance(report, StochasticReport):
-        if gradient_norms is None:
-            gradient_norms = [None] * len(report.records)
-        for r, gnorm in zip(report.records, gradient_norms, strict=True):
-            yield (r.index, r.value_before, gnorm,
-                   r.sampled_lambda, r.alpha, r.beta,
-                   r.cg_status.value if r.cg_status else "noise",
-                   r.lipschitz_L, r.lipschitz_sigma, None)
-    else:
-        for r in report.records:
-            yield (r.index, r.f_value, r.gradient_norm, r.lam, r.alpha, r.beta,
-                   r.step_taken, r.lipschitz_L, r.lipschitz_sigma, r.feval_count)
 
 
 def _cell(value):
@@ -415,10 +366,8 @@ def _write_csv(path, header, rows):
 
 
 def write_trace_csv(report, path, gradient_norms=None):
-    """Write the report's trace.  A stochastic solve evaluates no exact
-    gradient, so its `gnorm` column holds `gradient_norms`, one per record,
-    or stays empty without them."""
-    return _write_csv(path, TRACE_COLUMNS, _trace_rows(report, gradient_norms))
+    """Write the report's trace; `gradient_norms` go to its `trace_rows`."""
+    return _write_csv(path, report.trace_columns, report.trace_rows(gradient_norms))
 
 
 @dataclass
@@ -434,9 +383,9 @@ class ComparisonRow:
 
 
 def _comparable_summary(name, report):
-    """The summary of report `name` (a or b), checked before `compare`
-    reads it: an object with numeric measures, from a finished solve."""
-    if isinstance(report, (SolverReport, StochasticReport)):
+    """Report `name` (a or b) or its summary, as a summary checked before
+    `compare` reads it: an object with numeric measures, from a finished solve."""
+    if hasattr(report, "summary"):
         report = report_summary(report)
     if not isinstance(report, dict):
         raise ValueError("report %s: not a report summary (a JSON object)" % name)

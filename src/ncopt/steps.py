@@ -184,7 +184,8 @@ class UpperModel:
     m(t) = -t g'p - L/2 t^2 p'p; a curvature step the cubic model in sigma,
     m(t) = -t g'p - t^2/2 p'Hp - sigma/6 t^3 ||p||^3.  The scalars are
     computed once per iterate; the stepsize, the reduction and the hat
-    constant read them and the model's `estimate` in a LipschitzState.
+    constant read them and the model's `estimate` in a LipschitzState.  A
+    power of t that overflows a Python float raises ConditionViolation.
     """
 
     kind: str           # the step it sizes: "descent" or "curvature"
@@ -234,10 +235,13 @@ class UpperModel:
     def reduction(self, lipschitz, t):
         """The decrease m(t) the model predicts for stepsize t."""
         c = getattr(lipschitz, self.estimate)
-        if self.kind == "descent":
-            return float(-t * self.gp - 0.5 * c * t ** 2 * self.pp)
-        return float(-t * self.gp - 0.5 * t ** 2 * self.pHp
-                     - (c / 6.0) * t ** 3 * self.norm3)
+        try:
+            if self.kind == "descent":
+                return float(-t * self.gp - 0.5 * c * t ** 2 * self.pp)
+            return float(-t * self.gp - 0.5 * t ** 2 * self.pHp
+                         - (c / 6.0) * t ** 3 * self.norm3)
+        except OverflowError:
+            raise ConditionViolation("model reduction overflows at t=%r" % t) from None
 
     def hat(self, lipschitz, t, reduction, f_trial, f_current):
         """The constant that makes the model's reduction at stepsize t match
@@ -246,9 +250,12 @@ class UpperModel:
             raise ValueError("stepsize and direction norm must be positive")
         gap = f_trial - f_current + reduction
         c = getattr(lipschitz, self.estimate)
-        if self.kind == "descent":
-            return c + 2.0 * gap / (t ** 2 * self.norm ** 2)
-        return c + 6.0 * gap / (t ** 3 * self.norm3)
+        try:
+            if self.kind == "descent":
+                return c + 2.0 * gap / (t ** 2 * self.norm ** 2)
+            return c + 6.0 * gap / (t ** 3 * self.norm3)
+        except OverflowError:
+            raise ConditionViolation("hat constant overflows at t=%r" % t) from None
 
 
 def upper_models(g, s, d, H):

@@ -4,7 +4,8 @@ The two-step method adds a zero-mean multiple of an estimated
 negative-curvature direction to each stochastic gradient step.  The dynamic
 method extracts both the step and the curvature direction from a truncated
 CG solve on the sampled system and drives the stepsizes 1/L_k and 1/sigma_k
-with stochastic value estimates.
+with stochastic value estimates.  Their `StochasticReport` gives the harness
+its own summary fields and trace rows (see `ncopt.harness`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ncopt.deterministic import _partial_report_on_failure
+from ncopt.deterministic import TRACE_COLUMNS, _partial_report_on_failure
 from ncopt.finite_sum import FiniteSumProblem, StochasticOracle
 from ncopt.linalg import CgStatus, leftmost_eigenpair, norm, truncated_cg
 from ncopt.problems import EvaluationError
@@ -157,6 +158,8 @@ class StochasticReport:
     solved on, serves the exact diagnostics after the solve; it is not part
     of the report's repr, comparison or summary."""
 
+    trace_columns = TRACE_COLUMNS
+
     problem_name: str
     records: list[StochasticIterationRecord] = field(default_factory=list)
     final_x: np.ndarray | None = None
@@ -171,6 +174,28 @@ class StochasticReport:
     @property
     def used_negative_curvature(self):
         return any(r.d_norm > 0.0 for r in self.records)
+
+    def summary(self, abnormal):
+        """The JSON summary's fields; a finished solve ends on its budget."""
+        return {
+            "problem": self.problem_name, "kind": "stochastic",
+            "termination_reason": None if abnormal else "iteration_budget",
+            "abnormal": abnormal,
+            "final_f": self.final_exact_f,
+            "total_iterations": self.total_iterations,
+            "total_fevals": self.total_fevals,
+            "used_negative_curvature": self.used_negative_curvature,
+            "seed": self.seed, "config": self.config,
+        }
+
+    def trace_rows(self, gradient_norms=None):
+        """One row per record, `gnorm` empty unless `gradient_norms` are given."""
+        if gradient_norms is None:
+            gradient_norms = [None] * len(self.records)
+        for r, gnorm in zip(self.records, gradient_norms, strict=True):
+            yield (r.index, r.value_before, gnorm, r.sampled_lambda, r.alpha,
+                   r.beta, r.cg_status.value if r.cg_status else "noise",
+                   r.lipschitz_L, r.lipschitz_sigma, None)
 
     def close_partial(self):
         """Close a report cut short by a failure: its records counted."""

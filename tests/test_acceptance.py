@@ -322,29 +322,41 @@ def test_criterion_8_constant_step_mean_square_bound(stochastic_quadratic):
     assert means.mean() <= bound + 3.0 * stderr
 
 
-def test_criterion_9_stochastic_dynamic_curvature_helps():
+# criterion 9's problem and start, which the escape-phase check shares
+NET_SPEC = dict(records=500, feature_dim=4, hidden_units=8, seed=7, noise=0.02,
+                teacher_scale=3.0)
+NET_START = 1e-3 * np.random.default_rng(17).normal(size=8 * 4 + 2 * 8 + 1)
+
+
+def _net_run(seed, use_curvature, iterations):
+    oracle = StochasticOracle(synthetic_two_layer_net(**NET_SPEC), batch_size=32,
+                              seed=seed)
+    return dynamic_stochastic_solve(oracle, SafeguardConfig(),
+                                    iterations=iterations, x0=NET_START,
+                                    use_curvature=use_curvature)
+
+
+@pytest.fixture(scope="module")
+def criterion_9_runs():
+    """The time criterion 9's runs started, and the runs: seeds 0-4, with
+    and without curvature, 2000 iterations each."""
+    t0 = time.time()
+    return t0, {(seed, use_curvature): _net_run(seed, use_curvature, 2000)
+                for seed in range(5) for use_curvature in (True, False)}
+
+
+def test_criterion_9_stochastic_dynamic_curvature_helps(criterion_9_runs):
     """On the two-layer-net finite sum, the curvature-enabled dynamic method
     ends with mean training loss no worse than its descent-only twin."""
-    t0 = time.time()
-    problem_spec = dict(records=500, feature_dim=4, hidden_units=8, seed=7,
-                        noise=0.02, teacher_scale=3.0)
-    start_rng = np.random.default_rng(17)
-    dimension = 8 * 4 + 2 * 8 + 1
-    x0 = 1e-3 * start_rng.normal(size=dimension)
+    t0, runs = criterion_9_runs
     finals = {True: [], False: []}
     used_curvature = []
-    for seed in range(5):
-        for use_curvature in (True, False):
-            problem = synthetic_two_layer_net(**problem_spec)
-            assert problem.dimension <= 100 and problem.component_count == 500
-            oracle = StochasticOracle(problem, batch_size=32, seed=seed)
-            report = dynamic_stochastic_solve(
-                oracle, SafeguardConfig(), iterations=2000, x0=x0,
-                use_curvature=use_curvature,
-            )
-            finals[use_curvature].append(report.final_exact_f)
-            if use_curvature:
-                used_curvature.append(report.used_negative_curvature)
+    for (seed, use_curvature), report in runs.items():
+        problem = report.problem
+        assert problem.dimension <= 100 and problem.component_count == 500
+        finals[use_curvature].append(report.final_exact_f)
+        if use_curvature:
+            used_curvature.append(report.used_negative_curvature)
     mean_nc = float(np.mean(finals[True]))
     mean_sg = float(np.mean(finals[False]))
     ok = mean_nc <= mean_sg and all(used_curvature)
@@ -354,7 +366,7 @@ def test_criterion_9_stochastic_dynamic_curvature_helps():
     assert mean_nc <= mean_sg
 
 
-def test_stochastic_dynamic_curvature_escapes_the_saddle_faster():
+def test_stochastic_dynamic_curvature_escapes_the_saddle_faster(criterion_9_runs):
     """Where the paper claims the gain, near a saddle: on criterion 9's
     problem, start, batch and safeguards, the curvature run's exact loss
     at iteration 200 is lower than its descent-only twin's on at least 18
@@ -362,21 +374,17 @@ def test_stochastic_dynamic_curvature_escapes_the_saddle_faster():
     seeds were run).  By iteration 2000 both runs sit at the label-noise
     floor, which is why criterion 9's final comparison is close."""
     t0 = time.time()
-    problem_spec = dict(records=500, feature_dim=4, hidden_units=8, seed=7,
-                        noise=0.02, teacher_scale=3.0)
-    x0 = 1e-3 * np.random.default_rng(17).normal(size=8 * 4 + 2 * 8 + 1)
+    _, shared = criterion_9_runs
     gaps = []
     for seed in range(20):
         loss = {}
         for use_curvature in (True, False):
-            problem = synthetic_two_layer_net(**problem_spec)
-            oracle = StochasticOracle(problem, batch_size=32, seed=seed)
             # the solve is causal, so a 200-iteration budget records the
-            # same iterate 200 as a longer one
-            report = dynamic_stochastic_solve(oracle, SafeguardConfig(),
-                                              iterations=200, x0=x0,
-                                              use_curvature=use_curvature)
-            loss[use_curvature] = problem.evaluate(report.records[199].x)
+            # same iterate 200 as a longer one, and seeds 0-4 read it from
+            # criterion 9's runs
+            key = (seed, use_curvature)
+            report = shared[key] if key in shared else _net_run(*key, 200)
+            loss[use_curvature] = report.problem.evaluate(report.records[199].x)
         gaps.append(loss[False] - loss[True])
     gaps = np.array(gaps)
     wins = int(np.sum(gaps > 0.0))

@@ -12,6 +12,7 @@ import pytest
 
 from ncopt.cli import _build_parser, _config_from_args, main
 from ncopt.deterministic import (
+    TRACE_COLUMNS,
     InnerLoopStall,
     SolverReport,
     TerminationSpec,
@@ -21,7 +22,6 @@ from ncopt.deterministic import (
 from ncopt.finite_sum import StochasticOracle, load_dataset
 from ncopt.harness import (
     CONFIG_KEYS,
-    TRACE_COLUMNS,
     ExperimentConfig,
     config_from_settings,
     read_config_file,
@@ -315,6 +315,16 @@ class TestRun:
         cfg.write_text(text + "[criteria]\ndelta = 1e-8\n")
         assert main(["run", "--config", str(cfg)]) == 2
         assert "criteria: unknown section" in capsys.readouterr().err
+
+    def test_overflowing_model_reduction_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("[experiment]\nproblem = sphere\nvariant = dynamic_sd\n"
+                       "out = %s\n[lipschitz]\nl_init = 1e-200\n" % tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert "model reduction overflows" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "sphere_dynamic_sd.json").read_text())
+        assert summary["abnormal"] is True
+        assert summary["error"]["type"] == "ConditionViolation"
 
     # every entry of the exact gradient at the start is finite, its norm is
     # not; the 1e200 row (3) is in neither the first gradient batch nor the

@@ -352,6 +352,16 @@ def test_stepsize_overflow_ends_typed_with_partial_report(case):
     assert len(partial.records) == partial.total_iterations == 0
 
 
+def test_overflowing_model_reduction_ends_typed_with_partial_report():
+    # L = 1e-200 makes the descent stepsize 1e200, finite, but its square in
+    # the model reduction overflows a Python float
+    with pytest.raises(ConditionViolation, match="model reduction overflows") as info:
+        dynamic_solve(sphere(2), lipschitz_init=LipschitzState(L_current=1e-200))
+    partial = info.value.report
+    assert partial.termination_reason is None
+    assert len(partial.records) == partial.total_iterations == 0
+
+
 class TestComplexityCensus:
     def test_sphere_counts_and_bound(self):
         p = sphere(1)

@@ -6,7 +6,8 @@ import pkgutil
 import re
 
 import ncopt
-from ncopt.harness import CONFIG_KEYS, TRACE_COLUMNS, VARIANTS
+from ncopt.deterministic import TRACE_COLUMNS
+from ncopt.harness import CONFIG_KEYS, VARIANTS
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
 

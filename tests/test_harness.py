@@ -27,6 +27,7 @@ from ncopt.harness import (
     run_experiment,
     standard_campaign_pairs,
     validate_config,
+    write_report_json,
     write_trace_csv,
 )
 from ncopt import deterministic
@@ -392,6 +393,56 @@ class TestCompare:
             assert -2.0 <= row.f_measure <= 2.0
             assert -1.0 <= row.iter_measure <= 1.0
             assert -1.0 <= row.feval_measure <= 1.0
+
+
+class StandInReport:
+    """Neither report class: only what the harness may ask of a report."""
+
+    trace_columns = ("k", "loss", "note")
+
+    def __init__(self, final_f):
+        self.final_f = final_f
+
+    def summary(self, abnormal):
+        return {"problem": "stand_in", "abnormal": abnormal, "final_f": self.final_f,
+                "total_iterations": 2, "total_fevals": 3,
+                "used_negative_curvature": True}
+
+    def trace_rows(self, gradient_norms):
+        norms = gradient_norms or (None, None)
+        return [(1, 0.5, norms[0]), (2, self.final_f, norms[1])]
+
+
+class TestReportProtocol:
+    """The harness writes and compares whatever a report gives, whatever
+    its type."""
+
+    def test_summary_gains_only_error_variant_and_seed(self, tmp_path):
+        path = write_report_json(StandInReport(0.25), str(tmp_path / "r.json"),
+                                 ExperimentConfig(variant="dynamic_sd", seed=4),
+                                 error=InnerLoopStall("stalled"))
+        assert load_report_summary(path) == {
+            "problem": "stand_in", "abnormal": True, "final_f": 0.25,
+            "total_iterations": 2, "total_fevals": 3,
+            "used_negative_curvature": True,
+            "error": {"type": "InnerLoopStall", "message": "stalled"},
+            "variant": "dynamic_sd", "seed": 4,
+        }
+        assert list(load_report_summary(path))[-3:] == ["error", "variant", "seed"]
+
+    def test_trace_is_the_reports_header_and_rows(self, tmp_path):
+        path = write_trace_csv(StandInReport(0.25), str(tmp_path / "t.csv"),
+                               [1.5, None])
+        with open(path, newline="") as handle:
+            assert list(csv.reader(handle)) == [
+                ["k", "loss", "note"], ["1", "0.5", "1.5"], ["2", "0.25", ""]]
+
+    def test_compare_reads_the_reports_summary(self):
+        row = compare(StandInReport(0.5), StandInReport(0.25))
+        assert (row.problem, row.f_measure, row.iter_measure) == ("stand_in", 0.25, 0.0)
+        assert row.used_negative_curvature is True
+        with pytest.raises(ValueError, match="report a: not a report summary"):
+            compare(object(), StandInReport(0.25))
 
 
 class TestCampaign:

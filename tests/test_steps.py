@@ -280,6 +280,13 @@ class TestUpperModelReduction:
             setattr(state, other, 7.0)
             assert (model.stepsize(state), model.reduction(state, 1.0)) == (t, m)
 
+    def test_power_that_overflows_a_python_float_raises(self):
+        # the descent stepsize is a Python float, whose power raises
+        # OverflowError where numpy's gives inf
+        model = quadratic([1.0, 1.0], [-1.0, -1.0])
+        with pytest.raises(ConditionViolation, match="model reduction overflows"):
+            model.reduction(state_at(L=1e-200), 1e200)
+
 
 class TestOptimalStepsizes:
     def test_alpha_formula(self):
@@ -430,6 +437,11 @@ class TestUpperModelHat:
     def test_rejects_nonpositive_steps(self):
         with pytest.raises(ValueError):
             quadratic([-1.0, 0.0], [1.0, 0.0]).hat(state_at(), 0.0, 0.0, 1.0, 1.0)
+
+    def test_power_that_overflows_a_python_float_raises(self):
+        model = quadratic([-1.0, 0.0], [2.0, 0.0])
+        with pytest.raises(ConditionViolation, match="hat constant overflows"):
+            model.hat(state_at(), 1e200, 0.5, 1.0, 1.5)
 
 
 class TestLipschitzState:
