@@ -351,7 +351,7 @@ def test_criterion_9_stochastic_dynamic_curvature_helps(criterion_9_runs):
     t0, runs = criterion_9_runs
     finals = {True: [], False: []}
     used_curvature = []
-    for (seed, use_curvature), report in runs.items():
+    for (_, use_curvature), report in runs.items():
         problem = report.problem
         assert problem.dimension <= 100 and problem.component_count == 500
         finals[use_curvature].append(report.final_exact_f)

@@ -332,31 +332,27 @@ def test_evaluation_failure_carries_partial_report(solve):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("case", ["tiny_curvature", "tiny_initial_L"])
+@pytest.mark.parametrize("case", ["tiny_curvature", "tiny_initial_L",
+                                  "small_initial_L"])
 def test_stepsize_overflow_ends_typed_with_partial_report(case):
     # tiny_curvature: the modified-Newton step -1e300*g is certified, but
     # ||s||^2 overflows and its stepsize is 0; tiny_initial_L: L*||s||^2
-    # underflows and the stepsize is inf
+    # underflows and the stepsize is inf; small_initial_L: the stepsize
+    # 1e200 is finite, but its square in the model reduction overflows a
+    # Python float
     if case == "tiny_curvature":
         H, b = np.diag([1e-300, 1e-300]), np.ones(2)
         problem = ObjectiveProblem("tiny", 2, lambda x: 0.5 * x @ H @ x + b @ x,
                                    lambda x: H @ x + b, lambda x: H)
         solve = lambda: dynamic_solve(problem, strategy="modified_newton")
     else:
+        L = 1e-320 if case == "tiny_initial_L" else 1e-200
         solve = lambda: dynamic_solve(
-            sphere(2), lipschitz_init=LipschitzState(L_current=1e-320))
-    with pytest.raises(ConditionViolation, match="descent stepsize") as info:
+            sphere(2), lipschitz_init=LipschitzState(L_current=L))
+    message = ("model reduction overflows" if case == "small_initial_L"
+               else "descent stepsize")
+    with pytest.raises(ConditionViolation, match=message) as info:
         solve()
-    partial = info.value.report
-    assert partial.termination_reason is None
-    assert len(partial.records) == partial.total_iterations == 0
-
-
-def test_overflowing_model_reduction_ends_typed_with_partial_report():
-    # L = 1e-200 makes the descent stepsize 1e200, finite, but its square in
-    # the model reduction overflows a Python float
-    with pytest.raises(ConditionViolation, match="model reduction overflows") as info:
-        dynamic_solve(sphere(2), lipschitz_init=LipschitzState(L_current=1e-200))
     partial = info.value.report
     assert partial.termination_reason is None
     assert len(partial.records) == partial.total_iterations == 0
