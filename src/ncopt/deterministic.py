@@ -23,6 +23,7 @@ from ncopt.linalg import KernelError, leftmost_eigenpair, norm
 from ncopt.problems import EvaluationError
 from ncopt.steps import (
     DESCENT_COSINE,
+    RHO,
     ConditionViolation,
     LipschitzState,
     check_strategy,
@@ -50,10 +51,18 @@ class InnerLoopStall(RuntimeError):
 
 # passes of the dynamic method's inner loop before it raises InnerLoopStall
 INNER_LOOP_CAP = 1000
+# an accepted displacement shorter than this ends a solve with TINY_STEP
+MIN_STEP_NORM = 1e-16
 
 # failures that end a solve abnormally; every solver attaches the partial
 # report to each as `report`
 SOLVER_FAILURES = (InnerLoopStall, EvaluationError, KernelError, ConditionViolation)
+
+
+def _check_positive_integer(name, value):
+    # a bool is not a count, and a cap that is not an integer never meets k == cap
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError("%s must be a positive integer" % name)
 
 
 @dataclass
@@ -61,24 +70,19 @@ class TerminationSpec:
     """Stopping rules shared by the deterministic solvers.
 
     Relative tolerances follow the usual practice of scaling by the
-    magnitudes at the starting point (floored at 1); `min_step_norm` stops on
-    an accepted displacement smaller than the given norm.
+    magnitudes at the starting point (floored at 1); an accepted
+    displacement shorter than MIN_STEP_NORM also stops a solve.
     """
 
     grad_tol_rel: float = 1e-5
     curv_tol_rel: float = 1e-5
     max_iterations: int = 10000
-    min_step_norm: float = 1e-16
 
     def __post_init__(self):
-        # written so that NaN fails each check; a cap that is not an
-        # integer would never meet `k == max_iterations`
-        if not all(t > 0.0 for t in (self.grad_tol_rel, self.curv_tol_rel,
-                                     self.min_step_norm)):
+        # written so that NaN fails each check
+        if not (self.grad_tol_rel > 0.0 and self.curv_tol_rel > 0.0):
             raise ValueError("tolerances must be positive")
-        cap = self.max_iterations
-        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
-            raise ValueError("max_iterations must be a positive integer")
+        _check_positive_integer("max_iterations", self.max_iterations)
 
 
 @dataclass
@@ -134,13 +138,14 @@ class SolverReport:
     def summary(self, abnormal):
         """The JSON summary's fields, abnormal without a termination reason."""
         reason = self.termination_reason
+        # JSON has no NaN, so a report without records has null final values
         return {
             "problem": self.problem_name, "kind": "deterministic",
             "termination_reason": reason.value if reason else None,
             "abnormal": abnormal or reason is None,
-            "final_f": self.final_f,
-            "final_gradient_norm": self.final_gradient_norm,
-            "final_lambda": self.final_lambda,
+            "final_f": self.final_f if self.records else None,
+            "final_gradient_norm": self.final_gradient_norm if self.records else None,
+            "final_lambda": self.final_lambda if self.records else None,
             "total_iterations": self.total_iterations,
             "total_fevals": self.total_fevals,
             "used_negative_curvature": self.used_negative_curvature,
@@ -203,13 +208,14 @@ def _iterate(problem, x0, termination, step, use_curvature, echo):
     relative tolerances hold; otherwise `step(k, x, f, g, gnorm, H, eig, d)`
     returns the next iterate, f there (None if not evaluated) and the
     IterationRecord fields it sets.  A tiny step or the iteration cap ends
-    the solve at the next iterate.  A step that finds no acceptable point
-    raises InnerLoopStall, and the iterate is recorded as terminal.
+    the solve at the next iterate.  A step that raises one of
+    SOLVER_FAILURES leaves the iterate recorded as terminal.
     """
     report = SolverReport(
         problem_name=problem.name,
         problem_lower_bound=problem.lower_bound,
-        config={"problem": problem.name, "termination": asdict(termination),
+        config={"problem": problem.name,
+                "termination": {**asdict(termination), "min_step_norm": MIN_STEP_NORM},
                 **echo},
     )
     x = np.array(problem.default_start if x0 is None else x0, dtype=float)
@@ -242,7 +248,7 @@ def _iterate(problem, x0, termination, step, use_curvature, echo):
 
             try:
                 x_next, f_next, fields = step(k, x, f, g, gnorm, H, eig, d)
-            except InnerLoopStall:
+            except SOLVER_FAILURES:
                 report.records.append(_terminal_record(k, x, f, gnorm, lam, problem))
                 raise
             report.records.append(IterationRecord(
@@ -251,7 +257,7 @@ def _iterate(problem, x0, termination, step, use_curvature, echo):
             ))
             step_norm = norm(x_next - x)
             x, f = x_next, f_next
-            if step_norm < termination.min_step_norm:
+            if step_norm < MIN_STEP_NORM:
                 stop = TerminationReason.TINY_STEP
             elif k == termination.max_iterations:
                 stop = TerminationReason.MAX_ITERATIONS
@@ -294,7 +300,7 @@ def dynamic_solve(problem, strategy="steepest", lipschitz_init=None,
     Each iteration compares the optimal model reductions of the two
     candidate steps, tests the chosen step's actual decrease against its
     model, and on failure inflates the corresponding constant (factor in
-    [rho, 1e3]) and retries, at most INNER_LOOP_CAP times.  After
+    [RHO, 1e3]) and retries, at most INNER_LOOP_CAP times.  After
     acceptance the constant used is relaxed toward the value that made
     model and actual decrease agree.
     With use_curvature=False the curvature direction is suppressed, giving
@@ -341,7 +347,7 @@ def dynamic_solve(problem, strategy="steepest", lipschitz_init=None,
                     use_curvature,
                     dict(method="dynamic", strategy=strategy,
                          use_curvature=use_curvature, L_init=state.L_current,
-                         sigma_init=state.sigma_current, rho=state.rho))
+                         sigma_init=state.sigma_current, rho=RHO))
 
 
 @dataclass

@@ -175,13 +175,8 @@ CONFIG_KEYS = (
     ConfigKey("termination", "curv_tol_rel", "termination.curv_tol_rel", _real),
     ConfigKey("termination", "max_iterations", "termination.max_iterations", int,
               "--max-iters", "iteration cap"),
-    ConfigKey("termination", "min_step_norm", "termination.min_step_norm", _real),
     ConfigKey("lipschitz", "l_init", "lipschitz.L_current", _real),
     ConfigKey("lipschitz", "sigma_init", "lipschitz.sigma_current", _real),
-    ConfigKey("lipschitz", "rho", "lipschitz.rho", _real),
-    ConfigKey("safeguards", "max_s_norm", "safeguards.max_s_norm", _real),
-    ConfigKey("safeguards", "max_ratio_d_to_s", "safeguards.max_ratio_d_to_s", _real),
-    ConfigKey("safeguards", "inflate_factor", "safeguards.inflate_factor", _real),
     ConfigKey("safeguards", "l_init", "safeguards.L_init", _real),
     ConfigKey("safeguards", "sigma_init", "safeguards.sigma_init", _real),
 )

@@ -21,8 +21,9 @@ from ncopt.linalg import CONDITION_CAP, modified_newton_shift, norm
 _CERT_SLACK = 1e-12
 # leftmost eigenvalues above -ZERO_CURVATURE_TOL count as nonnegative
 ZERO_CURVATURE_TOL = 1e-12
-# LipschitzState's update clamps: largest increase and decrease factors, floor
-_CLAMP_UP, _CLAMP_DOWN, _ABSOLUTE_FLOOR = 1e3, 1e-3, 1e-3
+# LipschitzState's update clamps: smallest and largest increase factors,
+# largest decrease factor, floor
+RHO, _CLAMP_UP, _CLAMP_DOWN, _ABSOLUTE_FLOOR = 2.0, 1e3, 1e-3, 1e-3
 
 # the cosine with -g each descent strategy's step is certified at: -g has
 # cosine 1, and a step solving a system of condition number at most
@@ -38,8 +39,8 @@ class ConditionViolation(RuntimeError):
 class LipschitzState:
     """Running curvature-constant estimates with their update clamps.
 
-    In-loop increases move an estimate to max(rho*c, min(1e3*c, hat)), so
-    every increase multiplies by at least rho and at most 1e3.  After an
+    In-loop increases move an estimate to max(RHO*c, min(1e3*c, hat)), so
+    every increase multiplies by at least RHO and at most 1e3.  After an
     accepted step the corresponding estimate settles to
     max(1e-3, 1e-3*c, hat).  Both updates take the field they move by name,
     an UpperModel's `estimate`.
@@ -47,20 +48,15 @@ class LipschitzState:
 
     L_current: float = 1.0
     sigma_current: float = 1.0
-    rho: float = 2.0
 
     def __post_init__(self):
         # written so that NaN fails each check
         if not (0.0 < self.L_current < math.inf and 0.0 < self.sigma_current < math.inf):
             raise ValueError("estimates must be positive and finite")
-        if not self.rho > 1.0:
-            raise ValueError("rho must exceed 1")
-        if not self.rho <= _CLAMP_UP:
-            raise ValueError("rho must be at most the clamp-up factor %g" % _CLAMP_UP)
 
     def inflate(self, estimate, hat):
         value = getattr(self, estimate)
-        return self._set(estimate, max(self.rho * value, min(_CLAMP_UP * value, hat)))
+        return self._set(estimate, max(RHO * value, min(_CLAMP_UP * value, hat)))
 
     def settle(self, estimate, hat):
         value = getattr(self, estimate)
@@ -185,7 +181,7 @@ class UpperModel:
     m(t) = -t g'p - t^2/2 p'Hp - sigma/6 t^3 ||p||^3.  The scalars are
     computed once per iterate; the stepsize, the reduction and the hat
     constant read them and the model's `estimate` in a LipschitzState.  A
-    power of t that overflows a Python float raises ConditionViolation.
+    power that overflows a Python float raises ConditionViolation.
     """
 
     kind: str           # the step it sizes: "descent" or "curvature"
@@ -205,8 +201,11 @@ class UpperModel:
     @classmethod
     def cubic(cls, g, d, H):
         d_norm = norm(d)
-        return cls("curvature", "sigma_current", d, float(g @ d), d_norm,
-                   pHp=float((d @ H) @ d), norm3=d_norm ** 3)
+        try:
+            return cls("curvature", "sigma_current", d, float(g @ d), d_norm,
+                       pHp=float((d @ H) @ d), norm3=d_norm ** 3)
+        except OverflowError:
+            raise ConditionViolation("||d||^3 overflows at ||d||=%r" % d_norm) from None
 
     def stepsize(self, lipschitz):
         """The model's unique positive maximizer: -g'p / (L p'p), or the

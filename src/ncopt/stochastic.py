@@ -15,7 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ncopt.deterministic import TRACE_COLUMNS, _partial_report_on_failure
+from ncopt.deterministic import (
+    TRACE_COLUMNS,
+    _check_positive_integer,
+    _partial_report_on_failure,
+)
 from ncopt.finite_sum import FiniteSumProblem, StochasticOracle
 from ncopt.linalg import CgStatus, leftmost_eigenpair, norm, truncated_cg
 from ncopt.problems import EvaluationError
@@ -26,6 +30,9 @@ _TINY = 1e-12
 CG_MAX_ITERATIONS = 10
 # headroom factor of the measured moment bounds
 _MOMENT_MARGIN = 1.5
+# the dynamic method's factor for inflating a constant after a predicted
+# increase, and its safeguards: largest ||s|| and ||beta d|| / ||alpha s||
+INFLATE_FACTOR, MAX_S_NORM, MAX_RATIO_D_TO_S = 1.2, 10.0, 0.2
 
 
 class ExpectedDecreaseViolation(RuntimeError):
@@ -97,37 +104,30 @@ def constant_step_mean_square_bound(moments, gradient_lipschitz, delta, alpha,
 
 @dataclass(frozen=True)
 class SafeguardConfig:
-    """Displacement safeguards and constant initialization for the dynamic
-    stochastic method."""
+    """Initial constants of the dynamic stochastic method, the inverses of
+    its first stepsizes; its safeguards are module constants."""
 
-    max_s_norm: float = 10.0
-    max_ratio_d_to_s: float = 0.2
-    inflate_factor: float = 1.2
     L_init: float = 80.0
     sigma_init: float = 100.0
 
     def __post_init__(self):
-        values = (self.max_s_norm, self.max_ratio_d_to_s, self.inflate_factor,
-                  self.L_init, self.sigma_init)
         # written so that NaN fails each check
-        if not all(0.0 < v < math.inf for v in values):
+        if not (0.0 < self.L_init < math.inf and 0.0 < self.sigma_init < math.inf):
             raise ValueError("all safeguard values must be positive and finite")
-        if not self.inflate_factor > 1.0:
-            raise ValueError("inflate_factor must exceed 1")
 
 
-def apply_safeguards(s, d, alpha, beta, config):
-    """Scale s to norm at most max_s_norm and d so ||beta d|| stays within
-    max_ratio_d_to_s of ||alpha s||.  Idempotent."""
+def apply_safeguards(s, d, alpha, beta):
+    """Scale s to norm at most MAX_S_NORM and d so ||beta d|| stays within
+    MAX_RATIO_D_TO_S of ||alpha s||.  Idempotent."""
     s = np.asarray(s, dtype=float)
     d = np.asarray(d, dtype=float)
     snorm = norm(s)
-    if snorm > config.max_s_norm:
-        s = s * (config.max_s_norm / snorm)
-        snorm = config.max_s_norm
+    if snorm > MAX_S_NORM:
+        s = s * (MAX_S_NORM / snorm)
+        snorm = MAX_S_NORM
     dnorm = norm(d)
     if dnorm > 0.0:
-        cap = config.max_ratio_d_to_s * alpha * snorm
+        cap = MAX_RATIO_D_TO_S * alpha * snorm
         if beta * dnorm > cap:
             d = d * (cap / (beta * dnorm))
     return s, d
@@ -285,6 +285,7 @@ def _iterate(oracle, iterations, x0, step, config):
     report's total_fevals.  The final f is the loop's only full-batch
     evaluation.  `config` is the solver's part of the report's config echo.
     """
+    _check_positive_integer("iterations", iterations)
     problem = oracle.problem
     report = StochasticReport(
         problem_name=problem.name,
@@ -336,7 +337,7 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
     safeguarded step alpha_k*s_k with alpha_k = 1/L_k, then the curvature
     step beta_k*d_k with beta_k = 1/sigma_k.  Value estimates on the
     iteration's gradient batch drive the constants: a predicted increase
-    inflates the constant by `inflate_factor` (never decreased) and a
+    inflates the constant by INFLATE_FACTOR (never decreased) and a
     predicted increase from the curvature step also resets it.  With
     use_curvature=False the curvature step is suppressed (the descent-only
     twin used as a baseline).  A non-finite value, gradient or Hessian
@@ -359,12 +360,12 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
              else np.zeros_like(x))
         alpha_k = 1.0 / L
         beta_k = 1.0 / sigma
-        s, d = apply_safeguards(s, d, alpha_k, beta_k, safeguards)
+        s, d = apply_safeguards(s, d, alpha_k, beta_k)
 
         x_hat = x + alpha_k * s
         f_hat = problem.batch_value(x_hat, grad_batch)
         _require_finite(x_hat, f_hat)
-        L_next = L * safeguards.inflate_factor if f_hat > f_here else L
+        L_next = L * INFLATE_FACTOR if f_hat > f_here else L
 
         reverted = False
         curvature_trial = bool(d.any())
@@ -373,7 +374,7 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
             f_next = problem.batch_value(x_next, grad_batch)
             _require_finite(x_next, f_next)
             if f_next > f_hat:
-                sigma_next = sigma * safeguards.inflate_factor
+                sigma_next = sigma * INFLATE_FACTOR
                 x_next = x_hat
                 reverted = True
             else:
@@ -397,10 +398,8 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
         "method": "stochastic_dynamic",
         "use_curvature": use_curvature,
         "L_init": safeguards.L_init, "sigma_init": safeguards.sigma_init,
-        "inflate_factor": safeguards.inflate_factor,
-        "max_s_norm": safeguards.max_s_norm,
-        "max_ratio_d_to_s": safeguards.max_ratio_d_to_s,
-        "cg_max_iterations": CG_MAX_ITERATIONS,
+        "inflate_factor": INFLATE_FACTOR, "max_s_norm": MAX_S_NORM,
+        "max_ratio_d_to_s": MAX_RATIO_D_TO_S, "cg_max_iterations": CG_MAX_ITERATIONS,
     })
 
 

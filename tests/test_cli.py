@@ -46,6 +46,7 @@ from ncopt.stochastic import (
     SafeguardConfig,
     StochasticStepConfig,
     admissible_constant_step,
+    apply_safeguards,
     curvature_noise_step,
     dynamic_stochastic_solve,
     expected_descent_check,
@@ -217,25 +218,25 @@ class TestRun:
          None, "experiment.beta: stoch_two_step ignores it"),
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = quadratic_sum\nvariant = stoch_dynamic\n"
-         "seed = 0\nbatch_size = 2\n[lipschitz]\nrho = 3\n",
-         "lipschitz.rho: stoch_dynamic ignores it"),
+         "seed = 0\nbatch_size = 2\n[lipschitz]\nl_init = 3\n",
+         "lipschitz.l_init: stoch_dynamic ignores it"),
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\nvariant = two_step\nalpha = 0.5\n"
-         "beta = 0.5\n[lipschitz]\nrho = 3\n",
-         "lipschitz.rho: two_step ignores it"),
+         "beta = 0.5\n[lipschitz]\nl_init = 3\n",
+         "lipschitz.l_init: two_step ignores it"),
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = quadratic_sum\nvariant = stoch_two_step\n"
-         "seed = 0\nbatch_size = 2\nalpha = 0.01\n[safeguards]\nmax_s_norm = 5\n",
-         "safeguards.max_s_norm: stoch_two_step ignores it"),
+         "seed = 0\nbatch_size = 2\nalpha = 0.01\n[safeguards]\nl_init = 5\n",
+         "safeguards.l_init: stoch_two_step ignores it"),
         # only the dynamic stochastic method has safeguards
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\nvariant = dynamic_sd\n"
-         "[safeguards]\nmax_s_norm = 5\n",
-         "safeguards.max_s_norm: dynamic_sd ignores it"),
+         "[safeguards]\nl_init = 5\n",
+         "safeguards.l_init: dynamic_sd ignores it"),
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\nvariant = two_step\nalpha = 0.5\n"
-         "beta = 0.5\n[safeguards]\ninflate_factor = 2\n",
-         "safeguards.inflate_factor: two_step ignores it"),
+         "beta = 0.5\n[safeguards]\nsigma_init = 2\n",
+         "safeguards.sigma_init: two_step ignores it"),
         # a deterministic variant reads the seed only to draw a start
         (["run", "--problem", "sphere", "--variant", "dynamic_sd", "--seed", "3",
           "--start", "1,1"], None, "experiment.seed: dynamic_sd ignores it"),
@@ -267,7 +268,7 @@ class TestRun:
         # the variant is named, and not as part of another key's error
         (["run", "--config", "{cfg}"],
          "[experiment]\nproblem = sphere\nvariant = bogus\n[lipschitz]\n"
-         "rho = 3\n", "error: variant: unknown 'bogus' (choose from two_step, "),
+         "l_init = 3\n", "error: variant: unknown 'bogus' (choose from two_step, "),
     ])
     def test_bad_input_is_usage_error_naming_key(self, tmp_path, capsys, argv,
                                                  ini, key):
@@ -279,6 +280,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ")
         assert key in err
+
+    @pytest.mark.parametrize("key", [
+        "termination.min_step_norm", "lipschitz.rho", "safeguards.max_s_norm",
+        "safeguards.max_ratio_d_to_s", "safeguards.inflate_factor"])
+    def test_keys_of_module_constants_are_unknown(self, tmp_path, capsys, key):
+        # these factors and caps are module constants; no file sets them
+        section, name = key.split(".")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[experiment]\nproblem = sphere\n[%s]\n%s = 2\n"
+                       % (section, name))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "usage error: %s: unknown key\n" % key
 
     def test_keys_the_variant_reads_or_left_at_default_are_accepted(self, tmp_path):
         cfg = tmp_path / "s2s.cfg"
@@ -499,15 +512,10 @@ start = 0.5, -1.5
 grad_tol_rel = 1e-7
 curv_tol_rel = 1e-6
 max_iterations = 77
-min_step_norm = 1e-12
 [lipschitz]
 L_init = 2.5
 sigma_init = 3.5
-rho = 4.0
 [safeguards]
-max_s_norm = 5.0
-max_ratio_d_to_s = 0.1
-inflate_factor = 1.5
 l_init = 40.0
 sigma_init = 60.0
 """
@@ -525,11 +533,10 @@ FILE_FIELDS = {
     "dataset_has_header": True, "dataset_model": "two_layer",
     "start": [0.5, -1.5], "seed": 13,
     "termination": {"grad_tol_rel": 1e-7, "curv_tol_rel": 1e-6,
-                    "max_iterations": 77, "min_step_norm": 1e-12},
-    "lipschitz": {"L_current": 2.5, "sigma_current": 3.5, "rho": 4.0},
+                    "max_iterations": 77},
+    "lipschitz": {"L_current": 2.5, "sigma_current": 3.5},
     "alpha": 0.25, "beta": 0.75, "batch_size": 8, "iterations": 50,
-    "safeguards": {"max_s_norm": 5.0, "max_ratio_d_to_s": 0.1,
-                   "inflate_factor": 1.5, "L_init": 40.0, "sigma_init": 60.0},
+    "safeguards": {"L_init": 40.0, "sigma_init": 60.0},
     "out_dir": "file_out", "label": "from_file",
 }
 
@@ -595,13 +602,11 @@ class TestOptionSurface:
                 "batch_size", "iterations", "start")
         } | {
             "termination." + k for k in (
-                "grad_tol_rel", "curv_tol_rel", "max_iterations", "min_step_norm")
-        } | {"lipschitz." + k for k in ("l_init", "sigma_init", "rho")} | {
-            "safeguards." + k for k in (
-                "max_s_norm", "max_ratio_d_to_s", "inflate_factor", "l_init",
-                "sigma_init")
+                "grad_tol_rel", "curv_tol_rel", "max_iterations")
+        } | {"lipschitz." + k for k in ("l_init", "sigma_init")} | {
+            "safeguards." + k for k in ("l_init", "sigma_init")
         }
-        assert len(CONFIG_KEYS) == 25
+        assert len(CONFIG_KEYS) == 20
 
     def test_library_surface_is_fixed(self):
         """The solvers', steps' and kernels' parameters and the constants
@@ -615,6 +620,7 @@ class TestOptionSurface:
             dynamic_stochastic_solve: ("oracle", "safeguards", "iterations", "x0",
                                        "use_curvature"),
             curvature_noise_step: ("x", "oracle", "alpha"),
+            apply_safeguards: ("s", "d", "alpha", "beta"),
             measure_moment_constants: ("oracle", "x", "draws"),
             admissible_constant_step: ("moments", "gradient_lipschitz"),
             expected_descent_check: ("problem", "x", "config", "replications",
@@ -638,11 +644,9 @@ class TestOptionSurface:
             StochasticStepConfig: ("alpha_constant", "moment_bounds",
                                    "gradient_lipschitz"),
             MomentBounds: ("M1", "M2"),
-            LipschitzState: ("L_current", "sigma_current", "rho"),
-            SafeguardConfig: ("max_s_norm", "max_ratio_d_to_s", "inflate_factor",
-                              "L_init", "sigma_init"),
-            TerminationSpec: ("grad_tol_rel", "curv_tol_rel", "max_iterations",
-                              "min_step_norm"),
+            LipschitzState: ("L_current", "sigma_current"),
+            SafeguardConfig: ("L_init", "sigma_init"),
+            TerminationSpec: ("grad_tol_rel", "curv_tol_rel", "max_iterations"),
             EigenResult: ("leftmost_value", "leftmost_vector", "residual",
                           "values", "vectors"),
         }

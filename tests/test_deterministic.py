@@ -108,11 +108,10 @@ class TestTwoStep:
         fs = [r.f_value for r in report.records]
         assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
 
-    def test_tiny_step_termination(self):
+    def test_tiny_step_termination(self, monkeypatch):
         p = sphere(2)
-        spec = TerminationSpec(min_step_norm=10.0)
-        report = two_step_solve(p, alpha=0.5, beta=0.5, x0=np.array([1.0, 1.0]),
-                                termination=spec)
+        monkeypatch.setattr(deterministic, "MIN_STEP_NORM", 10.0)
+        report = two_step_solve(p, alpha=0.5, beta=0.5, x0=np.array([1.0, 1.0]))
         assert report.termination_reason is TerminationReason.TINY_STEP
 
     def test_max_iterations(self):
@@ -353,9 +352,12 @@ def test_stepsize_overflow_ends_typed_with_partial_report(case):
                else "descent stepsize")
     with pytest.raises(ConditionViolation, match=message) as info:
         solve()
+    # the iterate the step failed at is recorded, with f evaluated there
     partial = info.value.report
     assert partial.termination_reason is None
-    assert len(partial.records) == partial.total_iterations == 0
+    assert len(partial.records) == partial.total_iterations == 1
+    assert partial.records[0].step_taken == "none"
+    assert partial.total_fevals == partial.records[0].feval_count >= 1
 
 
 class TestComplexityCensus:

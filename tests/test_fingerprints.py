@@ -124,7 +124,7 @@ def cases():
             table["dynamic_small_init/%s/%s" % (name, strategy)] = (
                 lambda name=name, strategy=strategy:
                 dynamic_solve(make_problem(name), strategy=strategy,
-                              lipschitz_init=LipschitzState(1e-3, 1e-3, rho=3.0),
+                              lipschitz_init=LipschitzState(1e-3, 1e-3),
                               termination=cap))
     # the monkey_saddle run ends in an EvaluationError
     for name, alpha, beta in (("quartic_saddle", 0.1, 0.5),

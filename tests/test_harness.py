@@ -41,8 +41,8 @@ DETERMINISTIC_VARIANTS = [name for name, row in VARIANTS.items()
 # setting's name
 OFF_DEFAULT_CONSTANTS = {
     "termination": (TerminationSpec(grad_tol_rel=1e-3), "termination.grad_tol_rel"),
-    "lipschitz": (LipschitzState(rho=3.0), "lipschitz.rho"),
-    "safeguards": (SafeguardConfig(max_s_norm=5.0), "safeguards.max_s_norm"),
+    "lipschitz": (LipschitzState(L_current=3.0), "lipschitz.l_init"),
+    "safeguards": (SafeguardConfig(L_init=40.0), "safeguards.l_init"),
 }
 
 
@@ -114,14 +114,10 @@ class TestValidation:
         (TerminationSpec, "max_iterations", 2.5),
         (TerminationSpec, "max_iterations", float("nan")),
         (TerminationSpec, "max_iterations", True),
-        (TerminationSpec, "min_step_norm", float("nan")),
         (TerminationSpec, "grad_tol_rel", float("nan")),
         (LipschitzState, "L_current", float("nan")),
         (LipschitzState, "L_current", float("inf")),
         (LipschitzState, "sigma_current", float("nan")),
-        (LipschitzState, "rho", float("nan")),
-        (SafeguardConfig, "max_s_norm", float("nan")),
-        (SafeguardConfig, "inflate_factor", float("nan")),
         (SafeguardConfig, "L_init", float("inf")),
         (StochasticStepConfig, "alpha_constant", float("nan")),
         (StochasticStepConfig, "alpha_constant", float("inf")),
@@ -564,17 +560,12 @@ class TestConfigFile:
             "l_init = 2.5\n"
             "sigma_init = 3.5\n"
             "[safeguards]\n"
-            "max_s_norm = 5\n"
-            "max_ratio_d_to_s = 0.1\n"
-            "inflate_factor = 1.5\n"
             "L_INIT = 40\n"
             "sigma_init = 60\n"
         )
         config = _load(str(path))
         assert (config.lipschitz.L_current, config.lipschitz.sigma_current) == (2.5, 3.5)
-        assert config.safeguards == SafeguardConfig(
-            max_s_norm=5.0, max_ratio_d_to_s=0.1, inflate_factor=1.5,
-            L_init=40.0, sigma_init=60.0)
+        assert config.safeguards == SafeguardConfig(L_init=40.0, sigma_init=60.0)
 
     def test_criteria_start_from_the_variant(self, tmp_path):
         # the variant's strategy alone fixes the descent cosine its steps
@@ -591,6 +582,7 @@ class TestConfigFile:
         ("[experiment]\nsed = 1\n", "experiment.sed: unknown key"),
         ("[experiment]\nseed = 1\nseed = 2\n", "config"),
         ("[experiment]\ndataset_has_header = maybe\n", "experiment.dataset_has_header"),
+        # keys of module constants are unknown
         ("[lipschitz]\nrho = 1\n", "lipschitz.rho"),
         ("[lipschitz]\nl_init = nan\n", "lipschitz.l_init"),
         ("[experiment]\nstart = 1, inf\n", "experiment.start"),

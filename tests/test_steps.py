@@ -287,6 +287,13 @@ class TestUpperModelReduction:
         with pytest.raises(ConditionViolation, match="model reduction overflows"):
             model.reduction(state_at(L=1e-200), 1e200)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_cubed_direction_norm_that_overflows_raises(self):
+        # ||d||^3 is a Python float's power too
+        with pytest.raises(ConditionViolation, match="overflows"):
+            UpperModel.cubic(np.array([1.0, 0.0]), np.array([1e103, 0.0]),
+                             np.diag([-1e103, 1.0]))
+
 
 class TestOptimalStepsizes:
     def test_alpha_formula(self):
@@ -446,7 +453,7 @@ class TestUpperModelHat:
 
 class TestLipschitzState:
     def test_inflate_bounds(self):
-        state = LipschitzState(L_current=1.0, rho=2.0)
+        state = LipschitzState(L_current=1.0)
         assert state.inflate("L_current", 1.5) == pytest.approx(2.0)
         assert state.inflate("L_current", 1e9) == pytest.approx(2000.0)
         state2 = LipschitzState(L_current=1.0)
@@ -464,8 +471,4 @@ class TestLipschitzState:
         with pytest.raises(ValueError):
             LipschitzState(L_current=0.0)
         with pytest.raises(ValueError):
-            LipschitzState(rho=1.0)
-        # an increase is at most a factor 1e3, so rho may not exceed it
-        LipschitzState(rho=1e3)
-        with pytest.raises(ValueError, match="rho"):
-            LipschitzState(rho=1001.0)
+            LipschitzState(sigma_current=float("nan"))

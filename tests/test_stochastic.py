@@ -247,35 +247,32 @@ class TestExactNorms:
 
 class TestSafeguards:
     def test_long_step_scaled_to_cap(self):
-        config = SafeguardConfig()
-        s, d = apply_safeguards(np.array([20.0, 0.0]), np.zeros(2), 1.0, 1.0, config)
+        s, d = apply_safeguards(np.array([20.0, 0.0]), np.zeros(2), 1.0, 1.0)
         assert np.linalg.norm(s) == pytest.approx(10.0)
 
     def test_ratio_rule(self):
         # ||alpha s|| = 2, raw ||beta d|| = 1  ->  d rescaled to norm 0.4
-        config = SafeguardConfig()
         s, d = apply_safeguards(np.array([2.0, 0.0]), np.array([0.0, 2.0]),
-                                alpha=1.0, beta=0.5, config=config)
+                                alpha=1.0, beta=0.5)
         np.testing.assert_allclose(s, [2.0, 0.0])
         assert 0.5 * np.linalg.norm(d) == pytest.approx(0.4)
 
     def test_idempotent(self):
-        config = SafeguardConfig()
         rng = np.random.default_rng(2)
         for _ in range(20):
             s = rng.normal(size=4) * 30.0
             d = rng.normal(size=4) * 30.0
             alpha, beta = rng.uniform(0.01, 2.0, size=2)
-            s1, d1 = apply_safeguards(s, d, alpha, beta, config)
-            s2, d2 = apply_safeguards(s1, d1, alpha, beta, config)
+            s1, d1 = apply_safeguards(s, d, alpha, beta)
+            s2, d2 = apply_safeguards(s1, d1, alpha, beta)
             np.testing.assert_allclose(s1, s2, rtol=1e-14)
             np.testing.assert_allclose(d1, d2, rtol=1e-14)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SafeguardConfig(inflate_factor=1.0)
+            SafeguardConfig(L_init=0.0)
         with pytest.raises(ValueError):
-            SafeguardConfig(max_s_norm=0.0)
+            SafeguardConfig(sigma_init=-1.0)
 
 
 class TestDynamicStochastic:
@@ -315,7 +312,7 @@ class TestDynamicStochastic:
     def test_step_norm_safeguard_active_in_solver(self, noisy_quadratic):
         oracle = StochasticOracle(noisy_quadratic, batch_size=2, seed=21)
         report = dynamic_stochastic_solve(
-            oracle, SafeguardConfig(L_init=0.01, sigma_init=0.01, max_s_norm=10.0),
+            oracle, SafeguardConfig(L_init=0.01, sigma_init=0.01),
             iterations=40,
         )
         for r in report.records:
@@ -441,6 +438,20 @@ class TestNonFiniteEstimates:
         assert nan_center.gradient_count == 0
         with pytest.raises(EvaluationError, match="gradient norm is not finite"):
             report.exact_gradient_norms()
+
+
+@pytest.mark.parametrize("iterations", [-3, 0, True, 2.5])
+@pytest.mark.parametrize("solve", [
+    lambda o, n: dynamic_stochastic_solve(o, iterations=n),
+    lambda o, n: two_step_stochastic_solve(
+        o, StochasticStepConfig(alpha_constant=0.05), n),
+], ids=["dynamic", "two_step"])
+def test_budget_that_is_not_a_positive_integer_is_rejected(solve, iterations):
+    # checked as strictly as TerminationSpec.max_iterations, before any draw
+    oracle = StochasticOracle(make_problem("quadratic_sum"), batch_size=2, seed=0)
+    with pytest.raises(ValueError, match="^iterations must be a positive integer$"):
+        solve(oracle, iterations)
+    assert [oracle.draw_count(stream) for stream in range(3)] == [0, 0, 0]
 
 
 class TestMomentMeasurement:

@@ -3,8 +3,8 @@
 Each case runs one configured experiment through `harness.run_experiment`
 and digests the bytes of the JSON summary and the CSV trace it writes, so
 a change that moves any key, key order, value, column or cell of either
-file moves that file's digest.  Two cases end abnormally and pin the
-partial summary and trace a failure leaves.  The digests are pinned for
+file moves that file's digest.  Three cases end abnormally and pin the
+partial summary and trace a failure leaves.  Every summary is strict JSON.  The digests are pinned for
 one build of numpy, BLAS, LAPACK and libm; another build may round
 differently and move them.  To rewrite the golden file after a change that
 is meant to move written bytes, run
@@ -56,6 +56,9 @@ def configs(data_dir):
     table["abnormal/sphere/tiny_lipschitz"] = ExperimentConfig(
         problem="sphere", variant="dynamic_sd",
         lipschitz=LipschitzState(L_current=1e-320))
+    # f overflows at the start, so the solve ends before its first record
+    table["abnormal/rosenbrock2/overflowing_start"] = ExperimentConfig(
+        problem="rosenbrock2", variant="dynamic_sd", start=np.array([1e200, 1e200]))
     data = os.path.join(data_dir, "overflow.csv")
     with open(data, "w") as handle:
         handle.write(OVERFLOW_DATA)
@@ -104,12 +107,22 @@ def test_every_written_file_matches_the_golden_sweep(written):
         len(moved), len(golden), ", ".join(moved))
 
 
-def test_sweep_covers_every_variant_and_both_abnormal_ends(written):
+def _reject_constant(name):
+    raise ValueError("%s is not JSON (RFC 8259)" % name)
+
+
+def test_every_summary_is_strict_json(written):
+    for summary, _ in written[0].values():
+        json.loads(summary, parse_constant=_reject_constant)
+
+
+def test_sweep_covers_every_variant_and_every_abnormal_end(written):
     files, failures = written
     assert {case.split("/")[1] for case in files
             if case.split("/")[0] in PROBLEMS} == set(VARIANTS)
     assert failures == {
         "abnormal/sphere/tiny_lipschitz": "ConditionViolation",
+        "abnormal/rosenbrock2/overflowing_start": "EvaluationError",
         "abnormal/dataset/overflowing_exact_norms": "EvaluationError",
     }
     for case in failures:
