@@ -6,7 +6,8 @@ records from a near-zero initialization, a region crowded with saddle
 structure.  Each iteration runs CG on a sampled Hessian system for at most
 10 steps: the final CG iterate is the descent step, and any direction of
 nonpositive curvature CG stumbles on is used as the curvature step, with the
-safeguards ||s|| <= 10 and ||beta*d|| <= 0.2*||alpha*s||.  The run is
+safeguards ||s|| <= 10 and ||beta*d|| <= 0.2*||alpha*s||, from the first
+constants L = 80 and sigma = 100 (`LIPSCHITZ_INIT`).  The run is
 compared against its descent-only twin on identical seeds, by the exact
 training loss at the stored iterates of a few checkpoint iterations.
 """
@@ -14,7 +15,7 @@ training loss at the stored iterates of a few checkpoint iterations.
 import numpy as np
 
 from ncopt import (
-    SafeguardConfig,
+    LIPSCHITZ_INIT,
     StochasticOracle,
     dynamic_stochastic_solve,
     synthetic_two_layer_net,
@@ -38,7 +39,7 @@ for seed in seeds:
     for use_curvature in (True, False):
         problem = synthetic_two_layer_net(**spec)
         oracle = StochasticOracle(problem, batch_size=32, seed=seed)
-        report = dynamic_stochastic_solve(oracle, SafeguardConfig(),
+        report = dynamic_stochastic_solve(oracle, LIPSCHITZ_INIT,
                                           iterations=iterations, x0=x0,
                                           use_curvature=use_curvature)
         # record k - 1 holds the iterate at which iteration k starts

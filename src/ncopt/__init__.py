@@ -72,8 +72,8 @@ from ncopt.steps import (
     upper_models,
 )
 from ncopt.stochastic import (
+    LIPSCHITZ_INIT,
     MomentBounds,
-    SafeguardConfig,
     StochasticReport,
     StochasticStepConfig,
     admissible_constant_step,

@@ -14,13 +14,12 @@ import contextlib
 import enum
 import functools
 import itertools
-import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from ncopt.linalg import KernelError, leftmost_eigenpair, norm
-from ncopt.problems import EvaluationError
+from ncopt.problems import EvaluationError, integer_argument
 from ncopt.steps import (
     DESCENT_COSINE,
     RHO,
@@ -59,12 +58,6 @@ MIN_STEP_NORM = 1e-16
 SOLVER_FAILURES = (InnerLoopStall, EvaluationError, KernelError, ConditionViolation)
 
 
-def _check_positive_integer(name, value):
-    # a bool is not a count, and a cap that is not an integer never meets k == cap
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError("%s must be a positive integer" % name)
-
-
 @dataclass
 class TerminationSpec:
     """Stopping rules shared by the deterministic solvers.
@@ -82,7 +75,7 @@ class TerminationSpec:
         # written so that NaN fails each check
         if not (self.grad_tol_rel > 0.0 and self.curv_tol_rel > 0.0):
             raise ValueError("tolerances must be positive")
-        _check_positive_integer("max_iterations", self.max_iterations)
+        self.max_iterations = integer_argument("max_iterations", self.max_iterations, 1)
 
 
 @dataclass
@@ -191,11 +184,11 @@ def _partial_report_on_failure(report):
         raise
 
 
-def _terminal_record(k, x, f, gnorm, lam, problem):
+def _terminal_record(k, x, f, gnorm, lam, fevals):
     return IterationRecord(
         index=k, x=np.array(x, dtype=float), f_value=f, gradient_norm=gnorm,
         lam=lam, s=np.zeros_like(x), d=np.zeros_like(x), step_taken="none",
-        feval_count=problem.evaluation_count,
+        feval_count=fevals,
     )
 
 
@@ -220,6 +213,11 @@ def _iterate(problem, x0, termination, step, use_curvature, echo):
     )
     x = np.array(problem.default_start if x0 is None else x0, dtype=float)
     f = stop = None
+    fevals_before = problem.evaluation_count
+
+    def fevals():
+        return problem.evaluation_count - fevals_before
+
     with _partial_report_on_failure(report):
         for k in itertools.count(1):
             # f carried by the step is reused, but a tiny step or the cap
@@ -243,17 +241,17 @@ def _iterate(problem, x0, termination, step, use_curvature, echo):
                         _neg(lam) <= termination.curv_tol_rel * lam1_scale:
                     stop = TerminationReason.TOLERANCE_MET
             if stop is not None:
-                report.records.append(_terminal_record(k, x, f, gnorm, lam, problem))
+                report.records.append(_terminal_record(k, x, f, gnorm, lam, fevals()))
                 return report.finish(stop)
 
             try:
                 x_next, f_next, fields = step(k, x, f, g, gnorm, H, eig, d)
             except SOLVER_FAILURES:
-                report.records.append(_terminal_record(k, x, f, gnorm, lam, problem))
+                report.records.append(_terminal_record(k, x, f, gnorm, lam, fevals()))
                 raise
             report.records.append(IterationRecord(
                 index=k, x=x.copy(), f_value=f, gradient_norm=gnorm, lam=lam, d=d,
-                feval_count=problem.evaluation_count, **fields,
+                feval_count=fevals(), **fields,
             ))
             step_norm = norm(x_next - x)
             x, f = x_next, f_next

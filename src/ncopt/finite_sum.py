@@ -13,7 +13,7 @@ import csv
 
 import numpy as np
 
-from ncopt.problems import ObjectiveProblem
+from ncopt.problems import ObjectiveProblem, integer_argument
 
 
 class DatasetParseError(ValueError):
@@ -362,18 +362,6 @@ STREAM_HESSIAN = 1
 STREAM_OMEGA = 2
 
 
-def _integer_argument(name, value):
-    """`value` as an int; a bool or a non-integral number is a ValueError
-    naming the argument instead of being truncated."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            if value == int(value):
-                return int(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValueError("%s must be an integer, got %r" % (name, value))
-
-
 class StochasticOracle:
     """Mini-batch sampler over a finite-sum problem.
 
@@ -386,9 +374,7 @@ class StochasticOracle:
     """
 
     def __init__(self, problem, batch_size, seed):
-        batch_size = _integer_argument("batch_size", batch_size)
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
+        batch_size = integer_argument("batch_size", batch_size, 1)
         if batch_size > problem.component_count:
             raise ValueError(
                 "batch_size %d exceeds component count %d"
@@ -396,9 +382,7 @@ class StochasticOracle:
             )
         self.problem = problem
         self.batch_size = batch_size
-        self.seed = _integer_argument("seed", seed)
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        self.seed = integer_argument("seed", seed, 0)
         self._generators = [np.random.default_rng(sequence) for sequence
                             in np.random.SeedSequence(self.seed).spawn(3)]
         self._counts = [0, 0, 0]

@@ -34,7 +34,7 @@ from ncopt.finite_sum import FiniteSumProblem, StochasticOracle, load_dataset
 from ncopt.problems import list_problems, make_problem
 from ncopt.steps import LipschitzState
 from ncopt.stochastic import (
-    SafeguardConfig,
+    LIPSCHITZ_INIT,
     StochasticStepConfig,
     dynamic_stochastic_solve,
     two_step_stochastic_solve,
@@ -100,7 +100,8 @@ class ExperimentConfig:
     beta: float | None = None
     batch_size: int = 32
     iterations: int = 1000
-    safeguards: SafeguardConfig = field(default_factory=SafeguardConfig)
+    # the first constants of the stoch_dynamic* variants
+    safeguards: LipschitzState = field(default_factory=lambda: replace(LIPSCHITZ_INIT))
     out_dir: str | None = None
     label: str | None = None
 
@@ -177,8 +178,8 @@ CONFIG_KEYS = (
               "--max-iters", "iteration cap"),
     ConfigKey("lipschitz", "l_init", "lipschitz.L_current", _real),
     ConfigKey("lipschitz", "sigma_init", "lipschitz.sigma_current", _real),
-    ConfigKey("safeguards", "l_init", "safeguards.L_init", _real),
-    ConfigKey("safeguards", "sigma_init", "safeguards.sigma_init", _real),
+    ConfigKey("safeguards", "l_init", "safeguards.L_current", _real),
+    ConfigKey("safeguards", "sigma_init", "safeguards.sigma_current", _real),
 )
 _CONFIG_KEYS_BY_NAME = {key.name: key for key in CONFIG_KEYS}
 _CONFIG_SECTIONS = tuple(dict.fromkeys(key.section for key in CONFIG_KEYS))

@@ -65,6 +65,13 @@ def norm(a):
     return math.sqrt(a.dot(a))
 
 
+def all_finite(a):
+    """Whether every entry of the float array a is finite; only a
+    non-finite sum, which finite entries reach by overflow, is checked
+    entry by entry."""
+    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
+
+
 def _leftmost_multiplicity(w):
     """How many of the ascending eigenvalues w lie within
     _TIE_RTOL * max(1, max |w|) of the leftmost one."""
@@ -108,7 +115,7 @@ def _check_symmetric(H):
     H = np.asarray(H, dtype=float)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("expected a square matrix, got shape %s" % (H.shape,))
-    if not np.isfinite(H).all():
+    if not all_finite(H):
         raise ValueError("matrix has non-finite entries")
     if (H == H.T).all():
         return H

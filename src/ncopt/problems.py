@@ -2,8 +2,7 @@
 
 Every problem carries analytic gradient and Hessian.  Function evaluations
 are counted in the wrapper so evaluation totals do not depend on solver
-branch structure; construct a fresh instance per solver run to keep
-counters isolated.
+branch structure; a solve reports only the evaluations it made.
 """
 
 from __future__ import annotations
@@ -11,6 +10,22 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ncopt.linalg import all_finite
+
+
+def integer_argument(name, value, minimum):
+    """`value` as an int of at least `minimum` (0 or 1).  Any integral
+    number passes, 2.0 and np.int64(2) too; anything else, a bool too, is
+    a ValueError naming the argument."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if value == int(value) and value >= minimum:
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError("%s must be a %s integer"
+                     % (name, ("nonnegative", "positive")[minimum]))
 
 
 class EvaluationError(RuntimeError):
@@ -24,6 +39,9 @@ class EvaluationError(RuntimeError):
 class ObjectiveProblem:
     """A twice-differentiable objective with counted evaluations.
 
+    The counts run over the instance's life.  A point of the wrong shape
+    or with a non-finite entry is a ValueError and not counted; a
+    non-finite value, gradient norm or Hessian entry is an EvaluationError.
     Optional metadata: `lower_bound` (a value the objective never goes
     below), `known_minimizers` (for test assertions only), a documented
     local gradient Lipschitz estimate `local_gradient_lipschitz` for
@@ -61,7 +79,7 @@ class ObjectiveProblem:
                 "point of dimension %s does not match problem dimension %d"
                 % (x.shape, self.dimension)
             )
-        if not np.isfinite(x).all():
+        if not all_finite(x):
             raise ValueError("point has non-finite coordinates")
         return x
 
@@ -76,19 +94,23 @@ class ObjectiveProblem:
     def gradient(self, x):
         x = self._check_point(x)
         self.gradient_count += 1
-        g = np.asarray(self._gradient_fn(x), dtype=float)
-        # a finite g'g proves every entry finite and the norm representable
-        if not math.isfinite(float(g @ g)):
-            raise EvaluationError("gradient norm is not finite", x)
-        return g
+        return finite_gradient(np.asarray(self._gradient_fn(x), dtype=float), x)
 
     def hessian(self, x):
         x = self._check_point(x)
         self.hessian_count += 1
         H = np.asarray(self._hessian_fn(x), dtype=float)
-        if not np.isfinite(H).all():
+        if not all_finite(H):
             raise EvaluationError("Hessian has non-finite entries", x)
         return H
+
+
+def finite_gradient(g, x, kind="gradient"):
+    """g, if g'g is finite, which proves every entry finite and the norm
+    representable; otherwise "<kind> norm is not finite" at x."""
+    if not math.isfinite(float(g @ g)):
+        raise EvaluationError("%s norm is not finite" % kind, x)
+    return g
 
 
 def sphere(n=2):

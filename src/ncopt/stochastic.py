@@ -15,15 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ncopt.deterministic import (
-    TRACE_COLUMNS,
-    _check_positive_integer,
-    _partial_report_on_failure,
-)
+from ncopt.deterministic import TRACE_COLUMNS, _partial_report_on_failure
 from ncopt.finite_sum import FiniteSumProblem, StochasticOracle
-from ncopt.linalg import CgStatus, leftmost_eigenpair, norm, truncated_cg
-from ncopt.problems import EvaluationError
-from ncopt.steps import ZERO_CURVATURE_TOL, certify_curvature_direction
+from ncopt.linalg import CgStatus, all_finite, leftmost_eigenpair, norm, truncated_cg
+from ncopt.problems import EvaluationError, finite_gradient, integer_argument
+from ncopt.steps import ZERO_CURVATURE_TOL, LipschitzState, certify_curvature_direction
 
 _TINY = 1e-12
 # CG iterations per sampled system of the dynamic method
@@ -33,6 +29,8 @@ _MOMENT_MARGIN = 1.5
 # the dynamic method's factor for inflating a constant after a predicted
 # increase, and its safeguards: largest ||s|| and ||beta d|| / ||alpha s||
 INFLATE_FACTOR, MAX_S_NORM, MAX_RATIO_D_TO_S = 1.2, 10.0, 0.2
+# the dynamic method's default first constants L and sigma; read, never changed
+LIPSCHITZ_INIT = LipschitzState(L_current=80.0, sigma_current=100.0)
 
 
 class ExpectedDecreaseViolation(RuntimeError):
@@ -60,9 +58,10 @@ class MomentBounds:
 class StochasticStepConfig:
     """Constant stepsize of the two-step method.
 
-    `alpha_constant` is required and sizes both the gradient step and the
-    curvature step.  With moment bounds and a gradient Lipschitz constant
-    it must not exceed `admissible_constant_step`.
+    `alpha_constant` is required, positive and finite, and sizes both the
+    gradient step and the curvature step.  With moment bounds and a
+    gradient Lipschitz constant it must not exceed
+    `admissible_constant_step`.
     """
 
     alpha_constant: float | None = None
@@ -71,8 +70,8 @@ class StochasticStepConfig:
 
     def __post_init__(self):
         # written so that NaN fails each check
-        if self.alpha_constant is None or not 0.0 <= self.alpha_constant < math.inf:
-            raise ValueError("alpha_constant must be set, finite and nonnegative")
+        if self.alpha_constant is None or not 0.0 < self.alpha_constant < math.inf:
+            raise ValueError("alpha_constant must be set, positive and finite")
         if self.gradient_lipschitz is not None and \
                 not 0.0 < self.gradient_lipschitz < math.inf:
             raise ValueError("gradient_lipschitz must be positive and finite")
@@ -100,20 +99,6 @@ def constant_step_mean_square_bound(moments, gradient_lipschitz, delta, alpha,
         2.0 * alpha * gradient_lipschitz * moments.M1 / delta
         + 2.0 * initial_gap / (iterations * delta * alpha)
     )
-
-
-@dataclass(frozen=True)
-class SafeguardConfig:
-    """Initial constants of the dynamic stochastic method, the inverses of
-    its first stepsizes; its safeguards are module constants."""
-
-    L_init: float = 80.0
-    sigma_init: float = 100.0
-
-    def __post_init__(self):
-        # written so that NaN fails each check
-        if not (0.0 < self.L_init < math.inf and 0.0 < self.sigma_init < math.inf):
-            raise ValueError("all safeguard values must be positive and finite")
 
 
 def apply_safeguards(s, d, alpha, beta):
@@ -214,16 +199,16 @@ class StochasticReport:
 
 
 def _require_finite(x, value, gradient=None, hessian=None):
-    """Raise EvaluationError at x when a sampled estimate is not finite,
-    before it can steer the iteration.  A finite sum proves every entry
-    finite, so the entrywise test runs only on a non-finite sum, which
-    finite entries can also reach by overflow."""
+    """Raise EvaluationError at x when a sampled estimate fails the rule its
+    exact counterpart meets in `ObjectiveProblem`, before it can steer the
+    iteration: a finite value, a finite gradient norm (`finite_gradient`)
+    and finite Hessian entries (`all_finite`), checked in that order."""
     if not math.isfinite(value):
         raise EvaluationError("sampled value is %r" % value, x)
-    for kind, estimate in (("gradient", gradient), ("Hessian", hessian)):
-        if estimate is not None and not math.isfinite(estimate.sum()) \
-                and not np.isfinite(estimate).all():
-            raise EvaluationError("sampled %s has non-finite entries" % kind, x)
+    if gradient is not None:
+        finite_gradient(gradient, x, "sampled gradient")
+    if hessian is not None and not all_finite(hessian):
+        raise EvaluationError("sampled Hessian has non-finite entries", x)
 
 
 def _sampled_estimates(x, oracle):
@@ -285,7 +270,7 @@ def _iterate(oracle, iterations, x0, step, config):
     report's total_fevals.  The final f is the loop's only full-batch
     evaluation.  `config` is the solver's part of the report's config echo.
     """
-    _check_positive_integer("iterations", iterations)
+    iterations = integer_argument("iterations", iterations, 1)
     problem = oracle.problem
     report = StochasticReport(
         problem_name=problem.name,
@@ -328,10 +313,12 @@ def two_step_stochastic_solve(oracle, config, iterations, x0=None):
     })
 
 
-def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
-                             use_curvature=True):
+def dynamic_stochastic_solve(oracle, lipschitz_init=None, iterations=1000,
+                             x0=None, use_curvature=True):
     """Dynamic stochastic method with CG-derived step and curvature direction.
 
+    The first constants L_0 and sigma_0 are `lipschitz_init`'s, by default
+    LIPSCHITZ_INIT's (80, 100); the solve reads them and changes neither.
     Per iteration: sample a gradient and an independent Hessian estimate,
     run CG on the sampled system for at most CG_MAX_ITERATIONS, take the
     safeguarded step alpha_k*s_k with alpha_k = 1/L_k, then the curvature
@@ -340,15 +327,15 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
     inflates the constant by INFLATE_FACTOR (never decreased) and a
     predicted increase from the curvature step also resets it.  With
     use_curvature=False the curvature step is suppressed (the descent-only
-    twin used as a baseline).  A non-finite value, gradient or Hessian
-    estimate raises EvaluationError; it, and any KernelError or
+    twin used as a baseline).  A non-finite value, gradient norm or Hessian
+    entry of an estimate raises EvaluationError; it, and any KernelError or
     ConditionViolation raised mid-solve, carries the partial report as
     `report`.
     """
-    safeguards = safeguards or SafeguardConfig()
+    lipschitz_init = lipschitz_init or LIPSCHITZ_INIT
     problem = oracle.problem
-    L = safeguards.L_init
-    sigma = safeguards.sigma_init
+    L = lipschitz_init.L_current
+    sigma = lipschitz_init.sigma_current
 
     def step(k, x):
         nonlocal L, sigma
@@ -397,7 +384,8 @@ def dynamic_stochastic_solve(oracle, safeguards=None, iterations=1000, x0=None,
     return _iterate(oracle, iterations, x0, step, {
         "method": "stochastic_dynamic",
         "use_curvature": use_curvature,
-        "L_init": safeguards.L_init, "sigma_init": safeguards.sigma_init,
+        "L_init": lipschitz_init.L_current,
+        "sigma_init": lipschitz_init.sigma_current,
         "inflate_factor": INFLATE_FACTOR, "max_s_norm": MAX_S_NORM,
         "max_ratio_d_to_s": MAX_RATIO_D_TO_S, "cg_max_iterations": CG_MAX_ITERATIONS,
     })
@@ -447,8 +435,6 @@ def expected_descent_check(problem, x, config, replications, seed=0,
     if L is None:
         raise ValueError("a documented gradient Lipschitz constant is required")
     alpha = config.alpha_constant
-    if alpha == 0.0:
-        return DescentCheckResult(0.0, 0.0, 0.0, replications)
     oracle = StochasticOracle(problem, batch_size=batch_size, seed=seed)
     if moments is None:
         moments = measure_moment_constants(oracle, x, draws=measure_draws)

@@ -34,7 +34,7 @@ from ncopt.steps import (
     upper_models,
 )
 from ncopt.stochastic import (
-    SafeguardConfig,
+    LIPSCHITZ_INIT,
     StochasticStepConfig,
     admissible_constant_step,
     constant_step_mean_square_bound,
@@ -331,7 +331,7 @@ NET_START = 1e-3 * np.random.default_rng(17).normal(size=8 * 4 + 2 * 8 + 1)
 def _net_run(seed, use_curvature, iterations):
     oracle = StochasticOracle(synthetic_two_layer_net(**NET_SPEC), batch_size=32,
                               seed=seed)
-    return dynamic_stochastic_solve(oracle, SafeguardConfig(),
+    return dynamic_stochastic_solve(oracle, LIPSCHITZ_INIT,
                                     iterations=iterations, x0=NET_START,
                                     use_curvature=use_curvature)
 

@@ -43,7 +43,6 @@ from ncopt.steps import (
 )
 from ncopt.stochastic import (
     MomentBounds,
-    SafeguardConfig,
     StochasticStepConfig,
     admissible_constant_step,
     apply_safeguards,
@@ -382,13 +381,13 @@ class TestRun:
     def test_overflowing_sampled_estimate_stops_dynamic_stochastic_run(self, tmp_path):
         # stoch_dynamic evaluates no exact gradient: it stops at the first
         # sampled estimate that draws the 1e200 row, here the second
-        # iterate's Hessian batch
+        # iterate's gradient batch, whose g'g overflows
         code, summary, rows = self.overflow_run(tmp_path, "stoch_dynamic",
                                                 "--iterations", "5")
         assert code == 3
         assert summary["abnormal"] is True
         assert summary["error"] == {"type": "EvaluationError", "message":
-                                    "sampled Hessian has non-finite entries"}
+                                    "sampled gradient norm is not finite"}
         assert summary["total_iterations"] == 1
         assert rows[0] == ",".join(TRACE_COLUMNS)
         assert len(rows) == 2
@@ -536,7 +535,7 @@ FILE_FIELDS = {
                     "max_iterations": 77},
     "lipschitz": {"L_current": 2.5, "sigma_current": 3.5},
     "alpha": 0.25, "beta": 0.75, "batch_size": 8, "iterations": 50,
-    "safeguards": {"L_init": 40.0, "sigma_init": 60.0},
+    "safeguards": {"L_current": 40.0, "sigma_current": 60.0},
     "out_dir": "file_out", "label": "from_file",
 }
 
@@ -617,8 +616,8 @@ class TestOptionSurface:
             dynamic_solve: ("problem", "strategy", "lipschitz_init",
                             "termination", "x0", "use_curvature"),
             two_step_stochastic_solve: ("oracle", "config", "iterations", "x0"),
-            dynamic_stochastic_solve: ("oracle", "safeguards", "iterations", "x0",
-                                       "use_curvature"),
+            dynamic_stochastic_solve: ("oracle", "lipschitz_init", "iterations",
+                                       "x0", "use_curvature"),
             curvature_noise_step: ("x", "oracle", "alpha"),
             apply_safeguards: ("s", "d", "alpha", "beta"),
             measure_moment_constants: ("oracle", "x", "draws"),
@@ -645,7 +644,6 @@ class TestOptionSurface:
                                    "gradient_lipschitz"),
             MomentBounds: ("M1", "M2"),
             LipschitzState: ("L_current", "sigma_current"),
-            SafeguardConfig: ("L_init", "sigma_init"),
             TerminationSpec: ("grad_tol_rel", "curv_tol_rel", "max_iterations"),
             EigenResult: ("leftmost_value", "leftmost_vector", "residual",
                           "values", "vectors"),

@@ -164,6 +164,18 @@ class TestDynamic:
         assert report.total_iterations == 2
         assert report.final_f == 0.0
 
+    def test_a_reused_instance_counts_each_solve_from_its_start(self):
+        # the instance's counter runs on; each report counts its own solve
+        p = make_problem("rosenbrock2")
+        cap = TerminationSpec(max_iterations=30)
+        first = dynamic_solve(p, termination=cap)
+        second = dynamic_solve(p, termination=cap)
+        assert first.total_fevals == second.total_fevals == 52
+        assert [r.feval_count for r in first.records] == \
+            [r.feval_count for r in second.records]
+        assert first.records[0].feval_count == 4
+        assert p.evaluation_count == 104
+
     def test_quartic_saddle_curvature_branch_forced_then_converges(self):
         p = quartic_saddle()
         report = dynamic_solve(p, x0=np.zeros(2))

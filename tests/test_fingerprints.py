@@ -19,6 +19,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from ncopt.deterministic import (
     SOLVER_FAILURES,
@@ -34,7 +35,7 @@ from ncopt.finite_sum import (
 from ncopt.problems import ObjectiveProblem, list_problems, make_problem
 from ncopt.steps import LipschitzState
 from ncopt.stochastic import (
-    SafeguardConfig,
+    LIPSCHITZ_INIT,
     StochasticStepConfig,
     dynamic_stochastic_solve,
     two_step_stochastic_solve,
@@ -103,7 +104,9 @@ def _nan_center_sum():
 
 
 def _overflowing_hessian_sum():
-    # at x = 0 the value and gradient stay finite, phi phi' overflows
+    # at x = 0 the value and the gradient's entries stay finite and phi phi'
+    # overflows, but so does g'g, so the solve stops on the sampled
+    # gradient's norm before it reaches the Hessian
     return LinearLeastSquaresProblem(
         np.array([[1e200, 0.5], [1.0, 1.0], [0.5, -1.0], [2.0, 0.3]]), np.ones(4))
 
@@ -141,7 +144,7 @@ def cases():
                 lambda name=name, batch=batch, use_curvature=use_curvature:
                 dynamic_stochastic_solve(
                     StochasticOracle(make_problem(name), batch, seed=3),
-                    SafeguardConfig(), iterations=STOCHASTIC_ITERATIONS,
+                    LIPSCHITZ_INIT, iterations=STOCHASTIC_ITERATIONS,
                     use_curvature=use_curvature))
         table["stoch_two_step/%s" % name] = (
             lambda name=name, batch=batch:
@@ -196,6 +199,38 @@ def test_sweep_covers_every_kind_of_outcome():
     raised = {case for case, value in golden.items() if ":" in value}
     assert raised == {case for case in golden if case.startswith("abnormal/")} \
         | {"two_step/monkey_saddle"}
+
+
+def _quadratic_sum_oracle(batch_size=2, seed=3):
+    return StochasticOracle(make_problem("quadratic_sum"), batch_size, seed)
+
+
+# each argument the integer rule checks: its name, its minimum and a solve
+# that takes it
+INTEGER_ARGUMENTS = {
+    "batch_size": ("batch_size", 1, lambda n: dynamic_stochastic_solve(
+        _quadratic_sum_oracle(batch_size=n), iterations=5)),
+    "seed": ("seed", 0, lambda n: dynamic_stochastic_solve(
+        _quadratic_sum_oracle(seed=n), iterations=5)),
+    "max_iterations": ("max_iterations", 1, lambda n: dynamic_solve(
+        make_problem("rosenbrock2"), termination=TerminationSpec(max_iterations=n))),
+    "dynamic_budget": ("iterations", 1, lambda n: dynamic_stochastic_solve(
+        _quadratic_sum_oracle(), iterations=n)),
+    "two_step_budget": ("iterations", 1, lambda n: two_step_stochastic_solve(
+        _quadratic_sum_oracle(), StochasticStepConfig(alpha_constant=0.05), n)),
+}
+
+
+@pytest.mark.parametrize("place", INTEGER_ARGUMENTS)
+def test_one_integer_rule_everywhere(place):
+    # any integral number gives the plain int's report; a bool, a fraction
+    # or a value below the minimum is rejected, naming the argument
+    name, minimum, solve = INTEGER_ARGUMENTS[place]
+    expected = fingerprint(solve(2))
+    assert fingerprint(solve(np.int64(2))) == fingerprint(solve(2.0)) == expected
+    for bad in (True, 2.5, minimum - 1):
+        with pytest.raises(ValueError, match="^%s must be a " % name):
+            solve(bad)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from ncopt.harness import (
 from ncopt import deterministic
 from ncopt.problems import list_problems, make_problem
 from ncopt.steps import DESCENT_COSINE, LipschitzState
-from ncopt.stochastic import SafeguardConfig, StochasticStepConfig
+from ncopt.stochastic import LIPSCHITZ_INIT, StochasticStepConfig
 
 DETERMINISTIC_VARIANTS = [name for name, row in VARIANTS.items()
                           if not row.stochastic]
@@ -42,7 +42,8 @@ DETERMINISTIC_VARIANTS = [name for name, row in VARIANTS.items()
 OFF_DEFAULT_CONSTANTS = {
     "termination": (TerminationSpec(grad_tol_rel=1e-3), "termination.grad_tol_rel"),
     "lipschitz": (LipschitzState(L_current=3.0), "lipschitz.l_init"),
-    "safeguards": (SafeguardConfig(L_init=40.0), "safeguards.l_init"),
+    "safeguards": (LipschitzState(40.0, LIPSCHITZ_INIT.sigma_current),
+                   "safeguards.l_init"),
 }
 
 
@@ -118,7 +119,7 @@ class TestValidation:
         (LipschitzState, "L_current", float("nan")),
         (LipschitzState, "L_current", float("inf")),
         (LipschitzState, "sigma_current", float("nan")),
-        (SafeguardConfig, "L_init", float("inf")),
+        (LipschitzState, "sigma_current", float("inf")),
         (StochasticStepConfig, "alpha_constant", float("nan")),
         (StochasticStepConfig, "alpha_constant", float("inf")),
     ], ids=lambda value: getattr(value, "__name__", None))
@@ -565,7 +566,7 @@ class TestConfigFile:
         )
         config = _load(str(path))
         assert (config.lipschitz.L_current, config.lipschitz.sigma_current) == (2.5, 3.5)
-        assert config.safeguards == SafeguardConfig(L_init=40.0, sigma_init=60.0)
+        assert config.safeguards == LipschitzState(40.0, 60.0)
 
     def test_criteria_start_from_the_variant(self, tmp_path):
         # the variant's strategy alone fixes the descent cosine its steps

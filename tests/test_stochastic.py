@@ -12,9 +12,10 @@ from ncopt.finite_sum import (
     random_quadratic_finite_sum,
 )
 from ncopt.problems import EvaluationError, make_problem
+from ncopt.steps import LipschitzState
 from ncopt.stochastic import (
+    LIPSCHITZ_INIT,
     MomentBounds,
-    SafeguardConfig,
     StochasticReport,
     StochasticStepConfig,
     admissible_constant_step,
@@ -49,6 +50,12 @@ class TestStepConfig:
             StochasticStepConfig()
         with pytest.raises(ValueError):
             StochasticStepConfig(alpha_constant=-0.1)
+
+    def test_stepsize_must_be_positive_and_finite(self):
+        # a zero stepsize used to pass here and fail at the first step
+        for alpha in (0.0, -0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha_constant"):
+                StochasticStepConfig(alpha_constant=alpha)
 
     def test_admissibility_check(self):
         moments = MomentBounds(1.0, 1.5)
@@ -268,12 +275,6 @@ class TestSafeguards:
             np.testing.assert_allclose(s1, s2, rtol=1e-14)
             np.testing.assert_allclose(d1, d2, rtol=1e-14)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SafeguardConfig(L_init=0.0)
-        with pytest.raises(ValueError):
-            SafeguardConfig(sigma_init=-1.0)
-
 
 class TestDynamicStochastic:
     def test_full_batch_convex_matches_descent_only_twin(self):
@@ -282,7 +283,7 @@ class TestDynamicStochastic:
         for use_curvature in (True, False):
             oracle = StochasticOracle(p, batch_size=2, seed=4)
             report = dynamic_stochastic_solve(
-                oracle, SafeguardConfig(L_init=2.0, sigma_init=2.0),
+                oracle, LipschitzState(2.0, 2.0),
                 iterations=30, x0=np.array([5.0]), use_curvature=use_curvature,
             )
             runs.append(report)
@@ -299,7 +300,7 @@ class TestDynamicStochastic:
         # estimates do predict increases and exercise both inflations
         monkeypatch.setattr(stochastic, "CG_MAX_ITERATIONS", 1)
         report = dynamic_stochastic_solve(
-            oracle, SafeguardConfig(L_init=0.05, sigma_init=1.0), iterations=150,
+            oracle, LipschitzState(0.05, 1.0), iterations=150,
         )
         Ls = [r.lipschitz_L for r in report.records]
         sigmas = [r.lipschitz_sigma for r in report.records]
@@ -312,7 +313,7 @@ class TestDynamicStochastic:
     def test_step_norm_safeguard_active_in_solver(self, noisy_quadratic):
         oracle = StochasticOracle(noisy_quadratic, batch_size=2, seed=21)
         report = dynamic_stochastic_solve(
-            oracle, SafeguardConfig(L_init=0.01, sigma_init=0.01),
+            oracle, LipschitzState(0.01, 0.01),
             iterations=40,
         )
         for r in report.records:
@@ -322,7 +323,7 @@ class TestDynamicStochastic:
     def test_reverted_steps_follow_value_estimates(self, noisy_quadratic):
         oracle = StochasticOracle(noisy_quadratic, batch_size=2, seed=13)
         report = dynamic_stochastic_solve(
-            oracle, SafeguardConfig(L_init=1.0, sigma_init=1.0), iterations=200,
+            oracle, LipschitzState(1.0, 1.0), iterations=200,
         )
         reverted = [r for r in report.records if r.reverted_curvature_step]
         for r in reverted:
@@ -365,7 +366,7 @@ class TestDynamicStochastic:
                                         spectrum=np.array([0.5, 1.0, 2.0, 3.0]),
                                         perturbation=6.0)
         oracle = StochasticOracle(p, batch_size=1, seed=2)
-        report = dynamic_stochastic_solve(oracle, SafeguardConfig(), iterations=50)
+        report = dynamic_stochastic_solve(oracle, LIPSCHITZ_INIT, iterations=50)
         statuses = {r.cg_status for r in report.records}
         assert statuses  # runs recorded a CG status every iteration
         assert all(r.cg_status is not None for r in report.records)
@@ -410,13 +411,34 @@ class TestNonFiniteEstimates:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_hessian_estimate_checked(self):
-        # at x = 0 the value and gradient stay finite, phi phi' overflows
+        # at x = 0 the value is finite and g'g is about 1e279, while phi phi'
+        # overflows
         p = LinearLeastSquaresProblem(
-            np.array([[1e200, 0.5], [1.0, 1.0], [0.5, -1.0], [2.0, 0.3]]),
-            np.ones(4))
+            np.array([[1e160, 0.5], [1.0, 1.0], [0.5, -1.0], [2.0, 0.3]]),
+            np.array([1e-20, 1.0, 1.0, 1.0]))
         oracle = StochasticOracle(p, batch_size=4, seed=0)
-        with pytest.raises(EvaluationError, match="Hessian") as info:
+        with pytest.raises(EvaluationError,
+                           match="^sampled Hessian has non-finite entries$") as info:
             dynamic_stochastic_solve(oracle, iterations=5)
+        assert info.value.report.records == []
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("solve", [
+        lambda o: dynamic_stochastic_solve(o, iterations=5),
+        lambda o: two_step_stochastic_solve(
+            o, StochasticStepConfig(alpha_constant=0.01), 5),
+    ], ids=["dynamic", "two_step"])
+    def test_gradient_estimate_checked_by_its_norm(self, solve):
+        # the sampled gradient's entries near 1e200 are finite but g'g is
+        # not: the rule of ObjectiveProblem.gradient stops both solvers at
+        # the start, before a step along that gradient
+        p = LinearLeastSquaresProblem(
+            np.array([[1e200, 1.0], [0.5, -1.0], [2.0, 0.3], [-1.0, 2.0]]),
+            np.array([1.0, 1.0, -1.0, 0.5]))
+        with pytest.raises(EvaluationError,
+                           match="^sampled gradient norm is not finite$") as info:
+            solve(StochasticOracle(p, batch_size=2, seed=1))
+        np.testing.assert_array_equal(info.value.x, [0.0, 0.0])
         assert info.value.report.records == []
 
     @pytest.mark.parametrize("solve", [
@@ -471,14 +493,6 @@ class TestMomentMeasurement:
 
 
 class TestExpectedDescentCheck:
-    def test_zero_steps_trivial(self, noisy_quadratic):
-        config = StochasticStepConfig(alpha_constant=0.0)
-        result = expected_descent_check(noisy_quadratic,
-                                        noisy_quadratic.default_start,
-                                        config, replications=10)
-        assert result.empirical_decrease == 0.0
-        assert result.bound == 0.0
-
     def test_noiseless_case_matches_exact_decrease(self):
         p = half_x_squared()
         config = StochasticStepConfig(alpha_constant=0.25, gradient_lipschitz=1.0)
