@@ -73,6 +73,12 @@ class FiniteSumProblem(ObjectiveProblem):
         separate calls; overridden where the two share work."""
         return self.batch_value(x, indices), self.batch_gradient(x, indices)
 
+    def batch_gradients(self, x, batches):
+        """The batch_gradient of each row of the (R, b) index array
+        `batches`, as an (R, n) array; overridden where one pass evaluates
+        them all."""
+        return np.array([self.batch_gradient(x, batch) for batch in batches])
+
 
 class QuadraticFiniteSum(FiniteSumProblem):
     """Components 0.5 (x - c_i)' Q_i (x - c_i) with mean Hessian Q.
@@ -139,6 +145,13 @@ class QuadraticFiniteSum(FiniteSumProblem):
         return (0.5 * _mean(np.einsum("ki,kij,kj->k", u, Q, u)),
                 np.einsum("kij,kj->i", Q, u) / len(u))
 
+    def batch_gradients(self, x, batches):
+        # batch_gradient's gather and einsum with a leading row axis: each
+        # row sums the same products in the same order, bit for bit
+        Q = self.matrices[batches]
+        u = x - self.centers[batches]
+        return np.einsum("rkij,rkj->ri", Q, u) / batches.shape[1]
+
     def batch_hessian(self, x, indices):
         # np.mean(Q, axis=0) bit for bit: its sum, then one division
         Q = self._rows(self.matrices, indices)
@@ -162,7 +175,7 @@ class LinearLeastSquaresProblem(FiniteSumProblem):
 
     def batch_value(self, x, indices):
         r = self._rows(self.features, indices) @ x - self._rows(self.labels, indices)
-        return 0.5 * float(np.mean(r * r))
+        return 0.5 * _mean(r * r)
 
     def batch_gradient(self, x, indices):
         phi = self._rows(self.features, indices)
@@ -232,9 +245,10 @@ class TwoLayerNetProblem(FiniteSumProblem):
         U = P * w2
         RU = r[:, None] * U
         gW1 = RU.T @ X / m
-        gb1 = RU.mean(axis=0)
-        gw2 = (r[:, None] * A).mean(axis=0)
-        gb2 = r.mean()
+        # the means as np.mean computes them, a sum and one division
+        gb1 = RU.sum(axis=0) / m
+        gw2 = (r[:, None] * A).sum(axis=0) / m
+        gb2 = _mean(r)
         return np.concatenate([gW1.ravel(), gb1, gw2, [gb2]])
 
     def batch_hessian(self, x, indices):

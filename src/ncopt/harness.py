@@ -31,7 +31,7 @@ from ncopt.deterministic import (
     two_step_solve,
 )
 from ncopt.finite_sum import FiniteSumProblem, StochasticOracle, load_dataset
-from ncopt.problems import list_problems, make_problem
+from ncopt.problems import integer_argument, list_problems, make_problem
 from ncopt.steps import LipschitzState
 from ncopt.stochastic import (
     LIPSCHITZ_INIT,
@@ -195,6 +195,15 @@ _IGNORED_HINTS = {
 }
 
 
+def _integer_setting(name, value, minimum):
+    """`problems.integer_argument`'s rule for a setting, as a UsageError
+    naming it."""
+    try:
+        integer_argument(name, value, minimum)
+    except ValueError as err:
+        raise UsageError("%s: %s" % (name, err)) from None
+
+
 def validate_config(config):
     if config.variant not in VARIANTS:
         raise UsageError("variant: unknown %r (choose from %s)"
@@ -210,15 +219,13 @@ def validate_config(config):
             "problem: unknown %r; available: %s"
             % (config.problem, ", ".join(list_problems()))
         )
-    if config.seed is not None and config.seed < 0:
-        raise UsageError("seed: must be nonnegative")
+    if config.seed is not None:
+        _integer_setting("seed", config.seed, 0)
     if row.stochastic:
         if config.seed is None:
             raise UsageError("seed: stochastic variants need an explicit seed")
-        if config.iterations < 1:
-            raise UsageError("iterations: must be positive")
-        if config.batch_size < 1:
-            raise UsageError("batch_size: must be positive")
+        _integer_setting("iterations", config.iterations, 1)
+        _integer_setting("batch_size", config.batch_size, 1)
     reads = row.reads + _EVERY_RUN_READS
     # a deterministic variant draws its start from the seed only when no
     # start is given, and the dataset keys need a dataset
@@ -257,7 +264,8 @@ def starting_point(config, problem):
                              % (x0.size, problem.dimension))
         return x0
     if config.seed is not None and not VARIANTS[config.variant].stochastic:
-        rng = np.random.default_rng(config.seed)
+        # validated integral; a float seed such as 2.0 draws seed 2's start
+        rng = np.random.default_rng(int(config.seed))
         return problem.default_start + rng.uniform(-0.5, 0.5, problem.dimension)
     return problem.default_start.copy()
 
@@ -456,10 +464,9 @@ def standard_campaign_pairs(strategy="sd", seed=0, out_dir=None,
     if strategy not in CAMPAIGN_STRATEGIES:
         raise UsageError("strategy: must be %s"
                          % " or ".join(map(repr, CAMPAIGN_STRATEGIES)))
-    if max_iterations < 1:
-        raise UsageError("max_iterations: must be positive")
-    if seed is not None and seed < 0:
-        raise UsageError("seed: must be nonnegative")
+    _integer_setting("max_iterations", max_iterations, 1)
+    if seed is not None:
+        _integer_setting("seed", seed, 0)
     if problems is not None and not problems:
         raise UsageError("problems: the list is empty; give None for the whole suite")
     descent_only, with_curvature = CAMPAIGN_STRATEGIES[strategy]

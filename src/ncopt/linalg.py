@@ -9,7 +9,8 @@ of its eigenspace, so the vector used is picked once, by
 gradient only.  A simple leftmost eigenvalue, the common case, takes the
 rule's single-column form, which gives the same vector bit for bit.  The
 vector and matrix norms on the per-iterate paths are `norm`, which equals
-`np.linalg.norm` bit for bit without its argument dispatch.  The tests
+`np.linalg.norm` bit for bit without its argument dispatch wherever the
+sum of squares does not underflow.  The tests
 check these kernels against an independent pure-Python reference
 eigensolver.  All kernels are pure functions and safe for concurrent use.
 """
@@ -33,6 +34,9 @@ _RESIDUAL_TOL = 1e-10
 # modified-Newton condition-number cap, and the shift floor when lmax = lmin <= 0
 CONDITION_CAP = 1e8
 _PD_FLOOR = 1e-8
+# a result below this is subnormal: it has lost bits to underflow
+SMALLEST_NORMAL = float(np.finfo(float).tiny)
+_SQRT_SMALLEST_NORMAL = math.sqrt(SMALLEST_NORMAL)
 
 
 class KernelError(RuntimeError):
@@ -60,9 +64,18 @@ def norm(a):
     """The 2-norm of a float vector, or the Frobenius norm of a float
     matrix, as a float: `np.linalg.norm(a)` bit for bit, which numpy
     computes as the square root of the dot product of a.ravel("K") with
-    itself, without its argument dispatch."""
+    itself, without its argument dispatch.  Only where that dot product
+    underflows, leaving a norm below the square root of the smallest
+    normal double, and a is not zero is the norm taken of a scaled by its
+    largest magnitude instead."""
     a = a.ravel("K")
-    return math.sqrt(a.dot(a))
+    root = math.sqrt(a.dot(a))
+    # a Python float comparison: this path runs several times per iterate
+    if root < _SQRT_SMALLEST_NORMAL and a.any():
+        scale = np.abs(a).max()
+        a = a / scale
+        return float(scale) * math.sqrt(a.dot(a))
+    return root
 
 
 def all_finite(a):

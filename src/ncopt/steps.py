@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ncopt.linalg import CONDITION_CAP, modified_newton_shift, norm
+from ncopt.linalg import CONDITION_CAP, SMALLEST_NORMAL, modified_newton_shift, norm
 
 _CERT_SLACK = 1e-12
 # leftmost eigenvalues above -ZERO_CURVATURE_TOL count as nonnegative
@@ -157,12 +157,13 @@ def descent_direction(strategy, g, H=None, eig=None):
         _, solve = modified_newton_shift(H, eig)
         s = solve(-g)
     scale = norm(s) * gnorm
-    if 0.0 < scale < math.inf:
+    if SMALLEST_NORMAL <= scale < math.inf:
         cosine = float(-(g @ s) / scale)
     else:
-        # ||s|| ||g|| overflowed or underflowed; each vector scaled to a
-        # largest entry of 1 has the same cosine, and an infinite or NaN
-        # entry still makes it NaN
+        # ||s|| ||g|| overflowed or fell below the normal range, where g's
+        # loses its low bits; each vector scaled to a largest entry of 1
+        # has the same cosine, and an infinite or NaN entry still makes it
+        # NaN
         g1, s1 = g / np.abs(g).max(), s / np.abs(s).max()
         cosine = float(-(g1 @ s1) / (norm(s1) * norm(g1)))
     # written so that a NaN cosine (an overflowed step) fails it

@@ -26,6 +26,8 @@ _TINY = 1e-12
 CG_MAX_ITERATIONS = 10
 # headroom factor of the measured moment bounds
 _MOMENT_MARGIN = 1.5
+# bytes of batch matrices (b n-by-n per draw) the moment probe gathers at once
+_PROBE_CHUNK_BYTES = 1 << 18
 # the dynamic method's factor for inflating a constant after a predicted
 # increase, and its safeguards: largest ||s|| and ||beta d|| / ||alpha s||
 INFLATE_FACTOR, MAX_S_NORM, MAX_RATIO_D_TO_S = 1.2, 10.0, 0.2
@@ -233,8 +235,9 @@ def curvature_noise_step(x, oracle, alpha):
     omega in [-1, 1]; the step is x + alpha*(s + omega*d).  Returns
     (x_next, record).  A non-finite estimate raises EvaluationError.
     """
-    if not alpha > 0.0:
-        raise ValueError("stepsize must be positive")
+    # StochasticStepConfig's rule, written so that NaN fails it
+    if not 0.0 < alpha < math.inf:
+        raise ValueError("stepsize must be positive and finite")
     x = np.asarray(x, dtype=float)
     index = oracle.draw_count(0) + 1
 
@@ -398,18 +401,32 @@ def measure_moment_constants(oracle, x, draws=10000):
     1.5 (an unbiased mini-batch gradient has coefficient exactly 1) and
     the constant terms to 1.5 times the measured variance, so the
     envelope holds with headroom at the measured point.  The curvature
-    direction is scaled to ||s|| and inherits the same bounds.
+    direction is scaled to ||s|| and inherits the same bounds.  The
+    batches are drawn one at a time, as a solve draws them, and evaluated
+    `_probe_chunk(oracle)` at a time with `batch_gradients`; each squared
+    deviation equals the one-draw dot product bit for bit.
     """
     x = np.asarray(x, dtype=float)
     problem = oracle.problem
     exact_g = problem.gradient(x)
     deviations = np.empty(draws)
-    for i in range(draws):
-        batch = oracle.next_gradient_batch()
-        s = -problem.batch_gradient(x, batch)
-        deviations[i] = float((s + exact_g) @ (s + exact_g))
+    chunk = _probe_chunk(oracle)
+    for start in range(0, draws, chunk):
+        batches = np.array([oracle.next_gradient_batch()
+                             for _ in range(min(chunk, draws - start))])
+        e = exact_g - problem.batch_gradients(x, batches)
+        # stacked dot products, each e_i @ e_i
+        deviations[start:start + len(e)] = np.matmul(e[:, None, :],
+                                                     e[:, :, None])[:, 0, 0]
     m1 = _MOMENT_MARGIN * float(np.mean(deviations)) + _TINY
     return MomentBounds(M1=m1, M2=_MOMENT_MARGIN)
+
+
+def _probe_chunk(oracle):
+    """How many draws the moment probe evaluates in one pass: as many as
+    keep their gathered batch matrices within _PROBE_CHUNK_BYTES."""
+    per_draw = 8 * oracle.batch_size * oracle.problem.dimension ** 2
+    return max(1, _PROBE_CHUNK_BYTES // per_draw)
 
 
 @dataclass

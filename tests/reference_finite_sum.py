@@ -26,3 +26,15 @@ def component_means(component, problem, x, indices):
     values, gradients, hessians = zip(*(component(problem, x, i) for i in indices))
     return (float(np.mean(values)), np.mean(gradients, axis=0),
             np.mean(hessians, axis=0))
+
+
+def per_draw_moment_m1(oracle, x, draws):
+    """The M1 of `measure_moment_constants` computed one draw at a time:
+    one batch_gradient and one dot product per drawn batch."""
+    problem = oracle.problem
+    exact_g = problem.gradient(x)
+    deviations = np.empty(draws)
+    for i in range(draws):
+        s = -problem.batch_gradient(x, oracle.next_gradient_batch())
+        deviations[i] = float((s + exact_g) @ (s + exact_g))
+    return 1.5 * float(np.mean(deviations)) + 1e-12

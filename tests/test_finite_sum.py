@@ -197,6 +197,39 @@ def test_batch_value_gradient_equals_separate_calls(make):
         assert np.array_equal(gradient, p.batch_gradient(x, idx))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LinearLeastSquaresProblem(
+        np.random.default_rng(4).normal(size=(9, 3)),
+        np.random.default_rng(5).normal(size=9)),
+    lambda: synthetic_two_layer_net(records=30, feature_dim=3, hidden_units=4),
+], ids=["least_squares", "two_layer_net"])
+def test_batch_gradients_base_form_stacks_batch_gradient(make):
+    p = make()
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=p.dimension)
+    for rows, b in ((1, 1), (5, 3), (2, p.component_count)):
+        batches = np.array([rng.choice(p.component_count, size=b, replace=False)
+                            for _ in range(rows)])
+        expected = np.array([p.batch_gradient(x, batch) for batch in batches])
+        assert p.batch_gradients(x, batches).tobytes() == expected.tobytes()
+
+
+@given(n=st.integers(1, 12), pairs=st.integers(1, 10), data=st.data())
+def test_quadratic_batch_gradients_rows_are_batch_gradient_bit_for_bit(
+        n, pairs, data):
+    p = random_quadratic_finite_sum(n=n, components=2 * pairs, seed=n + pairs)
+    b = data.draw(st.integers(1, p.component_count), label="batch_size")
+    rows = data.draw(st.integers(1, 40), label="rows")
+    x = data.draw(hnp.arrays(float, n, elements=st.floats(-1e3, 1e3)), label="x")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    batches = np.array([rng.choice(p.component_count, size=b, replace=False)
+                        for _ in range(rows)])
+    gradients = p.batch_gradients(x, batches)
+    assert gradients.shape == (rows, n)
+    for row, batch in zip(gradients, batches):
+        assert row.tobytes() == p.batch_gradient(x, batch).tobytes()
+
+
 @given(hnp.arrays(float, st.integers(1, 300),
                   elements=st.floats(-1e6, 1e6) | st.floats(-1e-6, 1e-6)))
 def test_mean_is_np_mean_bit_for_bit(a):

@@ -62,6 +62,34 @@ class TestValidation:
         with pytest.raises(UsageError, match="seed"):
             validate_config(config)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("iterations", 2.5, "iterations: iterations must be a positive integer"),
+        ("seed", True, "seed: seed must be a nonnegative integer"),
+        ("batch_size", 2.5, "batch_size: batch_size must be a positive integer"),
+    ])
+    def test_integer_settings_follow_the_integer_rule(self, tmp_path, key, value,
+                                                      message):
+        # each passed validation and ended in the solver's or oracle's bare
+        # ValueError, with no report written
+        settings = dict(variant="stoch_dynamic", problem="quadratic_sum",
+                        batch_size=2, seed=1, iterations=2, out_dir=str(tmp_path))
+        settings[key] = value
+        with pytest.raises(UsageError, match="^%s$" % message):
+            run_experiment(ExperimentConfig(**settings))
+        assert not list(tmp_path.iterdir())
+
+    def test_integral_float_settings_run_as_integers(self, tmp_path):
+        for variant in ("stoch_dynamic", "dynamic_sd"):
+            reports = [run_experiment(ExperimentConfig(
+                variant=variant, problem="quadratic_sum", seed=seed,
+                out_dir=str(tmp_path), label=str(seed),
+                **(dict(batch_size=batch, iterations=iterations)
+                   if variant == "stoch_dynamic" else {})))[0]
+                for seed, batch, iterations in ((2, 2, 3), (2.0, 2.0, 3.0))]
+            first, second = ([r.x.tobytes() for r in report.records]
+                             for report in reports)
+            assert first == second
+
     def test_two_step_requires_stepsizes(self):
         with pytest.raises(UsageError, match="alpha"):
             validate_config(ExperimentConfig(variant="two_step", problem="sphere"))

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ncopt.deterministic import TerminationReason, dynamic_solve
 from ncopt.harness import CAMPAIGN_STARTS
 from ncopt.linalg import (
     CgStatus,
@@ -18,7 +20,7 @@ from ncopt.linalg import (
     symmetric_extreme_eigenvalues,
     truncated_cg,
 )
-from ncopt.problems import make_problem
+from ncopt.problems import make_problem, sphere
 from ncopt.steps import certify_curvature_direction, negative_curvature_direction
 from reference_eigen import reference_extreme_eigenvalues, reference_leftmost_eigenpair
 
@@ -413,14 +415,26 @@ _WIDE_FLOATS = st.one_of(
 )
 
 
+def _check_norm(a):
+    """norm(a) is np.linalg.norm(a) bit for bit, except where numpy's sum
+    of squares underflows below the smallest normal double on a nonzero a;
+    there it is the accurately scaled norm that math.hypot computes."""
+    flat = a.ravel("K")
+    if flat.dot(flat) < np.finfo(float).tiny and flat.any():
+        assert norm(a) == pytest.approx(math.hypot(*flat), rel=1e-14, abs=1e-323)
+    else:
+        assert _bits(norm(a)) == _bits(np.linalg.norm(a))
+
+
 class TestNorm:
-    """`linalg.norm` is np.linalg.norm bit for bit, in every memory layout."""
+    """`linalg.norm` is np.linalg.norm bit for bit, in every memory layout,
+    wherever numpy's sum of squares does not underflow."""
 
     @pytest.mark.filterwarnings("ignore:overflow encountered",
                                 "ignore:invalid value encountered")
     @given(hnp.arrays(float, st.integers(0, 40), elements=_WIDE_FLOATS))
     def test_vectors(self, a):
-        assert _bits(norm(a)) == _bits(np.linalg.norm(a))
+        _check_norm(a)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered",
                                 "ignore:invalid value encountered")
@@ -430,11 +444,31 @@ class TestNorm:
     def test_matrices_in_every_layout(self, a, layout):
         a = {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a),
              "T": a.T, "strided": a[::2, ::-1]}[layout]
-        assert _bits(norm(a)) == _bits(np.linalg.norm(a))
+        _check_norm(a)
 
     def test_returns_a_float(self):
         assert type(norm(np.array([3.0, 4.0]))) is float
         assert norm(np.array([3.0, 4.0])) == 5.0
+        assert type(norm(np.array([1e-170, 0.0]))) is float
+
+    def test_underflowing_squares_are_scaled(self):
+        # np.linalg.norm gives 0.0 and 3.1434555694052576e-162 here
+        assert norm(np.array([1e-170, 1e-170])) == pytest.approx(
+            1.41421356237e-170, rel=1e-11)
+        assert norm(np.array([3e-162, 0.0])) == 3e-162
+        assert norm(np.array([5e-324, 0.0])) == 5e-324
+        assert norm(np.zeros(3)) == 0.0
+        assert math.isnan(norm(np.array([np.nan, 1e-170])))
+
+    def test_tiny_gradient_is_not_a_second_order_point(self):
+        # 2e-340 underflowed to 0, so the solve stopped at once with
+        # SECOND_ORDER_POINT and a zero gradient norm
+        report = dynamic_solve(sphere(2), x0=np.array([1e-170, 1e-170]))
+        assert report.termination_reason is TerminationReason.TOLERANCE_MET
+        assert report.final_gradient_norm == pytest.approx(1.41421356237e-170,
+                                                           rel=1e-11)
+        report = dynamic_solve(sphere(2), x0=np.array([3e-162, 0.0]))
+        assert report.final_gradient_norm == 3e-162
 
 
 def _general_rule(basis):

@@ -211,6 +211,15 @@ class TestDescentDirection:
         scaled = s / np.abs(s).max()
         assert cosine(scaled, g) == pytest.approx(cos, rel=1e-7)
 
+    def test_tiny_gradient_takes_its_steepest_step(self):
+        # g's of these gradients is subnormal or zero: the norm once read
+        # 1e-170 scale gradients as zero, and a subnormal ||s|| ||g|| gave
+        # cosines below 1
+        rng = np.random.default_rng(0)
+        for exponent in np.linspace(-170.0, -150.0, 201):
+            g = rng.normal(size=3) * 10.0 ** exponent
+            assert np.array_equal(descent_direction("steepest", g), -g)
+
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy 'newton_cg'"):
             descent_direction("newton_cg", np.ones(2))

@@ -7,9 +7,11 @@ import pytest
 
 from ncopt import stochastic
 from ncopt.finite_sum import (
+    STREAM_GRADIENT,
     LinearLeastSquaresProblem,
     StochasticOracle,
     random_quadratic_finite_sum,
+    synthetic_two_layer_net,
 )
 from ncopt.problems import EvaluationError, make_problem
 from ncopt.steps import LipschitzState
@@ -27,6 +29,7 @@ from ncopt.stochastic import (
     measure_moment_constants,
     two_step_stochastic_solve,
 )
+from reference_finite_sum import per_draw_moment_m1
 
 GOLDEN_DYNAMIC_NET = os.path.join(os.path.dirname(__file__), "golden",
                                   "stoch_dynamic_net.csv")
@@ -109,10 +112,14 @@ class TestCurvatureNoiseStep:
         np.testing.assert_allclose(x_next, [0.0], atol=1e-15)
 
     def test_rejects_nonpositive_stepsize(self):
-        oracle = StochasticOracle(half_x_squared(), batch_size=2, seed=0)
-        for alpha in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                curvature_noise_step(np.array([3.0]), oracle, alpha)
+        # StochasticStepConfig's rule, checked before any draw; alpha = inf
+        # used to pass and return an all-NaN iterate on quadratic_sum
+        problem = make_problem("quadratic_sum")
+        oracle = StochasticOracle(problem, batch_size=2, seed=0)
+        for alpha in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="positive and finite"):
+                curvature_noise_step(problem.default_start, oracle, alpha)
+        assert [oracle.draw_count(stream) for stream in range(3)] == [0, 0, 0]
 
     def test_replay_with_same_seed_is_identical(self, noisy_quadratic):
         x = noisy_quadratic.default_start
@@ -490,6 +497,43 @@ class TestMomentMeasurement:
             s = -p.batch_gradient(x, batch)
             s_sq.append(float(s @ s))
         assert np.mean(s_sq) <= moments.M1 + moments.M2 * g2
+
+    @pytest.mark.parametrize("make, batch_size, most_draws", [
+        (lambda: random_quadratic_finite_sum(n=10, components=20, seed=314), 2,
+         10000),
+        (lambda: random_quadratic_finite_sum(n=3, components=8, seed=5), 3,
+         10000),
+        (lambda: synthetic_two_layer_net(records=40, feature_dim=2,
+                                         hidden_units=3), 2, 500),
+    ], ids=["quadratic10", "quadratic3", "two_layer_net"])
+    def test_equals_the_per_draw_probe_bit_for_bit(self, make, batch_size,
+                                                    most_draws):
+        # the quadratics evaluate a chunk in one pass, the net in the base
+        # form's one batch_gradient per row
+        p = make()
+        x = p.default_start
+        chunk = stochastic._probe_chunk(StochasticOracle(p, batch_size, seed=0))
+        assert 1 < chunk < most_draws
+        for draws in (1, chunk - 1, chunk, chunk + 1, most_draws):
+            oracle = StochasticOracle(p, batch_size=batch_size, seed=draws)
+            reference = StochasticOracle(p, batch_size=batch_size, seed=draws)
+            moments = measure_moment_constants(oracle, x, draws=draws)
+            assert moments.M1.hex() == per_draw_moment_m1(reference, x, draws).hex()
+            assert moments.M2 == 1.5
+            # the probe draws every batch, one by one, from the gradient
+            # stream only, and leaves it where the per-draw probe does
+            assert oracle.draw_count(STREAM_GRADIENT) == draws
+            assert [oracle.draw_count(s) for s in range(3)] == \
+                [reference.draw_count(s) for s in range(3)]
+            assert np.array_equal(oracle.next_gradient_batch(),
+                                  reference.next_gradient_batch())
+
+    def test_chunk_keeps_the_gathered_matrices_within_budget(self):
+        p = random_quadratic_finite_sum(n=10, components=20)
+        chunk = stochastic._probe_chunk(StochasticOracle(p, batch_size=2, seed=0))
+        per_draw = 2 * p.matrices[0].nbytes
+        assert chunk * per_draw <= stochastic._PROBE_CHUNK_BYTES \
+            < (chunk + 1) * per_draw
 
 
 class TestExpectedDescentCheck:
