@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ncopt.linalg import KernelError, leftmost_eigenpair, norm
+from ncopt.linalg import KernelError, all_finite, leftmost_eigenpair, norm
 from ncopt.problems import EvaluationError, integer_argument
 from ncopt.steps import (
     DESCENT_COSINE,
@@ -192,13 +192,24 @@ def _terminal_record(k, x, f, gnorm, lam, fevals):
     )
 
 
+def _step_point(x, t, p):
+    """The point x + t*p a step moves to.  One that overflows ends the
+    solve with ConditionViolation; a non-finite point a caller passes in is
+    ObjectiveProblem's ValueError instead."""
+    point = x + t * p
+    if not all_finite(point):
+        raise ConditionViolation("step to x + t*p has non-finite coordinates "
+                                 "at t=%r" % float(t))
+    return point
+
+
 def _iterate(problem, x0, termination, step, use_curvature, echo):
     """The iteration both deterministic solvers share; returns the report.
 
     Each iterate evaluates f (unless the previous step carried it), g, H
     and one leftmost eigenpair, and certifies the curvature direction d.
     The solve stops at a second-order point (d = 0 and g = 0) or when both
-    relative tolerances hold; otherwise `step(k, x, f, g, gnorm, H, eig, d)`
+    relative tolerances hold; otherwise `step(k, x, f, g, gnorm, eig, d)`
     returns the next iterate, f there (None if not evaluated) and the
     IterationRecord fields it sets.  A tiny step or the iteration cap ends
     the solve at the next iterate.  A step that raises one of
@@ -225,15 +236,14 @@ def _iterate(problem, x0, termination, step, use_curvature, echo):
             if f is None or stop is not None:
                 f = problem.evaluate(x)
             g = problem.gradient(x)
-            H = problem.hessian(x)
-            eig = leftmost_eigenpair(H, g)
+            eig = leftmost_eigenpair(problem.hessian(x), g)
             lam = eig.leftmost_value
             gnorm = norm(g)
             if k == 1:
                 g1_scale, lam1_scale = max(1.0, gnorm), max(1.0, _neg(lam))
 
             if stop is None:
-                d = (negative_curvature_direction(eig, H, g)
+                d = (negative_curvature_direction(eig, g)
                      if use_curvature else np.zeros_like(x))
                 if gnorm == 0.0 and not d.any():
                     stop = TerminationReason.SECOND_ORDER_POINT
@@ -245,7 +255,7 @@ def _iterate(problem, x0, termination, step, use_curvature, echo):
                 return report.finish(stop)
 
             try:
-                x_next, f_next, fields = step(k, x, f, g, gnorm, H, eig, d)
+                x_next, f_next, fields = step(k, x, f, g, gnorm, eig, d)
             except SOLVER_FAILURES:
                 report.records.append(_terminal_record(k, x, f, gnorm, lam, fevals()))
                 raise
@@ -276,14 +286,14 @@ def two_step_solve(problem, alpha=None, beta=None, termination=None, x0=None):
     if alpha is None or beta is None or alpha <= 0.0 or beta <= 0.0:
         raise ValueError("two_step_solve needs positive fixed stepsizes")
 
-    def step(k, x, f, g, gnorm, H, eig, d):
+    def step(k, x, f, g, gnorm, eig, d):
         has_d = bool(d.any())
-        x_hat = x + beta * d
+        x_hat = _step_point(x, beta, d)
         g_hat = problem.gradient(x_hat) if has_d else g
         s_hat = descent_direction("steepest", g_hat)
         has_s = bool(s_hat.any())
         taken = "both" if has_d and has_s else "curvature" if has_d else "descent"
-        return x_hat + alpha * s_hat, None, dict(
+        return _step_point(x_hat, alpha, s_hat), None, dict(
             s=s_hat, step_taken=taken, x_hat=x_hat.copy(), alpha=alpha, beta=beta)
 
     return _iterate(problem, x0, termination or TerminationSpec(), step,
@@ -309,16 +319,16 @@ def dynamic_solve(problem, strategy="steepest", lipschitz_init=None,
     check_strategy(strategy)
     state = replace(lipschitz_init or LipschitzState())
 
-    def step(k, x, f, g, gnorm, H, eig, d):
-        s = descent_direction(strategy, g, H, eig)
-        models = upper_models(g, s, d, H)
+    def step(k, x, f, g, gnorm, eig, d):
+        s = descent_direction(strategy, g, eig)
+        models = upper_models(g, s, d, eig.matrix)
         for inner in range(1, INNER_LOOP_CAP + 1):
             trials = optimal_stepsizes(models, state)
             # the larger model reduction is tried; the descent model, listed
             # first, wins a tie
             model, stepsize, m = functools.reduce(
                 lambda a, b: a if a[2] >= b[2] else b, trials)
-            trial = x + stepsize * model.direction
+            trial = _step_point(x, stepsize, model.direction)
             f_trial = problem.evaluate(trial)
             hat = model.hat(state, stepsize, m, f_trial, f)
             if f_trial <= f - m:

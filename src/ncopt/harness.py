@@ -334,13 +334,15 @@ def run_experiment(config):
 
 
 def report_summary(report, config=None, error=None):
-    """A report's `summary`, plus the `error` that cut it short, variant and seed."""
+    """A report's `summary`, plus the `error` that cut it short, variant and
+    seed; the seed is written as the int the run used, 2 for a validated
+    2.0."""
     summary = report.summary(error is not None)
     if error is not None:
         summary["error"] = {"type": type(error).__name__, "message": str(error)}
     if config is not None:
         summary["variant"] = config.variant
-        summary["seed"] = config.seed
+        summary["seed"] = None if config.seed is None else int(config.seed)
     return summary
 
 

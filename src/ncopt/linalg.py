@@ -1,7 +1,7 @@
 """Dense symmetric eigen kernels, truncated CG, and the spectral shift.
 
 Each iterate's Hessian is factored once, by LAPACK (`np.linalg.eigh`); the
-resulting spectrum and eigenvectors serve the leftmost eigenpair, the
+resulting `EigenResult`, which carries the matrix decomposed, serves the
 curvature direction and the modified-Newton shift and solve.  When the
 leftmost eigenvalue is repeated, LAPACK may return any orthonormal basis
 of its eigenspace, so the vector used is picked once, by
@@ -45,12 +45,13 @@ class KernelError(RuntimeError):
 
 @dataclass
 class EigenResult:
-    """Leftmost eigenpair of a symmetric matrix.
+    """Leftmost eigenpair of a symmetric matrix, with the matrix.
 
     leftmost_vector has unit 2-norm; residual is ||H v - lambda v||_2.
     values (ascending) and vectors (matching columns) are the full
-    decomposition the pair was taken from, kept so later steps on the same
-    matrix need not factor it again.
+    decomposition the pair was taken from, and matrix the matrix checked
+    and decomposed: H itself when exactly symmetric, else 0.5*(H + H'),
+    which every step on the pair then uses as H.
     """
 
     leftmost_value: float
@@ -58,6 +59,7 @@ class EigenResult:
     residual: float
     values: np.ndarray
     vectors: np.ndarray
+    matrix: np.ndarray
 
 
 def norm(a):
@@ -203,7 +205,7 @@ def leftmost_eigenpair(H, g=None):
             "leftmost eigenpair residual %.3e exceeds bound %.3e" % (residual, bound)
         )
     return EigenResult(leftmost_value=lam, leftmost_vector=v, residual=residual,
-                       values=w, vectors=V)
+                       values=w, vectors=V, matrix=H)
 
 
 def truncated_cg(H, g, max_iterations):
@@ -245,20 +247,18 @@ def truncated_cg(H, g, max_iterations):
     return CgOutcome(s, None, CgStatus.MAX_ITERATIONS, max_iterations)
 
 
-def modified_newton_shift(H, eig):
+def modified_newton_shift(eig):
     """Smallest shift delta >= 0 making H + delta*I positive definite with
-    condition number at most 1e8.
+    condition number at most 1e8, for H the matrix of the eigenpair eig.
 
     Solved in closed form from the extreme eigenvalues:
     delta = max(0, (lmax - cap*lmin)/(cap - 1)), with the degenerate case
     lmax = lmin <= 0 clamped to -lmin + 1e-8 (any positive shift then has
     condition number 1).  Returns (delta, solve) where solve(rhs) solves
-    (H + delta*I) x = rhs through the eigendecomposition of H, with one
-    step of iterative refinement.  eig is the `leftmost_eigenpair` result
-    for this same H, whose decomposition is reused.
+    (H + delta*I) x = rhs through eig's eigendecomposition of H, with one
+    step of iterative refinement.
     """
-    H = np.asarray(H, dtype=float)
-    w, V = eig.values, eig.vectors
+    H, w, V = eig.matrix, eig.values, eig.vectors
     lmin, lmax = float(w[0]), float(w[-1])
     # aim slightly inside the cap so the condition number verified in floating
     # point (relative error ~ eps * kappa) still lands at or below it

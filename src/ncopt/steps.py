@@ -6,7 +6,9 @@ must satisfy d'Hd <= lambda*||d||^2 < 0, g'd <= 0 and ||d|| <= |lambda|;
 a descent direction s must make an angle with -g of cosine at least
 DESCENT_COSINE[strategy].  Certificates are evaluated with a rounding
 guard of 1e-12 relative to each term's scale (||H||*||d||^2 for d'Hd),
-since several hold with equality.
+since several hold with equality.  H and lambda are read from one
+`leftmost_eigenpair` result, its `matrix` (a nearly symmetric input
+symmetrized) and `leftmost_value`, never from an H passed beside it.
 """
 
 from __future__ import annotations
@@ -67,14 +69,14 @@ class LipschitzState:
         return value
 
 
-def certify_curvature_direction(d, H, lam, g, check_norm_cap=True):
-    """Check the negative-curvature conditions by direct evaluation.
+def certify_curvature_direction(d, eig, g, check_norm_cap=True):
+    """Check the negative-curvature conditions for eig by direct evaluation.
 
     The norm cap ||d|| <= |lambda| applies to the deterministic
     construction; stochastic directions are scaled against the gradient
     estimate instead and skip it via check_norm_cap=False.
     """
-    H = np.asarray(H, dtype=float)
+    H, lam = eig.matrix, eig.leftmost_value
     g = None if g is None else np.asarray(g, dtype=float)
     nd2 = float(d @ d)
     quad = float(d @ H @ d)
@@ -101,16 +103,15 @@ def certify_curvature_direction(d, H, lam, g, check_norm_cap=True):
         raise ConditionViolation("||d|| exceeds |lambda|")
 
 
-def negative_curvature_direction(eig, H, g):
-    """Certified direction of negative curvature at a point with Hessian H
-    and gradient g.
+def negative_curvature_direction(eig, g):
+    """Certified direction of negative curvature at a point with gradient g,
+    for the Hessian of the `leftmost_eigenpair` result eig.
 
-    `eig` must be the `leftmost_eigenpair(H, g)` result for this same H and
-    g, so its vector is the unit vector of the leftmost eigenspace most
-    aligned with -g when the eigenvalue is repeated.  Zero when the leftmost
-    eigenvalue is above -ZERO_CURVATURE_TOL; otherwise that vector scaled
-    to |lambda| and signed so that g'd <= 0 up to rounding, certified
-    before return.
+    For `leftmost_eigenpair(H, g)`, eig's vector is the unit vector of the
+    leftmost eigenspace most aligned with -g when the eigenvalue is
+    repeated.  Zero when the leftmost eigenvalue is above
+    -ZERO_CURVATURE_TOL; otherwise that vector scaled to |lambda| and
+    signed so that g'd <= 0 up to rounding, certified before return.
     """
     lam = eig.leftmost_value
     if lam >= -ZERO_CURVATURE_TOL:
@@ -122,7 +123,7 @@ def negative_curvature_direction(eig, H, g):
     if g is not None and float(g @ d) > _CERT_SLACK * max(1.0, norm(g) * norm(d)):
         d = -d
     if d.any():
-        certify_curvature_direction(d, H, lam, g)
+        certify_curvature_direction(d, eig, g)
     return d
 
 
@@ -133,15 +134,13 @@ def check_strategy(strategy):
                          % (strategy, ", ".join(DESCENT_COSINE)))
 
 
-def descent_direction(strategy, g, H=None, eig=None):
+def descent_direction(strategy, g, eig=None):
     """Descent direction by steepest descent or a modified-Newton solve.
 
     Returns s, whose realized cosine -g's/(||s|| ||g||) must meet
-    DESCENT_COSINE[strategy], or a zero step at a zero gradient.  For
-    modified_newton, eig is the
-    `leftmost_eigenpair` result for H, whose decomposition the shift and
-    solve reuse; the caller's solver loop has factored H already, so it is
-    required.
+    DESCENT_COSINE[strategy], or a zero step at a zero gradient.
+    modified_newton requires eig, the `leftmost_eigenpair` result of the
+    Hessian, whose matrix and decomposition the shift and solve reuse.
     """
     check_strategy(strategy)
     g = np.asarray(g, dtype=float)
@@ -151,10 +150,9 @@ def descent_direction(strategy, g, H=None, eig=None):
     if strategy == "steepest":
         s = -g
     else:
-        if H is None or eig is None:
-            raise ValueError("modified_newton strategy needs the Hessian and "
-                             "its leftmost eigenpair")
-        _, solve = modified_newton_shift(H, eig)
+        if eig is None:
+            raise ValueError("modified_newton strategy needs the eigenpair")
+        _, solve = modified_newton_shift(eig)
         s = solve(-g)
     scale = norm(s) * gnorm
     if SMALLEST_NORMAL <= scale < math.inf:
@@ -182,7 +180,8 @@ class UpperModel:
     m(t) = -t g'p - t^2/2 p'Hp - sigma/6 t^3 ||p||^3.  The scalars are
     computed once per iterate; the stepsize, the reduction and the hat
     constant read them and the model's `estimate` in a LipschitzState.  A
-    power that overflows a Python float raises ConditionViolation.
+    power that overflows a Python float, or a hat denominator that
+    underflows to 0, raises ConditionViolation.
     """
 
     kind: str           # the step it sizes: "descent" or "curvature"
@@ -252,10 +251,15 @@ class UpperModel:
         c = getattr(lipschitz, self.estimate)
         try:
             if self.kind == "descent":
-                return c + 2.0 * gap / (t ** 2 * self.norm ** 2)
-            return c + 6.0 * gap / (t ** 3 * self.norm3)
+                factor, denominator = 2.0, t ** 2 * self.norm ** 2
+            else:
+                factor, denominator = 6.0, t ** 3 * self.norm3
         except OverflowError:
             raise ConditionViolation("hat constant overflows at t=%r" % t) from None
+        if denominator == 0.0:
+            raise ConditionViolation("hat constant's denominator underflows to 0 "
+                                     "at t=%r" % float(t))
+        return c + factor * gap / denominator
 
 
 def upper_models(g, s, d, H):

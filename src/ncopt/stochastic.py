@@ -19,7 +19,12 @@ from ncopt.deterministic import TRACE_COLUMNS, _partial_report_on_failure
 from ncopt.finite_sum import FiniteSumProblem, StochasticOracle
 from ncopt.linalg import CgStatus, all_finite, leftmost_eigenpair, norm, truncated_cg
 from ncopt.problems import EvaluationError, finite_gradient, integer_argument
-from ncopt.steps import ZERO_CURVATURE_TOL, LipschitzState, certify_curvature_direction
+from ncopt.steps import (
+    ZERO_CURVATURE_TOL,
+    ConditionViolation,
+    LipschitzState,
+    certify_curvature_direction,
+)
 
 _TINY = 1e-12
 # CG iterations per sampled system of the dynamic method
@@ -233,13 +238,15 @@ def curvature_noise_step(x, oracle, alpha):
     Hessian estimate whose leftmost eigenvector (scaled to ||s||) gives the
     curvature direction, certified without the norm cap, and a uniform
     omega in [-1, 1]; the step is x + alpha*(s + omega*d).  Returns
-    (x_next, record).  A non-finite estimate raises EvaluationError.
+    (x_next, record); the record's index is 1, a lone step's, and
+    `two_step_stochastic_solve` numbers each record by its own iteration.
+    A non-finite estimate raises EvaluationError, and a next iterate that
+    overflows ConditionViolation.
     """
     # StochasticStepConfig's rule, written so that NaN fails it
     if not 0.0 < alpha < math.inf:
         raise ValueError("stepsize must be positive and finite")
     x = np.asarray(x, dtype=float)
-    index = oracle.draw_count(0) + 1
 
     value_est, g_est, H_est, _ = _sampled_estimates(x, oracle)
     omega = oracle.next_omega()
@@ -254,11 +261,14 @@ def curvature_noise_step(x, oracle, alpha):
         # leftmost_vector has a fixed sign (largest entry positive), which
         # keeps replays stable; omega makes the step zero-mean
         d = snorm * eig.leftmost_vector
-        certify_curvature_direction(d, H_est, lam, None, check_norm_cap=False)
+        certify_curvature_direction(d, eig, None, check_norm_cap=False)
 
     x_next = x + alpha * s + alpha * omega * d
+    if not all_finite(x_next):
+        raise ConditionViolation("next iterate has non-finite coordinates at "
+                                 "alpha=%r" % alpha)
     record = StochasticIterationRecord(
-        index=index, x=x.copy(), alpha=alpha, beta=alpha,
+        index=1, x=x.copy(), alpha=alpha, beta=alpha,
         s_norm=snorm, d_norm=norm(d), omega=omega,
         sampled_lambda=lam, value_before=value_est,
     )
@@ -307,8 +317,10 @@ def two_step_stochastic_solve(oracle, config, iterations, x0=None):
     alpha = config.alpha_constant
 
     def step(k, x):
+        x_next, record = curvature_noise_step(x, oracle, alpha)
+        record.index = k
         # one value estimate, at x
-        return (*curvature_noise_step(x, oracle, alpha), 1)
+        return x_next, record, 1
 
     return _iterate(oracle, iterations, x0, step, {
         "method": "stochastic_two_step",

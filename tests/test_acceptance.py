@@ -255,7 +255,7 @@ def test_criterion_6_stepsize_optimality_oracle():
         H = 0.5 * (A + A.T) - float(rng.uniform(0.0, 3.0)) * np.eye(n)
         state = LipschitzState(L_current=float(rng.uniform(0.5, 5.0)),
                                sigma_current=float(rng.uniform(0.5, 5.0)))
-        d = negative_curvature_direction(leftmost_eigenpair(H, g), H, g)
+        d = negative_curvature_direction(leftmost_eigenpair(H, g), g)
         trials = optimal_stepsizes(upper_models(g, s, d, H), state)
         (_, alpha, m_s), curvature = trials[0], trials[1:]
         grid = np.linspace(0.0, 2.0 * alpha, 10000)
@@ -426,7 +426,7 @@ def test_criterion_10_kernel_oracles_and_determinism():
         direct = np.linalg.solve(spd, -g)
         assert np.linalg.norm(out.solution - direct) \
             <= 1e-8 * max(1.0, np.linalg.norm(direct))
-        delta, _ = modified_newton_shift(H, res)
+        delta, _ = modified_newton_shift(res)
         lmin, lmax = reference_extreme_eigenvalues(H + delta * np.eye(n))
         assert lmin > 0.0 and lmax <= 1e8 * lmin
     # replay determinism for both stochastic solvers

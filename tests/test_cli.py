@@ -338,6 +338,44 @@ class TestRun:
         assert summary["abnormal"] is True
         assert summary["error"]["type"] == "ConditionViolation"
 
+    # two fuzzed dynamic_mn runs whose first step overflows or underflows:
+    # (start, l_init, sigma_init, the error message's mark)
+    FUZZ_CASES = {
+        "rosenbrock10": (
+            "-1.9521650302484699,1.6518481131294627,2.2118411738833137,"
+            "0.20663952080444603,-1.800005171880425,1.271499171743101,"
+            "-0.9712460025646823,0.3976264318258358,-0.38979768974654716,"
+            "1.7795973192915269",
+            "3.186408192932628e+160", "1.2654246362055915e+296",
+            "non-finite coordinates"),
+        "himmelblau": (
+            "4.6976241215539634e-05,9.62903531721935e-05",
+            "1.1022417892103668e+234", "3.0680181324916967e-138",
+            "underflows to 0"),
+    }
+
+    @pytest.mark.parametrize("problem", sorted(FUZZ_CASES))
+    def test_fuzzed_overflow_exits_3_with_partial_files(self, problem, tmp_path,
+                                                       capsys):
+        start, l_init, sigma_init, message = self.FUZZ_CASES[problem]
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_text(
+            "[experiment]\nvariant = dynamic_mn\nproblem = %s\nstart = %s\n"
+            "out = %s\n[termination]\nmax_iterations = 50\n"
+            "[lipschitz]\nl_init = %s\nsigma_init = %s\n"
+            % (problem, start, tmp_path, l_init, sigma_init))
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert message in capsys.readouterr().err
+        label = tmp_path / ("%s_dynamic_mn" % problem)
+        summary = json.loads(label.with_suffix(".json").read_text())
+        assert summary["abnormal"] is True
+        assert summary["termination_reason"] is None
+        assert summary["error"]["type"] == "ConditionViolation"
+        assert message in summary["error"]["message"]
+        assert summary["total_iterations"] == 1
+        rows = label.with_suffix(".csv").read_text().splitlines()
+        assert rows[0].startswith("k,f,gnorm") and len(rows) == 2
+
     # every entry of the exact gradient at the start is finite, its norm is
     # not; the 1e200 row (3) is in neither the first gradient batch nor the
     # first Hessian batch, or the sampled value would overflow first
@@ -625,13 +663,13 @@ class TestOptionSurface:
             expected_descent_check: ("problem", "x", "config", "replications",
                                      "seed", "batch_size", "moments",
                                      "measure_draws"),
-            descent_direction: ("strategy", "g", "H", "eig"),
+            descent_direction: ("strategy", "g", "eig"),
             check_strategy: ("strategy",),
-            negative_curvature_direction: ("eig", "H", "g"),
-            certify_curvature_direction: ("d", "H", "lam", "g", "check_norm_cap"),
+            negative_curvature_direction: ("eig", "g"),
+            certify_curvature_direction: ("d", "eig", "g", "check_norm_cap"),
             leftmost_eigenpair: ("H", "g"),
             truncated_cg: ("H", "g", "max_iterations"),
-            modified_newton_shift: ("H", "eig"),
+            modified_newton_shift: ("eig",),
         }
         for function, names in parameters.items():
             assert tuple(inspect.signature(function).parameters) == names, \
@@ -646,11 +684,11 @@ class TestOptionSurface:
             LipschitzState: ("L_current", "sigma_current"),
             TerminationSpec: ("grad_tol_rel", "curv_tol_rel", "max_iterations"),
             EigenResult: ("leftmost_value", "leftmost_vector", "residual",
-                          "values", "vectors"),
+                          "values", "vectors", "matrix"),
         }
         for cls, names in fields.items():
             assert tuple(f.name for f in dataclasses.fields(cls)) == names, \
                 cls.__name__
-        # the eigenpair always carries the decomposition it came from
+        # the eigenpair always carries the matrix and decomposition it came from
         assert all(f.default is dataclasses.MISSING
                    for f in dataclasses.fields(EigenResult))

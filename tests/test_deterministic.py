@@ -25,6 +25,7 @@ from ncopt.problems import (
     sphere,
 )
 from ncopt.steps import DESCENT_COSINE, ConditionViolation, LipschitzState
+from test_written_files import FUZZ_ROSENBROCK10_START
 
 
 GOLDEN_TWO_STEP = os.path.join(os.path.dirname(__file__), "golden", "two_step.csv")
@@ -370,6 +371,45 @@ def test_stepsize_overflow_ends_typed_with_partial_report(case):
     assert len(partial.records) == partial.total_iterations == 1
     assert partial.records[0].step_taken == "none"
     assert partial.total_fevals == partial.records[0].feval_count >= 1
+
+
+def _saddle_quadratic():
+    H = np.diag([-4.0, 1.0])
+    return ObjectiveProblem("saddle_quadratic", 2, lambda x: 0.5 * x @ H @ x,
+                            lambda x: H @ x, lambda x: H,
+                            default_start=np.array([1.0, 1.0]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+@pytest.mark.parametrize("solve", [
+    # x - 1e308 * x overflows: the next iterate
+    lambda: two_step_solve(sphere(2), alpha=1e308, beta=1.0, x0=[3.0, 3.0]),
+    # x + 1e308 * d with ||d|| = 4: the point the curvature step reaches
+    lambda: two_step_solve(_saddle_quadratic(), alpha=0.1, beta=1e308),
+    # a fuzzed start whose first curvature stepsize is inf: the trial point
+    lambda: dynamic_solve(
+        make_problem("rosenbrock10"), strategy="modified_newton",
+        lipschitz_init=LipschitzState(3.186408192932628e+160,
+                                      1.2654246362055915e+296),
+        termination=TerminationSpec(max_iterations=50),
+        x0=FUZZ_ROSENBROCK10_START),
+], ids=["two_step_next_iterate", "two_step_curvature_point", "dynamic_trial"])
+def test_non_finite_point_the_solver_makes_ends_typed(solve):
+    # a point the caller passes in is ObjectiveProblem's ValueError; one the
+    # solver computes is a solver failure with the partial report
+    with pytest.raises(ConditionViolation, match="non-finite coordinates") as info:
+        solve()
+    partial = info.value.report
+    assert partial.termination_reason is None
+    assert len(partial.records) == partial.total_iterations == 1
+    assert partial.records[0].step_taken == "none"
+    assert np.isfinite(partial.records[0].x).all()
+
+
+def test_non_finite_start_stays_a_value_error():
+    with pytest.raises(ValueError, match="point has non-finite coordinates"):
+        dynamic_solve(sphere(2), x0=[np.inf, 0.0])
 
 
 class TestComplexityCensus:

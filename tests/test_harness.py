@@ -90,6 +90,23 @@ class TestValidation:
                              for report in reports)
             assert first == second
 
+    def test_integral_float_seed_is_written_as_the_int_it_ran(self, tmp_path):
+        # a validated seed of 2.0 runs as 2, and its summary says 2, not 2.0
+        for variant in ("stoch_dynamic", "dynamic_sd"):
+            written = []
+            for seed in (2, 2.0):
+                out = tmp_path / ("%s_%r" % (variant, seed))
+                _, paths = run_experiment(ExperimentConfig(
+                    variant=variant, problem="quadratic_sum", seed=seed,
+                    out_dir=str(out), label="run",
+                    **(dict(batch_size=2, iterations=3)
+                       if variant == "stoch_dynamic" else {})))
+                with open(paths["report"], "rb") as handle:
+                    written.append(handle.read())
+            assert written[0] == written[1], variant
+            seed = json.loads(written[1])["seed"]
+            assert seed == 2 and type(seed) is int
+
     def test_two_step_requires_stepsizes(self):
         with pytest.raises(UsageError, match="alpha"):
             validate_config(ExperimentConfig(variant="two_step", problem="sphere"))
@@ -204,7 +221,7 @@ def test_criteria_outside_the_variant_row_change_no_registry_run(variant,
     for problem in list_problems():
         def fingerprint(theta):
             monkeypatch.setattr(deterministic, "negative_curvature_direction",
-                                lambda eig, H, g: theta * build(eig, H, g))
+                                lambda eig, g: theta * build(eig, g))
             config = dataclasses.replace(base, problem=problem,
                                          beta=base.beta / theta)
             return _fingerprint(lambda: _run_solver(config, make_problem(problem),

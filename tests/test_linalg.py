@@ -99,6 +99,22 @@ class TestLeftmostEigenpair:
         with pytest.raises(ValueError):
             leftmost_eigenpair(H)
 
+    def test_carries_the_matrix_it_decomposed(self):
+        # an exactly symmetric H is carried as it is; a nearly symmetric
+        # one as its symmetrized form, which every step then reads
+        H = random_symmetric(np.random.default_rng(3), 5)
+        assert leftmost_eigenpair(H).matrix is H
+        near = H.copy()
+        near[0, 3] += 1e-11
+        res = leftmost_eigenpair(near)
+        assert np.array_equal(res.matrix, 0.5 * (near + near.T))
+        assert np.array_equal(res.matrix, res.matrix.T)
+        # the shift's refinement step solves with that same matrix
+        delta, solve = modified_newton_shift(res)
+        rhs = np.arange(1.0, 6.0)
+        np.testing.assert_allclose((res.matrix + delta * np.eye(5)) @ solve(rhs),
+                                   rhs, atol=1e-8)
+
     def test_unit_vector_and_residual_contract(self):
         rng = np.random.default_rng(0)
         H = random_symmetric(rng, 7)
@@ -270,21 +286,21 @@ def _shift_bisection_oracle(H, cap, hi=1e6, iters=200):
 class TestModifiedNewtonShift:
     def test_already_well_conditioned(self):
         H = np.diag([1.0, 2.0])
-        delta, solve = modified_newton_shift(H, leftmost_eigenpair(H))
+        delta, solve = modified_newton_shift(leftmost_eigenpair(H))
         assert delta == 0.0
         np.testing.assert_allclose(solve(np.array([1.0, 2.0])), [1.0, 1.0])
 
     def test_indefinite_analytic_value(self):
         # solve (2 + delta)/(delta - 1) = 1e8 for delta
         H = np.diag([-1.0, 2.0])
-        delta, _ = modified_newton_shift(H, leftmost_eigenpair(H))
+        delta, _ = modified_newton_shift(leftmost_eigenpair(H))
         expected = 1.0 + 3.0 / (1e8 - 1.0)
         assert delta == pytest.approx(expected, abs=1e-10)
         assert delta == pytest.approx(_shift_bisection_oracle(H, 1e8), abs=1e-6)
 
     def test_zero_matrix_hits_floor(self):
         H = np.zeros((2, 2))
-        delta, _ = modified_newton_shift(H, leftmost_eigenpair(H))
+        delta, _ = modified_newton_shift(leftmost_eigenpair(H))
         assert delta == pytest.approx(1e-8)
 
     def test_random_matrices_satisfy_both_conditions(self):
@@ -293,7 +309,7 @@ class TestModifiedNewtonShift:
         for _ in range(100):
             n = int(rng.integers(1, 15))
             H = random_symmetric(rng, n, scale=float(rng.uniform(0.1, 10.0)))
-            delta, solve = modified_newton_shift(H, leftmost_eigenpair(H))
+            delta, solve = modified_newton_shift(leftmost_eigenpair(H))
             B = H + delta * np.eye(n)
             lmin, lmax = reference_extreme_eigenvalues(B)
             assert lmin > 0.0
@@ -349,11 +365,11 @@ class TestRepeatedLeftmostEigenvalue:
             + Q[:, k:] @ (rng.uniform(0.0, 3.0) * rng.normal(size=n - k))
         eig = leftmost_eigenpair(H, g)
         assert _leftmost_multiplicity(eig.values) == k
-        d = negative_curvature_direction(eig, H, g)
+        d = negative_curvature_direction(eig, g)
         pg = Q[:, :k] @ (Q[:, :k].T @ g)
         np.testing.assert_allclose(d, -abs(eig.leftmost_value) * pg
                                    / np.linalg.norm(pg), rtol=0, atol=1e-10)
-        certify_curvature_direction(d, H, eig.leftmost_value, g)
+        certify_curvature_direction(d, eig, g)
         rotated = _rotated_leftmost_basis(eig, _orthogonal(rng, k))
         np.testing.assert_allclose(eigenspace_direction(rotated, g),
                                    eig.leftmost_vector, rtol=0, atol=1e-12)
@@ -371,8 +387,8 @@ class TestRepeatedLeftmostEigenvalue:
         for g in (g_orthogonal, np.zeros(n), None):
             eig = leftmost_eigenpair(H, g)
             np.testing.assert_array_equal(eig.leftmost_vector, v)
-            d = negative_curvature_direction(eig, H, g)
-            certify_curvature_direction(d, H, eig.leftmost_value, g)
+            d = negative_curvature_direction(eig, g)
+            certify_curvature_direction(d, eig, g)
             np.testing.assert_allclose(eigenspace_direction(rotated, g),
                                        eig.leftmost_vector, rtol=0, atol=1e-12)
         P = Q[:, :k] @ Q[:, :k].T
@@ -390,8 +406,8 @@ class TestRepeatedLeftmostEigenvalue:
         H, g = problem.hessian(x), problem.gradient(x)
         eig = leftmost_eigenpair(H, g)
         assert _leftmost_multiplicity(eig.values) == 3
-        d = negative_curvature_direction(eig, H, g)
-        certify_curvature_direction(d, H, eig.leftmost_value, g)
+        d = negative_curvature_direction(eig, g)
+        certify_curvature_direction(d, eig, g)
         tied = [0, 1, 4]
         expected = np.zeros(5)
         expected[tied] = -g[tied] / np.linalg.norm(g[tied])

@@ -46,8 +46,8 @@ class TestDirectionCriteria:
     def test_defaults_are_all_one(self):
         # a scaled leftmost eigenvector meets the curvature conditions with
         # equality, and -g has cosine 1 with -g
-        H = np.diag([-2.0, 1.0])
-        certify_curvature_direction(np.array([2.0, 0.0]), H, -2.0,
+        certify_curvature_direction(np.array([2.0, 0.0]),
+                                    leftmost_eigenpair(np.diag([-2.0, 1.0])),
                                     np.array([-1.0, 3.0]))
         assert DESCENT_COSINE["steepest"] == 1.0
         # a shifted-Newton step solves a system of condition number <= 1e8
@@ -55,60 +55,61 @@ class TestDirectionCriteria:
 
     @pytest.mark.parametrize("bad", [
         # not an eigenvector: d'Hd = -2 > lambda*||d||^2 = -4
-        dict(d=[1.0, 1.0], H=np.diag([-2.0, 0.0]), lam=-2.0,
-             match="curvature condition"),
-        dict(d=[0.0, 1.0], H=np.diag([-2.0, -1.0]), lam=-2.0,
-             match="curvature condition"),
-        # nonnegative curvature along d
+        dict(d=[1.0, 1.0], H=np.diag([-2.0, 0.0]), match="curvature condition"),
+        dict(d=[0.0, 1.0], H=np.diag([-2.0, -1.0]), match="curvature condition"),
+        # nonnegative curvature along d, even under a false lambda of 1
         dict(d=[1.0, 0.0], H=np.diag([0.5, 1.0]), lam=1.0, match="negative"),
         # an ascent direction
-        dict(d=[2.0, 0.0], H=np.diag([-2.0, 1.0]), lam=-2.0, g=[1.0, 0.0],
-             match="g'd"),
+        dict(d=[2.0, 0.0], H=np.diag([-2.0, 1.0]), g=[1.0, 0.0], match="g'd"),
         # longer than |lambda|
-        dict(d=[3.0, 0.0], H=np.diag([-2.0, 1.0]), lam=-2.0, match="exceeds"),
-        dict(d=[0.0, 0.0], H=np.diag([-2.0, 1.0]), lam=-2.0, match="zero"),
+        dict(d=[3.0, 0.0], H=np.diag([-2.0, 1.0]), match="exceeds"),
+        dict(d=[0.0, 0.0], H=np.diag([-2.0, 1.0]), match="zero"),
     ])
     def test_range_validation(self, bad):
         g = np.array(bad.get("g", [0.0, 0.0]))
+        eig = leftmost_eigenpair(bad["H"])
+        if "lam" in bad:
+            eig = dataclasses.replace(eig, leftmost_value=bad["lam"])
         with pytest.raises(ConditionViolation, match=bad["match"]):
-            certify_curvature_direction(np.array(bad["d"]), bad["H"], bad["lam"], g)
+            certify_curvature_direction(np.array(bad["d"]), eig, g)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_non_finite_direction_rejected(self):
         # every comparison with NaN is false, so the checks alone pass it
+        eig = leftmost_eigenpair(np.diag([-2.0, 1.0]))
         with pytest.raises(ConditionViolation, match="not finite"):
-            certify_curvature_direction(np.array([np.nan, 0.0]),
-                                        np.diag([-2.0, 1.0]), -2.0, None)
-        for d, H in (([np.inf, 0.0], np.diag([-2.0, 1.0])),
-                     ([2.0, 0.0], np.diag([np.nan, 1.0]))):
+            certify_curvature_direction(np.array([np.nan, 0.0]), eig, None)
+        # leftmost_eigenpair rejects a NaN matrix, so a fake pair carries it
+        nan_matrix = dataclasses.replace(eig, matrix=np.diag([np.nan, 1.0]))
+        for d, fake in (([np.inf, 0.0], eig), ([2.0, 0.0], nan_matrix)):
             with pytest.raises(ConditionViolation, match="not finite"):
-                certify_curvature_direction(np.array(d), H, -2.0, None,
+                certify_curvature_direction(np.array(d), fake, None,
                                             check_norm_cap=False)
 
 
 class TestNegativeCurvatureDirection:
     def test_scaled_eigenvector_with_descent_sign(self):
         H = np.diag([2.0, -3.0])
-        d = negative_curvature_direction(leftmost_eigenpair(H), H, np.array([1.0, 1.0]))
+        d = negative_curvature_direction(leftmost_eigenpair(H), np.array([1.0, 1.0]))
         np.testing.assert_allclose(d, [0.0, -3.0], atol=1e-12)
         assert d @ H @ d == pytest.approx(-27.0)
         assert d @ H @ d <= 1.0 * (-3.0) * 9.0 + 1e-9
 
     def test_zero_when_hessian_psd(self):
         H = np.diag([2.0, 3.0])
-        d = negative_curvature_direction(leftmost_eigenpair(H), H, np.array([5.0, -2.0]))
+        d = negative_curvature_direction(leftmost_eigenpair(H), np.array([5.0, -2.0]))
         assert np.all(d == 0.0)
 
     def test_zero_gradient_allows_either_sign(self):
         H = np.diag([2.0, -3.0])
-        d = negative_curvature_direction(leftmost_eigenpair(H), H, np.zeros(2))
+        d = negative_curvature_direction(leftmost_eigenpair(H), np.zeros(2))
         assert abs(d[1]) == pytest.approx(3.0, abs=1e-12)
         assert abs(d[0]) < 1e-12
 
     def test_norm_is_theta_times_lambda(self):
         # theta = 1: the eigenvector is scaled to |lambda|
         H = np.diag([-4.0, 1.0])
-        d = negative_curvature_direction(leftmost_eigenpair(H), H, np.array([1.0, 0.0]))
+        d = negative_curvature_direction(leftmost_eigenpair(H), np.array([1.0, 0.0]))
         assert np.linalg.norm(d) == pytest.approx(4.0, rel=1e-12)
 
     def test_certificates_on_random_indefinite(self):
@@ -122,8 +123,8 @@ class TestNegativeCurvatureDirection:
             eig = leftmost_eigenpair(H)
             if eig.leftmost_value >= 0.0:
                 continue
-            d = negative_curvature_direction(eig, H, g)
-            certify_curvature_direction(d, H, eig.leftmost_value, g)
+            d = negative_curvature_direction(eig, g)
+            certify_curvature_direction(d, eig, g)
             assert g @ d <= 1e-10
             checked += 1
         assert checked > 20
@@ -135,7 +136,7 @@ class TestNegativeCurvatureDirection:
         H, g = case
         eig = leftmost_eigenpair(H, g)
         lam = eig.leftmost_value
-        d = negative_curvature_direction(eig, H, g)
+        d = negative_curvature_direction(eig, g)
         assume(np.any(d != 0.0))
         nd2 = float(d @ d)
         assert np.sqrt(nd2) == pytest.approx(abs(lam), rel=1e-12)
@@ -145,7 +146,7 @@ class TestNegativeCurvatureDirection:
     def test_tiny_negative_lambda_treated_as_zero(self):
         H = np.diag([1.0, 1.0])
         fake = dataclasses.replace(leftmost_eigenpair(H), leftmost_value=-1e-13)
-        d = negative_curvature_direction(fake, H, np.zeros(2))
+        d = negative_curvature_direction(fake, np.zeros(2))
         assert np.all(d == 0.0)
 
 
@@ -164,17 +165,15 @@ class TestDescentDirection:
 
     def test_modified_newton_spd(self):
         g = np.array([1.0, 2.0])
-        s = descent_direction(
-            "modified_newton", g, H=np.diag([1.0, 2.0]),
-            eig=leftmost_eigenpair(np.diag([1.0, 2.0])),
-        )
+        s = descent_direction("modified_newton", g,
+                              eig=leftmost_eigenpair(np.diag([1.0, 2.0])))
         np.testing.assert_allclose(s, [-1.0, -1.0], rtol=1e-10)
         assert cosine(s, g) >= 1e-8
 
     def test_modified_newton_indefinite(self):
         g = np.array([1.0, 0.0])
         H = np.diag([-1.0, 2.0])
-        s = descent_direction("modified_newton", g, H=H, eig=leftmost_eigenpair(H))
+        s = descent_direction("modified_newton", g, eig=leftmost_eigenpair(H))
         # B is diagonal so s is parallel to -g; the shift leaves B_11 ~ 3e-8
         assert s[0] < -1e7
         assert abs(s[1]) < 1e-6 * abs(s[0])
@@ -184,7 +183,7 @@ class TestDescentDirection:
         # so neither solver guards a zero gradient itself
         H = np.diag([-1.0, 2.0])
         for strategy, args in (("steepest", ()), ("modified_newton",
-                                                  (H, leftmost_eigenpair(H)))):
+                                                  (leftmost_eigenpair(H),))):
             s = descent_direction(strategy, np.zeros(2), *args)
             assert s.dtype == float and np.all(s == 0.0) and not np.signbit(s).any()
 
@@ -195,7 +194,7 @@ class TestDescentDirection:
         # NaN, which passes any check not written to fail it
         H, g = np.diag([1e-301, -5e-324, -5e-324]), np.ones(3)
         with pytest.raises(ConditionViolation, match="cosine nan"):
-            descent_direction("modified_newton", g, H, leftmost_eigenpair(H, g))
+            descent_direction("modified_newton", g, leftmost_eigenpair(H, g))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("H, cos", [
@@ -206,7 +205,7 @@ class TestDescentDirection:
     ], ids=["parallel", "finite_entries"])
     def test_step_whose_norm_overflows_keeps_its_cosine(self, H, cos):
         g = np.ones(len(H))
-        s = descent_direction("modified_newton", g, H, leftmost_eigenpair(H, g))
+        s = descent_direction("modified_newton", g, leftmost_eigenpair(H, g))
         assert np.isfinite(s).all() and np.isinf(np.linalg.norm(s))
         scaled = s / np.abs(s).max()
         assert cosine(scaled, g) == pytest.approx(cos, rel=1e-7)
@@ -230,15 +229,22 @@ class TestDescentDirection:
         # system has condition number at most the cap, and the cosine of
         # its solution with -g is at least the reciprocal
         H, g = case
-        s = descent_direction("modified_newton", g, H, leftmost_eigenpair(H))
+        s = descent_direction("modified_newton", g, leftmost_eigenpair(H))
         assert cosine(s, g) >= DESCENT_COSINE["modified_newton"]
 
     def test_modified_newton_needs_the_callers_eigenpair(self):
         # the solver loop factors each Hessian; no second path factors it
-        H = np.diag([1.0, 2.0])
-        for missing in (dict(H=H), dict(eig=leftmost_eigenpair(H))):
-            with pytest.raises(ValueError, match="modified_newton"):
-                descent_direction("modified_newton", np.ones(2), **missing)
+        with pytest.raises(ValueError, match="modified_newton"):
+            descent_direction("modified_newton", np.ones(2))
+
+    def test_modified_newton_solves_with_the_eigenpairs_own_matrix(self):
+        # the step and its certificate read H from the eigenpair, so no
+        # second matrix can be paired with it: H = diag(2, 1) gives the
+        # Newton step -H^-1 g
+        g = np.array([1.0, 1.0])
+        s = descent_direction("modified_newton", g,
+                              eig=leftmost_eigenpair(np.diag([2.0, 1.0])))
+        np.testing.assert_allclose(s, [-0.5, -1.0], rtol=1e-12)
 
 
 def state_at(L=1.0, sigma=1.0):
@@ -359,7 +365,7 @@ class TestOptimalStepsizes:
                 s = -g
             A = rng.normal(size=(n, n))
             H = 0.5 * (A + A.T) - 2.0 * np.eye(n)
-            d = negative_curvature_direction(leftmost_eigenpair(H, g), H, g)
+            d = negative_curvature_direction(leftmost_eigenpair(H, g), g)
             state = state_at(L=float(rng.uniform(0.5, 5.0)),
                              sigma=float(rng.uniform(0.5, 5.0)))
             trials = optimal_stepsizes(upper_models(g, s, d, H), state)
@@ -385,7 +391,7 @@ class TestOptimalStepsizes:
             A = rng.normal(size=(n, n))
             H = 0.5 * (A + A.T) - 2.0 * np.eye(n)
             g = rng.normal(size=n)
-            d = negative_curvature_direction(leftmost_eigenpair(H, g), H, g)
+            d = negative_curvature_direction(leftmost_eigenpair(H, g), g)
             if np.all(d == 0.0):
                 continue
             state = state_at(sigma=float(rng.uniform(0.5, 3.0)))
@@ -399,7 +405,7 @@ class TestOptimalStepsizes:
         # why theta changed no dynamic run: on c*d the optimal stepsize is
         # beta/c, so the step beta*d and its model reduction are unchanged
         H, g = case
-        d = negative_curvature_direction(leftmost_eigenpair(H, g), H, g)
+        d = negative_curvature_direction(leftmost_eigenpair(H, g), g)
         assume(np.any(d != 0.0))
         state = state_at(sigma=sigma)
         model, model_c = cubic(g, d, H), cubic(g, c * d, H)
@@ -417,8 +423,8 @@ class TestOptimalStepsizes:
                                                         sigma):
         H, g = case
         eig = leftmost_eigenpair(H, g)
-        models = upper_models(g, descent_direction(strategy, g, H, eig),
-                              negative_curvature_direction(eig, H, g), H)
+        models = upper_models(g, descent_direction(strategy, g, eig),
+                              negative_curvature_direction(eig, g), H)
         state = state_at(L=L, sigma=sigma)
         for model, t, reduction in optimal_stepsizes(models, state):
             assert t > 0.0 and reduction > 0.0
@@ -458,6 +464,15 @@ class TestUpperModelHat:
         model = quadratic([-1.0, 0.0], [2.0, 0.0])
         with pytest.raises(ConditionViolation, match="hat constant overflows"):
             model.hat(state_at(), 1e200, 0.5, 1.0, 1.5)
+
+    @pytest.mark.parametrize("model", [
+        quadratic([-1.0, 0.0], [2.0, 0.0]),
+        cubic([0.0, 0.0], [2.0, 0.0], np.diag([-1.0, 1.0])),
+    ], ids=["quadratic", "cubic"])
+    def test_denominator_that_underflows_to_zero_raises(self, model):
+        # t^2 ||p||^2 and t^3 ||p||^3 underflow to 0 at t = 1e-200
+        with pytest.raises(ConditionViolation, match="underflows to 0"):
+            model.hat(state_at(), 1e-200, 0.5, 1.0, 1.5)
 
 
 class TestLipschitzState:

@@ -14,7 +14,7 @@ from ncopt.finite_sum import (
     synthetic_two_layer_net,
 )
 from ncopt.problems import EvaluationError, make_problem
-from ncopt.steps import LipschitzState
+from ncopt.steps import ConditionViolation, LipschitzState
 from ncopt.stochastic import (
     LIPSCHITZ_INIT,
     MomentBounds,
@@ -207,6 +207,31 @@ class TestTwoStepStochastic:
             report = two_step_stochastic_solve(oracle, config, iterations=40)
             finals.append(report.final_x)
         np.testing.assert_array_equal(finals[0], finals[1])
+
+    @pytest.mark.parametrize("solve", [
+        lambda o: two_step_stochastic_solve(
+            o, StochasticStepConfig(alpha_constant=0.02), iterations=3),
+        lambda o: dynamic_stochastic_solve(o, iterations=3),
+    ], ids=["two_step", "dynamic"])
+    def test_records_count_from_one_on_a_used_oracle(self, noisy_quadratic,
+                                                     solve):
+        # a moment probe draws from the oracle first; the records count the
+        # solve's own iterations
+        oracle = StochasticOracle(noisy_quadratic, batch_size=2, seed=3)
+        measure_moment_constants(oracle, noisy_quadratic.default_start, draws=5)
+        report = solve(oracle)
+        assert [r.index for r in report.records] == [1, 2, 3]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    def test_next_iterate_that_overflows_ends_typed(self, noisy_quadratic):
+        # alpha * s overflows although alpha and s are finite
+        oracle = StochasticOracle(noisy_quadratic, batch_size=2, seed=3)
+        with pytest.raises(ConditionViolation,
+                           match="next iterate has non-finite") as info:
+            two_step_stochastic_solve(
+                oracle, StochasticStepConfig(alpha_constant=1e308), 1)
+        assert info.value.report.records == []
 
     def test_quadratic_sum_trace_matches_golden(self):
         # 50 iterations on the registry quadratic_sum from its default

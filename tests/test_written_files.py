@@ -3,7 +3,7 @@
 Each case runs one configured experiment through `harness.run_experiment`
 and digests the bytes of the JSON summary and the CSV trace it writes, so
 a change that moves any key, key order, value, column or cell of either
-file moves that file's digest.  Three cases end abnormally and pin the
+file moves that file's digest.  Five cases end abnormally and pin the
 partial summary and trace a failure leaves.  Every summary is strict JSON.  The digests are pinned for
 one build of numpy, BLAS, LAPACK and libm; another build may round
 differently and move them.  To rewrite the golden file after a change that
@@ -36,6 +36,11 @@ STOCHASTIC_ITERATIONS = 20
 # every entry of the exact gradient at the start is finite, its norm is
 # not, so a finished stoch_two_step run fails in its exact norms
 OVERFLOW_DATA = "0.5,-1,1\n2,0.3,-1\n-1,2,0.5\n1e200,1,2\n"
+FUZZ_ROSENBROCK10_START = [
+    -1.9521650302484699, 1.6518481131294627, 2.2118411738833137,
+    0.20663952080444603, -1.800005171880425, 1.271499171743101,
+    -0.9712460025646823, 0.3976264318258358, -0.38979768974654716,
+    1.7795973192915269]
 
 
 def configs(data_dir):
@@ -65,6 +70,18 @@ def configs(data_dir):
     table["abnormal/dataset/overflowing_exact_norms"] = ExperimentConfig(
         dataset=data, variant="stoch_two_step", seed=1, batch_size=2,
         iterations=1, alpha=0.01)
+    # two fuzzed dynamic_mn runs: an infinite curvature stepsize makes a
+    # non-finite trial point; a hat denominator underflows to 0
+    table["abnormal/rosenbrock10/non_finite_trial_point"] = ExperimentConfig(
+        problem="rosenbrock10", variant="dynamic_mn",
+        start=np.array(FUZZ_ROSENBROCK10_START),
+        termination=TerminationSpec(max_iterations=50),
+        lipschitz=LipschitzState(3.186408192932628e+160, 1.2654246362055915e+296))
+    table["abnormal/himmelblau/zero_hat_denominator"] = ExperimentConfig(
+        problem="himmelblau", variant="dynamic_mn",
+        start=np.array([4.6976241215539634e-05, 9.62903531721935e-05]),
+        termination=TerminationSpec(max_iterations=50),
+        lipschitz=LipschitzState(1.1022417892103668e+234, 3.0680181324916967e-138))
     return table
 
 
@@ -124,6 +141,8 @@ def test_sweep_covers_every_variant_and_every_abnormal_end(written):
         "abnormal/sphere/tiny_lipschitz": "ConditionViolation",
         "abnormal/rosenbrock2/overflowing_start": "EvaluationError",
         "abnormal/dataset/overflowing_exact_norms": "EvaluationError",
+        "abnormal/rosenbrock10/non_finite_trial_point": "ConditionViolation",
+        "abnormal/himmelblau/zero_hat_denominator": "ConditionViolation",
     }
     for case in failures:
         summary = json.loads(files[case][0])
