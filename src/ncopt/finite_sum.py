@@ -4,7 +4,8 @@ A finite-sum problem averages N component objectives; the full f, g, H are
 the exact means over all components.  The stochastic oracle draws
 mini-batches from independent persistent random streams, spawned once from
 the seed, so a rerun with the same seed replays bit for bit regardless of
-solver branch structure.
+solver branch structure.  Each stream is drawn in blocks, and every draw is
+the stream's next per-call `Generator.choice` or `uniform` bit for bit.
 """
 
 from __future__ import annotations
@@ -375,6 +376,56 @@ STREAM_GRADIENT = 0
 STREAM_HESSIAN = 1
 STREAM_OMEGA = 2
 
+# how many draws a stream makes at once, and the bytes a block of batches
+# and its working arrays may take; elsewhere each batch is a `choice` call
+_DRAW_BLOCK = 256
+_DRAW_BLOCK_BYTES = 1 << 21
+
+
+def _draws_batches_in_blocks(n, b):
+    """Whether a stream of batches of b out of n rows is drawn in blocks:
+    where _DRAW_BLOCK batches' raw draws (8 bytes each, held about three
+    times over) and taken table (n bytes per batch) fit within
+    _DRAW_BLOCK_BYTES.  Past that size a block's 2b - 1 passes over its
+    batches cost about what b per-call draws do.  The cap keeps n below
+    8192, where numpy's choice always runs Floyd's algorithm; it shuffles
+    the tail of arange(n) instead only where n > 10000 and b > n // 50."""
+    return _DRAW_BLOCK * (48 * b + n) <= _DRAW_BLOCK_BYTES
+
+
+def _choice_block(rng, n, b):
+    """The next _DRAW_BLOCK draws of `rng.choice(n, size=b, replace=False)`
+    as the rows of an array, bit for bit, where choice runs Floyd's
+    algorithm (Bentley & Floyd, CACM 30(9), 1987) and then a Fisher-Yates
+    shuffle.
+
+    Each such draw makes 2b - 1 bounded draws whose bounds do not depend
+    on earlier outcomes: Floyd's t_p on [0, n-b+p] for p = 0 .. b-1, then
+    the shuffle's partner of position i on [0, i] for i = b-1 .. 1.  One
+    `integers` call makes all of them for the block, in that order.  Floyd
+    keeps t_p unless its batch has taken it already, and then takes n-b+p,
+    which no earlier position can hold; a table of the values each batch
+    has taken resolves position p of every batch at once, and the swaps of
+    position i are made in every batch at once.
+    """
+    k = _DRAW_BLOCK
+    bounds = np.concatenate([np.arange(n - b, n), np.arange(b - 1, 0, -1)])
+    raw = rng.integers(0, np.tile(bounds, k), endpoint=True)
+    # row p holds position p of every batch
+    raw = raw.reshape(k, 2 * b - 1).T.copy()
+    batches = raw[:b]
+    cells = np.arange(k) * n
+    taken = np.zeros(k * n, dtype=bool)
+    for p, t in enumerate(batches):
+        t[taken[cells + t]] = n - b + p
+        taken[cells + t] = True
+    flat = batches.reshape(-1)
+    for i, partner in zip(range(b - 1, 0, -1), raw[b:] * k + np.arange(k)):
+        swapped = flat[partner]
+        flat[partner] = batches[i]
+        batches[i] = swapped
+    return np.ascontiguousarray(batches.T)
+
 
 class StochasticOracle:
     """Mini-batch sampler over a finite-sum problem.
@@ -385,6 +436,15 @@ class StochasticOracle:
     continues its own stream.  Replays with the same seed are bitwise
     identical and drawing from one stream never perturbs another.  An
     oracle instance is single-consumer; give each solver run its own.
+
+    Each stream is drawn in blocks of _DRAW_BLOCK draws, one block when
+    the draws before it are used up, and every draw equals that
+    generator's next per-call `choice(N, size=b, replace=False)` or
+    `uniform(-1.0, 1.0)` bit for bit.  A block of batches comes from one
+    `integers` call (`_choice_block`).  Each batch is a `choice` call of
+    its own where a block would pass _DRAW_BLOCK_BYTES, which covers every
+    (N, b) at which numpy's choice shuffles the tail of arange(N) instead
+    of running Floyd's algorithm (`_draws_batches_in_blocks`).
     """
 
     def __init__(self, problem, batch_size, seed):
@@ -400,25 +460,38 @@ class StochasticOracle:
         self._generators = [np.random.default_rng(sequence) for sequence
                             in np.random.SeedSequence(self.seed).spawn(3)]
         self._counts = [0, 0, 0]
+        # each stream's current block and the index of its next draw there
+        self._blocks = [(), (), ()]
+        self._positions = [0, 0, 0]
 
     def draw_count(self, stream):
-        """How many draws the given stream has produced so far."""
+        """How many draws the given stream has handed out so far."""
         return self._counts[stream]
 
-    def _next_generator(self, stream):
-        self._counts[stream] += 1
-        return self._generators[stream]
+    def _draw_block(self, stream):
+        rng = self._generators[stream]
+        if stream == STREAM_OMEGA:
+            return rng.uniform(-1.0, 1.0, size=_DRAW_BLOCK)
+        n, b = self.problem.component_count, self.batch_size
+        if _draws_batches_in_blocks(n, b):
+            return _choice_block(rng, n, b)
+        return (rng.choice(n, size=b, replace=False),)
 
-    def _draw_batch(self, stream):
-        return self._next_generator(stream).choice(
-            self.problem.component_count, size=self.batch_size, replace=False)
+    def _next_draw(self, stream):
+        self._counts[stream] += 1
+        block, k = self._blocks[stream], self._positions[stream]
+        if k == len(block):
+            block, k = self._draw_block(stream), 0
+            self._blocks[stream] = block
+        self._positions[stream] = k + 1
+        return block[k]
 
     def next_gradient_batch(self):
-        return self._draw_batch(STREAM_GRADIENT)
+        return self._next_draw(STREAM_GRADIENT)
 
     def next_hessian_batch(self):
-        return self._draw_batch(STREAM_HESSIAN)
+        return self._next_draw(STREAM_HESSIAN)
 
     def next_omega(self):
         """Uniform draw on [-1, 1] from the curvature-noise stream."""
-        return float(self._next_generator(STREAM_OMEGA).uniform(-1.0, 1.0))
+        return float(self._next_draw(STREAM_OMEGA))

@@ -211,8 +211,8 @@ class UpperModel:
         """The model's unique positive maximizer: -g'p / (L p'p), or the
         positive root of the cubic model's derivative.  g'p >= 0 along a
         descent step, or a nonpositive root, means a certificate is broken
-        and raises; so does a descent stepsize that under- or overflows to
-        0 or inf."""
+        and raises; so does a stepsize that under- or overflows to 0 or
+        inf."""
         c = getattr(lipschitz, self.estimate)
         if self.kind == "descent":
             if self.gp >= 0.0:
@@ -225,10 +225,11 @@ class UpperModel:
             return alpha
         disc = self.pHp * self.pHp - 2.0 * c * self.norm3 * self.gp
         beta = (-self.pHp + np.sqrt(disc)) / (c * self.norm3)
-        if not beta > 0.0:
+        # nonpositive where a certificate is broken; inf where c*||d||^3
+        # underflowed or the root overflowed
+        if not 0.0 < beta < math.inf:
             raise ConditionViolation(
-                "curvature stepsize %r not positive; certificate broken" % beta
-            )
+                "curvature stepsize %r not positive and finite" % float(beta))
         return beta
 
     def reduction(self, lipschitz, t):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ncopt.deterministic import TRACE_COLUMNS, _partial_report_on_failure
+from ncopt.deterministic import TRACE_COLUMNS, _partial_report_on_failure, _step_point
 from ncopt.finite_sum import FiniteSumProblem, StochasticOracle
 from ncopt.linalg import CgStatus, all_finite, leftmost_eigenpair, norm, truncated_cg
 from ncopt.problems import EvaluationError, finite_gradient, integer_argument
@@ -343,8 +343,9 @@ def dynamic_stochastic_solve(oracle, lipschitz_init=None, iterations=1000,
     predicted increase from the curvature step also resets it.  With
     use_curvature=False the curvature step is suppressed (the descent-only
     twin used as a baseline).  A non-finite value, gradient norm or Hessian
-    entry of an estimate raises EvaluationError; it, and any KernelError or
-    ConditionViolation raised mid-solve, carries the partial report as
+    entry of an estimate raises EvaluationError, and a step to x_hat or to
+    the curvature trial point that overflows ConditionViolation; each, and
+    any KernelError raised mid-solve, carries the partial report as
     `report`.
     """
     lipschitz_init = lipschitz_init or LIPSCHITZ_INIT
@@ -364,7 +365,7 @@ def dynamic_stochastic_solve(oracle, lipschitz_init=None, iterations=1000,
         beta_k = 1.0 / sigma
         s, d = apply_safeguards(s, d, alpha_k, beta_k)
 
-        x_hat = x + alpha_k * s
+        x_hat = _step_point(x, alpha_k, s)
         f_hat = problem.batch_value(x_hat, grad_batch)
         _require_finite(x_hat, f_hat)
         L_next = L * INFLATE_FACTOR if f_hat > f_here else L
@@ -372,7 +373,7 @@ def dynamic_stochastic_solve(oracle, lipschitz_init=None, iterations=1000,
         reverted = False
         curvature_trial = bool(d.any())
         if curvature_trial:
-            x_next = x_hat + beta_k * d
+            x_next = _step_point(x_hat, beta_k, d)
             f_next = problem.batch_value(x_next, grad_batch)
             _require_finite(x_next, f_next)
             if f_next > f_hat:

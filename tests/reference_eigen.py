@@ -65,7 +65,9 @@ def _bisect_eigenvalue(d, e, k):
         radius[1:] += np.abs(e)
     lo = float(np.min(d - radius))
     hi = float(np.max(d + radius))
-    scale = max(abs(lo), abs(hi), 1.0)
+    # relative to the Gershgorin bound, so a matrix of small norm gets
+    # eigenvalues as accurate as one of norm 1
+    scale = max(abs(lo), abs(hi))
     for _ in range(128):
         mid = 0.5 * (lo + hi)
         if _count_eigs_below(d, e, mid) >= k + 1:

@@ -347,7 +347,7 @@ class TestRun:
             "-0.9712460025646823,0.3976264318258358,-0.38979768974654716,"
             "1.7795973192915269",
             "3.186408192932628e+160", "1.2654246362055915e+296",
-            "non-finite coordinates"),
+            "curvature stepsize inf"),
         "himmelblau": (
             "4.6976241215539634e-05,9.62903531721935e-05",
             "1.1022417892103668e+234", "3.0680181324916967e-138",

@@ -380,6 +380,13 @@ def _saddle_quadratic():
                             default_start=np.array([1.0, 1.0]))
 
 
+def _assert_ended_at_the_first_iterate(partial):
+    assert partial.termination_reason is None
+    assert len(partial.records) == partial.total_iterations == 1
+    assert partial.records[0].step_taken == "none"
+    assert np.isfinite(partial.records[0].x).all()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered",
                             "ignore:invalid value encountered")
 @pytest.mark.parametrize("solve", [
@@ -387,24 +394,29 @@ def _saddle_quadratic():
     lambda: two_step_solve(sphere(2), alpha=1e308, beta=1.0, x0=[3.0, 3.0]),
     # x + 1e308 * d with ||d|| = 4: the point the curvature step reaches
     lambda: two_step_solve(_saddle_quadratic(), alpha=0.1, beta=1e308),
-    # a fuzzed start whose first curvature stepsize is inf: the trial point
-    lambda: dynamic_solve(
-        make_problem("rosenbrock10"), strategy="modified_newton",
-        lipschitz_init=LipschitzState(3.186408192932628e+160,
-                                      1.2654246362055915e+296),
-        termination=TerminationSpec(max_iterations=50),
-        x0=FUZZ_ROSENBROCK10_START),
-], ids=["two_step_next_iterate", "two_step_curvature_point", "dynamic_trial"])
+], ids=["two_step_next_iterate", "two_step_curvature_point"])
 def test_non_finite_point_the_solver_makes_ends_typed(solve):
     # a point the caller passes in is ObjectiveProblem's ValueError; one the
     # solver computes is a solver failure with the partial report
     with pytest.raises(ConditionViolation, match="non-finite coordinates") as info:
         solve()
-    partial = info.value.report
-    assert partial.termination_reason is None
-    assert len(partial.records) == partial.total_iterations == 1
-    assert partial.records[0].step_taken == "none"
-    assert np.isfinite(partial.records[0].x).all()
+    _assert_ended_at_the_first_iterate(info.value.report)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+def test_infinite_curvature_stepsize_ends_typed():
+    # a fuzzed start whose first curvature stepsize is inf: the solve ends
+    # there, before it makes a trial point, with the partial report
+    with pytest.raises(ConditionViolation,
+                       match="curvature stepsize inf not positive and finite") as info:
+        dynamic_solve(
+            make_problem("rosenbrock10"), strategy="modified_newton",
+            lipschitz_init=LipschitzState(3.186408192932628e+160,
+                                          1.2654246362055915e+296),
+            termination=TerminationSpec(max_iterations=50),
+            x0=FUZZ_ROSENBROCK10_START)
+    _assert_ended_at_the_first_iterate(info.value.report)
 
 
 def test_non_finite_start_stays_a_value_error():

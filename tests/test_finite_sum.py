@@ -14,11 +14,13 @@ from ncopt.finite_sum import (
     STREAM_GRADIENT,
     STREAM_HESSIAN,
     STREAM_OMEGA,
+    _DRAW_BLOCK,
     DatasetParseError,
     DatasetSchemaError,
     LinearLeastSquaresProblem,
     StochasticOracle,
     TwoLayerNetProblem,
+    _draws_batches_in_blocks,
     _mean,
     load_dataset,
     random_quadratic_finite_sum,
@@ -321,28 +323,53 @@ class TestStochasticOracle:
         assert (a.batch_size, a.seed) == (2, 3)
         np.testing.assert_array_equal(a.next_gradient_batch(), b.next_gradient_batch())
 
-    @pytest.mark.parametrize("seed", [0, 5, 2017])
-    def test_streams_are_generators_spawned_from_the_seed(self, tiny_quadratic, seed):
+    @staticmethod
+    def assert_draws_are_per_call_draws(oracle, counts):
         # stream j is default_rng(SeedSequence(seed).spawn(3)[j]); its k-th
-        # draw is that generator's k-th call, whatever the other streams do
-        oracle = StochasticOracle(tiny_quadratic, batch_size=2, seed=seed)
+        # draw equals that generator's k-th per-call choice or uniform,
+        # whatever the other streams do, however the draws come in blocks
+        n = oracle.problem.component_count
         reference = [np.random.default_rng(s)
-                     for s in np.random.SeedSequence(seed).spawn(3)]
+                     for s in np.random.SeedSequence(oracle.seed).spawn(3)]
         draws = {STREAM_GRADIENT: oracle.next_gradient_batch,
                  STREAM_HESSIAN: oracle.next_hessian_batch,
                  STREAM_OMEGA: oracle.next_omega}
-        order = np.repeat([STREAM_GRADIENT, STREAM_HESSIAN, STREAM_OMEGA], [7, 3, 5])
-        np.random.default_rng(seed).shuffle(order)
-        counts = [0, 0, 0]
+        order = np.repeat([STREAM_GRADIENT, STREAM_HESSIAN, STREAM_OMEGA], counts)
+        np.random.default_rng(oracle.seed).shuffle(order)
+        drawn = [0, 0, 0]
         for stream in order:
             if stream == STREAM_OMEGA:
                 assert draws[stream]() == float(reference[stream].uniform(-1.0, 1.0))
             else:
                 np.testing.assert_array_equal(
-                    draws[stream](), reference[stream].choice(4, size=2, replace=False))
-            counts[stream] += 1
-            assert [oracle.draw_count(s) for s in draws] == counts
-        assert counts == [7, 3, 5]
+                    draws[stream](),
+                    reference[stream].choice(n, size=oracle.batch_size,
+                                             replace=False))
+            drawn[stream] += 1
+            assert [oracle.draw_count(s) for s in draws] == drawn
+        assert drawn == list(counts)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2017])
+    def test_streams_are_generators_spawned_from_the_seed(self, tiny_quadratic, seed):
+        oracle = StochasticOracle(tiny_quadratic, batch_size=2, seed=seed)
+        self.assert_draws_are_per_call_draws(oracle, [7, 3, 5])
+
+    # (N, b, drawn in blocks): a block of 256 batches fits within the byte
+    # cap at (8000, 4), not at (8001, 4) or past it; numpy's choice runs
+    # Floyd's algorithm up to (10000, 200) and shuffles the tail of
+    # arange(N) at (10001, 201)
+    @pytest.mark.parametrize("n, b, blocks", [
+        (4, 2, True), (20, 2, True), (40, 40, True), (500, 32, True),
+        (8000, 4, True), (8001, 4, False), (10000, 200, False),
+        (10001, 201, False),
+    ])
+    def test_every_draw_is_the_per_call_draw(self, n, b, blocks):
+        assert _draws_batches_in_blocks(n, b) == blocks
+        problem = LinearLeastSquaresProblem(np.ones((n, 1)), np.zeros(n))
+        oracle = StochasticOracle(problem, batch_size=b, seed=11)
+        # interleaved, and each stream past two block boundaries
+        self.assert_draws_are_per_call_draws(
+            oracle, [2 * _DRAW_BLOCK + 3, 2 * _DRAW_BLOCK + 1, 2 * _DRAW_BLOCK + 2])
 
     @pytest.mark.parametrize("stream", ["next_gradient_batch", "next_hessian_batch"])
     def test_batches_are_uniform_row_pairs(self, tiny_quadratic, stream):

@@ -283,6 +283,21 @@ def _shift_bisection_oracle(H, cap, hi=1e6, iters=200):
     return hi
 
 
+@st.composite
+def shift_cases(draw):
+    """(H, rhs): H = Q diag(w) Q' for a random orthogonal Q, with each
+    eigenvalue 0 or +-10^e for e in [-3, 3], and a right-hand side."""
+    n = draw(st.integers(1, 10))
+    w = draw(st.lists(st.one_of(
+        st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+                  st.floats(-3.0, 3.0)),
+        st.just(0.0)), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    Q = _orthogonal(rng, n)
+    H = (Q * np.array(w)) @ Q.T
+    return 0.5 * (H + H.T), rng.normal(size=n)
+
+
 class TestModifiedNewtonShift:
     def test_already_well_conditioned(self):
         H = np.diag([1.0, 2.0])
@@ -320,6 +335,29 @@ class TestModifiedNewtonShift:
                 assert hmin <= 0.0 or hmax > cap * hmin
             rhs = rng.normal(size=n)
             np.testing.assert_allclose(B @ solve(rhs), rhs, atol=1e-8 * max(1.0, np.abs(rhs).max()))
+
+    @given(shift_cases())
+    def test_drawn_matrices_satisfy_both_conditions(self, case):
+        # the test above over drawn spectra: either sign over six decades,
+        # with exact zeros, so H may be indefinite, singular or already
+        # well conditioned
+        H, rhs = case
+        n, cap = len(H), 1e8
+        delta, solve = modified_newton_shift(leftmost_eigenpair(H))
+        B = H + delta * np.eye(n)
+        lmin, lmax = reference_extreme_eigenvalues(B)
+        assert lmin > 0.0
+        assert lmax <= cap * lmin
+        if delta > 1e-8:
+            hmin, hmax = reference_extreme_eigenvalues(H + 0.5 * delta * np.eye(n))
+            assert hmin <= 0.0 or hmax > cap * hmin
+        # a backward-stable solve: the residual is the rounding of H x,
+        # delta x and rhs, which the shift of an indefinite H cancels; the
+        # largest row sum of |H| bounds its norm
+        x = solve(rhs)
+        scale = np.abs(H).sum(axis=1).max() + delta
+        assert norm(B @ x - rhs) <= 8 * n * np.finfo(float).eps * (
+            scale * norm(x) + norm(rhs))
 
 
 def test_kernel_error_type_exists():

@@ -355,6 +355,14 @@ class TestOptimalStepsizes:
                            match="descent stepsize %s not positive" % alpha):
             model.stepsize(state_at(L=L))
 
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered")
+    def test_curvature_stepsize_that_overflows_raises(self):
+        # ||d||^3 = 1e-330 underflows to 0, so the root divides by 0
+        model = cubic([0.0, 0.0], [1e-110, 0.0], np.diag([-1.0, 1.0]))
+        with pytest.raises(ConditionViolation,
+                           match="curvature stepsize inf not positive and finite"):
+            model.stepsize(state_at(sigma=1.0))
+
     def test_maximizers_beat_grid_search(self):
         rng = np.random.default_rng(21)
         for _ in range(100):

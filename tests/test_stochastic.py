@@ -392,6 +392,18 @@ class TestDynamicStochastic:
             assert record.cg_status.value == expected["cg_status"]
             assert str(record.reverted_curvature_step) == expected["reverted"]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    def test_step_that_overflows_ends_typed(self, noisy_quadratic):
+        # x_hat = x + s/L overflows at L = 1e-308; it is a step that failed,
+        # not a bad sample, as in the deterministic solvers
+        oracle = StochasticOracle(noisy_quadratic, batch_size=2, seed=3)
+        with pytest.raises(ConditionViolation,
+                           match="non-finite coordinates at t=1e[+]308") as info:
+            dynamic_stochastic_solve(oracle, LipschitzState(1e-308, 1e-308),
+                                     iterations=5)
+        assert info.value.report.records == []
+
     def test_cg_first_iteration_case_uses_negative_gradient(self):
         # an indefinite sampled Hessian with p0'Hp0 <= 0 must fall back to -g
         p = random_quadratic_finite_sum(n=4, components=4, seed=5,

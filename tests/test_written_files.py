@@ -70,8 +70,9 @@ def configs(data_dir):
     table["abnormal/dataset/overflowing_exact_norms"] = ExperimentConfig(
         dataset=data, variant="stoch_two_step", seed=1, batch_size=2,
         iterations=1, alpha=0.01)
-    # two fuzzed dynamic_mn runs: an infinite curvature stepsize makes a
-    # non-finite trial point; a hat denominator underflows to 0
+    # two fuzzed dynamic_mn runs: the first curvature stepsize is inf, which
+    # ends the solve before it makes a trial point; a hat denominator
+    # underflows to 0
     table["abnormal/rosenbrock10/non_finite_trial_point"] = ExperimentConfig(
         problem="rosenbrock10", variant="dynamic_mn",
         start=np.array(FUZZ_ROSENBROCK10_START),
