@@ -14,6 +14,7 @@ import contextlib
 import enum
 import functools
 import itertools
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -278,13 +279,14 @@ def two_step_solve(problem, alpha=None, beta=None, termination=None, x0=None):
     The caller supplies the stepsizes; they are admissible when
     alpha < 2/L and beta < 3/sigma for the problem's true curvature
     constants, which is only verifiable on problems with documented
-    constants.  Returns the current iterate as soon as the curvature
-    direction and the gradient vanish.  An EvaluationError, KernelError or
-    ConditionViolation raised mid-solve carries the partial report as
-    `report`.
+    constants, and must be positive and finite.  Returns the current
+    iterate as soon as the curvature direction and the gradient vanish.
+    An EvaluationError, KernelError or ConditionViolation raised mid-solve
+    carries the partial report as `report`.
     """
-    if alpha is None or beta is None or alpha <= 0.0 or beta <= 0.0:
-        raise ValueError("two_step_solve needs positive fixed stepsizes")
+    # written so that NaN fails it
+    if not all(t is not None and 0.0 < t < math.inf for t in (alpha, beta)):
+        raise ValueError("two_step_solve needs positive, finite fixed stepsizes")
 
     def step(k, x, f, g, gnorm, eig, d):
         has_d = bool(d.any())

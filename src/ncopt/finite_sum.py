@@ -2,10 +2,8 @@
 
 A finite-sum problem averages N component objectives; the full f, g, H are
 the exact means over all components.  The stochastic oracle draws
-mini-batches from independent persistent random streams, spawned once from
-the seed, so a rerun with the same seed replays bit for bit regardless of
-solver branch structure.  Each stream is drawn in blocks, and every draw is
-the stream's next per-call `Generator.choice` or `uniform` bit for bit.
+mini-batches and curvature noise from three seeded streams, so a rerun with
+the same seed replays bit for bit regardless of solver branch structure.
 """
 
 from __future__ import annotations
@@ -372,10 +370,6 @@ def load_dataset(path, has_header=False, model="linear", hidden_units=8):
     raise ValueError("unknown dataset model %r" % model)
 
 
-STREAM_GRADIENT = 0
-STREAM_HESSIAN = 1
-STREAM_OMEGA = 2
-
 # how many draws a stream makes at once, and the bytes a block of batches
 # and its working arrays may take; elsewhere each batch is a `choice` call
 _DRAW_BLOCK = 256
@@ -427,71 +421,59 @@ def _choice_block(rng, n, b):
     return np.ascontiguousarray(batches.T)
 
 
+def _batch_draws(rng, n, b):
+    """The stream of batches of b out of n rows from `rng`: the rows of
+    successive `_choice_block` blocks, or one `choice` call per batch where
+    a block would not fit (`_draws_batches_in_blocks`)."""
+    if _draws_batches_in_blocks(n, b):
+        while True:
+            yield from _choice_block(rng, n, b)
+    while True:
+        yield rng.choice(n, size=b, replace=False)
+
+
+def _omega_draws(rng):
+    """The stream of `rng.uniform(-1.0, 1.0)` draws as Python floats,
+    _DRAW_BLOCK to one `uniform` call."""
+    while True:
+        yield from rng.uniform(-1.0, 1.0, size=_DRAW_BLOCK).tolist()
+
+
 class StochasticOracle:
     """Mini-batch sampler over a finite-sum problem.
 
-    Three independent seeded streams (gradient, Hessian, curvature noise)
-    are persistent generators, one per stream, built once from
-    `np.random.SeedSequence(seed).spawn(3)` in that order; each draw
-    continues its own stream.  Replays with the same seed are bitwise
-    identical and drawing from one stream never perturbs another.  An
-    oracle instance is single-consumer; give each solver run its own.
-
-    Each stream is drawn in blocks of _DRAW_BLOCK draws, one block when
-    the draws before it are used up, and every draw equals that
-    generator's next per-call `choice(N, size=b, replace=False)` or
-    `uniform(-1.0, 1.0)` bit for bit.  A block of batches comes from one
-    `integers` call (`_choice_block`).  Each batch is a `choice` call of
-    its own where a block would pass _DRAW_BLOCK_BYTES, which covers every
-    (N, b) at which numpy's choice shuffles the tail of arange(N) instead
-    of running Floyd's algorithm (`_draws_batches_in_blocks`).
+    Three independent seeded streams (gradient batches, Hessian batches,
+    curvature noise omega) draw from the generators
+    `np.random.default_rng(s)` for s in `np.random.SeedSequence(seed).spawn(3)`,
+    in that order.  Each stream is drawn in blocks, and its k-th draw equals
+    its generator's k-th per-call `choice(N, size=b, replace=False)` or
+    `uniform(-1.0, 1.0)` bit for bit, whatever the other streams do; so a
+    replay with the same seed is bitwise identical.  An oracle instance is
+    single-consumer; give each solver run its own.
     """
 
     def __init__(self, problem, batch_size, seed):
         batch_size = integer_argument("batch_size", batch_size, 1)
-        if batch_size > problem.component_count:
-            raise ValueError(
-                "batch_size %d exceeds component count %d"
-                % (batch_size, problem.component_count)
-            )
+        n = problem.component_count
+        if batch_size > n:
+            raise ValueError("batch_size %d exceeds component count %d"
+                             % (batch_size, n))
         self.problem = problem
         self.batch_size = batch_size
         self.seed = integer_argument("seed", seed, 0)
-        self._generators = [np.random.default_rng(sequence) for sequence
-                            in np.random.SeedSequence(self.seed).spawn(3)]
-        self._counts = [0, 0, 0]
-        # each stream's current block and the index of its next draw there
-        self._blocks = [(), (), ()]
-        self._positions = [0, 0, 0]
-
-    def draw_count(self, stream):
-        """How many draws the given stream has handed out so far."""
-        return self._counts[stream]
-
-    def _draw_block(self, stream):
-        rng = self._generators[stream]
-        if stream == STREAM_OMEGA:
-            return rng.uniform(-1.0, 1.0, size=_DRAW_BLOCK)
-        n, b = self.problem.component_count, self.batch_size
-        if _draws_batches_in_blocks(n, b):
-            return _choice_block(rng, n, b)
-        return (rng.choice(n, size=b, replace=False),)
-
-    def _next_draw(self, stream):
-        self._counts[stream] += 1
-        block, k = self._blocks[stream], self._positions[stream]
-        if k == len(block):
-            block, k = self._draw_block(stream), 0
-            self._blocks[stream] = block
-        self._positions[stream] = k + 1
-        return block[k]
+        gradient, hessian, omega = (
+            np.random.default_rng(sequence)
+            for sequence in np.random.SeedSequence(self.seed).spawn(3))
+        self._gradient_batches = _batch_draws(gradient, n, batch_size)
+        self._hessian_batches = _batch_draws(hessian, n, batch_size)
+        self._omegas = _omega_draws(omega)
 
     def next_gradient_batch(self):
-        return self._next_draw(STREAM_GRADIENT)
+        return next(self._gradient_batches)
 
     def next_hessian_batch(self):
-        return self._next_draw(STREAM_HESSIAN)
+        return next(self._hessian_batches)
 
     def next_omega(self):
         """Uniform draw on [-1, 1] from the curvature-noise stream."""
-        return float(self._next_draw(STREAM_OMEGA))
+        return next(self._omegas)

@@ -180,7 +180,7 @@ class UpperModel:
     m(t) = -t g'p - t^2/2 p'Hp - sigma/6 t^3 ||p||^3.  The scalars are
     computed once per iterate; the stepsize, the reduction and the hat
     constant read them and the model's `estimate` in a LipschitzState.  A
-    power that overflows a Python float, or a hat denominator that
+    reduction that is not finite, a hat denominator that overflows or
     underflows to 0, raises ConditionViolation.
     """
 
@@ -217,7 +217,8 @@ class UpperModel:
         if self.kind == "descent":
             if self.gp >= 0.0:
                 raise ConditionViolation("g's must be negative for a descent step")
-            alpha = -self.gp / (c * self.pp)
+            denominator = c * self.pp
+            alpha = -self.gp / denominator if denominator else math.inf
             # 0 or inf only where p'p or c*p'p under- or overflowed
             if not 0.0 < alpha < math.inf:
                 raise ConditionViolation("descent stepsize %r not positive and finite"
@@ -237,11 +238,17 @@ class UpperModel:
         c = getattr(lipschitz, self.estimate)
         try:
             if self.kind == "descent":
-                return float(-t * self.gp - 0.5 * c * t ** 2 * self.pp)
-            return float(-t * self.gp - 0.5 * t ** 2 * self.pHp
-                         - (c / 6.0) * t ** 3 * self.norm3)
+                m = float(-t * self.gp - 0.5 * c * t ** 2 * self.pp)
+            else:
+                m = float(-t * self.gp - 0.5 * t ** 2 * self.pHp
+                          - (c / 6.0) * t ** 3 * self.norm3)
         except OverflowError:
-            raise ConditionViolation("model reduction overflows at t=%r" % t) from None
+            m = math.inf
+        # a np.float64 stepsize (the curvature root) overflows to inf or
+        # NaN where a Python float raises
+        if not math.isfinite(m):
+            raise ConditionViolation("model reduction overflows at t=%r" % float(t))
+        return m
 
     def hat(self, lipschitz, t, reduction, f_trial, f_current):
         """The constant that makes the model's reduction at stepsize t match
@@ -256,7 +263,9 @@ class UpperModel:
             else:
                 factor, denominator = 6.0, t ** 3 * self.norm3
         except OverflowError:
-            raise ConditionViolation("hat constant overflows at t=%r" % t) from None
+            denominator = math.inf
+        if denominator == math.inf:
+            raise ConditionViolation("hat constant overflows at t=%r" % float(t))
         if denominator == 0.0:
             raise ConditionViolation("hat constant's denominator underflows to 0 "
                                      "at t=%r" % float(t))

@@ -21,7 +21,6 @@ from ncopt.linalg import CgStatus, all_finite, leftmost_eigenpair, norm, truncat
 from ncopt.problems import EvaluationError, finite_gradient, integer_argument
 from ncopt.steps import (
     ZERO_CURVATURE_TOL,
-    ConditionViolation,
     LipschitzState,
     certify_curvature_direction,
 )
@@ -263,10 +262,8 @@ def curvature_noise_step(x, oracle, alpha):
         d = snorm * eig.leftmost_vector
         certify_curvature_direction(d, eig, None, check_norm_cap=False)
 
-    x_next = x + alpha * s + alpha * omega * d
-    if not all_finite(x_next):
-        raise ConditionViolation("next iterate has non-finite coordinates at "
-                                 "alpha=%r" % alpha)
+    # x + alpha*s + alpha*omega*d, in the same operations and order
+    x_next = _step_point(_step_point(x, alpha, s), alpha * omega, d)
     record = StochasticIterationRecord(
         index=1, x=x.copy(), alpha=alpha, beta=alpha,
         s_norm=snorm, d_norm=norm(d), omega=omega,

@@ -351,7 +351,7 @@ class TestRun:
         "himmelblau": (
             "4.6976241215539634e-05,9.62903531721935e-05",
             "1.1022417892103668e+234", "3.0680181324916967e-138",
-            "underflows to 0"),
+            "model reduction overflows"),
     }
 
     @pytest.mark.parametrize("problem", sorted(FUZZ_CASES))

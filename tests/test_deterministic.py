@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 
 import numpy as np
@@ -125,6 +126,19 @@ class TestTwoStep:
     def test_requires_stepsizes(self):
         with pytest.raises(ValueError):
             two_step_solve(sphere(1), alpha=None, beta=1.0)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, 0.5), (math.inf, 0.5), (0.5, math.nan), (0.5, math.inf),
+        (0.0, 0.5), (0.5, -1.0),
+    ])
+    def test_rejects_a_stepsize_that_is_not_positive_and_finite(self, alpha, beta):
+        # NaN and inf used to pass and end at the first step as a
+        # non-finite step point, after evaluating f, g and H
+        problem = quartic_saddle()
+        with pytest.raises(ValueError, match="positive, finite fixed stepsizes"):
+            two_step_solve(problem, alpha=alpha, beta=beta)
+        assert (problem.evaluation_count, problem.gradient_count,
+                problem.hessian_count) == (0, 0, 0)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("run", sorted(GOLDEN_TWO_STEP_RUNS))
@@ -343,26 +357,40 @@ def test_evaluation_failure_carries_partial_report(solve):
     assert len(partial.records) == partial.total_iterations == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("case", ["tiny_curvature", "tiny_initial_L",
-                                  "small_initial_L"])
+def _quadratic(name, H, b):
+    """f(x) = 0.5 x'Hx + b'x."""
+    return ObjectiveProblem(name, len(b), lambda x: 0.5 * x @ H @ x + b @ x,
+                            lambda x: H @ x + b, lambda x: H)
+
+
+# case -> (solve, message).  tiny_curvature: the modified-Newton step
+# -1e300*g is certified, but ||s||^2 overflows and its stepsize is 0;
+# tiny_initial_L: L*||s||^2 underflows and the stepsize is inf;
+# small_initial_L: the stepsize 1e200 is finite, but its square in the
+# model reduction overflows a Python float; tiny_initial_sigma: the
+# curvature stepsize 2e300 is a np.float64, whose cube overflows the model
+# reduction to NaN (it used to end as "objective evaluated to -inf")
+STEPSIZE_OVERFLOWS = {
+    "tiny_curvature": (lambda: dynamic_solve(
+        _quadratic("tiny", np.diag([1e-300, 1e-300]), np.ones(2)),
+        strategy="modified_newton"), "descent stepsize"),
+    "tiny_initial_L": (lambda: dynamic_solve(
+        sphere(2), lipschitz_init=LipschitzState(L_current=1e-320)),
+        "descent stepsize"),
+    "small_initial_L": (lambda: dynamic_solve(
+        sphere(2), lipschitz_init=LipschitzState(L_current=1e-200)),
+        "model reduction overflows"),
+    "tiny_initial_sigma": (lambda: dynamic_solve(
+        _quadratic("saddle", np.diag([-1.0, 1.0]), np.array([1.0, 0.0])),
+        lipschitz_init=LipschitzState(1.0, 1e-300)), "model reduction overflows"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+@pytest.mark.parametrize("case", list(STEPSIZE_OVERFLOWS))
 def test_stepsize_overflow_ends_typed_with_partial_report(case):
-    # tiny_curvature: the modified-Newton step -1e300*g is certified, but
-    # ||s||^2 overflows and its stepsize is 0; tiny_initial_L: L*||s||^2
-    # underflows and the stepsize is inf; small_initial_L: the stepsize
-    # 1e200 is finite, but its square in the model reduction overflows a
-    # Python float
-    if case == "tiny_curvature":
-        H, b = np.diag([1e-300, 1e-300]), np.ones(2)
-        problem = ObjectiveProblem("tiny", 2, lambda x: 0.5 * x @ H @ x + b @ x,
-                                   lambda x: H @ x + b, lambda x: H)
-        solve = lambda: dynamic_solve(problem, strategy="modified_newton")
-    else:
-        L = 1e-320 if case == "tiny_initial_L" else 1e-200
-        solve = lambda: dynamic_solve(
-            sphere(2), lipschitz_init=LipschitzState(L_current=L))
-    message = ("model reduction overflows" if case == "small_initial_L"
-               else "descent stepsize")
+    solve, message = STEPSIZE_OVERFLOWS[case]
     with pytest.raises(ConditionViolation, match=message) as info:
         solve()
     # the iterate the step failed at is recorded, with f evaluated there

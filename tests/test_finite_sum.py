@@ -11,9 +11,6 @@ from hypothesis.extra import numpy as hnp
 
 from ncopt import deterministic, steps
 from ncopt.finite_sum import (
-    STREAM_GRADIENT,
-    STREAM_HESSIAN,
-    STREAM_OMEGA,
     _DRAW_BLOCK,
     DatasetParseError,
     DatasetSchemaError,
@@ -328,26 +325,32 @@ class TestStochasticOracle:
         # stream j is default_rng(SeedSequence(seed).spawn(3)[j]); its k-th
         # draw equals that generator's k-th per-call choice or uniform,
         # whatever the other streams do, however the draws come in blocks
-        n = oracle.problem.component_count
-        reference = [np.random.default_rng(s)
-                     for s in np.random.SeedSequence(oracle.seed).spawn(3)]
-        draws = {STREAM_GRADIENT: oracle.next_gradient_batch,
-                 STREAM_HESSIAN: oracle.next_hessian_batch,
-                 STREAM_OMEGA: oracle.next_omega}
-        order = np.repeat([STREAM_GRADIENT, STREAM_HESSIAN, STREAM_OMEGA], counts)
+        n, b = oracle.problem.component_count, oracle.batch_size
+        gradient, hessian, omega = (
+            np.random.default_rng(s)
+            for s in np.random.SeedSequence(oracle.seed).spawn(3))
+        streams = [
+            (oracle.next_gradient_batch,
+             lambda: gradient.choice(n, size=b, replace=False)),
+            (oracle.next_hessian_batch,
+             lambda: hessian.choice(n, size=b, replace=False)),
+            (oracle.next_omega, lambda: float(omega.uniform(-1.0, 1.0))),
+        ]
+
+        def assert_next_draws_agree(stream):
+            draw, reference = streams[stream]
+            drawn, expected = draw(), reference()
+            assert type(drawn) is type(expected)
+            np.testing.assert_array_equal(drawn, expected)
+
+        order = np.repeat([0, 1, 2], counts)
         np.random.default_rng(oracle.seed).shuffle(order)
-        drawn = [0, 0, 0]
         for stream in order:
-            if stream == STREAM_OMEGA:
-                assert draws[stream]() == float(reference[stream].uniform(-1.0, 1.0))
-            else:
-                np.testing.assert_array_equal(
-                    draws[stream](),
-                    reference[stream].choice(n, size=oracle.batch_size,
-                                             replace=False))
-            drawn[stream] += 1
-            assert [oracle.draw_count(s) for s in draws] == drawn
-        assert drawn == list(counts)
+            assert_next_draws_agree(stream)
+        # every stream has handed out exactly its own draws: each next draw
+        # is still its reference's next one
+        for stream in range(3):
+            assert_next_draws_agree(stream)
 
     @pytest.mark.parametrize("seed", [0, 5, 2017])
     def test_streams_are_generators_spawned_from_the_seed(self, tiny_quadratic, seed):

@@ -302,6 +302,19 @@ class TestUpperModelReduction:
         with pytest.raises(ConditionViolation, match="model reduction overflows"):
             model.reduction(state_at(L=1e-200), 1e200)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    def test_power_that_overflows_a_numpy_float_raises(self):
+        # the curvature stepsize 2e300 is a np.float64, whose cube is inf
+        # with a warning, and the reduction was inf - inf = NaN
+        model = cubic([1.0, 0.0], [-1.0, 0.0], np.diag([-1.0, 1.0]))
+        state = state_at(L=1.0, sigma=1e-300)
+        beta = model.stepsize(state)
+        assert type(beta) is np.float64
+        with pytest.raises(ConditionViolation,
+                           match="model reduction overflows at t=1.9999999999999998e\\+300$"):
+            model.reduction(state, beta)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_cubed_direction_norm_that_overflows_raises(self):
         # ||d||^3 is a Python float's power too
@@ -348,6 +361,7 @@ class TestOptimalStepsizes:
     @pytest.mark.parametrize("s, L, alpha", [
         ([-1e300, -1e300], 1.0, "0.0"),     # p'p overflows to inf
         ([-1.0, 0.0], 1e-320, "inf"),       # L p'p underflows past 1/g'p
+        ([-1e-150, 0.0], 1e-36, "inf"),     # L p'p underflows to 0
     ])
     def test_descent_stepsize_that_over_or_underflows_raises(self, s, L, alpha):
         model = quadratic([1.0, 1.0], s)
@@ -472,6 +486,14 @@ class TestUpperModelHat:
         model = quadratic([-1.0, 0.0], [2.0, 0.0])
         with pytest.raises(ConditionViolation, match="hat constant overflows"):
             model.hat(state_at(), 1e200, 0.5, 1.0, 1.5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_power_that_overflows_a_numpy_float_raises(self):
+        # t^3 ||d||^3 is inf, and the hat was the estimate itself
+        model = cubic([1.0, 0.0], [-1.0, 0.0], np.diag([-1.0, 1.0]))
+        with pytest.raises(ConditionViolation,
+                           match="hat constant overflows at t=2e\\+300"):
+            model.hat(state_at(sigma=1e-300), np.float64(2e300), 0.5, 1.0, 1.5)
 
     @pytest.mark.parametrize("model", [
         quadratic([-1.0, 0.0], [2.0, 0.0]),

@@ -7,7 +7,6 @@ import pytest
 
 from ncopt import stochastic
 from ncopt.finite_sum import (
-    STREAM_GRADIENT,
     LinearLeastSquaresProblem,
     StochasticOracle,
     random_quadratic_finite_sum,
@@ -40,6 +39,23 @@ GOLDEN_TWO_STEP_QUAD = os.path.join(os.path.dirname(__file__), "golden",
 def half_x_squared():
     """f(x) = x^2/2 as a two-component finite sum with zero variance."""
     return LinearLeastSquaresProblem(np.array([[1.0], [1.0]]), np.zeros(2))
+
+
+def assert_streams_stand_at(oracle, gradient_draws=0):
+    """The oracle's streams have handed out `gradient_draws` gradient
+    batches and nothing else: each stream's next draw is its reference
+    generator's next per-call draw after that many."""
+    n, b = oracle.problem.component_count, oracle.batch_size
+    gradient, hessian, omega = (
+        np.random.default_rng(s)
+        for s in np.random.SeedSequence(oracle.seed).spawn(3))
+    for _ in range(gradient_draws):
+        gradient.choice(n, size=b, replace=False)
+    np.testing.assert_array_equal(oracle.next_gradient_batch(),
+                                  gradient.choice(n, size=b, replace=False))
+    np.testing.assert_array_equal(oracle.next_hessian_batch(),
+                                  hessian.choice(n, size=b, replace=False))
+    assert oracle.next_omega() == float(omega.uniform(-1.0, 1.0))
 
 
 @pytest.fixture
@@ -119,7 +135,7 @@ class TestCurvatureNoiseStep:
         for alpha in (math.inf, math.nan, 0.0, -1.0):
             with pytest.raises(ValueError, match="positive and finite"):
                 curvature_noise_step(problem.default_start, oracle, alpha)
-        assert [oracle.draw_count(stream) for stream in range(3)] == [0, 0, 0]
+        assert_streams_stand_at(oracle)
 
     def test_replay_with_same_seed_is_identical(self, noisy_quadratic):
         x = noisy_quadratic.default_start
@@ -228,7 +244,7 @@ class TestTwoStepStochastic:
         # alpha * s overflows although alpha and s are finite
         oracle = StochasticOracle(noisy_quadratic, batch_size=2, seed=3)
         with pytest.raises(ConditionViolation,
-                           match="next iterate has non-finite") as info:
+                           match="step to x \\+ t\\*p has non-finite") as info:
             two_step_stochastic_solve(
                 oracle, StochasticStepConfig(alpha_constant=1e308), 1)
         assert info.value.report.records == []
@@ -517,7 +533,7 @@ def test_budget_that_is_not_a_positive_integer_is_rejected(solve, iterations):
     oracle = StochasticOracle(make_problem("quadratic_sum"), batch_size=2, seed=0)
     with pytest.raises(ValueError, match="^iterations must be a positive integer$"):
         solve(oracle, iterations)
-    assert [oracle.draw_count(stream) for stream in range(3)] == [0, 0, 0]
+    assert_streams_stand_at(oracle)
 
 
 class TestMomentMeasurement:
@@ -559,9 +575,8 @@ class TestMomentMeasurement:
             assert moments.M2 == 1.5
             # the probe draws every batch, one by one, from the gradient
             # stream only, and leaves it where the per-draw probe does
-            assert oracle.draw_count(STREAM_GRADIENT) == draws
-            assert [oracle.draw_count(s) for s in range(3)] == \
-                [reference.draw_count(s) for s in range(3)]
+            assert_streams_stand_at(oracle, gradient_draws=draws)
+            assert_streams_stand_at(reference, gradient_draws=draws)
             assert np.array_equal(oracle.next_gradient_batch(),
                                   reference.next_gradient_batch())
 

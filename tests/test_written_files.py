@@ -71,14 +71,14 @@ def configs(data_dir):
         dataset=data, variant="stoch_two_step", seed=1, batch_size=2,
         iterations=1, alpha=0.01)
     # two fuzzed dynamic_mn runs: the first curvature stepsize is inf, which
-    # ends the solve before it makes a trial point; a hat denominator
-    # underflows to 0
+    # ends the solve before it makes a trial point; the first curvature
+    # model's reduction overflows to -inf
     table["abnormal/rosenbrock10/non_finite_trial_point"] = ExperimentConfig(
         problem="rosenbrock10", variant="dynamic_mn",
         start=np.array(FUZZ_ROSENBROCK10_START),
         termination=TerminationSpec(max_iterations=50),
         lipschitz=LipschitzState(3.186408192932628e+160, 1.2654246362055915e+296))
-    table["abnormal/himmelblau/zero_hat_denominator"] = ExperimentConfig(
+    table["abnormal/himmelblau/overflowing_curvature_reduction"] = ExperimentConfig(
         problem="himmelblau", variant="dynamic_mn",
         start=np.array([4.6976241215539634e-05, 9.62903531721935e-05]),
         termination=TerminationSpec(max_iterations=50),
@@ -143,7 +143,7 @@ def test_sweep_covers_every_variant_and_every_abnormal_end(written):
         "abnormal/rosenbrock2/overflowing_start": "EvaluationError",
         "abnormal/dataset/overflowing_exact_norms": "EvaluationError",
         "abnormal/rosenbrock10/non_finite_trial_point": "ConditionViolation",
-        "abnormal/himmelblau/zero_hat_denominator": "ConditionViolation",
+        "abnormal/himmelblau/overflowing_curvature_reduction": "ConditionViolation",
     }
     for case in failures:
         summary = json.loads(files[case][0])
