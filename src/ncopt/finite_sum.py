@@ -34,6 +34,7 @@ class FiniteSumProblem(ObjectiveProblem):
 
     Subclasses implement `batch_value`, `batch_gradient` and
     `batch_hessian`: the mean over the components listed in an index array.
+    `value`, `gradient` and `hessian` pass them `_all_indices`.
     """
 
     def __init__(self, name, dimension, component_count, **metadata):
@@ -41,14 +42,19 @@ class FiniteSumProblem(ObjectiveProblem):
         if self.component_count < 1:
             raise ValueError("component_count must be positive")
         self._all_indices = np.arange(self.component_count)
-        super().__init__(
-            name,
-            dimension,
-            value_fn=lambda x: self.batch_value(x, self._all_indices),
-            gradient_fn=lambda x: self.batch_gradient(x, self._all_indices),
-            hessian_fn=lambda x: self.batch_hessian(x, self._all_indices),
-            **metadata,
-        )
+        # the full-batch hooks are the methods below, not closures over
+        # self, so a problem is in no reference cycle and is freed with its
+        # last reference, without waiting for the garbage collector
+        self._describe(name, dimension, **metadata)
+
+    def _value_fn(self, x):
+        return self.batch_value(x, self._all_indices)
+
+    def _gradient_fn(self, x):
+        return self.batch_gradient(x, self._all_indices)
+
+    def _hessian_fn(self, x):
+        return self.batch_hessian(x, self._all_indices)
 
     def _rows(self, data, indices):
         """The rows of `data` listed in `indices`; the full batch
@@ -64,6 +70,9 @@ class FiniteSumProblem(ObjectiveProblem):
         labels = np.ascontiguousarray(labels, dtype=float)
         if features.ndim != 2 or labels.shape != (features.shape[0],):
             raise ValueError("features must be (N, d) with matching labels")
+        # as load_dataset requires of a file
+        if 0 in features.shape:
+            raise ValueError("features need at least one record and one column")
         self.features = features
         self.labels = labels
 
@@ -90,6 +99,8 @@ class QuadraticFiniteSum(FiniteSumProblem):
 
     def __init__(self, n=10, components=20, seed=1234, spectrum=None,
                  perturbation=2.5, center_scale=2.0, name=None):
+        n = integer_argument("n", n, 1)
+        components = integer_argument("components", components, 1)
         if components % 2 != 0:
             raise ValueError("components must be even (perturbations are paired)")
         rng = np.random.default_rng(seed)
@@ -191,12 +202,22 @@ class TwoLayerNetProblem(FiniteSumProblem):
 
     Parameters pack as [W1 (h*d, row-major), b1 (h), w2 (h), b2].  Component
     i is 0.5 * (net(x_i) - y_i)^2; gradients and Hessians are exact.
+
+    The problem keeps one slot for the last full-batch point, so that f, g
+    and H there share one forward pass.  Its key is the exact bytes of the
+    parameter vector; it holds the rows X, the hidden activations A, the
+    residuals r and a copy of the output weights w2, and the first-order
+    factors P = 1 - A*A and U = P*w2 once a gradient or Hessian first needs
+    them.  Only the full batch (`_all_indices`, which `value`, `gradient`
+    and `hessian` pass) reads and fills it; sampled batches are never
+    cached.  A call at another point replaces the slot, and so does a
+    concurrent one, while each call reads the pass it found or made.
     """
 
     def __init__(self, features, labels, hidden_units=8, name="two_layer_net",
                  start_seed=5):
         self._set_records(features, labels)
-        self.hidden_units = int(hidden_units)
+        self.hidden_units = integer_argument("hidden_units", hidden_units, 1)
         n_records, d = self.features.shape
         h = self.hidden_units
         dim = h * d + 2 * h + 1
@@ -209,6 +230,9 @@ class TwoLayerNetProblem(FiniteSumProblem):
             default_start=rng.normal(scale=0.2, size=dim),
         )
         self._scatter_flat, self._scatter_source = _second_order_layout(h, d)
+        # the sample-contiguous features the full-batch Hessian reads
+        self._features_f = np.asfortranarray(self.features)
+        self._slot = None
 
     def _unpack(self, theta):
         h = self.hidden_units
@@ -226,22 +250,43 @@ class TwoLayerNetProblem(FiniteSumProblem):
         residual = A @ w2 + b2 - self._rows(self.labels, indices)
         return X, A, residual, w2
 
+    def _full_batch(self, theta):
+        """The slot's forward pass, made afresh where it holds another
+        point."""
+        key = theta.tobytes()
+        full = self._slot
+        if full is None or full.key != key:
+            X, A, r, w2 = self._forward(theta, self._all_indices)
+            # w2 is a view of theta, which its owner may change later
+            full = self._slot = _ForwardPass(key, X, A, r, w2.copy())
+        return full
+
+    def _first_order(self, theta, indices):
+        """(X, A, r, w2, P, U) on the batch."""
+        if indices is self._all_indices:
+            full = self._full_batch(theta)
+            return (full.X, full.A, full.r, full.w2, *full.factors())
+        X, A, r, w2 = self._forward(theta, indices)
+        return (X, A, r, w2, *_first_order_factors(A, w2))
+
     def batch_value(self, x, indices):
-        _, _, r, _ = self._forward(x, indices)
+        if indices is self._all_indices:
+            r = self._full_batch(x).r
+        else:
+            _, _, r, _ = self._forward(x, indices)
         return 0.5 * _mean(r * r)
 
     def batch_gradient(self, x, indices):
-        return self._gradient(*self._forward(x, indices))
+        X, A, r, _, _, U = self._first_order(x, indices)
+        return self._gradient(X, A, r, U)
 
     def batch_value_gradient(self, x, indices):
-        X, A, r, w2 = self._forward(x, indices)
-        return 0.5 * _mean(r * r), self._gradient(X, A, r, w2)
+        X, A, r, _, _, U = self._first_order(x, indices)
+        return 0.5 * _mean(r * r), self._gradient(X, A, r, U)
 
     @staticmethod
-    def _gradient(X, A, r, w2):
+    def _gradient(X, A, r, U):
         m = len(r)
-        P = 1.0 - A * A
-        U = P * w2
         RU = r[:, None] * U
         gW1 = RU.T @ X / m
         # the means as np.mean computes them, a sum and one division
@@ -254,18 +299,18 @@ class TwoLayerNetProblem(FiniteSumProblem):
         """Exact mean Hessian over the batch: the Gauss-Newton part J'J/m
         plus the residual-weighted second-order terms, which touch each
         entry of H at most once and are added in one scatter."""
-        X, A, r, w2 = self._forward(x, indices)
+        X, A, r, w2, P, U = self._first_order(x, indices)
         m, d = X.shape
         h = self.hidden_units
-        P = 1.0 - A * A
-        U = P * w2
         D = -2.0 * A * P * w2
 
         # sample-contiguous (Fortran-order) operands make the sum over
         # samples einsum's inner loop instead of a loop d entries long run
         # m*h times; each entry is still the same products summed over the
         # samples in the same order, so the bits do not change
-        Xf, Pf, Uf, Df = (np.asfortranarray(a) for a in (X, P, U, D))
+        Xf = (self._features_f if indices is self._all_indices
+              else np.asfortranarray(X))
+        Pf, Uf, Df = (np.asfortranarray(a) for a in (P, U, D))
         JW1 = np.einsum("mi,mj->mij", Uf, Xf).reshape(m, h * d)
         J = np.concatenate([JW1, U, A, np.ones((m, 1))], axis=1)
         H = J.T @ J / m
@@ -284,6 +329,29 @@ class TwoLayerNetProblem(FiniteSumProblem):
         ]) / m
         H.reshape(-1)[self._scatter_flat] += terms[self._scatter_source]
         return 0.5 * (H + H.T)
+
+
+def _first_order_factors(A, w2):
+    """The two-layer net's P = 1 - A*A and U = P*w2."""
+    P = 1.0 - A * A
+    return P, P * w2
+
+
+class _ForwardPass:
+    """The two-layer net's forward pass over all records at the parameter
+    vector whose bytes are `key`, with its first-order factors (P, U) made
+    on first use."""
+
+    __slots__ = ("key", "X", "A", "r", "w2", "_factors")
+
+    def __init__(self, key, X, A, r, w2):
+        self.key, self.X, self.A, self.r, self.w2 = key, X, A, r, w2
+        self._factors = None
+
+    def factors(self):
+        if self._factors is None:
+            self._factors = _first_order_factors(self.A, self.w2)
+        return self._factors
 
 
 def _second_order_layout(h, d):
@@ -315,6 +383,8 @@ def _second_order_layout(h, d):
 def synthetic_two_layer_net(records=500, feature_dim=4, hidden_units=8, seed=7,
                             noise=0.05, teacher_scale=1.0):
     """Seeded teacher-generated regression data behind a two-layer net."""
+    records = integer_argument("records", records, 1)
+    feature_dim = integer_argument("feature_dim", feature_dim, 1)
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(records, feature_dim))
     teacher_w1 = rng.normal(size=(3, feature_dim))

@@ -51,13 +51,21 @@ class ObjectiveProblem:
     def __init__(self, name, dimension, value_fn, gradient_fn, hessian_fn,
                  lower_bound=None, known_minimizers=None, default_start=None,
                  local_gradient_lipschitz=None):
+        self._value_fn = value_fn
+        self._gradient_fn = gradient_fn
+        self._hessian_fn = hessian_fn
+        self._describe(name, dimension, lower_bound, known_minimizers,
+                       default_start, local_gradient_lipschitz)
+
+    def _describe(self, name, dimension, lower_bound=None, known_minimizers=None,
+                  default_start=None, local_gradient_lipschitz=None):
+        """Set the name, dimension, metadata and counters; a subclass that
+        defines `_value_fn`, `_gradient_fn` and `_hessian_fn` as methods
+        calls this instead of `__init__`."""
         if dimension < 1:
             raise ValueError("dimension must be positive")
         self.name = name
         self.dimension = int(dimension)
-        self._value_fn = value_fn
-        self._gradient_fn = gradient_fn
-        self._hessian_fn = hessian_fn
         self.lower_bound = lower_bound
         self.known_minimizers = (
             None if known_minimizers is None

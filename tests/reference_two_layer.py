@@ -9,14 +9,33 @@ its 3-operand sums and of the Jacobian outer product sample-contiguous
 keeps the same products summed in the same order; it adds each term to
 its entry once, in one scatter.  The two agree bit for bit, and the tests
 assert `np.array_equal` against this loop.
+
+The forward pass is this module's own, from the problem's `features`,
+`labels` and `hidden_units` and the parameter vector, with the library's
+operations in the library's order; it never reads the problem's cached
+full-batch pass, so a stale cache fails the comparison.
 """
 
 import numpy as np
 
 
+def reference_forward(problem, x, indices):
+    """(X, A, r, w2): the batch's rows, hidden activations tanh(X W1' + b1),
+    residuals A w2 + b2 - y and output weights, for parameters packed as
+    [W1 (h*d, row-major), b1 (h), w2 (h), b2]."""
+    h = problem.hidden_units
+    X = problem.features[indices]
+    d = X.shape[1]
+    W1 = x[: h * d].reshape(h, d)
+    b1 = x[h * d: h * d + h]
+    w2 = x[h * d + h: h * d + 2 * h]
+    A = np.tanh(X @ W1.T + b1)
+    return X, A, A @ w2 + x[-1] - problem.labels[indices], w2
+
+
 def reference_batch_hessian(problem, x, indices):
     """Exact mean Hessian of `problem`'s components listed in `indices`."""
-    X, A, r, w2 = problem._forward(x, indices)
+    X, A, r, w2 = reference_forward(problem, x, indices)
     m, d = X.shape
     h = problem.hidden_units
     P = 1.0 - A * A

@@ -3,7 +3,9 @@
 A solver either returns its report, which for a deterministic solve names
 a TerminationReason, or raises a member of SOLVER_FAILURES that carries
 the partial report as `report`.  Anything else fails these tests: an
-untyped exception, or a typed one without its report.  The examples scale
+untyped exception, or a typed one without its report.  Through `ncopt
+run`, the same contract is exit 0, or exit 3 with the partial summary and
+trace written.  The examples scale
 each problem's value, argument and data, its constants and stepsizes over
 hundreds of orders of magnitude, where overflow and underflow are the rule.
 
@@ -13,9 +15,15 @@ For a long run of fresh random examples, select the `fuzz` profile:
         --hypothesis-profile=fuzz
 """
 
+import csv
+import json
+import os
+import tempfile
+
 import numpy as np
 from hypothesis import example, given, strategies as st
 
+from ncopt.cli import main
 from ncopt.deterministic import (
     SOLVER_FAILURES,
     SolverReport,
@@ -154,3 +162,44 @@ def test_dynamic_stochastic_solve_ends_by_the_contract(case, L, sigma,
     assert_ends_by_contract(lambda: dynamic_stochastic_solve(
         oracle, LipschitzState(L, sigma), iterations, start, use_curvature),
         StochasticReport)
+
+
+@st.composite
+def cli_cases(draw):
+    """(problem, variant, start, l_init, sigma_init, cap): a registry
+    problem, a dynamic variant, a start in [-4, 4]^n, the [lipschitz]
+    values and an iteration cap."""
+    name = draw(st.sampled_from(list_problems()))
+    dimension = make_problem(name).dimension
+    return (name, draw(st.sampled_from(["dynamic_sd", "dynamic_mn"])),
+            draw(st.lists(st.floats(-4.0, 4.0), min_size=dimension,
+                          max_size=dimension)),
+            draw(powers(-300, 300)), draw(powers(-300, 300)),
+            draw(st.integers(1, 20)))
+
+
+@given(case=cli_cases())
+def test_cli_run_ends_by_the_contract(case):
+    # exit 0, or exit 3 with an abnormal summary naming a solver failure;
+    # either way the trace has one row per record the summary counts
+    name, variant, start, l_init, sigma_init, cap = case
+    failures = {failure.__name__ for failure in SOLVER_FAILURES}
+    with tempfile.TemporaryDirectory() as out, np.errstate(all="ignore"):
+        config = os.path.join(out, "run.cfg")
+        with open(config, "w") as handle:
+            handle.write(
+                "[experiment]\nproblem = %s\nvariant = %s\nstart = %s\n"
+                "label = run\nout = %s\n[termination]\nmax_iterations = %d\n"
+                "[lipschitz]\nl_init = %r\nsigma_init = %r\n"
+                % (name, variant, ",".join(map(repr, start)), out, cap,
+                   l_init, sigma_init))
+        code = main(["run", "--config", config])
+        with open(os.path.join(out, "run.json")) as handle:
+            summary = json.load(handle)
+        with open(os.path.join(out, "run.csv"), newline="") as handle:
+            rows = list(csv.reader(handle))
+    assert code in (0, 3)
+    assert summary["abnormal"] is (code == 3)
+    if code == 3:
+        assert summary["error"]["type"] in failures
+    assert len(rows) == 1 + summary["total_iterations"]

@@ -1,7 +1,9 @@
+import gc
 import importlib.util
 import itertools
 import os
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from ncopt.finite_sum import (
     synthetic_two_layer_net,
 )
 from ncopt.problems import make_problem
+from ncopt.stochastic import dynamic_stochastic_solve
 from reference_derivatives import central_gradient, central_hessian
 from reference_finite_sum import (
     component_means,
@@ -176,6 +179,193 @@ def test_full_batch_read_in_place_equals_fresh_indices(make):
         assert value == p.evaluate(x) == p.batch_value(x, fresh)
         assert np.array_equal(gradient, p.gradient(x))
         assert np.array_equal(p.hessian(x), p.batch_hessian(x, fresh))
+
+
+def _small_net():
+    return synthetic_two_layer_net(records=40, feature_dim=3, hidden_units=4)
+
+
+def _full_batch_derivatives(p, x, order):
+    """f, g and H of `p` at x, called in `order`, with the full batch's
+    value and gradient from batch_value_gradient."""
+    calls = {"f": p.evaluate, "g": p.gradient, "H": p.hessian}
+    found = {name: calls[name](x) for name in order}
+    found["fg"] = p.batch_value_gradient(x, p._all_indices)
+    return found
+
+
+def _assert_same_bits(found, expected):
+    assert found["f"] == expected["f"]
+    assert np.array_equal(found["g"], expected["g"])
+    assert np.array_equal(found["H"], expected["H"])
+    assert found["fg"][0] == expected["fg"][0]
+    assert np.array_equal(found["fg"][1], expected["fg"][1])
+
+
+class TestTwoLayerFullBatchSlot:
+    """The net's one slot for the last full-batch point never changes a
+    bit: every read equals a fresh problem's, which has no slot yet."""
+
+    def test_points_x_y_x_with_sampled_calls_between_equal_fresh_problems(self):
+        p = _small_net()
+        rng = np.random.default_rng(21)
+        x, y = (rng.normal(scale=0.7, size=p.dimension) for _ in range(2))
+        batch = np.array([5, 0, 17])
+        # each order makes P and U first for the gradient or for the Hessian
+        for point, order in ((x, "fgH"), (y, "Hgf"), (x, "gHf"), (y, "fHg")):
+            sampled = p.batch_hessian(point, batch), p.batch_value_gradient(point, batch)
+            found = _full_batch_derivatives(p, point, order)
+            fresh = _small_net()
+            _assert_same_bits(found, _full_batch_derivatives(fresh, point, "fgH"))
+            assert np.array_equal(sampled[0], fresh.batch_hessian(point, batch))
+            assert sampled[1][0] == fresh.batch_value(point, batch)
+            assert np.array_equal(sampled[1][1], fresh.batch_gradient(point, batch))
+
+    def test_parameters_changed_in_place_are_evaluated_afresh(self):
+        p = _small_net()
+        h, d = p.hidden_units, p.features.shape[1]
+        x = p.default_start.copy()
+        p.evaluate(x)
+        x[0] += 0.25
+        _assert_same_bits(_full_batch_derivatives(p, x, "fgH"),
+                          _full_batch_derivatives(_small_net(), x, "fgH"))
+        # the slot's output weights are its own: a new array with the
+        # slot's bytes reads them after the array it was made from changes
+        y = x.copy()
+        x[h * d + h: h * d + 2 * h] += 1.0
+        _assert_same_bits(_full_batch_derivatives(p, y, "gHf"),
+                          _full_batch_derivatives(_small_net(), y, "fgH"))
+
+    def test_a_fresh_index_of_every_row_skips_the_slot_with_equal_bits(self):
+        p = _small_net()
+        x = p.default_start
+        p.evaluate(x)
+        fresh = np.arange(p.component_count)
+        forwards = []
+        forward = p._forward
+        p._forward = lambda theta, indices: forwards.append(indices) or forward(
+            theta, indices)
+        assert p.batch_value(x, fresh) == p.evaluate(x)
+        assert np.array_equal(p.batch_gradient(x, fresh), p.gradient(x))
+        assert np.array_equal(p.batch_hessian(x, fresh), p.hessian(x))
+        assert [indices is fresh for indices in forwards] == [True] * 3
+
+    @pytest.mark.parametrize("solve", [
+        lambda p: deterministic.dynamic_solve(
+            p, termination=deterministic.TerminationSpec(max_iterations=8)),
+        lambda p: deterministic.two_step_solve(
+            p, alpha=0.1, beta=0.1,
+            termination=deterministic.TerminationSpec(max_iterations=8)),
+    ], ids=["dynamic", "two_step"])
+    def test_one_full_batch_forward_pass_per_evaluated_point(self, solve):
+        p = make_problem("two_layer_net")
+        points, forwards = [], []
+        for name in ("evaluate", "gradient", "hessian"):
+            method = getattr(p, name)
+            setattr(p, name, lambda x, method=method: points.append(x.tobytes())
+                    or method(x))
+        forward = p._forward
+        p._forward = lambda theta, indices: forwards.append(indices) or forward(
+            theta, indices)
+        report = solve(p)
+        assert len(report.records) == 9
+        distinct = len(set(points))
+        # f, g and H at each iterate, g alone at a two-step x_hat
+        assert len(points) >= 2 * distinct
+        assert len(forwards) == distinct
+        assert all(indices is p._all_indices for indices in forwards)
+
+    def test_traced_solve_counts_every_full_batch_call(self):
+        # the slot sits behind the batch methods, so the benchmark's
+        # finite_sum.batch_* spans still see every value, gradient and
+        # Hessian
+        tracer = _load_tracer().Tracer()
+        with tracer.installed():
+            deterministic.dynamic_solve(
+                make_problem("two_layer_net"),
+                termination=deterministic.TerminationSpec(max_iterations=5))
+        calls = {name: total["calls"] for name, total in tracer.layer_totals().items()}
+        for kind, wrapper in (("value", "evaluate"), ("gradient", "gradient"),
+                              ("hessian", "hessian")):
+            assert calls["finite_sum.batch_" + kind] == calls["problems." + wrapper] > 0
+        assert tracer.counter_mismatches() == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_problem("two_layer_net"),
+    lambda: make_problem("quadratic_sum"),
+    lambda: LinearLeastSquaresProblem(
+        np.random.default_rng(4).normal(size=(9, 3)),
+        np.random.default_rng(5).normal(size=9)),
+], ids=["two_layer_net", "quadratic_sum", "least_squares"])
+@pytest.mark.parametrize("solve", [
+    lambda p: deterministic.dynamic_solve(
+        p, termination=deterministic.TerminationSpec(max_iterations=3)),
+    lambda p: dynamic_stochastic_solve(StochasticOracle(p, 2, seed=1), iterations=3),
+], ids=["dynamic", "stoch_dynamic"])
+def test_problem_is_freed_with_its_last_reference(make, solve):
+    # no reference cycle holds a finite-sum problem, so it goes as soon as
+    # it and its report are dropped, with the garbage collector off
+    gc.disable()
+    try:
+        p = make()
+        report = solve(p)
+        problem = weakref.ref(p)
+        del p, report
+        assert problem() is None
+    finally:
+        gc.enable()
+
+
+def _net_records(records=6, features=2):
+    rng = np.random.default_rng(15)
+    return rng.normal(size=(records, features)), rng.normal(size=records)
+
+
+# each integer argument of the finite-sum constructors: its name, its
+# minimum and a constructor taking it
+CONSTRUCTOR_INTEGERS = {
+    "net_hidden_units": ("hidden_units", 1, lambda k: TwoLayerNetProblem(
+        *_net_records(), hidden_units=k)),
+    "synthetic_hidden_units": ("hidden_units", 1, lambda k: synthetic_two_layer_net(
+        records=6, hidden_units=k)),
+    "records": ("records", 1, lambda k: synthetic_two_layer_net(records=k)),
+    "feature_dim": ("feature_dim", 1, lambda k: synthetic_two_layer_net(
+        records=6, feature_dim=k)),
+    "n": ("n", 1, lambda k: random_quadratic_finite_sum(n=k, components=4)),
+    "components": ("components", 1, lambda k: random_quadratic_finite_sum(
+        n=3, components=k)),
+}
+
+
+@pytest.mark.parametrize("place", CONSTRUCTOR_INTEGERS)
+def test_constructors_follow_the_integer_rule(place):
+    # an integral number of any type builds the plain int's problem; a
+    # fraction, a bool, a string or a value below the minimum is a
+    # ValueError naming the argument
+    name, minimum, make = CONSTRUCTOR_INTEGERS[place]
+    x = make(2).default_start
+    for integral in (np.int64(2), 2.0):
+        same = make(integral)
+        assert same.evaluate(x) == make(2).evaluate(x)
+        assert np.array_equal(same.hessian(x), make(2).hessian(x))
+    for bad in (2.5, True, "3", minimum - 1):
+        with pytest.raises(ValueError, match="^%s must be a " % name):
+            make(bad)
+
+
+def test_odd_components_rejected():
+    with pytest.raises(ValueError, match="^components must be even"):
+        random_quadratic_finite_sum(n=3, components=5)
+
+
+@pytest.mark.parametrize("make", [
+    LinearLeastSquaresProblem, TwoLayerNetProblem], ids=["least_squares", "net"])
+@pytest.mark.parametrize("shape", [(5, 0), (0, 2)], ids=["no_column", "no_record"])
+def test_records_need_a_row_and_a_feature_column(make, shape):
+    # as load_dataset requires of a file
+    with pytest.raises(ValueError, match="at least one record and one column"):
+        make(np.zeros(shape), np.zeros(shape[0]))
 
 
 @pytest.mark.parametrize("make", [
