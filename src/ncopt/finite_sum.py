@@ -9,9 +9,11 @@ the same seed replays bit for bit regardless of solver branch structure.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
+from ncopt.linalg import all_finite
 from ncopt.problems import ObjectiveProblem, integer_argument
 
 
@@ -29,19 +31,44 @@ def _mean(a):
     return float(a.sum()) / len(a)
 
 
+# the bytes a problem's complete table of sampled eigenpairs for one batch
+# size may take, counted as its arrays' entries; past it no table is kept
+_EIGEN_TABLE_BYTES = 1 << 22
+
+
 class FiniteSumProblem(ObjectiveProblem):
     """Mean of `component_count` component objectives.
 
     Subclasses implement `batch_value`, `batch_gradient` and
     `batch_hessian`: the mean over the components listed in an index array.
     `value`, `gradient` and `hessian` pass them `_all_indices`.
+
+    A subclass whose `batch_hessian` does not read x sets
+    `hessian_reads_x = False`.  A sampled Hessian batch then has the same
+    checked leftmost eigenpair at every point, and the problem keeps a
+    table of them for `ncopt.stochastic.curvature_noise_step`, one per
+    batch size b: each entry is the `EigenResult` that step computed for a
+    batch, made read-only and keyed by the batch's indices in their drawn
+    order (the bytes of the index array, never sorted: a sum of three or
+    more matrices, or phi'phi, rounds differently in another order).  A
+    table is kept only where the complete one, perm(N, b) entries of
+    2n^2 + 2n doubles, fits within _EIGEN_TABLE_BYTES (4 MiB), so nothing
+    is ever evicted; above that nothing is stored.  An entry is the result
+    the step would compute afresh, so a solve is bit for bit the same warm
+    or cold.  The table assumes the problem's data are not changed after
+    it is built.
     """
+
+    # whether batch_hessian reads x; see the class docstring
+    hessian_reads_x = True
 
     def __init__(self, name, dimension, component_count, **metadata):
         self.component_count = int(component_count)
         if self.component_count < 1:
             raise ValueError("component_count must be positive")
         self._all_indices = np.arange(self.component_count)
+        # batch size -> eigenpair table, or None where none is kept
+        self._eigenpair_tables = {}
         # the full-batch hooks are the methods below, not closures over
         # self, so a problem is in no reference cycle and is freed with its
         # last reference, without waiting for the garbage collector
@@ -55,6 +82,19 @@ class FiniteSumProblem(ObjectiveProblem):
 
     def _hessian_fn(self, x):
         return self.batch_hessian(x, self._all_indices)
+
+    def _eigenpair_table(self, batch_size):
+        """The dict of checked eigenpairs of Hessian batches of
+        `batch_size` rows, or None where no table is kept: where
+        batch_hessian reads x, or the complete table would pass
+        _EIGEN_TABLE_BYTES.  Decided on a batch size's first call."""
+        tables = self._eigenpair_tables
+        if batch_size not in tables:
+            n = self.dimension
+            entries = math.perm(self.component_count, batch_size)
+            fits = entries * 8 * (2 * n * n + 2 * n) <= _EIGEN_TABLE_BYTES
+            tables[batch_size] = {} if fits and not self.hessian_reads_x else None
+        return tables[batch_size]
 
     def _rows(self, data, indices):
         """The rows of `data` listed in `indices`; the full batch
@@ -91,11 +131,15 @@ class FiniteSumProblem(ObjectiveProblem):
 class QuadraticFiniteSum(FiniteSumProblem):
     """Components 0.5 (x - c_i)' Q_i (x - c_i) with mean Hessian Q.
 
-    The Q_i are Q plus paired +-perturbations (so they average to Q exactly);
-    with a positive definite Q the mean objective is a convex quadratic with
-    computable minimizer and optimal value, while individual mini-batch
-    Hessians can be indefinite.
+    Q has the eigenvalues `spectrum`, n finite positive values, so the mean
+    objective is a convex quadratic with computable minimizer and optimal
+    value; the Q_i are Q plus paired +-perturbations (so they average to Q
+    exactly), and individual mini-batch Hessians can be indefinite.  The
+    batch Hessian does not read x, so the problem keeps a table of sampled
+    eigenpairs (see `FiniteSumProblem`).
     """
+
+    hessian_reads_x = False
 
     def __init__(self, n=10, components=20, seed=1234, spectrum=None,
                  perturbation=2.5, center_scale=2.0, name=None):
@@ -107,6 +151,11 @@ class QuadraticFiniteSum(FiniteSumProblem):
         if spectrum is None:
             spectrum = np.linspace(1.0, 4.0, n)
         spectrum = np.asarray(spectrum, dtype=float)
+        # written so that NaN fails it: a spectrum that is not positive
+        # leaves the minimizer and lower bound undefined
+        positive = (spectrum > 0.0) & (spectrum < math.inf)
+        if spectrum.shape != (n,) or not positive.all():
+            raise ValueError("spectrum must hold n finite, positive values")
         V, _ = np.linalg.qr(rng.normal(size=(n, n)))
         Q = (V * spectrum) @ V.T
         Q = 0.5 * (Q + Q.T)
@@ -169,18 +218,29 @@ class QuadraticFiniteSum(FiniteSumProblem):
 
 
 class LinearLeastSquaresProblem(FiniteSumProblem):
-    """Components 0.5 (phi_i' x - y_i)^2 over feature/label records."""
+    """Components 0.5 (phi_i' x - y_i)^2 over feature/label records.
+
+    The documented gradient Lipschitz constant is the largest eigenvalue
+    of the Gram matrix phi'phi/N, or None where that is not finite.  The
+    batch Hessian does not read x, so the problem keeps a table of sampled
+    eigenpairs (see `FiniteSumProblem`).
+    """
+
+    hessian_reads_x = False
 
     def __init__(self, features, labels, name="linear_least_squares"):
         self._set_records(features, labels)
         n, d = self.features.shape
-        gram = self.features.T @ self.features / n
+        # features near the overflow threshold overflow the Gram matrix
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.features.T @ self.features / n
+        top = float(np.linalg.eigvalsh(gram)[-1]) if all_finite(gram) else math.inf
         super().__init__(
             name,
             dimension=d,
             component_count=n,
             lower_bound=0.0,
-            local_gradient_lipschitz=float(np.linalg.eigvalsh(gram)[-1]),
+            local_gradient_lipschitz=top if math.isfinite(top) else None,
         )
 
     def batch_value(self, x, indices):
@@ -209,9 +269,10 @@ class TwoLayerNetProblem(FiniteSumProblem):
     residuals r and a copy of the output weights w2, and the first-order
     factors P = 1 - A*A and U = P*w2 once a gradient or Hessian first needs
     them.  Only the full batch (`_all_indices`, which `value`, `gradient`
-    and `hessian` pass) reads and fills it; sampled batches are never
-    cached.  A call at another point replaces the slot, and so does a
-    concurrent one, while each call reads the pass it found or made.
+    and `hessian` pass) reads and fills it; sampled batches, and as the
+    batch Hessian reads x their eigenpairs, are never cached.  A call at
+    another point replaces the slot, and so does a concurrent one, while
+    each call reads the pass it found or made.
     """
 
     def __init__(self, features, labels, hidden_units=8, name="two_layer_net",

@@ -1,11 +1,15 @@
 """Stochastic solvers: curvature noise over mini-batch estimates.
 
 The two-step method adds a zero-mean multiple of an estimated
-negative-curvature direction to each stochastic gradient step.  The dynamic
-method extracts both the step and the curvature direction from a truncated
-CG solve on the sampled system and drives the stepsizes 1/L_k and 1/sigma_k
-with stochastic value estimates.  Their `StochasticReport` gives the harness
-its own summary fields and trace rows (see `ncopt.harness`).
+negative-curvature direction to each stochastic gradient step; on a finite
+sum whose batch Hessian does not read x, each sampled Hessian batch's
+checked eigenpair is computed once and kept on the problem, keyed by the
+batch (see `FiniteSumProblem`), which leaves every iterate unchanged bit
+for bit.  The dynamic method extracts both the step and the curvature
+direction from a truncated CG solve on the sampled system and drives the
+stepsizes 1/L_k and 1/sigma_k with stochastic value estimates.  Their
+`StochasticReport` gives the harness its own summary fields and trace rows
+(see `ncopt.harness`).
 """
 
 from __future__ import annotations
@@ -201,6 +205,10 @@ class StochasticReport:
                          for r in self.records], dtype=float)
 
     def mean_square_gradient(self):
+        """The mean of the squared exact gradient norms over the records;
+        a report without records is a ValueError."""
+        if not self.records:
+            raise ValueError("report has no records")
         return float(np.mean(self.exact_gradient_norms() ** 2))
 
 
@@ -241,17 +249,40 @@ def curvature_noise_step(x, oracle, alpha):
     `two_step_stochastic_solve` numbers each record by its own iteration.
     A non-finite estimate raises EvaluationError, and a next iterate that
     overflows ConditionViolation.
+
+    Where the problem keeps a table of sampled eigenpairs (a batch Hessian
+    that does not read x, and a complete table within its byte bound; see
+    `FiniteSumProblem`), a Hessian batch met before takes its stored,
+    read-only eigenpair instead of a new batch Hessian and decomposition,
+    and a batch met first stores the pair once it is checked.  The value
+    and gradient estimates are checked and d certified either way, and the
+    step is bit for bit the one computed afresh.
     """
     # StochasticStepConfig's rule, written so that NaN fails it
     if not 0.0 < alpha < math.inf:
         raise ValueError("stepsize must be positive and finite")
     x = np.asarray(x, dtype=float)
 
-    value_est, g_est, H_est, _ = _sampled_estimates(x, oracle)
+    problem = oracle.problem
+    grad_batch = oracle.next_gradient_batch()
+    hess_batch = oracle.next_hessian_batch()
+    table = problem._eigenpair_table(oracle.batch_size)
+    key = hess_batch.tobytes()
+    eig = None if table is None else table.get(key)
+    value_est, g_est = problem.batch_value_gradient(x, grad_batch)
+    # a stored pair's Hessian was checked finite when it was stored
+    H_est = None if eig is not None else problem.batch_hessian(x, hess_batch)
+    _require_finite(x, value_est, g_est, H_est)
     omega = oracle.next_omega()
     s = -g_est
 
-    eig = leftmost_eigenpair(H_est)
+    if eig is None:
+        eig = leftmost_eigenpair(H_est)
+        if table is not None:
+            # every step that draws the batch shares the stored arrays
+            for a in (eig.leftmost_vector, eig.values, eig.vectors, eig.matrix):
+                a.flags.writeable = False
+            table[key] = eig
     lam = eig.leftmost_value
     snorm = norm(s)
     if lam >= -ZERO_CURVATURE_TOL or snorm == 0.0:

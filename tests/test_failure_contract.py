@@ -21,6 +21,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
 from ncopt.cli import main
@@ -37,7 +38,12 @@ from ncopt.finite_sum import (
     LinearLeastSquaresProblem,
     StochasticOracle,
 )
-from ncopt.problems import ObjectiveProblem, list_problems, make_problem
+from ncopt.problems import (
+    EvaluationError,
+    ObjectiveProblem,
+    list_problems,
+    make_problem,
+)
 from ncopt.steps import DESCENT_COSINE, LipschitzState
 from ncopt.stochastic import (
     StochasticReport,
@@ -45,6 +51,7 @@ from ncopt.stochastic import (
     dynamic_stochastic_solve,
     two_step_stochastic_solve,
 )
+from test_fingerprints import fingerprint
 
 ANALYTIC = [name for name in list_problems()
             if not isinstance(make_problem(name), FiniteSumProblem)]
@@ -110,16 +117,18 @@ def least_squares_cases(draw):
 
 def assert_ends_by_contract(solve, report_type):
     """Run `solve()` with numpy's floating-point warnings off; the report
-    it returns or its failure's partial report is a `report_type`."""
+    it returns or its failure's partial report is a `report_type`.
+    Returns the report or the failure."""
     with np.errstate(all="ignore"):
         try:
-            report = solve()
+            outcome = report = solve()
         except SOLVER_FAILURES as err:
-            report = err.report
+            outcome, report = err, err.report
         else:
             if report_type is SolverReport:
                 assert isinstance(report.termination_reason, TerminationReason)
     assert isinstance(report, report_type)
+    return outcome
 
 
 # a curvature stepsize of 2e300, whose cubed np.float64 overflowed the
@@ -148,10 +157,40 @@ def test_two_step_solve_ends_by_the_contract(case, alpha, beta):
 
 @given(case=least_squares_cases(), alpha=powers(-300, 300))
 def test_two_step_stochastic_solve_ends_by_the_contract(case, alpha):
+    # the second run replays the first on the same problem, whose table of
+    # sampled eigenpairs the first filled, and ends the same way
     oracle, start, iterations = case
-    assert_ends_by_contract(lambda: two_step_stochastic_solve(
-        oracle, StochasticStepConfig(alpha_constant=alpha), iterations, start),
-        StochasticReport)
+    config = StochasticStepConfig(alpha_constant=alpha)
+    outcomes = [fingerprint(assert_ends_by_contract(
+        lambda: two_step_stochastic_solve(
+            StochasticOracle(oracle.problem, oracle.batch_size, oracle.seed),
+            config, iterations, start),
+        StochasticReport)) for _ in range(2)]
+    assert outcomes[0] == outcomes[1]
+
+
+def test_warm_table_stores_no_batch_whose_hessian_is_not_finite():
+    # at x = 0 every value and gradient estimate is 0, so x stays there,
+    # while a Hessian batch holding record 0 overflows; the third batch
+    # does, cold and warm alike
+    with np.errstate(over="ignore"):
+        problem = LinearLeastSquaresProblem(
+            np.array([[1e155, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
+            np.zeros(4))
+        outcomes = []
+        for _ in range(2):
+            oracle = StochasticOracle(problem, batch_size=2, seed=1)
+            with pytest.raises(EvaluationError, match="^sampled Hessian has "
+                               "non-finite entries$") as info:
+                two_step_stochastic_solve(
+                    oracle, StochasticStepConfig(alpha_constant=0.1), 10,
+                    np.zeros(2))
+            assert len(info.value.report.records) == 2
+            outcomes.append(fingerprint(info.value))
+    assert outcomes[0] == outcomes[1]
+    stored = [np.frombuffer(key, dtype=np.int64)
+              for key in problem._eigenpair_tables[2]]
+    assert len(stored) == 2 and all(0 not in batch for batch in stored)
 
 
 @given(case=least_squares_cases(), L=powers(-300, 300), sigma=powers(-300, 300),

@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import os
 import struct
+import warnings
 import weakref
 
 import numpy as np
@@ -26,7 +27,12 @@ from ncopt.finite_sum import (
     synthetic_two_layer_net,
 )
 from ncopt.problems import make_problem
-from ncopt.stochastic import dynamic_stochastic_solve
+from ncopt.stochastic import (
+    StochasticStepConfig,
+    dynamic_stochastic_solve,
+    expected_descent_check,
+    two_step_stochastic_solve,
+)
 from reference_derivatives import central_gradient, central_hessian
 from reference_finite_sum import (
     component_means,
@@ -302,7 +308,10 @@ class TestTwoLayerFullBatchSlot:
     lambda p: deterministic.dynamic_solve(
         p, termination=deterministic.TerminationSpec(max_iterations=3)),
     lambda p: dynamic_stochastic_solve(StochasticOracle(p, 2, seed=1), iterations=3),
-], ids=["dynamic", "stoch_dynamic"])
+    # fills the x-independent problems' tables of sampled eigenpairs
+    lambda p: two_step_stochastic_solve(StochasticOracle(p, 2, seed=1),
+                                        StochasticStepConfig(alpha_constant=0.01), 3),
+], ids=["dynamic", "stoch_dynamic", "stoch_two_step"])
 def test_problem_is_freed_with_its_last_reference(make, solve):
     # no reference cycle holds a finite-sum problem, so it goes as soon as
     # it and its report are dropped, with the garbage collector off
@@ -357,6 +366,29 @@ def test_constructors_follow_the_integer_rule(place):
 def test_odd_components_rejected():
     with pytest.raises(ValueError, match="^components must be even"):
         random_quadratic_finite_sum(n=3, components=5)
+
+
+@pytest.mark.parametrize("spectrum", [
+    [-1.0, 2.0], [0.0, 2.0], [1.0, 2.0, 3.0], [np.nan, 2.0], [1.0, np.inf],
+], ids=["indefinite", "singular", "wrong_length", "nan", "inf"])
+def test_quadratic_spectrum_must_be_finite_and_positive(spectrum):
+    # an indefinite spectrum used to build with a lower bound the objective
+    # goes below and a saddle as its minimizer; a singular one solved a
+    # singular Q; the others died in broadcasting or the start check
+    with pytest.raises(ValueError, match="^spectrum must hold n finite, positive"):
+        random_quadratic_finite_sum(n=2, components=4, spectrum=spectrum)
+
+
+def test_least_squares_overflowing_gram_documents_no_lipschitz_constant():
+    # the Gram matrix overflows: no constant, where it used to be NaN with
+    # a numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = LinearLeastSquaresProblem(np.full((4, 2), 1e200), np.zeros(4))
+    assert p.local_gradient_lipschitz is None
+    with pytest.raises(ValueError, match="gradient Lipschitz constant is required"):
+        expected_descent_check(p, np.zeros(2),
+                               StochasticStepConfig(alpha_constant=0.1), 10)
 
 
 @pytest.mark.parametrize("make", [

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from ncopt import stochastic
+from ncopt import finite_sum, stochastic
 from ncopt.finite_sum import (
     LinearLeastSquaresProblem,
     StochasticOracle,
@@ -29,6 +29,7 @@ from ncopt.stochastic import (
     two_step_stochastic_solve,
 )
 from reference_finite_sum import per_draw_moment_m1
+from test_fingerprints import fingerprint
 
 GOLDEN_DYNAMIC_NET = os.path.join(os.path.dirname(__file__), "golden",
                                   "stoch_dynamic_net.csv")
@@ -174,6 +175,89 @@ class TestCurvatureNoiseStep:
         assert mean_norm <= 4.0 * std / np.sqrt(draws)
 
 
+class TestEigenpairTable:
+    """A finite sum whose batch Hessian does not read x decomposes each
+    sampled Hessian batch once; the steps stay bit for bit the same."""
+
+    CONFIG = StochasticStepConfig(alpha_constant=0.02)
+
+    @staticmethod
+    def counted_eigenpairs(monkeypatch):
+        """The list each step's leftmost_eigenpair call appends to."""
+        calls, original = [], stochastic.leftmost_eigenpair
+
+        def counted(H, g=None):
+            calls.append(H.shape)
+            return original(H, g)
+
+        monkeypatch.setattr(stochastic, "leftmost_eigenpair", counted)
+        return calls
+
+    def solve(self, problem, seed, iterations=400, batch_size=2):
+        oracle = StochasticOracle(problem, batch_size=batch_size, seed=seed)
+        return two_step_stochastic_solve(oracle, self.CONFIG, iterations)
+
+    def test_each_ordered_batch_is_decomposed_at_most_once(self, monkeypatch):
+        # 800 draws of 20*19 = 380 ordered batches of 2: every repeat is
+        # read from the table, and the warm run equals a cold one bit for bit
+        calls = self.counted_eigenpairs(monkeypatch)
+        problem = random_quadratic_finite_sum(n=10, components=20)
+        self.solve(problem, seed=1)
+        warm = self.solve(problem, seed=2)
+        assert len(calls) <= 380
+        assert len(problem._eigenpair_tables[2]) == len(calls)
+        cold = self.solve(random_quadratic_finite_sum(n=10, components=20), seed=2)
+        assert fingerprint(warm) == fingerprint(cold)
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_quadratic_finite_sum(n=3, components=6),
+        lambda: LinearLeastSquaresProblem(
+            np.random.default_rng(4).normal(size=(6, 3)),
+            np.random.default_rng(5).normal(size=6)),
+    ], ids=["quadratic", "least_squares"])
+    def test_solve_with_a_table_equals_one_without(self, monkeypatch, make):
+        # batches of three: a key that ignored the order of the rows would
+        # hand a permuted batch a pair its own sum rounds differently from
+        with_table = self.solve(make(), seed=4, batch_size=3)
+        monkeypatch.setattr(finite_sum, "_EIGEN_TABLE_BYTES", 0)
+        problem = make()
+        without = self.solve(problem, seed=4, batch_size=3)
+        assert problem._eigenpair_tables == {3: None}
+        assert fingerprint(with_table) == fingerprint(without)
+
+    @pytest.mark.parametrize("make, batch_size", [
+        # perm(20, 3) * 8 * (2*6^2 + 2*6) bytes is about 4.6 MB
+        (lambda: random_quadratic_finite_sum(n=6, components=20), 3),
+        (lambda: synthetic_two_layer_net(records=20, feature_dim=1,
+                                         hidden_units=2), 2),
+    ], ids=["over_the_byte_bound", "two_layer_net"])
+    def test_no_table_means_one_decomposition_per_iteration(
+            self, monkeypatch, make, batch_size):
+        calls = self.counted_eigenpairs(monkeypatch)
+        problem = make()
+        self.solve(problem, seed=1, iterations=60, batch_size=batch_size)
+        self.solve(problem, seed=1, iterations=60, batch_size=batch_size)
+        assert len(calls) == 120
+        assert problem._eigenpair_tables == {batch_size: None}
+
+    def test_table_is_kept_exactly_where_it_fits_the_bound(self, monkeypatch):
+        # perm(4, 2) = 12 entries of 2*3^2 + 2*3 doubles
+        size = 12 * 8 * 24
+        for bound, kept in ((size, True), (size - 1, False)):
+            monkeypatch.setattr(finite_sum, "_EIGEN_TABLE_BYTES", bound)
+            problem = random_quadratic_finite_sum(n=3, components=4)
+            assert (problem._eigenpair_table(2) is not None) is kept
+
+    def test_stored_arrays_are_read_only(self):
+        problem = random_quadratic_finite_sum(n=10, components=20)
+        self.solve(problem, seed=1, iterations=5)
+        for eig in problem._eigenpair_tables[2].values():
+            for array in (eig.leftmost_vector, eig.values, eig.vectors,
+                          eig.matrix):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+
+
 class TestTwoStepStochastic:
     def test_noiseless_constant_step_decays_geometrically(self):
         p = half_x_squared()
@@ -292,6 +376,18 @@ class TestExactNorms:
         expected = [np.linalg.norm(problem.gradient(r.x)) for r in report.records]
         np.testing.assert_array_equal(norms, expected)
         assert report.mean_square_gradient() == float(np.mean(norms ** 2))
+
+    def test_mean_square_gradient_needs_records(self):
+        # a solve that fails at its first iteration leaves no records, whose
+        # mean used to be NaN with two numpy warnings
+        p = LinearLeastSquaresProblem(
+            np.array([[1e200, 1.0], [0.5, -1.0], [2.0, 0.3], [-1.0, 2.0]]),
+            np.array([1.0, 1.0, -1.0, 0.5]))
+        with np.errstate(over="ignore"), pytest.raises(EvaluationError) as info:
+            two_step_stochastic_solve(StochasticOracle(p, batch_size=2, seed=1),
+                                      StochasticStepConfig(alpha_constant=0.01), 5)
+        with pytest.raises(ValueError, match="^report has no records$"):
+            info.value.report.mean_square_gradient()
 
     def test_problem_is_left_out_of_repr_and_comparison(self):
         problem = make_problem("quadratic_sum")
@@ -468,6 +564,20 @@ class TestNonFiniteEstimates:
         assert len(report.records) == report.total_iterations == k_bad - 1
         assert report.final_exact_f is None
         assert all(np.isfinite(r.x).all() for r in report.records)
+
+    def test_warm_table_still_checks_the_value(self):
+        # a first solve stores the pair of every Hessian batch the second
+        # draws before its first bad gradient batch; each of those steps
+        # still checks its value estimate
+        p = random_quadratic_finite_sum(n=3, components=6, seed=11)
+        config = StochasticStepConfig(alpha_constant=0.05)
+        two_step_stochastic_solve(StochasticOracle(p, batch_size=2, seed=3),
+                                  config, 60)
+        p.centers[self.BAD, 0] = np.nan
+        with pytest.raises(EvaluationError, match="sampled value") as info:
+            two_step_stochastic_solve(StochasticOracle(p, batch_size=2, seed=3),
+                                      config, 60)
+        assert len(info.value.report.records) == self.first_bad_iterate(p, 3) - 1
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_hessian_estimate_checked(self):
