@@ -13,8 +13,13 @@ import math
 
 import numpy as np
 
-from ncopt.linalg import all_finite
-from ncopt.problems import ObjectiveProblem, integer_argument
+from ncopt.linalg import all_finite, leftmost_eigenpair
+from ncopt.problems import (
+    ObjectiveProblem,
+    _rotated_spectrum,
+    finite_hessian,
+    integer_argument,
+)
 
 
 class DatasetParseError(ValueError):
@@ -41,25 +46,14 @@ class FiniteSumProblem(ObjectiveProblem):
 
     Subclasses implement `batch_value`, `batch_gradient` and
     `batch_hessian`: the mean over the components listed in an index array.
-    `value`, `gradient` and `hessian` pass them `_all_indices`.
-
-    A subclass whose `batch_hessian` does not read x sets
-    `hessian_reads_x = False`.  A sampled Hessian batch then has the same
-    checked leftmost eigenpair at every point, and the problem keeps a
-    table of them for `ncopt.stochastic.curvature_noise_step`, one per
-    batch size b: each entry is the `EigenResult` that step computed for a
-    batch, made read-only and keyed by the batch's indices in their drawn
-    order (the bytes of the index array, never sorted: a sum of three or
-    more matrices, or phi'phi, rounds differently in another order).  A
-    table is kept only where the complete one, perm(N, b) entries of
-    2n^2 + 2n doubles, fits within _EIGEN_TABLE_BYTES (4 MiB), so nothing
-    is ever evicted; above that nothing is stored.  An entry is the result
-    the step would compute afresh, so a solve is bit for bit the same warm
-    or cold.  The table assumes the problem's data are not changed after
-    it is built.
+    `value`, `gradient` and `hessian` pass them `_all_indices`.  A subclass
+    whose `batch_hessian` does not read x sets `hessian_reads_x = False`,
+    and `sampled_eigenpair` then keeps a table of its sampled eigenpairs.
+    Every cache of a finite-sum problem assumes that its data are not
+    changed after it is built.
     """
 
-    # whether batch_hessian reads x; see the class docstring
+    # whether batch_hessian reads x; see sampled_eigenpair
     hessian_reads_x = True
 
     def __init__(self, name, dimension, component_count, **metadata):
@@ -83,18 +77,45 @@ class FiniteSumProblem(ObjectiveProblem):
     def _hessian_fn(self, x):
         return self.batch_hessian(x, self._all_indices)
 
-    def _eigenpair_table(self, batch_size):
-        """The dict of checked eigenpairs of Hessian batches of
-        `batch_size` rows, or None where no table is kept: where
-        batch_hessian reads x, or the complete table would pass
-        _EIGEN_TABLE_BYTES.  Decided on a batch size's first call."""
+    def sampled_eigenpair(self, x, indices):
+        """The `leftmost_eigenpair` of the batch Hessian at x over the
+        index array `indices`; a non-finite entry of that Hessian raises
+        EvaluationError ("sampled Hessian has non-finite entries").
+
+        Where batch_hessian does not read x, a batch has the same pair at
+        every point, and the problem keeps a table of them per batch size
+        b: each entry is a batch's checked pair, made read-only and keyed
+        by the batch's indices in their drawn order (the bytes of the
+        index array, never sorted: a sum of three or more matrices, or
+        phi'phi, rounds differently in another order).  A table is kept
+        only where the complete one, perm(N, b) entries of 2n^2 + 2n
+        doubles, fits within _EIGEN_TABLE_BYTES (4 MiB), so nothing is
+        ever evicted; that is decided on a batch size's first call, and
+        elsewhere nothing is stored.  A batch whose Hessian fails its
+        check is never stored, and an entry is the pair computed afresh,
+        so a solve is bit for bit the same warm or cold.
+        """
+        b = len(indices)
         tables = self._eigenpair_tables
-        if batch_size not in tables:
+        if b not in tables:
             n = self.dimension
-            entries = math.perm(self.component_count, batch_size)
-            fits = entries * 8 * (2 * n * n + 2 * n) <= _EIGEN_TABLE_BYTES
-            tables[batch_size] = {} if fits and not self.hessian_reads_x else None
-        return tables[batch_size]
+            fits = (math.perm(self.component_count, b) * 8 * (2 * n * n + 2 * n)
+                    <= _EIGEN_TABLE_BYTES)
+            tables[b] = {} if fits and not self.hessian_reads_x else None
+        table = tables[b]
+        if table is not None:
+            key = indices.tobytes()
+            eig = table.get(key)
+            if eig is not None:
+                return eig
+        eig = leftmost_eigenpair(finite_hessian(
+            self.batch_hessian(x, indices), x, "sampled Hessian"))
+        if table is not None:
+            # every step that draws the batch shares the stored arrays
+            for a in (eig.leftmost_vector, eig.values, eig.vectors, eig.matrix):
+                a.flags.writeable = False
+            table[key] = eig
+        return eig
 
     def _rows(self, data, indices):
         """The rows of `data` listed in `indices`; the full batch
@@ -133,16 +154,18 @@ class QuadraticFiniteSum(FiniteSumProblem):
 
     Q has the eigenvalues `spectrum`, n finite positive values, so the mean
     objective is a convex quadratic with computable minimizer and optimal
-    value; the Q_i are Q plus paired +-perturbations (so they average to Q
-    exactly), and individual mini-batch Hessians can be indefinite.  The
-    batch Hessian does not read x, so the problem keeps a table of sampled
-    eigenpairs (see `FiniteSumProblem`).
+    value; the Q_i are Q plus paired +-perturbations of spectral norm
+    `perturbation` times Q's smallest eigenvalue, a finite value >= 0 (so
+    they average to Q exactly), and individual mini-batch Hessians can be
+    indefinite.  The centers c_i are normal draws of scale 2.  The batch
+    Hessian does not read x, so the problem keeps a table of sampled
+    eigenpairs (see `FiniteSumProblem.sampled_eigenpair`).
     """
 
     hessian_reads_x = False
 
     def __init__(self, n=10, components=20, seed=1234, spectrum=None,
-                 perturbation=2.5, center_scale=2.0, name=None):
+                 perturbation=2.5, name=None):
         n = integer_argument("n", n, 1)
         components = integer_argument("components", components, 1)
         if components % 2 != 0:
@@ -151,14 +174,15 @@ class QuadraticFiniteSum(FiniteSumProblem):
         if spectrum is None:
             spectrum = np.linspace(1.0, 4.0, n)
         spectrum = np.asarray(spectrum, dtype=float)
-        # written so that NaN fails it: a spectrum that is not positive
-        # leaves the minimizer and lower bound undefined
+        # written so that NaN fails each check: a spectrum that is not
+        # positive leaves the minimizer and lower bound undefined, and a
+        # perturbation that is not finite makes every Q_i NaN
         positive = (spectrum > 0.0) & (spectrum < math.inf)
         if spectrum.shape != (n,) or not positive.all():
             raise ValueError("spectrum must hold n finite, positive values")
-        V, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        Q = (V * spectrum) @ V.T
-        Q = 0.5 * (Q + Q.T)
+        if not 0.0 <= perturbation < math.inf:
+            raise ValueError("perturbation must be finite and nonnegative")
+        Q = _rotated_spectrum(rng, spectrum)
         lam_min = float(np.min(spectrum))
         mats = np.empty((components, n, n))
         for j in range(components // 2):
@@ -167,7 +191,7 @@ class QuadraticFiniteSum(FiniteSumProblem):
             S *= perturbation * lam_min / max(np.linalg.norm(S, 2), 1e-12)
             mats[2 * j] = Q + S
             mats[2 * j + 1] = Q - S
-        centers = rng.normal(scale=center_scale, size=(components, n))
+        centers = rng.normal(scale=2.0, size=(components, n))
 
         self.mean_matrix = Q
         self.matrices = mats
@@ -223,12 +247,12 @@ class LinearLeastSquaresProblem(FiniteSumProblem):
     The documented gradient Lipschitz constant is the largest eigenvalue
     of the Gram matrix phi'phi/N, or None where that is not finite.  The
     batch Hessian does not read x, so the problem keeps a table of sampled
-    eigenpairs (see `FiniteSumProblem`).
+    eigenpairs (see `FiniteSumProblem.sampled_eigenpair`).
     """
 
     hessian_reads_x = False
 
-    def __init__(self, features, labels, name="linear_least_squares"):
+    def __init__(self, features, labels):
         self._set_records(features, labels)
         n, d = self.features.shape
         # features near the overflow threshold overflow the Gram matrix
@@ -236,7 +260,7 @@ class LinearLeastSquaresProblem(FiniteSumProblem):
             gram = self.features.T @ self.features / n
         top = float(np.linalg.eigvalsh(gram)[-1]) if all_finite(gram) else math.inf
         super().__init__(
-            name,
+            "linear_least_squares",
             dimension=d,
             component_count=n,
             lower_bound=0.0,
@@ -261,34 +285,34 @@ class TwoLayerNetProblem(FiniteSumProblem):
     """Least-squares loss of a two-layer tanh network over a dataset.
 
     Parameters pack as [W1 (h*d, row-major), b1 (h), w2 (h), b2].  Component
-    i is 0.5 * (net(x_i) - y_i)^2; gradients and Hessians are exact.
+    i is 0.5 * (net(x_i) - y_i)^2; gradients and Hessians are exact.  The
+    default start is a normal draw of scale 0.2 from the generator seeded
+    with 5.
 
     The problem keeps one slot for the last full-batch point, so that f, g
-    and H there share one forward pass.  Its key is the exact bytes of the
-    parameter vector; it holds the rows X, the hidden activations A, the
-    residuals r and a copy of the output weights w2, and the first-order
-    factors P = 1 - A*A and U = P*w2 once a gradient or Hessian first needs
-    them.  Only the full batch (`_all_indices`, which `value`, `gradient`
-    and `hessian` pass) reads and fills it; sampled batches, and as the
-    batch Hessian reads x their eigenpairs, are never cached.  A call at
-    another point replaces the slot, and so does a concurrent one, while
-    each call reads the pass it found or made.
+    and H there share one forward pass: the tuple (key, A, r, P, U) of the
+    parameter vector's exact bytes, the hidden activations A, the residuals
+    r and the first-order factors P = 1 - A*A and U = P*w2.  The rows X of
+    the full batch are `features`, and w2 is read from the parameter
+    vector of each call, whose bytes are the key, so the slot copies
+    nothing.  Only the full batch (`_all_indices`, which `value`,
+    `gradient` and `hessian` pass) reads and fills it; sampled batches are
+    never cached.  A call at another point replaces the slot, and so does
+    a concurrent one, while each call reads the pass it found or made.
     """
 
-    def __init__(self, features, labels, hidden_units=8, name="two_layer_net",
-                 start_seed=5):
+    def __init__(self, features, labels, hidden_units=8):
         self._set_records(features, labels)
         self.hidden_units = integer_argument("hidden_units", hidden_units, 1)
         n_records, d = self.features.shape
         h = self.hidden_units
         dim = h * d + 2 * h + 1
-        rng = np.random.default_rng(start_seed)
         super().__init__(
-            name,
+            "two_layer_net",
             dimension=dim,
             component_count=n_records,
             lower_bound=0.0,
-            default_start=rng.normal(scale=0.2, size=dim),
+            default_start=np.random.default_rng(5).normal(scale=0.2, size=dim),
         )
         self._scatter_flat, self._scatter_source = _second_order_layout(h, d)
         # the sample-contiguous features the full-batch Hessian reads
@@ -311,30 +335,26 @@ class TwoLayerNetProblem(FiniteSumProblem):
         residual = A @ w2 + b2 - self._rows(self.labels, indices)
         return X, A, residual, w2
 
-    def _full_batch(self, theta):
-        """The slot's forward pass, made afresh where it holds another
-        point."""
-        key = theta.tobytes()
-        full = self._slot
-        if full is None or full.key != key:
-            X, A, r, w2 = self._forward(theta, self._all_indices)
-            # w2 is a view of theta, which its owner may change later
-            full = self._slot = _ForwardPass(key, X, A, r, w2.copy())
-        return full
-
     def _first_order(self, theta, indices):
-        """(X, A, r, w2, P, U) on the batch."""
-        if indices is self._all_indices:
-            full = self._full_batch(theta)
-            return (full.X, full.A, full.r, full.w2, *full.factors())
+        """(X, A, r, w2, P, U) on the batch; the full batch reads and fills
+        the slot (see the class docstring)."""
+        full = indices is self._all_indices
+        if full:
+            key = theta.tobytes()
+            slot = self._slot
+            if slot is not None and slot[0] == key:
+                _, A, r, P, U = slot
+                return self.features, A, r, self._unpack(theta)[2], P, U
         X, A, r, w2 = self._forward(theta, indices)
-        return (X, A, r, w2, *_first_order_factors(A, w2))
+        P = 1.0 - A * A
+        U = P * w2
+        if full:
+            self._slot = (key, A, r, P, U)
+        return X, A, r, w2, P, U
 
     def batch_value(self, x, indices):
-        if indices is self._all_indices:
-            r = self._full_batch(x).r
-        else:
-            _, _, r, _ = self._forward(x, indices)
+        forward = self._first_order if indices is self._all_indices else self._forward
+        r = forward(x, indices)[2]
         return 0.5 * _mean(r * r)
 
     def batch_gradient(self, x, indices):
@@ -392,29 +412,6 @@ class TwoLayerNetProblem(FiniteSumProblem):
         return 0.5 * (H + H.T)
 
 
-def _first_order_factors(A, w2):
-    """The two-layer net's P = 1 - A*A and U = P*w2."""
-    P = 1.0 - A * A
-    return P, P * w2
-
-
-class _ForwardPass:
-    """The two-layer net's forward pass over all records at the parameter
-    vector whose bytes are `key`, with its first-order factors (P, U) made
-    on first use."""
-
-    __slots__ = ("key", "X", "A", "r", "w2", "_factors")
-
-    def __init__(self, key, X, A, r, w2):
-        self.key, self.X, self.A, self.r, self.w2 = key, X, A, r, w2
-        self._factors = None
-
-    def factors(self):
-        if self._factors is None:
-            self._factors = _first_order_factors(self.A, self.w2)
-        return self._factors
-
-
 def _second_order_layout(h, d):
     """Where the two-layer net's residual-weighted Hessian terms go.
 
@@ -462,8 +459,9 @@ def load_dataset(path, has_header=False, model="linear", hidden_units=8):
     """Load a numeric CSV (last column label, rest features) as a finite sum.
 
     `model` selects the per-record loss: "linear" least squares or a
-    "two_layer" tanh network.  Malformed cells raise DatasetParseError citing
-    the 1-based file row; empty or ragged files raise DatasetSchemaError.
+    "two_layer" tanh network.  A cell that is not a finite number (malformed,
+    nan or inf) raises DatasetParseError citing its 1-based file row and
+    cell; empty or ragged files raise DatasetSchemaError.
     """
     rows = []
     with open(path, newline="") as handle:
@@ -476,11 +474,14 @@ def load_dataset(path, has_header=False, model="linear", hidden_units=8):
             parsed = []
             for col, cell in enumerate(cells):
                 try:
-                    parsed.append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise DatasetParseError(
-                        "row %d: cell %d (%r) is not numeric" % (line_no, col + 1, cell)
-                    ) from None
+                        "row %d: cell %d (%r) is not a finite number"
+                        % (line_no, col + 1, cell))
+                parsed.append(value)
             rows.append((line_no, parsed))
     if not rows:
         raise DatasetSchemaError("dataset %r has no data rows" % str(path))

@@ -107,10 +107,7 @@ class ObjectiveProblem:
     def hessian(self, x):
         x = self._check_point(x)
         self.hessian_count += 1
-        H = np.asarray(self._hessian_fn(x), dtype=float)
-        if not all_finite(H):
-            raise EvaluationError("Hessian has non-finite entries", x)
-        return H
+        return finite_hessian(np.asarray(self._hessian_fn(x), dtype=float), x)
 
 
 def finite_gradient(g, x, kind="gradient"):
@@ -119,6 +116,24 @@ def finite_gradient(g, x, kind="gradient"):
     if not math.isfinite(float(g @ g)):
         raise EvaluationError("%s norm is not finite" % kind, x)
     return g
+
+
+def finite_hessian(H, x, kind="Hessian"):
+    """H, if every entry is finite; otherwise "<kind> has non-finite
+    entries" at x."""
+    if not all_finite(H):
+        raise EvaluationError("%s has non-finite entries" % kind, x)
+    return H
+
+
+def _rotated_spectrum(rng, spectrum):
+    """V diag(spectrum) V', symmetrized, with V the Q factor of an n-by-n
+    standard normal draw from `rng`: a random symmetric matrix with the
+    eigenvalues `spectrum`."""
+    n = len(spectrum)
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    Q = (V * spectrum) @ V.T
+    return 0.5 * (Q + Q.T)
 
 
 def sphere(n=2):
@@ -318,9 +333,10 @@ def rosenbrock(n=2):
     )
 
 
-def rastrigin(n=5):
-    """Rastrigin's trigonometric sum: highly multimodal, minimum 0 at 0."""
-    a = 10.0
+def rastrigin():
+    """Rastrigin's trigonometric sum in five variables: highly multimodal,
+    minimum 0 at 0."""
+    a, n = 10.0, 5
 
     def value(x):
         return float(a * n + np.sum(x ** 2 - a * np.cos(2.0 * np.pi * x)))
@@ -339,14 +355,15 @@ def rastrigin(n=5):
         hessian_fn=hessian,
         lower_bound=0.0,
         known_minimizers=[np.zeros(n)],
-        default_start=np.array([2.2, -1.3, 3.1, -0.4, 1.7][:n] + [0.9] * max(0, n - 5)),
+        default_start=np.array([2.2, -1.3, 3.1, -0.4, 1.7]),
     )
 
 
-def random_quadratic(n=10, spectrum=None, seed=20240, center=None, name=None):
+def random_quadratic(n=10, spectrum=None, seed=20240):
     """Quadratic f(x) = 0.5 (x-c)' Q (x-c) with a prescribed spectrum.
 
-    Q is a random orthogonal conjugation of diag(spectrum).  With a positive
+    Q is a random orthogonal conjugation of diag(spectrum) and c a standard
+    normal draw, both from the generator seeded with `seed`.  With a positive
     spectrum the problem is convex with minimum 0 at c; an indefinite
     spectrum gives an unbounded-below quadratic for negative-curvature
     exercises.  The gradient Lipschitz constant max|spectrum| is documented.
@@ -357,12 +374,8 @@ def random_quadratic(n=10, spectrum=None, seed=20240, center=None, name=None):
     if spectrum.shape != (n,):
         raise ValueError("spectrum must have length n")
     rng = np.random.default_rng(seed)
-    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    Q = (V * spectrum) @ V.T
-    Q = 0.5 * (Q + Q.T)
-    if center is None:
-        center = rng.normal(size=n)
-    center = np.asarray(center, dtype=float)
+    Q = _rotated_spectrum(rng, spectrum)
+    center = rng.normal(size=n)
     convex = bool(np.all(spectrum > 0.0))
 
     def value(x):
@@ -370,7 +383,7 @@ def random_quadratic(n=10, spectrum=None, seed=20240, center=None, name=None):
         return 0.5 * float(u @ Q @ u)
 
     return ObjectiveProblem(
-        name=name or ("random_quadratic%d" % n),
+        name="random_quadratic%d" % n,
         dimension=n,
         value_fn=value,
         gradient_fn=lambda x: Q @ (x - center),

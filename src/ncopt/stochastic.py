@@ -1,15 +1,14 @@
 """Stochastic solvers: curvature noise over mini-batch estimates.
 
 The two-step method adds a zero-mean multiple of an estimated
-negative-curvature direction to each stochastic gradient step; on a finite
-sum whose batch Hessian does not read x, each sampled Hessian batch's
-checked eigenpair is computed once and kept on the problem, keyed by the
-batch (see `FiniteSumProblem`), which leaves every iterate unchanged bit
-for bit.  The dynamic method extracts both the step and the curvature
-direction from a truncated CG solve on the sampled system and drives the
-stepsizes 1/L_k and 1/sigma_k with stochastic value estimates.  Their
-`StochasticReport` gives the harness its own summary fields and trace rows
-(see `ncopt.harness`).
+negative-curvature direction to each stochastic gradient step, taking
+each sampled Hessian batch's checked eigenpair from the problem
+(`FiniteSumProblem.sampled_eigenpair`, which may keep it).  The dynamic
+method extracts both the step and the curvature direction from a
+truncated CG solve on the sampled system and drives the stepsizes 1/L_k
+and 1/sigma_k with stochastic value estimates.  Their `StochasticReport`
+gives the harness its own summary fields and trace rows (see
+`ncopt.harness`).
 """
 
 from __future__ import annotations
@@ -21,8 +20,13 @@ import numpy as np
 
 from ncopt.deterministic import TRACE_COLUMNS, _partial_report_on_failure, _step_point
 from ncopt.finite_sum import FiniteSumProblem, StochasticOracle
-from ncopt.linalg import CgStatus, all_finite, leftmost_eigenpair, norm, truncated_cg
-from ncopt.problems import EvaluationError, finite_gradient, integer_argument
+from ncopt.linalg import CgStatus, norm, truncated_cg
+from ncopt.problems import (
+    EvaluationError,
+    finite_gradient,
+    finite_hessian,
+    integer_argument,
+)
 from ncopt.steps import (
     ZERO_CURVATURE_TOL,
     LipschitzState,
@@ -212,77 +216,50 @@ class StochasticReport:
         return float(np.mean(self.exact_gradient_norms() ** 2))
 
 
-def _require_finite(x, value, gradient=None, hessian=None):
+def _require_finite(x, value, gradient=None):
     """Raise EvaluationError at x when a sampled estimate fails the rule its
     exact counterpart meets in `ObjectiveProblem`, before it can steer the
-    iteration: a finite value, a finite gradient norm (`finite_gradient`)
-    and finite Hessian entries (`all_finite`), checked in that order."""
+    iteration: a finite value, then a finite gradient norm
+    (`finite_gradient`).  A sampled Hessian is checked where it is made,
+    by `finite_hessian`, after them."""
     if not math.isfinite(value):
         raise EvaluationError("sampled value is %r" % value, x)
     if gradient is not None:
         finite_gradient(gradient, x, "sampled gradient")
-    if hessian is not None and not all_finite(hessian):
-        raise EvaluationError("sampled Hessian has non-finite entries", x)
 
 
 def _sampled_estimates(x, oracle):
-    """Value, gradient and Hessian estimates at x from a fresh gradient batch
-    and an independent Hessian batch, plus the gradient batch; a non-finite
-    estimate raises EvaluationError."""
-    problem = oracle.problem
+    """The checked value and gradient estimates at x on a fresh gradient
+    batch, that batch, and an independent Hessian batch."""
     grad_batch = oracle.next_gradient_batch()
     hess_batch = oracle.next_hessian_batch()
-    value_est, g_est = problem.batch_value_gradient(x, grad_batch)
-    H_est = problem.batch_hessian(x, hess_batch)
-    _require_finite(x, value_est, g_est, H_est)
-    return value_est, g_est, H_est, grad_batch
+    value_est, g_est = oracle.problem.batch_value_gradient(x, grad_batch)
+    _require_finite(x, value_est, g_est)
+    return value_est, g_est, grad_batch, hess_batch
 
 
 def curvature_noise_step(x, oracle, alpha):
     """One iteration of the stochastic two-step method.
 
     Draws a gradient-batch step s = -(gradient estimate), an independent
-    Hessian estimate whose leftmost eigenvector (scaled to ||s||) gives the
-    curvature direction, certified without the norm cap, and a uniform
-    omega in [-1, 1]; the step is x + alpha*(s + omega*d).  Returns
-    (x_next, record); the record's index is 1, a lone step's, and
-    `two_step_stochastic_solve` numbers each record by its own iteration.
-    A non-finite estimate raises EvaluationError, and a next iterate that
-    overflows ConditionViolation.
-
-    Where the problem keeps a table of sampled eigenpairs (a batch Hessian
-    that does not read x, and a complete table within its byte bound; see
-    `FiniteSumProblem`), a Hessian batch met before takes its stored,
-    read-only eigenpair instead of a new batch Hessian and decomposition,
-    and a batch met first stores the pair once it is checked.  The value
-    and gradient estimates are checked and d certified either way, and the
-    step is bit for bit the one computed afresh.
+    Hessian batch whose `FiniteSumProblem.sampled_eigenpair` gives the
+    curvature direction (its leftmost eigenvector scaled to ||s||),
+    certified without the norm cap, and a uniform omega in [-1, 1]; the
+    step is x + alpha*(s + omega*d).  Returns (x_next, record); the
+    record's index is 1, a lone step's, and `two_step_stochastic_solve`
+    numbers each record by its own iteration.  A non-finite estimate
+    raises EvaluationError, and a next iterate that overflows
+    ConditionViolation.
     """
     # StochasticStepConfig's rule, written so that NaN fails it
     if not 0.0 < alpha < math.inf:
         raise ValueError("stepsize must be positive and finite")
     x = np.asarray(x, dtype=float)
 
-    problem = oracle.problem
-    grad_batch = oracle.next_gradient_batch()
-    hess_batch = oracle.next_hessian_batch()
-    table = problem._eigenpair_table(oracle.batch_size)
-    key = hess_batch.tobytes()
-    eig = None if table is None else table.get(key)
-    value_est, g_est = problem.batch_value_gradient(x, grad_batch)
-    # a stored pair's Hessian was checked finite when it was stored
-    H_est = None if eig is not None else problem.batch_hessian(x, hess_batch)
-    _require_finite(x, value_est, g_est, H_est)
+    value_est, g_est, _, hess_batch = _sampled_estimates(x, oracle)
+    eig = oracle.problem.sampled_eigenpair(x, hess_batch)
     omega = oracle.next_omega()
     s = -g_est
-
-    if eig is None:
-        eig = leftmost_eigenpair(H_est)
-        if table is not None:
-            # every step that draws the batch shares the stored arrays
-            for a in (eig.leftmost_vector, eig.values, eig.vectors, eig.matrix):
-                a.flags.writeable = False
-            table[key] = eig
     lam = eig.leftmost_value
     snorm = norm(s)
     if lam >= -ZERO_CURVATURE_TOL or snorm == 0.0:
@@ -383,7 +360,9 @@ def dynamic_stochastic_solve(oracle, lipschitz_init=None, iterations=1000,
 
     def step(k, x):
         nonlocal L, sigma
-        f_here, g_est, H_est, grad_batch = _sampled_estimates(x, oracle)
+        f_here, g_est, grad_batch, hess_batch = _sampled_estimates(x, oracle)
+        H_est = finite_hessian(problem.batch_hessian(x, hess_batch), x,
+                               "sampled Hessian")
         cg = truncated_cg(H_est, g_est, max_iterations=CG_MAX_ITERATIONS)
         s = cg.solution
         d = (cg.curvature_direction

@@ -19,7 +19,13 @@ from ncopt.deterministic import (
     dynamic_solve,
     two_step_solve,
 )
-from ncopt.finite_sum import StochasticOracle, load_dataset
+from ncopt.finite_sum import (
+    LinearLeastSquaresProblem,
+    QuadraticFiniteSum,
+    StochasticOracle,
+    TwoLayerNetProblem,
+    load_dataset,
+)
 from ncopt.harness import (
     CONFIG_KEYS,
     ExperimentConfig,
@@ -33,6 +39,7 @@ from ncopt.linalg import (
     modified_newton_shift,
     truncated_cg,
 )
+from ncopt.problems import random_quadratic, rastrigin
 from ncopt.steps import (
     ConditionViolation,
     LipschitzState,
@@ -670,6 +677,14 @@ class TestOptionSurface:
             leftmost_eigenpair: ("H", "g"),
             truncated_cg: ("H", "g", "max_iterations"),
             modified_newton_shift: ("eig",),
+            # the problem constructors: a name or seed no caller varies is
+            # a constant of its constructor
+            QuadraticFiniteSum: ("n", "components", "seed", "spectrum",
+                                 "perturbation", "name"),
+            LinearLeastSquaresProblem: ("features", "labels"),
+            TwoLayerNetProblem: ("features", "labels", "hidden_units"),
+            random_quadratic: ("n", "spectrum", "seed"),
+            rastrigin: (),
         }
         for function, names in parameters.items():
             assert tuple(inspect.signature(function).parameters) == names, \

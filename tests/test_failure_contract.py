@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from ncopt import finite_sum
 from ncopt.cli import main
 from ncopt.deterministic import (
     SOLVER_FAILURES,
@@ -169,10 +170,13 @@ def test_two_step_stochastic_solve_ends_by_the_contract(case, alpha):
     assert outcomes[0] == outcomes[1]
 
 
-def test_warm_table_stores_no_batch_whose_hessian_is_not_finite():
+def test_warm_table_stores_no_batch_whose_hessian_is_not_finite(monkeypatch):
     # at x = 0 every value and gradient estimate is 0, so x stays there,
     # while a Hessian batch holding record 0 overflows; the third batch
-    # does, cold and warm alike
+    # does, cold and warm alike, and only the two before it are decomposed
+    decomposed, original = [], finite_sum.leftmost_eigenpair
+    monkeypatch.setattr(finite_sum, "leftmost_eigenpair",
+                        lambda H, g=None: decomposed.append(H) or original(H, g))
     with np.errstate(over="ignore"):
         problem = LinearLeastSquaresProblem(
             np.array([[1e155, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]),
@@ -191,6 +195,7 @@ def test_warm_table_stores_no_batch_whose_hessian_is_not_finite():
     stored = [np.frombuffer(key, dtype=np.int64)
               for key in problem._eigenpair_tables[2]]
     assert len(stored) == 2 and all(0 not in batch for batch in stored)
+    assert len(decomposed) == 2
 
 
 @given(case=least_squares_cases(), L=powers(-300, 300), sigma=powers(-300, 300),

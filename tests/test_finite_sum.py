@@ -217,7 +217,7 @@ class TestTwoLayerFullBatchSlot:
         rng = np.random.default_rng(21)
         x, y = (rng.normal(scale=0.7, size=p.dimension) for _ in range(2))
         batch = np.array([5, 0, 17])
-        # each order makes P and U first for the gradient or for the Hessian
+        # each order fills the slot first for a value, gradient or Hessian
         for point, order in ((x, "fgH"), (y, "Hgf"), (x, "gHf"), (y, "fHg")):
             sampled = p.batch_hessian(point, batch), p.batch_value_gradient(point, batch)
             found = _full_batch_derivatives(p, point, order)
@@ -235,8 +235,8 @@ class TestTwoLayerFullBatchSlot:
         x[0] += 0.25
         _assert_same_bits(_full_batch_derivatives(p, x, "fgH"),
                           _full_batch_derivatives(_small_net(), x, "fgH"))
-        # the slot's output weights are its own: a new array with the
-        # slot's bytes reads them after the array it was made from changes
+        # the slot holds no output weights: a new array with the slot's
+        # bytes reads its own after the array the slot was made from changes
         y = x.copy()
         x[h * d + h: h * d + 2 * h] += 1.0
         _assert_same_bits(_full_batch_derivatives(p, y, "gHf"),
@@ -295,6 +295,23 @@ class TestTwoLayerFullBatchSlot:
                               ("hessian", "hessian")):
             assert calls["finite_sum.batch_" + kind] == calls["problems." + wrapper] > 0
         assert tracer.counter_mismatches() == []
+
+
+def test_traced_two_step_solve_decomposes_once_per_table_miss():
+    # the table sits behind sampled_eigenpair, so the benchmark's spans see
+    # one batch Hessian and one eigenpair for each batch met first
+    problem = random_quadratic_finite_sum(n=4, components=6, seed=2)
+    tracer = _load_tracer().Tracer()
+    with tracer.installed():
+        two_step_stochastic_solve(StochasticOracle(problem, 2, seed=3),
+                                  StochasticStepConfig(alpha_constant=0.01), 100)
+    calls = {name: total["calls"] for name, total in tracer.layer_totals().items()}
+    misses = len(problem._eigenpair_tables[2])
+    # 100 draws of 6*5 = 30 ordered batches of 2: at least 70 hits
+    assert 0 < misses <= 30
+    assert calls["linalg.leftmost_eigenpair"] == misses
+    assert calls["finite_sum.batch_hessian"] == misses
+    assert tracer.counter_mismatches() == []
 
 
 @pytest.mark.parametrize("make", [
@@ -377,6 +394,23 @@ def test_quadratic_spectrum_must_be_finite_and_positive(spectrum):
     # singular Q; the others died in broadcasting or the start check
     with pytest.raises(ValueError, match="^spectrum must hold n finite, positive"):
         random_quadratic_finite_sum(n=2, components=4, spectrum=spectrum)
+
+
+@pytest.mark.parametrize("perturbation", [np.nan, np.inf, -1.0],
+                         ids=["nan", "inf", "negative"])
+def test_quadratic_perturbation_must_be_finite_and_nonnegative(perturbation):
+    # a NaN or infinite perturbation used to build NaN matrices, minimizer
+    # and lower bound
+    with pytest.raises(ValueError, match="^perturbation must be finite and "
+                       "nonnegative$"):
+        random_quadratic_finite_sum(n=3, components=4, perturbation=perturbation)
+
+
+def test_quadratic_center_scale_is_fixed():
+    # an infinite center_scale used to build NaN minimizers; the scale is
+    # now the constant 2, so no value can be passed
+    with pytest.raises(TypeError, match="center_scale"):
+        random_quadratic_finite_sum(n=3, components=4, center_scale=np.inf)
 
 
 def test_least_squares_overflowing_gram_documents_no_lipschitz_constant():
@@ -491,6 +525,16 @@ class TestLoadDataset:
     def test_non_numeric_cell_cites_row(self, tmp_path):
         path = self._write(tmp_path, "1,2\n3,4\n5,oops\n")
         with pytest.raises(DatasetParseError, match="row 3"):
+            load_dataset(path)
+
+    def test_non_finite_cell_cites_row_and_cell(self, tmp_path):
+        # float() parses nan and inf, which used to load as features
+        path = self._write(tmp_path, "1,2,3\nnan,1,2\n3,inf,1\n")
+        with pytest.raises(DatasetParseError,
+                           match=r"^row 2: cell 1 \('nan'\) is not a finite number$"):
+            load_dataset(path)
+        path = self._write(tmp_path, "1,2,3\n3,-inf,1\n")
+        with pytest.raises(DatasetParseError, match="^row 2: cell 2 "):
             load_dataset(path)
 
     def test_ragged_row_is_schema_error(self, tmp_path):

@@ -184,13 +184,13 @@ class TestEigenpairTable:
     @staticmethod
     def counted_eigenpairs(monkeypatch):
         """The list each step's leftmost_eigenpair call appends to."""
-        calls, original = [], stochastic.leftmost_eigenpair
+        calls, original = [], finite_sum.leftmost_eigenpair
 
         def counted(H, g=None):
             calls.append(H.shape)
             return original(H, g)
 
-        monkeypatch.setattr(stochastic, "leftmost_eigenpair", counted)
+        monkeypatch.setattr(finite_sum, "leftmost_eigenpair", counted)
         return calls
 
     def solve(self, problem, seed, iterations=400, batch_size=2):
@@ -246,7 +246,31 @@ class TestEigenpairTable:
         for bound, kept in ((size, True), (size - 1, False)):
             monkeypatch.setattr(finite_sum, "_EIGEN_TABLE_BYTES", bound)
             problem = random_quadratic_finite_sum(n=3, components=4)
-            assert (problem._eigenpair_table(2) is not None) is kept
+            problem.sampled_eigenpair(np.zeros(3), np.array([0, 1]))
+            assert (problem._eigenpair_tables[2] is not None) is kept
+
+    def test_a_batch_met_again_reads_its_stored_pair(self, monkeypatch):
+        # the same rows in another order are another batch, decomposed
+        # afresh; the same rows in the same order at another point are not
+        calls = self.counted_eigenpairs(monkeypatch)
+        problem = random_quadratic_finite_sum(n=3, components=6)
+        batch = np.array([4, 0, 2])
+        first = problem.sampled_eigenpair(np.zeros(3), batch)
+        permuted = problem.sampled_eigenpair(np.zeros(3), batch[::-1].copy())
+        assert problem.sampled_eigenpair(np.ones(3), batch.copy()) is first
+        assert permuted is not first and len(calls) == 2
+
+    def test_a_non_finite_batch_hessian_raises_and_is_never_stored(self):
+        # record 0's features overflow phi'phi; a batch without it is stored
+        with np.errstate(over="ignore"):
+            problem = LinearLeastSquaresProblem(
+                np.array([[1e155, 0.0], [1.0, 1.0], [1.0, 0.0]]), np.zeros(3))
+            for _ in range(2):
+                with pytest.raises(EvaluationError, match="^sampled Hessian has "
+                                   "non-finite entries$"):
+                    problem.sampled_eigenpair(np.zeros(2), np.array([1, 0]))
+        problem.sampled_eigenpair(np.zeros(2), np.array([1, 2]))
+        assert list(problem._eigenpair_tables[2]) == [np.array([1, 2]).tobytes()]
 
     def test_stored_arrays_are_read_only(self):
         problem = random_quadratic_finite_sum(n=10, components=20)
