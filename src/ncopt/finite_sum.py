@@ -124,11 +124,12 @@ class FiniteSumProblem(ObjectiveProblem):
         return data if indices is self._all_indices else data[indices]
 
     def _set_records(self, features, labels):
-        """Store (N, d) features and N labels as `features` and `labels`,
-        contiguous, so the full batch read in place is laid out like the
-        copy a fancy index makes."""
-        features = np.ascontiguousarray(features, dtype=float)
-        labels = np.ascontiguousarray(labels, dtype=float)
+        """Store copies of (N, d) features and N labels as `features` and
+        `labels`, so a later write to the caller's arrays leaves the
+        problem as built; C-ordered, so the full batch read in place is
+        laid out like the copy a fancy index makes."""
+        features = np.array(features, dtype=float, order="C", ndmin=1)
+        labels = np.array(labels, dtype=float, order="C", ndmin=1)
         if features.ndim != 2 or labels.shape != (features.shape[0],):
             raise ValueError("features must be (N, d) with matching labels")
         # as load_dataset requires of a file
@@ -315,8 +316,6 @@ class TwoLayerNetProblem(FiniteSumProblem):
             default_start=np.random.default_rng(5).normal(scale=0.2, size=dim),
         )
         self._scatter_flat, self._scatter_source = _second_order_layout(h, d)
-        # the sample-contiguous features the full-batch Hessian reads
-        self._features_f = np.asfortranarray(self.features)
         self._slot = None
 
     def _unpack(self, theta):
@@ -389,9 +388,7 @@ class TwoLayerNetProblem(FiniteSumProblem):
         # samples einsum's inner loop instead of a loop d entries long run
         # m*h times; each entry is still the same products summed over the
         # samples in the same order, so the bits do not change
-        Xf = (self._features_f if indices is self._all_indices
-              else np.asfortranarray(X))
-        Pf, Uf, Df = (np.asfortranarray(a) for a in (P, U, D))
+        Xf, Pf, Uf, Df = (np.asfortranarray(a) for a in (X, P, U, D))
         JW1 = np.einsum("mi,mj->mij", Uf, Xf).reshape(m, h * d)
         J = np.concatenate([JW1, U, A, np.ones((m, 1))], axis=1)
         H = J.T @ J / m

@@ -6,13 +6,11 @@ curvature direction and the modified-Newton shift and solve.  When the
 leftmost eigenvalue is repeated, LAPACK may return any orthonormal basis
 of its eigenspace, so the vector used is picked once, by
 `eigenspace_direction`, a rule that depends on the eigenspace and the
-gradient only.  A simple leftmost eigenvalue, the common case, takes the
-rule's single-column form, which gives the same vector bit for bit.  The
-vector and matrix norms on the per-iterate paths are `norm`, which equals
-`np.linalg.norm` bit for bit without its argument dispatch wherever the
-sum of squares does not underflow.  The tests
-check these kernels against an independent pure-Python reference
-eigensolver.  All kernels are pure functions and safe for concurrent use.
+gradient only.  The vector and matrix norms on the per-iterate paths are
+`norm`, which equals `np.linalg.norm` bit for bit without its argument
+dispatch wherever the sum of squares does not underflow.  The tests check
+these kernels against an independent pure-Python reference eigensolver.
+All kernels are pure functions and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -92,9 +90,6 @@ def _leftmost_multiplicity(w):
     _TIE_RTOL * max(1, max |w|) of the leftmost one."""
     w0 = float(w[0])
     tol = _TIE_RTOL * max(1.0, abs(w0), abs(float(w[-1])))
-    # a simple leftmost eigenvalue needs no search
-    if len(w) == 1 or w[1] > w0 + tol:
-        return 1
     return int(np.searchsorted(w, w0 + tol, side="right"))
 
 
@@ -148,8 +143,7 @@ def eigenspace_direction(basis, g=None):
     given and Pg is not negligible (the unit vector of the span most
     aligned with -g); otherwise P e_j/||P e_j|| for the smallest j whose
     projection is not negligible, signed so that its largest-magnitude
-    entry is positive.  A single column c, a simple eigenvalue's
-    eigenspace, takes P e_j = c c_j directly, bit for bit the same vector.
+    entry is positive.
     """
     if g is not None:
         g = np.asarray(g, dtype=float)
@@ -157,15 +151,8 @@ def eigenspace_direction(basis, g=None):
         pg_norm = norm(pg)
         if pg_norm > _PROJECTION_FLOOR * norm(g):
             return -pg / pg_norm
-    if basis.shape[1] == 1:
-        # |c_i| is the row norm sqrt(c_i^2) exactly; the product's sum
-        # starts from +0.0, which adding +0.0 reproduces on zero entries
-        col = basis[:, 0]
-        j = int(np.argmax(np.abs(col) > _PROJECTION_FLOOR))
-        v = col * col[j] + 0.0
-    else:
-        j = int(np.argmax(np.linalg.norm(basis, axis=1) > _PROJECTION_FLOOR))
-        v = basis @ basis[j]
+    j = int(np.argmax(np.linalg.norm(basis, axis=1) > _PROJECTION_FLOOR))
+    v = basis @ basis[j]
     v /= norm(v)
     if v[int(np.argmax(np.abs(v)))] < 0.0:
         v = -v
@@ -263,12 +250,9 @@ def modified_newton_shift(eig):
     # aim slightly inside the cap so the condition number verified in floating
     # point (relative error ~ eps * kappa) still lands at or below it
     cap = CONDITION_CAP * (1.0 - 1e-6)
-    if lmin > 0.0 and lmax <= cap * lmin:
-        delta = 0.0
-    else:
-        delta = max(0.0, (lmax - cap * lmin) / (cap - 1.0))
-        if lmin + delta <= 0.0:
-            delta = -lmin + _PD_FLOOR
+    delta = max(0.0, (lmax - cap * lmin) / (cap - 1.0))
+    if lmin + delta <= 0.0:
+        delta = -lmin + _PD_FLOOR
     shifted = w + delta
 
     def spectral_solve(rhs):

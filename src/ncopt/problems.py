@@ -80,13 +80,17 @@ class ObjectiveProblem:
         self.gradient_count = 0
         self.hessian_count = 0
 
-    def _check_point(self, x):
-        x = np.asarray(x, dtype=float)
+    def _check_dimension(self, x):
+        """x, a float array, if it has the problem's shape (n,)."""
         if x.shape != (self.dimension,):
             raise ValueError(
                 "point of dimension %s does not match problem dimension %d"
                 % (x.shape, self.dimension)
             )
+        return x
+
+    def _check_point(self, x):
+        x = self._check_dimension(np.asarray(x, dtype=float))
         if not all_finite(x):
             raise ValueError("point has non-finite coordinates")
         return x

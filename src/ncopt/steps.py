@@ -122,8 +122,7 @@ def negative_curvature_direction(eig, g):
     # sign does not follow rounding noise; the certificate allows this g'd
     if g is not None and float(g @ d) > _CERT_SLACK * max(1.0, norm(g) * norm(d)):
         d = -d
-    if d.any():
-        certify_curvature_direction(d, eig, g)
+    certify_curvature_direction(d, eig, g)
     return d
 
 

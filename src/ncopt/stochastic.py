@@ -109,6 +109,7 @@ def constant_step_mean_square_bound(moments, gradient_lipschitz, delta, alpha,
                                     iterations, initial_gap):
     """Bound on the average squared gradient norm over `iterations` iterates
     of the constant-stepsize two-step method."""
+    iterations = integer_argument("iterations", iterations, 1)
     return (
         2.0 * alpha * gradient_lipschitz * moments.M1 / delta
         + 2.0 * initial_gap / (iterations * delta * alpha)
@@ -249,12 +250,14 @@ def curvature_noise_step(x, oracle, alpha):
     record's index is 1, a lone step's, and `two_step_stochastic_solve`
     numbers each record by its own iteration.  A non-finite estimate
     raises EvaluationError, and a next iterate that overflows
-    ConditionViolation.
+    ConditionViolation.  An x of another shape than the problem's, or a
+    stepsize that is not positive and finite, is a ValueError before any
+    draw; the solvers check the finiteness of their start once.
     """
     # StochasticStepConfig's rule, written so that NaN fails it
     if not 0.0 < alpha < math.inf:
         raise ValueError("stepsize must be positive and finite")
-    x = np.asarray(x, dtype=float)
+    x = oracle.problem._check_dimension(np.asarray(x, dtype=float))
 
     value_est, g_est, _, hess_batch = _sampled_estimates(x, oracle)
     eig = oracle.problem.sampled_eigenpair(x, hess_batch)
@@ -287,16 +290,19 @@ def _iterate(oracle, iterations, x0, step, config):
     many sampled values it evaluated; with the final exact f they make the
     report's total_fevals.  The final f is the loop's only full-batch
     evaluation.  `config` is the solver's part of the report's config echo.
+    The budget and the start x0 (by default the problem's) are checked
+    before any draw, x0 by the rule of `ObjectiveProblem`'s evaluations.
     """
     iterations = integer_argument("iterations", iterations, 1)
     problem = oracle.problem
+    x = problem._check_point(
+        np.array(problem.default_start if x0 is None else x0, dtype=float))
     report = StochasticReport(
         problem_name=problem.name,
         seed=oracle.seed,
         config={**config, "batch_size": oracle.batch_size, "iterations": iterations},
         problem=problem,
     )
-    x = np.array(problem.default_start if x0 is None else x0, dtype=float)
     with _partial_report_on_failure(report):
         for k in range(1, iterations + 1):
             x_next, record, fevals = step(k, x)
@@ -426,6 +432,7 @@ def measure_moment_constants(oracle, x, draws=10000):
     `_probe_chunk(oracle)` at a time with `batch_gradients`; each squared
     deviation equals the one-draw dot product bit for bit.
     """
+    draws = integer_argument("draws", draws, 1)
     x = np.asarray(x, dtype=float)
     problem = oracle.problem
     exact_g = problem.gradient(x)
@@ -465,8 +472,9 @@ def expected_descent_check(problem, x, config, replications, seed=0,
     compares against the bound built from the (measured) moment constants
     and the problem's documented gradient Lipschitz constant.  Raises
     ExpectedDecreaseViolation if the estimate exceeds the bound by more than
-    three standard errors.
+    three standard errors, or if the estimate is NaN.
     """
+    replications = integer_argument("replications", replications, 1)
     x = np.asarray(x, dtype=float)
     L = config.gradient_lipschitz or problem.local_gradient_lipschitz
     if L is None:
@@ -492,7 +500,8 @@ def expected_descent_check(problem, x, config, replications, seed=0,
         + 0.5 * L * moments.M1 * alpha ** 2
         + L * moments.M1 * alpha ** 2 / 6.0
     )
-    if empirical > bound + 3.0 * stderr:
+    # written so that a NaN estimate fails it
+    if not empirical <= bound + 3.0 * stderr:
         raise ExpectedDecreaseViolation(
             "empirical decrease %.6e exceeds bound %.6e + 3*SE %.2e"
             % (empirical, bound, stderr)

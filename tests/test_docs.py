@@ -3,6 +3,7 @@ code defines, and quotes the public functions' signatures as they are."""
 
 import importlib
 import inspect
+import json
 import pathlib
 import pkgutil
 import re
@@ -11,7 +12,8 @@ import ncopt
 from ncopt.deterministic import TRACE_COLUMNS
 from ncopt.harness import CONFIG_KEYS, VARIANTS
 
-README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def test_variants_line_lists_exactly_the_variants():
@@ -86,3 +88,24 @@ def test_every_quoted_signature_matches_the_code():
     assert {"descent_direction", "negative_curvature_direction",
             "certify_curvature_direction", "modified_newton_shift",
             "leftmost_eigenpair"} <= checked
+
+
+def test_every_module_attribute_the_readme_names_resolves():
+    # a backticked `module.attr`, or `ncopt.module.attr`, whose module is an
+    # ncopt module must name something that module defines
+    modules = {m.name for m in pkgutil.iter_modules(ncopt.__path__)}
+    named = {(module, attr) for module, attr in
+             re.findall(r"`(?:ncopt\.)?([a-z_]+)\.(\w+(?:\.\w+)*)", README)
+             if module in modules}
+    for module, attr in named:
+        found = importlib.import_module("ncopt." + module)
+        for part in attr.split("."):
+            assert hasattr(found, part), "%s.%s" % (module, attr)
+            found = getattr(found, part)
+    assert len(named) >= 12
+
+
+def test_fingerprint_count_is_the_golden_count():
+    stated = re.search(r"field\s+of\s+(\d+)\s+solves", README)
+    golden = json.loads((ROOT / "tests" / "golden" / "fingerprints.json").read_text())
+    assert int(stated.group(1)) == len(golden)

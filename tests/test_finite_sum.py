@@ -435,6 +435,23 @@ def test_records_need_a_row_and_a_feature_column(make, shape):
 
 
 @pytest.mark.parametrize("make", [
+    LinearLeastSquaresProblem, TwoLayerNetProblem], ids=["least_squares", "net"])
+def test_writes_to_the_callers_data_leave_the_problem_as_built(make):
+    # the problem copies its records: scaling the caller's features once
+    # moved f tenfold while the Lipschitz constant stayed as built
+    features, labels = _net_records()
+    built = make(features, labels)
+    reference = make(features.copy(), labels.copy())
+    features *= 10.0
+    labels[:] = 5.0
+    x = np.random.default_rng(16).normal(size=built.dimension)
+    assert built.evaluate(x) == reference.evaluate(x)
+    assert np.array_equal(built.gradient(x), reference.gradient(x))
+    assert np.array_equal(built.hessian(x), reference.hessian(x))
+    assert built.local_gradient_lipschitz == reference.local_gradient_lipschitz
+
+
+@pytest.mark.parametrize("make", [
     lambda: random_quadratic_finite_sum(n=4, components=6, seed=2),
     lambda: LinearLeastSquaresProblem(
         np.random.default_rng(4).normal(size=(9, 3)),

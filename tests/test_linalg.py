@@ -551,9 +551,10 @@ def unit_columns(draw):
 
 
 class TestSingleColumnPath:
-    """A simple leftmost eigenvalue takes eigenspace_direction's
-    single-column form; it must give the general rule's vector bit for
-    bit, signed zeros included."""
+    """A simple leftmost eigenvalue's one-column eigenspace goes through
+    eigenspace_direction's one rule, which must give `_general_rule`'s
+    vector bit for bit, signed zeros included; `_leftmost_multiplicity`
+    must agree with the plain search at and around a tie."""
 
     @given(unit_columns())
     def test_matches_the_general_rule(self, col):

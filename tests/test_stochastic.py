@@ -12,6 +12,7 @@ from ncopt.finite_sum import (
     random_quadratic_finite_sum,
     synthetic_two_layer_net,
 )
+from ncopt.deterministic import dynamic_solve
 from ncopt.problems import EvaluationError, make_problem
 from ncopt.steps import ConditionViolation, LipschitzState
 from ncopt.stochastic import (
@@ -668,6 +669,72 @@ def test_budget_that_is_not_a_positive_integer_is_rejected(solve, iterations):
     with pytest.raises(ValueError, match="^iterations must be a positive integer$"):
         solve(oracle, iterations)
     assert_streams_stand_at(oracle)
+
+
+@pytest.mark.parametrize("x0", [np.zeros(1), np.zeros((10, 1)),
+                                np.full(10, math.nan), np.full(10, math.inf)],
+                         ids=["shape_1", "shape_10x1", "nan", "inf"])
+@pytest.mark.parametrize("solve", [
+    lambda o, x0: dynamic_stochastic_solve(o, iterations=3, x0=x0),
+    lambda o, x0: two_step_stochastic_solve(
+        o, StochasticStepConfig(alpha_constant=0.05), 3, x0=x0),
+], ids=["dynamic", "two_step"])
+def test_start_is_checked_as_the_deterministic_solvers_check_it(noisy_quadratic,
+                                                               solve, x0):
+    # a (1,) start used to broadcast to n entries after one step, and a NaN
+    # one to end as an EvaluationError at the first sampled value
+    with pytest.raises(ValueError) as expected:
+        dynamic_solve(noisy_quadratic, x0=x0)
+    oracle = StochasticOracle(noisy_quadratic, batch_size=2, seed=0)
+    with pytest.raises(ValueError) as found:
+        solve(oracle, x0)
+    assert str(found.value) == str(expected.value)
+    assert_streams_stand_at(oracle)
+
+
+def test_curvature_noise_step_rejects_a_point_of_another_shape(noisy_quadratic):
+    oracle = StochasticOracle(noisy_quadratic, batch_size=2, seed=0)
+    for x in (np.zeros(1), np.zeros((10, 1))):
+        with pytest.raises(ValueError) as expected:
+            noisy_quadratic.evaluate(x)
+        with pytest.raises(ValueError) as found:
+            curvature_noise_step(x, oracle, 0.05)
+        assert str(found.value) == str(expected.value)
+    assert_streams_stand_at(oracle)
+
+
+def _descent_check(replications):
+    config = StochasticStepConfig(alpha_constant=0.25, gradient_lipschitz=1.0)
+    return expected_descent_check(half_x_squared(), np.array([2.0]), config,
+                                  replications=replications, batch_size=2,
+                                  measure_draws=50)
+
+
+# each count argument of the moment helpers and the expected-descent check:
+# its name and a call taking it
+HELPER_INTEGERS = {
+    "draws": lambda k: measure_moment_constants(
+        StochasticOracle(random_quadratic_finite_sum(n=10, components=20,
+                                                     seed=314), 2, seed=5),
+        np.zeros(10), draws=k),
+    "iterations": lambda k: constant_step_mean_square_bound(
+        MomentBounds(1.0, 1.5), 1.0, 1.0, 0.1, k, 2.0),
+    "replications": _descent_check,
+}
+
+
+@pytest.mark.parametrize("name", HELPER_INTEGERS)
+def test_helper_counts_follow_the_integer_rule(name):
+    # draws=0 used to fail as "moment bounds need a finite M1", iterations=0
+    # as a ZeroDivisionError and replications=0 not at all, with a NaN
+    # decrease; iterations=-5 gave a negative bound
+    call = HELPER_INTEGERS[name]
+    for integral in (np.int64(2), 2.0):
+        assert call(integral) == call(2)
+    for bad in (2.5, True, "3", 0, -3, -5):
+        with pytest.raises(ValueError, match="^%s must be a positive integer$"
+                           % name):
+            call(bad)
 
 
 class TestMomentMeasurement:
