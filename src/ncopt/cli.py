@@ -1,11 +1,11 @@
 """Command-line experiment runner.
 
-Verbs: list-problems, run, compare, campaign.  Exit codes: 0 on success,
-2 on usage errors, 3 on abnormal solver termination (the solve's partial
-report and trace are still written).  `run` reads its settings from an
-optional INI file and then from its flags, which override it; both are
-defined by `ncopt.harness.CONFIG_KEYS`.  The default output directory comes
-from NCOPT_OUTPUT_DIR.
+Verbs: list-problems, run, compare, campaign.  `main` maps the exit codes
+for every verb: 0 on success, 2 on a usage error, 3 on abnormal solver
+termination (the solve's partial report and trace are still written).
+`run` reads its settings from an optional INI file and then from its
+flags, which override it; both are defined by `ncopt.harness.CONFIG_KEYS`.
+The default output directory comes from NCOPT_OUTPUT_DIR.
 """
 
 from __future__ import annotations
@@ -76,15 +76,8 @@ def _config_from_args(args):
 
 
 def _cmd_run(args):
-    try:
-        config = _config_from_args(args)
-        report, paths = run_experiment(config)
-    except UsageError as err:
-        print("usage error: %s" % err, file=sys.stderr)
-        return 2
-    except SOLVER_FAILURES as err:
-        print("solver abnormal termination: %s" % err, file=sys.stderr)
-        return 3
+    config = _config_from_args(args)
+    report, paths = run_experiment(config)
     summary = report_summary(report, config)
     print("problem:      %s" % summary["problem"])
     print("variant:      %s" % config.variant)
@@ -105,8 +98,7 @@ def _cmd_compare(args):
         row = compare(load_report_summary(args.report_a),
                       load_report_summary(args.report_b))
     except (OSError, ValueError, KeyError) as err:
-        print("usage error: %s" % err, file=sys.stderr)
-        return 2
+        raise UsageError(str(err)) from None
     print("problem:                 %s" % row.problem)
     print("f measure:               %+.6g" % row.f_measure)
     print("iteration measure:       %+.6g" % row.iter_measure)
@@ -116,15 +108,11 @@ def _cmd_compare(args):
 
 
 def _cmd_campaign(args):
-    try:
-        pairs = standard_campaign_pairs(strategy=args.strategy, seed=args.seed,
-                                        out_dir=args.out,
-                                        max_iterations=args.max_iterations,
-                                        problems=args.problems)
-        rows, table_path, plot_paths = campaign(pairs, out_dir=args.out)
-    except UsageError as err:
-        print("usage error: %s" % err, file=sys.stderr)
-        return 2
+    pairs = standard_campaign_pairs(strategy=args.strategy, seed=args.seed,
+                                    out_dir=args.out,
+                                    max_iterations=args.max_iterations,
+                                    problems=args.problems)
+    rows, table_path, plot_paths = campaign(pairs, out_dir=args.out)
     for row in rows:
         print("%-18s f=%+.4g its=%+.4g fevals=%+.4g"
               % (row.problem, row.f_measure, row.iter_measure, row.feval_measure))
@@ -144,14 +132,19 @@ def main(argv=None):
         for name in list_problems():
             print(name)
         return 0
+    command = {"run": _cmd_run, "compare": _cmd_compare,
+               "campaign": _cmd_campaign}[args.command]
     # a solve that overflows already ends as an EvaluationError with its
     # own message; NumPy's warnings would only repeat it
-    with np.errstate(over="ignore", invalid="ignore"):
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        return _cmd_campaign(args)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return command(args)
+    except UsageError as err:
+        print("usage error: %s" % err, file=sys.stderr)
+        return 2
+    except SOLVER_FAILURES as err:
+        print("solver abnormal termination: %s" % err, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

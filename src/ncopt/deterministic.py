@@ -14,13 +14,12 @@ import contextlib
 import enum
 import functools
 import itertools
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from ncopt.linalg import KernelError, all_finite, leftmost_eigenpair, norm
-from ncopt.problems import EvaluationError, integer_argument
+from ncopt.problems import EvaluationError, integer_argument, real_argument
 from ncopt.steps import (
     DESCENT_COSINE,
     RHO,
@@ -73,9 +72,8 @@ class TerminationSpec:
     max_iterations: int = 10000
 
     def __post_init__(self):
-        # written so that NaN fails each check
-        if not (self.grad_tol_rel > 0.0 and self.curv_tol_rel > 0.0):
-            raise ValueError("tolerances must be positive")
+        real_argument("grad_tol_rel", self.grad_tol_rel)
+        real_argument("curv_tol_rel", self.curv_tol_rel)
         self.max_iterations = integer_argument("max_iterations", self.max_iterations, 1)
 
 
@@ -284,9 +282,8 @@ def two_step_solve(problem, alpha=None, beta=None, termination=None, x0=None):
     An EvaluationError, KernelError or ConditionViolation raised mid-solve
     carries the partial report as `report`.
     """
-    # written so that NaN fails it
-    if not all(t is not None and 0.0 < t < math.inf for t in (alpha, beta)):
-        raise ValueError("two_step_solve needs positive, finite fixed stepsizes")
+    real_argument("alpha", alpha)
+    real_argument("beta", beta)
 
     def step(k, x, f, g, gnorm, eig, d):
         has_d = bool(d.any())
@@ -378,6 +375,8 @@ def complexity_census(report, epsilon_g, epsilon_H):
     lower bound, or without constant estimates, as in a `two_step_solve`
     report, the counts are still returned and the bounds are None.
     """
+    real_argument("epsilon_g", epsilon_g)
+    real_argument("epsilon_H", epsilon_H)
     records = report.records
     if not records:
         raise ValueError("report has no records")

@@ -19,6 +19,7 @@ from ncopt.problems import (
     _rotated_spectrum,
     finite_hessian,
     integer_argument,
+    real_argument,
 )
 
 
@@ -135,6 +136,9 @@ class FiniteSumProblem(ObjectiveProblem):
         # as load_dataset requires of a file
         if 0 in features.shape:
             raise ValueError("features need at least one record and one column")
+        for name, data in (("features", features), ("labels", labels)):
+            if not all_finite(data):
+                raise ValueError("%s must be finite" % name)
         self.features = features
         self.labels = labels
 
@@ -175,14 +179,13 @@ class QuadraticFiniteSum(FiniteSumProblem):
         if spectrum is None:
             spectrum = np.linspace(1.0, 4.0, n)
         spectrum = np.asarray(spectrum, dtype=float)
-        # written so that NaN fails each check: a spectrum that is not
-        # positive leaves the minimizer and lower bound undefined, and a
-        # perturbation that is not finite makes every Q_i NaN
+        # a spectrum that is not positive leaves the minimizer and lower
+        # bound undefined (NaN fails both comparisons), and a perturbation
+        # that is not finite makes every Q_i NaN
         positive = (spectrum > 0.0) & (spectrum < math.inf)
         if spectrum.shape != (n,) or not positive.all():
             raise ValueError("spectrum must hold n finite, positive values")
-        if not 0.0 <= perturbation < math.inf:
-            raise ValueError("perturbation must be finite and nonnegative")
+        real_argument("perturbation", perturbation, positive=False)
         Q = _rotated_spectrum(rng, spectrum)
         lam_min = float(np.min(spectrum))
         mats = np.empty((components, n, n))
@@ -406,6 +409,9 @@ class TwoLayerNetProblem(FiniteSumProblem):
             np.einsum("m,mi->i", r, P),
         ]) / m
         H.reshape(-1)[self._scatter_flat] += terms[self._scatter_source]
+        # not a no-op: J'J is exactly symmetric, but the W1-W1 terms for
+        # (j, k) and (k, j) multiply X's columns in different orders, so
+        # that block alone differs from its transpose in the last bits
         return 0.5 * (H + H.T)
 
 

@@ -31,7 +31,7 @@ from ncopt.deterministic import (
     two_step_solve,
 )
 from ncopt.finite_sum import FiniteSumProblem, StochasticOracle, load_dataset
-from ncopt.problems import integer_argument, list_problems, make_problem
+from ncopt.problems import integer_argument, list_problems, make_problem, real_argument
 from ncopt.steps import LipschitzState
 from ncopt.stochastic import (
     LIPSCHITZ_INIT,
@@ -195,11 +195,11 @@ _IGNORED_HINTS = {
 }
 
 
-def _integer_setting(name, value, minimum):
-    """`problems.integer_argument`'s rule for a setting, as a UsageError
-    naming it."""
+def _setting(rule, name, *args):
+    """The library's argument `rule` (`problems.integer_argument` or
+    `problems.real_argument`) for a setting, as a UsageError naming it."""
     try:
-        integer_argument(name, value, minimum)
+        rule(name, *args)
     except ValueError as err:
         raise UsageError("%s: %s" % (name, err)) from None
 
@@ -220,12 +220,12 @@ def validate_config(config):
             % (config.problem, ", ".join(list_problems()))
         )
     if config.seed is not None:
-        _integer_setting("seed", config.seed, 0)
+        _setting(integer_argument, "seed", config.seed, 0)
     if row.stochastic:
         if config.seed is None:
             raise UsageError("seed: stochastic variants need an explicit seed")
-        _integer_setting("iterations", config.iterations, 1)
-        _integer_setting("batch_size", config.batch_size, 1)
+        _setting(integer_argument, "iterations", config.iterations, 1)
+        _setting(integer_argument, "batch_size", config.batch_size, 1)
     reads = row.reads + _EVERY_RUN_READS
     # a deterministic variant draws its start from the seed only when no
     # start is given, and the dataset keys need a dataset
@@ -241,9 +241,7 @@ def validate_config(config):
             raise UsageError("%s: %s ignores it%s" % (
                 key.name, config.variant, _IGNORED_HINTS.get(key.name, "")))
     for name in row.stepsizes:
-        if not (getattr(config, name) or 0.0) > 0.0:
-            raise UsageError("%s: %s needs a positive fixed %s"
-                             % (name, config.variant, name))
+        _setting(real_argument, name, getattr(config, name))
 
 
 def build_problem(config):
@@ -466,9 +464,9 @@ def standard_campaign_pairs(strategy="sd", seed=0, out_dir=None,
     if strategy not in CAMPAIGN_STRATEGIES:
         raise UsageError("strategy: must be %s"
                          % " or ".join(map(repr, CAMPAIGN_STRATEGIES)))
-    _integer_setting("max_iterations", max_iterations, 1)
+    _setting(integer_argument, "max_iterations", max_iterations, 1)
     if seed is not None:
-        _integer_setting("seed", seed, 0)
+        _setting(integer_argument, "seed", seed, 0)
     if problems is not None and not problems:
         raise UsageError("problems: the list is empty; give None for the whole suite")
     descent_only, with_curvature = CAMPAIGN_STRATEGIES[strategy]

@@ -204,10 +204,14 @@ def truncated_cg(H, g, max_iterations):
     solution falls back to -g and no direction is reported.  The curvature
     test is exact (<= 0), with no tolerance band.
     """
+    # imported here, as a module (the cheaper import statement), because
+    # ncopt.problems imports this module
+    import ncopt.problems
+
     H = _check_symmetric(H)
     g = np.asarray(g, dtype=float)
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+    max_iterations = ncopt.problems.integer_argument("max_iterations",
+                                                     max_iterations, 1)
     gnorm = norm(g)
     if gnorm == 0.0:
         return CgOutcome(np.zeros_like(g), None, CgStatus.CONVERGED, 0)

@@ -28,6 +28,20 @@ def integer_argument(name, value, minimum):
                      % (name, ("nonnegative", "positive")[minimum]))
 
 
+def real_argument(name, value, positive=True):
+    """`value`, unchanged, if it is a finite real number above 0 (at least
+    0 where `positive` is false); anything else, NaN, a bool, None or a
+    string too, is a ValueError naming the argument."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if (0.0 < value if positive else 0.0 <= value) and value < math.inf:
+                return value
+        except (TypeError, ValueError):
+            pass
+    raise ValueError("%s must be %s and finite"
+                     % (name, ("nonnegative", "positive")[positive]))
+
+
 class EvaluationError(RuntimeError):
     """The objective produced a non-finite value; carries the offending point."""
 
@@ -370,13 +384,14 @@ def random_quadratic(n=10, spectrum=None, seed=20240):
     normal draw, both from the generator seeded with `seed`.  With a positive
     spectrum the problem is convex with minimum 0 at c; an indefinite
     spectrum gives an unbounded-below quadratic for negative-curvature
-    exercises.  The gradient Lipschitz constant max|spectrum| is documented.
+    exercises; each entry must be finite.  The gradient Lipschitz constant
+    max|spectrum| is documented.
     """
     if spectrum is None:
         spectrum = np.logspace(0.0, 2.0, n)
     spectrum = np.asarray(spectrum, dtype=float)
-    if spectrum.shape != (n,):
-        raise ValueError("spectrum must have length n")
+    if spectrum.shape != (n,) or not all_finite(spectrum):
+        raise ValueError("spectrum must hold n finite values")
     rng = np.random.default_rng(seed)
     Q = _rotated_spectrum(rng, spectrum)
     center = rng.normal(size=n)

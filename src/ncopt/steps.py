@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ncopt.linalg import CONDITION_CAP, SMALLEST_NORMAL, modified_newton_shift, norm
+from ncopt.problems import real_argument
 
 _CERT_SLACK = 1e-12
 # leftmost eigenvalues above -ZERO_CURVATURE_TOL count as nonnegative
@@ -52,9 +53,8 @@ class LipschitzState:
     sigma_current: float = 1.0
 
     def __post_init__(self):
-        # written so that NaN fails each check
-        if not (0.0 < self.L_current < math.inf and 0.0 < self.sigma_current < math.inf):
-            raise ValueError("estimates must be positive and finite")
+        real_argument("L_current", self.L_current)
+        real_argument("sigma_current", self.sigma_current)
 
     def inflate(self, estimate, hat):
         value = getattr(self, estimate)

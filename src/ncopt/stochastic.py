@@ -26,6 +26,7 @@ from ncopt.problems import (
     finite_gradient,
     finite_hessian,
     integer_argument,
+    real_argument,
 )
 from ncopt.steps import (
     ZERO_CURVATURE_TOL,
@@ -63,9 +64,9 @@ class MomentBounds:
     M2: float
 
     def __post_init__(self):
-        # written so that NaN fails it; M2 divides the admissible stepsize
-        if not (0.0 <= self.M1 < math.inf and 0.0 < self.M2 < math.inf):
-            raise ValueError("moment bounds need a finite M1 >= 0 and a finite M2 > 0")
+        # M2 divides the admissible stepsize
+        real_argument("M1", self.M1, positive=False)
+        real_argument("M2", self.M2)
 
 
 @dataclass
@@ -83,12 +84,9 @@ class StochasticStepConfig:
     gradient_lipschitz: float | None = None
 
     def __post_init__(self):
-        # written so that NaN fails each check
-        if self.alpha_constant is None or not 0.0 < self.alpha_constant < math.inf:
-            raise ValueError("alpha_constant must be set, positive and finite")
-        if self.gradient_lipschitz is not None and \
-                not 0.0 < self.gradient_lipschitz < math.inf:
-            raise ValueError("gradient_lipschitz must be positive and finite")
+        real_argument("alpha_constant", self.alpha_constant)
+        if self.gradient_lipschitz is not None:
+            real_argument("gradient_lipschitz", self.gradient_lipschitz)
         if self.moment_bounds is not None and self.gradient_lipschitz is not None:
             cap = admissible_constant_step(self.moment_bounds,
                                            self.gradient_lipschitz)
@@ -102,6 +100,7 @@ class StochasticStepConfig:
 def admissible_constant_step(moments, gradient_lipschitz):
     """Largest constant stepsize admitted by the mean-square gradient bound
     (s = -(gradient estimate) has descent constant delta = 1)."""
+    real_argument("gradient_lipschitz", gradient_lipschitz)
     return 1.0 / (2.0 * gradient_lipschitz * moments.M2)
 
 
@@ -109,6 +108,10 @@ def constant_step_mean_square_bound(moments, gradient_lipschitz, delta, alpha,
                                     iterations, initial_gap):
     """Bound on the average squared gradient norm over `iterations` iterates
     of the constant-stepsize two-step method."""
+    real_argument("gradient_lipschitz", gradient_lipschitz)
+    real_argument("delta", delta)
+    real_argument("alpha", alpha)
+    real_argument("initial_gap", initial_gap, positive=False)
     iterations = integer_argument("iterations", iterations, 1)
     return (
         2.0 * alpha * gradient_lipschitz * moments.M1 / delta
@@ -254,9 +257,7 @@ def curvature_noise_step(x, oracle, alpha):
     stepsize that is not positive and finite, is a ValueError before any
     draw; the solvers check the finiteness of their start once.
     """
-    # StochasticStepConfig's rule, written so that NaN fails it
-    if not 0.0 < alpha < math.inf:
-        raise ValueError("stepsize must be positive and finite")
+    real_argument("alpha", alpha)
     x = oracle.problem._check_dimension(np.asarray(x, dtype=float))
 
     value_est, g_est, _, hess_batch = _sampled_estimates(x, oracle)

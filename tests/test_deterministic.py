@@ -135,7 +135,8 @@ class TestTwoStep:
         # NaN and inf used to pass and end at the first step as a
         # non-finite step point, after evaluating f, g and H
         problem = quartic_saddle()
-        with pytest.raises(ValueError, match="positive, finite fixed stepsizes"):
+        with pytest.raises(ValueError, match="^%s must be positive and finite$"
+                           % ("beta" if alpha == 0.5 else "alpha")):
             two_step_solve(problem, alpha=alpha, beta=beta)
         assert (problem.evaluation_count, problem.gradient_count,
                 problem.hessian_count) == (0, 0, 0)

@@ -401,9 +401,29 @@ def test_quadratic_spectrum_must_be_finite_and_positive(spectrum):
 def test_quadratic_perturbation_must_be_finite_and_nonnegative(perturbation):
     # a NaN or infinite perturbation used to build NaN matrices, minimizer
     # and lower bound
-    with pytest.raises(ValueError, match="^perturbation must be finite and "
-                       "nonnegative$"):
+    with pytest.raises(ValueError, match="^perturbation must be nonnegative and "
+                       "finite$"):
         random_quadratic_finite_sum(n=3, components=4, perturbation=perturbation)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: LinearLeastSquaresProblem([[np.nan, 1.0], [1.0, 2.0]], [1.0, 2.0]),
+     "features"),
+    (lambda: LinearLeastSquaresProblem([[1.0, 1.0], [1.0, 2.0]], [np.inf, 2.0]),
+     "labels"),
+    (lambda: TwoLayerNetProblem(np.ones((3, 2)), [1.0, np.inf, 0.0]), "labels"),
+    (lambda: TwoLayerNetProblem([[1.0, -np.inf], [0.0, 1.0]], [1.0, 0.0]),
+     "features"),
+    (lambda: synthetic_two_layer_net(records=10, feature_dim=2, noise=np.nan),
+     "labels"),
+], ids=["least_squares_features", "least_squares_labels", "net_labels",
+        "net_features", "synthetic_noise"])
+def test_records_must_be_finite(make, name):
+    # these used to build, with no documented constant or with a NaN
+    # label, and failed only at the first evaluation; load_dataset applies
+    # the same rule to a file
+    with pytest.raises(ValueError, match="^%s must be finite$" % name):
+        make()
 
 
 def test_quadratic_center_scale_is_fixed():

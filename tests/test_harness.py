@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -110,6 +111,21 @@ class TestValidation:
     def test_two_step_requires_stepsizes(self):
         with pytest.raises(UsageError, match="alpha"):
             validate_config(ExperimentConfig(variant="two_step", problem="sphere"))
+
+    @pytest.mark.parametrize("variant, settings", [
+        ("two_step", dict(problem="sphere", beta=0.1)),
+        ("stoch_two_step", dict(problem="quadratic_sum", seed=0, batch_size=2)),
+    ])
+    def test_fixed_stepsizes_follow_the_real_rule(self, tmp_path, variant,
+                                                  settings):
+        # an infinite alpha used to pass the harness and end in the
+        # solver's bare ValueError, after making the output directory
+        config = ExperimentConfig(variant=variant, alpha=math.inf,
+                                  out_dir=str(tmp_path / "runs"), **settings)
+        with pytest.raises(UsageError,
+                           match="^alpha: alpha must be positive and finite$"):
+            run_experiment(config)
+        assert not list(tmp_path.iterdir())
 
     def test_every_criteria_field_is_a_setting(self):
         # every field of a constants object is a setting, so a library

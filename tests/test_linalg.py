@@ -262,6 +262,21 @@ class TestTruncatedCg:
         assert out.curvature_direction is None
         assert out.iterations_used == 2
 
+    def test_max_iterations_follows_the_integer_rule(self):
+        # 2.5 and 1.0 used to raise TypeError from range and True to run
+        # one iteration; an integral number now runs as the int
+        H = np.diag([1.0, 2.0, 3.0])
+        g = np.array([1.0, 1.0, 1.0])
+        for integral in (np.int64(1), 1.0):
+            out = truncated_cg(H, g, max_iterations=integral)
+            assert out.iterations_used == 1 and type(out.iterations_used) is int
+            np.testing.assert_array_equal(
+                out.solution, truncated_cg(H, g, max_iterations=1).solution)
+        for bad in (2.5, True, "3", 0, -1, None):
+            with pytest.raises(ValueError,
+                               match="^max_iterations must be a positive integer$"):
+                truncated_cg(H, g, max_iterations=bad)
+
 
 def _shift_bisection_oracle(H, cap, hi=1e6, iters=200):
     """Smallest admissible shift by bisection on the dense eigenvalue oracle."""

@@ -1,6 +1,16 @@
+import math
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
+from ncopt.deterministic import (
+    TerminationSpec,
+    complexity_census,
+    dynamic_solve,
+    two_step_solve,
+)
+from ncopt.finite_sum import StochasticOracle, random_quadratic_finite_sum
 from ncopt.problems import (
     EvaluationError,
     ObjectiveProblem,
@@ -9,6 +19,14 @@ from ncopt.problems import (
     quartic_saddle,
     random_quadratic,
     sphere,
+)
+from ncopt.steps import LipschitzState
+from ncopt.stochastic import (
+    MomentBounds,
+    StochasticStepConfig,
+    admissible_constant_step,
+    constant_step_mean_square_bound,
+    curvature_noise_step,
 )
 from reference_derivatives import central_gradient, central_hessian
 
@@ -215,7 +233,101 @@ def test_random_quadratic_spectrum_is_prescribed():
     np.testing.assert_allclose(np.sort(w), np.sort(spectrum), atol=1e-10)
 
 
+@pytest.mark.parametrize("spectrum", [[np.nan, 1.0], [-np.inf, 1.0], [1.0, 2.0, 3.0]],
+                         ids=["nan", "inf", "wrong_length"])
+def test_random_quadratic_spectrum_must_hold_n_finite_values(spectrum):
+    # a NaN entry used to build with a NaN Lipschitz constant, and a solve
+    # on it ended in EvaluationError
+    with pytest.raises(ValueError, match="^spectrum must hold n finite values$"):
+        random_quadratic(2, spectrum=spectrum)
+
+
 def test_indefinite_random_quadratic_has_no_lower_bound():
     p = random_quadratic(4, spectrum=np.array([-2.0, 1.0, 3.0, 5.0]), seed=9)
     assert p.lower_bound is None
     assert p.local_gradient_lipschitz == pytest.approx(5.0)
+
+
+def _two_step(alpha=0.5, beta=0.5):
+    return two_step_solve(sphere(1), alpha=alpha, beta=beta,
+                          termination=TerminationSpec(max_iterations=1))
+
+
+def _noise_step(alpha):
+    problem = make_problem("quadratic_sum")
+    oracle = StochasticOracle(problem, batch_size=2, seed=0)
+    return curvature_noise_step(problem.default_start, oracle, alpha)
+
+
+def _mean_square_bound(gradient_lipschitz=1.0, delta=1.0, alpha=0.1,
+                       initial_gap=1.0):
+    return constant_step_mean_square_bound(MomentBounds(1.0, 1.5),
+                                           gradient_lipschitz, delta, alpha, 5,
+                                           initial_gap)
+
+
+def _census(epsilon_g=1.0, epsilon_H=1.0):
+    report = dynamic_solve(sphere(2), termination=TerminationSpec(max_iterations=3))
+    return complexity_census(report, epsilon_g, epsilon_H)
+
+
+# each real argument checked by `problems.real_argument`: its name, whether
+# it must be positive (else nonnegative), a call taking it and, where the
+# callee keeps the value, how to read it back from the call's result
+REAL_ARGUMENTS = {
+    "grad_tol_rel": ("grad_tol_rel", True, lambda v: TerminationSpec(grad_tol_rel=v),
+                     attrgetter("grad_tol_rel")),
+    "curv_tol_rel": ("curv_tol_rel", True, lambda v: TerminationSpec(curv_tol_rel=v),
+                     attrgetter("curv_tol_rel")),
+    "two_step_alpha": ("alpha", True, lambda v: _two_step(alpha=v),
+                       lambda report: report.config["alpha"]),
+    "two_step_beta": ("beta", True, lambda v: _two_step(beta=v),
+                      lambda report: report.config["beta"]),
+    "L_current": ("L_current", True, lambda v: LipschitzState(L_current=v),
+                  attrgetter("L_current")),
+    "sigma_current": ("sigma_current", True, lambda v: LipschitzState(sigma_current=v),
+                      attrgetter("sigma_current")),
+    "M1": ("M1", False, lambda v: MomentBounds(v, 1.5), attrgetter("M1")),
+    "M2": ("M2", True, lambda v: MomentBounds(1.0, v), attrgetter("M2")),
+    "alpha_constant": ("alpha_constant", True,
+                       lambda v: StochasticStepConfig(alpha_constant=v),
+                       attrgetter("alpha_constant")),
+    "step_gradient_lipschitz": (
+        "gradient_lipschitz", True,
+        lambda v: StochasticStepConfig(alpha_constant=0.1, gradient_lipschitz=v),
+        attrgetter("gradient_lipschitz")),
+    "noise_step_alpha": ("alpha", True, _noise_step, lambda out: out[1].alpha),
+    "perturbation": ("perturbation", False, lambda v: random_quadratic_finite_sum(
+        n=3, components=4, perturbation=v), None),
+    "admissible_gradient_lipschitz": (
+        "gradient_lipschitz", True,
+        lambda v: admissible_constant_step(MomentBounds(1.0, 1.5), v), None),
+    "bound_gradient_lipschitz": (
+        "gradient_lipschitz", True,
+        lambda v: _mean_square_bound(gradient_lipschitz=v), None),
+    "bound_delta": ("delta", True, lambda v: _mean_square_bound(delta=v), None),
+    "bound_alpha": ("alpha", True, lambda v: _mean_square_bound(alpha=v), None),
+    "bound_initial_gap": ("initial_gap", False,
+                          lambda v: _mean_square_bound(initial_gap=v), None),
+    "epsilon_g": ("epsilon_g", True, lambda v: _census(epsilon_g=v), None),
+    "epsilon_H": ("epsilon_H", True, lambda v: _census(epsilon_H=v), None),
+}
+# optional arguments, where None means "not given"
+NONE_MEANS_UNSET = {"step_gradient_lipschitz"}
+
+
+@pytest.mark.parametrize("place", REAL_ARGUMENTS)
+def test_real_arguments_follow_one_rule(place):
+    # NaN, an infinity, a negative value, 0 where the argument must be
+    # positive, a bool, None or a string is a ValueError naming the
+    # argument; a finite number of any type passes, and a callee that keeps
+    # it keeps the value itself, not a converted copy
+    name, positive, call, held = REAL_ARGUMENTS[place]
+    for good in (np.float64(0.25), 1):
+        result = call(good)
+        assert held is None or held(result) is good
+    bad = [math.nan, math.inf, -math.inf, -1.0, True, "1"] + [0.0] * positive
+    for value in bad + [None] * (place not in NONE_MEANS_UNSET):
+        with pytest.raises(ValueError, match="^%s must be %s and finite$"
+                           % (name, "positive" if positive else "nonnegative")):
+            call(value)

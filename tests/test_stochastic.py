@@ -90,7 +90,7 @@ class TestStepConfig:
 
     def test_nan_bounds_fail_the_admissibility_check(self):
         # a NaN cap fails no comparison, so it used to admit any stepsize
-        with pytest.raises(ValueError, match="moment bounds"):
+        with pytest.raises(ValueError, match="^M2 must be positive and finite$"):
             StochasticStepConfig(alpha_constant=5.0,
                                  moment_bounds=MomentBounds(1.0, float("nan")),
                                  gradient_lipschitz=1.0)
@@ -106,7 +106,8 @@ class TestStepConfig:
     def test_moment_bounds_need_finite_m1_and_positive_m2(self, m1, m2):
         # a zero M2 divided the admissible stepsize; a NaN M1 made the
         # mean-square bound NaN
-        with pytest.raises(ValueError, match="moment bounds"):
+        with pytest.raises(ValueError, match="^M2 must be positive and finite$"
+                           if m1 == 1.0 else "^M1 must be nonnegative and finite$"):
             MomentBounds(m1, m2)
 
     @pytest.mark.parametrize("lipschitz", [0.0, -2.0, math.inf])
