@@ -40,6 +40,16 @@ def _mean(a):
 # the bytes a problem's complete table of sampled eigenpairs for one batch
 # size may take, counted as its arrays' entries; past it no table is kept
 _EIGEN_TABLE_BYTES = 1 << 22
+# the bytes of the working array one stacked pass may take: the moment
+# probe's gathered batch matrices (b n-by-n per draw), or full_gradients'
+# offsets (N n-vectors per point)
+_PROBE_CHUNK_BYTES = 1 << 18
+
+
+def _read_only(*arrays):
+    """Mark each array read-only, so a later write raises ValueError."""
+    for a in arrays:
+        a.flags.writeable = False
 
 
 class FiniteSumProblem(ObjectiveProblem):
@@ -50,8 +60,12 @@ class FiniteSumProblem(ObjectiveProblem):
     `value`, `gradient` and `hessian` pass them `_all_indices`.  A subclass
     whose `batch_hessian` does not read x sets `hessian_reads_x = False`,
     and `sampled_eigenpair` then keeps a table of its sampled eigenpairs.
-    Every cache of a finite-sum problem assumes that its data are not
-    changed after it is built.
+
+    A problem's data never change after it is built: its data arrays
+    (`matrices`, `centers` and `mean_matrix`, or `features` and `labels`)
+    are read-only, so a write to one raises ValueError.  Every cache (the
+    eigenpair tables, the net's forward slot) and every stacked pass
+    (`full_gradients`) relies on that.
     """
 
     # whether batch_hessian reads x; see sampled_eigenpair
@@ -113,8 +127,7 @@ class FiniteSumProblem(ObjectiveProblem):
             self.batch_hessian(x, indices), x, "sampled Hessian"))
         if table is not None:
             # every step that draws the batch shares the stored arrays
-            for a in (eig.leftmost_vector, eig.values, eig.vectors, eig.matrix):
-                a.flags.writeable = False
+            _read_only(eig.leftmost_vector, eig.values, eig.vectors, eig.matrix)
             table[key] = eig
         return eig
 
@@ -139,6 +152,7 @@ class FiniteSumProblem(ObjectiveProblem):
         for name, data in (("features", features), ("labels", labels)):
             if not all_finite(data):
                 raise ValueError("%s must be finite" % name)
+        _read_only(features, labels)
         self.features = features
         self.labels = labels
 
@@ -152,6 +166,16 @@ class FiniteSumProblem(ObjectiveProblem):
         `batches`, as an (R, n) array; overridden where one pass evaluates
         them all."""
         return np.array([self.batch_gradient(x, batch) for batch in batches])
+
+    def full_gradients(self, points):
+        """The full-batch gradient at each row of the (R, n) array
+        `points`, as an (R, n) array whose rows equal `gradient` there bit
+        for bit; overridden where one pass evaluates them all.  The rows
+        are checked once, by `_check_points`, and the gradients not at
+        all; no evaluation counter moves."""
+        X = self._check_points(points)
+        return np.array([self.batch_gradient(x, self._all_indices)
+                         for x in X]).reshape(X.shape)
 
 
 class QuadraticFiniteSum(FiniteSumProblem):
@@ -197,6 +221,7 @@ class QuadraticFiniteSum(FiniteSumProblem):
             mats[2 * j + 1] = Q - S
         centers = rng.normal(scale=2.0, size=(components, n))
 
+        _read_only(Q, mats, centers)
         self.mean_matrix = Q
         self.matrices = mats
         self.centers = centers
@@ -238,6 +263,20 @@ class QuadraticFiniteSum(FiniteSumProblem):
         Q = self.matrices[batches]
         u = x - self.centers[batches]
         return np.einsum("rkij,rkj->ri", Q, u) / batches.shape[1]
+
+    def full_gradients(self, points):
+        # the full batch's einsum with a leading row axis, each row the
+        # same products summed in the same order, bit for bit; as many
+        # rows a pass as keep their (rows, N, n) offsets within
+        # _PROBE_CHUNK_BYTES
+        X = self._check_points(points)
+        N, n = self.centers.shape
+        chunk = max(1, _PROBE_CHUNK_BYTES // (8 * N * n))
+        G = np.empty_like(X)
+        for start in range(0, len(X), chunk):
+            u = X[start:start + chunk, None, :] - self.centers
+            G[start:start + chunk] = np.einsum("kij,rkj->ri", self.matrices, u) / N
+        return G
 
     def batch_hessian(self, x, indices):
         # np.mean(Q, axis=0) bit for bit: its sum, then one division

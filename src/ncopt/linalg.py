@@ -8,7 +8,8 @@ of its eigenspace, so the vector used is picked once, by
 `eigenspace_direction`, a rule that depends on the eigenspace and the
 gradient only.  The vector and matrix norms on the per-iterate paths are
 `norm`, which equals `np.linalg.norm` bit for bit without its argument
-dispatch wherever the sum of squares does not underflow.  The tests check
+dispatch wherever the sum of squares does not underflow; `row_norms`
+gives `norm` of many rows at once.  The tests check
 these kernels against an independent pure-Python reference eigensolver.
 All kernels are pure functions and safe for concurrent use.
 """
@@ -76,6 +77,19 @@ def norm(a):
         a = a / scale
         return float(scale) * math.sqrt(a.dot(a))
     return root
+
+
+def row_norms(a):
+    """`norm` of each row of the float (R, n) array a, as an array, bit
+    for bit: the square roots of stacked dot products, each a row's
+    a.dot(a) on C-ordered rows, as `norm` takes it; only a row whose root
+    falls below the square root of the smallest normal double is handed
+    to `norm` itself."""
+    a = np.ascontiguousarray(a)
+    roots = np.sqrt(np.matmul(a[:, None, :], a[:, :, None])[:, 0, 0])
+    for i in np.flatnonzero(roots < _SQRT_SMALLEST_NORMAL):
+        roots[i] = norm(a[i])
+    return roots
 
 
 def all_finite(a):

@@ -109,6 +109,17 @@ class ObjectiveProblem:
             raise ValueError("point has non-finite coordinates")
         return x
 
+    def _check_points(self, points):
+        """points as an (R, n) float array, checked at once: a non-finite
+        entry raises `_check_point`'s ValueError."""
+        X = np.asarray(points, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dimension:
+            raise ValueError("points of shape %s are not rows of dimension %d"
+                             % (X.shape, self.dimension))
+        if not all_finite(X):
+            raise ValueError("point has non-finite coordinates")
+        return X
+
     def evaluate(self, x):
         x = self._check_point(x)
         self.evaluation_count += 1

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ncopt.deterministic import TRACE_COLUMNS, _partial_report_on_failure, _step_point
-from ncopt.finite_sum import FiniteSumProblem, StochasticOracle
-from ncopt.linalg import CgStatus, norm, truncated_cg
+from ncopt.finite_sum import _PROBE_CHUNK_BYTES, FiniteSumProblem, StochasticOracle
+from ncopt.linalg import CgStatus, norm, row_norms, truncated_cg
 from ncopt.problems import (
     EvaluationError,
     finite_gradient,
@@ -39,8 +39,6 @@ _TINY = 1e-12
 CG_MAX_ITERATIONS = 10
 # headroom factor of the measured moment bounds
 _MOMENT_MARGIN = 1.5
-# bytes of batch matrices (b n-by-n per draw) the moment probe gathers at once
-_PROBE_CHUNK_BYTES = 1 << 18
 # the dynamic method's factor for inflating a constant after a predicted
 # increase, and its safeguards: largest ||s|| and ||beta d|| / ||alpha s||
 INFLATE_FACTOR, MAX_S_NORM, MAX_RATIO_D_TO_S = 1.2, 10.0, 0.2
@@ -205,15 +203,26 @@ class StochasticReport:
         self.total_iterations = len(self.records)
 
     def exact_gradient_norms(self):
-        """The exact gradient norm at each recorded iterate, one full-batch
-        `problem.gradient` per record; the solve itself never evaluates
-        them.  A non-finite norm raises EvaluationError."""
-        gradient = self.problem.gradient
-        return np.array([norm(gradient(r.x))
-                         for r in self.records], dtype=float)
+        """The exact gradient norm at each recorded iterate, equal to
+        `norm(problem.gradient(x))` there bit for bit: the gradients of
+        one `problem.full_gradients` call (one stacked pass where the
+        problem has one, a full batch per record otherwise), and their
+        `row_norms`.  The solve itself never evaluates them, and this
+        moves no evaluation counter.  The first record whose squared norm
+        is not finite raises EvaluationError there, as `problem.gradient`
+        would."""
+        points = np.array([r.x for r in self.records], dtype=float)
+        norms = row_norms(self.problem.full_gradients(
+            points.reshape(-1, self.problem.dimension)))
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if len(bad):
+            raise EvaluationError("gradient norm is not finite",
+                                  self.records[bad[0]].x)
+        return norms
 
     def mean_square_gradient(self):
-        """The mean of the squared exact gradient norms over the records;
+        """The mean of the squared `exact_gradient_norms` over the records,
+        from the same single `full_gradients` call and moving no counter;
         a report without records is a ValueError."""
         if not self.records:
             raise ValueError("report has no records")

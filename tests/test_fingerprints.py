@@ -97,10 +97,17 @@ def _nan_hessian_problem():
                             lambda x: x, hessian)
 
 
-def _nan_center_sum():
-    problem = random_quadratic_finite_sum(n=3, components=6, seed=11)
-    problem.centers[4, 0] = np.nan
+def with_nan_center(problem, row):
+    """`problem`, a quadratic finite sum, with `centers` rebound to a copy
+    whose entry (row, 0) is NaN: a built problem's data are read-only."""
+    centers = problem.centers.copy()
+    centers[row, 0] = np.nan
+    problem.centers = centers
     return problem
+
+
+def _nan_center_sum():
+    return with_nan_center(random_quadratic_finite_sum(n=3, components=6, seed=11), 4)
 
 
 def _overflowing_hessian_sum():

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ncopt import deterministic, steps
+from ncopt import deterministic, finite_sum, steps
 from ncopt.finite_sum import (
     _DRAW_BLOCK,
     DatasetParseError,
@@ -26,8 +26,11 @@ from ncopt.finite_sum import (
     random_quadratic_finite_sum,
     synthetic_two_layer_net,
 )
-from ncopt.problems import make_problem
+from ncopt.linalg import norm
+from ncopt.problems import EvaluationError, make_problem
 from ncopt.stochastic import (
+    StochasticIterationRecord,
+    StochasticReport,
     StochasticStepConfig,
     dynamic_stochastic_solve,
     expected_descent_check,
@@ -520,6 +523,120 @@ def test_quadratic_batch_gradients_rows_are_batch_gradient_bit_for_bit(
     assert gradients.shape == (rows, n)
     for row, batch in zip(gradients, batches):
         assert row.tobytes() == p.batch_gradient(x, batch).tobytes()
+
+
+def _scaled_points(data, n, count):
+    """`count` points of dimension n, each scaled by a power of ten in
+    [1e-150, 1e150]."""
+    points = data.draw(hnp.arrays(float, (count, n), elements=st.floats(-10.0, 10.0)),
+                       label="points")
+    exponents = data.draw(hnp.arrays(int, (count, 1), elements=st.sampled_from(
+        [-150, 150]) | st.integers(-150, 150)), label="exponents")
+    return points * 10.0 ** exponents
+
+
+def _check_exact_norms(problem, points, expected):
+    """The exact norms of records at `points` are `expected`, row i's
+    `norm(problem.gradient(points[i]))`, bit for bit; where one of those
+    raised, the EvaluationError of the first at its x."""
+    report = StochasticReport(problem.name, problem=problem, records=[
+        StochasticIterationRecord(i, x, 0.0, 0.0, 0.0, 0.0)
+        for i, x in enumerate(points, start=1)])
+    raised = [i for i, value in enumerate(expected) if isinstance(value, EvaluationError)]
+    if not raised:
+        assert report.exact_gradient_norms().tobytes() == np.array(expected).tobytes()
+        return
+    first = raised[0]
+    with pytest.raises(EvaluationError, match="^%s$" % expected[first]) as info:
+        report.exact_gradient_norms()
+    assert np.array_equal(info.value.x, expected[first].x)
+
+
+def _gradient_norm(problem, x):
+    try:
+        return norm(problem.gradient(x))
+    except EvaluationError as err:
+        return err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+@given(n=st.integers(1, 12), pairs=st.integers(1, 20), data=st.data())
+def test_quadratic_full_gradients_rows_are_gradient_bit_for_bit(n, pairs, data):
+    # a spectrum scaled down to 1e-160 brings the squared norms of the
+    # gradients below the smallest normal double, where norm rescales; one
+    # scaled up to 1e10 brings them past the largest at the largest points,
+    # and one scaled up to 1e160 at every point
+    spectrum = np.linspace(1.0, 4.0, n) * data.draw(
+        st.sampled_from([1e-160, 1.0, 1e10, 1e160]), label="spectrum_scale")
+    p = random_quadratic_finite_sum(n=n, components=2 * pairs, seed=n + pairs,
+                                    spectrum=spectrum)
+    chunk = finite_sum._PROBE_CHUNK_BYTES // (8 * p.component_count * n)
+    # rows drawn from a few distinct points, as many as one pass takes or
+    # past it, so each row is checked against its point's own gradient
+    distinct = _scaled_points(data, n, data.draw(st.integers(1, 6), label="distinct"))
+    rows = data.draw(st.integers(1, 4) | st.integers(chunk - 1, chunk + 2), label="rows")
+    which = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).integers(
+        len(distinct), size=rows)
+    points = distinct[which]
+    gradients = p.full_gradients(points)
+    assert gradients.shape == (rows, n)
+    # the gradient `gradient` returns, or checks and rejects
+    expected = np.array([p._gradient_fn(x) for x in distinct])
+    assert gradients.tobytes() == expected[which].tobytes()
+    norms = [_gradient_norm(p, x) for x in distinct]
+    _check_exact_norms(p, points, [norms[i] for i in which])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered",
+                            "ignore:invalid value encountered")
+@pytest.mark.parametrize("make", [
+    lambda: LinearLeastSquaresProblem(
+        np.random.default_rng(4).normal(size=(9, 3)),
+        np.random.default_rng(5).normal(size=9)),
+    lambda: synthetic_two_layer_net(records=30, feature_dim=3, hidden_units=4),
+], ids=["least_squares", "two_layer_net"])
+@given(data=st.data())
+def test_full_gradients_base_form_rows_are_gradient_bit_for_bit(make, data):
+    p = make()
+    points = _scaled_points(data, p.dimension, data.draw(st.integers(1, 5), label="rows"))
+    expected = np.array([p._gradient_fn(x) for x in points])
+    assert p.full_gradients(points).tobytes() == expected.tobytes()
+    _check_exact_norms(p, points, [_gradient_norm(p, x) for x in points])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_quadratic_finite_sum(n=3, components=4, seed=11),
+    lambda: LinearLeastSquaresProblem(*_net_records()),
+    lambda: synthetic_two_layer_net(records=10, feature_dim=2, hidden_units=3),
+], ids=["quadratic", "least_squares", "two_layer_net"])
+def test_full_gradients_check_the_points_and_move_no_counter(make):
+    p = make()
+    with pytest.raises(ValueError, match="^point has non-finite coordinates$"):
+        p.full_gradients(np.array([[0.0] * p.dimension, [np.nan] * p.dimension]))
+    for shape in ((p.dimension,), (2, p.dimension + 1), (1, 1, p.dimension)):
+        with pytest.raises(ValueError, match="^points of shape"):
+            p.full_gradients(np.zeros(shape))
+    assert p.full_gradients(np.zeros((0, p.dimension))).shape == (0, p.dimension)
+    p.full_gradients(np.ones((3, p.dimension)))
+    assert (p.evaluation_count, p.gradient_count, p.hessian_count) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("make, names", [
+    (lambda: random_quadratic_finite_sum(n=3, components=4, seed=11),
+     ("matrices", "centers", "mean_matrix")),
+    (lambda: LinearLeastSquaresProblem(*_net_records()), ("features", "labels")),
+    (lambda: TwoLayerNetProblem(*_net_records()), ("features", "labels")),
+], ids=["quadratic", "least_squares", "two_layer_net"])
+def test_data_arrays_are_read_only(make, names):
+    # every cache and stacked pass assumes the data never change
+    p = make()
+    for name in names:
+        data = getattr(p, name)
+        with pytest.raises(ValueError, match="read-only"):
+            data.flat[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            data *= 2.0
 
 
 @given(hnp.arrays(float, st.integers(1, 300),

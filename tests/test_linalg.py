@@ -17,6 +17,7 @@ from ncopt.linalg import (
     leftmost_eigenpair,
     modified_newton_shift,
     norm,
+    row_norms,
     symmetric_extreme_eigenvalues,
     truncated_cg,
 )
@@ -514,6 +515,16 @@ class TestNorm:
         a = {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a),
              "T": a.T, "strided": a[::2, ::-1]}[layout]
         _check_norm(a)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    @given(hnp.arrays(float, st.tuples(st.integers(0, 12), st.integers(1, 12)),
+                      elements=_WIDE_FLOATS),
+           st.sampled_from(["C", "F"]))
+    def test_row_norms_are_the_norm_of_each_row(self, a, layout):
+        a = {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a)}[layout]
+        expected = np.array([norm(row) for row in a]).reshape(len(a))
+        assert row_norms(a).tobytes() == expected.tobytes()
 
     def test_returns_a_float(self):
         assert type(norm(np.array([3.0, 4.0]))) is float

@@ -13,7 +13,8 @@ from ncopt.finite_sum import (
     synthetic_two_layer_net,
 )
 from ncopt.deterministic import dynamic_solve
-from ncopt.problems import EvaluationError, make_problem
+from ncopt.harness import ExperimentConfig, run_experiment
+from ncopt.problems import EvaluationError, ObjectiveProblem, make_problem
 from ncopt.steps import ConditionViolation, LipschitzState
 from ncopt.stochastic import (
     LIPSCHITZ_INIT,
@@ -30,7 +31,7 @@ from ncopt.stochastic import (
     two_step_stochastic_solve,
 )
 from reference_finite_sum import per_draw_moment_m1
-from test_fingerprints import fingerprint
+from test_fingerprints import fingerprint, with_nan_center
 
 GOLDEN_DYNAMIC_NET = os.path.join(os.path.dirname(__file__), "golden",
                                   "stoch_dynamic_net.csv")
@@ -384,6 +385,10 @@ class TestTwoStepStochastic:
                                          rel=1e-10, abs=0.0), record.index
 
 
+def _counts(problem):
+    return (problem.evaluation_count, problem.gradient_count, problem.hessian_count)
+
+
 class TestExactNorms:
     """The solvers are driven by samples alone; the exact gradient norms
     are evaluated after the solve, on the stored iterates."""
@@ -397,8 +402,11 @@ class TestExactNorms:
         problem = make_problem("quadratic_sum")
         report = solve(StochasticOracle(problem, batch_size=2, seed=3))
         assert problem.gradient_count == 0
+        counts = _counts(problem)
         norms = report.exact_gradient_norms()
-        assert problem.gradient_count == len(report.records) == 30
+        # nor do the exact norms move a counter
+        assert _counts(problem) == counts
+        assert len(norms) == len(report.records) == 30
         expected = [np.linalg.norm(problem.gradient(r.x)) for r in report.records]
         np.testing.assert_array_equal(norms, expected)
         assert report.mean_square_gradient() == float(np.mean(norms ** 2))
@@ -420,6 +428,44 @@ class TestExactNorms:
         report = StochasticReport("quadratic_sum", problem=problem)
         assert report == StochasticReport("quadratic_sum")
         assert repr(report) == repr(StochasticReport("quadratic_sum"))
+
+    @pytest.mark.parametrize("name", ["quadratic_sum", "two_layer_net"])
+    def test_counters_move_once_per_counted_call(self, monkeypatch, name):
+        # each counter of every problem built here moves exactly as often as
+        # its method is called, the benchmark tracer's check, so a stacked
+        # or cached path cannot move a counter without the call or make the
+        # call's work without it
+        counted = {"evaluate": "evaluation_count", "gradient": "gradient_count",
+                   "hessian": "hessian_count"}
+        calls = {}  # id -> (problem, calls per counter)
+        describe = ObjectiveProblem._describe
+
+        def registered(self, *args, **kwargs):
+            calls[id(self)] = (self, dict.fromkeys(counted.values(), 0))
+            describe(self, *args, **kwargs)
+
+        monkeypatch.setattr(ObjectiveProblem, "_describe", registered)
+        for method, counter in counted.items():
+            def wrapped(self, x, original=getattr(ObjectiveProblem, method),
+                        counter=counter):
+                calls[id(self)][1][counter] += 1
+                return original(self, x)
+            monkeypatch.setattr(ObjectiveProblem, method, wrapped)
+
+        problem = make_problem(name)
+        for solve in (lambda o: dynamic_stochastic_solve(o, iterations=20),
+                      lambda o: two_step_stochastic_solve(
+                          o, StochasticStepConfig(alpha_constant=0.05), 20)):
+            report = solve(StochasticOracle(problem, batch_size=2, seed=3))
+            report.exact_gradient_norms()
+            report.mean_square_gradient()
+        for variant, extra in (("stoch_dynamic", {}), ("stoch_two_step", {"alpha": 0.05})):
+            run_experiment(ExperimentConfig(variant=variant, problem=name, seed=1,
+                                            batch_size=2, iterations=20, **extra))
+        assert len(calls) == 3
+        for problem, moved in calls.values():
+            assert {c: getattr(problem, c) for c in moved} == moved
+            assert moved["evaluation_count"] > 0
 
 
 class TestSafeguards:
@@ -562,9 +608,8 @@ class TestNonFiniteEstimates:
 
     @pytest.fixture
     def nan_center(self):
-        p = random_quadratic_finite_sum(n=3, components=6, seed=11)
-        p.centers[self.BAD, 0] = np.nan
-        return p
+        return with_nan_center(random_quadratic_finite_sum(n=3, components=6, seed=11),
+                               self.BAD)
 
     def first_bad_iterate(self, problem, seed):
         # replay the gradient stream, which both solvers draw from once
@@ -599,7 +644,8 @@ class TestNonFiniteEstimates:
         config = StochasticStepConfig(alpha_constant=0.05)
         two_step_stochastic_solve(StochasticOracle(p, batch_size=2, seed=3),
                                   config, 60)
-        p.centers[self.BAD, 0] = np.nan
+        # the batch Hessians do not read the centers, so the table stays right
+        with_nan_center(p, self.BAD)
         with pytest.raises(EvaluationError, match="sampled value") as info:
             two_step_stochastic_solve(StochasticOracle(p, batch_size=2, seed=3),
                                       config, 60)
