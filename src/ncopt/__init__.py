@@ -80,7 +80,7 @@ from ncopt.stochastic import (
     constant_step_mean_square_bound,
     curvature_noise_step,
     dynamic_stochastic_solve,
-    expected_descent_check,
+    expected_decrease_bound,
     measure_moment_constants,
     two_step_stochastic_solve,
 )

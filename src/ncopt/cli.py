@@ -112,13 +112,13 @@ def _cmd_campaign(args):
                                     out_dir=args.out,
                                     max_iterations=args.max_iterations,
                                     problems=args.problems)
-    rows, table_path, plot_paths = campaign(pairs, out_dir=args.out)
+    rows, table_path, failures_path = campaign(pairs, out_dir=args.out)
     for row in rows:
         print("%-18s f=%+.4g its=%+.4g fevals=%+.4g"
               % (row.problem, row.f_measure, row.iter_measure, row.feval_measure))
     print("table: %s" % table_path)
-    for name, path in plot_paths.items():
-        print("plot data (%s): %s" % (name, path))
+    if failures_path is not None:
+        print("failures: %s" % failures_path)
     return 0
 
 

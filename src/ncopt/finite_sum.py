@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from operator import attrgetter
 
 import numpy as np
 
@@ -52,6 +53,12 @@ def _read_only(*arrays):
         a.flags.writeable = False
 
 
+def _data_property(name):
+    """A property with no setter over the private array `_<name>`, so that
+    rebinding the attribute raises AttributeError."""
+    return property(attrgetter("_" + name), doc="the read-only %s array" % name)
+
+
 class FiniteSumProblem(ObjectiveProblem):
     """Mean of `component_count` component objectives.
 
@@ -63,9 +70,10 @@ class FiniteSumProblem(ObjectiveProblem):
 
     A problem's data never change after it is built: its data arrays
     (`matrices`, `centers` and `mean_matrix`, or `features` and `labels`)
-    are read-only, so a write to one raises ValueError.  Every cache (the
-    eigenpair tables, the net's forward slot) and every stacked pass
-    (`full_gradients`) relies on that.
+    are read-only, so a write into one raises ValueError, and each is a
+    property without a setter, so rebinding one raises AttributeError.
+    Every cache (the eigenpair tables, the net's forward slot) and every
+    stacked pass (`full_gradients`) relies on that.
     """
 
     # whether batch_hessian reads x; see sampled_eigenpair
@@ -138,8 +146,8 @@ class FiniteSumProblem(ObjectiveProblem):
         return data if indices is self._all_indices else data[indices]
 
     def _set_records(self, features, labels):
-        """Store copies of (N, d) features and N labels as `features` and
-        `labels`, so a later write to the caller's arrays leaves the
+        """Store copies of (N, d) features and N labels as `_features` and
+        `_labels`, so a later write to the caller's arrays leaves the
         problem as built; C-ordered, so the full batch read in place is
         laid out like the copy a fancy index makes."""
         features = np.array(features, dtype=float, order="C", ndmin=1)
@@ -153,8 +161,8 @@ class FiniteSumProblem(ObjectiveProblem):
             if not all_finite(data):
                 raise ValueError("%s must be finite" % name)
         _read_only(features, labels)
-        self.features = features
-        self.labels = labels
+        self._features = features
+        self._labels = labels
 
     def batch_value_gradient(self, x, indices):
         """(batch_value, batch_gradient) on one batch, equal to the two
@@ -192,6 +200,9 @@ class QuadraticFiniteSum(FiniteSumProblem):
     """
 
     hessian_reads_x = False
+    matrices = _data_property("matrices")
+    centers = _data_property("centers")
+    mean_matrix = _data_property("mean_matrix")
 
     def __init__(self, n=10, components=20, seed=1234, spectrum=None,
                  perturbation=2.5, name=None):
@@ -222,9 +233,9 @@ class QuadraticFiniteSum(FiniteSumProblem):
         centers = rng.normal(scale=2.0, size=(components, n))
 
         _read_only(Q, mats, centers)
-        self.mean_matrix = Q
-        self.matrices = mats
-        self.centers = centers
+        self._mean_matrix = Q
+        self._matrices = mats
+        self._centers = centers
         minimizer = np.linalg.solve(Q, np.einsum("kij,kj->i", mats, centers) / components)
 
         super().__init__(
@@ -239,8 +250,8 @@ class QuadraticFiniteSum(FiniteSumProblem):
 
     def _offsets(self, x, indices):
         """(u, Q): the rows x - c_i and the matrices Q_i of the batch."""
-        return (x[None, :] - self._rows(self.centers, indices),
-                self._rows(self.matrices, indices))
+        return (x[None, :] - self._rows(self._centers, indices),
+                self._rows(self._matrices, indices))
 
     def batch_value(self, x, indices):
         u, Q = self._offsets(x, indices)
@@ -260,8 +271,8 @@ class QuadraticFiniteSum(FiniteSumProblem):
     def batch_gradients(self, x, batches):
         # batch_gradient's gather and einsum with a leading row axis: each
         # row sums the same products in the same order, bit for bit
-        Q = self.matrices[batches]
-        u = x - self.centers[batches]
+        Q = self._matrices[batches]
+        u = x - self._centers[batches]
         return np.einsum("rkij,rkj->ri", Q, u) / batches.shape[1]
 
     def full_gradients(self, points):
@@ -270,17 +281,17 @@ class QuadraticFiniteSum(FiniteSumProblem):
         # rows a pass as keep their (rows, N, n) offsets within
         # _PROBE_CHUNK_BYTES
         X = self._check_points(points)
-        N, n = self.centers.shape
+        N, n = self._centers.shape
         chunk = max(1, _PROBE_CHUNK_BYTES // (8 * N * n))
         G = np.empty_like(X)
         for start in range(0, len(X), chunk):
-            u = X[start:start + chunk, None, :] - self.centers
-            G[start:start + chunk] = np.einsum("kij,rkj->ri", self.matrices, u) / N
+            u = X[start:start + chunk, None, :] - self._centers
+            G[start:start + chunk] = np.einsum("kij,rkj->ri", self._matrices, u) / N
         return G
 
     def batch_hessian(self, x, indices):
         # np.mean(Q, axis=0) bit for bit: its sum, then one division
-        Q = self._rows(self.matrices, indices)
+        Q = self._rows(self._matrices, indices)
         return Q.sum(axis=0) / len(Q)
 
 
@@ -294,13 +305,14 @@ class LinearLeastSquaresProblem(FiniteSumProblem):
     """
 
     hessian_reads_x = False
+    features, labels = _data_property("features"), _data_property("labels")
 
     def __init__(self, features, labels):
         self._set_records(features, labels)
-        n, d = self.features.shape
+        n, d = self._features.shape
         # features near the overflow threshold overflow the Gram matrix
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = self.features.T @ self.features / n
+            gram = self._features.T @ self._features / n
         top = float(np.linalg.eigvalsh(gram)[-1]) if all_finite(gram) else math.inf
         super().__init__(
             "linear_least_squares",
@@ -311,16 +323,16 @@ class LinearLeastSquaresProblem(FiniteSumProblem):
         )
 
     def batch_value(self, x, indices):
-        r = self._rows(self.features, indices) @ x - self._rows(self.labels, indices)
+        r = self._rows(self._features, indices) @ x - self._rows(self._labels, indices)
         return 0.5 * _mean(r * r)
 
     def batch_gradient(self, x, indices):
-        phi = self._rows(self.features, indices)
-        r = phi @ x - self._rows(self.labels, indices)
+        phi = self._rows(self._features, indices)
+        r = phi @ x - self._rows(self._labels, indices)
         return (r @ phi) / len(indices)
 
     def batch_hessian(self, x, indices):
-        phi = self._rows(self.features, indices)
+        phi = self._rows(self._features, indices)
         return phi.T @ phi / len(indices)
 
 
@@ -344,10 +356,12 @@ class TwoLayerNetProblem(FiniteSumProblem):
     a concurrent one, while each call reads the pass it found or made.
     """
 
+    features, labels = _data_property("features"), _data_property("labels")
+
     def __init__(self, features, labels, hidden_units=8):
         self._set_records(features, labels)
         self.hidden_units = integer_argument("hidden_units", hidden_units, 1)
-        n_records, d = self.features.shape
+        n_records, d = self._features.shape
         h = self.hidden_units
         dim = h * d + 2 * h + 1
         super().__init__(
@@ -362,7 +376,7 @@ class TwoLayerNetProblem(FiniteSumProblem):
 
     def _unpack(self, theta):
         h = self.hidden_units
-        d = self.features.shape[1]
+        d = self._features.shape[1]
         W1 = theta[: h * d].reshape(h, d)
         b1 = theta[h * d: h * d + h]
         w2 = theta[h * d + h: h * d + 2 * h]
@@ -371,9 +385,9 @@ class TwoLayerNetProblem(FiniteSumProblem):
 
     def _forward(self, theta, indices):
         W1, b1, w2, b2 = self._unpack(theta)
-        X = self._rows(self.features, indices)
+        X = self._rows(self._features, indices)
         A = np.tanh(X @ W1.T + b1)
-        residual = A @ w2 + b2 - self._rows(self.labels, indices)
+        residual = A @ w2 + b2 - self._rows(self._labels, indices)
         return X, A, residual, w2
 
     def _first_order(self, theta, indices):
@@ -385,7 +399,7 @@ class TwoLayerNetProblem(FiniteSumProblem):
             slot = self._slot
             if slot is not None and slot[0] == key:
                 _, A, r, P, U = slot
-                return self.features, A, r, self._unpack(theta)[2], P, U
+                return self._features, A, r, self._unpack(theta)[2], P, U
         X, A, r, w2 = self._forward(theta, indices)
         P = 1.0 - A * A
         U = P * w2

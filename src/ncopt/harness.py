@@ -459,8 +459,8 @@ def standard_campaign_pairs(strategy="sd", seed=0, out_dir=None,
                             max_iterations=2000, problems=None):
     """Experiment-config pairs (descent-only, with-curvature) over the
     built-in suite, or over `problems` when it is not None, with the
-    standard starting points; an empty or unknown problem list, a negative
-    seed or a nonpositive cap is a UsageError."""
+    standard starting points; an empty list, an unknown or repeated
+    problem, a negative seed or a nonpositive cap is a UsageError."""
     if strategy not in CAMPAIGN_STRATEGIES:
         raise UsageError("strategy: must be %s"
                          % " or ".join(map(repr, CAMPAIGN_STRATEGIES)))
@@ -473,6 +473,9 @@ def standard_campaign_pairs(strategy="sd", seed=0, out_dir=None,
     termination = TerminationSpec(max_iterations=max_iterations)
     pairs = []
     for name in list_problems() if problems is None else problems:
+        # a repeated problem would count twice in every median
+        if any(name == config.problem for config, _ in pairs):
+            raise UsageError("problems: %s is listed twice" % name)
         start = CAMPAIGN_STARTS.get(name)
         # the seed only draws a start, so it goes to problems without one
         common = dict(problem=name, termination=termination, out_dir=out_dir,
@@ -490,11 +493,14 @@ def standard_campaign_pairs(strategy="sd", seed=0, out_dir=None,
 
 def campaign(pairs, out_dir=None):
     """Run comparison pairs, keep rows where curvature was actually used,
-    and write the sorted table plus one plot-data file per measure.
+    and write them, sorted by f_measure, as comparison.csv, one column per
+    `ComparisonRow` field.
 
     A run that raises a UsageError or one of SOLVER_FAILURES, the errors
     `ncopt run` maps to its exit codes 2 and 3, becomes a row of
     failures.csv and the campaign continues; any other error propagates.
+    Returns (rows, table_path, failures_path), failures_path None when
+    every run finished.
     """
     if not pairs:
         raise UsageError("suite: campaign needs at least one experiment pair")
@@ -516,17 +522,9 @@ def campaign(pairs, out_dir=None):
     table_path = _write_csv(os.path.join(out_dir, "comparison.csv"),
                             [f.name for f in fields(ComparisonRow)],
                             [astuple(r) for r in kept])
-    plot_paths = {
-        measure: _write_csv(os.path.join(out_dir, "plot_%s.csv" % measure),
-                            ("problem", "value"),
-                            [(r.problem, getattr(r, attr)) for r in kept])
-        for measure, attr in (("f_diff", "f_measure"), ("iterates", "iter_measure"),
-                              ("fevals", "feval_measure"))
-    }
-    if failures:
-        plot_paths["failures"] = _write_csv(os.path.join(out_dir, "failures.csv"),
-                                            ("problem", "error"), failures)
-    return kept, table_path, plot_paths
+    failures_path = _write_csv(os.path.join(out_dir, "failures.csv"),
+                               ("problem", "error"), failures) if failures else None
+    return kept, table_path, failures_path
 
 
 def read_config_file(path):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ncopt.deterministic import TRACE_COLUMNS, _partial_report_on_failure, _step_point
-from ncopt.finite_sum import _PROBE_CHUNK_BYTES, FiniteSumProblem, StochasticOracle
+from ncopt.finite_sum import _PROBE_CHUNK_BYTES, FiniteSumProblem
 from ncopt.linalg import CgStatus, norm, row_norms, truncated_cg
 from ncopt.problems import (
     EvaluationError,
@@ -44,10 +44,6 @@ _MOMENT_MARGIN = 1.5
 INFLATE_FACTOR, MAX_S_NORM, MAX_RATIO_D_TO_S = 1.2, 10.0, 0.2
 # the dynamic method's default first constants L and sigma; read, never changed
 LIPSCHITZ_INIT = LipschitzState(L_current=80.0, sigma_current=100.0)
-
-
-class ExpectedDecreaseViolation(RuntimeError):
-    """The Monte Carlo single-step decrease exceeded its theoretical bound."""
 
 
 @dataclass(frozen=True)
@@ -114,6 +110,23 @@ def constant_step_mean_square_bound(moments, gradient_lipschitz, delta, alpha,
     return (
         2.0 * alpha * gradient_lipschitz * moments.M1 / delta
         + 2.0 * initial_gap / (iterations * delta * alpha)
+    )
+
+
+def expected_decrease_bound(moments, gradient_lipschitz, alpha,
+                            gradient_norm_squared):
+    """Bound on the expected change E[f(x + alpha s + alpha omega d)] - f(x)
+    of one step of the constant-stepsize two-step method, at a point x
+    where ||grad f||^2 is `gradient_norm_squared`."""
+    real_argument("gradient_lipschitz", gradient_lipschitz)
+    real_argument("alpha", alpha)
+    real_argument("gradient_norm_squared", gradient_norm_squared, positive=False)
+    L = gradient_lipschitz
+    return (
+        -(alpha - 0.5 * L * moments.M2 * alpha ** 2
+          - L * moments.M2 * alpha ** 2 / 6.0) * gradient_norm_squared
+        + 0.5 * L * moments.M1 * alpha ** 2
+        + L * moments.M1 * alpha ** 2 / 6.0
     )
 
 
@@ -464,57 +477,3 @@ def _probe_chunk(oracle):
     keep their gathered batch matrices within _PROBE_CHUNK_BYTES."""
     per_draw = 8 * oracle.batch_size * oracle.problem.dimension ** 2
     return max(1, _PROBE_CHUNK_BYTES // per_draw)
-
-
-@dataclass
-class DescentCheckResult:
-    empirical_decrease: float
-    bound: float
-    standard_error: float
-    replications: int
-
-
-def expected_descent_check(problem, x, config, replications, seed=0,
-                           batch_size=2, moments=None, measure_draws=2000):
-    """Monte Carlo check of the expected single-step decrease bound.
-
-    Estimates E[f(x + alpha s + alpha omega d)] - f(x) over fresh draws and
-    compares against the bound built from the (measured) moment constants
-    and the problem's documented gradient Lipschitz constant.  Raises
-    ExpectedDecreaseViolation if the estimate exceeds the bound by more than
-    three standard errors, or if the estimate is NaN.
-    """
-    replications = integer_argument("replications", replications, 1)
-    x = np.asarray(x, dtype=float)
-    L = config.gradient_lipschitz or problem.local_gradient_lipschitz
-    if L is None:
-        raise ValueError("a documented gradient Lipschitz constant is required")
-    alpha = config.alpha_constant
-    oracle = StochasticOracle(problem, batch_size=batch_size, seed=seed)
-    if moments is None:
-        moments = measure_moment_constants(oracle, x, draws=measure_draws)
-    f_x = problem.evaluate(x)
-    g = problem.gradient(x)
-    gnorm2 = float(g @ g)
-
-    decreases = np.empty(replications)
-    for i in range(replications):
-        x_next, _ = curvature_noise_step(x, oracle, alpha)
-        decreases[i] = problem.evaluate(x_next) - f_x
-    empirical = float(np.mean(decreases))
-    stderr = float(np.std(decreases, ddof=1) / np.sqrt(replications)) \
-        if replications > 1 else 0.0
-    bound = (
-        -(alpha - 0.5 * L * moments.M2 * alpha ** 2
-          - L * moments.M2 * alpha ** 2 / 6.0) * gnorm2
-        + 0.5 * L * moments.M1 * alpha ** 2
-        + L * moments.M1 * alpha ** 2 / 6.0
-    )
-    # written so that a NaN estimate fails it
-    if not empirical <= bound + 3.0 * stderr:
-        raise ExpectedDecreaseViolation(
-            "empirical decrease %.6e exceeds bound %.6e + 3*SE %.2e"
-            % (empirical, bound, stderr)
-        )
-    return DescentCheckResult(empirical_decrease=empirical, bound=bound,
-                              standard_error=stderr, replications=replications)

@@ -6,6 +6,8 @@ tests average these one-component formulas over a batch and compare.
 
 import numpy as np
 
+from ncopt.stochastic import curvature_noise_step
+
 
 def quadratic_component(problem, x, index):
     """(value, gradient, Hessian) of 0.5 (x - c_i)' Q_i (x - c_i)."""
@@ -38,3 +40,18 @@ def per_draw_moment_m1(oracle, x, draws):
         s = -problem.batch_gradient(x, oracle.next_gradient_batch())
         deviations[i] = float((s + exact_g) @ (s + exact_g))
     return 1.5 * float(np.mean(deviations)) + 1e-12
+
+
+def sampled_decrease(oracle, x, alpha, replications):
+    """(mean, standard error) of f(x_next) - f(x) over `replications`
+    `curvature_noise_step`s from x on the one oracle, f(x) evaluated once:
+    the Monte Carlo estimate that `expected_decrease_bound` bounds."""
+    problem = oracle.problem
+    f_x = problem.evaluate(x)
+    decreases = np.empty(replications)
+    for i in range(replications):
+        x_next, _ = curvature_noise_step(x, oracle, alpha)
+        decreases[i] = problem.evaluate(x_next) - f_x
+    stderr = float(np.std(decreases, ddof=1) / np.sqrt(replications)) \
+        if replications > 1 else 0.0
+    return float(np.mean(decreases)), stderr

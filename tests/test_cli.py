@@ -6,10 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
+import ncopt
 from ncopt.cli import _build_parser, _config_from_args, main
 from ncopt.deterministic import (
     TRACE_COLUMNS,
@@ -55,7 +57,7 @@ from ncopt.stochastic import (
     apply_safeguards,
     curvature_noise_step,
     dynamic_stochastic_solve,
-    expected_descent_check,
+    expected_decrease_bound,
     measure_moment_constants,
     two_step_stochastic_solve,
 )
@@ -503,8 +505,35 @@ class TestCampaign:
         assert code == 0
         out = capsys.readouterr().out
         assert "quartic_saddle" in out
+        assert "table: %s" % (tmp_path / "comparison.csv") in out
+        assert "failures:" not in out
+        # one table; the measures are its columns
         assert (tmp_path / "comparison.csv").exists()
-        assert (tmp_path / "plot_f_diff.csv").exists()
+        assert not list(tmp_path.glob("plot_*.csv"))
+        assert not (tmp_path / "failures.csv").exists()
+
+    def test_failed_run_prints_the_failures_path(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def raising(config):
+            raise InnerLoopStall("stalled")
+
+        monkeypatch.setattr("ncopt.harness.run_experiment", raising)
+        with pytest.warns(UserWarning, match="negative curvature"):
+            code = main(["campaign", "--problem", "quartic_saddle", "--out",
+                         str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "failures: %s" % (tmp_path / "failures.csv") in out
+
+    def test_repeated_problem_is_usage_error(self, tmp_path, capsys):
+        # the pair used to run twice and count twice in every median
+        out = tmp_path / "out"
+        code = main(["campaign", "--problem", "quartic_saddle", "--problem",
+                     "quartic_saddle", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "usage error: problems: quartic_saddle is listed twice\n")
+        assert not out.exists()
 
 
 def test_console_entry_point(tmp_path):
@@ -667,9 +696,8 @@ class TestOptionSurface:
             apply_safeguards: ("s", "d", "alpha", "beta"),
             measure_moment_constants: ("oracle", "x", "draws"),
             admissible_constant_step: ("moments", "gradient_lipschitz"),
-            expected_descent_check: ("problem", "x", "config", "replications",
-                                     "seed", "batch_size", "moments",
-                                     "measure_draws"),
+            expected_decrease_bound: ("moments", "gradient_lipschitz", "alpha",
+                                      "gradient_norm_squared"),
             descent_direction: ("strategy", "g", "eig"),
             check_strategy: ("strategy",),
             negative_curvature_direction: ("eig", "g"),
@@ -707,3 +735,41 @@ class TestOptionSurface:
         # the eigenpair always carries the matrix and decomposition it came from
         assert all(f.default is dataclasses.MISSING
                    for f in dataclasses.fields(EigenResult))
+
+    def test_package_exports_are_fixed(self):
+        """Every public name `ncopt` exports, its modules aside; adding,
+        removing or swapping one must edit this list in plain view."""
+        exported = {name for name, value in vars(ncopt).items()
+                    if not name.startswith("_")
+                    and not isinstance(value, types.ModuleType)}
+        assert exported == {
+            # ncopt.deterministic
+            "ComplexityCensus", "InnerLoopStall", "IterationRecord",
+            "SolverReport", "TerminationReason", "TerminationSpec",
+            "complexity_census", "dynamic_solve", "two_step_solve",
+            # ncopt.finite_sum
+            "FiniteSumProblem", "LinearLeastSquaresProblem",
+            "QuadraticFiniteSum", "StochasticOracle", "TwoLayerNetProblem",
+            "load_dataset", "random_quadratic_finite_sum",
+            "synthetic_two_layer_net",
+            # ncopt.harness
+            "ComparisonRow", "ExperimentConfig", "UsageError", "campaign",
+            "compare", "run_experiment", "standard_campaign_pairs",
+            # ncopt.linalg
+            "CgOutcome", "CgStatus", "EigenResult", "KernelError",
+            "leftmost_eigenpair", "modified_newton_shift",
+            "symmetric_extreme_eigenvalues", "truncated_cg",
+            # ncopt.problems
+            "EvaluationError", "ObjectiveProblem", "list_problems",
+            "make_problem",
+            # ncopt.steps
+            "ConditionViolation", "LipschitzState", "UpperModel",
+            "descent_direction", "negative_curvature_direction",
+            "optimal_stepsizes", "upper_models",
+            # ncopt.stochastic
+            "LIPSCHITZ_INIT", "MomentBounds", "StochasticReport",
+            "StochasticStepConfig", "admissible_constant_step",
+            "constant_step_mean_square_bound", "curvature_noise_step",
+            "dynamic_stochastic_solve", "expected_decrease_bound",
+            "measure_moment_constants", "two_step_stochastic_solve",
+        }

@@ -42,7 +42,7 @@ def test_every_setting_the_readme_names_is_a_config_key():
     # a backticked lowercase `section.key` is a setting unless it names a
     # module, a file or an object attribute
     modules = {"ncopt"} | {m.name for m in pkgutil.iter_modules(ncopt.__path__)}
-    not_settings = {"failures.csv", "report.records"}
+    not_settings = {"comparison.csv", "failures.csv", "report.records"}
     named = {"%s.%s" % pair for pair in
              re.findall(r"`([a-z_]+)\.([a-z_]+)\b(?![.\w])", README)}
     settings = {name for name in named - not_settings

@@ -98,11 +98,12 @@ def _nan_hessian_problem():
 
 
 def with_nan_center(problem, row):
-    """`problem`, a quadratic finite sum, with `centers` rebound to a copy
-    whose entry (row, 0) is NaN: a built problem's data are read-only."""
+    """`problem`, a quadratic finite sum, with its private centers array
+    rebound to a copy whose entry (row, 0) is NaN: a built problem's data
+    are read-only, and `centers` cannot be rebound."""
     centers = problem.centers.copy()
     centers[row, 0] = np.nan
-    problem.centers = centers
+    problem._centers = centers
     return problem
 
 

@@ -29,11 +29,12 @@ from ncopt.finite_sum import (
 from ncopt.linalg import norm
 from ncopt.problems import EvaluationError, make_problem
 from ncopt.stochastic import (
+    MomentBounds,
     StochasticIterationRecord,
     StochasticReport,
     StochasticStepConfig,
     dynamic_stochastic_solve,
-    expected_descent_check,
+    expected_decrease_bound,
     two_step_stochastic_solve,
 )
 from reference_derivatives import central_gradient, central_hessian
@@ -443,9 +444,10 @@ def test_least_squares_overflowing_gram_documents_no_lipschitz_constant():
         warnings.simplefilter("error")
         p = LinearLeastSquaresProblem(np.full((4, 2), 1e200), np.zeros(4))
     assert p.local_gradient_lipschitz is None
-    with pytest.raises(ValueError, match="gradient Lipschitz constant is required"):
-        expected_descent_check(p, np.zeros(2),
-                               StochasticStepConfig(alpha_constant=0.1), 10)
+    with pytest.raises(ValueError,
+                       match="^gradient_lipschitz must be positive and finite$"):
+        expected_decrease_bound(MomentBounds(1.0, 1.5), p.local_gradient_lipschitz,
+                                0.1, 0.0)
 
 
 @pytest.mark.parametrize("make", [
@@ -629,7 +631,8 @@ def test_full_gradients_check_the_points_and_move_no_counter(make):
     (lambda: TwoLayerNetProblem(*_net_records()), ("features", "labels")),
 ], ids=["quadratic", "least_squares", "two_layer_net"])
 def test_data_arrays_are_read_only(make, names):
-    # every cache and stacked pass assumes the data never change
+    # every cache and stacked pass assumes the data never change; a
+    # rebound attribute used to leave the caches keyed to the old data
     p = make()
     for name in names:
         data = getattr(p, name)
@@ -637,6 +640,27 @@ def test_data_arrays_are_read_only(make, names):
             data.flat[0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             data *= 2.0
+        with pytest.raises(AttributeError, match=name):
+            setattr(p, name, -data)
+        assert getattr(p, name) is data
+
+
+def test_rebinding_the_matrices_of_a_warm_problem_fails_at_the_write():
+    # negating the matrices after a solve had filled the eigenpair table
+    # used to succeed, and the next solve's first sampled_lambda was -0.19
+    # from the stale table, where a fresh problem's is -4.44
+    p = random_quadratic_finite_sum(n=10, components=20, seed=314)
+    config = StochasticStepConfig(alpha_constant=0.01)
+    two_step_stochastic_solve(StochasticOracle(p, batch_size=2, seed=1), config,
+                              200)
+    with pytest.raises(AttributeError, match="matrices"):
+        p.matrices = -p.matrices
+    warm = two_step_stochastic_solve(StochasticOracle(p, batch_size=2, seed=1),
+                                     config, 1)
+    fresh = two_step_stochastic_solve(StochasticOracle(
+        random_quadratic_finite_sum(n=10, components=20, seed=314), batch_size=2,
+        seed=1), config, 1)
+    assert warm.records[0].sampled_lambda == fresh.records[0].sampled_lambda
 
 
 @given(hnp.arrays(float, st.integers(1, 300),

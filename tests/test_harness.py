@@ -508,12 +508,15 @@ class TestCampaign:
         pairs = standard_campaign_pairs(out_dir=str(tmp_path),
                                         problems=["quartic_saddle"],
                                         max_iterations=500)
-        rows, table_path, plots = campaign(pairs, out_dir=str(tmp_path))
+        rows, table_path, failures_path = campaign(pairs, out_dir=str(tmp_path))
         assert len(rows) == 1
         assert rows[0].used_negative_curvature
         table = open(table_path).read().strip().splitlines()
         assert len(table) == 2
-        assert set(plots) >= {"f_diff", "iterates", "fevals"}
+        # the table is the one file a campaign writes besides the runs'
+        assert failures_path is None
+        assert not list(tmp_path.glob("plot_*.csv"))
+        assert not (tmp_path / "failures.csv").exists()
 
     def test_no_curvature_suite_warns_and_writes_empty_table(self, tmp_path):
         pairs = standard_campaign_pairs(out_dir=str(tmp_path),
@@ -551,6 +554,15 @@ class TestCampaign:
         with pytest.raises(UsageError, match="seed"):
             standard_campaign_pairs(seed=-1, problems=["quartic_saddle"])
 
+    def test_repeated_problem_rejected(self):
+        # a repeated pair used to run twice and count twice in every median
+        for problems in (["quartic_saddle", "quartic_saddle"],
+                         ("sphere", "quartic_saddle", "sphere")):
+            name = problems[0]
+            with pytest.raises(UsageError,
+                               match="^problems: %s is listed twice$" % name):
+                standard_campaign_pairs(problems=problems)
+
     def test_empty_suite_rejected(self):
         with pytest.raises(UsageError):
             campaign([])
@@ -578,10 +590,10 @@ class TestCampaign:
                 campaign(pairs, out_dir=str(tmp_path))
             return
         with pytest.warns(UserWarning, match="negative curvature"):
-            rows, _, plots = campaign(pairs, out_dir=str(tmp_path))
+            rows, _, failures_path = campaign(pairs, out_dir=str(tmp_path))
         assert rows == []
         failures = (tmp_path / "failures.csv").read_text().splitlines()
-        assert plots["failures"] == str(tmp_path / "failures.csv")
+        assert failures_path == str(tmp_path / "failures.csv")
         assert failures == ["problem,error", "quartic_saddle,%s" % repr(error)]
 
 

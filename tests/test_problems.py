@@ -27,6 +27,7 @@ from ncopt.stochastic import (
     admissible_constant_step,
     constant_step_mean_square_bound,
     curvature_noise_step,
+    expected_decrease_bound,
 )
 from reference_derivatives import central_gradient, central_hessian
 
@@ -266,6 +267,11 @@ def _mean_square_bound(gradient_lipschitz=1.0, delta=1.0, alpha=0.1,
                                            initial_gap)
 
 
+def _decrease_bound(gradient_lipschitz=1.0, alpha=0.1, gradient_norm_squared=1.0):
+    return expected_decrease_bound(MomentBounds(1.0, 1.5), gradient_lipschitz,
+                                   alpha, gradient_norm_squared)
+
+
 def _census(epsilon_g=1.0, epsilon_H=1.0):
     report = dynamic_solve(sphere(2), termination=TerminationSpec(max_iterations=3))
     return complexity_census(report, epsilon_g, epsilon_H)
@@ -309,6 +315,13 @@ REAL_ARGUMENTS = {
     "bound_alpha": ("alpha", True, lambda v: _mean_square_bound(alpha=v), None),
     "bound_initial_gap": ("initial_gap", False,
                           lambda v: _mean_square_bound(initial_gap=v), None),
+    "decrease_gradient_lipschitz": (
+        "gradient_lipschitz", True,
+        lambda v: _decrease_bound(gradient_lipschitz=v), None),
+    "decrease_alpha": ("alpha", True, lambda v: _decrease_bound(alpha=v), None),
+    "decrease_gradient_norm_squared": (
+        "gradient_norm_squared", False,
+        lambda v: _decrease_bound(gradient_norm_squared=v), None),
     "epsilon_g": ("epsilon_g", True, lambda v: _census(epsilon_g=v), None),
     "epsilon_H": ("epsilon_H", True, lambda v: _census(epsilon_H=v), None),
 }

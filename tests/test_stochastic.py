@@ -26,11 +26,11 @@ from ncopt.stochastic import (
     constant_step_mean_square_bound,
     curvature_noise_step,
     dynamic_stochastic_solve,
-    expected_descent_check,
+    expected_decrease_bound,
     measure_moment_constants,
     two_step_stochastic_solve,
 )
-from reference_finite_sum import per_draw_moment_m1
+from reference_finite_sum import per_draw_moment_m1, sampled_decrease
 from test_fingerprints import fingerprint, with_nan_center
 
 GOLDEN_DYNAMIC_NET = os.path.join(os.path.dirname(__file__), "golden",
@@ -750,15 +750,8 @@ def test_curvature_noise_step_rejects_a_point_of_another_shape(noisy_quadratic):
     assert_streams_stand_at(oracle)
 
 
-def _descent_check(replications):
-    config = StochasticStepConfig(alpha_constant=0.25, gradient_lipschitz=1.0)
-    return expected_descent_check(half_x_squared(), np.array([2.0]), config,
-                                  replications=replications, batch_size=2,
-                                  measure_draws=50)
-
-
-# each count argument of the moment helpers and the expected-descent check:
-# its name and a call taking it
+# each count argument of the moment probe and the mean-square bound: its
+# name and a call taking it
 HELPER_INTEGERS = {
     "draws": lambda k: measure_moment_constants(
         StochasticOracle(random_quadratic_finite_sum(n=10, components=20,
@@ -766,15 +759,14 @@ HELPER_INTEGERS = {
         np.zeros(10), draws=k),
     "iterations": lambda k: constant_step_mean_square_bound(
         MomentBounds(1.0, 1.5), 1.0, 1.0, 0.1, k, 2.0),
-    "replications": _descent_check,
 }
 
 
 @pytest.mark.parametrize("name", HELPER_INTEGERS)
 def test_helper_counts_follow_the_integer_rule(name):
-    # draws=0 used to fail as "moment bounds need a finite M1", iterations=0
-    # as a ZeroDivisionError and replications=0 not at all, with a NaN
-    # decrease; iterations=-5 gave a negative bound
+    # draws=0 used to fail as "moment bounds need a finite M1" and
+    # iterations=0 as a ZeroDivisionError; iterations=-5 gave a negative
+    # bound
     call = HELPER_INTEGERS[name]
     for integral in (np.int64(2), 2.0):
         assert call(integral) == call(2)
@@ -837,22 +829,30 @@ class TestMomentMeasurement:
 
 
 class TestExpectedDescentCheck:
+    """The sampled single-step decrease against `expected_decrease_bound`,
+    with moments measured on the oracle that then takes the steps."""
+
+    @staticmethod
+    def sampled_and_bound(p, x, alpha, seed, probe_draws, replications):
+        oracle = StochasticOracle(p, batch_size=2, seed=seed)
+        moments = measure_moment_constants(oracle, x, draws=probe_draws)
+        g = p.gradient(x)
+        bound = expected_decrease_bound(moments, p.local_gradient_lipschitz,
+                                        alpha, float(g @ g))
+        return sampled_decrease(oracle, x, alpha, replications), bound
+
     def test_noiseless_case_matches_exact_decrease(self):
         p = half_x_squared()
-        config = StochasticStepConfig(alpha_constant=0.25, gradient_lipschitz=1.0)
-        x = np.array([2.0])
-        result = expected_descent_check(p, x, config, replications=50,
-                                        batch_size=2, measure_draws=50)
+        assert p.local_gradient_lipschitz == 1.0
+        (empirical, _), bound = self.sampled_and_bound(p, np.array([2.0]), 0.25,
+                                                       0, 50, 50)
         # d = 0 and no noise: decrease is exactly -alpha*g^2 + 0.5*alpha^2*g^2
         exact = -0.25 * 4.0 + 0.5 * 0.25 ** 2 * 4.0
-        assert result.empirical_decrease == pytest.approx(exact, rel=1e-12)
-        assert result.empirical_decrease <= result.bound
+        assert empirical == pytest.approx(exact, rel=1e-12)
+        assert empirical <= bound
 
     def test_noisy_quadratic_bound_holds(self, noisy_quadratic):
         p = noisy_quadratic
-        config = StochasticStepConfig(alpha_constant=0.02,
-                                      gradient_lipschitz=p.local_gradient_lipschitz)
-        result = expected_descent_check(p, p.default_start, config,
-                                        replications=3000, seed=77, batch_size=2,
-                                        measure_draws=2000)
-        assert result.empirical_decrease <= result.bound + 3.0 * result.standard_error
+        (empirical, stderr), bound = self.sampled_and_bound(
+            p, p.default_start, 0.02, 77, 2000, 3000)
+        assert empirical <= bound + 3.0 * stderr
