@@ -195,7 +195,9 @@ def _step_point(x, t, p):
     """The point x + t*p a step moves to.  One that overflows ends the
     solve with ConditionViolation; a non-finite point a caller passes in is
     ObjectiveProblem's ValueError instead."""
-    point = x + t * p
+    # x + t*p, with the sum made in the product's array
+    point = t * p
+    point += x
     if not all_finite(point):
         raise ConditionViolation("step to x + t*p has non-finite coordinates "
                                  "at t=%r" % float(t))

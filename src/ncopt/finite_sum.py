@@ -35,7 +35,7 @@ class DatasetSchemaError(ValueError):
 def _mean(a):
     """float(np.mean(a)) of a float vector, bit for bit: numpy's pairwise
     sum, then one division by the length, without np.mean's dispatch."""
-    return float(a.sum()) / len(a)
+    return float(np.add.reduce(a)) / len(a)
 
 
 # the bytes a problem's complete table of sampled eigenpairs for one batch
@@ -140,10 +140,12 @@ class FiniteSumProblem(ObjectiveProblem):
         return eig
 
     def _rows(self, data, indices):
-        """The rows of `data` listed in `indices`; the full batch
-        (`_all_indices`, as `value`/`gradient`/`hessian` pass it) reads
-        `data` in place instead of copying it."""
-        return data if indices is self._all_indices else data[indices]
+        """The rows of `data` listed in the integer array `indices`, by
+        `take`, which copies them as `data[indices]` does without its
+        indexing dispatch; the full batch (`_all_indices`, as
+        `value`/`gradient`/`hessian` pass it) reads `data` in place
+        instead of copying it."""
+        return data if indices is self._all_indices else data.take(indices, 0)
 
     def _set_records(self, features, labels):
         """Store copies of (N, d) features and N labels as `_features` and
@@ -223,13 +225,16 @@ class QuadraticFiniteSum(FiniteSumProblem):
         real_argument("perturbation", perturbation, positive=False)
         Q = _rotated_spectrum(rng, spectrum)
         lam_min = float(np.min(spectrum))
+        # one normal n-by-n draw per pair, in one call, each S scaled by
+        # its spectral norm (`np.linalg.norm(S, 2)`, the largest singular
+        # value)
+        S = rng.normal(size=(components // 2, n, n))
+        S = 0.5 * (S + S.transpose(0, 2, 1))
+        spectral = np.linalg.svd(S, compute_uv=False).max(-1)
+        S *= (perturbation * lam_min / np.maximum(spectral, 1e-12))[:, None, None]
         mats = np.empty((components, n, n))
-        for j in range(components // 2):
-            S = rng.normal(size=(n, n))
-            S = 0.5 * (S + S.T)
-            S *= perturbation * lam_min / max(np.linalg.norm(S, 2), 1e-12)
-            mats[2 * j] = Q + S
-            mats[2 * j + 1] = Q - S
+        mats[0::2] = Q + S
+        mats[1::2] = Q - S
         centers = rng.normal(scale=2.0, size=(components, n))
 
         _read_only(Q, mats, centers)
@@ -372,22 +377,26 @@ class TwoLayerNetProblem(FiniteSumProblem):
             default_start=np.random.default_rng(5).normal(scale=0.2, size=dim),
         )
         self._scatter_flat, self._scatter_source = _second_order_layout(h, d)
+        # where W1 (read as h-by-d), b1 and w2 lie in the parameter
+        # vector; b2 is its last entry
+        self._layout = (slice(h * d), (h, d), slice(h * d, h * d + h),
+                        slice(h * d + h, h * d + 2 * h))
         self._slot = None
 
-    def _unpack(self, theta):
-        h = self.hidden_units
-        d = self._features.shape[1]
-        W1 = theta[: h * d].reshape(h, d)
-        b1 = theta[h * d: h * d + h]
-        w2 = theta[h * d + h: h * d + 2 * h]
-        b2 = theta[-1]
-        return W1, b1, w2, b2
-
     def _forward(self, theta, indices):
-        W1, b1, w2, b2 = self._unpack(theta)
-        X = self._rows(self._features, indices)
-        A = np.tanh(X @ W1.T + b1)
-        residual = A @ w2 + b2 - self._rows(self._labels, indices)
+        W1_at, W1_shape, b1_at, w2_at = self._layout
+        w2 = theta[w2_at]
+        if indices is self._all_indices:
+            X, y = self._features, self._labels
+        else:
+            X, y = self._features.take(indices, 0), self._labels.take(indices)
+        # tanh(X W1' + b1) and A w2 + b2 - y, each made in one array
+        A = X @ theta[W1_at].reshape(W1_shape).T
+        A += theta[b1_at]
+        np.tanh(A, out=A)
+        residual = A @ w2
+        residual += theta[-1]
+        residual -= y
         return X, A, residual, w2
 
     def _first_order(self, theta, indices):
@@ -399,9 +408,10 @@ class TwoLayerNetProblem(FiniteSumProblem):
             slot = self._slot
             if slot is not None and slot[0] == key:
                 _, A, r, P, U = slot
-                return self._features, A, r, self._unpack(theta)[2], P, U
+                return self._features, A, r, theta[self._layout[3]], P, U
         X, A, r, w2 = self._forward(theta, indices)
-        P = 1.0 - A * A
+        P = A * A
+        np.subtract(1.0, P, out=P)
         U = P * w2
         if full:
             self._slot = (key, A, r, P, U)
@@ -422,14 +432,13 @@ class TwoLayerNetProblem(FiniteSumProblem):
 
     @staticmethod
     def _gradient(X, A, r, U):
-        m = len(r)
         RU = r[:, None] * U
-        gW1 = RU.T @ X / m
-        # the means as np.mean computes them, a sum and one division
-        gb1 = RU.sum(axis=0) / m
-        gw2 = (r[:, None] * A).sum(axis=0) / m
-        gb2 = _mean(r)
-        return np.concatenate([gW1.ravel(), gb1, gw2, [gb2]])
+        # the means as np.mean computes them, sums and one division each
+        g = np.concatenate([(RU.T @ X).ravel(), np.add.reduce(RU, 0),
+                            np.add.reduce(r[:, None] * A, 0),
+                            [np.add.reduce(r)]])
+        g /= len(r)
+        return g
 
     def batch_hessian(self, x, indices):
         """Exact mean Hessian over the batch: the Gauss-Newton part J'J/m
@@ -438,16 +447,19 @@ class TwoLayerNetProblem(FiniteSumProblem):
         X, A, r, w2, P, U = self._first_order(x, indices)
         m, d = X.shape
         h = self.hidden_units
-        D = -2.0 * A * P * w2
+        D = -2.0 * A
+        D *= P
+        D *= w2
 
         # sample-contiguous (Fortran-order) operands make the sum over
         # samples einsum's inner loop instead of a loop d entries long run
         # m*h times; each entry is still the same products summed over the
         # samples in the same order, so the bits do not change
-        Xf, Pf, Uf, Df = (np.asfortranarray(a) for a in (X, P, U, D))
+        Xf, Pf, Uf, Df = map(np.asfortranarray, (X, P, U, D))
         JW1 = np.einsum("mi,mj->mij", Uf, Xf).reshape(m, h * d)
         J = np.concatenate([JW1, U, A, np.ones((m, 1))], axis=1)
-        H = J.T @ J / m
+        H = J.T @ J
+        H /= m
 
         # folding r into D first turns the costliest term's 4-operand
         # einsum into a 3-operand one with the same products and order; the
@@ -460,12 +472,16 @@ class TwoLayerNetProblem(FiniteSumProblem):
             np.einsum("m,mi,mk->ik", r, Pf, Xf).ravel(),
             np.einsum("mi,mj,mk->ijk", r[:, None] * Df, Xf, Xf).ravel(),
             np.einsum("m,mi->i", r, P),
-        ]) / m
+        ])
+        terms /= m
         H.reshape(-1)[self._scatter_flat] += terms[self._scatter_source]
-        # not a no-op: J'J is exactly symmetric, but the W1-W1 terms for
-        # (j, k) and (k, j) multiply X's columns in different orders, so
-        # that block alone differs from its transpose in the last bits
-        return 0.5 * (H + H.T)
+        # 0.5*(H + H'), not a no-op: J'J is exactly symmetric, but the
+        # W1-W1 terms for (j, k) and (k, j) multiply X's columns in
+        # different orders, so that block alone differs from its transpose
+        # in the last bits
+        H_sym = H + H.T
+        H_sym *= 0.5
+        return H_sym
 
 
 def _second_order_layout(h, d):

@@ -345,10 +345,11 @@ def report_summary(report, config=None, error=None):
 
 
 def write_report_json(report, path, config=None, error=None):
+    # encoded whole, then written once
+    text = json.dumps(report_summary(report, config, error), indent=2,
+                      default=float)
     with open(path, "w") as handle:
-        json.dump(report_summary(report, config, error), handle, indent=2,
-                  default=float)
-        handle.write("\n")
+        handle.write(text + "\n")
     return path
 
 
@@ -365,7 +366,7 @@ def _write_csv(path, header, rows):
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        writer.writerows([list(map(_cell, row)) for row in rows])
     return path
 
 

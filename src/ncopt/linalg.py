@@ -6,12 +6,26 @@ curvature direction and the modified-Newton shift and solve.  When the
 leftmost eigenvalue is repeated, LAPACK may return any orthonormal basis
 of its eigenspace, so the vector used is picked once, by
 `eigenspace_direction`, a rule that depends on the eigenspace and the
-gradient only.  The vector and matrix norms on the per-iterate paths are
-`norm`, which equals `np.linalg.norm` bit for bit without its argument
-dispatch wherever the sum of squares does not underflow; `row_norms`
-gives `norm` of many rows at once.  The tests check
-these kernels against an independent pure-Python reference eigensolver.
-All kernels are pure functions and safe for concurrent use.
+gradient only.  The tests check these kernels against an independent
+pure-Python reference eigensolver.  All kernels are pure functions and
+safe for concurrent use.
+
+The per-iterate paths (here, in `ncopt.finite_sum` and in the solvers)
+skip numpy's Python-level dispatch wherever that gives the same bits:
+- a vector or matrix norm is `norm`, which equals `np.linalg.norm` bit
+  for bit wherever the sum of squares does not underflow, and
+  `row_norms` gives `norm` of many rows at once;
+- a sum is the ufunc reduction `np.add.reduce`, which `ndarray.sum` and
+  `np.mean` run behind their wrappers, and a gather of rows is `take`;
+- a dot product of vectors is `ndarray.dot`, and so is CG's product H p
+  where H is one contiguous block, the layouts on which dot makes the
+  BLAS call that matmul makes;
+- a scalar is a Python float, not a numpy scalar (both are IEEE doubles,
+  and the arithmetic on them rounds the same);
+- a new array that is then changed is changed in place, not copied, and
+  a zero vector is `np.zeros(shape)`: `s += t*p` is `s + t*p`, and
+  `p *= beta; p -= r` is `-r + beta*p`, since a + (-b) equals a - b and
+  addition commutes in IEEE arithmetic, signed zeros included.
 """
 
 from __future__ import annotations
@@ -96,7 +110,7 @@ def all_finite(a):
     """Whether every entry of the float array a is finite; only a
     non-finite sum, which finite entries reach by overflow, is checked
     entry by entry."""
-    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
+    return math.isfinite(np.add.reduce(a, None)) or bool(np.isfinite(a).all())
 
 
 def _leftmost_multiplicity(w):
@@ -228,26 +242,33 @@ def truncated_cg(H, g, max_iterations):
                                                      max_iterations, 1)
     gnorm = norm(g)
     if gnorm == 0.0:
-        return CgOutcome(np.zeros_like(g), None, CgStatus.CONVERGED, 0)
+        return CgOutcome(np.zeros(g.shape), None, CgStatus.CONVERGED, 0)
     tolerance = min(1e-10, 1e-6 * gnorm)
-    s = np.zeros_like(g)
+    s = np.zeros(g.shape)
     r = g.copy()
     p = -g
-    rr = r @ r
+    rr = float(r.dot(r))
+    # H.dot makes the BLAS call H @ p makes where H is one contiguous
+    # block, without matmul's ufunc dispatch; on any other layout dot
+    # copies H first and may sum in another order
+    product = H.dot if H.flags.c_contiguous or H.flags.f_contiguous else H.__matmul__
     for j in range(max_iterations):
-        Hp = H @ p
-        curv = p @ Hp
+        Hp = product(p)
+        curv = float(p.dot(Hp))
         if curv <= 0.0:
             if j == 0:
-                return CgOutcome(-g, None, CgStatus.NONPOSITIVE_CURVATURE_FIRST_ITERATION, 0)
+                return CgOutcome(p, None, CgStatus.NONPOSITIVE_CURVATURE_FIRST_ITERATION, 0)
             return CgOutcome(s, p, CgStatus.NONPOSITIVE_CURVATURE, j)
         step = rr / curv
-        s = s + step * p
-        r = r + step * Hp
-        rr_new = r @ r
+        s += step * p
+        Hp *= step
+        r += Hp
+        rr_new = float(r.dot(r))
         if math.sqrt(rr_new) <= tolerance:
             return CgOutcome(s, None, CgStatus.CONVERGED, j + 1)
-        p = -r + (rr_new / rr) * p
+        # -r + (rr_new/rr)*p, in place
+        p *= rr_new / rr
+        p -= r
         rr = rr_new
     return CgOutcome(s, None, CgStatus.MAX_ITERATIONS, max_iterations)
 

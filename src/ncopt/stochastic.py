@@ -133,18 +133,26 @@ def expected_decrease_bound(moments, gradient_lipschitz, alpha,
 def apply_safeguards(s, d, alpha, beta):
     """Scale s to norm at most MAX_S_NORM and d so ||beta d|| stays within
     MAX_RATIO_D_TO_S of ||alpha s||.  Idempotent."""
-    s = np.asarray(s, dtype=float)
-    d = np.asarray(d, dtype=float)
-    snorm = norm(s)
+    s, d, _, _ = _safeguarded(np.asarray(s, dtype=float),
+                              np.asarray(d, dtype=float), alpha, beta)
+    return s, d
+
+
+def _safeguarded(s, d, alpha, beta):
+    """`apply_safeguards` of float vectors, and the `norm` of the s and d
+    it returns, each taken again only where the vector was scaled."""
+    snorm = s_norm = norm(s)
     if snorm > MAX_S_NORM:
         s = s * (MAX_S_NORM / snorm)
         snorm = MAX_S_NORM
-    dnorm = norm(d)
+        s_norm = norm(s)
+    dnorm = d_norm = norm(d)
     if dnorm > 0.0:
         cap = MAX_RATIO_D_TO_S * alpha * snorm
         if beta * dnorm > cap:
             d = d * (cap / (beta * dnorm))
-    return s, d
+            d_norm = norm(d)
+    return s, d, s_norm, d_norm
 
 
 @dataclass
@@ -289,7 +297,7 @@ def curvature_noise_step(x, oracle, alpha):
     lam = eig.leftmost_value
     snorm = norm(s)
     if lam >= -ZERO_CURVATURE_TOL or snorm == 0.0:
-        d = np.zeros_like(x)
+        d = np.zeros(x.shape)
     else:
         # leftmost_vector has a fixed sign (largest entry positive), which
         # keeps replays stable; omega makes the step zero-mean
@@ -393,13 +401,12 @@ def dynamic_stochastic_solve(oracle, lipschitz_init=None, iterations=1000,
         H_est = finite_hessian(problem.batch_hessian(x, hess_batch), x,
                                "sampled Hessian")
         cg = truncated_cg(H_est, g_est, max_iterations=CG_MAX_ITERATIONS)
-        s = cg.solution
-        d = (cg.curvature_direction
-             if use_curvature and cg.curvature_direction is not None
-             else np.zeros_like(x))
+        d = cg.curvature_direction
+        if d is None or not use_curvature:
+            d = np.zeros(x.shape)
         alpha_k = 1.0 / L
         beta_k = 1.0 / sigma
-        s, d = apply_safeguards(s, d, alpha_k, beta_k)
+        s, d, s_norm, d_norm = _safeguarded(cg.solution, d, alpha_k, beta_k)
 
         x_hat = _step_point(x, alpha_k, s)
         f_hat = problem.batch_value(x_hat, grad_batch)
@@ -421,9 +428,11 @@ def dynamic_stochastic_solve(oracle, lipschitz_init=None, iterations=1000,
         else:
             x_next, f_next, sigma_next = x_hat, f_hat, sigma
 
+        # x is the solve's own array, never written: _iterate starts from
+        # a copy and every step makes a new one
         record = StochasticIterationRecord(
-            index=k, x=x.copy(), alpha=alpha_k, beta=beta_k,
-            s_norm=norm(s), d_norm=norm(d),
+            index=k, x=x, alpha=alpha_k, beta=beta_k,
+            s_norm=s_norm, d_norm=d_norm,
             cg_status=cg.status, value_before=f_here,
             value_after_descent=f_hat, value_after_curvature=f_next,
             lipschitz_L=L, lipschitz_sigma=sigma,

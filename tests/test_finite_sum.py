@@ -318,6 +318,22 @@ def test_traced_two_step_solve_decomposes_once_per_table_miss():
     assert tracer.counter_mismatches() == []
 
 
+def test_traced_dynamic_stochastic_solve_runs_one_cg_and_one_hessian_per_iteration():
+    # every call the dynamic iterate makes stays behind a traced name, so
+    # the benchmark's spans count one sampled system per iteration
+    iterations = 15
+    tracer = _load_tracer().Tracer()
+    with tracer.installed():
+        report = dynamic_stochastic_solve(
+            StochasticOracle(make_problem("two_layer_net"), 32, seed=4),
+            iterations=iterations)
+    calls = {name: total["calls"] for name, total in tracer.layer_totals().items()}
+    assert report.total_iterations == iterations
+    assert calls["linalg.truncated_cg"] == iterations
+    assert calls["finite_sum.batch_hessian"] == iterations
+    assert tracer.counter_mismatches() == []
+
+
 @pytest.mark.parametrize("make", [
     lambda: make_problem("two_layer_net"),
     lambda: make_problem("quadratic_sum"),

@@ -9,10 +9,12 @@ from hypothesis.extra import numpy as hnp
 from ncopt.deterministic import TerminationReason, dynamic_solve
 from ncopt.harness import CAMPAIGN_STARTS
 from ncopt.linalg import (
+    CgOutcome,
     CgStatus,
     KernelError,
     _check_symmetric,
     _leftmost_multiplicity,
+    all_finite,
     eigenspace_direction,
     leftmost_eigenpair,
     modified_newton_shift,
@@ -277,6 +279,106 @@ class TestTruncatedCg:
             with pytest.raises(ValueError,
                                match="^max_iterations must be a positive integer$"):
                 truncated_cg(H, g, max_iterations=bad)
+
+
+def _transcribed_truncated_cg(H, g, max_iterations):
+    """truncated_cg's loop in plain numpy, which the kernel matches bit
+    for bit: numpy scalars, and a fresh array for every vector update."""
+    H = _check_symmetric(H)
+    g = np.asarray(g, dtype=float)
+    gnorm = norm(g)
+    if gnorm == 0.0:
+        return CgOutcome(np.zeros_like(g), None, CgStatus.CONVERGED, 0)
+    tolerance = min(1e-10, 1e-6 * gnorm)
+    s = np.zeros_like(g)
+    r = g.copy()
+    p = -g
+    rr = r @ r
+    for j in range(max_iterations):
+        Hp = H @ p
+        curv = p @ Hp
+        if curv <= 0.0:
+            if j == 0:
+                return CgOutcome(-g, None, CgStatus.NONPOSITIVE_CURVATURE_FIRST_ITERATION, 0)
+            return CgOutcome(s, p, CgStatus.NONPOSITIVE_CURVATURE, j)
+        step = rr / curv
+        s = s + step * p
+        r = r + step * Hp
+        rr_new = r @ r
+        if math.sqrt(rr_new) <= tolerance:
+            return CgOutcome(s, None, CgStatus.CONVERGED, j + 1)
+        p = -r + (rr_new / rr) * p
+        rr = rr_new
+    return CgOutcome(s, None, CgStatus.MAX_ITERATIONS, max_iterations)
+
+
+_CG_KINDS = ("spd", "indefinite", "singular")
+
+
+def _cg_system(kind, n, rng):
+    """A symmetric H of the kind named and a gradient g."""
+    Q = _orthogonal(rng, n)
+    if kind == "spd":
+        w = np.logspace(0.0, rng.uniform(0.0, 4.0), n)
+    elif kind == "indefinite":
+        w = rng.uniform(-3.0, 3.0, size=n)
+    else:
+        # singular: about half the spectrum is zero, the rest positive
+        w = rng.uniform(0.5, 3.0, size=n) * (rng.random(n) < 0.5)
+    H = (Q * w) @ Q.T
+    return 0.5 * (H + H.T), rng.normal(size=n)
+
+
+def _in_layout(H, layout):
+    """H as a C-ordered, a Fortran-ordered or a strided (non-contiguous)
+    array with the same entries."""
+    if layout == "C":
+        return H
+    if layout == "F":
+        return np.asfortranarray(H)
+    wide = np.zeros((2 * H.shape[0], 2 * H.shape[1]))
+    wide[::2, ::2] = H
+    return wide[::2, ::2]
+
+
+class TestTruncatedCgBits:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("cap", [1, 3, 10, 50])
+    @pytest.mark.parametrize("n", [1, 2, 10, 49])
+    @pytest.mark.parametrize("kind", _CG_KINDS)
+    def test_same_bits_as_the_transcribed_loop(self, kind, n, cap, layout):
+        rng = np.random.default_rng([n, cap, _CG_KINDS.index(kind)])
+        for _ in range(5):
+            H, g = _cg_system(kind, n, rng)
+            H = _in_layout(H, layout)
+            got = truncated_cg(H, g, max_iterations=cap)
+            want = _transcribed_truncated_cg(H, g, cap)
+            assert got.status is want.status
+            assert got.iterations_used == want.iterations_used
+            assert got.solution.tobytes() == want.solution.tobytes()
+            if want.curvature_direction is None:
+                assert got.curvature_direction is None
+            else:
+                assert (got.curvature_direction.tobytes()
+                        == want.curvature_direction.tobytes())
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1e308, -1e308, 1.7976931348623157e308,
+                                5e-324, math.nan, math.inf, -math.inf])
+
+
+class TestAllFinite:
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=6),
+                      elements=st.one_of(st.floats(), _EDGE_FLOATS)))
+    def test_equals_isfinite_all(self, a):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert all_finite(a) is bool(np.isfinite(a).all())
+
+    def test_finite_entries_whose_sum_overflows_are_finite(self):
+        a = np.full((2, 3), 1e308)
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(a.sum())
+            assert all_finite(a) and all_finite(-a)
 
 
 def _shift_bisection_oracle(H, cap, hi=1e6, iters=200):
